@@ -29,6 +29,7 @@
  */
 #include "core/fleet.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <deque>
@@ -131,6 +132,8 @@ template <class Q> class FleetEngine
                 cfg.mean_bandwidth *
                 (1.0 + spread * signedUnit(hashMix(cfg.seed, 1, w)));
         last_pushed_.assign(cfg.workers, 0);
+        pushed_count_.assign(cfg.iterations + 1, 0);
+        pushed_count_[0] = cfg.workers;
     }
 
     FleetResult
@@ -180,7 +183,6 @@ template <class Q> class FleetEngine
     struct FleetWorker
     {
         std::int64_t iter = 0; //!< iteration in flight (1-based).
-        bool blocked = false;
         bool retired = false;
         double link_rate = 0.0;
         double push_start = 0.0;
@@ -205,6 +207,9 @@ template <class Q> class FleetEngine
         std::uint64_t seq = 0; //!< start order (completion tie-break).
         double remaining = 0.0;
         double rate = 0.0;
+        /** rate / n, n the active count at the last settle; 0 until the
+         *  first settle after the transfer started. */
+        double share = 0.0;
     };
 
     // ---- deterministic hashes ----
@@ -310,57 +315,51 @@ template <class Q> class FleetEngine
     }
 
     // ---- airtime-fair fluid channel ----
-    double
-    shareRate(const Transfer &t) const
-    {
-        return t.rate / static_cast<double>(active_.size());
-    }
-
+    /**
+     * One pass over the active transfers. Each moves forward to now at
+     * the share it was given by the previous settle (a transfer started
+     * since then has share 0 and stays put), takes its share under the
+     * current count, and gets a finish time; the completion event is
+     * re-armed for the transfer that finishes first (ties by start
+     * order).
+     */
     void
-    channelAdvance(double t)
-    {
-        if (!active_.empty()) {
-            const double dt = t - channel_last_;
-            for (Transfer &tr : active_)
-                tr.remaining -= dt * shareRate(tr);
-        }
-        channel_last_ = t;
-    }
-
-    /** Cancel the pending completion event (O(1) on the heap core)
-     *  and re-arm it for the transfer that finishes next under the
-     *  current airtime shares. */
-    void
-    channelReschedule()
+    channelSettle()
     {
         if (channel_ev_.valid()) {
             coord_.cancel(channel_ev_);
             channel_ev_ = {};
         }
+        const double dt = coord_.now() - channel_last_;
+        channel_last_ = coord_.now();
         if (active_.empty())
             return;
-        double best_dt = 0.0;
+        const double n = static_cast<double>(active_.size());
+        double best_fin = 0.0;
         std::uint64_t best_seq = 0;
-        for (const Transfer &tr : active_) {
+        for (std::size_t i = 0; i < active_.size(); ++i) {
+            Transfer &tr = active_[i];
+            if (dt != 0.0)
+                tr.remaining -= dt * tr.share;
+            tr.share = tr.rate / n;
             const double rem = tr.remaining > 0.0 ? tr.remaining : 0.0;
-            const double dt = rem / shareRate(tr);
-            if (best_seq == 0 || dt < best_dt ||
-                (dt == best_dt && tr.seq < best_seq)) {
-                best_dt = dt;
+            const double fin = rem / tr.share;
+            if (best_seq == 0 || fin < best_fin ||
+                (fin == best_fin && tr.seq < best_seq)) {
+                best_fin = fin;
                 best_seq = tr.seq;
+                channel_next_ = i;
             }
         }
-        const std::uint64_t seq = best_seq;
-        channel_ev_ = coord_.schedule(coord_.now() + best_dt,
-                                      [this, seq] {
-                                          onChannelFire(seq);
-                                      });
+        channel_ev_ = coord_.schedule(coord_.now() + best_fin,
+                                      [this] { onChannelFire(); });
     }
 
+    /** Append a transfer. The caller settles the channel afterwards;
+     *  inside a completion handler, onChannelFire does. */
     void
     channelStart(std::size_t w, bool is_pull, double bytes)
     {
-        channelAdvance(coord_.now());
         Transfer tr;
         tr.worker = static_cast<std::uint32_t>(w);
         tr.is_pull = is_pull;
@@ -369,86 +368,78 @@ template <class Q> class FleetEngine
         tr.rate = workers_[w].link_rate;
         active_.push_back(tr);
         total_bytes_ += bytes;
-        channelReschedule();
     }
 
+    /** The transfer channel_next_ finished: drop it, run its handler,
+     *  then settle the rest under the new shares. */
     void
-    onChannelFire(std::uint64_t seq)
+    onChannelFire()
     {
         channel_ev_ = {};
-        channelAdvance(coord_.now());
-        std::size_t idx = active_.size();
-        for (std::size_t i = 0; i < active_.size(); ++i)
-            if (active_[i].seq == seq) {
-                idx = i;
-                break;
-            }
-        if (idx == active_.size())
-            return; // stale completion; nothing to do.
-        const Transfer done = active_[idx];
-        active_[idx] = active_.back();
+        const Transfer done = active_[channel_next_];
+        active_[channel_next_] = active_.back();
         active_.pop_back();
         if (done.is_pull)
             onPullComplete(done.worker);
         else
             onPushComplete(done.worker);
-        channelReschedule();
+        channelSettle();
     }
 
     // ---- worker state machine ----
-    /** RSP gate: every other active worker's last pushed iteration
-     *  must be within the staleness threshold of @p next. Reads only
-     *  coordinator-owned mirrors (last_pushed_, retired), never shard
-     *  state. */
-    bool
-    gatePasses(std::size_t w, std::int64_t next) const
+    /** Advance floor_ to the smallest last_pushed_ value any active
+     *  worker still holds. Pushes only raise a worker's value and
+     *  workers only leave, so floor_ never moves down and the walk is
+     *  amortised O(1). Once every worker retired it rests at
+     *  pushed_count_.size(), above every gate's bar. */
+    void
+    raiseFloor()
     {
-        const std::int64_t floor =
-            next - static_cast<std::int64_t>(cfg_.staleness_threshold);
-        for (std::size_t o = 0; o < cfg_.workers; ++o) {
-            if (o == w || workers_[o].retired)
-                continue;
-            if (last_pushed_[o] < floor)
-                return false;
-        }
-        return true;
+        while (floor_ < pushed_count_.size() && pushed_count_[floor_] == 0)
+            ++floor_;
+    }
+
+    /** RSP gate: every other active worker's last pushed iteration
+     *  must be within the staleness threshold of @p next. For
+     *  threshold >= 1 a worker's own last push never trips its gate (it
+     *  pushed next - 1 >= next - threshold), so the gate is one
+     *  fleet-wide floor. Reads only coordinator-owned state, never
+     *  shard state. */
+    bool
+    gatePasses(std::int64_t next) const
+    {
+        return static_cast<std::int64_t>(floor_) >=
+               next - static_cast<std::int64_t>(cfg_.staleness_threshold);
     }
 
     void
     beginIteration(std::size_t w)
     {
         FleetWorker &fw = workers_[w];
-        fw.blocked = false;
         fw.iter += 1;
         const std::int64_t n = fw.iter;
         coord_.schedule(coord_.now() + computeDuration(w, n),
                         [this, w] { onComputeDone(w); });
     }
 
-    /** Re-check every gate-blocked worker (ascending index — the
-     *  deterministic unblock order) after progress or membership
-     *  changed. O(workers), not O(workers^2): for threshold >= 1 a
-     *  worker's own last_pushed never trips its gate (it pushed
-     *  next - 1 >= next - threshold), so gatePasses reduces to one
-     *  fleet-wide minimum over active workers, computed once. */
+    /** Release every gate-blocked worker whose gate now passes, in
+     *  ascending worker index (the deterministic unblock order), after
+     *  progress or membership changed. */
     void
     unblockScan()
     {
-        std::int64_t min_pushed = 0;
-        bool first = true;
-        for (std::size_t o = 0; o < cfg_.workers; ++o) {
-            if (workers_[o].retired)
-                continue;
-            if (first || last_pushed_[o] < min_pushed)
-                min_pushed = last_pushed_[o];
-            first = false;
+        released_.clear();
+        std::size_t kept = 0;
+        for (std::uint32_t w : blocked_) {
+            if (gatePasses(workers_[w].iter + 1))
+                released_.push_back(w);
+            else
+                blocked_[kept++] = w;
         }
-        const std::int64_t s =
-            static_cast<std::int64_t>(cfg_.staleness_threshold);
-        for (std::size_t w = 0; w < cfg_.workers; ++w)
-            if (workers_[w].blocked &&
-                (first || min_pushed >= workers_[w].iter + 1 - s))
-                beginIteration(w);
+        blocked_.resize(kept);
+        std::sort(released_.begin(), released_.end());
+        for (std::uint32_t w : released_)
+            beginIteration(w);
     }
 
     void
@@ -479,6 +470,7 @@ template <class Q> class FleetEngine
             static_cast<double>(push_rows_ * width) * 4.0 +
             cfg_.header_bytes;
         channelStart(w, /*is_pull=*/false, bytes);
+        channelSettle();
     }
 
     void
@@ -487,7 +479,10 @@ template <class Q> class FleetEngine
         FleetWorker &fw = workers_[w];
         const std::int64_t n = fw.iter;
         logCoord(kTagPushDone, w, n);
+        --pushed_count_[static_cast<std::size_t>(last_pushed_[w])];
+        ++pushed_count_[static_cast<std::size_t>(n)];
         last_pushed_[w] = n;
+        raiseFloor();
 
         const double bytes =
             static_cast<double>(push_rows_ * cfg_.row_width) * 4.0 +
@@ -570,6 +565,8 @@ template <class Q> class FleetEngine
 
         if (n >= static_cast<std::int64_t>(cfg_.iterations)) {
             fw.retired = true;
+            --pushed_count_[static_cast<std::size_t>(last_pushed_[w])];
+            raiseFloor();
             for (std::size_t s = 0; s < shards_; ++s)
                 enqueueShard(s, [this, s, w] {
                     server_->shard(s).retireWorker(w);
@@ -578,10 +575,10 @@ template <class Q> class FleetEngine
             unblockScan();
             return;
         }
-        if (gatePasses(w, n + 1))
+        if (gatePasses(n + 1))
             beginIteration(w);
         else
-            fw.blocked = true;
+            blocked_.push_back(static_cast<std::uint32_t>(w));
     }
 
     void
@@ -670,6 +667,12 @@ template <class Q> class FleetEngine
     std::vector<float> replicas_;
     std::vector<FleetWorker> workers_;
     std::vector<std::int64_t> last_pushed_;
+    /** Active workers per last_pushed_ value; floor_ is the smallest
+     *  value with a nonzero count (see raiseFloor). */
+    std::vector<std::size_t> pushed_count_;
+    std::size_t floor_ = 0;
+    std::vector<std::uint32_t> blocked_;  //!< gate-blocked workers.
+    std::vector<std::uint32_t> released_; //!< unblockScan scratch.
 
     Q coord_;
     std::uint64_t coord_events_ = 0;
@@ -677,6 +680,7 @@ template <class Q> class FleetEngine
 
     std::vector<Transfer> active_;
     typename Q::id_type channel_ev_{};
+    std::size_t channel_next_ = 0; //!< active_ index of the finisher.
     std::uint64_t next_transfer_seq_ = 1;
     double channel_last_ = 0.0;
 

@@ -9,6 +9,14 @@
 namespace rog {
 namespace core {
 
+namespace {
+
+/** accumulate() adds into the outbox in fixed blocks of this many
+ *  floats. */
+constexpr std::size_t kBlock = 64;
+
+} // namespace
+
 ServerShard::ServerShard(std::size_t workers,
                          std::vector<std::size_t> unit_widths)
     : workers_(workers), unit_widths_(std::move(unit_widths)),
@@ -16,13 +24,14 @@ ServerShard::ServerShard(std::size_t workers,
 {
     ROG_ASSERT(workers_ > 0, "shard needs at least one worker");
     ROG_ASSERT(!unit_widths_.empty(), "shard needs at least one unit");
+    std::size_t floats = 0;
     unit_offsets_.reserve(unit_widths_.size());
     for (std::size_t w : unit_widths_) {
-        unit_offsets_.push_back(floats_per_worker_);
-        floats_per_worker_ += w;
+        unit_offsets_.push_back(floats);
+        floats += workers_ * w;
     }
-    outbox_.assign(workers_ * floats_per_worker_, 0.0f);
-    has_pending_.assign(workers_ * unit_widths_.size(), 0);
+    outbox_.assign(floats, 0.0f);
+    has_pending_.assign(unit_widths_.size() * workers_, 0);
     last_update_.assign(unit_widths_.size(), 0);
     versions_.assign(workers_ * unit_widths_.size(), 0);
     retired_.assign(workers_, 0);
@@ -34,18 +43,49 @@ ServerShard::accumulate(std::size_t unit, std::span<const float> decoded)
     ROG_ASSERT(unit < unit_widths_.size(), "unit out of range");
     ROG_ASSERT(decoded.size() == unit_widths_[unit],
                "decoded width mismatch");
-    // Same float op order as the legacy ServerState::accumulate: one
-    // worker copy at a time, scale*decoded[j] added in ascending j —
-    // bit-identity with the unsharded server depends on this.
+    // Every element gets the legacy ServerState op, dst += scale *
+    // decoded[j] with the product rounded to float first (rog_core is
+    // built with -ffp-contract=off, so ServerState rounds it too), so
+    // the result is bit-identical to the unsharded server. Only the
+    // addresses and the order across elements differ.
     const auto scale =
         static_cast<float>(1.0 / static_cast<double>(workers_));
-    const std::size_t off = unit_offsets_[unit];
-    for (std::size_t w = 0; w < workers_; ++w) {
-        float *dst = outbox_.data() + w * floats_per_worker_ + off;
-        for (std::size_t j = 0; j < decoded.size(); ++j)
-            dst[j] += scale * decoded[j];
-        has_pending_[cell(w, unit)] = 1;
+    const std::size_t width = decoded.size();
+    float *dst = outbox_.data() + offset(0, unit);
+    std::fill_n(has_pending_.begin() +
+                    static_cast<std::ptrdiff_t>(flag(0, unit)),
+                workers_, std::uint8_t{1});
+    if (width == 0 || width > kBlock) {
+        for (std::size_t w = 0; w < workers_; ++w, dst += width)
+            for (std::size_t j = 0; j < width; ++j)
+                dst[j] += scale * decoded[j];
+        return;
     }
+    // All workers' copies of the unit are one run of workers * width
+    // floats, swept in fixed blocks of kBlock. The products repeat with
+    // period width, so the block starting at flat index i reads them
+    // from phase i % width of a window of kBlock + width. On the
+    // fleet_1024 shape this ran about 1.3-1.4x faster end to end than a
+    // per-worker row loop over the same run (EXPERIMENTS.md).
+    float products[2 * kBlock];
+    for (std::size_t j = 0; j < width; ++j)
+        products[j] = scale * decoded[j];
+    for (std::size_t k = width; k < kBlock + width; ++k)
+        products[k] = products[k - width];
+    const std::size_t total = workers_ * width;
+    const std::size_t step = kBlock % width;
+    std::size_t phase = 0;
+    std::size_t i = 0;
+    for (; i + kBlock <= total; i += kBlock) {
+        const float *src = products + phase;
+        for (std::size_t j = 0; j < kBlock; ++j)
+            dst[i + j] += src[j];
+        phase += step;
+        if (phase >= width)
+            phase -= width;
+    }
+    for (std::size_t j = 0; i + j < total; ++j)
+        dst[i + j] += products[phase + j];
 }
 
 std::span<float>
@@ -53,9 +93,7 @@ ServerShard::pending(std::size_t worker, std::size_t unit)
 {
     ROG_ASSERT(worker < workers_ && unit < unit_widths_.size(),
                "pending index out of range");
-    return {outbox_.data() + worker * floats_per_worker_ +
-                unit_offsets_[unit],
-            unit_widths_[unit]};
+    return {outbox_.data() + offset(worker, unit), unit_widths_[unit]};
 }
 
 bool
@@ -63,7 +101,7 @@ ServerShard::hasPending(std::size_t worker, std::size_t unit) const
 {
     ROG_ASSERT(worker < workers_ && unit < unit_widths_.size(),
                "pending index out of range");
-    return has_pending_[cell(worker, unit)] != 0;
+    return has_pending_[flag(worker, unit)] != 0;
 }
 
 void
@@ -71,10 +109,9 @@ ServerShard::clearPending(std::size_t worker, std::size_t unit)
 {
     ROG_ASSERT(worker < workers_ && unit < unit_widths_.size(),
                "pending index out of range");
-    float *dst = outbox_.data() + worker * floats_per_worker_ +
-                 unit_offsets_[unit];
+    float *dst = outbox_.data() + offset(worker, unit);
     std::fill(dst, dst + unit_widths_[unit], 0.0f);
-    has_pending_[cell(worker, unit)] = 0;
+    has_pending_[flag(worker, unit)] = 0;
 }
 
 void
@@ -93,8 +130,7 @@ ServerShard::pendingMeanAbs(std::size_t worker, std::size_t unit) const
     const std::size_t width = unit_widths_[unit];
     if (width == 0)
         return 0.0;
-    const float *buf = outbox_.data() + worker * floats_per_worker_ +
-                       unit_offsets_[unit];
+    const float *buf = outbox_.data() + offset(worker, unit);
     double s = 0.0;
     for (std::size_t j = 0; j < width; ++j)
         s += std::fabs(buf[j]);
@@ -207,21 +243,19 @@ ServerShard::versionSnapshot() const
 ServerStateSnapshot
 ServerShard::serverSnapshot() const
 {
+    // The snapshot keeps the legacy per-worker shape, so ROGS bytes do
+    // not depend on the arena layout.
     ServerStateSnapshot s;
     s.outbox.resize(workers_);
     s.has_pending.resize(workers_);
     for (std::size_t w = 0; w < workers_; ++w) {
         s.outbox[w].resize(unit_widths_.size());
-        s.has_pending[w].assign(
-            has_pending_.begin() +
-                static_cast<std::ptrdiff_t>(w * unit_widths_.size()),
-            has_pending_.begin() + static_cast<std::ptrdiff_t>(
-                                       (w + 1) * unit_widths_.size()));
-        const float *block = outbox_.data() + w * floats_per_worker_;
-        for (std::size_t u = 0; u < unit_widths_.size(); ++u)
-            s.outbox[w][u].assign(block + unit_offsets_[u],
-                                  block + unit_offsets_[u] +
-                                      unit_widths_[u]);
+        s.has_pending[w].resize(unit_widths_.size());
+        for (std::size_t u = 0; u < unit_widths_.size(); ++u) {
+            const float *src = outbox_.data() + offset(w, u);
+            s.outbox[w][u].assign(src, src + unit_widths_[u]);
+            s.has_pending[w][u] = has_pending_[flag(w, u)];
+        }
     }
     s.last_update = last_update_;
     return s;
@@ -252,15 +286,12 @@ ServerShard::restore(const VersionSnapshot &versions,
                   versions.versions[w].end(),
                   versions_.begin() + static_cast<std::ptrdiff_t>(
                                           w * unit_widths_.size()));
-        std::copy(server.has_pending[w].begin(),
-                  server.has_pending[w].end(),
-                  has_pending_.begin() + static_cast<std::ptrdiff_t>(
-                                             w * unit_widths_.size()));
-        float *block = outbox_.data() + w * floats_per_worker_;
-        for (std::size_t u = 0; u < unit_widths_.size(); ++u)
+        for (std::size_t u = 0; u < unit_widths_.size(); ++u) {
             std::copy(server.outbox[w][u].begin(),
                       server.outbox[w][u].end(),
-                      block + unit_offsets_[u]);
+                      outbox_.data() + offset(w, u));
+            has_pending_[flag(w, u)] = server.has_pending[w][u];
+        }
         retired_[w] = versions.retired[w];
     }
     last_update_ = server.last_update;

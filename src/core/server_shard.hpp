@@ -15,10 +15,18 @@
  *  - Model rows (synchronization units) are partitioned across shards
  *    in contiguous ranges; `unit -> (shard, local unit)` is two O(1)
  *    table lookups.
- *  - Each shard stores its outbox as ONE flat float arena (worker
- *    blocks contiguous), pending flags and version cells as flat
- *    arrays, and owns its own MtaTimeTracker bookkeeping, membership
- *    (retired) view, and ROGS checkpoint payload.
+ *  - Each shard stores its outbox as ONE flat float arena, pending
+ *    flags and version cells as flat arrays, and owns its own
+ *    MtaTimeTracker bookkeeping, membership (retired) view, and ROGS
+ *    checkpoint payload.
+ *  - The outbox and the pending flags are unit-major: every worker's
+ *    copy of one unit sits side by side, `[unit][worker][width]`.
+ *    accumulate(), which adds one pushed row into every worker's copy,
+ *    is then one contiguous sweep of workers * width floats instead of
+ *    one short write per worker block. Pulls and clears touch one
+ *    worker's slice of a unit, which is contiguous in either layout.
+ *    The version matrix stays worker-major: it is read per worker
+ *    (maxVersionOfWorker, snapshots) and is off the hot path.
  *  - MTA throughput reports are replicated into every shard's tracker:
  *    the EWMA streams are identical, so every shard derives the same
  *    tMTA a single global tracker would — while remaining
@@ -28,9 +36,12 @@
  * Numerical contract: for any shard count, a sharded run is
  * row-for-row bit-identical to the single-shard (and to the legacy
  * trio) run. Accumulation order within a unit never crosses a shard
- * boundary (units are atomic), the float op order inside
- * `accumulate()` matches ServerState exactly, and version/tracker
- * arithmetic is integer or replicated. The sharded_server_test
+ * boundary (units are atomic), every outbox element gets the same
+ * float ops in the same order as in ServerState (the layout only
+ * changes which addresses hold them; rog_core is built with
+ * -ffp-contract=off, so no target fuses one server's multiply-add and
+ * not the other's), and version/tracker arithmetic is integer or
+ * replicated. The sharded_server_test
  * verifies this by differential runs.
  */
 #ifndef ROG_CORE_SERVER_SHARD_HPP
@@ -107,21 +118,32 @@ class ServerShard
                  const MtaTrackerSnapshot &tracker);
 
   private:
+    /** Worker-major index into versions_. */
     std::size_t cell(std::size_t worker, std::size_t unit) const
     {
         return worker * unit_widths_.size() + unit;
     }
 
+    /** Unit-major index into has_pending_. */
+    std::size_t flag(std::size_t worker, std::size_t unit) const
+    {
+        return unit * workers_ + worker;
+    }
+
+    /** First float of @p worker's copy of @p unit in outbox_. */
+    std::size_t offset(std::size_t worker, std::size_t unit) const
+    {
+        return unit_offsets_[unit] + worker * unit_widths_[unit];
+    }
+
     std::size_t workers_;
     std::vector<std::size_t> unit_widths_;
-    std::vector<std::size_t> unit_offsets_; //!< into a worker block.
-    std::size_t floats_per_worker_ = 0;
+    std::vector<std::size_t> unit_offsets_; //!< unit block in outbox_.
 
-    // Flat arenas, indexed by cell(worker, unit) / worker block.
-    std::vector<float> outbox_;
-    std::vector<std::uint8_t> has_pending_;
+    std::vector<float> outbox_;             //!< [unit][worker][width].
+    std::vector<std::uint8_t> has_pending_; //!< [unit][worker].
     std::vector<std::int64_t> last_update_; //!< per unit.
-    std::vector<std::int64_t> versions_;
+    std::vector<std::int64_t> versions_;    //!< [worker][unit].
     std::vector<std::uint8_t> retired_;     //!< per worker.
     MtaTimeTracker tracker_;
 };

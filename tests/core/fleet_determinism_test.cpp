@@ -11,6 +11,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <fstream>
+#include <iterator>
+#include <string>
+#include <vector>
+
+#include "common/crc32c.hpp"
 #include "core/fleet.hpp"
 #include "core/server_checkpoint.hpp"
 #include "parallel/thread_pool.hpp"
@@ -137,6 +144,99 @@ TEST(FleetDeterminismTest, WritesOneCheckpointFilePerShard)
         EXPECT_EQ(ckpt.versions.versions.size(), cfg.workers);
     }
 }
+
+// Fingerprints pinned from a known-good build. Storage-layout and
+// event-loop optimisations must leave every one of them unchanged.
+// x86-64 only: other targets may contract a*b+c into an FMA in the
+// libraries built without -ffp-contract=off, which changes the float
+// bits the digests cover.
+#if defined(__x86_64__)
+
+struct Fingerprint
+{
+    std::uint32_t state_digest;
+    std::uint64_t events_processed;
+    double sim_seconds;
+    double total_bytes;
+};
+
+void
+expectFingerprint(const FleetResult &r, const Fingerprint &f)
+{
+    EXPECT_EQ(r.state_digest, f.state_digest);
+    EXPECT_EQ(r.events_processed, f.events_processed);
+    EXPECT_EQ(r.sim_seconds, f.sim_seconds);
+    EXPECT_EQ(r.total_bytes, f.total_bytes);
+}
+
+std::uint32_t
+fileCrc(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    EXPECT_TRUE(in.good()) << path;
+    const std::vector<std::uint8_t> bytes(
+        (std::istreambuf_iterator<char>(in)),
+        std::istreambuf_iterator<char>());
+    return crc32c(bytes);
+}
+
+TEST(FleetDeterminismTest, PinnedFingerprintFleet64)
+{
+    parallel::ThreadPool pool(2);
+    expectFingerprint(runFleetSimulation(fleetConfig64(), pool),
+                      {0xbf681b02u, 82921u, 3.9365555437587898,
+                       7100672.0});
+}
+
+/** Ragged shapes (37 workers, 29 rows of width 5, 3 uneven shards)
+ *  with checkpointing, so the ROGS bytes are pinned too. */
+TEST(FleetDeterminismTest, PinnedFingerprintRaggedCheckpoints)
+{
+    FleetConfig cfg = fleetConfig64();
+    cfg.workers = 37;
+    cfg.rows = 29;
+    cfg.row_width = 5;
+    cfg.shards = 3;
+    cfg.iterations = 9;
+    cfg.checkpoint_every = 3;
+    cfg.seed = 1;
+    cfg.checkpoint_dir = testing::TempDir() + "rog_fleet_pinned";
+    ::mkdir(cfg.checkpoint_dir.c_str(), 0755);
+
+    parallel::ThreadPool pool(2);
+    const FleetResult r = runFleetSimulation(cfg, pool);
+    expectFingerprint(
+        r, {0xb1f327d5u, 14016u, 0.54683425686654163, 248616.0});
+    EXPECT_EQ(r.checkpoint_files_written, 3u * 3u);
+
+    const std::uint32_t file_crc[3] = {0xd5a72c64u, 0xc3170cb7u,
+                                       0x3b055f20u};
+    for (std::size_t s = 0; s < 3; ++s) {
+        std::string path = cfg.checkpoint_dir + "/fleet.rogs";
+        if (s != 0)
+            path += ".shard" + std::to_string(s);
+        EXPECT_EQ(fileCrc(path), file_crc[s]) << path;
+    }
+}
+
+/** The benchmark's fleet shape: 1024 workers, 64 rows of 8, 8
+ *  shards. */
+TEST(FleetDeterminismTest, PinnedFingerprintFleet1024)
+{
+    FleetConfig cfg = fleetConfig64();
+    cfg.workers = 1024;
+    cfg.rows = 64;
+    cfg.row_width = 8;
+    cfg.shards = 8;
+    cfg.iterations = 2;
+
+    parallel::ThreadPool pool(2);
+    expectFingerprint(runFleetSimulation(cfg, pool),
+                      {0xdb8492aeu, 143511u, 1.7726371717005973,
+                       3270304.0});
+}
+
+#endif // __x86_64__
 
 } // namespace
 } // namespace core

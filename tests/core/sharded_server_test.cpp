@@ -8,6 +8,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -205,6 +206,160 @@ TEST(ShardedServerTest, ShardRangesAreContiguousAndCoverEveryUnit)
         last = sh;
     }
     EXPECT_EQ(last, s.shardCount() - 1);
+}
+
+/** Random pushes, pulls, version bumps and MTA reports on one shard. */
+void
+churnShard(ServerShard &shard, Rng &rng, int ops)
+{
+    std::vector<float> grad;
+    for (int op = 0; op < ops; ++op) {
+        const std::size_t w = rng.uniformInt(shard.workers());
+        const std::size_t u = rng.uniformInt(shard.units());
+        switch (rng.uniformInt(4)) {
+        case 0:
+        case 1: {
+            grad.resize(shard.pending(w, u).size());
+            for (auto &g : grad)
+                g = static_cast<float>(rng.uniform(-1.0, 1.0));
+            shard.accumulate(u, grad);
+            const std::int64_t iter = shard.version(w, u) + 1;
+            shard.updateVersion(w, u, iter);
+            shard.noteUpdate(u, iter);
+            break;
+        }
+        case 2:
+            shard.clearPending(w, u);
+            break;
+        default:
+            shard.report(w, rng.uniform(1e3, 1e6), rng.uniform(0.01, 2.0),
+                         rng.uniform(1e3, 1e5));
+            break;
+        }
+    }
+}
+
+void
+expectSameSnapshots(const ServerShard &a, const ServerShard &b)
+{
+    const VersionSnapshot va = a.versionSnapshot();
+    const VersionSnapshot vb = b.versionSnapshot();
+    EXPECT_EQ(va.versions, vb.versions);
+    EXPECT_EQ(va.retired, vb.retired);
+    const ServerStateSnapshot sa = a.serverSnapshot();
+    const ServerStateSnapshot sb = b.serverSnapshot();
+    EXPECT_EQ(sa.outbox, sb.outbox);
+    EXPECT_EQ(sa.has_pending, sb.has_pending);
+    EXPECT_EQ(sa.last_update, sb.last_update);
+    const MtaTrackerSnapshot ta = a.trackerSnapshot();
+    const MtaTrackerSnapshot tb = b.trackerSnapshot();
+    EXPECT_EQ(ta.rate, tb.rate);
+    EXPECT_EQ(ta.seeded, tb.seeded);
+    EXPECT_EQ(ta.mta_bytes, tb.mta_bytes);
+}
+
+TEST(ShardedServerTest, ShardSnapshotRoundTripsRaggedWidths)
+{
+    const std::vector<std::size_t> widths = {3, 8, 1, 17, 70};
+    const std::size_t workers = 5;
+    ServerShard src(workers, widths);
+    Rng rng(0x5EEDu);
+    churnShard(src, rng, 600);
+    src.retireWorker(3);
+
+    const ServerStateSnapshot snap = src.serverSnapshot();
+    ASSERT_EQ(snap.outbox.size(), workers);
+    ASSERT_EQ(snap.has_pending.size(), workers);
+    for (std::size_t w = 0; w < workers; ++w) {
+        ASSERT_EQ(snap.outbox[w].size(), widths.size());
+        for (std::size_t u = 0; u < widths.size(); ++u) {
+            ASSERT_EQ(snap.outbox[w][u].size(), widths[u]);
+            const auto p = src.pending(w, u);
+            EXPECT_TRUE(std::equal(p.begin(), p.end(),
+                                   snap.outbox[w][u].begin()));
+            EXPECT_EQ(snap.has_pending[w][u] != 0, src.hasPending(w, u));
+        }
+    }
+
+    ServerShard dst(workers, widths);
+    dst.restore(src.versionSnapshot(), snap, src.trackerSnapshot());
+    expectSameSnapshots(src, dst);
+    for (std::size_t w = 0; w < workers; ++w) {
+        EXPECT_EQ(src.retired(w), dst.retired(w));
+        for (std::size_t u = 0; u < widths.size(); ++u) {
+            EXPECT_EQ(src.hasPending(w, u), dst.hasPending(w, u));
+            EXPECT_EQ(src.version(w, u), dst.version(w, u));
+            EXPECT_EQ(src.pendingMeanAbs(w, u), dst.pendingMeanAbs(w, u));
+        }
+    }
+
+    // The restored shard carries on exactly as the original does.
+    Rng ra(0xD1CEu), rb(0xD1CEu);
+    churnShard(src, ra, 300);
+    churnShard(dst, rb, 300);
+    expectSameSnapshots(src, dst);
+}
+
+TEST(ShardedServerTest, ShardSnapshotsMatchLegacyServerState)
+{
+    // Rows of 32, 80 and 12 floats over 7 workers: accumulate's
+    // blocked sweep at phases that do not divide its block, its tail,
+    // and its per-worker loop for rows wider than a block.
+    const std::size_t workers = 7;
+    CrudaWorkloadConfig wcfg = tinyCruda(workers);
+    wcfg.model.hidden = {80, 12};
+    CrudaWorkload workload(wcfg);
+    auto model = workload.buildReplica();
+    FlatModel flat(*model);
+    RowPartition partition(flat, Granularity::Row);
+    const std::size_t units = partition.unitCount();
+
+    ServerState legacy(workers, partition);
+    ShardedServer sharded(workers, partition, 3);
+    ASSERT_EQ(sharded.shardCount(), 3u);
+
+    Rng rng(0xFEEDu);
+    std::vector<float> grad;
+    for (int op = 0; op < 3000; ++op) {
+        const std::size_t w = rng.uniformInt(workers);
+        const std::size_t u = rng.uniformInt(units);
+        if (rng.uniformInt(3) != 0) {
+            grad.resize(partition.unit(u).width);
+            for (auto &g : grad)
+                g = static_cast<float>(rng.uniform(-1.0, 1.0));
+            legacy.accumulate(u, grad);
+            sharded.accumulate(u, grad);
+            legacy.noteUpdate(u, op);
+            sharded.noteUpdate(u, op);
+        } else {
+            legacy.clearPending(w, u);
+            sharded.clearPending(w, u);
+        }
+    }
+
+    // Concatenating the shards' snapshots along the unit axis must
+    // reproduce the legacy snapshot exactly.
+    ServerStateSnapshot joined;
+    joined.outbox.resize(workers);
+    joined.has_pending.resize(workers);
+    for (std::size_t s = 0; s < sharded.shardCount(); ++s) {
+        const ServerStateSnapshot part = sharded.shard(s).serverSnapshot();
+        for (std::size_t w = 0; w < workers; ++w) {
+            joined.outbox[w].insert(joined.outbox[w].end(),
+                                    part.outbox[w].begin(),
+                                    part.outbox[w].end());
+            joined.has_pending[w].insert(joined.has_pending[w].end(),
+                                         part.has_pending[w].begin(),
+                                         part.has_pending[w].end());
+        }
+        joined.last_update.insert(joined.last_update.end(),
+                                  part.last_update.begin(),
+                                  part.last_update.end());
+    }
+    const ServerStateSnapshot want = legacy.snapshot();
+    EXPECT_EQ(joined.outbox, want.outbox);
+    EXPECT_EQ(joined.has_pending, want.has_pending);
+    EXPECT_EQ(joined.last_update, want.last_update);
 }
 
 /**
