@@ -6,10 +6,7 @@
  * scripts/check_bench_regress.py.
  *
  * Per fleet size the bench reports:
- *  - events/s and wall-s per simulated-s for the heap event core AND
- *    the std::map baseline queue, on the identical simulation (the
- *    two runs must produce the same state_digest — a cross-check that
- *    the heap rewrite preserved firing order end to end);
+ *  - events/s and wall-s per simulated-s of the full simulation;
  *  - an event-core churn microbenchmark (schedule / cancel / step
  *    with fleet-sized closures) isolating the queue itself, where the
  *    acceptance gate lives: at the largest sweep size the heap core
@@ -211,11 +208,9 @@ main(int argc, char **argv)
     const std::size_t threads = parallel::ThreadPool::resolveThreads();
     std::vector<Record> recs;
     Table t("Fleet sweep (ROG threshold 4 + ATP vs BSP lockstep)",
-            {"workers", "events", "heap_ev/s", "map_ev/s",
-             "sim_s/wall_s", "acc_gap_rog-bsp", "core_ratio",
-             "pool_hit", "rss_mb"});
+            {"workers", "events", "heap_ev/s", "sim_s/wall_s",
+             "acc_gap_rog-bsp", "core_ratio", "pool_hit", "rss_mb"});
 
-    bool digests_match = true;
     double largest_core_ratio = 0.0;
     std::size_t largest_workers = 0;
 
@@ -235,23 +230,6 @@ main(int argc, char **argv)
         const double heap_wall = wallSeconds(t0);
         const double heap_evs =
             static_cast<double>(heap.events_processed) / heap_wall;
-
-        core::FleetConfig map_cfg = cfg;
-        map_cfg.use_map_queue = true;
-        t0 = Clock::now();
-        const core::FleetResult map = core::runFleetSimulation(map_cfg);
-        const double map_wall = wallSeconds(t0);
-        const double map_evs =
-            static_cast<double>(map.events_processed) / map_wall;
-
-        if (heap.state_digest != map.state_digest ||
-            heap.events_processed != map.events_processed) {
-            std::cerr << "DIGEST MISMATCH at " << sw.workers
-                      << " workers: heap 0x" << std::hex
-                      << heap.state_digest << " vs map 0x"
-                      << map.state_digest << std::dec << "\n";
-            digests_match = false;
-        }
 
         core::FleetConfig bsp_cfg = cfg;
         bsp_cfg.staleness_threshold = 1;
@@ -297,18 +275,6 @@ main(int argc, char **argv)
         heap_rec.peak_rss_bytes = rss;
         recs.push_back(heap_rec);
 
-        Record map_rec;
-        map_rec.op = "BM_FleetSimMap";
-        map_rec.size = sw.workers;
-        map_rec.threads = threads;
-        map_rec.ns_per_op =
-            map_wall * 1e9 /
-            static_cast<double>(map.events_processed);
-        map_rec.items_per_s = map_evs;
-        map_rec.sim_s_per_wall_s = map.sim_seconds / map_wall;
-        map_rec.label = "map";
-        recs.push_back(map_rec);
-
         Record core_rec;
         core_rec.op = "BM_FleetEventCore";
         core_rec.size = sw.workers;
@@ -329,7 +295,7 @@ main(int argc, char **argv)
 
         t.addRow({std::to_string(sw.workers),
                   std::to_string(heap.events_processed),
-                  Table::num(heap_evs, 0), Table::num(map_evs, 0),
+                  Table::num(heap_evs, 0),
                   Table::num(heap.sim_seconds / heap_wall, 2),
                   Table::num(gap, 4), Table::num(core_ratio, 2),
                   Table::num(heap.pool_hit_rate, 3),
@@ -345,10 +311,6 @@ main(int argc, char **argv)
               << " workers: heap " << Table::num(largest_core_ratio, 2)
               << "x over std::map baseline\n";
 
-    if (!digests_match) {
-        std::cerr << "FAIL: heap and map event queues diverged\n";
-        return 1;
-    }
     if (!fast && largest_core_ratio < 3.0) {
         std::cerr << "FAIL: heap event core only "
                   << largest_core_ratio

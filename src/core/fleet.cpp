@@ -14,8 +14,7 @@
  * (their ServerShard plus the disjoint replica rows their units map
  * to), so any interleaving of lanes yields the same memory image, and
  * the flush points themselves are a pure function of the event
- * timeline. Hence: bitwise-identical results for every thread count
- * and for both event-queue implementations.
+ * timeline. Hence: bitwise-identical results for every thread count.
  *
  * Synthetic workload: each worker descends ||x - target||^2 on its own
  * replica with hash-derived gradient noise; ATP partial pushes pick
@@ -47,7 +46,6 @@
 #include "core/server_shard.hpp"
 #include "parallel/parallel_for.hpp"
 #include "sim/event_queue.hpp"
-#include "sim/event_queue_ref.hpp"
 
 namespace rog {
 namespace core {
@@ -85,14 +83,8 @@ signedUnit(std::uint64_t h)
            1.0;
 }
 
-/**
- * The engine, templated over the event-queue type so the bench can run
- * the identical simulation on the heap event core (sim::EventQueue)
- * and the std::map baseline (sim::MapEventQueue). Both produce the
- * same state_digest — the fuzz oracle's firing-order equivalence,
- * end to end.
- */
-template <class Q> class FleetEngine
+/** The engine: one coordinator queue plus one event lane per shard. */
+class FleetEngine
 {
   public:
     FleetEngine(const FleetConfig &cfg, parallel::ThreadPool &pool)
@@ -195,7 +187,7 @@ template <class Q> class FleetEngine
      *  at the end — the ordered-combine discipline). */
     struct Lane
     {
-        Q queue;
+        sim::EventQueue queue;
         std::uint64_t events = 0;
         std::uint32_t crc = 0;
     };
@@ -660,7 +652,7 @@ template <class Q> class FleetEngine
     std::size_t push_rows_ = 0;
 
     std::unique_ptr<ShardedServer> server_;
-    std::deque<Lane> lanes_; //!< deque: Q is pinned (non-movable).
+    std::deque<Lane> lanes_; //!< deque: a queue is pinned (non-movable).
     std::size_t pending_ops_ = 0;
 
     std::vector<float> target_;
@@ -674,12 +666,12 @@ template <class Q> class FleetEngine
     std::vector<std::uint32_t> blocked_;  //!< gate-blocked workers.
     std::vector<std::uint32_t> released_; //!< unblockScan scratch.
 
-    Q coord_;
+    sim::EventQueue coord_;
     std::uint64_t coord_events_ = 0;
     std::uint32_t coord_crc_ = 0;
 
     std::vector<Transfer> active_;
-    typename Q::id_type channel_ev_{};
+    sim::EventQueue::id_type channel_ev_{};
     std::size_t channel_next_ = 0; //!< active_ index of the finisher.
     std::uint64_t next_transfer_seq_ = 1;
     double channel_last_ = 0.0;
@@ -709,11 +701,7 @@ FleetResult
 runFleetSimulation(const FleetConfig &cfg, parallel::ThreadPool &pool)
 {
     const BufferPool::Stats before = BufferPool::global().stats();
-    FleetResult r;
-    if (cfg.use_map_queue)
-        r = FleetEngine<sim::MapEventQueue>(cfg, pool).run();
-    else
-        r = FleetEngine<sim::EventQueue>(cfg, pool).run();
+    FleetResult r = FleetEngine(cfg, pool).run();
     fillPoolDeltas(r, before, BufferPool::global().stats());
     return r;
 }

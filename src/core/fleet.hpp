@@ -28,10 +28,6 @@
  * use. No shard reads another shard's state, the combine order is
  * fixed, so the result is bitwise identical for every ROG_THREADS
  * (verified by fleet_determinism_test across pools of 1/2/4/8).
- *
- * The engine is templated over the event-queue type so the fleet
- * benchmark can run the same simulation over the heap event core and
- * the legacy std::map queue and report the events/s ratio.
  */
 #ifndef ROG_CORE_FLEET_HPP
 #define ROG_CORE_FLEET_HPP
@@ -76,10 +72,6 @@ struct FleetConfig
      *  worker 0. */
     std::string checkpoint_dir{};
     std::size_t checkpoint_every = 0;
-
-    /** Run over the legacy std::map event queue instead of the heap
-     *  core (benchmark baseline; identical results, slower). */
-    bool use_map_queue = false;
 };
 
 /** Outcome + determinism fingerprint of one fleet run. */

@@ -63,9 +63,7 @@ ServerNode::ServerNode(net::session::Fabric &fabric, Workload &workload,
       opt_(std::make_unique<nn::SgdMomentum>(
           *model_, workload.optimizerConfig())),
       table_(workload.workers(), cfg.epoch, cfg.session_salt),
-      versions_(workload.workers(), partition_->unitCount()),
-      state_(workload.workers(), *partition_),
-      mta_(workload.workers()),
+      server_(workload.workers(), *partition_, 1),
       tracker_(workload.workers(), cfg.detector),
       peers_(workload.workers())
 {
@@ -106,9 +104,8 @@ ServerNode::restoreFromCheckpoint()
             std::istringstream is(s);
             nn::loadModel(is, *probe);
         }
-        versions_.restore(ckpt.versions);
-        state_.restore(ckpt.server);
-        mta_.restore(ckpt.tracker);
+        server_.shard(0).restore(ckpt.versions, ckpt.server,
+                                 ckpt.tracker);
         {
             std::string s(ckpt.model.begin(), ckpt.model.end());
             std::istringstream is(s);
@@ -170,7 +167,7 @@ ServerNode::start()
             for (std::size_t u = 0; u < partition_->unitCount(); ++u) {
                 if (u > 0)
                     os << ',';
-                os << versions_.get(w, u);
+                os << server_.version(w, u);
             }
             logLine(fmt(fabric_.now(), os.str().c_str()));
         }
@@ -287,8 +284,8 @@ ServerNode::onHello(std::vector<std::uint8_t> &&bytes)
     // pushed, so its next push is fresh by construction.
     std::int64_t start = a.start_iter;
     if (a.mode != AdmitMode::Fresh) {
-        start = std::max(start, versions_.maxVersionOfWorker(w));
-        versions_.rejoinWorker(w, start);
+        start = std::max(start, server_.maxVersionOfWorker(w));
+        server_.rejoinWorker(w, start);
     }
 
     // Rejoin resyncs to the canonical model, which already reflects
@@ -296,7 +293,7 @@ ServerNode::onHello(std::vector<std::uint8_t> &&bytes)
     // copies or they would be applied twice. Resume keeps them — that
     // is the whole point of resuming.
     if (a.mode == AdmitMode::Rejoin)
-        state_.clearWorker(w);
+        server_.clearWorker(w);
 
     peer.pending_pull = -1;
     peer.bye = false;
@@ -347,7 +344,7 @@ ServerNode::onPush(const MessageKey &key,
     // per (worker, unit), so a retransmitted or replayed push (e.g. a
     // restarted worker redoing its last iteration) is recorded, never
     // applied.
-    if (iter <= versions_.get(w, unit)) {
+    if (iter <= server_.version(w, unit)) {
         ++duplicate_pushes_;
         std::ostringstream os;
         os << "dup_push w=" << w << " iter=" << iter
@@ -356,9 +353,9 @@ ServerNode::onPush(const MessageKey &key,
         return;
     }
 
-    state_.accumulate(unit, decoded);
-    state_.noteUpdate(unit, iter);
-    versions_.update(w, unit, iter);
+    server_.accumulate(unit, decoded);
+    server_.noteUpdate(unit, iter);
+    server_.updateVersion(w, unit, iter);
 
     // The canonical model eats the same 1/num share every outbox
     // gets, so a rejoiner resyncing from it owes nothing twice.
@@ -436,7 +433,7 @@ ServerNode::onBye(const MessageKey &key,
     table_.noteProgress(w, bye.done_iter);
     peers_[w].bye = true;
     peers_[w].pending_pull = -1;
-    versions_.retireWorker(w);
+    server_.retireWorker(w);
     tracker_.deactivate(w);
     std::ostringstream os;
     os << "bye w=" << w << " done_iter=" << bye.done_iter;
@@ -470,8 +467,8 @@ ServerNode::evictWorker(std::size_t w)
 {
     if (peers_[w].bye)
         return;
-    versions_.retireWorker(w);
-    state_.clearWorker(w);
+    server_.retireWorker(w);
+    server_.clearWorker(w);
     peers_[w].pending_pull = -1;
     std::ostringstream os;
     os << "evict w=" << w;
@@ -483,7 +480,7 @@ bool
 ServerNode::gateOpen(std::int64_t iter) const
 {
     // RSP's gate (Algo 2): wait while n - min(V) >= threshold.
-    return iter - versions_.minWorkerIteration() < cfg_.staleness;
+    return iter - server_.minWorkerIteration() < cfg_.staleness;
 }
 
 void
@@ -505,16 +502,16 @@ ServerNode::answerPull(std::size_t w, std::int64_t iter)
         return;
     PullData pd;
     pd.iter = iter;
-    pd.min_done = versions_.minWorkerIteration();
+    pd.min_done = server_.minWorkerIteration();
     for (std::size_t u = 0; u < partition_->unitCount(); ++u) {
-        if (!state_.hasPending(w, u))
+        if (!server_.hasPending(w, u))
             continue;
         UnitUpdate up;
         up.unit = static_cast<std::uint32_t>(u);
-        std::span<float> pending = state_.pending(w, u);
+        std::span<float> pending = server_.pending(w, u);
         up.values.assign(pending.begin(), pending.end());
         pd.units.push_back(std::move(up));
-        state_.clearPending(w, u);
+        server_.clearPending(w, u);
     }
     peers_[w].pending_pull = -1;
     table_.noteResponse(w, iter);
@@ -546,11 +543,11 @@ ServerNode::checkpointNow()
     if (cfg_.checkpoint_path.empty())
         return;
     ServerCheckpoint ckpt;
-    ckpt.iteration = versions_.minWorkerIteration();
+    ckpt.iteration = server_.minWorkerIteration();
     ckpt.msg_seq = ctrl_seq_;
-    ckpt.versions = versions_.snapshot();
-    ckpt.server = state_.snapshot();
-    ckpt.tracker = mta_.snapshot();
+    ckpt.versions = server_.shard(0).versionSnapshot();
+    ckpt.server = server_.shard(0).serverSnapshot();
+    ckpt.tracker = server_.shard(0).trackerSnapshot();
     ckpt.epoch = table_.epoch();
     ckpt.sessions = table_.snapshot();
     ckpt.model = modelBytes();

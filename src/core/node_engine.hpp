@@ -42,8 +42,7 @@
 #include "core/failure_detector.hpp"
 #include "core/flat_model.hpp"
 #include "core/row_partition.hpp"
-#include "core/server_state.hpp"
-#include "core/version_storage.hpp"
+#include "core/server_shard.hpp"
 #include "core/workload.hpp"
 #include "net/session/fabric.hpp"
 #include "net/session/session.hpp"
@@ -141,7 +140,7 @@ class ServerNode
 
     std::int64_t minWorkerIteration() const
     {
-        return versions_.minWorkerIteration();
+        return server_.minWorkerIteration();
     }
 
     const MembershipTracker &membership() const { return tracker_; }
@@ -211,9 +210,9 @@ class ServerNode
     std::unique_ptr<nn::SgdMomentum> opt_;
 
     net::session::SessionTable table_;
-    VersionStorage versions_;
-    ServerState state_;
-    MtaTimeTracker mta_;
+    /** Outboxes, version matrix and MTA tracker: one shard, so the
+     *  checkpoint is a single ROGS file. */
+    ShardedServer server_;
     MembershipTracker tracker_;
 
     std::vector<WorkerPeer> peers_;

@@ -20,9 +20,9 @@
 #include <string>
 
 #include "core/node_engine.hpp"
-#include "fault/socket_fault.hpp"
 #include "net/transport/backend.hpp"
 #include "net/transport/socket_backend.hpp"
+#include "net/transport/socket_fault.hpp"
 
 namespace rog {
 namespace core {
@@ -43,7 +43,7 @@ struct NodeRunConfig
     net::transport::SocketOptions socket;
 
     /** Seeded wire faults on worker->server pushes (UDP only). */
-    fault::SocketFaultPlan fault_plan;
+    net::transport::SocketFaultPlan fault_plan;
     bool inject_faults = false;
 
     /** Server listen port (0 = ephemeral). A restarted server passes

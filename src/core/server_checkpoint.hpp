@@ -23,8 +23,8 @@
 #include <string>
 #include <vector>
 
-#include "core/server_state.hpp"
-#include "core/version_storage.hpp"
+#include "core/mta.hpp"
+#include "core/server_shard.hpp"
 #include "net/session/session.hpp"
 
 namespace rog {

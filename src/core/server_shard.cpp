@@ -43,11 +43,10 @@ ServerShard::accumulate(std::size_t unit, std::span<const float> decoded)
     ROG_ASSERT(unit < unit_widths_.size(), "unit out of range");
     ROG_ASSERT(decoded.size() == unit_widths_[unit],
                "decoded width mismatch");
-    // Every element gets the legacy ServerState op, dst += scale *
-    // decoded[j] with the product rounded to float first (rog_core is
-    // built with -ffp-contract=off, so ServerState rounds it too), so
-    // the result is bit-identical to the unsharded server. Only the
-    // addresses and the order across elements differ.
+    // Every element gets dst += scale * decoded[j] with the product
+    // rounded to float first (rog_core is built with -ffp-contract=off),
+    // so the result is bit-identical to a per-worker nested-vector
+    // server. Only the addresses and the order across elements differ.
     const auto scale =
         static_cast<float>(1.0 / static_cast<double>(workers_));
     const std::size_t width = decoded.size();
@@ -206,16 +205,6 @@ ServerShard::maxVersionOfWorker(std::size_t worker) const
     return m;
 }
 
-std::int64_t
-ServerShard::minVersionOfWorker(std::size_t worker) const
-{
-    ROG_ASSERT(worker < workers_, "worker out of range");
-    std::int64_t m = std::numeric_limits<std::int64_t>::max();
-    for (std::size_t u = 0; u < unit_widths_.size(); ++u)
-        m = std::min(m, versions_[cell(worker, u)]);
-    return m;
-}
-
 void
 ServerShard::report(std::size_t worker, double bytes_transmitted,
                     double elapsed_seconds, double mta_bytes)
@@ -270,7 +259,10 @@ ServerShard::restore(const VersionSnapshot &versions,
         versions.retired.size() != workers_ ||
         server.outbox.size() != workers_ ||
         server.has_pending.size() != workers_ ||
-        server.last_update.size() != unit_widths_.size())
+        server.last_update.size() != unit_widths_.size() ||
+        tracker.rate.size() != workers_ ||
+        tracker.seeded.size() != workers_ ||
+        tracker.mta_bytes.size() != workers_)
         ROG_FATAL("shard snapshot shape mismatch");
     for (std::size_t w = 0; w < workers_; ++w) {
         if (versions.versions[w].size() != unit_widths_.size() ||
@@ -290,9 +282,9 @@ ServerShard::restore(const VersionSnapshot &versions,
             std::copy(server.outbox[w][u].begin(),
                       server.outbox[w][u].end(),
                       outbox_.data() + offset(w, u));
-            has_pending_[flag(w, u)] = server.has_pending[w][u];
+            has_pending_[flag(w, u)] = server.has_pending[w][u] != 0;
         }
-        retired_[w] = versions.retired[w];
+        retired_[w] = versions.retired[w] != 0;
     }
     last_update_ = server.last_update;
     tracker_.restore(tracker);
@@ -356,27 +348,25 @@ void
 ShardedServer::accumulate(std::size_t unit,
                           std::span<const float> decoded)
 {
-    shards_[unit_shard_[unit]].accumulate(unit_local_[unit], decoded);
+    owner(unit).accumulate(unit_local_[unit], decoded);
 }
 
 std::span<float>
 ShardedServer::pending(std::size_t worker, std::size_t unit)
 {
-    return shards_[unit_shard_[unit]].pending(worker,
-                                              unit_local_[unit]);
+    return owner(unit).pending(worker, unit_local_[unit]);
 }
 
 bool
 ShardedServer::hasPending(std::size_t worker, std::size_t unit) const
 {
-    return shards_[unit_shard_[unit]].hasPending(worker,
-                                                 unit_local_[unit]);
+    return owner(unit).hasPending(worker, unit_local_[unit]);
 }
 
 void
 ShardedServer::clearPending(std::size_t worker, std::size_t unit)
 {
-    shards_[unit_shard_[unit]].clearPending(worker, unit_local_[unit]);
+    owner(unit).clearPending(worker, unit_local_[unit]);
 }
 
 void
@@ -390,35 +380,32 @@ double
 ShardedServer::pendingMeanAbs(std::size_t worker,
                               std::size_t unit) const
 {
-    return shards_[unit_shard_[unit]].pendingMeanAbs(
-        worker, unit_local_[unit]);
+    return owner(unit).pendingMeanAbs(worker, unit_local_[unit]);
 }
 
 std::int64_t
 ShardedServer::lastUpdate(std::size_t unit) const
 {
-    return shards_[unit_shard_[unit]].lastUpdate(unit_local_[unit]);
+    return owner(unit).lastUpdate(unit_local_[unit]);
 }
 
 void
 ShardedServer::noteUpdate(std::size_t unit, std::int64_t iter)
 {
-    shards_[unit_shard_[unit]].noteUpdate(unit_local_[unit], iter);
+    owner(unit).noteUpdate(unit_local_[unit], iter);
 }
 
 std::int64_t
 ShardedServer::version(std::size_t worker, std::size_t unit) const
 {
-    return shards_[unit_shard_[unit]].version(worker,
-                                              unit_local_[unit]);
+    return owner(unit).version(worker, unit_local_[unit]);
 }
 
 void
 ShardedServer::updateVersion(std::size_t worker, std::size_t unit,
                              std::int64_t iter)
 {
-    shards_[unit_shard_[unit]].updateVersion(worker, unit_local_[unit],
-                                             iter);
+    owner(unit).updateVersion(worker, unit_local_[unit], iter);
 }
 
 void
@@ -441,6 +428,22 @@ ShardedServer::maxVersionOfWorker(std::size_t worker) const
     std::int64_t m = std::numeric_limits<std::int64_t>::min();
     for (const auto &s : shards_)
         m = std::max(m, s.maxVersionOfWorker(worker));
+    return m;
+}
+
+std::int64_t
+ShardedServer::minWorkerIteration() const
+{
+    bool any = false;
+    std::int64_t m = 0;
+    for (std::size_t w = 0; w < workers(); ++w) {
+        if (retired(w))
+            continue;
+        const std::int64_t it = maxVersionOfWorker(w);
+        if (!any || it < m)
+            m = it;
+        any = true;
+    }
     return m;
 }
 

@@ -1,16 +1,23 @@
 /**
  * @file
- * Sharded parameter server: the fleet-scale layout of the server-side
- * state (ROADMAP item 1).
+ * The parameter server (Fig. 5, right side): gradient outboxes, the
+ * RSP version matrix and the shared MTA-time tracker, row-partitioned
+ * across shards.
  *
- * The original server trio — VersionStorage, ServerState,
- * MtaTimeTracker — keeps one nested heap allocation per (worker, unit)
- * cell: `vector<vector<vector<float>>>` outboxes and
- * `vector<vector<int64>>` version matrices. At 1024 workers that is
- * hundreds of thousands of small allocations with no locality between
- * the cells one request touches. This file replaces the trio on the
- * engine's hot path with N `ServerShard`s behind a `ShardedServer`
- * facade:
+ * The server keeps *one gradient copy per worker* (Sec. III-B): when
+ * worker r pushes row i at iteration n, g'_i / num is accumulated into
+ * every worker's copy; when the server later sends row i to worker s,
+ * only s's copy of row i is zeroed. Together with worker-side
+ * accumulation this guarantees every computed gradient is eventually
+ * applied to every replica exactly once (gradient conservation). The
+ * version matrix V = {v_i^r} of Algo 2 records, per (worker, unit),
+ * the latest iteration whose gradient reached the server; RSP's gate
+ * compares a worker's iteration against the slowest active worker's
+ * last pushed one.
+ *
+ * Every server in the repository is a ShardedServer: the in-process
+ * engine, the fleet DES (one shard per event lane) and the ServerNode
+ * role (one shard, so it writes a single ROGS file):
  *
  *  - Model rows (synchronization units) are partitioned across shards
  *    in contiguous ranges; `unit -> (shard, local unit)` is two O(1)
@@ -18,7 +25,8 @@
  *  - Each shard stores its outbox as ONE flat float arena, pending
  *    flags and version cells as flat arrays, and owns its own
  *    MtaTimeTracker bookkeeping, membership (retired) view, and ROGS
- *    checkpoint payload.
+ *    checkpoint payload. At 1024 workers this replaces hundreds of
+ *    thousands of per-(worker, unit) heap allocations.
  *  - The outbox and the pending flags are unit-major: every worker's
  *    copy of one unit sits side by side, `[unit][worker][width]`.
  *    accumulate(), which adds one pushed row into every worker's copy,
@@ -34,15 +42,14 @@
  *    where each shard is driven by its own event queue.
  *
  * Numerical contract: for any shard count, a sharded run is
- * row-for-row bit-identical to the single-shard (and to the legacy
- * trio) run. Accumulation order within a unit never crosses a shard
- * boundary (units are atomic), every outbox element gets the same
- * float ops in the same order as in ServerState (the layout only
- * changes which addresses hold them; rog_core is built with
- * -ffp-contract=off, so no target fuses one server's multiply-add and
- * not the other's), and version/tracker arithmetic is integer or
- * replicated. The sharded_server_test
- * verifies this by differential runs.
+ * row-for-row bit-identical to the single-shard run. Accumulation
+ * order within a unit never crosses a shard boundary (units are
+ * atomic), every outbox element gets `dst += scale * decoded[j]` with
+ * the product rounded to float (rog_core is built with
+ * -ffp-contract=off, so no target fuses it into an FMA), and
+ * version/tracker arithmetic is integer or replicated. The
+ * sharded_server_test verifies this by differential runs against the
+ * original nested-vector server, kept as a test oracle.
  */
 #ifndef ROG_CORE_SERVER_SHARD_HPP
 #define ROG_CORE_SERVER_SHARD_HPP
@@ -51,12 +58,28 @@
 #include <span>
 #include <vector>
 
+#include "common/logging.hpp"
+#include "core/mta.hpp"
 #include "core/row_partition.hpp"
-#include "core/server_state.hpp"
-#include "core/version_storage.hpp"
 
 namespace rog {
 namespace core {
+
+/** Plain-data copy of a shard's version matrix + retirement flags
+ *  (checkpointing). */
+struct VersionSnapshot
+{
+    std::vector<std::vector<std::int64_t>> versions; //!< [worker][unit].
+    std::vector<std::uint8_t> retired;
+};
+
+/** Plain-data copy of a shard's gradient outbox (checkpointing). */
+struct ServerStateSnapshot
+{
+    std::vector<std::vector<std::vector<float>>> outbox; //!< [w][u][j].
+    std::vector<std::vector<std::uint8_t>> has_pending;  //!< [w][u].
+    std::vector<std::int64_t> last_update;               //!< per unit.
+};
 
 /**
  * One shard: contiguous-arena server state for a contiguous range of
@@ -77,7 +100,8 @@ class ServerShard
     std::size_t workers() const { return workers_; }
     std::size_t units() const { return unit_widths_.size(); }
 
-    // ---- gradient outbox (ServerState semantics) ----
+    // ---- gradient outbox ----
+    /** Add decoded / workers into every worker's copy of @p unit. */
     void accumulate(std::size_t unit, std::span<const float> decoded);
     std::span<float> pending(std::size_t worker, std::size_t unit);
     bool hasPending(std::size_t worker, std::size_t unit) const;
@@ -87,7 +111,7 @@ class ServerShard
     std::int64_t lastUpdate(std::size_t unit) const;
     void noteUpdate(std::size_t unit, std::int64_t iter);
 
-    // ---- version matrix (VersionStorage semantics) ----
+    // ---- version matrix ----
     std::int64_t version(std::size_t worker, std::size_t unit) const;
     void updateVersion(std::size_t worker, std::size_t unit,
                        std::int64_t iter);
@@ -95,7 +119,6 @@ class ServerShard
     void retireWorker(std::size_t worker);
     void rejoinWorker(std::size_t worker, std::int64_t iter);
     std::int64_t maxVersionOfWorker(std::size_t worker) const;
-    std::int64_t minVersionOfWorker(std::size_t worker) const;
 
     // ---- MTA bookkeeping (replicated tracker) ----
     void report(std::size_t worker, double bytes_transmitted,
@@ -113,6 +136,11 @@ class ServerShard
     {
         return tracker_.snapshot();
     }
+    /**
+     * Overwrite from snapshots of this shard's shape. Every shape is
+     * validated before the first write, so a rejected snapshot
+     * (throws) leaves the shard untouched.
+     */
     void restore(const VersionSnapshot &versions,
                  const ServerStateSnapshot &server,
                  const MtaTrackerSnapshot &tracker);
@@ -199,10 +227,24 @@ class ShardedServer
     {
         return shards_[0].retired(worker);
     }
+    /** Exclude a departed worker from minWorkerIteration(), so it
+     *  cannot stall the remaining ones. */
     void retireWorker(std::size_t worker);
+    /**
+     * Re-admit a retired worker that resynced to the model at
+     * iteration @p iter: its versions jump to @p iter so the gate
+     * treats it as caught up, not eternally stale.
+     * @pre iter >= every version the worker pushed before.
+     */
     void rejoinWorker(std::size_t worker, std::int64_t iter);
     /** Max over every shard's units — the worker's last pushed iter. */
     std::int64_t maxVersionOfWorker(std::size_t worker) const;
+    /**
+     * min over active workers of their last pushed iteration — the
+     * reference of RSP's staleness gate: how far the slowest worker's
+     * training state lags. 0 once every worker has retired.
+     */
+    std::int64_t minWorkerIteration() const;
 
     // ---- MTA ----
     /** Replicated into every shard's tracker (identical EWMAs). */
@@ -215,6 +257,18 @@ class ShardedServer
     }
 
   private:
+    /** The shard holding global @p unit. */
+    ServerShard &owner(std::size_t unit)
+    {
+        ROG_ASSERT(unit < unit_shard_.size(), "unit out of range");
+        return shards_[unit_shard_[unit]];
+    }
+    const ServerShard &owner(std::size_t unit) const
+    {
+        ROG_ASSERT(unit < unit_shard_.size(), "unit out of range");
+        return shards_[unit_shard_[unit]];
+    }
+
     void init(std::size_t workers,
               const std::vector<std::size_t> &unit_widths,
               std::size_t shards);

@@ -65,11 +65,11 @@ SocketFabric::connectPeer(int peer, const std::string &host,
     Peer p;
     if (opts_.kind == "udp") {
         if (opts_.inject_faults) {
-            fault::SocketFaultPlan plan = opts_.fault_plan;
+            transport::SocketFaultPlan plan = opts_.fault_plan;
             // Decorrelate per-peer fault streams deterministically.
             plan.seed = plan.seed * 1000003u + static_cast<std::uint64_t>(peer);
             p.faults =
-                std::make_unique<fault::SocketFaultInjector>(plan);
+                std::make_unique<transport::SocketFaultInjector>(plan);
         }
         p.backend = std::make_unique<transport::UdpBackend>(
             loop_, host, port, opts_.socket, p.faults.get());

@@ -21,10 +21,10 @@
 #include <memory>
 
 #include "common/poll_loop.hpp"
-#include "fault/socket_fault.hpp"
 #include "net/session/fabric.hpp"
 #include "net/transport/reliable_link.hpp"
 #include "net/transport/socket_backend.hpp"
+#include "net/transport/socket_fault.hpp"
 
 namespace rog {
 namespace net {
@@ -38,7 +38,7 @@ struct SocketFabricOptions
     transport::SocketOptions socket;
     /** Applied to every outgoing peer link (UDP only; TCP's stream
      *  semantics make datagram-style faults meaningless). */
-    fault::SocketFaultPlan fault_plan;
+    transport::SocketFaultPlan fault_plan;
     bool inject_faults = false;
     std::uint16_t listen_port = 0; //!< 0 = ephemeral.
 };
@@ -76,7 +76,7 @@ class SocketFabric : public Fabric
   private:
     struct Peer
     {
-        std::unique_ptr<fault::SocketFaultInjector> faults;
+        std::unique_ptr<transport::SocketFaultInjector> faults;
         std::unique_ptr<transport::SocketSenderBase> backend;
         std::unique_ptr<transport::ReliableLink> link;
     };

@@ -24,9 +24,9 @@
 #include <memory>
 #include <string>
 
+#include "common/buffer_pool.hpp"
 #include "net/channel.hpp"
 #include "net/transport/backend.hpp"
-#include "net/transport/buffer_pool.hpp"
 #include "net/transport/receiver.hpp"
 #include "sim/simulation.hpp"
 

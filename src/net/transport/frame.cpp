@@ -1,7 +1,7 @@
 #include "net/transport/frame.hpp"
 
+#include "common/crc32c.hpp"
 #include "common/logging.hpp"
-#include "net/transport/crc32c.hpp"
 
 namespace rog {
 namespace net {

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 
+#include "common/crc32c.hpp"
 #include "common/logging.hpp"
-#include "net/transport/crc32c.hpp"
 
 namespace rog {
 namespace net {

@@ -4,9 +4,9 @@
 #include <cmath>
 #include <sstream>
 
+#include "common/crc32c.hpp"
 #include "common/logging.hpp"
 #include "common/rng.hpp"
-#include "net/transport/crc32c.hpp"
 #include "net/transport/des_backend.hpp"
 #include "net/transport/payload.hpp"
 

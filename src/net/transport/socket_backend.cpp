@@ -301,7 +301,7 @@ SocketSenderBase::setReceiverEventSink(EventSink sink)
 
 UdpBackend::UdpBackend(PollLoop &loop, const std::string &host,
                        std::uint16_t port, const SocketOptions &opts,
-                       fault::SocketFaultInjector *faults,
+                       SocketFaultInjector *faults,
                        TransportTrace *trace)
     : SocketSenderBase(loop, opts, trace), faults_(faults)
 {
@@ -336,7 +336,7 @@ UdpBackend::~UdpBackend()
 void
 UdpBackend::emitFrame(const std::vector<std::uint8_t> &bytes)
 {
-    fault::DatagramFate fate;
+    DatagramFate fate;
     if (faults_)
         fate = faults_->next(loop_.now());
     if (fate.drop)

@@ -36,9 +36,9 @@
 
 #include "common/fd.hpp"
 #include "common/poll_loop.hpp"
-#include "fault/socket_fault.hpp"
 #include "net/transport/backend.hpp"
 #include "net/transport/receiver.hpp"
+#include "net/transport/socket_fault.hpp"
 
 namespace rog {
 namespace net {
@@ -143,7 +143,7 @@ class UdpBackend : public SocketSenderBase
      */
     UdpBackend(PollLoop &loop, const std::string &host,
                std::uint16_t port, const SocketOptions &opts = {},
-               fault::SocketFaultInjector *faults = nullptr,
+               SocketFaultInjector *faults = nullptr,
                TransportTrace *trace = nullptr);
     ~UdpBackend() override;
 
@@ -154,7 +154,7 @@ class UdpBackend : public SocketSenderBase
     void onReadable();
 
     UniqueFd fd_;
-    fault::SocketFaultInjector *faults_ = nullptr;
+    SocketFaultInjector *faults_ = nullptr;
 };
 
 /** Stream backend: one loopback TCP connection to the receiver. */

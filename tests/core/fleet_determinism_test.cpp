@@ -4,8 +4,7 @@
  * mirroring thread_pool_test's contract for tensor ops): the same
  * FleetConfig must produce byte-identical results — final replica
  * bytes, event logs, simulated clock — for every thread count driving
- * the shard lanes, and for both event-queue implementations (heap
- * core vs std::map oracle).
+ * the shard lanes.
  */
 #include <sys/stat.h>
 
@@ -72,19 +71,6 @@ TEST(FleetDeterminismTest, BitwiseIdenticalAcrossThreadCounts)
         SCOPED_TRACE("threads=" + std::to_string(threads));
         expectBitIdentical(base, r);
     }
-}
-
-TEST(FleetDeterminismTest, HeapAndMapQueuesProduceIdenticalRuns)
-{
-    FleetConfig cfg = fleetConfig64();
-    cfg.workers = 16;
-    cfg.iterations = 6;
-
-    parallel::ThreadPool pool(2);
-    const FleetResult heap = runFleetSimulation(cfg, pool);
-    cfg.use_map_queue = true;
-    const FleetResult map = runFleetSimulation(cfg, pool);
-    expectBitIdentical(heap, map);
 }
 
 TEST(FleetDeterminismTest, RepeatRunsAreReproducible)

@@ -15,9 +15,8 @@
 #include "common/rng.hpp"
 #include "core/engine.hpp"
 #include "core/row_partition.hpp"
+#include "core/legacy_server.hpp"
 #include "core/server_shard.hpp"
-#include "core/server_state.hpp"
-#include "core/version_storage.hpp"
 #include "core/workloads.hpp"
 #include "net/trace_generator.hpp"
 
@@ -52,10 +51,11 @@ unstableNetwork(std::size_t workers, double mean = 20e3)
 }
 
 /**
- * Differential driver: one legacy trio (VersionStorage + ServerState
- * + MtaTimeTracker) against a ShardedServer with @p shards, fed the
- * same random operation trace; every observable value must match
- * bit-for-bit (float equality, not tolerance).
+ * Differential driver: the legacy trio (the legacy::VersionStorage +
+ * legacy::ServerState oracle and one MtaTimeTracker) against a
+ * ShardedServer with @p shards, fed the same random operation trace;
+ * every observable value must match bit-for-bit (float equality, not
+ * tolerance).
  */
 void
 runDifferentialTrace(std::size_t shards, std::uint32_t seed)
@@ -72,8 +72,8 @@ runDifferentialTrace(std::size_t shards, std::uint32_t seed)
     const std::size_t units = partition.unitCount();
     ASSERT_GT(units, shards);
 
-    VersionStorage versions(workers, units);
-    ServerState server(workers, partition);
+    legacy::VersionStorage versions(workers, units);
+    legacy::ServerState server(workers, partition);
     MtaTimeTracker tracker(workers);
     ShardedServer sharded(workers, partition, shards);
     ASSERT_EQ(sharded.shardCount(), shards);
@@ -147,6 +147,8 @@ runDifferentialTrace(std::size_t shards, std::uint32_t seed)
             ASSERT_EQ(versions.retired(w), sharded.retired(w));
             ASSERT_EQ(versions.maxVersionOfWorker(w),
                       sharded.maxVersionOfWorker(w));
+            ASSERT_EQ(versions.minWorkerIteration(),
+                      sharded.minWorkerIteration());
             break;
         }
     }
@@ -314,7 +316,7 @@ TEST(ShardedServerTest, ShardSnapshotsMatchLegacyServerState)
     RowPartition partition(flat, Granularity::Row);
     const std::size_t units = partition.unitCount();
 
-    ServerState legacy(workers, partition);
+    legacy::ServerState legacy(workers, partition);
     ShardedServer sharded(workers, partition, 3);
     ASSERT_EQ(sharded.shardCount(), 3u);
 

@@ -15,9 +15,9 @@
 #include <vector>
 
 #include "common/poll_loop.hpp"
-#include "fault/socket_fault.hpp"
 #include "net/transport/reliable_link.hpp"
 #include "net/transport/socket_backend.hpp"
+#include "net/transport/socket_fault.hpp"
 
 namespace rog {
 namespace net {
@@ -32,7 +32,7 @@ struct LoopbackSpec
     double deadline_rel = kNoDeadline; //!< per-send, from its start.
     TransportConfig config;
     SocketOptions opts;
-    const fault::SocketFaultPlan *faults = nullptr; //!< UDP only.
+    const SocketFaultPlan *faults = nullptr; //!< UDP only.
     double timeout_s = 20.0;
 };
 
@@ -82,10 +82,10 @@ runLoopback(const LoopbackSpec &spec)
     LoopbackOutcome out;
     PollLoop loop;
 
-    std::unique_ptr<fault::SocketFaultInjector> faults;
+    std::unique_ptr<SocketFaultInjector> faults;
     if (spec.faults != nullptr)
         faults =
-            std::make_unique<fault::SocketFaultInjector>(*spec.faults);
+            std::make_unique<SocketFaultInjector>(*spec.faults);
 
     out.trace.config.backend = spec.backend;
     out.trace.config.chunk_bytes = spec.config.chunk_bytes;

@@ -28,7 +28,7 @@ struct FleetSpec
     std::string kind = "udp";
     std::size_t workers = 2;
     std::int64_t iters = 3;
-    const fault::SocketFaultPlan *faults = nullptr;
+    const transport::SocketFaultPlan *faults = nullptr;
 };
 
 void
@@ -220,7 +220,7 @@ TEST(SessionSocket, TcpServerSurvivesHelloWhenReturnConnectFails)
 
 TEST(SessionSocket, UdpFleetSurvivesSeededWireFaults)
 {
-    fault::SocketFaultPlan plan;
+    transport::SocketFaultPlan plan;
     plan.seed = 31;
     plan.drop_p = 0.1;
     plan.dup_p = 0.05;

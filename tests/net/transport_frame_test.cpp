@@ -10,7 +10,7 @@
 #include <cstring>
 #include <vector>
 
-#include "net/transport/crc32c.hpp"
+#include "common/crc32c.hpp"
 #include "net/transport/frame.hpp"
 
 namespace rog {

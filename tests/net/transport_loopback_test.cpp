@@ -53,7 +53,7 @@ TEST(TransportLoopback, UdpCleanDeliversAll)
 TEST(TransportLoopback, UdpDropsAreRetriedToExactlyOnceDelivery)
 {
     LoopbackSpec spec = quickSpec("udp", 3, 40000.0);
-    fault::SocketFaultPlan plan;
+    SocketFaultPlan plan;
     plan.seed = 11;
     plan.drop_p = 0.3;
     spec.faults = &plan;
@@ -73,7 +73,7 @@ TEST(TransportLoopback, UdpDropsAreRetriedToExactlyOnceDelivery)
 TEST(TransportLoopback, UdpDuplicatesAreDedupd)
 {
     LoopbackSpec spec = quickSpec("udp", 3, 40000.0);
-    fault::SocketFaultPlan plan;
+    SocketFaultPlan plan;
     plan.seed = 5;
     plan.dup_p = 0.6;
     plan.delay_p = 0.3;
@@ -98,7 +98,7 @@ TEST(TransportLoopback, UdpDuplicatesAreDedupd)
 TEST(TransportLoopback, UdpTruncationResumesFromDeliveredOffset)
 {
     LoopbackSpec spec = quickSpec("udp", 3, 50000.0);
-    fault::SocketFaultPlan plan;
+    SocketFaultPlan plan;
     plan.seed = 23;
     plan.trunc_p = 0.5;
     spec.faults = &plan;
@@ -122,7 +122,7 @@ TEST(TransportLoopback, UdpTruncationResumesFromDeliveredOffset)
 
 TEST(TransportLoopback, UdpResumeOffRetransmitsMore)
 {
-    fault::SocketFaultPlan plan;
+    SocketFaultPlan plan;
     plan.seed = 23;
     plan.trunc_p = 0.5;
 
@@ -148,7 +148,7 @@ TEST(TransportLoopback, UdpResumeOffRetransmitsMore)
 TEST(TransportLoopback, UdpCorruptionIsCaughtByCrc)
 {
     LoopbackSpec spec = quickSpec("udp", 3, 40000.0);
-    fault::SocketFaultPlan plan;
+    SocketFaultPlan plan;
     plan.seed = 41;
     plan.corrupt_p = 0.4;
     spec.faults = &plan;
@@ -169,7 +169,7 @@ TEST(TransportLoopback, UdpCorruptionIsCaughtByCrc)
 TEST(TransportLoopback, UdpFaultSoupCrossValidates)
 {
     LoopbackSpec spec = quickSpec("udp", 4, 60000.0);
-    fault::SocketFaultPlan plan;
+    SocketFaultPlan plan;
     plan.seed = 7;
     plan.drop_p = 0.15;
     plan.dup_p = 0.1;
@@ -190,7 +190,7 @@ TEST(TransportLoopback, UdpDeadlineExpiresUnderTotalLoss)
 {
     LoopbackSpec spec = quickSpec("udp", 1, 20000.0);
     spec.deadline_rel = 0.15;
-    fault::SocketFaultPlan plan;
+    SocketFaultPlan plan;
     plan.seed = 3;
     plan.drop_p = 1.0; // the wire eats everything.
     spec.faults = &plan;

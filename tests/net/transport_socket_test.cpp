@@ -27,10 +27,10 @@
 #include <string>
 
 #include "common/poll_loop.hpp"
-#include "fault/socket_fault.hpp"
 #include "net/transport/crossval.hpp"
 #include "net/transport/reliable_link.hpp"
 #include "net/transport/socket_backend.hpp"
+#include "net/transport/socket_fault.hpp"
 
 namespace rog {
 namespace net {
@@ -124,7 +124,7 @@ struct RunSpec
     std::string backend = "udp";
     std::size_t sends = 3;
     double bytes = 50000.0;
-    const fault::SocketFaultPlan *faults = nullptr;
+    const SocketFaultPlan *faults = nullptr;
 };
 
 void
@@ -159,10 +159,10 @@ runMultiProcess(const RunSpec &spec)
 
     // Sender side, in this process.
     PollLoop loop;
-    std::unique_ptr<fault::SocketFaultInjector> faults;
+    std::unique_ptr<SocketFaultInjector> faults;
     if (spec.faults != nullptr)
         faults =
-            std::make_unique<fault::SocketFaultInjector>(*spec.faults);
+            std::make_unique<SocketFaultInjector>(*spec.faults);
     TransportTrace trace;
     trace.config = tc;
     SocketOptions opts;
@@ -240,7 +240,7 @@ TEST(TransportSocket, UdpCleanTwoProcessRunCrossValidates)
 
 TEST(TransportSocket, UdpFaultyTwoProcessRunCrossValidates)
 {
-    fault::SocketFaultPlan plan;
+    SocketFaultPlan plan;
     plan.seed = 13;
     plan.drop_p = 0.15;
     plan.dup_p = 0.1;

@@ -16,7 +16,7 @@
 #include "common/args.hpp"
 #include "common/logging.hpp"
 #include "core/node_runner.hpp"
-#include "fault/socket_fault.hpp"
+#include "net/transport/socket_fault.hpp"
 
 namespace rog {
 namespace tools {
@@ -65,8 +65,8 @@ configFromArgs(const Args &args)
 
     const std::string faults = args.get("faults", "");
     if (!faults.empty()) {
-        const fault::SocketFaultParseResult parsed =
-            fault::SocketFaultPlan::tryParse(faults);
+        const net::transport::SocketFaultParseResult parsed =
+            net::transport::SocketFaultPlan::tryParse(faults);
         if (!parsed.ok())
             ROG_FATAL("bad --faults: %s", parsed.error.c_str());
         cfg.fault_plan = parsed.plan;

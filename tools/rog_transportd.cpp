@@ -44,13 +44,13 @@
 #include "common/args.hpp"
 #include "common/logging.hpp"
 #include "common/poll_loop.hpp"
-#include "fault/socket_fault.hpp"
 #include "net/channel.hpp"
 #include "net/transport/crossval.hpp"
 #include "net/transport/des_backend.hpp"
 #include "net/transport/event_log.hpp"
 #include "net/transport/reliable_link.hpp"
 #include "net/transport/socket_backend.hpp"
+#include "net/transport/socket_fault.hpp"
 #include "sim/simulation.hpp"
 
 namespace {
@@ -268,16 +268,16 @@ runSend(const Args &args)
     TransportTrace trace;
     trace.config = traceConfig(backend, cfg);
 
-    std::unique_ptr<fault::SocketFaultInjector> faults;
+    std::unique_ptr<SocketFaultInjector> faults;
     if (args.has("faults")) {
         const auto parsed =
-            fault::SocketFaultPlan::tryParse(args.get("faults"));
+            SocketFaultPlan::tryParse(args.get("faults"));
         if (!parsed.ok()) {
             std::cerr << "send: bad --faults: " << parsed.error << "\n";
             return 2;
         }
         faults =
-            std::make_unique<fault::SocketFaultInjector>(parsed.plan);
+            std::make_unique<SocketFaultInjector>(parsed.plan);
     }
 
     PollLoop loop;
@@ -366,17 +366,17 @@ runLoopback(const Args &args)
     TransportTrace trace;
     trace.config = traceConfig(backend, cfg);
 
-    std::unique_ptr<fault::SocketFaultInjector> faults;
+    std::unique_ptr<SocketFaultInjector> faults;
     if (args.has("faults")) {
         const auto parsed =
-            fault::SocketFaultPlan::tryParse(args.get("faults"));
+            SocketFaultPlan::tryParse(args.get("faults"));
         if (!parsed.ok()) {
             std::cerr << "loopback: bad --faults: " << parsed.error
                       << "\n";
             return 2;
         }
         faults =
-            std::make_unique<fault::SocketFaultInjector>(parsed.plan);
+            std::make_unique<SocketFaultInjector>(parsed.plan);
     }
 
     PollLoop loop;
