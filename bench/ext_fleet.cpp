@@ -36,7 +36,7 @@
 #include "core/fleet.hpp"
 #include "parallel/thread_pool.hpp"
 #include "sim/event_queue.hpp"
-#include "sim/event_queue_ref.hpp"
+#include "oracles/event_queue_ref.hpp"
 
 namespace {
 

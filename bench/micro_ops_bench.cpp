@@ -16,6 +16,7 @@
 #include "core/importance.hpp"
 #include "net/channel.hpp"
 #include "net/trace_generator.hpp"
+#include "oracles/ops_ref.hpp"
 #include "sim/process.hpp"
 #include "tensor/ops.hpp"
 

@@ -9,7 +9,6 @@
 #include "common/logging.hpp"
 #include "common/rng.hpp"
 #include "compress/codec.hpp"
-#include "core/failure_detector.hpp"
 #include "core/flat_model.hpp"
 #include "core/importance.hpp"
 #include "core/auto_threshold.hpp"
@@ -64,6 +63,9 @@ RunResult::meanEnergyJoules() const
 
 namespace {
 
+/** Framing bytes added to every bulk push or pull (Sec. V). */
+constexpr double kTransferHeaderBytes = 16.0;
+
 /** Shard 0 keeps the configured path; shard k gets ".shard<k>". */
 std::string
 shardCheckpointPath(const std::string &base, std::size_t shard)
@@ -107,9 +109,6 @@ struct WorkerContext
     double carried_pull_comm_s = 0.0;
     double carried_bytes_pulled = 0.0;
     std::size_t carried_units_pulled = 0;
-    std::size_t carried_pull_retries = 0;
-    double carried_pull_backoff_s = 0.0;
-    double carried_pull_retransmitted = 0.0;
 };
 
 /** One engine instance == one training run. */
@@ -163,13 +162,6 @@ class Engine
     void onLeaveEvent(const fault::ChurnEvent &e);
     void rejoinResync(WorkerContext &w, std::size_t &n);
 
-    // Heartbeat failure detection (opt-in): each worker beats over
-    // its own link; the monitor re-scores membership at a fixed
-    // cadence and retires the dead.
-    sim::Process heartbeatProcess(WorkerContext &w);
-    sim::Process monitorProcess();
-    bool quorumRecoverable() const;
-
     // Crash-consistent server recovery.
     void maybeCheckpointServer(std::int64_t iter);
     void serverCrashRecover(std::int64_t crash_iter);
@@ -194,16 +186,10 @@ class Engine
     Rng rng_;
     std::unique_ptr<sim::Condition> version_cond_;
     std::unique_ptr<fault::FaultInjector> injector_;
-    std::unique_ptr<MembershipTracker> membership_;
     std::vector<std::int64_t> pending_server_crashes_; //!< ascending.
     std::vector<ServerCheckpoint> genesis_; //!< pre-run, per shard.
     std::int64_t last_checkpoint_iter_ = -1; //!< -1 = none on disk.
-    // The transport wraps the channel and must be destroyed after it
-    // (channel teardown drops in-flight sends through the transport's
-    // callbacks), hence declared before channel_.
-    std::unique_ptr<net::transport::ReliableLink> transport_;
     std::unique_ptr<net::Channel> channel_;
-    std::uint64_t msg_seq_ = 0; //!< unique transport message tags.
 };
 
 Engine::Engine(Workload &workload, const EngineConfig &cfg,
@@ -217,9 +203,6 @@ Engine::Engine(Workload &workload, const EngineConfig &cfg,
     ROG_ASSERT(cfg.iterations > 0, "need at least one iteration");
     ROG_ASSERT(cfg.system.staleness_threshold >= 1,
                "staleness threshold must be >= 1");
-    ROG_ASSERT(cfg.worker_departure_times.empty() ||
-               cfg.worker_departure_times.size() == num_workers,
-               "need one departure time per worker (or none)");
 
     result_.system = cfg.system.name;
     result_.workers = num_workers;
@@ -320,16 +303,6 @@ Engine::Engine(Workload &workload, const EngineConfig &cfg,
 
     version_cond_ = std::make_unique<sim::Condition>(sim_);
 
-    if (cfg.failure_detector) {
-        membership_ =
-            std::make_unique<MembershipTracker>(num_workers,
-                                                cfg.detector);
-    }
-    ROG_ASSERT(cfg.quorum == 0 || cfg.failure_detector,
-               "quorum needs the failure detector");
-    ROG_ASSERT(cfg.quorum <= num_workers,
-               "quorum exceeds the worker count");
-
     if (cfg.fault_plan) {
         for (const auto &e : cfg.fault_plan->server_crashes) {
             ROG_ASSERT(e.at_iter <=
@@ -364,6 +337,16 @@ Engine::Engine(Workload &workload, const EngineConfig &cfg,
             ROG_ASSERT(f.link < traces.size(),
                        "fault plan names link ", f.link, " but the run "
                        "has ", traces.size());
+        // Transfers are bulk flows: one can be truncated or cut, but
+        // there is no frame to corrupt, duplicate or reorder.
+        for (const auto &r : plan.transfer_faults)
+            ROG_ASSERT(!(r.corrupt || r.duplicate || r.reorder),
+                       "the engine cannot honour fault rule '",
+                       r.corrupt     ? "corrupt"
+                       : r.duplicate ? "duplicate"
+                                     : "reorder",
+                       " link=", r.link, " at=", r.at_s,
+                       "': only the node roles frame messages");
         for (const auto &e : plan.churn)
             ROG_ASSERT(e.worker < num_workers,
                        "fault plan names worker ", e.worker,
@@ -378,10 +361,6 @@ Engine::Engine(Workload &workload, const EngineConfig &cfg,
         }
     }
     channel_ = std::make_unique<net::Channel>(sim_, std::move(traces));
-    if (cfg.reliable_transport) {
-        transport_ = std::make_unique<net::transport::ReliableLink>(
-            sim_, *channel_, cfg.transport, cfg.invariants);
-    }
     if (cfg.fault_plan) {
         injector_ =
             std::make_unique<fault::FaultInjector>(sim_,
@@ -579,12 +558,8 @@ Engine::workerProcess(WorkerContext &w)
 
     const std::size_t units = partition_->unitCount();
     const bool atp = cfg_.system.atp;
-    const double header = cfg_.transfer_header_bytes;
+    const double header = kTransferHeaderBytes;
     std::vector<float> decoded;
-
-    const double departure = cfg_.worker_departure_times.empty()
-        ? std::numeric_limits<double>::infinity()
-        : cfg_.worker_departure_times[w.id];
 
     std::size_t n = 0;
     while (n < cfg_.iterations) {
@@ -599,13 +574,10 @@ Engine::workerProcess(WorkerContext &w)
             w.carried_pull_comm_s = 0.0;
             w.carried_bytes_pulled = 0.0;
             w.carried_units_pulled = 0;
-            w.carried_pull_retries = 0;
-            w.carried_pull_backoff_s = 0.0;
-            w.carried_pull_retransmitted = 0.0;
             if (!std::isfinite(w.rejoin_time)) {
                 // Permanent silent crash: stay dark — peers keep
-                // stalling on this ghost — until the server's failure
-                // detector retires it, then exit (plan validation
+                // stalling on this ghost — until the fault plan's
+                // detection retires it, then exit (plan validation
                 // guarantees detection is finite here).
                 while (!server_->retired(w.id))
                     co_await version_cond_->wait();
@@ -618,38 +590,8 @@ Engine::workerProcess(WorkerContext &w)
             rejoinResync(w, n);
             continue;
         }
-        // Falsely evicted while actually healthy: the detector
-        // retired this worker, but it is alive — re-admit through the
-        // rejoin resync (fresh model, versions jump to the resync
-        // point), the same path a crashed worker takes.
-        if (membership_ && !w.leaving && server_->retired(w.id)) {
-            rejoinResync(w, n);
-            continue;
-        }
-        // Below quorum: Pause parks this worker while the shortfall
-        // is recoverable (a crashed peer with a scheduled rejoin, or
-        // a false eviction about to re-admit itself); an
-        // unrecoverable shortfall ends the run early — degrading to
-        // fewer workers beats deadlocking on ghosts.
-        if (membership_ && cfg_.quorum > 0 &&
-            cfg_.quorum_policy == QuorumPolicy::Pause &&
-            membership_->participantCount() < cfg_.quorum) {
-            const double pause_start = sim_.now();
-            w.meter->setState(DeviceState::Stall);
-            while (!w.crashed &&
-                   membership_->participantCount() < cfg_.quorum &&
-                   quorumRecoverable())
-                co_await version_cond_->wait();
-            result_.quorum_paused_s += sim_.now() - pause_start;
-            if (w.crashed)
-                continue;
-            if (membership_->participantCount() < cfg_.quorum)
-                break;
-        }
         if (sim_.now() >= cfg_.time_horizon_seconds)
             break;
-        if (sim_.now() >= departure)
-            break; // battery dead / crashed: leave the team.
         if (w.leaving)
             break; // announced graceful departure (fault plan).
         ++n;
@@ -682,15 +624,9 @@ Engine::workerProcess(WorkerContext &w)
         rec.comm_s += w.carried_pull_comm_s;
         rec.bytes_pulled += w.carried_bytes_pulled;
         rec.units_pulled += w.carried_units_pulled;
-        rec.retries += w.carried_pull_retries;
-        rec.backoff_s += w.carried_pull_backoff_s;
-        rec.bytes_retransmitted += w.carried_pull_retransmitted;
         w.carried_pull_comm_s = 0.0;
         w.carried_bytes_pulled = 0.0;
         w.carried_units_pulled = 0;
-        w.carried_pull_retries = 0;
-        w.carried_pull_backoff_s = 0.0;
-        w.carried_pull_retransmitted = 0.0;
 
         // ---- PushGradients (Algo 1 line 4, Algo 3+4) ----
         const std::size_t threshold = currentThreshold(w.id);
@@ -715,49 +651,9 @@ Engine::workerProcess(WorkerContext &w)
         // transmitting more rows until the shared MTA time window
         // closes (speculatively — the cut row is discarded).
         w.meter->setState(DeviceState::Communicate);
-        double push_elapsed = 0.0;
-        double push_wire = 0.0;
-        std::vector<std::size_t> arrived; //!< units the server holds.
-        std::size_t sent = 0;
-        if (transport_) {
-            // Reliable path: each unit is one framed, checksummed
-            // message. Mandatory (MTA) units retry without a deadline
-            // (bounded by the transport's attempt cap); speculative
-            // units carry the MTA window as an absolute deadline. A
-            // failed unit stays accumulated — it rides the next push,
-            // late but intact. The judgement-insertion ablation only
-            // applies to the legacy bulk path.
-            const double push_start = sim_.now();
-            for (std::size_t i = 0; i < units && !w.crashed; ++i) {
-                const bool mandatory = i < mta;
-                if (!mandatory &&
-                    (!atp || sim_.now() >= push_start + timeout))
-                    break;
-                net::transport::MessageKey key;
-                key.worker = static_cast<std::uint16_t>(w.id);
-                key.version = static_cast<std::int64_t>(msg_seq_++);
-                key.row = static_cast<std::uint32_t>(order[i]);
-                key.pull = false;
-                const double deadline = mandatory
-                    ? net::transport::kNoDeadline
-                    : push_start + timeout;
-                auto tres = co_await transport_->send(
-                    w.id, key, unit_bytes_[order[i]], deadline);
-                push_elapsed += tres.elapsed_s;
-                push_wire += tres.bytes_sent;
-                rec.retries += tres.retries;
-                rec.backoff_s += tres.backoff_s;
-                rec.bytes_retransmitted += tres.retransmitted_bytes;
-                if (tres.delivered)
-                    arrived.push_back(order[i]);
-                else if (!mandatory && tres.deadline_expired)
-                    break; // the speculative window closed.
-            }
-            sent = arrived.size();
-        } else {
         auto res = co_await channel_->transfer(w.id, header + prefix[mta],
                                                net::Channel::kNoTimeout);
-        sent = mta;
+        std::size_t sent = mta;
         if (!res.completed) {
             // A fault (truncation / forced timeout) cut the mandatory
             // transfer: only rows whose bytes fully arrived count.
@@ -766,8 +662,8 @@ Engine::workerProcess(WorkerContext &w)
                    header + prefix[sent + 1] <= res.bytes_sent + 1e-6)
                 ++sent;
         }
-        push_elapsed = res.elapsed;
-        push_wire = res.bytes_sent;
+        double push_elapsed = res.elapsed;
+        double push_wire = res.bytes_sent;
         if (atp && res.completed && sent < units &&
             push_elapsed < timeout &&
             cfg_.per_unit_judgement_seconds <= 0.0) {
@@ -800,28 +696,21 @@ Engine::workerProcess(WorkerContext &w)
                 ++sent;
             }
         }
-        for (std::size_t i = 0; i < sent; ++i)
-            arrived.push_back(order[i]);
-        } // legacy bulk path.
         // A crash anywhere in the push discards the iteration: the
         // transferred bytes never reached the server, so no row of it
         // is accumulated or versioned.
         if (w.crashed)
             continue;
-        // Evicted while this push was in flight: the server no longer
-        // counts this worker, so the arrived rows are discarded; the
-        // worker re-admits itself at the top of the next iteration.
-        if (membership_ && server_->retired(w.id))
-            arrived.clear();
         rec.comm_s += push_elapsed;
         rec.bytes_pushed = push_wire;
-        rec.units_pushed = arrived.size();
-        rec.push_fraction = static_cast<double>(arrived.size()) /
-                            static_cast<double>(units);
+        rec.units_pushed = sent;
+        rec.push_fraction =
+            static_cast<double>(sent) / static_cast<double>(units);
 
         // Server receive (Algo 2 lines 2-6): exactly the units whose
-        // bytes verifiably arrived.
-        for (const std::size_t u : arrived) {
+        // bytes verifiably arrived, the first `sent` of the order.
+        for (std::size_t i = 0; i < sent; ++i) {
+            const std::size_t u = order[i];
             decoded.resize(w.accum[u].size());
             rec.pushed_magnitude += transcodeUnit(
                 *w.push_codec, *w.flat, u, w.accum[u], decoded);
@@ -874,19 +763,10 @@ Engine::workerProcess(WorkerContext &w)
         // (possibly fault-truncated) pushed versions could deadlock.
         // Fault-free this is identical to the global minimum, because a
         // full push always advances the worker's own versions to n.
-        // With the failure detector on, a Suspect (or worse) peer no
-        // longer holds the gate: its in-flight rows are reclaimed and
-        // the survivors stop stalling on it. If suspicion was wrong,
-        // the next heartbeat restores the peer to Alive and it counts
-        // again.
         const auto gate_floor = [this, &w]() {
             std::int64_t m = std::numeric_limits<std::int64_t>::max();
             for (const auto &other : workers_) {
-                if (other.id == w.id ||
-                    server_->retired(other.id))
-                    continue;
-                if (membership_ && membership_->active(other.id) &&
-                    membership_->state(other.id) != MemberState::Alive)
+                if (other.id == w.id || server_->retired(other.id))
                     continue;
                 m = std::min(m,
                              server_->maxVersionOfWorker(other.id));
@@ -930,15 +810,9 @@ Engine::workerProcess(WorkerContext &w)
             rec.comm_s += w.carried_pull_comm_s;
             rec.bytes_pulled += w.carried_bytes_pulled;
             rec.units_pulled += w.carried_units_pulled;
-            rec.retries += w.carried_pull_retries;
-            rec.backoff_s += w.carried_pull_backoff_s;
-            rec.bytes_retransmitted += w.carried_pull_retransmitted;
             w.carried_pull_comm_s = 0.0;
             w.carried_bytes_pulled = 0.0;
             w.carried_units_pulled = 0;
-            w.carried_pull_retries = 0;
-            w.carried_pull_backoff_s = 0.0;
-            w.carried_pull_retransmitted = 0.0;
         }
 
         // ---- Bookkeeping ----
@@ -967,8 +841,6 @@ Engine::workerProcess(WorkerContext &w)
         checkpoint(w, w.cur_iter);
     }
     w.done = true;
-    if (membership_)
-        membership_->deactivate(w.id); // finished, not dead.
     if (!server_->retired(w.id)) {
         server_->retireWorker(w.id);
         if (cfg_.invariants)
@@ -998,7 +870,7 @@ Engine::pullProcess(WorkerContext &w)
 
     const std::size_t units = partition_->unitCount();
     const bool atp = cfg_.system.atp;
-    const double header = cfg_.transfer_header_bytes;
+    const double header = kTransferHeaderBytes;
     std::vector<float> decoded;
 
     std::vector<std::size_t> cand;
@@ -1031,42 +903,6 @@ Engine::pullProcess(WorkerContext &w)
         // Compute while this transfer is in flight; the overlap is
         // then charged at compute power (which dominates).
         w.meter->setState(DeviceState::Communicate);
-        double pull_elapsed = 0.0;
-        double pull_wire = 0.0;
-        std::vector<std::size_t> fetched; //!< units delivered intact.
-        if (transport_) {
-            // Reliable path: mirror of the push — mandatory pull units
-            // retry until intact, speculative ones race the window.
-            // An undelivered unit stays pending at the server.
-            const double pull_start = sim_.now();
-            for (std::size_t i = 0; i < cand.size() && !w.crashed;
-                 ++i) {
-                const bool mandatory = i < pull_mta;
-                if (!mandatory &&
-                    (!atp || sim_.now() >= pull_start + pull_timeout))
-                    break;
-                net::transport::MessageKey key;
-                key.worker = static_cast<std::uint16_t>(w.id);
-                key.version = static_cast<std::int64_t>(msg_seq_++);
-                key.row = static_cast<std::uint32_t>(cand[rank[i]]);
-                key.pull = true;
-                const double deadline = mandatory
-                    ? net::transport::kNoDeadline
-                    : pull_start + pull_timeout;
-                auto tres = co_await transport_->send(
-                    w.id, key, unit_bytes_[cand[rank[i]]], deadline);
-                pull_elapsed += tres.elapsed_s;
-                pull_wire += tres.bytes_sent;
-                w.carried_pull_retries += tres.retries;
-                w.carried_pull_backoff_s += tres.backoff_s;
-                w.carried_pull_retransmitted +=
-                    tres.retransmitted_bytes;
-                if (tres.delivered)
-                    fetched.push_back(cand[rank[i]]);
-                else if (!mandatory && tres.deadline_expired)
-                    break;
-            }
-        } else {
         auto pres = co_await channel_->transfer(
             w.id, header + pull_prefix[pull_mta],
             net::Channel::kNoTimeout);
@@ -1080,8 +916,8 @@ Engine::pullProcess(WorkerContext &w)
                        pres.bytes_sent + 1e-6)
                 ++pulled;
         }
-        pull_elapsed = pres.elapsed;
-        pull_wire = pres.bytes_sent;
+        double pull_elapsed = pres.elapsed;
+        double pull_wire = pres.bytes_sent;
         if (atp && pres.completed && pulled < cand.size() &&
             pull_elapsed < pull_timeout) {
             auto pres2 = co_await channel_->transfer(
@@ -1095,9 +931,6 @@ Engine::pullProcess(WorkerContext &w)
             pull_elapsed += pres2.elapsed;
             pull_wire += pres2.bytes_sent;
         }
-        for (std::size_t i = 0; i < pulled; ++i)
-            fetched.push_back(cand[rank[i]]);
-        } // legacy bulk path.
         if (w.crashed) {
             // Crash mid-pull: nothing is applied; the server keeps the
             // pending copies for the rejoin resync to clear.
@@ -1107,9 +940,10 @@ Engine::pullProcess(WorkerContext &w)
         }
         w.carried_pull_comm_s += pull_elapsed;
         w.carried_bytes_pulled += pull_wire;
-        w.carried_units_pulled += fetched.size();
+        w.carried_units_pulled += pulled;
 
-        for (const std::size_t u : fetched) {
+        for (std::size_t i = 0; i < pulled; ++i) {
+            const std::size_t u = cand[rank[i]];
             const bool had_pending = server_->hasPending(w.id, u);
             // A server recovery mid-pull rolls the pending copy away;
             // the fetched bytes described pre-crash state and are
@@ -1218,89 +1052,7 @@ Engine::rejoinResync(WorkerContext &w, std::size_t &n)
     n = w.cur_iter;
     w.crashed = false;
     w.rejoin_time = std::numeric_limits<double>::infinity();
-    if (membership_ && membership_->active(w.id)) {
-        // Walk the lifecycle back to Alive; a worker that resynced
-        // before ever being declared dead just restarts its heartbeat
-        // statistics so the outage silence cannot evict it now.
-        if (membership_->state(w.id) == MemberState::Dead)
-            membership_->markRejoining(w.id, sim_.now());
-        if (membership_->state(w.id) == MemberState::Rejoining)
-            membership_->markRejoined(w.id, sim_.now());
-        else
-            membership_->resetStats(w.id, sim_.now());
-    }
     version_cond_->notifyAll();
-}
-
-sim::Process
-Engine::heartbeatProcess(WorkerContext &w)
-{
-    const double interval = cfg_.detector.heartbeat_interval_s;
-    // Stagger first beats so the fleet doesn't pulse in lockstep.
-    co_await sim::delay(sim_, interval *
-                                  (static_cast<double>(w.id + 1) /
-                                   static_cast<double>(
-                                       workers_.size() + 1)));
-    while (!w.done) {
-        if (w.crashed) { // silent: a crashed robot sends nothing.
-            co_await sim::delay(sim_, interval);
-            continue;
-        }
-        // The beat rides the worker's own lossy link and shares
-        // airtime with its gradient traffic; a beat that cannot get
-        // through within one interval is simply lost.
-        auto res = co_await channel_->transfer(
-            w.id, static_cast<double>(cfg_.detector.heartbeat_bytes),
-            interval);
-        if (res.completed && !w.done && !w.crashed)
-            membership_->observeHeartbeat(w.id, sim_.now());
-        co_await sim::delay(sim_, interval);
-    }
-    co_return;
-}
-
-sim::Process
-Engine::monitorProcess()
-{
-    const double interval = cfg_.detector.check_interval_s;
-    while (finished_workers_ < workers_.size()) {
-        co_await sim::delay(sim_, interval);
-        for (const auto &e : membership_->evaluate(sim_.now())) {
-            if (e.to != MemberState::Dead)
-                continue;
-            WorkerContext &w = workers_[e.worker];
-            ++result_.evictions;
-            const bool actually_down =
-                w.crashed || w.leaving || w.done;
-            if (!actually_down)
-                ++result_.false_evictions;
-            if (cfg_.invariants)
-                cfg_.invariants->onEvict(e.worker, actually_down);
-            if (!server_->retired(e.worker)) {
-                server_->retireWorker(e.worker);
-                if (cfg_.invariants)
-                    cfg_.invariants->onRetire(e.worker);
-            }
-            version_cond_->notifyAll();
-        }
-    }
-    co_return;
-}
-
-bool
-Engine::quorumRecoverable() const
-{
-    for (const auto &w : workers_) {
-        if (w.done || w.leaving)
-            continue;
-        // A crashed peer with a scheduled rejoin comes back; a live
-        // peer the detector falsely evicted re-admits itself.
-        if (w.crashed && std::isfinite(w.rejoin_time))
-            return true;
-        if (!w.crashed && server_->retired(w.id))
-            return true;
-    }
-    return false;
 }
 
 void
@@ -1319,7 +1071,6 @@ Engine::maybeCheckpointServer(std::int64_t iter)
     for (std::size_t s = 0; s < server_->shardCount(); ++s) {
         ServerCheckpoint ckpt;
         ckpt.iteration = iter;
-        ckpt.msg_seq = msg_seq_;
         ckpt.versions = server_->shard(s).versionSnapshot();
         ckpt.server = server_->shard(s).serverSnapshot();
         ckpt.tracker = server_->shard(s).trackerSnapshot();
@@ -1347,7 +1098,6 @@ Engine::serverCrashRecover(std::int64_t crash_iter)
     }
 
     std::int64_t ckpt_iter = 0;
-    std::uint64_t ckpt_seq = 0;
     for (std::size_t s = 0; s < server_->shardCount(); ++s) {
         ServerCheckpoint ckpt;
         if (last_checkpoint_iter_ >= 0)
@@ -1358,7 +1108,6 @@ Engine::serverCrashRecover(std::int64_t crash_iter)
         server_->shard(s).restore(ckpt.versions, ckpt.server,
                                   ckpt.tracker);
         ckpt_iter = ckpt.iteration; // identical across shards.
-        ckpt_seq = std::max(ckpt_seq, ckpt.msg_seq);
     }
 
     ServerRecoveryRecord rr;
@@ -1366,9 +1115,6 @@ Engine::serverCrashRecover(std::int64_t crash_iter)
     rr.checkpoint_iter = ckpt_iter;
     rr.rolled_back = ckpt_iter < crash_iter;
     rr.time_s = sim_.now();
-
-    // Never reuse a sequence number an in-flight frame may carry.
-    msg_seq_ = std::max(msg_seq_, ckpt_seq);
 
     // Reconcile membership with the live truth: retirement is decided
     // by the running group, not by the dead server's last write.
@@ -1412,11 +1158,6 @@ Engine::run()
 
     for (auto &w : workers_)
         workerProcess(w);
-    if (membership_) {
-        for (auto &w : workers_)
-            heartbeatProcess(w);
-        monitorProcess();
-    }
     sim_.run();
     ROG_ASSERT(finished_workers_ == workers_.size(),
                "simulation drained with unfinished workers");
@@ -1428,22 +1169,11 @@ Engine::run()
         result_.completed_iterations =
             std::min(result_.completed_iterations, w.cur_iter);
     }
-    if (membership_)
-        result_.membership_events = membership_->history();
     if (cfg_.capture_final_model) {
         std::ostringstream os;
         for (const auto &w : workers_)
             nn::saveModel(os, *w.model);
         result_.final_model_bytes = os.str();
-    }
-    if (transport_) {
-        const auto &t = transport_->totals();
-        result_.transport_retries = t.retries;
-        result_.transport_backoff_s = t.backoff_s;
-        result_.transport_retransmitted_bytes = t.retransmitted_bytes;
-        result_.transport_corrupt_chunks = t.corrupt_chunks;
-        result_.transport_duplicate_chunks = t.duplicate_chunks;
-        result_.transport_reordered_chunks = t.reordered_chunks;
     }
 
     const BufferPool::Stats pool_end = BufferPool::global().stats();

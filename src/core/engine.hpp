@@ -11,6 +11,10 @@
  * them. The server's per-worker handler of Algo 2 runs inline in the
  * worker's process — the simulation shares one address space, so the
  * server is its state (a ShardedServer), not a thread.
+ *
+ * Transfers are bulk flows on the channel; framing, retries and
+ * heartbeat failure detection live in the node roles
+ * (core/node_engine), which run the same protocol over a Fabric.
  */
 #ifndef ROG_CORE_ENGINE_HPP
 #define ROG_CORE_ENGINE_HPP
@@ -21,12 +25,10 @@
 #include <string>
 #include <vector>
 
-#include "core/failure_detector.hpp"
 #include "core/system_config.hpp"
 #include "core/testbed_profile.hpp"
 #include "core/workload.hpp"
 #include "net/bandwidth_trace.hpp"
-#include "net/transport/reliable_link.hpp"
 
 namespace rog {
 
@@ -36,12 +38,6 @@ class InvariantChecker;
 } // namespace fault
 
 namespace core {
-
-/** What the group does when it falls below quorum. */
-enum class QuorumPolicy {
-    Pause,    //!< wait for a rejoin while the loss is recoverable.
-    Continue, //!< keep training with however many workers remain.
-};
 
 /** Engine knobs independent of the system under test. */
 struct EngineConfig
@@ -88,7 +84,6 @@ struct EngineConfig
     std::size_t server_shards = 1;
 
     std::string codec = "onebit";       //!< "onebit" | "identity".
-    double transfer_header_bytes = 16.0; //!< framing bytes (Sec. V).
 
     /**
      * Ablation of speculative transmission (Sec. III-A "Technically"):
@@ -112,16 +107,6 @@ struct EngineConfig
     bool dynamic_batching = true;
 
     /**
-     * Robustness: per-worker departure times in virtual seconds (a
-     * robot running out of battery or crashing mid-mission, Sec. VI-D
-     * "the moving devices can easily run out of energy or crash").
-     * Empty = nobody leaves. A departing worker finishes its current
-     * iteration, then retires from the RSP gate so the survivors
-     * continue without stalling on it.
-     */
-    std::vector<double> worker_departure_times{};
-
-    /**
      * Future-work extension (Sec. VI-C): adapt the staleness threshold
      * automatically from the observed stall fraction instead of fixing
      * it (see core/auto_threshold.hpp). Applies to ATP systems.
@@ -135,46 +120,6 @@ struct EngineConfig
      * at the cost of applying pulled updates one iteration late.
      */
     bool pipeline_pull = false;
-
-    /**
-     * Robustness: route every gradient push and pull through the
-     * reliable transport sublayer (net/transport) instead of raw bulk
-     * transfers. Each synchronization unit travels as one framed,
-     * checksummed, chunked message: mandatory (MTA) units retry with
-     * deadline-free backoff until delivered intact or out of attempts,
-     * speculative units carry the MTA window as an absolute deadline.
-     * A unit whose send fails stays accumulated and rides the next
-     * iteration's push — late but intact, never corrupted. Opt-in: the
-     * legacy bulk path (off) replays byte-identically.
-     */
-    bool reliable_transport = false;
-    net::transport::TransportConfig transport{};
-
-    /**
-     * Robustness: heartbeat failure detection (core/failure_detector).
-     * Each worker sends a periodic heartbeat over its channel link; a
-     * server-side phi-accrual membership tracker walks the explicit
-     * alive -> suspect -> dead -> rejoining lifecycle. Suspects stop
-     * holding the RSP gate (their in-flight rows are reclaimed: the
-     * survivors no longer wait on them); the dead are retired from
-     * the version storage, with ground truth reported to the
-     * invariant checker so a false eviction is a recorded violation.
-     * A worker evicted while actually alive re-admits itself through
-     * the rejoin resync. Opt-in: off replays byte-identically.
-     */
-    bool failure_detector = false;
-    FailureDetectorConfig detector{};
-
-    /**
-     * Minimum number of live (alive-or-suspect) workers the group
-     * needs to keep training; 0 disables the check. Below quorum the
-     * policy decides: Pause parks every healthy worker until a
-     * crashed peer rejoins (ending the run early if the loss is
-     * unrecoverable), Continue degrades gracefully with fewer.
-     * Requires failure_detector.
-     */
-    std::size_t quorum = 0;
-    QuorumPolicy quorum_policy = QuorumPolicy::Pause;
 
     /**
      * Serialize every worker's final replica into
@@ -192,7 +137,11 @@ struct EngineConfig
      * channel), and worker churn — silent crashes whose in-flight rows
      * are discarded, detection-delayed retirement from the staleness
      * gate, rejoins that resync to the current model version, and
-     * announced graceful leaves. Non-owning; must outlive the run.
+     * announced graceful leaves. A crash's `detect` delay is the
+     * engine's failure detector (an oracle). Corruption-class rules
+     * (corrupt / duplicate / reorder) need framed messages, which only
+     * the node roles' ReliableLink has, so the engine rejects them.
+     * Non-owning; must outlive the run.
      */
     const fault::FaultPlan *fault_plan = nullptr;
 
@@ -227,12 +176,6 @@ struct IterationRecord
     double push_fraction = 0.0;   //!< units pushed / total units.
     std::int64_t staleness_behind = 0; //!< fastest worker iter - mine.
     double end_time_s = 0.0;      //!< virtual time when iter finished.
-
-    // Reliable-transport accounting (zero on the legacy bulk path).
-    std::size_t retries = 0;          //!< chunk retransmission attempts.
-    double backoff_s = 0.0;           //!< seconds spent backing off
-                                      //!< (included in comm_s).
-    double bytes_retransmitted = 0.0; //!< bytes delivered more than once.
 
     /** sum(|grad|) of the units pushed this iteration, measured as a
      *  by-product of the codec's fused transcode sweep (0.0 for codecs
@@ -276,20 +219,6 @@ struct RunResult
     double sim_seconds = 0.0;                //!< virtual run length.
     std::size_t completed_iterations = 0;    //!< min over workers.
     double total_bytes = 0.0;                //!< delivered on channel.
-
-    // Reliable-transport aggregate (all zero on the legacy path).
-    std::size_t transport_retries = 0;
-    double transport_backoff_s = 0.0;
-    double transport_retransmitted_bytes = 0.0;
-    std::size_t transport_corrupt_chunks = 0;
-    std::size_t transport_duplicate_chunks = 0;
-    std::size_t transport_reordered_chunks = 0;
-
-    // Failure detection / membership (empty unless failure_detector).
-    std::vector<MembershipEvent> membership_events;
-    std::size_t evictions = 0;       //!< dead declarations acted on.
-    std::size_t false_evictions = 0; //!< evicted while healthy.
-    double quorum_paused_s = 0.0;    //!< summed below-quorum stalls.
 
     // Server checkpointing / crash recovery.
     std::size_t checkpoints_written = 0;

@@ -42,8 +42,6 @@ FailureDetectorConfig::validationError() const
         return "need 0 < phi_suspect <= phi_evict";
     if (detection_bound_s <= heartbeat_interval_s)
         return "detection_bound_s must exceed the heartbeat interval";
-    if (heartbeat_bytes == 0)
-        return "heartbeat_bytes must be positive";
     return "";
 }
 

@@ -69,9 +69,6 @@ struct FailureDetectorConfig
     /** Heartbeats needed before phi is trusted. */
     std::size_t min_samples = 3;
 
-    /** Wire size of one heartbeat message. */
-    std::size_t heartbeat_bytes = 64;
-
     /** Server-side membership evaluation period. */
     double check_interval_s = 0.25;
 

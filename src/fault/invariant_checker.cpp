@@ -120,16 +120,6 @@ InvariantChecker::onRejoin(std::size_t worker, std::int64_t iter)
 }
 
 void
-InvariantChecker::onEvict(std::size_t worker, bool actually_down)
-{
-    ++checks_;
-    if (!actually_down) {
-        fail(detail::concat("failure detector evicted healthy worker ",
-                            worker, " (false positive)"));
-    }
-}
-
-void
 InvariantChecker::onServerRecovery(std::int64_t checkpoint_iter,
                                    std::int64_t crash_iter)
 {

@@ -20,9 +20,8 @@
  *  - the RSP staleness bound is never exceeded at a gate pass;
  *  - membership transitions are sane (no retired worker pushes, a
  *    rejoin lands at or beyond the worker's last pushed iteration);
- *  - the failure detector never evicts a worker that was actually
- *    healthy, and server recovery only ever rolls state backwards
- *    (write-ahead ordering);
+ *  - server recovery only ever rolls state backwards (write-ahead
+ *    ordering);
  *  - the reliable transport (net/transport) applies every chunk at
  *    most once even when the link duplicates deliveries, never accepts
  *    a chunk whose CRC check failed, never delivers one message twice,
@@ -78,15 +77,6 @@ class InvariantChecker final : public net::transport::TransportObserver
 
     /** @p worker rejoined, resynced to model iteration @p iter. */
     void onRejoin(std::size_t worker, std::int64_t iter);
-
-    /**
-     * The failure detector declared @p worker dead and evicted it;
-     * @p actually_down is the simulation's ground truth at that
-     * moment. Evicting a worker that was healthy and heartbeating is
-     * the false positive the phi thresholds must prevent; it is
-     * recorded as a violation.
-     */
-    void onEvict(std::size_t worker, bool actually_down);
 
     /**
      * The server recovered from its checkpoint of @p checkpoint_iter

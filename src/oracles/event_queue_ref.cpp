@@ -1,4 +1,4 @@
-#include "sim/event_queue_ref.hpp"
+#include "oracles/event_queue_ref.hpp"
 
 #include <utility>
 #include <vector>

@@ -13,7 +13,7 @@
  * the autovectorizer — the "compiler luck" tier the explicit
  * microkernels replace.
  */
-#include "tensor/ops.hpp"
+#include "oracles/ops_ref.hpp"
 
 #include <cstring>
 

@@ -9,7 +9,7 @@
  *  - micro benchmarks can report blocked-vs-seed speedups against the
  *    exact code the seed shipped.
  */
-#include "tensor/ops.hpp"
+#include "oracles/ops_ref.hpp"
 
 #include "common/logging.hpp"
 

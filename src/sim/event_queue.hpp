@@ -23,7 +23,7 @@
  * matches the slot's) and is skimmed off lazily when it surfaces at
  * the top. Firing order is exactly the (time, seq) lexicographic
  * order the previous std::map implementation produced (verified by a
- * differential fuzz oracle against sim/event_queue_ref.hpp).
+ * differential fuzz oracle against oracles/event_queue_ref.hpp).
  *
  * Destruction guarantee: drop handlers of still-pending events run in
  * deterministic *reverse* key order — latest (time, seq) first — so

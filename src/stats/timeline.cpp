@@ -27,11 +27,8 @@ buildTimeline(const core::RunResult &result)
             out.push_back(seg);
             start += duration;
         };
-        // comm_s is inclusive of transport backoff; report the active
-        // transmission time and the backoff idle separately.
         push("compute", r.compute_s);
-        push("communicate", std::max(0.0, r.comm_s - r.backoff_s));
-        push("backoff", std::min(r.backoff_s, r.comm_s));
+        push("communicate", r.comm_s);
         push("stall", r.stall_s);
     }
     return out;

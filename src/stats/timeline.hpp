@@ -27,8 +27,7 @@ struct TimelineSegment
 {
     std::size_t worker = 0;
     std::size_t iteration = 0;
-    std::string phase; //!< "compute" | "communicate" | "backoff"
-                       //!< | "stall".
+    std::string phase; //!< "compute" | "communicate" | "stall".
     double start_s = 0.0;
     double duration_s = 0.0;
 };
@@ -38,10 +37,7 @@ struct TimelineSegment
  * the engine's phase order is compute, then communication and stall
  * interleavings which are reported as one communicate and one stall
  * segment each (durations are exact; internal interleaving is not
- * recorded per event). Runs over the reliable transport additionally
- * split the time spent in retry backoff (radio idle between
- * retransmission attempts) out of the communicate segment as its own
- * "backoff" phase.
+ * recorded per event).
  */
 std::vector<TimelineSegment>
 buildTimeline(const core::RunResult &result);

@@ -7,6 +7,7 @@
 
 #include "core/engine.hpp"
 #include "core/workloads.hpp"
+#include "fault/fault_plan.hpp"
 #include "net/bandwidth_trace.hpp"
 #include "net/trace_generator.hpp"
 
@@ -170,7 +171,8 @@ TEST(ChurnTest, DepartedWorkerDoesNotStallSurvivors)
     cfg.iterations = 40;
     cfg.eval_every = 100;
     // Worker 2's battery dies ~5 iterations in.
-    cfg.worker_departure_times = {1e9, 1e9, 25.0};
+    const auto plan = fault::FaultPlan::parse("leave worker=2 at=25");
+    cfg.fault_plan = &plan;
     const auto res = runDistributedTraining(workload, cfg,
                                             stableNetwork(3));
     ASSERT_EQ(res.worker_iterations.size(), 3u);
@@ -190,7 +192,9 @@ TEST(ChurnTest, RogSurvivesChurnUnderInstability)
     cfg.system = SystemConfig::rog(4);
     cfg.iterations = 120;
     cfg.eval_every = 40;
-    cfg.worker_departure_times = {1e9, 60.0, 1e9, 120.0};
+    const auto plan = fault::FaultPlan::parse("leave worker=1 at=60\n"
+                                              "leave worker=3 at=120");
+    cfg.fault_plan = &plan;
     NetworkSetup net;
     const auto model = net::TraceModel::outdoor(20e3);
     for (std::size_t i = 0; i < 4; ++i)
@@ -210,17 +214,6 @@ TEST(ChurnTest, RogSurvivesChurnUnderInstability)
         best = std::max(best, c.metric);
     }
     EXPECT_GT(best, first + 2.0);
-}
-
-TEST(ChurnTest, WrongDepartureCountDies)
-{
-    CrudaWorkload workload(tinyCruda(2));
-    EngineConfig cfg;
-    cfg.system = SystemConfig::bsp();
-    cfg.worker_departure_times = {1.0};
-    EXPECT_DEATH(runDistributedTraining(workload, cfg,
-                                        stableNetwork(2)),
-                 "departure");
 }
 
 TEST(AutoThresholdEngineTest, CompletesAndBoundsStaleness)

@@ -60,10 +60,6 @@ TEST(FailureDetectorConfig, ValidatesItsFields)
     bad = testConfig();
     bad.check_interval_s = -1.0;
     EXPECT_FALSE(bad.validationError().empty());
-
-    bad = testConfig();
-    bad.heartbeat_bytes = 0;
-    EXPECT_FALSE(bad.validationError().empty());
 }
 
 TEST(MembershipTracker, RejectsBadConfigFatally)

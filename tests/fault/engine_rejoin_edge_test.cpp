@@ -6,8 +6,7 @@
  * replica's iteration and the rejoiner's own rows still standing at
  * the server (it may have pushed and crashed while stalling). Swept
  * over a grid of crash/rejoin times on a communication-bound network
- * so rejoins land in every phase of the survivors' iterations, on both
- * the legacy bulk path and the reliable transport.
+ * so rejoins land in every phase of the survivors' iterations.
  */
 #include <gtest/gtest.h>
 
@@ -57,14 +56,12 @@ struct RejoinRun
 };
 
 RejoinRun
-runWithCrash(double at_frac, double outage_frac, bool transport)
+runWithCrash(double at_frac, double outage_frac)
 {
     core::EngineConfig cfg;
     cfg.system = core::SystemConfig::rog(4);
     cfg.iterations = kIterations;
     cfg.eval_every = 100;
-    cfg.reliable_transport = transport;
-    cfg.transport.chunk_bytes = 4096.0;
     const auto net = commBoundNetwork();
 
     // Fault-free length to place the crash.
@@ -121,19 +118,8 @@ TEST(EngineRejoinEdge, RejoinLandsInEveryPushPhaseLegacyPath)
     // and use a short outage, so the rejoin fires while survivors are
     // in compute, mid-push, gate-stalled, or mid-pull.
     for (const double at : {0.30, 0.35, 0.40, 0.45, 0.50, 0.55}) {
-        const auto run = runWithCrash(at, 0.08, false);
+        const auto run = runWithCrash(at, 0.08);
         checkRejoinRun(run, "legacy");
-    }
-}
-
-TEST(EngineRejoinEdge, RejoinLandsInEveryPushPhaseReliableTransport)
-{
-    // Same sweep over the reliable transport: the rejoiner redoes
-    // iterations it already pushed once, so message identity must not
-    // collide in the transport's exactly-once accounting.
-    for (const double at : {0.30, 0.40, 0.50}) {
-        const auto run = runWithCrash(at, 0.08, true);
-        checkRejoinRun(run, "transport");
     }
 }
 
@@ -142,7 +128,7 @@ TEST(EngineRejoinEdge, InstantDetectionWithLateRejoin)
     // Detection retires the ghost before it returns: the rejoin must
     // re-admit it to the gate and the server must have cleared its
     // stale pending rows (no double-apply after resync).
-    const auto run = runWithCrash(0.4, 0.3, false);
+    const auto run = runWithCrash(0.4, 0.3);
     checkRejoinRun(run, "late-rejoin");
 }
 

@@ -18,7 +18,7 @@
 
 #include "common/rng.hpp"
 #include "sim/event_queue.hpp"
-#include "sim/event_queue_ref.hpp"
+#include "oracles/event_queue_ref.hpp"
 
 namespace {
 

@@ -14,6 +14,7 @@
 #include <string>
 
 #include "common/rng.hpp"
+#include "oracles/ops_ref.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/tensor.hpp"

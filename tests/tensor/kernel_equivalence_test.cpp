@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "oracles/ops_ref.hpp"
 #include "parallel/thread_pool.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/tensor.hpp"
