@@ -2,8 +2,10 @@
 # Figure-identity gate. Builds BASE_REF (from a `git archive` copy) and
 # the working tree in Release, runs every deterministic figure bench
 # with ROG_BENCH_FAST=1 on both, and fails on the first bench whose
-# stdout differs by a single byte, printing the diff. Both builds run
-# on the same host, so the gate does not depend on the GEMM tier.
+# stdout differs by a single byte, printing the diff. It then runs the
+# node roles' DES twin (`rog_noded des`) on both builds and fails
+# unless its run log and summary are byte-identical too. Both builds
+# run on the same host, so the gate does not depend on the GEMM tier.
 #
 # A change that alters figure outputs on purpose says so in CHANGES.md;
 # a failure is reported as it is, never retried until green.
@@ -35,7 +37,8 @@ benches=(
 
 build() { # build SRC_DIR BUILD_DIR; the log lands next to BUILD_DIR.
     if ! { cmake -S "$1" -B "$2" -DCMAKE_BUILD_TYPE=Release &&
-           cmake --build "$2" -j "$jobs" --target "${benches[@]}"; \
+           cmake --build "$2" -j "$jobs" \
+               --target "${benches[@]}" rog_noded; \
          } >"$2.log" 2>&1; then
         tail -n 40 "$2.log" >&2
         echo "FAIL: could not build $1 (full log: $2.log)" >&2
@@ -72,4 +75,24 @@ for b in "${benches[@]}"; do
     echo "ok: $b ($(wc -c <"$out/head/$b.txt") bytes)"
 done
 echo "fig_identity: all ${#benches[@]} benches byte-identical to" \
+     "${base_sha:0:12}"
+
+# The node roles' run log: every line comes from one typed writer.
+for side in base head; do
+    mkdir -p "$out/$side/noded"
+    build_dir=$base_build
+    [ "$side" = head ] && build_dir=$head_build
+    "$build_dir/tools/rog_noded" des --workers 3 --iters 10 --seed 1234 \
+        --dir "$out/$side/noded" >/dev/null
+done
+for f in des_twin.log des_summary.txt; do
+    if ! cmp -s "$out/base/noded/$f" "$out/head/noded/$f"; then
+        echo "FAIL: rog_noded des $f differs from ${base_sha:0:12}" >&2
+        diff -u "$out/base/noded/$f" "$out/head/noded/$f" |
+            head -n 60 >&2
+        exit 1
+    fi
+    echo "ok: rog_noded des $f ($(wc -l <"$out/head/noded/$f") lines)"
+done
+echo "fig_identity: rog_noded des run log byte-identical to" \
      "${base_sha:0:12}"

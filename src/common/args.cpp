@@ -1,8 +1,9 @@
 #include "common/args.hpp"
 
-#include <cstdlib>
+#include <cmath>
 
 #include "common/logging.hpp"
+#include "common/text_line.hpp"
 
 namespace rog {
 
@@ -58,9 +59,8 @@ Args::getDouble(const std::string &name, double fallback) const
     if (!has(name))
         return fallback;
     const std::string v = get(name);
-    char *end = nullptr;
-    const double parsed = std::strtod(v.c_str(), &end);
-    if (end == v.c_str() || *end != '\0')
+    double parsed = 0.0;
+    if (!parseNumber(v, parsed))
         ROG_FATAL("option --", name, " expects a number, got '", v, "'");
     return parsed;
 }
@@ -70,8 +70,8 @@ Args::getSize(const std::string &name, std::size_t fallback) const
 {
     const double v =
         getDouble(name, static_cast<double>(fallback));
-    if (v < 0.0)
-        ROG_FATAL("option --", name, " must be non-negative");
+    if (v < 0.0 || std::isinf(v))
+        ROG_FATAL("option --", name, " must be non-negative and finite");
     return static_cast<std::size_t>(v);
 }
 

@@ -2,6 +2,8 @@
 
 #include <cstdlib>
 
+#include "common/text_line.hpp"
+
 namespace rog {
 
 namespace {
@@ -11,11 +13,8 @@ std::size_t
 envSize(const char *env, std::size_t fallback)
 {
     const char *raw = std::getenv(env);
-    if (raw == nullptr || *raw == '\0')
-        return fallback;
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(raw, &end, 10);
-    if (end == raw || *end != '\0')
+    std::uint64_t v = 0;
+    if (raw == nullptr || !parseNumber(raw, v))
         return fallback;
     return static_cast<std::size_t>(v);
 }

@@ -1,13 +1,14 @@
 #include "core/chaos_check.hpp"
 
 #include <cmath>
-#include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <map>
 #include <set>
 #include <sstream>
+#include <tuple>
 
+#include "common/text_line.hpp"
+#include "core/node_event.hpp"
 #include "core/server_checkpoint.hpp"
 #include "net/transport/event_log.hpp"
 #include "nn/serialize.hpp"
@@ -16,17 +17,6 @@ namespace rog {
 namespace core {
 
 namespace {
-
-std::vector<std::string>
-readLines(const std::string &path)
-{
-    std::vector<std::string> lines;
-    std::ifstream is(path);
-    std::string line;
-    while (std::getline(is, line))
-        lines.push_back(line);
-    return lines;
-}
 
 /** "key value" pairs from a summary file. */
 std::map<std::string, std::string>
@@ -95,8 +85,9 @@ checkChaosRun(const NodeRunConfig &cfg, const ChaosCheckOptions &opts)
         bool recovered = false;
         /** Restored per-(worker,unit) apply watermark from the
          *  recover_w lines; applies at or below it are duplicates. */
-        std::map<std::size_t, std::vector<long long>> watermark;
-        std::set<std::string> applied;
+        std::map<std::size_t, std::vector<std::int64_t>> watermark;
+        std::set<std::tuple<std::size_t, std::int64_t, std::size_t>>
+            applied;
         std::map<std::size_t, std::uint64_t> admit_epoch;
         std::set<std::size_t> byes;
     };
@@ -109,79 +100,60 @@ checkChaosRun(const NodeRunConfig &cfg, const ChaosCheckOptions &opts)
                 incs.emplace_back(); // pre-PR-9 logs: one segment.
             return incs.back();
         };
-        for (const std::string &line :
-             readLines(dir + "/server_run.log")) {
-            double t = 0.0;
-            std::size_t w = 0;
-            long long iter = 0;
-            std::size_t unit = 0;
-            unsigned inc = 0;
-            unsigned long long epoch = 0;
-            int recovered = 0;
-            char mode[16] = {0};
-            if (std::sscanf(line.c_str(),
-                            "t=%lf apply w=%zu iter=%lld unit=%zu", &t,
-                            &w, &iter, &unit) == 4) {
+        const std::string log_path = dir + "/server_run.log";
+        const NodeLogReadResult log = readNodeLog(log_path);
+        if (!log.ok())
+            violate(log_path + " unreadable: " + log.error);
+        for (const NodeEvent &ev : log.events) {
+            switch (ev.kind) {
+            case NodeEvent::Kind::Apply: {
                 ++total_applies;
                 Incarnation &seg = cur();
-                std::ostringstream key;
-                key << w << ':' << iter << ':' << unit;
-                if (!seg.applied.insert(key.str()).second) {
+                if (!seg.applied.emplace(ev.w, ev.iter, ev.unit).second) {
                     ++dup_applies;
                     violate("gradient applied twice: w=" +
-                            std::to_string(w) +
-                            " iter=" + std::to_string(iter) +
-                            " unit=" + std::to_string(unit));
+                            std::to_string(ev.w) +
+                            " iter=" + std::to_string(ev.iter) +
+                            " unit=" + std::to_string(ev.unit));
                 }
-                auto wm = seg.watermark.find(w);
+                auto wm = seg.watermark.find(ev.w);
                 if (wm != seg.watermark.end() &&
-                    unit < wm->second.size() &&
-                    iter <= wm->second[unit]) {
+                    ev.unit < wm->second.size() &&
+                    ev.iter <= wm->second[ev.unit]) {
                     ++dup_applies;
                     violate(
                         "gradient re-applied after server restart: "
                         "w=" +
-                        std::to_string(w) +
-                        " iter=" + std::to_string(iter) +
-                        " unit=" + std::to_string(unit) +
+                        std::to_string(ev.w) +
+                        " iter=" + std::to_string(ev.iter) +
+                        " unit=" + std::to_string(ev.unit) +
                         " watermark=" +
-                        std::to_string(wm->second[unit]));
+                        std::to_string(wm->second[ev.unit]));
                 }
-            } else if (std::sscanf(line.c_str(),
-                                   "t=%lf server_start epoch=%llu "
-                                   "recovered=%d",
-                                   &t, &epoch, &recovered) == 3) {
+                break;
+            }
+            case NodeEvent::Kind::ServerStart:
                 incs.emplace_back();
-                incs.back().epoch = epoch;
-                incs.back().recovered = recovered != 0;
-            } else if (std::sscanf(line.c_str(),
-                                   "t=%lf recover_w w=%zu versions=",
-                                   &t, &w) == 2) {
-                const std::size_t pos = line.find("versions=");
-                if (pos != std::string::npos) {
-                    std::vector<long long> vs;
-                    std::istringstream is(
-                        line.substr(pos + std::strlen("versions=")));
-                    std::string tok;
-                    while (std::getline(is, tok, ','))
-                        vs.push_back(std::stoll(tok));
-                    cur().watermark[w] = std::move(vs);
-                }
-            } else if (std::sscanf(line.c_str(),
-                                   "t=%lf admit w=%zu mode=%15s "
-                                   "session=%*u start=%*d inc=%u "
-                                   "model_bytes=%*u epoch=%llu",
-                                   &t, &w, mode, &inc, &epoch) >= 3) {
-                if (inc >= 1)
-                    admitted_restart.insert(w);
-                cur().admit_epoch[w] = epoch;
-            } else if (std::sscanf(line.c_str(), "t=%lf evict w=%zu",
-                                   &t, &w) == 2) {
-                evicted.insert(w);
-            } else if (std::sscanf(line.c_str(),
-                                   "t=%lf bye w=%zu", &t, &w) == 2) {
-                byed.insert(w);
-                cur().byes.insert(w);
+                incs.back().epoch = ev.epoch;
+                incs.back().recovered = ev.recovered;
+                break;
+            case NodeEvent::Kind::RecoverW:
+                cur().watermark[ev.w] = ev.versions;
+                break;
+            case NodeEvent::Kind::Admit:
+                if (ev.inc >= 1)
+                    admitted_restart.insert(ev.w);
+                cur().admit_epoch[ev.w] = ev.epoch;
+                break;
+            case NodeEvent::Kind::Evict:
+                evicted.insert(ev.w);
+                break;
+            case NodeEvent::Kind::ServerBye:
+                byed.insert(ev.w);
+                cur().byes.insert(ev.w);
+                break;
+            default:
+                break;
             }
         }
         report << "applies: " << total_applies << " total over "
@@ -300,14 +272,18 @@ checkChaosRun(const NodeRunConfig &cfg, const ChaosCheckOptions &opts)
 
     // 6. Metric within tolerance of the fault-free DES twin.
     {
-        const auto twin = readSummary(dir + "/des_summary.txt");
+        const std::string path = dir + "/des_summary.txt";
+        const auto twin = readSummary(path);
         auto it = twin.find("metric");
+        double ref = 0.0;
         if (it == twin.end()) {
             if (opts.require_twin)
                 violate("no DES twin summary to compare against");
             report << "twin: absent\n";
+        } else if (!parseNumber(it->second, ref)) {
+            violate(path + ": bad metric '" + it->second + "'");
+            report << "twin: FAIL\n";
         } else if (std::isfinite(metric)) {
-            const double ref = std::stod(it->second);
             const double delta = std::fabs(metric - ref);
             if (!(delta <= opts.metric_tolerance))
                 violate("metric " + std::to_string(metric) +
@@ -322,6 +298,32 @@ checkChaosRun(const NodeRunConfig &cfg, const ChaosCheckOptions &opts)
     res.ok = res.violations.empty();
     res.report = report.str();
     return res;
+}
+
+bool
+pushInFlight(const std::string &dir, std::size_t w, std::int64_t min_iter)
+{
+    const NodeLogReadResult log =
+        readNodeLog(dir + "/worker" + std::to_string(w) + ".log");
+    for (const NodeEvent &ev : log.events)
+        if (ev.kind == NodeEvent::Kind::PushBegin && ev.iter >= min_iter)
+            return true;
+    return false;
+}
+
+bool
+serverKillReady(const std::string &dir, std::int64_t min_iter)
+{
+    const NodeLogReadResult log = readNodeLog(dir + "/server_run.log");
+    bool applied = false;
+    bool checkpointed = false;
+    for (const NodeEvent &ev : log.events) {
+        applied = applied || (ev.kind == NodeEvent::Kind::Apply &&
+                              ev.iter >= min_iter);
+        checkpointed =
+            checkpointed || ev.kind == NodeEvent::Kind::Checkpoint;
+    }
+    return applied && checkpointed;
 }
 
 } // namespace core

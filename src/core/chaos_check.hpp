@@ -76,6 +76,16 @@ struct ChaosCheckResult
 ChaosCheckResult checkChaosRun(const NodeRunConfig &cfg,
                                const ChaosCheckOptions &opts);
 
+/** Worker @p w's run log under @p dir shows a push in flight at an
+ *  iteration >= @p min_iter: the supervisor's kill/stall trigger. */
+bool pushInFlight(const std::string &dir, std::size_t w,
+                  std::int64_t min_iter);
+
+/** The server run log under @p dir shows an apply at an iteration
+ *  >= @p min_iter and a durable checkpoint: killing earlier would test
+ *  a cold start, not recovery. */
+bool serverKillReady(const std::string &dir, std::int64_t min_iter);
+
 } // namespace core
 } // namespace rog
 

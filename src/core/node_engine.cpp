@@ -16,7 +16,6 @@ namespace rog {
 namespace core {
 
 using net::session::AdmitMode;
-using net::session::admitModeName;
 using net::session::Bye;
 using net::session::FabricTimer;
 using net::session::Heartbeat;
@@ -28,7 +27,6 @@ using net::session::packVersion;
 using net::session::PullData;
 using net::session::PullReq;
 using net::session::Reject;
-using net::session::rejectReasonName;
 using net::session::RejectReason;
 using net::session::UnitUpdate;
 using net::session::versionScope;
@@ -37,17 +35,7 @@ using net::session::Welcome;
 using net::session::workerNode;
 using net::transport::kNoDeadline;
 
-namespace {
-
-std::string
-fmt(double t, const char *body)
-{
-    std::ostringstream os;
-    os << "t=" << t << ' ' << body;
-    return os.str();
-}
-
-} // namespace
+using K = NodeEvent::Kind;
 
 // --------------------------------------------------------------------
 // ServerNode
@@ -128,18 +116,17 @@ ServerNode::restoreFromCheckpoint()
         ctrl_seq_ = static_cast<std::uint32_t>(ckpt.msg_seq) + 4096;
         return true;
     } catch (const std::exception &e) {
-        std::ostringstream os;
-        os << "recover_failed why=\"" << e.what() << '"';
-        logLine(fmt(fabric_.now(), os.str().c_str()));
+        emit({.kind = K::RecoverFailed, .t = fabric_.now(),
+              .why = e.what()});
         return false;
     }
 }
 
 void
-ServerNode::logLine(const std::string &line)
+ServerNode::emit(const NodeEvent &ev)
 {
     if (log_)
-        log_(line);
+        log_(toLine(ev));
 }
 
 void
@@ -151,25 +138,17 @@ ServerNode::start()
         });
     member_timer_ = fabric_.after(cfg_.detector.check_interval_s,
                                   [this] { evaluateMembership(); });
-    {
-        std::ostringstream os;
-        os << "server_start epoch=" << table_.epoch()
-           << " recovered=" << (recovered_ ? 1 : 0);
-        logLine(fmt(fabric_.now(), os.str().c_str()));
-    }
+    emit({.kind = K::ServerStart, .t = fabric_.now(),
+          .epoch = table_.epoch(), .recovered = recovered_});
     if (recovered_) {
         // The restored apply watermark, one row per worker — the
         // invariant checker uses these to prove no push that survived
         // the crash is ever applied twice by the new incarnation.
-        for (std::size_t w = 0; w < peers_.size(); ++w) {
-            std::ostringstream os;
-            os << "recover_w w=" << w << " versions=";
-            for (std::size_t u = 0; u < partition_->unitCount(); ++u) {
-                if (u > 0)
-                    os << ',';
-                os << server_.version(w, u);
-            }
-            logLine(fmt(fabric_.now(), os.str().c_str()));
+        for (std::size_t w = 0; log_ && w < peers_.size(); ++w) {
+            NodeEvent ev{.kind = K::RecoverW, .t = fabric_.now(), .w = w};
+            for (std::size_t u = 0; u < partition_->unitCount(); ++u)
+                ev.versions.push_back(server_.version(w, u));
+            emit(ev);
         }
         // Re-persist immediately under the bumped epoch: a second
         // crash before the next cadence checkpoint must recover to
@@ -211,9 +190,8 @@ ServerNode::sessionCurrent(std::size_t w, std::int64_t version)
     if (w < peers_.size() && table_.isCurrent(w, versionScope(version)))
         return true;
     ++stale_drops_;
-    std::ostringstream os;
-    os << "stale_drop w=" << w << " scope=" << versionScope(version);
-    logLine(fmt(fabric_.now(), os.str().c_str()));
+    emit({.kind = K::StaleDrop, .t = fabric_.now(), .w = w,
+          .scope = versionScope(version)});
     return false;
 }
 
@@ -239,9 +217,8 @@ ServerNode::onHello(std::vector<std::uint8_t> &&bytes)
         // and a tcp connect fails synchronously. Answering would hit
         // sendTo on a missing peer; drop the handshake instead. The
         // worker's Hello retry re-triggers admission on a live socket.
-        std::ostringstream os;
-        os << "hello_connect_failed w=" << w << " port=" << h.rx_port;
-        logLine(fmt(now, os.str().c_str()));
+        emit({.kind = K::HelloConnectFailed, .t = now, .w = w,
+              .port = h.rx_port});
         return;
     }
 
@@ -250,11 +227,8 @@ ServerNode::onHello(std::vector<std::uint8_t> &&bytes)
         rej.nonce = h.nonce;
         rej.reason = a.reject;
         rej.server_epoch = table_.epoch();
-        std::ostringstream os;
-        os << "reject w=" << w
-           << " reason=" << rejectReasonName(a.reject)
-           << " inc=" << h.incarnation;
-        logLine(fmt(now, os.str().c_str()));
+        emit({.kind = K::Reject, .t = now, .w = w, .reason = a.reject,
+              .inc = h.incarnation});
         MessageKey key{static_cast<std::uint16_t>(w),
                        packVersion(0, ctrl_seq_++),
                        net::session::kRowReject, true};
@@ -308,13 +282,9 @@ ServerNode::onHello(std::vector<std::uint8_t> &&bytes)
     if (a.mode != AdmitMode::Resume)
         wmsg.model = modelBytes();
 
-    std::ostringstream os;
-    os << "admit w=" << w << " mode=" << admitModeName(a.mode)
-       << " session=" << a.session << " start=" << start
-       << " inc=" << h.incarnation
-       << " model_bytes=" << wmsg.model.size()
-       << " epoch=" << table_.epoch();
-    logLine(fmt(now, os.str().c_str()));
+    emit({.kind = K::Admit, .t = now, .w = w, .epoch = table_.epoch(),
+          .inc = h.incarnation, .mode = a.mode, .session = a.session,
+          .start = start, .model_bytes = wmsg.model.size()});
 
     MessageKey key{static_cast<std::uint16_t>(w),
                    packVersion(0, ctrl_seq_++),
@@ -346,10 +316,8 @@ ServerNode::onPush(const MessageKey &key,
     // applied.
     if (iter <= server_.version(w, unit)) {
         ++duplicate_pushes_;
-        std::ostringstream os;
-        os << "dup_push w=" << w << " iter=" << iter
-           << " unit=" << unit;
-        logLine(fmt(fabric_.now(), os.str().c_str()));
+        emit({.kind = K::DupPush, .t = fabric_.now(), .w = w,
+              .iter = iter, .unit = unit});
         return;
     }
 
@@ -376,9 +344,8 @@ ServerNode::onPush(const MessageKey &key,
 
     ++applied_pushes_;
     ++applies_since_ckpt_;
-    std::ostringstream os;
-    os << "apply w=" << w << " iter=" << iter << " unit=" << unit;
-    logLine(fmt(fabric_.now(), os.str().c_str()));
+    emit({.kind = K::Apply, .t = fabric_.now(), .w = w, .iter = iter,
+          .unit = unit});
     maybeCheckpoint();
     if (apply_hook_)
         apply_hook_(iter);
@@ -398,9 +365,8 @@ ServerNode::onPullReq(const MessageKey &key,
         return;
     table_.noteProgress(w, req.iter - 1);
     peers_[w].pending_pull = req.iter;
-    std::ostringstream os;
-    os << "pull_req w=" << w << " iter=" << req.iter;
-    logLine(fmt(fabric_.now(), os.str().c_str()));
+    emit({.kind = K::PullReq, .t = fabric_.now(), .w = w,
+          .iter = req.iter});
     answerReadyPulls();
 }
 
@@ -435,9 +401,8 @@ ServerNode::onBye(const MessageKey &key,
     peers_[w].pending_pull = -1;
     server_.retireWorker(w);
     tracker_.deactivate(w);
-    std::ostringstream os;
-    os << "bye w=" << w << " done_iter=" << bye.done_iter;
-    logLine(fmt(fabric_.now(), os.str().c_str()));
+    emit({.kind = K::ServerBye, .t = fabric_.now(), .w = w,
+          .done_iter = bye.done_iter});
     answerReadyPulls();
     checkDone();
 }
@@ -447,11 +412,8 @@ ServerNode::evaluateMembership()
 {
     const double now = fabric_.now();
     for (const MembershipEvent &ev : tracker_.evaluate(now)) {
-        std::ostringstream os;
-        os << "member w=" << ev.worker
-           << " from=" << memberStateName(ev.from)
-           << " to=" << memberStateName(ev.to) << " phi=" << ev.phi;
-        logLine(fmt(ev.time, os.str().c_str()));
+        emit({.kind = K::Member, .t = ev.time, .w = ev.worker,
+              .from = ev.from, .to = ev.to, .phi = ev.phi});
         if (ev.to == MemberState::Dead)
             evictWorker(ev.worker);
     }
@@ -470,9 +432,7 @@ ServerNode::evictWorker(std::size_t w)
     server_.retireWorker(w);
     server_.clearWorker(w);
     peers_[w].pending_pull = -1;
-    std::ostringstream os;
-    os << "evict w=" << w;
-    logLine(fmt(fabric_.now(), os.str().c_str()));
+    emit({.kind = K::Evict, .t = fabric_.now(), .w = w});
     answerReadyPulls();
 }
 
@@ -516,10 +476,8 @@ ServerNode::answerPull(std::size_t w, std::int64_t iter)
     peers_[w].pending_pull = -1;
     table_.noteResponse(w, iter);
 
-    std::ostringstream os;
-    os << "pull_answer w=" << w << " iter=" << iter
-       << " units=" << pd.units.size();
-    logLine(fmt(fabric_.now(), os.str().c_str()));
+    emit({.kind = K::PullAnswer, .t = fabric_.now(), .w = w,
+          .iter = iter, .units = pd.units.size()});
 
     MessageKey key{static_cast<std::uint16_t>(w),
                    packVersion(table_.sessionOf(w), iter),
@@ -556,10 +514,8 @@ ServerNode::checkpointNow()
         ckpt.worker_done[w] = peers_[w].bye ? 1 : 0;
     writeServerCheckpointFile(cfg_.checkpoint_path, ckpt);
     applies_since_ckpt_ = 0;
-    std::ostringstream os;
-    os << "checkpoint iter=" << ckpt.iteration
-       << " applied=" << applied_pushes_;
-    logLine(fmt(fabric_.now(), os.str().c_str()));
+    emit({.kind = K::Checkpoint, .t = fabric_.now(),
+          .iter = ckpt.iteration, .applied = applied_pushes_});
 }
 
 void
@@ -570,7 +526,7 @@ ServerNode::checkDone()
             return;
     done_ = true;
     checkpointNow();
-    logLine(fmt(fabric_.now(), "server_done"));
+    emit({.kind = K::ServerDone, .t = fabric_.now()});
 }
 
 double
@@ -641,10 +597,10 @@ WorkerNode::~WorkerNode()
 }
 
 void
-WorkerNode::logLine(const std::string &line)
+WorkerNode::emit(const NodeEvent &ev)
 {
     if (log_)
-        log_(line);
+        log_(toLine(ev));
 }
 
 void
@@ -658,7 +614,7 @@ WorkerNode::start(const std::string &server_host,
             onMessage(key, std::move(b));
         });
     if (!fabric_.connectPeer(kServerNode, server_host_, server_port_)) {
-        logLine(fmt(fabric_.now(), "connect_failed"));
+        emit({.kind = K::ConnectFailed, .t = fabric_.now()});
         phase_ = Phase::Failed;
         return;
     }
@@ -706,10 +662,9 @@ WorkerNode::sendHello()
     h.rx_port = fabric_.listenPort();
     h.last_done_iter = done_iter_;
 
-    std::ostringstream os;
-    os << "hello try=" << hello_tries_ << " inc=" << incarnation_
-       << " token=" << resume_token_ << " done_iter=" << done_iter_;
-    logLine(fmt(fabric_.now(), os.str().c_str()));
+    emit({.kind = K::Hello, .t = fabric_.now(), .inc = incarnation_,
+          .done_iter = done_iter_, .tries = hello_tries_,
+          .token = resume_token_});
 
     MessageKey key{static_cast<std::uint16_t>(worker_),
                    packVersion(incarnation_, hello_seq_++),
@@ -733,7 +688,7 @@ WorkerNode::armHelloRetry()
         if (phase_ != Phase::Hello)
             return;
         if (++hello_tries_ >= cfg_.hello_max_tries) {
-            logLine(fmt(fabric_.now(), "hello_giveup"));
+            emit({.kind = K::HelloGiveup, .t = fabric_.now()});
             phase_ = Phase::Failed;
             return;
         }
@@ -776,11 +731,9 @@ WorkerNode::onWelcome(std::vector<std::uint8_t> &&bytes)
     opt_ = std::make_unique<nn::SgdMomentum>(
         *model_, workload_.optimizerConfig());
 
-    std::ostringstream os;
-    os << "welcome mode=" << admitModeName(w.mode)
-       << " session=" << session_ << " start=" << done_iter_
-       << " epoch=" << epoch_ << " model_bytes=" << w.model.size();
-    logLine(fmt(fabric_.now(), os.str().c_str()));
+    emit({.kind = K::Welcome, .t = fabric_.now(), .epoch = epoch_,
+          .mode = w.mode, .session = session_, .start = done_iter_,
+          .model_bytes = w.model.size()});
 
     hb_fail_streak_ = 0;
     armHeartbeat();
@@ -808,9 +761,7 @@ WorkerNode::onReject(std::vector<std::uint8_t> &&bytes)
     if (!net::session::parse(bytes, r) || r.nonce != hello_nonce_ ||
         phase_ != Phase::Hello)
         return;
-    std::ostringstream os;
-    os << "rejected reason=" << rejectReasonName(r.reason);
-    logLine(fmt(fabric_.now(), os.str().c_str()));
+    emit({.kind = K::Rejected, .t = fabric_.now(), .reason = r.reason});
     if (r.reason == RejectReason::BadEpoch) {
         epoch_ = r.server_epoch; // adopt and retry.
         // An epoch change means the server restarted with fresh
@@ -840,11 +791,7 @@ WorkerNode::beginIteration()
         return;
     }
     phase_ = Phase::Pushing;
-    {
-        std::ostringstream os;
-        os << "iter=" << iter_ << " phase=push_begin";
-        logLine(fmt(fabric_.now(), os.str().c_str()));
-    }
+    emit({.kind = K::PushBegin, .t = fabric_.now(), .iter = iter_});
 
     // One real training step (identical to the in-process engine).
     data::Batch batch = sampler_.sample(workload_.batchSize());
@@ -904,9 +851,8 @@ WorkerNode::repushParked()
 {
     iter_ = parked_iter_;
     phase_ = Phase::Pushing;
-    std::ostringstream os;
-    os << "iter=" << iter_ << " phase=repush units=" << parked_.size();
-    logLine(fmt(fabric_.now(), os.str().c_str()));
+    emit({.kind = K::Repush, .t = fabric_.now(), .iter = iter_,
+          .units = parked_.size()});
     sendParked();
 }
 
@@ -917,11 +863,7 @@ WorkerNode::onPushesSettled()
         resync("push_failed");
         return;
     }
-    {
-        std::ostringstream os;
-        os << "iter=" << iter_ << " phase=push_done";
-        logLine(fmt(fabric_.now(), os.str().c_str()));
-    }
+    emit({.kind = K::PushDone, .t = fabric_.now(), .iter = iter_});
     phase_ = Phase::PullWait;
     PullReq req;
     req.worker = static_cast<std::uint16_t>(worker_);
@@ -950,9 +892,8 @@ WorkerNode::onPullData(std::vector<std::uint8_t> &&bytes)
     done_iter_ = iter_;
     parked_.clear(); // the iteration landed; nothing left to re-send.
     writeLocalCheckpoint();
-    std::ostringstream os;
-    os << "iter=" << iter_ << " phase=applied units=" << pd.units.size();
-    logLine(fmt(fabric_.now(), os.str().c_str()));
+    emit({.kind = K::Applied, .t = fabric_.now(), .iter = iter_,
+          .units = pd.units.size()});
     beginIteration();
 }
 
@@ -1013,9 +954,8 @@ WorkerNode::finishRun()
     Bye bye;
     bye.worker = static_cast<std::uint16_t>(worker_);
     bye.done_iter = done_iter_;
-    std::ostringstream os;
-    os << "bye done_iter=" << done_iter_;
-    logLine(fmt(fabric_.now(), os.str().c_str()));
+    emit({.kind = K::WorkerBye, .t = fabric_.now(),
+          .done_iter = done_iter_});
     MessageKey key{static_cast<std::uint16_t>(worker_),
                    packVersion(session_, 0), net::session::kRowBye,
                    false};
@@ -1117,9 +1057,7 @@ WorkerNode::checkServer()
         suspect = silence / (mean * kLn10) >= cfg_.server_phi_suspect;
     }
     if (suspect) {
-        std::ostringstream os;
-        os << "server_suspect silence=" << silence;
-        logLine(fmt(now, os.str().c_str()));
+        emit({.kind = K::ServerSuspect, .t = now, .silence = silence});
         resync("server_suspect");
         return;
     }
@@ -1129,9 +1067,7 @@ WorkerNode::checkServer()
 void
 WorkerNode::resync(const char *why)
 {
-    std::ostringstream os;
-    os << "resync why=" << why;
-    logLine(fmt(fabric_.now(), os.str().c_str()));
+    emit({.kind = K::Resync, .t = fabric_.now(), .why = why});
     if (heartbeat_timer_ != 0) {
         fabric_.cancelTimer(heartbeat_timer_);
         heartbeat_timer_ = 0;

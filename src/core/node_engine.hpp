@@ -41,6 +41,7 @@
 #include "compress/codec.hpp"
 #include "core/failure_detector.hpp"
 #include "core/flat_model.hpp"
+#include "core/node_event.hpp"
 #include "core/row_partition.hpp"
 #include "core/server_shard.hpp"
 #include "core/workload.hpp"
@@ -52,7 +53,7 @@
 namespace rog {
 namespace core {
 
-/** One structured line into the node's run log. */
+/** One run-log line (a NodeEvent rendered by toLine). */
 using NodeLogger = std::function<void(const std::string &)>;
 
 /** Knobs shared by both roles of one training run. */
@@ -195,7 +196,8 @@ class ServerNode
     bool restoreFromCheckpoint();
     void maybeCheckpoint();
     void checkDone();
-    void logLine(const std::string &line);
+    /** Hand @p ev to the log sink, formatted, if one is attached. */
+    void emit(const NodeEvent &ev);
     /** True when @p key carries worker @p w's live session scope. */
     bool sessionCurrent(std::size_t w, std::int64_t version);
 
@@ -297,7 +299,8 @@ class WorkerNode
     void writeLocalCheckpoint();
     /** Transport trouble: tear down and re-handshake. */
     void resync(const char *why);
-    void logLine(const std::string &line);
+    /** Hand @p ev to the log sink, formatted, if one is attached. */
+    void emit(const NodeEvent &ev);
     std::int64_t pushVersion(std::int64_t iter) const;
 
     net::session::Fabric &fabric_;

@@ -2,7 +2,6 @@
 
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 
 #include "core/workloads.hpp"
 #include "net/session/des_fabric.hpp"
@@ -210,7 +209,7 @@ runServerNode(const NodeRunConfig &cfg,
     res.epoch = server.epoch();
     res.recovered = server.recovered();
     if (!res.done)
-        log.line("server_timeout");
+        log.line(toLine({.kind = NodeEvent::Kind::ServerTimeout}));
 
     if (!cfg.artifact_dir.empty()) {
         server.checkpointNow();
@@ -256,14 +255,11 @@ runWorkerNode(const NodeRunConfig &cfg, std::size_t worker,
                     ? std::string()
                     : cfg.artifact_dir + "/worker" +
                           std::to_string(worker) + ".log");
-    {
-        std::ostringstream os;
-        os << "worker_start w=" << worker
-           << " inc=" << resume.incarnation
-           << " token=" << resume.resume_token
-           << " done_iter=" << resume.last_done_iter;
-        log.line(os.str());
-    }
+    log.line(toLine({.kind = NodeEvent::Kind::WorkerStart,
+                     .w = worker,
+                     .inc = resume.incarnation,
+                     .done_iter = resume.last_done_iter,
+                     .token = resume.resume_token}));
     WorkerNode node(fabric, *workload, cfg.train, worker, resume,
                     log.logger());
     node.start(host, port);
@@ -276,7 +272,7 @@ runWorkerNode(const NodeRunConfig &cfg, std::size_t worker,
     res.failed = node.failed();
     res.done_iter = node.iter();
     if (!res.done && !res.failed)
-        log.line("worker_timeout");
+        log.line(toLine({.kind = NodeEvent::Kind::WorkerTimeout}));
     return res;
 }
 
@@ -351,7 +347,7 @@ runDesTwin(const NodeRunConfig &cfg)
             if (crash_requested && server) {
                 crash_requested = false;
                 server.reset();
-                log.line("des_server_killed");
+                log.line(toLine({.kind = NodeEvent::Kind::DesServerKilled}));
                 restart_at = t + cfg.server_crash_restart_s;
             }
             if (restart_at >= 0.0 && t >= restart_at) {

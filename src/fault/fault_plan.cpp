@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <set>
 #include <sstream>
 
 #include "common/logging.hpp"
 #include "common/rng.hpp"
+#include "common/text_line.hpp"
 
 namespace rog {
 namespace fault {
@@ -25,108 +25,27 @@ num(double v)
     return os.str();
 }
 
-/** key=value fields of one spec line, after the event keyword. */
-struct Fields
+/** A numeric field, reported in the spec grammar's own words. */
+double
+number(TextLine &f, const char *key)
 {
-    std::string keyword;
-    std::size_t line_no = 0;
-    std::string line;
-    std::vector<std::pair<std::string, std::string>> kv;
-    std::string error; //!< sticky: first problem wins.
-
-    void
-    fail(const std::string &what)
-    {
-        if (error.empty()) {
-            error = detail::concat("fault spec line ", line_no, ": ",
-                                   what, " in: ", line);
-        }
-    }
-
-    double
-    number(const std::string &text)
-    {
-        if (text == "inf")
-            return std::numeric_limits<double>::infinity();
-        std::size_t pos = 0;
-        double v = 0.0;
-        try {
-            v = std::stod(text, &pos);
-        } catch (...) {
-            pos = 0;
-        }
-        if (pos != text.size() || text.empty() || std::isnan(v)) {
-            fail(detail::concat("bad number '", text, "'"));
-            return 0.0;
-        }
-        return v;
-    }
-
-    double
-    get(const std::string &key)
-    {
-        for (const auto &[k, v] : kv)
-            if (k == key)
-                return number(v);
-        fail(detail::concat("missing '", key, "='"));
+    const std::string_view text = f.get<std::string_view>(key);
+    double v = 0.0;
+    if (!f.ok())
         return 0.0;
-    }
-
-    double
-    getOr(const std::string &key, double fallback)
-    {
-        for (const auto &[k, v] : kv)
-            if (k == key)
-                return number(v);
-        return fallback;
-    }
-
-    /** Reject typoed/stray keys so nothing is silently ignored. */
-    void
-    allowOnly(std::initializer_list<const char *> keys)
-    {
-        std::set<std::string> seen;
-        for (const auto &[k, v] : kv) {
-            (void)v;
-            if (std::find_if(keys.begin(), keys.end(),
-                             [&](const char *a) { return k == a; }) ==
-                keys.end()) {
-                fail(detail::concat("unknown key '", k, "'"));
-            }
-            if (!seen.insert(k).second)
-                fail(detail::concat("duplicate key '", k, "'"));
-        }
-    }
-};
-
-Fields
-splitLine(const std::string &line, std::size_t line_no)
-{
-    Fields f;
-    f.line = line;
-    f.line_no = line_no;
-    std::istringstream is(line);
-    is >> f.keyword;
-    std::string tok;
-    while (is >> tok) {
-        const auto eq = tok.find('=');
-        if (eq == std::string::npos || eq == 0 ||
-            eq + 1 == tok.size()) {
-            f.fail(detail::concat("expected key=value, got '", tok,
-                                  "'"));
-            continue;
-        }
-        f.kv.emplace_back(tok.substr(0, eq), tok.substr(eq + 1));
-    }
-    return f;
+    if (text.empty())
+        f.fail(detail::concat("expected key=value, got '", key, "='"));
+    else if (!parseNumber(text, v))
+        f.fail(detail::concat("bad number '", text, "'"));
+    return v;
 }
 
 /** Non-negative link/worker index (rejects negatives and fractions). */
 std::size_t
-index(Fields &f, const std::string &key)
+index(TextLine &f, const char *key)
 {
-    const double v = f.get(key);
-    if (!f.error.empty())
+    const double v = number(f, key);
+    if (!f.ok())
         return 0;
     if (v < 0.0 || v != std::floor(v) || !std::isfinite(v)) {
         f.fail(detail::concat("'", key, "' must be a non-negative "
@@ -275,66 +194,66 @@ FaultPlan::tryParse(const std::string &spec)
             line.erase(hash);
         if (line.find_first_not_of(" \t\r") == std::string::npos)
             continue;
-        Fields f = splitLine(line, line_no);
-        if (f.keyword == "blackout" || f.keyword == "degrade") {
-            const bool degrade = f.keyword == "degrade";
-            degrade ? f.allowOnly({"link", "start", "dur", "factor"})
-                    : f.allowOnly({"link", "start", "dur"});
+        TextLine f(line, line_no);
+        const std::string_view keyword = f.word();
+        if (keyword == "blackout" || keyword == "degrade") {
+            keyword == "degrade" ? f.only({"link", "start", "dur", "factor"})
+                                 : f.only({"link", "start", "dur"});
             LinkFault lf;
             lf.link = index(f, "link");
-            lf.start_s = f.get("start");
-            lf.duration_s = f.get("dur");
-            lf.factor = degrade ? f.get("factor") : 0.0;
+            lf.start_s = number(f, "start");
+            lf.duration_s = number(f, "dur");
+            lf.factor = keyword == "degrade" ? number(f, "factor") : 0.0;
             out.plan.link_faults.push_back(lf);
-        } else if (f.keyword == "truncate") {
-            f.allowOnly({"link", "at", "bytes"});
+        } else if (keyword == "truncate") {
+            f.only({"link", "at", "bytes"});
             TransferFaultRule r;
             r.link = index(f, "link");
-            r.at_s = f.get("at");
-            r.truncate_bytes = f.get("bytes");
+            r.at_s = number(f, "at");
+            r.truncate_bytes = number(f, "bytes");
             out.plan.transfer_faults.push_back(r);
-        } else if (f.keyword == "timeout") {
-            f.allowOnly({"link", "at", "after"});
+        } else if (keyword == "timeout") {
+            f.only({"link", "at", "after"});
             TransferFaultRule r;
             r.link = index(f, "link");
-            r.at_s = f.get("at");
-            r.force_timeout_s = f.get("after");
+            r.at_s = number(f, "at");
+            r.force_timeout_s = number(f, "after");
             out.plan.transfer_faults.push_back(r);
-        } else if (f.keyword == "corrupt" || f.keyword == "duplicate" ||
-                   f.keyword == "reorder") {
-            f.allowOnly({"link", "at"});
+        } else if (keyword == "corrupt" || keyword == "duplicate" ||
+                   keyword == "reorder") {
+            f.only({"link", "at"});
             TransferFaultRule r;
             r.link = index(f, "link");
-            r.at_s = f.get("at");
-            r.corrupt = f.keyword == "corrupt";
-            r.duplicate = f.keyword == "duplicate";
-            r.reorder = f.keyword == "reorder";
+            r.at_s = number(f, "at");
+            r.corrupt = keyword == "corrupt";
+            r.duplicate = keyword == "duplicate";
+            r.reorder = keyword == "reorder";
             out.plan.transfer_faults.push_back(r);
-        } else if (f.keyword == "crash") {
-            f.allowOnly({"worker", "at", "rejoin", "detect"});
+        } else if (keyword == "crash") {
+            f.only({"worker", "at", "rejoin", "detect"});
             ChurnEvent e;
             e.worker = index(f, "worker");
-            e.at_s = f.get("at");
-            e.rejoin_s = f.getOr("rejoin", kNever);
-            e.detect_s = f.getOr("detect", kNever);
+            e.at_s = number(f, "at");
+            e.rejoin_s = f.has("rejoin") ? number(f, "rejoin") : kNever;
+            e.detect_s = f.has("detect") ? number(f, "detect") : kNever;
             out.plan.churn.push_back(e);
-        } else if (f.keyword == "leave") {
-            f.allowOnly({"worker", "at"});
+        } else if (keyword == "leave") {
+            f.only({"worker", "at"});
             ChurnEvent e;
             e.worker = index(f, "worker");
-            e.at_s = f.get("at");
+            e.at_s = number(f, "at");
             e.graceful = true;
             out.plan.churn.push_back(e);
-        } else if (f.keyword == "server_crash") {
-            f.allowOnly({"iter"});
+        } else if (keyword == "server_crash") {
+            f.only({"iter"});
             ServerCrashEvent e;
             e.at_iter = static_cast<std::int64_t>(index(f, "iter"));
             out.plan.server_crashes.push_back(e);
         } else {
-            f.fail(detail::concat("unknown keyword '", f.keyword, "'"));
+            f.fail(detail::concat("unknown keyword '", keyword, "'"));
         }
-        if (!f.error.empty()) {
-            out.error = f.error;
+        if (!f.ok()) {
+            out.error = "fault spec " + f.error() + " in: " + line;
             out.plan = FaultPlan{};
             return out;
         }

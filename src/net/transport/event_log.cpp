@@ -1,10 +1,10 @@
 #include "net/transport/event_log.hpp"
 
-#include <cctype>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
 #include <sstream>
+
+#include "common/text_line.hpp"
 
 namespace rog {
 namespace net {
@@ -12,213 +12,62 @@ namespace transport {
 
 namespace {
 
+using K = TransportEvent::Kind;
+
+constexpr std::pair<const char *, K> kKindNames[] = {
+    {"attempt", K::Attempt},         {"resume", K::Resume},
+    {"backoff", K::Backoff},         {"accept", K::Accept},
+    {"duplicate", K::Duplicate},     {"corrupt-drop", K::CorruptDrop},
+    {"reorder-hold", K::ReorderHold}, {"deliver", K::Deliver},
+    {"fail", K::Fail},
+};
+
+constexpr std::pair<const char *, AttemptOutcome> kOutcomeNames[] = {
+    {"accept", AttemptOutcome::Accept},   {"dup", AttemptOutcome::Dup},
+    {"corrupt", AttemptOutcome::Corrupt}, {"held", AttemptOutcome::Held},
+    {"partial", AttemptOutcome::Partial}, {"timeout", AttemptOutcome::Timeout},
+};
+
+/** The name of @p v in @p names. */
+template <typename E, std::size_t N>
 const char *
-kindName(TransportEvent::Kind k)
+nameOf(const std::pair<const char *, E> (&names)[N], E v)
 {
-    switch (k) {
-    case TransportEvent::Kind::Attempt: return "attempt";
-    case TransportEvent::Kind::Resume: return "resume";
-    case TransportEvent::Kind::Backoff: return "backoff";
-    case TransportEvent::Kind::Accept: return "accept";
-    case TransportEvent::Kind::Duplicate: return "duplicate";
-    case TransportEvent::Kind::CorruptDrop: return "corrupt-drop";
-    case TransportEvent::Kind::ReorderHold: return "reorder-hold";
-    case TransportEvent::Kind::Deliver: return "deliver";
-    case TransportEvent::Kind::Fail: return "fail";
-    }
+    for (const auto &[name, e] : names)
+        if (e == v)
+            return name;
     return "?";
 }
 
+/** Set @p out to the value @p text names in @p names, if any. */
+template <typename E, std::size_t N>
 bool
-kindFromName(const std::string &s, TransportEvent::Kind &out)
+valueOf(const std::pair<const char *, E> (&names)[N], std::string_view text,
+        E &out)
 {
-    using K = TransportEvent::Kind;
-    static const std::pair<const char *, K> kNames[] = {
-        {"attempt", K::Attempt},       {"resume", K::Resume},
-        {"backoff", K::Backoff},       {"accept", K::Accept},
-        {"duplicate", K::Duplicate},   {"corrupt-drop", K::CorruptDrop},
-        {"reorder-hold", K::ReorderHold}, {"deliver", K::Deliver},
-        {"fail", K::Fail},
-    };
-    for (const auto &[name, k] : kNames)
-        if (s == name) {
-            out = k;
+    for (const auto &[name, e] : names)
+        if (text == name) {
+            out = e;
             return true;
         }
     return false;
 }
 
-/** Split on single spaces; empty tokens are a format error (nullopt
- *  is signalled by an empty result for a non-empty line). */
-std::vector<std::string>
-tokens(const std::string &line)
+/** Read the shared "link= w= v= row= dir=" run. */
+void
+readKey(TextLine &r, LinkId &link, MessageKey &key)
 {
-    std::vector<std::string> out;
-    std::istringstream is(line);
-    std::string tok;
-    while (is >> tok)
-        out.push_back(std::move(tok));
-    return out;
-}
-
-/** Strict full-consumption double parse ("inf" allowed). */
-bool
-parseDouble(const std::string &s, double &out)
-{
-    if (s.empty())
-        return false;
-    if (s == "inf") {
-        out = std::numeric_limits<double>::infinity();
-        return true;
-    }
-    if (s == "-inf") {
-        out = -std::numeric_limits<double>::infinity();
-        return true;
-    }
-    char *end = nullptr;
-    errno = 0;
-    out = std::strtod(s.c_str(), &end);
-    return errno == 0 && end == s.c_str() + s.size();
-}
-
-/** Strict full-consumption unsigned parse. */
-bool
-parseU64(const std::string &s, std::uint64_t &out)
-{
-    if (s.empty() || s[0] == '-' || s[0] == '+')
-        return false;
-    char *end = nullptr;
-    errno = 0;
-    out = std::strtoull(s.c_str(), &end, 10);
-    return errno == 0 && end == s.c_str() + s.size();
-}
-
-bool
-parseI64(const std::string &s, std::int64_t &out)
-{
-    if (s.empty())
-        return false;
-    char *end = nullptr;
-    errno = 0;
-    out = std::strtoll(s.c_str(), &end, 10);
-    return errno == 0 && end == s.c_str() + s.size();
-}
-
-/**
- * Consume "key=value" from token @p tok; on mismatch fill @p err with
- * a description mentioning @p key and return false.
- */
-bool
-keyed(const std::string &tok, const char *key, std::string &value,
-      std::string &err)
-{
-    const std::string prefix = std::string(key) + "=";
-    if (tok.rfind(prefix, 0) != 0) {
-        err = "expected '" + prefix + "...', got '" + tok + "'";
-        return false;
-    }
-    value = tok.substr(prefix.size());
-    if (value.empty()) {
-        err = "empty value for '" + std::string(key) + "'";
-        return false;
-    }
-    return true;
-}
-
-bool
-keyedDouble(const std::string &tok, const char *key, double &out,
-            std::string &err)
-{
-    std::string v;
-    if (!keyed(tok, key, v, err))
-        return false;
-    if (!parseDouble(v, out)) {
-        err = "bad number for '" + std::string(key) + "': '" + v + "'";
-        return false;
-    }
-    return true;
-}
-
-bool
-keyedU64(const std::string &tok, const char *key, std::uint64_t &out,
-         std::string &err)
-{
-    std::string v;
-    if (!keyed(tok, key, v, err))
-        return false;
-    if (!parseU64(v, out)) {
-        err = "bad integer for '" + std::string(key) + "': '" + v + "'";
-        return false;
-    }
-    return true;
-}
-
-bool
-keyedI64(const std::string &tok, const char *key, std::int64_t &out,
-         std::string &err)
-{
-    std::string v;
-    if (!keyed(tok, key, v, err))
-        return false;
-    if (!parseI64(v, out)) {
-        err = "bad integer for '" + std::string(key) + "': '" + v + "'";
-        return false;
-    }
-    return true;
-}
-
-bool
-keyedDir(const std::string &tok, bool &pull, std::string &err)
-{
-    std::string v;
-    if (!keyed(tok, "dir", v, err))
-        return false;
-    if (v == "push")
-        pull = false;
-    else if (v == "pull")
-        pull = true;
-    else {
-        err = "bad direction '" + v + "' (want push|pull)";
-        return false;
-    }
-    return true;
-}
-
-/** Parse the shared "link= w= v= row= dir=" token run at @p i. */
-bool
-parseKeyTokens(const std::vector<std::string> &toks, std::size_t &i,
-               LinkId &link, MessageKey &key, std::string &err)
-{
-    if (toks.size() < i + 5) {
-        err = "truncated record: missing link/key fields";
-        return false;
-    }
-    std::uint64_t u = 0;
-    std::int64_t v = 0;
-    if (!keyedU64(toks[i], "link", u, err))
-        return false;
-    link = static_cast<LinkId>(u);
-    if (!keyedU64(toks[i + 1], "w", u, err))
-        return false;
-    if (u > std::numeric_limits<std::uint16_t>::max()) {
-        err = "worker out of range: " + toks[i + 1];
-        return false;
-    }
-    key.worker = static_cast<std::uint16_t>(u);
-    if (!keyedI64(toks[i + 2], "v", v, err))
-        return false;
-    key.version = v;
-    if (!keyedU64(toks[i + 3], "row", u, err))
-        return false;
-    if (u > std::numeric_limits<std::uint32_t>::max()) {
-        err = "row out of range: " + toks[i + 3];
-        return false;
-    }
-    key.row = static_cast<std::uint32_t>(u);
-    if (!keyedDir(toks[i + 4], key.pull, err))
-        return false;
-    i += 5;
-    return true;
+    link = r.next<LinkId>("link");
+    const std::uint64_t w = r.next<std::uint64_t>("w");
+    if (w > std::numeric_limits<std::uint16_t>::max())
+        r.fail("worker out of range: w=" + std::to_string(w));
+    key.worker = static_cast<std::uint16_t>(w);
+    key.version = r.next<std::int64_t>("v");
+    key.row = r.next<std::uint32_t>("row");
+    const std::string_view dir = r.next<std::string_view>("dir");
+    key.pull = dir == "pull";
+    if (dir != "push" && dir != "pull")
+        r.fail("bad direction '" + std::string(dir) + "' (want push|pull)");
 }
 
 std::ostream &
@@ -229,26 +78,14 @@ writeKey(std::ostream &os, LinkId link, const MessageKey &key)
     return os;
 }
 
+/** Fail unless the line has exactly @p want tokens. */
 bool
-parseSeqOff(const std::vector<std::string> &toks, std::size_t &i,
-            std::uint32_t &seq, std::uint64_t &off, std::string &err)
+fieldCount(TextLine &r, const char *what, std::size_t want)
 {
-    if (toks.size() < i + 2) {
-        err = "truncated record: missing seq/off";
-        return false;
-    }
-    std::uint64_t u = 0;
-    if (!keyedU64(toks[i], "seq", u, err))
-        return false;
-    if (u > std::numeric_limits<std::uint32_t>::max()) {
-        err = "seq out of range: " + toks[i];
-        return false;
-    }
-    seq = static_cast<std::uint32_t>(u);
-    if (!keyedU64(toks[i + 1], "off", off, err))
-        return false;
-    i += 2;
-    return true;
+    if (r.size() != want)
+        r.fail(std::string(what) + " needs " + std::to_string(want) +
+               " fields, got " + std::to_string(r.size()));
+    return r.ok();
 }
 
 } // namespace
@@ -284,53 +121,29 @@ toString(const TransportEvent &ev)
 {
     std::ostringstream os;
     os.precision(17);
-    os << "t=" << ev.t << ' ' << kindName(ev.kind) << " link="
-       << ev.link << " w=" << ev.key.worker << " v=" << ev.key.version
-       << " row=" << ev.key.row << " dir="
-       << (ev.key.pull ? "pull" : "push") << " seq=" << ev.chunk_seq
-       << " a=" << ev.a << " b=" << ev.b;
+    os << "t=" << ev.t << ' ' << nameOf(kKindNames, ev.kind) << ' ';
+    writeKey(os, ev.link, ev.key)
+        << " seq=" << ev.chunk_seq << " a=" << ev.a << " b=" << ev.b;
     return os.str();
 }
 
 EventParseResult
-tryParseEvent(const std::string &line)
+tryParseEvent(const std::string &line, std::size_t line_no)
 {
     EventParseResult res;
-    const auto toks = tokens(line);
-    if (toks.size() != 10) {
-        res.error = "event line needs 10 fields, got " +
-                    std::to_string(toks.size());
-        return res;
+    TextLine r(line, line_no);
+    if (fieldCount(r, "event line", 10)) {
+        TransportEvent &ev = res.event;
+        ev.t = r.next<double>("t");
+        const std::string_view kind = r.word();
+        if (r.ok() && !valueOf(kKindNames, kind, ev.kind))
+            r.fail("unknown event kind '" + std::string(kind) + "'");
+        readKey(r, ev.link, ev.key);
+        ev.chunk_seq = r.next<std::uint32_t>("seq");
+        ev.a = r.next<double>("a");
+        ev.b = r.next<double>("b");
     }
-    std::string err;
-    if (!keyedDouble(toks[0], "t", res.event.t, err)) {
-        res.error = err;
-        return res;
-    }
-    if (!kindFromName(toks[1], res.event.kind)) {
-        res.error = "unknown event kind '" + toks[1] + "'";
-        return res;
-    }
-    std::size_t i = 2;
-    if (!parseKeyTokens(toks, i, res.event.link, res.event.key, err)) {
-        res.error = err;
-        return res;
-    }
-    std::uint64_t seq = 0;
-    if (!keyedU64(toks[7], "seq", seq, err)) {
-        res.error = err;
-        return res;
-    }
-    if (seq > std::numeric_limits<std::uint32_t>::max()) {
-        res.error = "seq out of range: " + toks[7];
-        return res;
-    }
-    res.event.chunk_seq = static_cast<std::uint32_t>(seq);
-    if (!keyedDouble(toks[8], "a", res.event.a, err) ||
-        !keyedDouble(toks[9], "b", res.event.b, err)) {
-        res.error = err;
-        return res;
-    }
+    res.error = r.error();
     return res;
 }
 
@@ -345,10 +158,9 @@ tryParseLog(const std::string &text)
         ++lineno;
         if (line.empty() || line[0] == '#')
             continue;
-        auto one = tryParseEvent(line);
+        auto one = tryParseEvent(line, lineno);
         if (!one.ok()) {
-            res.error =
-                "line " + std::to_string(lineno) + ": " + one.error;
+            res.error = one.error;
             res.events.clear();
             return res;
         }
@@ -381,39 +193,8 @@ renderNormalized(const std::vector<TransportEvent> &log)
 const char *
 toString(AttemptOutcome o)
 {
-    switch (o) {
-    case AttemptOutcome::Accept: return "accept";
-    case AttemptOutcome::Dup: return "dup";
-    case AttemptOutcome::Corrupt: return "corrupt";
-    case AttemptOutcome::Held: return "held";
-    case AttemptOutcome::Partial: return "partial";
-    case AttemptOutcome::Timeout: return "timeout";
-    }
-    return "?";
+    return nameOf(kOutcomeNames, o);
 }
-
-namespace {
-
-bool
-outcomeFromName(const std::string &s, AttemptOutcome &out)
-{
-    static const std::pair<const char *, AttemptOutcome> kNames[] = {
-        {"accept", AttemptOutcome::Accept},
-        {"dup", AttemptOutcome::Dup},
-        {"corrupt", AttemptOutcome::Corrupt},
-        {"held", AttemptOutcome::Held},
-        {"partial", AttemptOutcome::Partial},
-        {"timeout", AttemptOutcome::Timeout},
-    };
-    for (const auto &[name, o] : kNames)
-        if (s == name) {
-            out = o;
-            return true;
-        }
-    return false;
-}
-
-} // namespace
 
 std::string
 TransportTrace::toText() const
@@ -456,6 +237,94 @@ TransportTrace::toText() const
     return os.str();
 }
 
+namespace {
+
+void
+readHeader(TextLine &r, TraceConfig &c)
+{
+    if (!fieldCount(r, "trace header", 10))
+        return;
+    const std::string_view version = r.word();
+    if (r.ok() && version != "v1")
+        r.fail("unsupported trace version '" + std::string(version) + "'");
+    c.backend = r.next<std::string>("backend");
+    if (r.ok() && c.backend.empty())
+        r.fail("empty value for 'backend'");
+    c.chunk_bytes = r.next<double>("chunk");
+    c.max_attempts = r.next<std::size_t>("attempts");
+    c.backoff_base_s = r.next<double>("base");
+    c.backoff_max_s = r.next<double>("max");
+    c.jitter_frac = r.next<double>("jitter");
+    c.jitter_seed = r.next<std::uint64_t>("jseed");
+    const std::uint64_t resume = r.next<std::uint64_t>("resume");
+    c.resume_from_offset = resume == 1;
+    if (r.ok() && resume > 1)
+        r.fail("resume must be 0 or 1");
+    if (r.ok() && c.chunk_bytes <= 0.0)
+        r.fail("chunk must be positive");
+    if (r.ok() && (c.jitter_frac < 0.0 || c.jitter_frac >= 1.0))
+        r.fail("jitter must be in [0, 1)");
+}
+
+SendRecord
+readSend(TextLine &r)
+{
+    SendRecord s;
+    if (!fieldCount(r, "send record", 8))
+        return s;
+    readKey(r, s.link, s.key);
+    s.payload_bytes = r.next<double>("bytes");
+    s.deadline_s = r.next<double>("deadline");
+    if (r.ok() && s.payload_bytes < 0.0)
+        r.fail("send bytes must be non-negative");
+    return s;
+}
+
+AttemptRecord
+readAttempt(TextLine &r)
+{
+    AttemptRecord a;
+    if (!fieldCount(r, "att record", 12))
+        return a;
+    readKey(r, a.link, a.key);
+    a.chunk_seq = r.next<std::uint32_t>("seq");
+    a.payload_off = r.next<std::uint64_t>("off");
+    const std::string_view out = r.next<std::string_view>("out");
+    if (r.ok() && !valueOf(kOutcomeNames, out, a.outcome))
+        r.fail("unknown attempt outcome '" + std::string(out) + "'");
+    a.bytes_sent = r.next<double>("bytes");
+    a.elapsed_s = r.next<double>("elapsed");
+    const std::uint64_t complete = r.next<std::uint64_t>("complete");
+    a.message_complete = complete == 1;
+    if (r.ok() && complete > 1)
+        r.fail("complete must be 0 or 1");
+    if (r.ok() && (a.bytes_sent < 0.0 || a.elapsed_s < 0.0))
+        r.fail("att bytes/elapsed must be non-negative");
+    return a;
+}
+
+RxRecord
+readRx(TextLine &r)
+{
+    RxRecord x;
+    if (!fieldCount(r, "rx record", 11))
+        return x;
+    readKey(r, x.link, x.key);
+    x.chunk_seq = r.next<std::uint32_t>("seq");
+    x.payload_off = r.next<std::uint64_t>("off");
+    x.frag_len = r.next<std::uint32_t>("len");
+    x.got = r.next<std::uint32_t>("got");
+    const std::string_view crc = r.next<std::string_view>("crc");
+    x.crc_ok = crc == "ok";
+    if (r.ok() && crc != "ok" && crc != "bad")
+        r.fail("crc must be ok|bad, got '" + std::string(crc) + "'");
+    if (r.ok() && x.got > x.frag_len)
+        r.fail("rx got exceeds fragment length");
+    return x;
+}
+
+} // namespace
+
 TraceParseResult
 TransportTrace::tryParse(const std::string &text)
 {
@@ -465,136 +334,39 @@ TransportTrace::tryParse(const std::string &text)
     std::size_t lineno = 0;
     bool saw_header = false;
 
-    const auto fail = [&](const std::string &what) {
-        res.error = "line " + std::to_string(lineno) + ": " + what;
-        res.trace = TransportTrace{};
-        return res;
-    };
-
     while (std::getline(is, line)) {
         ++lineno;
         if (line.empty() || line[0] == '#')
             continue;
-        const auto toks = tokens(line);
-        std::string err;
-        if (toks[0] == "trace") {
+        TextLine r(line, lineno);
+        const std::string_view type = r.word();
+        if (type == "trace") {
             if (saw_header)
-                return fail("duplicate trace header");
-            if (toks.size() != 10)
-                return fail("trace header needs 10 fields, got " +
-                            std::to_string(toks.size()));
-            if (toks[1] != "v1")
-                return fail("unsupported trace version '" + toks[1] +
-                            "'");
-            auto &c = res.trace.config;
-            std::uint64_t u = 0;
-            if (!keyed(toks[2], "backend", c.backend, err) ||
-                !keyedDouble(toks[3], "chunk", c.chunk_bytes, err) ||
-                !keyedU64(toks[4], "attempts", u, err))
-                return fail(err);
-            c.max_attempts = static_cast<std::size_t>(u);
-            if (!keyedDouble(toks[5], "base", c.backoff_base_s, err) ||
-                !keyedDouble(toks[6], "max", c.backoff_max_s, err) ||
-                !keyedDouble(toks[7], "jitter", c.jitter_frac, err) ||
-                !keyedU64(toks[8], "jseed", c.jitter_seed, err))
-                return fail(err);
-            std::uint64_t resume = 0;
-            if (!keyedU64(toks[9], "resume", resume, err))
-                return fail(err);
-            if (resume > 1)
-                return fail("resume must be 0 or 1");
-            c.resume_from_offset = resume == 1;
-            if (c.chunk_bytes <= 0.0)
-                return fail("chunk must be positive");
-            if (c.jitter_frac < 0.0 || c.jitter_frac >= 1.0)
-                return fail("jitter must be in [0, 1)");
+                r.fail("duplicate trace header");
+            readHeader(r, res.trace.config);
             saw_header = true;
-        } else if (toks[0] == "send") {
-            if (!saw_header)
-                return fail("send before trace header");
-            if (toks.size() != 8)
-                return fail("send record needs 8 fields, got " +
-                            std::to_string(toks.size()));
-            SendRecord s;
-            std::size_t i = 1;
-            if (!parseKeyTokens(toks, i, s.link, s.key, err))
-                return fail(err);
-            if (!keyedDouble(toks[6], "bytes", s.payload_bytes, err) ||
-                !keyedDouble(toks[7], "deadline", s.deadline_s, err))
-                return fail(err);
-            if (s.payload_bytes < 0.0)
-                return fail("send bytes must be non-negative");
-            res.trace.sends.push_back(s);
-        } else if (toks[0] == "att") {
-            if (!saw_header)
-                return fail("att before trace header");
-            if (toks.size() != 12)
-                return fail("att record needs 12 fields, got " +
-                            std::to_string(toks.size()));
-            AttemptRecord a;
-            std::size_t i = 1;
-            if (!parseKeyTokens(toks, i, a.link, a.key, err))
-                return fail(err);
-            if (!parseSeqOff(toks, i, a.chunk_seq, a.payload_off, err))
-                return fail(err);
-            std::string v;
-            if (!keyed(toks[8], "out", v, err))
-                return fail(err);
-            if (!outcomeFromName(v, a.outcome))
-                return fail("unknown attempt outcome '" + v + "'");
-            if (!keyedDouble(toks[9], "bytes", a.bytes_sent, err) ||
-                !keyedDouble(toks[10], "elapsed", a.elapsed_s, err))
-                return fail(err);
-            std::uint64_t c = 0;
-            if (!keyedU64(toks[11], "complete", c, err))
-                return fail(err);
-            if (c > 1)
-                return fail("complete must be 0 or 1");
-            a.message_complete = c == 1;
-            if (a.bytes_sent < 0.0 || a.elapsed_s < 0.0)
-                return fail("att bytes/elapsed must be non-negative");
-            res.trace.attempts.push_back(a);
-        } else if (toks[0] == "rx") {
-            if (!saw_header)
-                return fail("rx before trace header");
-            if (toks.size() != 11)
-                return fail("rx record needs 11 fields, got " +
-                            std::to_string(toks.size()));
-            RxRecord r;
-            std::size_t i = 1;
-            if (!parseKeyTokens(toks, i, r.link, r.key, err))
-                return fail(err);
-            if (!parseSeqOff(toks, i, r.chunk_seq, r.payload_off, err))
-                return fail(err);
-            std::uint64_t u = 0;
-            if (!keyedU64(toks[8], "len", u, err))
-                return fail(err);
-            if (u > std::numeric_limits<std::uint32_t>::max())
-                return fail("len out of range");
-            r.frag_len = static_cast<std::uint32_t>(u);
-            if (!keyedU64(toks[9], "got", u, err))
-                return fail(err);
-            if (u > std::numeric_limits<std::uint32_t>::max())
-                return fail("got out of range");
-            r.got = static_cast<std::uint32_t>(u);
-            std::string v;
-            if (!keyed(toks[10], "crc", v, err))
-                return fail(err);
-            if (v == "ok")
-                r.crc_ok = true;
-            else if (v == "bad")
-                r.crc_ok = false;
-            else
-                return fail("crc must be ok|bad, got '" + v + "'");
-            if (r.got > r.frag_len)
-                return fail("rx got exceeds fragment length");
-            res.trace.rx.push_back(r);
+        } else if (type != "send" && type != "att" && type != "rx") {
+            r.fail("unknown record type '" + std::string(type) + "'");
+        } else if (!saw_header) {
+            r.fail(std::string(type) + " before trace header");
+        } else if (type == "send") {
+            res.trace.sends.push_back(readSend(r));
+        } else if (type == "att") {
+            res.trace.attempts.push_back(readAttempt(r));
         } else {
-            return fail("unknown record type '" + toks[0] + "'");
+            res.trace.rx.push_back(readRx(r));
+        }
+        if (!r.ok()) {
+            res.error = r.error();
+            res.trace = TransportTrace{};
+            return res;
         }
     }
-    if (!saw_header)
-        return fail("missing trace header");
+    if (!saw_header) {
+        res.error =
+            "line " + std::to_string(lineno) + ": missing trace header";
+        res.trace = TransportTrace{};
+    }
     return res;
 }
 

@@ -119,8 +119,9 @@ struct EventParseResult
     bool ok() const { return error.empty(); }
 };
 
-/** Strictly parse one toString() line (no surrounding whitespace). */
-EventParseResult tryParseEvent(const std::string &line);
+/** Strictly parse one toString() line; @p line_no > 0 numbers errors. */
+EventParseResult tryParseEvent(const std::string &line,
+                               std::size_t line_no = 0);
 
 /** Outcome of parsing a whole event log. */
 struct LogParseResult

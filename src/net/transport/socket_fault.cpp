@@ -1,116 +1,77 @@
 #include "net/transport/socket_fault.hpp"
 
-#include <cstdlib>
-#include <sstream>
-#include <vector>
+#include <cmath>
+
+#include "common/text_line.hpp"
 
 namespace rog {
 namespace net {
 namespace transport {
 
-namespace {
-
-bool
-parseDouble(const std::string &s, double &out)
-{
-    if (s.empty())
-        return false;
-    char *end = nullptr;
-    out = std::strtod(s.c_str(), &end);
-    return end == s.c_str() + s.size();
-}
-
-bool
-parseU64(const std::string &s, std::uint64_t &out)
-{
-    if (s.empty() || s[0] == '-' || s[0] == '+')
-        return false;
-    char *end = nullptr;
-    out = std::strtoull(s.c_str(), &end, 10);
-    return end == s.c_str() + s.size();
-}
-
-} // namespace
-
 SocketFaultParseResult
 SocketFaultPlan::tryParse(const std::string &spec)
 {
     SocketFaultParseResult res;
-    std::istringstream is(spec);
-    std::string tok;
-    const auto fail = [&](const std::string &what) {
-        res.error = what;
-        res.plan = SocketFaultPlan{};
-        return res;
+    SocketFaultPlan &plan = res.plan;
+    TextLine r(spec);
+    r.only({"seed", "drop", "dup", "trunc", "corrupt", "delay", "partition"},
+           "fault key");
+    const auto quoted = [](std::string_view v) {
+        return "'" + std::string(v) + "'";
     };
-    const auto prob = [&](const std::string &val, const char *name,
+    const auto prob = [&](const char *key, std::string_view text,
                           double &out) {
-        if (!parseDouble(val, out) || out < 0.0 || out > 1.0) {
-            res.error = std::string(name) +
-                        " needs a probability in [0, 1], got '" + val +
-                        "'";
-            res.plan = SocketFaultPlan{}; // no partial state on reject.
-            return false;
-        }
-        return true;
+        if (!parseNumber(text, out) || out < 0.0 || out > 1.0)
+            r.fail(std::string(key) +
+                   " needs a probability in [0, 1], got " + quoted(text));
     };
-
-    while (is >> tok) {
-        const auto eq = tok.find('=');
-        if (eq == std::string::npos)
-            return fail("token '" + tok + "' is not key=value");
-        const std::string key = tok.substr(0, eq);
-        const std::string val = tok.substr(eq + 1);
-        if (key == "seed") {
-            if (!parseU64(val, res.plan.seed))
-                return fail("seed needs an unsigned integer, got '" +
-                            val + "'");
-        } else if (key == "drop") {
-            if (!prob(val, "drop", res.plan.drop_p))
-                return res;
-        } else if (key == "dup") {
-            if (!prob(val, "dup", res.plan.dup_p))
-                return res;
-        } else if (key == "trunc") {
-            if (!prob(val, "trunc", res.plan.trunc_p))
-                return res;
-        } else if (key == "corrupt") {
-            if (!prob(val, "corrupt", res.plan.corrupt_p))
-                return res;
-        } else if (key == "delay") {
-            // delay=<prob>[:<seconds>]
-            const auto colon = val.find(':');
-            const std::string p = val.substr(0, colon);
-            if (!prob(p, "delay", res.plan.delay_p))
-                return res;
-            if (colon != std::string::npos) {
-                const std::string secs = val.substr(colon + 1);
-                if (!parseDouble(secs, res.plan.delay_s) ||
-                    res.plan.delay_s < 0.0)
-                    return fail("delay seconds must be non-negative, "
-                                "got '" +
-                                secs + "'");
-            }
-        } else if (key == "partition") {
-            // partition=<begin>:<duration> (seconds, sender clock).
-            const auto colon = val.find(':');
-            if (colon == std::string::npos)
-                return fail("partition needs begin:duration, got '" +
-                            val + "'");
-            double begin = 0.0;
-            double dur = 0.0;
-            if (!parseDouble(val.substr(0, colon), begin) ||
-                begin < 0.0 ||
-                !parseDouble(val.substr(colon + 1), dur) || dur <= 0.0)
-                return fail("partition needs non-negative begin and "
-                            "positive duration, got '" +
-                            val + "'");
-            res.plan.part_begin_s = begin;
-            res.plan.part_end_s = begin + dur;
-        } else {
-            return fail("unknown fault key '" + key + "'");
+    if (r.has("seed")) {
+        const std::string_view v = r.get<std::string_view>("seed");
+        if (!parseNumber(v, plan.seed))
+            r.fail("seed needs an unsigned integer, got " + quoted(v));
+    }
+    const std::pair<const char *, double *> probs[] = {
+        {"drop", &plan.drop_p},
+        {"dup", &plan.dup_p},
+        {"trunc", &plan.trunc_p},
+        {"corrupt", &plan.corrupt_p},
+    };
+    for (const auto &[key, out] : probs)
+        if (r.has(key))
+            prob(key, r.get<std::string_view>(key), *out);
+    if (r.has("delay")) {
+        // delay=<prob>[:<seconds>]
+        const std::string_view v = r.get<std::string_view>("delay");
+        const std::size_t colon = v.find(':');
+        prob("delay", v.substr(0, colon), plan.delay_p);
+        if (colon != std::string_view::npos) {
+            const std::string_view secs = v.substr(colon + 1);
+            if (!parseNumber(secs, plan.delay_s) || plan.delay_s < 0.0 ||
+                std::isinf(plan.delay_s))
+                r.fail("delay seconds must be non-negative and finite, "
+                       "got " +
+                       quoted(secs));
         }
     }
+    if (r.has("partition")) {
+        // partition=<begin>:<duration> (seconds, sender clock).
+        const std::string_view v = r.get<std::string_view>("partition");
+        const std::size_t colon = v.find(':');
+        double begin = 0.0;
+        double dur = 0.0;
+        if (colon == std::string_view::npos)
+            r.fail("partition needs begin:duration, got " + quoted(v));
+        else if (!parseNumber(v.substr(0, colon), begin) || begin < 0.0 ||
+                 !parseNumber(v.substr(colon + 1), dur) || dur <= 0.0)
+            r.fail("partition needs non-negative begin and positive "
+                   "duration, got " +
+                   quoted(v));
+        plan.part_begin_s = begin;
+        plan.part_end_s = begin + dur;
+    }
+    res.error = r.error();
+    if (!res.ok())
+        plan = SocketFaultPlan{}; // no partial state on reject.
     return res;
 }
 

@@ -5,6 +5,7 @@
 #include <string>
 
 #include "common/logging.hpp"
+#include "common/text_line.hpp"
 
 namespace rog {
 namespace parallel {
@@ -118,11 +119,8 @@ ThreadPool::resolveThreads()
     if (forced > 0)
         return forced;
     const char *env = std::getenv("ROG_THREADS");
-    if (!env || !*env)
-        return 1;
-    char *end = nullptr;
-    const long v = std::strtol(env, &end, 10);
-    if (end == env || *end != '\0' || v < 1)
+    std::uint64_t v = 0;
+    if (env == nullptr || !parseNumber(env, v) || v < 1)
         return 1;
     return static_cast<std::size_t>(v);
 }

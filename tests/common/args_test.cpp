@@ -4,6 +4,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "common/args.hpp"
 
 namespace rog {
@@ -52,6 +54,18 @@ TEST(ArgsTest, NonNumericValueThrows)
 {
     const auto args = parse({"--alpha", "xyz"});
     EXPECT_THROW(args.getDouble("alpha", 0.0), std::runtime_error);
+}
+
+TEST(ArgsTest, NanAndOverflowThrow)
+{
+    EXPECT_THROW(parse({"--alpha", "nan"}).getDouble("alpha", 0.0),
+                 std::runtime_error);
+    EXPECT_THROW(parse({"--alpha", "1e999"}).getDouble("alpha", 0.0),
+                 std::runtime_error);
+    EXPECT_THROW(parse({"--beta", "inf"}).getSize("beta", 0),
+                 std::runtime_error);
+    // An explicit infinity is a number; a bound may be unbounded.
+    EXPECT_TRUE(std::isinf(parse({"--alpha", "inf"}).getDouble("alpha", 0)));
 }
 
 TEST(ArgsTest, PositionalAfterOptionsThrows)

@@ -207,6 +207,10 @@ TEST(FaultPlanParse, RejectsGarbageNumbers)
                  {"bad number 'nan'"});
     expectReject("truncate link=0 at=1 bytes=12kb\n",
                  {"bad number '12kb'"});
+    expectReject("blackout link=0 start=1 dur=\"2\"\n",
+                 {"bad number '\"2\"'"});
+    expectReject("blackout link=0 start=0x10 dur=2\n",
+                 {"bad number '0x10'"});
 }
 
 TEST(FaultPlanParse, RejectsMalformedTokens)

@@ -18,7 +18,6 @@
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
 #include <set>
 #include <sstream>
 #include <string>
@@ -33,34 +32,6 @@
 namespace rog {
 namespace core {
 namespace {
-
-std::string
-slurp(const std::string &path)
-{
-    std::ifstream is(path);
-    std::ostringstream os;
-    os << is.rdbuf();
-    return os.str();
-}
-
-/** Worker w's log shows a push in flight at iteration >= bound. */
-bool
-pushInFlight(const std::string &dir, std::size_t w,
-             std::int64_t min_iter)
-{
-    std::istringstream is(
-        slurp(dir + "/worker" + std::to_string(w) + ".log"));
-    std::string line;
-    while (std::getline(is, line)) {
-        long long iter = 0;
-        if (std::sscanf(line.c_str(),
-                        "t=%*f iter=%lld phase=push_begin",
-                        &iter) == 1 &&
-            iter >= min_iter)
-            return true;
-    }
-    return false;
-}
 
 [[noreturn]] void
 serverChild(const NodeRunConfig &cfg, int port_fd)

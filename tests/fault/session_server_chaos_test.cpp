@@ -23,7 +23,6 @@
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -37,39 +36,6 @@
 namespace rog {
 namespace core {
 namespace {
-
-std::string
-slurp(const std::string &path)
-{
-    std::ifstream is(path);
-    std::ostringstream os;
-    os << is.rdbuf();
-    return os.str();
-}
-
-/** Server log shows an apply at/past @p min_iter AND a durable
- *  checkpoint — killing earlier would test cold start, not recovery. */
-bool
-serverKillReady(const std::string &dir, std::int64_t min_iter)
-{
-    std::istringstream is(slurp(dir + "/server_run.log"));
-    std::string line;
-    bool applied = false;
-    bool checkpointed = false;
-    while (std::getline(is, line)) {
-        long long iter = 0;
-        if (std::sscanf(line.c_str(), "t=%*f apply w=%*u iter=%lld",
-                        &iter) == 1) {
-            if (iter >= min_iter)
-                applied = true;
-        } else if (std::sscanf(line.c_str(),
-                               "t=%*f checkpoint iter=%lld",
-                               &iter) == 1) {
-            checkpointed = true;
-        }
-    }
-    return applied && checkpointed;
-}
 
 pid_t
 spawnServer(const NodeRunConfig &cfg, int port_fd)

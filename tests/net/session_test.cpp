@@ -8,13 +8,13 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
-#include <fstream>
-#include <iterator>
 
 #include <sys/stat.h>
 
 #include "core/node_engine.hpp"
+#include "core/node_event.hpp"
 #include "core/node_runner.hpp"
 #include "net/session/des_fabric.hpp"
 #include "net/session/session.hpp"
@@ -500,13 +500,22 @@ TEST(SessionDes, ServerCrashTwinRecoversAndFinishes)
 
     // The twin's log must show the kill and a recovered incarnation
     // under a bumped epoch re-admitting the fleet.
-    std::ifstream is(cfg.artifact_dir + "/des_twin.log");
-    std::string text((std::istreambuf_iterator<char>(is)),
-                     std::istreambuf_iterator<char>());
-    EXPECT_NE(text.find("des_server_killed"), std::string::npos);
-    EXPECT_NE(text.find("server_start epoch=2 recovered=1"),
-              std::string::npos);
-    EXPECT_NE(text.find("epoch=2"), std::string::npos);
+    const core::NodeLogReadResult log =
+        core::readNodeLog(cfg.artifact_dir + "/des_twin.log");
+    ASSERT_TRUE(log.ok()) << log.error;
+    using K = core::NodeEvent::Kind;
+    const auto logged = [&](auto pred) {
+        return std::any_of(log.events.begin(), log.events.end(), pred);
+    };
+    EXPECT_TRUE(logged([](const core::NodeEvent &e) {
+        return e.kind == K::DesServerKilled;
+    }));
+    EXPECT_TRUE(logged([](const core::NodeEvent &e) {
+        return e.kind == K::ServerStart && e.epoch == 2 && e.recovered;
+    }));
+    EXPECT_TRUE(logged([](const core::NodeEvent &e) {
+        return e.kind == K::Admit && e.epoch == 2;
+    }));
 }
 
 } // namespace

@@ -72,6 +72,16 @@ TEST(SocketFaultPlanParse, EveryRejectionPathNamesTheProblem)
         {"delay=1.5:0.1", "delay needs a probability in [0, 1]"},
         {"delay=0.5:-1", "delay seconds must be non-negative"},
         {"delay=0.5:fast", "delay seconds must be non-negative"},
+        // NaN and overflow once slipped past the range checks.
+        {"drop=nan", "drop needs a probability in [0, 1]"},
+        {"delay=0.5:nan", "delay seconds must be non-negative"},
+        {"delay=0.5:1e999", "delay seconds must be non-negative"},
+        {"delay=0.5:inf", "delay seconds must be non-negative"},
+        {"partition=nan:1", "partition needs non-negative begin"},
+        {"partition=0:nan", "partition needs non-negative begin"},
+        {"drop=0.1 drop=0.2", "duplicate fault key 'drop'"},
+        {"drop=\"0.1\"", "drop needs a probability in [0, 1]"},
+        {"seed=18446744073709551616", "seed needs an unsigned integer"},
     };
     for (const RejectCase &c : cases) {
         const auto res = SocketFaultPlan::tryParse(c.spec);

@@ -108,6 +108,10 @@ TEST(EventLogParse, EveryRejectionPathNamesTheProblem)
          "bad number for 'a'"},
         {"t=1 attempt link=0 w=1 v=2 row=3 dir=push seq=0 a=1 b=",
          "empty value for 'b'"},
+        {"t=nan attempt link=0 w=1 v=2 row=3 dir=push seq=0 a=1 b=2",
+         "bad number for 't'"},
+        {"t=1 attempt link=0 w=1 v=2 row=3 dir=push seq=0 a=nan b=2",
+         "bad number for 'a'"},
     };
     for (const RejectCase &c : cases) {
         const auto parsed = tryParseEvent(c.line);
@@ -309,6 +313,11 @@ TEST(TraceParse, EveryRejectionPathNamesTheProblem)
         {"att link=0 w=1 v=0 row=1 dir=pull seq=x off=0 out=accept "
          "bytes=1 elapsed=0 complete=0\n",
          "bad integer for 'seq'"},
+        {"send link=0 w=1 v=0 row=1 dir=push bytes=nan deadline=inf\n",
+         "bad number for 'bytes'"},
+        {"att link=0 w=1 v=0 row=1 dir=push seq=0 off=0 out=accept "
+         "bytes=1 elapsed=nan complete=0\n",
+         "bad number for 'elapsed'"},
     };
     for (const RejectCase &c : body_cases) {
         const std::string text = hdr + c.line;

@@ -68,7 +68,7 @@ configFromArgs(const Args &args)
         const net::transport::SocketFaultParseResult parsed =
             net::transport::SocketFaultPlan::tryParse(faults);
         if (!parsed.ok())
-            ROG_FATAL("bad --faults: %s", parsed.error.c_str());
+            ROG_FATAL("bad --faults: ", parsed.error);
         cfg.fault_plan = parsed.plan;
         cfg.inject_faults = true;
     }

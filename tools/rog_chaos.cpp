@@ -42,6 +42,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -50,6 +51,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "common/text_line.hpp"
 #include "core/chaos_check.hpp"
 #include "node_cli.hpp"
 
@@ -96,15 +98,6 @@ wallNow()
     clock_gettime(CLOCK_MONOTONIC, &ts);
     return static_cast<double>(ts.tv_sec) +
            static_cast<double>(ts.tv_nsec) * 1e-9;
-}
-
-std::string
-slurp(const std::string &path)
-{
-    std::ifstream is(path);
-    std::stringstream ss;
-    ss << is.rdbuf();
-    return ss.str();
 }
 
 /** Fleet-facing view of one worker process. */
@@ -239,8 +232,11 @@ class ChaosSupervisor
                 break;
         }
         close(fds[0]);
-        server_port_ =
-            static_cast<std::uint16_t>(std::atoi(buf));
+        std::uint64_t port = 0;
+        const std::string_view text(buf, std::strcspn(buf, "\n"));
+        server_port_ = parseNumber(text, port) && port <= 0xFFFF
+                           ? static_cast<std::uint16_t>(port)
+                           : 0;
         if (server_port_ == 0) {
             note("server failed to bind");
             return false;
@@ -281,61 +277,14 @@ class ChaosSupervisor
         note(os.str());
     }
 
-    /** Worker W's log shows a push in flight at iteration >= bound. */
-    bool
-    pushInFlight(std::size_t w) const
-    {
-        const std::string text =
-            slurp(cfg_.artifact_dir + "/worker" + std::to_string(w) +
-                  ".log");
-        std::istringstream is(text);
-        std::string line;
-        while (std::getline(is, line)) {
-            long long iter = 0;
-            if (std::sscanf(line.c_str(),
-                            "t=%*f iter=%lld phase=push_begin",
-                            &iter) == 1 &&
-                iter >= kill_iter_)
-                return true;
-        }
-        return false;
-    }
-
-    /** The server log shows an apply at or past the kill bound AND a
-     *  durable checkpoint — killing before the first checkpoint would
-     *  test cold-start, not recovery. */
-    bool
-    serverKillReady() const
-    {
-        const std::string text =
-            slurp(cfg_.artifact_dir + "/server_run.log");
-        std::istringstream is(text);
-        std::string line;
-        bool applied = false;
-        bool checkpointed = false;
-        while (std::getline(is, line)) {
-            long long iter = 0;
-            if (std::sscanf(line.c_str(),
-                            "t=%*f apply w=%*u iter=%lld",
-                            &iter) == 1) {
-                if (iter >= server_kill_iter_)
-                    applied = true;
-            } else if (std::sscanf(line.c_str(),
-                                   "t=%*f checkpoint iter=%lld",
-                                   &iter) == 1) {
-                checkpointed = true;
-            }
-        }
-        return applied && checkpointed;
-    }
-
     void
     injectServerFault()
     {
         if (server_kill_iter_ <= 0)
             return;
         const double now = wallNow();
-        if (!server_killed_ && serverKillReady()) {
+        if (!server_killed_ &&
+            core::serverKillReady(cfg_.artifact_dir, server_kill_iter_)) {
             kill(server_pid_, SIGKILL);
             waitpid(server_pid_, nullptr, 0);
             server_killed_ = true;
@@ -390,7 +339,8 @@ class ChaosSupervisor
             if (p.pid < 0 || p.exited)
                 continue;
 
-            if (p.kill_planned && !p.killed && pushInFlight(w)) {
+            if (p.kill_planned && !p.killed &&
+                core::pushInFlight(cfg_.artifact_dir, w, kill_iter_)) {
                 kill(p.pid, SIGKILL);
                 waitpid(p.pid, nullptr, 0);
                 p.killed = true;
@@ -406,7 +356,7 @@ class ChaosSupervisor
             }
 
             if (p.stall_secs > 0.0 && !p.stalled &&
-                pushInFlight(w)) {
+                core::pushInFlight(cfg_.artifact_dir, w, kill_iter_)) {
                 kill(p.pid, SIGSTOP);
                 p.stalled = true;
                 p.stalled_at = now;
@@ -504,8 +454,12 @@ std::vector<std::size_t>
 parseIndexList(const std::string &s)
 {
     std::vector<std::size_t> v;
-    for (const std::string &part : splitCommaList(s))
-        v.push_back(static_cast<std::size_t>(std::stoul(part)));
+    for (const std::string &part : splitCommaList(s)) {
+        std::uint64_t w = 0;
+        if (!parseNumber(part, w))
+            ROG_FATAL("bad --kill worker '", part, "'");
+        v.push_back(static_cast<std::size_t>(w));
+    }
     return v;
 }
 
@@ -536,24 +490,44 @@ cleanRunDir(const core::NodeRunConfig &cfg)
     }
 }
 
+/**
+ * One "W:X[:Y...]" entry of --partition or --stall: a worker index and
+ * @p n numbers, each strict; ROG_FATAL naming @p want otherwise.
+ */
+std::pair<std::size_t, std::vector<double>>
+parseWorkerEntry(const std::string &entry, std::size_t n,
+                 const char *option, const char *want)
+{
+    std::vector<std::string_view> parts;
+    std::string_view rest = entry;
+    for (std::size_t colon; (colon = rest.find(':')) != rest.npos;
+         rest.remove_prefix(colon + 1))
+        parts.push_back(rest.substr(0, colon));
+    parts.push_back(rest);
+    std::uint64_t w = 0;
+    std::vector<double> nums(n);
+    bool ok = parts.size() == n + 1 && parseNumber(parts[0], w);
+    for (std::size_t i = 0; ok && i < n; ++i)
+        ok = parseNumber(parts[i + 1], nums[i]);
+    if (!ok)
+        ROG_FATAL("bad --", option, " entry '", entry, "' (want ", want,
+                  ")");
+    return {static_cast<std::size_t>(w), nums};
+}
+
 /** "W:START:DUR[,...]" — worker W drops all outbound datagrams
  *  during [START, START+DUR) of its own process clock. */
 std::map<std::size_t, std::pair<double, double>>
 parsePartitions(const std::string &s)
 {
     std::map<std::size_t, std::pair<double, double>> m;
-    if (s.empty())
-        return m;
     for (const std::string &part : splitCommaList(s)) {
-        std::size_t w = 0;
-        double begin = 0.0;
-        double dur = 0.0;
-        if (std::sscanf(part.c_str(), "%zu:%lf:%lf", &w, &begin,
-                        &dur) != 3 ||
-            begin < 0.0 || dur <= 0.0)
-            ROG_FATAL("bad --partition entry '%s' (want W:START:DUR)",
-                      part.c_str());
-        m[w] = {begin, dur};
+        const auto [w, v] =
+            parseWorkerEntry(part, 2, "partition", "W:START:DUR");
+        if (v[0] < 0.0 || v[1] <= 0.0)
+            ROG_FATAL("bad --partition entry '", part,
+                      "' (want START >= 0 and DUR > 0)");
+        m[w] = {v[0], v[1]};
     }
     return m;
 }
@@ -562,15 +536,9 @@ std::map<std::size_t, double>
 parseStalls(const std::string &s)
 {
     std::map<std::size_t, double> m;
-    if (s.empty())
-        return m;
     for (const std::string &part : splitCommaList(s)) {
-        std::size_t w = 0;
-        double secs = 0.0;
-        if (std::sscanf(part.c_str(), "%zu:%lf", &w, &secs) != 2)
-            ROG_FATAL("bad --stall entry '%s' (want W:SECS)",
-                      part.c_str());
-        m[w] = secs;
+        const auto [w, v] = parseWorkerEntry(part, 1, "stall", "W:SECS");
+        m[w] = v[0];
     }
     return m;
 }

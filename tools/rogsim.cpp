@@ -23,6 +23,7 @@
 
 #include "common/args.hpp"
 #include "common/logging.hpp"
+#include "common/text_line.hpp"
 #include "core/convergence.hpp"
 #include "core/engine.hpp"
 #include "core/mta.hpp"
@@ -61,12 +62,11 @@ parseSystem(const std::string &name)
         return core::SystemConfig::bsp();
     if (name == "flown")
         return core::SystemConfig::flownSystem();
-    if (name.rfind("ssp", 0) == 0)
-        return core::SystemConfig::ssp(
-            static_cast<std::size_t>(std::stoul(name.substr(3))));
-    if (name.rfind("rog", 0) == 0)
-        return core::SystemConfig::rog(
-            static_cast<std::size_t>(std::stoul(name.substr(3))));
+    std::uint64_t t = 0;
+    if (name.rfind("ssp", 0) == 0 && parseNumber(name.substr(3), t))
+        return core::SystemConfig::ssp(static_cast<std::size_t>(t));
+    if (name.rfind("rog", 0) == 0 && parseNumber(name.substr(3), t))
+        return core::SystemConfig::rog(static_cast<std::size_t>(t));
     ROG_FATAL("unknown system '", name,
               "' (expected bsp, ssp<t>, flown, or rog<t>)");
 }
