@@ -123,7 +123,7 @@ onebitTranscodeRef(std::span<float> residual, std::span<const float> grad,
     return stats;
 }
 
-void
+double
 IdentityCodec::transcode(std::size_t, std::size_t block_width,
                          std::size_t offset, std::span<const float> grad,
                          std::span<float> out)
@@ -133,6 +133,7 @@ IdentityCodec::transcode(std::size_t, std::size_t block_width,
                "codec chunk exceeds block");
     for (std::size_t i = 0; i < grad.size(); ++i)
         out[i] = grad[i];
+    return 0.0;
 }
 
 double
@@ -163,6 +164,7 @@ OneBitCodec::blockFor(std::size_t block, std::size_t block_width)
     if (it == blocks_.end()) {
         it = blocks_.emplace(block, BlockState{}).first;
         it->second.residual.assign(block_width, 0.0f);
+        it->second.packed.resize(packedBytes(block_width));
     }
     ROG_ASSERT(it->second.residual.size() == block_width,
                "block width changed between calls");
@@ -192,7 +194,7 @@ TopKCodec::residualFor(std::size_t block, std::size_t block_width)
     return it->second;
 }
 
-void
+double
 OneBitCodec::transcode(std::size_t block, std::size_t block_width,
                        std::size_t offset, std::span<const float> grad,
                        std::span<float> out)
@@ -202,15 +204,10 @@ OneBitCodec::transcode(std::size_t block, std::size_t block_width,
     ROG_ASSERT(offset + n <= block_width, "codec chunk exceeds block");
 
     BlockState &state = blockFor(block, block_width);
-
-    // Wire-bit scratch leased per call: bounded by the pool's caps,
-    // recycled across calls and threads (the former thread_local
-    // vectors grew to the largest row ever seen and never shrank).
-    auto packed = BufferPool::global().leaseBytes(packedBytes(n));
-
     const auto stats = onebitTranscodeFused(
-        {state.residual.data() + offset, n}, grad, out, packed.span());
-    state.last_sum_abs_grad = static_cast<double>(stats.sum_abs_grad);
+        {state.residual.data() + offset, n}, grad, out,
+        {state.packed.data(), packedBytes(n)});
+    return static_cast<double>(stats.sum_abs_grad);
 }
 
 double
@@ -218,13 +215,6 @@ OneBitCodec::payloadBytes(std::size_t width) const
 {
     // Packed sign bits + one float32 scale.
     return static_cast<double>(packedBytes(width)) + 4.0;
-}
-
-double
-OneBitCodec::lastTranscodeMagnitude(std::size_t block) const
-{
-    auto it = blocks_.find(block);
-    return it == blocks_.end() ? 0.0 : it->second.last_sum_abs_grad;
 }
 
 double
@@ -246,7 +236,7 @@ TopKCodec::TopKCodec(double keep_fraction)
                "top-k keep fraction must be in (0, 1]");
 }
 
-void
+double
 TopKCodec::transcode(std::size_t block, std::size_t block_width,
                      std::size_t offset, std::span<const float> grad,
                      std::span<float> out)
@@ -285,6 +275,7 @@ TopKCodec::transcode(std::size_t block, std::size_t block_width,
         out[i] = res[offset + i];
         res[offset + i] = 0.0f; // exact transmission: no residual left.
     }
+    return 0.0;
 }
 
 double

@@ -15,10 +15,10 @@
  * each endpoint owns its own instance.
  *
  * Threading: distinct *blocks* of one codec may be transcoded
- * concurrently once prepare() has created their state (scratch
- * buffers are leased per call from the shared BufferPool); the same
- * block must never be transcoded by two threads at once — its residual
- * is a sequential stream.
+ * concurrently once prepare() has created their state; the same block
+ * must never be transcoded by two threads at once — its residual is a
+ * sequential stream. That rule also makes per-block scratch (one-bit's
+ * packed sign bits) race-free without locks or per-thread copies.
  *
  * Kernels: the one-bit hot path is the *fused* kernel
  * (onebitTranscodeFused) — residual update, scale accumulation, sign
@@ -34,6 +34,7 @@
 #ifndef ROG_COMPRESS_CODEC_HPP
 #define ROG_COMPRESS_CODEC_HPP
 
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <string>
@@ -96,14 +97,18 @@ class Codec
      * quantization error is retained internally per block element
      * (error compensation) and folded into the next call covering it.
      *
+     * @return sum(|grad|) of the chunk when the codec measures it as
+     *         a transcode by-product (one-bit does, in its fused
+     *         sweep; the importance metric's magnitude term), else 0.
+     *
      * @pre offset + grad.size() <= block_width
      * @pre grad.size() == out.size()
      * @pre block_width is stable across calls for the same block.
      */
-    virtual void transcode(std::size_t block, std::size_t block_width,
-                           std::size_t offset,
-                           std::span<const float> grad,
-                           std::span<float> out) = 0;
+    virtual double transcode(std::size_t block, std::size_t block_width,
+                             std::size_t offset,
+                             std::span<const float> grad,
+                             std::span<float> out) = 0;
 
     /**
      * Pre-create any per-block state (e.g. the error residual) for
@@ -119,24 +124,11 @@ class Codec
      * Convenience: transcode a whole block at once.
      * @pre grad.size() == out.size()
      */
-    void
+    double
     transcodeRow(std::size_t block, std::span<const float> grad,
                  std::span<float> out)
     {
-        transcode(block, grad.size(), 0, grad, out);
-    }
-
-    /**
-     * sum(|grad|) observed by the most recent transcode covering
-     * @p block, when the codec measures it as a transcode by-product
-     * (one-bit does, in its fused sweep); 0.0 otherwise. Safe to read
-     * after the parallel transcode region that produced it.
-     */
-    virtual double
-    lastTranscodeMagnitude(std::size_t block) const
-    {
-        (void)block;
-        return 0.0;
+        return transcode(block, grad.size(), 0, grad, out);
     }
 
     /** Wire payload bytes for a transmitted chunk of @p width
@@ -151,9 +143,9 @@ class Codec
 class IdentityCodec : public Codec
 {
   public:
-    void transcode(std::size_t block, std::size_t block_width,
-                   std::size_t offset, std::span<const float> grad,
-                   std::span<float> out) override;
+    double transcode(std::size_t block, std::size_t block_width,
+                     std::size_t offset, std::span<const float> grad,
+                     std::span<float> out) override;
     double payloadBytes(std::size_t width) const override;
     std::string name() const override { return "identity"; }
 };
@@ -167,14 +159,12 @@ class IdentityCodec : public Codec
 class OneBitCodec : public Codec
 {
   public:
-    void transcode(std::size_t block, std::size_t block_width,
-                   std::size_t offset, std::span<const float> grad,
-                   std::span<float> out) override;
+    double transcode(std::size_t block, std::size_t block_width,
+                     std::size_t offset, std::span<const float> grad,
+                     std::span<float> out) override;
     void prepare(std::size_t block, std::size_t block_width) override;
     double payloadBytes(std::size_t width) const override;
     std::string name() const override { return "onebit"; }
-
-    double lastTranscodeMagnitude(std::size_t block) const override;
 
     /** Residual magnitude for a block (diagnostics/tests). */
     double residualMeanAbs(std::size_t block) const;
@@ -183,7 +173,7 @@ class OneBitCodec : public Codec
     struct BlockState
     {
         std::vector<float> residual;
-        double last_sum_abs_grad = 0.0;
+        std::vector<std::uint8_t> packed; //!< wire-bit scratch, whole block.
     };
 
     BlockState &blockFor(std::size_t block, std::size_t block_width);
@@ -205,9 +195,9 @@ class TopKCodec : public Codec
     /** @param keep_fraction fraction of each chunk kept, in (0, 1]. */
     explicit TopKCodec(double keep_fraction = 0.1);
 
-    void transcode(std::size_t block, std::size_t block_width,
-                   std::size_t offset, std::span<const float> grad,
-                   std::span<float> out) override;
+    double transcode(std::size_t block, std::size_t block_width,
+                     std::size_t offset, std::span<const float> grad,
+                     std::span<float> out) override;
     void prepare(std::size_t block, std::size_t block_width) override;
     double payloadBytes(std::size_t width) const override;
     std::string name() const override { return "topk"; }

@@ -66,6 +66,19 @@ namespace {
 /** Framing bytes added to every bulk push or pull (Sec. V). */
 constexpr double kTransferHeaderBytes = 16.0;
 
+/** Wire bytes of unit @p u: its index tag plus one codec payload per
+ *  row chunk (each chunk carries its own scale, per [22]'s block-wise
+ *  compression). */
+double
+unitWireBytes(const RowPartition &partition, const compress::Codec &codec,
+              std::size_t u)
+{
+    double bytes = partition.perUnitOverheadBytes();
+    for (const RowChunk &c : partition.chunks(u))
+        bytes += codec.payloadBytes(c.count);
+    return bytes;
+}
+
 /** Shard 0 keeps the configured path; shard k gets ".shard<k>". */
 std::string
 shardCheckpointPath(const std::string &base, std::size_t shard)
@@ -144,14 +157,12 @@ class Engine
      * block-wise scheme regardless of the transmission granularity.
      *
      * @return sum(|grad|) over the unit as measured inside the codec's
-     *         fused sweep (see Codec::lastTranscodeMagnitude); 0.0 for
-     *         codecs that do not record it.
+     *         fused sweep (see Codec::transcode); 0.0 for codecs that
+     *         do not record it.
      */
     double transcodeUnit(compress::Codec &codec, FlatModel &flat,
                          std::size_t unit_idx, std::span<const float> in,
                          std::span<float> out);
-    void applyPulledUnit(WorkerContext &w, std::size_t unit,
-                         std::span<const float> decoded);
     void checkpoint(WorkerContext &w, std::size_t iteration);
     std::int64_t stalenessBehind(const WorkerContext &w) const;
 
@@ -181,6 +192,7 @@ class Engine
     std::unique_ptr<FlownScheduler> flown_;
     std::unique_ptr<AutoThresholdController> auto_ctrl_;
     std::vector<double> unit_bytes_;  //!< wire bytes per unit.
+    std::vector<double> chunk_magnitude_; //!< transcodeUnit scratch.
     RunResult result_;
     std::size_t finished_workers_ = 0;
     Rng rng_;
@@ -284,22 +296,10 @@ Engine::Engine(Workload &workload, const EngineConfig &cfg,
         auto_ctrl_ = std::make_unique<AutoThresholdController>(at);
     }
 
-    // Wire size per unit: per-row-chunk codec payloads (each chunk
-    // carries its own scale, per [22]'s block-wise compression) plus
-    // the per-unit index tag.
     auto sizer = compress::makeCodec(cfg.codec);
     unit_bytes_.resize(units);
-    FlatModel &flat0 = *workers_[0].flat;
-    for (std::size_t u = 0; u < units; ++u) {
-        const Unit &unit = partition_->unit(u);
-        double bytes = partition_->perUnitOverheadBytes();
-        flat0.forEachRowChunk(unit.begin, unit.width,
-                              [&](std::size_t, std::size_t,
-                                  std::size_t count, std::size_t) {
-                                  bytes += sizer->payloadBytes(count);
-                              });
-        unit_bytes_[u] = bytes;
-    }
+    for (std::size_t u = 0; u < units; ++u)
+        unit_bytes_[u] = unitWireBytes(*partition_, *sizer, u);
 
     version_cond_ = std::make_unique<sim::Condition>(sim_);
 
@@ -406,12 +406,8 @@ Engine::accumulateGradients(WorkerContext &w)
     // disjoint accumulators — safe to fan out across the pool.
     parallel::parallelFor(
         0, partition_->unitCount(), 1, [&](std::size_t lo, std::size_t hi) {
-            for (std::size_t u = lo; u < hi; ++u) {
-                const Unit &unit = partition_->unit(u);
-                auto &acc = w.accum[u];
-                w.flat->accumulateGrad(unit.begin,
-                                       {acc.data(), unit.width});
-            }
+            for (std::size_t u = lo; u < hi; ++u)
+                w.flat->accumulateGrad(partition_->chunks(u), w.accum[u]);
         });
 }
 
@@ -481,52 +477,34 @@ Engine::transcodeUnit(compress::Codec &codec, FlatModel &flat,
     const Unit &unit = partition_->unit(unit_idx);
     ROG_ASSERT(in.size() == unit.width && out.size() == unit.width,
                "transcode unit size mismatch");
+    const auto chunks = partition_->chunks(unit_idx);
+    if (chunks.size() == 1) {
+        // A row unit (ROG's granularity): one block, no fan-out.
+        const RowChunk &c = chunks[0];
+        return codec.transcode(c.row, flat.rowInfo(c.row).width, c.col, in,
+                               out);
+    }
 
-    // Collect the (row, column-range) chunks first: each chunk is a
-    // distinct codec block, so after prepare() they can transcode
-    // concurrently without racing on the codec's block map.
-    struct Chunk
-    {
-        std::size_t row, col, count, off;
-    };
-    std::vector<Chunk> chunks;
-    flat.forEachRowChunk(
-        unit.begin, unit.width,
-        [&](std::size_t row, std::size_t col, std::size_t count,
-            std::size_t off) {
-            chunks.push_back({row, col, count, off});
-        });
-    for (const Chunk &c : chunks)
+    // Each chunk is a distinct codec block, so once prepare() has
+    // created their state they transcode concurrently without racing
+    // on the codec's block map.
+    for (const RowChunk &c : chunks)
         codec.prepare(c.row, flat.rowInfo(c.row).width);
+    chunk_magnitude_.resize(chunks.size());
     parallel::parallelFor(
         0, chunks.size(), 1, [&](std::size_t lo, std::size_t hi) {
             for (std::size_t i = lo; i < hi; ++i) {
-                const Chunk &c = chunks[i];
-                codec.transcode(c.row, flat.rowInfo(c.row).width, c.col,
-                                in.subspan(c.off, c.count),
-                                out.subspan(c.off, c.count));
+                const RowChunk &c = chunks[i];
+                chunk_magnitude_[i] = codec.transcode(
+                    c.row, flat.rowInfo(c.row).width, c.col,
+                    in.subspan(c.off, c.count), out.subspan(c.off, c.count));
             }
         });
-    // A unit is a contiguous flat span, so each row contributes at
-    // most one chunk here and the per-block by-products sum cleanly.
+    // Summed in chunk order, so the total is independent of threads.
     double magnitude = 0.0;
-    for (const Chunk &c : chunks)
-        magnitude += codec.lastTranscodeMagnitude(c.row);
+    for (std::size_t i = 0; i < chunks.size(); ++i)
+        magnitude += chunk_magnitude_[i];
     return magnitude;
-}
-
-void
-Engine::applyPulledUnit(WorkerContext &w, std::size_t unit,
-                        std::span<const float> decoded)
-{
-    const Unit &info = partition_->unit(unit);
-    w.flat->forEachRowChunk(
-        info.begin, info.width,
-        [&](std::size_t row, std::size_t col, std::size_t count,
-            std::size_t off) {
-            w.opt->applyRowRange(row, col,
-                                 {decoded.data() + off, count});
-        });
 }
 
 void
@@ -956,7 +934,7 @@ Engine::pullProcess(WorkerContext &w)
             auto pending = server_->pending(w.id, u);
             decoded.resize(pending.size());
             transcodeUnit(*w.pull_codec, *w.flat, u, pending, decoded);
-            applyPulledUnit(w, u, decoded);
+            applyRowChunks(*w.opt, partition_->chunks(u), decoded);
             server_->clearPending(w.id, u);
         }
         if (atp && pull_elapsed > 0.0) {
@@ -1210,14 +1188,8 @@ modelWireBytes(Workload &workload, Granularity granularity,
     RowPartition partition(flat, granularity);
     auto codec = compress::makeCodec(codec_name);
     double bytes = 0.0;
-    for (const Unit &u : partition.units()) {
-        bytes += partition.perUnitOverheadBytes();
-        flat.forEachRowChunk(u.begin, u.width,
-                             [&](std::size_t, std::size_t,
-                                 std::size_t count, std::size_t) {
-                                 bytes += codec->payloadBytes(count);
-                             });
-    }
+    for (std::size_t u = 0; u < partition.unitCount(); ++u)
+        bytes += unitWireBytes(partition, *codec, u);
     return bytes;
 }
 

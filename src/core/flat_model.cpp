@@ -42,54 +42,50 @@ FlatModel::rowOfOffset(std::size_t off) const
     return static_cast<std::size_t>(it - row_flat_begin_.begin()) - 1;
 }
 
-void
-FlatModel::gatherGrad(std::size_t begin, std::span<float> out) const
-{
-    forEachRowChunk(
-        begin, out.size(),
-        [&](std::size_t row, std::size_t col_begin, std::size_t count,
-            std::size_t range_offset) {
-            const RowInfo &info = rows_[row];
-            const auto src =
-                params_[info.param]->grad.row(info.local_row);
-            for (std::size_t j = 0; j < count; ++j)
-                out[range_offset + j] = src[col_begin + j];
-        });
-}
-
-void
-FlatModel::accumulateGrad(std::size_t begin, std::span<float> acc) const
-{
-    forEachRowChunk(
-        begin, acc.size(),
-        [&](std::size_t row, std::size_t col_begin, std::size_t count,
-            std::size_t range_offset) {
-            const RowInfo &info = rows_[row];
-            const auto src =
-                params_[info.param]->grad.row(info.local_row);
-            for (std::size_t j = 0; j < count; ++j)
-                acc[range_offset + j] += src[col_begin + j];
-        });
-}
-
-void
-FlatModel::forEachRowChunk(
-    std::size_t begin, std::size_t length,
-    const std::function<void(std::size_t, std::size_t, std::size_t,
-                             std::size_t)> &fn) const
+std::vector<RowChunk>
+FlatModel::rowChunks(std::size_t begin, std::size_t length) const
 {
     ROG_ASSERT(begin + length <= flat_size_, "flat range out of bounds");
-    std::size_t off = begin;
+    std::vector<RowChunk> chunks;
     std::size_t done = 0;
     while (done < length) {
-        const std::size_t row = rowOfOffset(off);
+        const std::size_t row = rowOfOffset(begin + done);
         const RowInfo &info = rows_[row];
-        const std::size_t col = off - info.flat_begin;
-        const std::size_t count =
-            std::min(info.width - col, length - done);
-        fn(row, col, count, done);
-        off += count;
+        const std::size_t col = begin + done - info.flat_begin;
+        const std::size_t count = std::min(info.width - col, length - done);
+        chunks.push_back({row, col, count, done});
         done += count;
+    }
+    return chunks;
+}
+
+void
+FlatModel::gatherGrad(std::span<const RowChunk> chunks,
+                      std::span<float> out) const
+{
+    for (const RowChunk &c : chunks) {
+        ROG_ASSERT(c.off + c.count <= out.size(), "chunk out of bounds");
+        const RowInfo &info = rows_[c.row];
+        const float *src =
+            params_[info.param]->grad.row(info.local_row).data() + c.col;
+        float *dst = out.data() + c.off;
+        for (std::size_t j = 0; j < c.count; ++j)
+            dst[j] = src[j];
+    }
+}
+
+void
+FlatModel::accumulateGrad(std::span<const RowChunk> chunks,
+                          std::span<float> acc) const
+{
+    for (const RowChunk &c : chunks) {
+        ROG_ASSERT(c.off + c.count <= acc.size(), "chunk out of bounds");
+        const RowInfo &info = rows_[c.row];
+        const float *src =
+            params_[info.param]->grad.row(info.local_row).data() + c.col;
+        float *dst = acc.data() + c.off;
+        for (std::size_t j = 0; j < c.count; ++j)
+            dst[j] += src[j];
     }
 }
 
@@ -105,6 +101,16 @@ FlatModel::rowGrad(std::size_t r)
 {
     const RowInfo &info = rowInfo(r);
     return params_[info.param]->grad.row(info.local_row);
+}
+
+void
+applyRowChunks(nn::SgdMomentum &opt, std::span<const RowChunk> chunks,
+               std::span<const float> values)
+{
+    for (const RowChunk &c : chunks) {
+        ROG_ASSERT(c.off + c.count <= values.size(), "chunk out of bounds");
+        opt.applyRowRange(c.row, c.col, values.subspan(c.off, c.count));
+    }
 }
 
 } // namespace core

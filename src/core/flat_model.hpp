@@ -12,11 +12,11 @@
 #ifndef ROG_CORE_FLAT_MODEL_HPP
 #define ROG_CORE_FLAT_MODEL_HPP
 
-#include <functional>
 #include <span>
 #include <vector>
 
 #include "nn/model.hpp"
+#include "nn/optimizer.hpp"
 
 namespace rog {
 namespace core {
@@ -28,6 +28,19 @@ struct RowInfo
     std::size_t local_row = 0;   //!< row within that parameter matrix.
     std::size_t flat_begin = 0;  //!< offset of the row's first element.
     std::size_t width = 0;       //!< elements in the row.
+};
+
+/**
+ * One (global row, column range) piece of a flat element range. A
+ * range splits into chunks at row boundaries; see
+ * FlatModel::rowChunks.
+ */
+struct RowChunk
+{
+    std::size_t row = 0;   //!< global row.
+    std::size_t col = 0;   //!< first column within the row.
+    std::size_t count = 0; //!< elements.
+    std::size_t off = 0;   //!< offset of the chunk within the range.
 };
 
 /** Flat view over a model's parameters (non-owning). */
@@ -50,29 +63,25 @@ class FlatModel
     std::size_t rowOfOffset(std::size_t off) const;
 
     /**
-     * Copy the current parameter *gradients* of the flat range
-     * [begin, begin+out.size()) into @p out.
+     * Split the flat range [begin, begin + length) into per-row
+     * chunks, in ascending order, covering the range exactly once.
+     * RowPartition builds its per-unit table with this once; hot paths
+     * read that table instead.
      */
-    void gatherGrad(std::size_t begin, std::span<float> out) const;
+    std::vector<RowChunk> rowChunks(std::size_t begin,
+                                    std::size_t length) const;
 
     /**
-     * Add the current parameter *gradients* of the flat range
-     * [begin, begin+acc.size()) into @p acc (acc[i] += grad[i]).
+     * Copy the current parameter *gradients* under @p chunks (one
+     * range's chunk table) into @p out, chunk c landing at
+     * out[c.off, c.off + c.count).
      */
-    void accumulateGrad(std::size_t begin, std::span<float> acc) const;
+    void gatherGrad(std::span<const RowChunk> chunks,
+                    std::span<float> out) const;
 
-    /**
-     * Visit the flat range [begin, begin + length) as per-(global row,
-     * column range) chunks: fn(row, col_begin, count, range_offset)
-     * where range_offset is the chunk's offset within the visited
-     * range. Chunks are visited in ascending order and cover the range
-     * exactly once.
-     */
-    void forEachRowChunk(
-        std::size_t begin, std::size_t length,
-        const std::function<void(std::size_t row, std::size_t col_begin,
-                                 std::size_t count,
-                                 std::size_t range_offset)> &fn) const;
+    /** As gatherGrad, but add into @p acc (acc[i] += grad[i]). */
+    void accumulateGrad(std::span<const RowChunk> chunks,
+                        std::span<float> acc) const;
 
     /** Parameter values of global row @p r (mutable). */
     std::span<float> rowValues(std::size_t r);
@@ -89,6 +98,13 @@ class FlatModel
     std::vector<std::size_t> row_flat_begin_; //!< for binary search.
     std::size_t flat_size_ = 0;
 };
+
+/**
+ * Apply @p values, laid out as one range's chunk table @p chunks
+ * describes, to @p opt row range by row range.
+ */
+void applyRowChunks(nn::SgdMomentum &opt, std::span<const RowChunk> chunks,
+                    std::span<const float> values);
 
 } // namespace core
 } // namespace rog

@@ -1,6 +1,7 @@
 #include "core/importance.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <numeric>
 
 #include "common/logging.hpp"
@@ -54,12 +55,31 @@ rankUnits(ImportanceMode mode, const ImportanceConfig &cfg,
             }
         });
 
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::size_t a, std::size_t b) {
-                         if (score[a] != score[b])
-                             return score[a] > score[b];
-                         return a < b;
-                     });
+    // Sort (-score, index) keys: (score desc, index asc) is a strict
+    // total order over non-NaN scores, so std::sort yields exactly the
+    // stable order. NaN scores (an inf or NaN gradient row zeroes
+    // mag_scale, and inf * 0 is NaN) would break the comparator's
+    // ordering, so those units go last, in index order.
+    struct Key
+    {
+        double neg_score;
+        std::size_t index;
+    };
+    std::vector<Key> keys;
+    keys.reserve(n);
+    for (std::size_t i = 0; i < n; ++i)
+        if (!std::isnan(score[i]))
+            keys.push_back({-score[i], i});
+    std::sort(keys.begin(), keys.end(), [](const Key &a, const Key &b) {
+        return a.neg_score < b.neg_score ||
+               (a.neg_score == b.neg_score && a.index < b.index);
+    });
+    std::size_t k = 0;
+    for (const Key &key : keys)
+        order[k++] = key.index;
+    for (std::size_t i = 0; i < n; ++i)
+        if (std::isnan(score[i]))
+            order[k++] = i;
     return order;
 }
 

@@ -46,7 +46,8 @@ struct ImportanceConfig
  *        server: last updated iteration). @pre same size
  * @param rng used only when cfg.random is set.
  * @return unit indices sorted by descending importance (ties broken by
- *         unit index for determinism).
+ *         unit index for determinism); units whose score is NaN (an
+ *         inf or NaN magnitude) come last, in index order.
  */
 std::vector<std::size_t>
 rankUnits(ImportanceMode mode, const ImportanceConfig &cfg,

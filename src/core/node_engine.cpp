@@ -332,15 +332,7 @@ ServerNode::onPush(const MessageKey &key,
     scaled_.resize(decoded.size());
     for (std::size_t i = 0; i < decoded.size(); ++i)
         scaled_[i] = decoded[i] * inv;
-    const Unit &u = partition_->unit(unit);
-    flat_->forEachRowChunk(
-        u.begin, u.width,
-        [&](std::size_t row, std::size_t col_begin, std::size_t count,
-            std::size_t off) {
-            opt_->applyRowRange(
-                row, col_begin,
-                std::span<const float>(scaled_.data() + off, count));
-        });
+    applyRowChunks(*opt_, partition_->chunks(unit), scaled_);
 
     ++applied_pushes_;
     ++applies_since_ckpt_;
@@ -814,7 +806,7 @@ WorkerNode::beginIteration()
         const Unit &unit = partition_->unit(u);
         grad_.resize(unit.width);
         decoded_.resize(unit.width);
-        flat_->gatherGrad(unit.begin, grad_);
+        flat_->gatherGrad(partition_->chunks(u), grad_);
         codec_->transcodeRow(u, grad_, decoded_);
         parked_.push_back(net::session::encodeFloats(decoded_));
     }
@@ -903,15 +895,7 @@ WorkerNode::applyUnit(std::uint32_t unit, std::span<const float> values)
     if (unit >= partition_->unitCount() ||
         values.size() != partition_->unit(unit).width)
         return;
-    const Unit &u = partition_->unit(unit);
-    flat_->forEachRowChunk(
-        u.begin, u.width,
-        [&](std::size_t row, std::size_t col_begin, std::size_t count,
-            std::size_t off) {
-            opt_->applyRowRange(
-                row, col_begin,
-                std::span<const float>(values.data() + off, count));
-        });
+    applyRowChunks(*opt_, partition_->chunks(unit), values);
 }
 
 void

@@ -64,6 +64,14 @@ RowPartition::RowPartition(const FlatModel &flat, Granularity g,
         break;
     }
     ROG_ASSERT(!units_.empty(), "partition produced no units");
+
+    chunk_begin_.reserve(units_.size() + 1);
+    chunk_begin_.push_back(0);
+    for (const Unit &unit : units_) {
+        const auto unit_chunks = flat.rowChunks(unit.begin, unit.width);
+        chunks_.insert(chunks_.end(), unit_chunks.begin(), unit_chunks.end());
+        chunk_begin_.push_back(chunks_.size());
+    }
 }
 
 const Unit &
@@ -71,6 +79,14 @@ RowPartition::unit(std::size_t u) const
 {
     ROG_ASSERT(u < units_.size(), "unit out of range");
     return units_[u];
+}
+
+std::span<const RowChunk>
+RowPartition::chunks(std::size_t u) const
+{
+    ROG_ASSERT(u < units_.size(), "unit out of range");
+    return {chunks_.data() + chunk_begin_[u],
+            chunk_begin_[u + 1] - chunk_begin_[u]};
 }
 
 double

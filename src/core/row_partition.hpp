@@ -13,6 +13,7 @@
 #ifndef ROG_CORE_ROW_PARTITION_HPP
 #define ROG_CORE_ROW_PARTITION_HPP
 
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -60,6 +61,13 @@ class RowPartition
     const Unit &unit(std::size_t u) const;
     const std::vector<Unit> &units() const { return units_; }
 
+    /**
+     * Unit @p u's (row, column range) chunks, built once at
+     * construction: ascending, tiling [begin, begin + width) exactly
+     * once, each chunk's off relative to the unit's begin.
+     */
+    std::span<const RowChunk> chunks(std::size_t u) const;
+
     /** Wire bytes of indexing overhead per transmitted unit. */
     double perUnitOverheadBytes() const { return overhead_bytes_; }
 
@@ -76,6 +84,8 @@ class RowPartition
   private:
     Granularity granularity_;
     std::vector<Unit> units_;
+    std::vector<RowChunk> chunks_;        //!< all units' chunks, in order.
+    std::vector<std::size_t> chunk_begin_; //!< unitCount() + 1 offsets.
     double overhead_bytes_;
     std::size_t total_elements_ = 0;
 };

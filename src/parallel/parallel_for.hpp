@@ -16,8 +16,10 @@
  *    index — the float rounding sequence is identical for every thread
  *    count, so reductions are *bitwise* reproducible.
  *
- * With one thread the same chunked code path runs inline on the
- * caller, so ROG_THREADS=1 and ROG_THREADS=64 are byte-identical.
+ * On a one-thread pool both loops run inline: the same fixed chunks,
+ * in ascending order, with the body called directly (no
+ * std::function, no ThreadPool::run), so ROG_THREADS=1 and
+ * ROG_THREADS=64 are byte-identical.
  */
 #ifndef ROG_PARALLEL_PARALLEL_FOR_HPP
 #define ROG_PARALLEL_PARALLEL_FOR_HPP
@@ -45,6 +47,14 @@ chunkCount(std::size_t n, std::size_t grain)
     return (n + g - 1) / g;
 }
 
+/** End of fixed chunk @p c of [begin, end) at grain @p g. */
+inline std::size_t
+chunkEnd(std::size_t begin, std::size_t end, std::size_t g, std::size_t c)
+{
+    const std::size_t lo = begin + c * g;
+    return end - lo > g ? lo + g : end;
+}
+
 /**
  * Run body(chunk_begin, chunk_end) over [begin, end) split into fixed
  * chunks of @p grain elements (last chunk ragged). Chunks execute
@@ -61,15 +71,14 @@ parallelFor(std::size_t begin, std::size_t end, std::size_t grain,
     const std::size_t n = end - begin;
     const std::size_t g = grain == 0 ? 1 : grain;
     const std::size_t chunks = chunkCount(n, g);
-    if (chunks == 1) {
-        body(begin, end);
+    const auto task = [&](std::size_t c) {
+        body(begin + c * g, chunkEnd(begin, end, g, c));
+    };
+    if (chunks == 1 || pool.threads() <= 1) {
+        for (std::size_t c = 0; c < chunks; ++c)
+            task(c);
         return;
     }
-    const std::function<void(std::size_t)> task = [&](std::size_t c) {
-        const std::size_t lo = begin + c * g;
-        const std::size_t hi = lo + g < end ? lo + g : end;
-        body(lo, hi);
-    };
     pool.run(chunks, task);
 }
 
@@ -95,12 +104,15 @@ parallelReduce(std::size_t begin, std::size_t end, std::size_t grain,
         return mapChunk(begin, end);
 
     std::vector<T> partials(chunks, identity);
-    const std::function<void(std::size_t)> task = [&](std::size_t c) {
-        const std::size_t lo = begin + c * g;
-        const std::size_t hi = lo + g < end ? lo + g : end;
-        partials[c] = mapChunk(lo, hi);
+    const auto task = [&](std::size_t c) {
+        partials[c] = mapChunk(begin + c * g, chunkEnd(begin, end, g, c));
     };
-    pool.run(chunks, task);
+    if (pool.threads() <= 1) {
+        for (std::size_t c = 0; c < chunks; ++c)
+            task(c);
+    } else {
+        pool.run(chunks, task);
+    }
 
     // Ordered pairwise tree: (p0+p1), (p2+p3), ... then recurse. The
     // association depends only on `chunks`, so the float rounding

@@ -156,10 +156,15 @@ reluBackward(const Tensor &x, const Tensor &dout, Tensor &din)
     const float *xd = x.data();
     const float *dd = dout.data();
     float *od = din.data();
+    // dout is loaded unconditionally: with the load under the branch
+    // GCC cannot if-convert the loop, with it hoisted the loop is a
+    // vectorized select. Same bits either way.
     parallel::parallelFor(
         0, x.size(), kGrain, [&](std::size_t lo, std::size_t hi) {
-            for (std::size_t i = lo; i < hi; ++i)
-                od[i] = xd[i] > 0.0f ? dd[i] : 0.0f;
+            for (std::size_t i = lo; i < hi; ++i) {
+                const float d = dd[i];
+                od[i] = xd[i] > 0.0f ? d : 0.0f;
+            }
         });
 }
 

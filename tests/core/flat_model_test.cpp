@@ -77,12 +77,12 @@ TEST(FlatModelTest, GatherGradReadsGradients)
         for (std::size_t i = 0; i < p->grad.size(); ++i)
             p->grad[i] = static_cast<float>(flat_idx++);
     std::vector<float> out(10);
-    flat.gatherGrad(3, out);
+    flat.gatherGrad(flat.rowChunks(3, out.size()), out);
     for (std::size_t i = 0; i < out.size(); ++i)
         EXPECT_EQ(out[i], static_cast<float>(3 + i));
 }
 
-TEST(FlatModelTest, ForEachRowChunkTilesRange)
+TEST(FlatModelTest, RowChunksTileRange)
 {
     nn::Model m = testModel();
     FlatModel flat(m);
@@ -91,32 +91,24 @@ TEST(FlatModelTest, ForEachRowChunkTilesRange)
     const std::size_t length = flat.flatSize() - 5;
     std::size_t covered = 0;
     std::size_t last_off = 0;
-    flat.forEachRowChunk(begin, length,
-                         [&](std::size_t row, std::size_t col,
-                             std::size_t count, std::size_t off) {
-                             const RowInfo &info = flat.rowInfo(row);
-                             EXPECT_EQ(info.flat_begin + col,
-                                       begin + off);
-                             EXPECT_LE(col + count, info.width);
-                             EXPECT_EQ(off, last_off);
-                             last_off = off + count;
-                             covered += count;
-                         });
+    for (const RowChunk &c : flat.rowChunks(begin, length)) {
+        const RowInfo &info = flat.rowInfo(c.row);
+        EXPECT_EQ(info.flat_begin + c.col, begin + c.off);
+        EXPECT_LE(c.col + c.count, info.width);
+        EXPECT_EQ(c.off, last_off);
+        last_off = c.off + c.count;
+        covered += c.count;
+    }
     EXPECT_EQ(covered, length);
 }
 
-TEST(FlatModelTest, ForEachRowChunkSingleElement)
+TEST(FlatModelTest, RowChunksSingleElement)
 {
     nn::Model m = testModel();
     FlatModel flat(m);
-    int calls = 0;
-    flat.forEachRowChunk(7, 1,
-                         [&](std::size_t, std::size_t, std::size_t count,
-                             std::size_t) {
-                             EXPECT_EQ(count, 1u);
-                             ++calls;
-                         });
-    EXPECT_EQ(calls, 1);
+    const auto chunks = flat.rowChunks(7, 1);
+    ASSERT_EQ(chunks.size(), 1u);
+    EXPECT_EQ(chunks[0].count, 1u);
 }
 
 TEST(FlatModelTest, OutOfBoundsDies)
@@ -124,8 +116,9 @@ TEST(FlatModelTest, OutOfBoundsDies)
     nn::Model m = testModel();
     FlatModel flat(m);
     EXPECT_DEATH(flat.rowOfOffset(flat.flatSize()), "range");
-    std::vector<float> big(flat.flatSize() + 1);
-    EXPECT_DEATH(flat.gatherGrad(0, big), "bounds");
+    EXPECT_DEATH(flat.rowChunks(0, flat.flatSize() + 1), "bounds");
+    std::vector<float> small(5);
+    EXPECT_DEATH(flat.gatherGrad(flat.rowChunks(0, 10), small), "bounds");
 }
 
 } // namespace

@@ -5,8 +5,12 @@
  */
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
+
 #include "common/rng.hpp"
 #include "core/row_partition.hpp"
+#include "core/workloads.hpp"
 #include "nn/model.hpp"
 
 namespace rog {
@@ -63,6 +67,88 @@ INSTANTIATE_TEST_SUITE_P(AllGranularities, PartitionCoverage,
                                            Granularity::Row,
                                            Granularity::Layer,
                                            Granularity::WholeModel));
+
+/** The paper workloads' replica architectures (weights irrelevant). */
+nn::Model
+paperModel(bool crimp)
+{
+    Rng rng(3);
+    return crimp ? nn::makeImplicitMap(CrimpWorkloadConfig{}.model, rng)
+                 : nn::makeClassifier(CrudaWorkloadConfig{}.model, rng);
+}
+
+/** Property: each unit's chunk table tiles the unit exactly once, in
+ *  ascending order, and every chunk agrees with FlatModel::rowInfo. */
+class ChunkTableTiling
+    : public ::testing::TestWithParam<std::tuple<Granularity, bool>>
+{
+};
+
+TEST_P(ChunkTableTiling, EveryUnitOnPaperModels)
+{
+    const auto [granularity, crimp] = GetParam();
+    nn::Model m = paperModel(crimp);
+    FlatModel flat(m);
+    RowPartition p(flat, granularity);
+    std::size_t total = 0;
+    for (std::size_t u = 0; u < p.unitCount(); ++u) {
+        const Unit &unit = p.unit(u);
+        const auto chunks = p.chunks(u);
+        ASSERT_FALSE(chunks.empty()) << "unit " << u;
+        std::size_t next_off = 0;
+        for (const RowChunk &c : chunks) {
+            ASSERT_LT(c.row, flat.rowCount()) << "unit " << u;
+            const RowInfo &info = flat.rowInfo(c.row);
+            EXPECT_EQ(c.off, next_off) << "unit " << u;
+            EXPECT_GT(c.count, 0u) << "unit " << u;
+            EXPECT_LE(c.col + c.count, info.width) << "unit " << u;
+            EXPECT_EQ(info.flat_begin + c.col, unit.begin + c.off)
+                << "unit " << u;
+            // A chunk ends at its row's end or at the unit's end.
+            if (c.off + c.count < unit.width) {
+                EXPECT_EQ(c.col + c.count, info.width) << "unit " << u;
+            }
+            next_off = c.off + c.count;
+        }
+        EXPECT_EQ(next_off, unit.width) << "unit " << u;
+        total += next_off;
+    }
+    EXPECT_EQ(total, flat.flatSize());
+    if (granularity == Granularity::Row) {
+        for (std::size_t u = 0; u < p.unitCount(); ++u) {
+            ASSERT_EQ(p.chunks(u).size(), 1u);
+            EXPECT_EQ(p.chunks(u)[0].row, u);
+            EXPECT_EQ(p.chunks(u)[0].col, 0u);
+        }
+    }
+}
+
+std::string
+chunkTableName(
+    const ::testing::TestParamInfo<ChunkTableTiling::ParamType> &info)
+{
+    static const char *const kNames[] = {"Element", "Row", "Layer",
+                                         "WholeModel"};
+    return std::string(kNames[static_cast<int>(std::get<0>(info.param))]) +
+           (std::get<1>(info.param) ? "_Crimp" : "_Cruda");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PaperModels, ChunkTableTiling,
+    ::testing::Combine(::testing::Values(Granularity::Element,
+                                         Granularity::Row,
+                                         Granularity::Layer,
+                                         Granularity::WholeModel),
+                       ::testing::Bool()),
+    chunkTableName);
+
+TEST(RowPartitionTest, ChunksOfOutOfRangeUnitDies)
+{
+    nn::Model m = testModel();
+    FlatModel flat(m);
+    RowPartition p(flat, Granularity::Row);
+    EXPECT_DEATH(p.chunks(p.unitCount()), "range");
+}
 
 TEST(RowPartitionTest, RowUnitsMatchMatrixRows)
 {

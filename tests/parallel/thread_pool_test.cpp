@@ -9,11 +9,15 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <mutex>
 #include <numeric>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -59,21 +63,29 @@ TEST(ThreadPoolTest, ReusableAcrossManyRegions)
 
 TEST(ThreadPoolTest, NestedRegionsRunInline)
 {
-    ThreadPool pool(4);
-    std::vector<std::atomic<int>> hits(8 * 8);
-    pool.run(8, [&](std::size_t outer) {
-        // A nested region on a pool thread must not deadlock; it runs
-        // the inner tasks inline on the calling thread.
-        parallelFor(
-            0, 8, 1,
-            [&](std::size_t lo, std::size_t hi) {
-                for (std::size_t inner = lo; inner < hi; ++inner)
-                    hits[outer * 8 + inner].fetch_add(1);
-            },
-            pool);
-    });
-    for (auto &h : hits)
-        EXPECT_EQ(h.load(), 1);
+    // On the pooled path (4) and the one-thread inline path (1).
+    for (std::size_t threads : {4u, 1u}) {
+        ThreadPool pool(threads);
+        std::vector<std::atomic<int>> hits(8 * 8);
+        std::atomic<int> foreign{0};
+        pool.run(8, [&](std::size_t outer) {
+            // A nested region on a pool thread must not deadlock; it
+            // runs the inner tasks inline on the calling thread.
+            const auto outer_thread = std::this_thread::get_id();
+            parallelFor(
+                0, 8, 1,
+                [&](std::size_t lo, std::size_t hi) {
+                    if (std::this_thread::get_id() != outer_thread)
+                        foreign.fetch_add(1);
+                    for (std::size_t inner = lo; inner < hi; ++inner)
+                        hits[outer * 8 + inner].fetch_add(1);
+                },
+                pool);
+        });
+        EXPECT_EQ(foreign.load(), 0) << "threads=" << threads;
+        for (auto &h : hits)
+            EXPECT_EQ(h.load(), 1) << "threads=" << threads;
+    }
 }
 
 TEST(ThreadPoolTest, ResolveThreadsDefaultsToOne)
@@ -112,6 +124,48 @@ TEST(ParallelForTest, CoversRangeExactlyOnceForAnyThreadCount)
     }
 }
 
+/** The (lo, hi) chunks a parallel region ran, in the order they
+ *  started, each tagged with its thread. */
+struct ChunkLog
+{
+    std::mutex mu;
+    std::vector<std::pair<std::size_t, std::size_t>> chunks;
+    std::vector<std::thread::id> threads;
+
+    void
+    add(std::size_t lo, std::size_t hi)
+    {
+        std::lock_guard<std::mutex> lock(mu);
+        chunks.emplace_back(lo, hi);
+        threads.push_back(std::this_thread::get_id());
+    }
+};
+
+TEST(ParallelForTest, OneThreadPoolRunsTheSameChunksInlineInOrder)
+{
+    auto runWith = [](ThreadPool &pool, ChunkLog &log) {
+        parallelFor(
+            3, 1003, 64, [&](std::size_t lo, std::size_t hi) { log.add(lo, hi); },
+            pool);
+    };
+    ThreadPool one(1);
+    ThreadPool four(4);
+    ChunkLog inline_log, pooled_log;
+    runWith(one, inline_log);
+    runWith(four, pooled_log);
+
+    ASSERT_EQ(inline_log.chunks.size(), chunkCount(1000, 64));
+    EXPECT_TRUE(std::is_sorted(inline_log.chunks.begin(),
+                               inline_log.chunks.end()));
+    for (const auto &t : inline_log.threads)
+        EXPECT_EQ(t, std::this_thread::get_id());
+    EXPECT_EQ(inline_log.chunks.front().first, 3u);
+    EXPECT_EQ(inline_log.chunks.back().second, 1003u);
+
+    std::sort(pooled_log.chunks.begin(), pooled_log.chunks.end());
+    EXPECT_EQ(inline_log.chunks, pooled_log.chunks);
+}
+
 TEST(ParallelForTest, EmptyRangeDoesNothing)
 {
     ThreadPool pool(4);
@@ -137,15 +191,26 @@ TEST(ParallelReduceTest, BitwiseIdenticalAcrossThreadCounts)
 
         auto reduceWith = [&](std::size_t threads) {
             ThreadPool pool(threads);
-            return parallelReduce(
+            ChunkLog log;
+            const float sum = parallelReduce(
                 0, n, 4096, 0.0f,
                 [&](std::size_t lo, std::size_t hi) {
+                    log.add(lo, hi);
                     float s = 0.0f;
                     for (std::size_t i = lo; i < hi; ++i)
                         s += v[i];
                     return s;
                 },
                 [](float a, float b) { return a + b; }, pool);
+            EXPECT_EQ(log.chunks.size(), chunkCount(n, 4096));
+            if (threads == 1) {
+                // The inline path: ascending chunks on the caller.
+                EXPECT_TRUE(std::is_sorted(log.chunks.begin(),
+                                           log.chunks.end()));
+                for (const auto &t : log.threads)
+                    EXPECT_EQ(t, std::this_thread::get_id());
+            }
+            return sum;
         };
 
         const float base = reduceWith(1);
