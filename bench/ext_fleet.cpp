@@ -1,23 +1,35 @@
 /**
  * @file
- * Extension — fleet-scale sweep (ISSUE 10 capstone): the parallel
- * fleet DES from core/fleet.hpp swept over 16 / 64 / 256 / 1024
- * workers on the airtime-fair channel, emitting BENCH_fleet.json for
+ * Extension — fleet-scale sweep: the parallel fleet DES from
+ * core/fleet.hpp swept over 16 / 64 / 256 / 1024 / 4096 workers on the
+ * airtime-fair channel, emitting BENCH_fleet.json for
  * scripts/check_bench_regress.py.
  *
  * Per fleet size the bench reports:
- *  - events/s and wall-s per simulated-s of the full simulation;
+ *  - events/s and wall-s per simulated-s of the full simulation on the
+ *    ROG_THREADS pool, and ns per event on a one-thread pool (best of
+ *    three runs each; the runs are deterministic, only the wall
+ *    varies);
  *  - an event-core churn microbenchmark (schedule / cancel / step
- *    with fleet-sized closures) isolating the queue itself, where the
- *    acceptance gate lives: at the largest sweep size the heap core
- *    must clear >= 3x the std::map baseline's ops/s;
+ *    with fleet-sized closures) isolating the queue itself;
  *  - the final accuracy gap of ROG (RSP threshold 4 + ATP partial
  *    pushes) versus BSP lockstep at equal iteration counts, peak RSS,
  *    and the BufferPool hit rate of the transfer-staging leases.
  *
+ * Two acceptance gates fail the run (exit 1) on the full sweep:
+ *  - at 1024 workers the heap event core must clear >= 3x the
+ *    std::map baseline's ops/s;
+ *  - at 1024 workers the full simulation must cost at most 2x the
+ *    16-worker ns per event on the one-thread pool: the server's push,
+ *    pull and the channel are O(width) and O(log active) per event,
+ *    not O(workers). The gate reads the one-thread records because on
+ *    a pool the per-event cost at 1024 workers is dominated by lane
+ *    state migrating between cores at every flush, which varied 1.9-2.9x
+ *    against 16 workers between runs of one build on a shared VM.
+ *
  * ROG_BENCH_FAST=1 shrinks the sweep to 16/64 workers for the
- * bench_fleet_smoke ctest entry (the >= 3x gate is only enforced on
- * the full sweep).
+ * bench_fleet_smoke ctest entry (the gates are only enforced on the
+ * full sweep).
  */
 #include <sys/resource.h>
 
@@ -169,6 +181,25 @@ writeJson(const std::string &path, const std::vector<Record> &recs)
     os << "]\n";
 }
 
+/** Best-of-three wall seconds of the full simulation on @p pool; the
+ *  first run's result (its pool hit rate is the cold one) in @p out. */
+double
+bestSimWall(const rog::core::FleetConfig &cfg,
+            rog::parallel::ThreadPool &pool, rog::core::FleetResult &out)
+{
+    double best = 0.0;
+    for (int rep = 0; rep < 3; ++rep) {
+        const auto t0 = Clock::now();
+        const rog::core::FleetResult r =
+            rog::core::runFleetSimulation(cfg, pool);
+        const double wall = wallSeconds(t0);
+        if (rep == 0)
+            out = r;
+        best = rep == 0 ? wall : std::min(best, wall);
+    }
+    return best;
+}
+
 } // namespace
 
 int
@@ -203,16 +234,19 @@ main(int argc, char **argv)
     if (fast)
         sweep = {{16, 4}, {64, 2}};
     else
-        sweep = {{16, 32}, {64, 16}, {256, 8}, {1024, 4}};
+        sweep = {{16, 32}, {64, 16}, {256, 8}, {1024, 4}, {4096, 2}};
 
     const std::size_t threads = parallel::ThreadPool::resolveThreads();
+    parallel::ThreadPool serial(1);
     std::vector<Record> recs;
     Table t("Fleet sweep (ROG threshold 4 + ATP vs BSP lockstep)",
             {"workers", "events", "heap_ev/s", "sim_s/wall_s",
-             "acc_gap_rog-bsp", "core_ratio", "pool_hit", "rss_mb"});
+             "ns/ev_1thr", "acc_gap_rog-bsp", "core_ratio", "pool_hit",
+             "rss_mb"});
 
-    double largest_core_ratio = 0.0;
-    std::size_t largest_workers = 0;
+    double core_ratio_1024 = 0.0;
+    double sim_ns_16 = 0.0;
+    double sim_ns_1024 = 0.0;
 
     for (const Sweep &sw : sweep) {
         core::FleetConfig cfg;
@@ -225,9 +259,13 @@ main(int argc, char **argv)
         cfg.atp = true;
         cfg.seed = 7;
 
-        auto t0 = Clock::now();
-        const core::FleetResult heap = core::runFleetSimulation(cfg);
-        const double heap_wall = wallSeconds(t0);
+        core::FleetResult heap;
+        const double heap_wall =
+            bestSimWall(cfg, parallel::ThreadPool::global(), heap);
+        core::FleetResult serial_run;
+        const double serial_ns =
+            bestSimWall(cfg, serial, serial_run) * 1e9 /
+            static_cast<double>(serial_run.events_processed);
         const double heap_evs =
             static_cast<double>(heap.events_processed) / heap_wall;
 
@@ -255,8 +293,6 @@ main(int argc, char **argv)
                               churn_iters, churn_cap, core_ops));
         }
         const double core_ratio = core_heap / core_map;
-        largest_core_ratio = core_ratio;
-        largest_workers = sw.workers;
 
         const std::size_t rss = peakRssBytes();
 
@@ -274,6 +310,21 @@ main(int argc, char **argv)
         heap_rec.pool_hit_rate = heap.pool_hit_rate;
         heap_rec.peak_rss_bytes = rss;
         recs.push_back(heap_rec);
+
+        Record serial_rec;
+        serial_rec.op = "BM_FleetSim";
+        serial_rec.size = sw.workers;
+        serial_rec.threads = 1;
+        serial_rec.ns_per_op = serial_ns;
+        serial_rec.items_per_s = 1e9 / serial_ns;
+        serial_rec.label = "heap";
+        recs.push_back(serial_rec);
+        if (sw.workers == 16)
+            sim_ns_16 = serial_ns;
+        if (sw.workers == 1024) {
+            sim_ns_1024 = serial_ns;
+            core_ratio_1024 = core_ratio;
+        }
 
         Record core_rec;
         core_rec.op = "BM_FleetEventCore";
@@ -297,7 +348,8 @@ main(int argc, char **argv)
                   std::to_string(heap.events_processed),
                   Table::num(heap_evs, 0),
                   Table::num(heap.sim_seconds / heap_wall, 2),
-                  Table::num(gap, 4), Table::num(core_ratio, 2),
+                  Table::num(serial_ns, 1), Table::num(gap, 4),
+                  Table::num(core_ratio, 2),
                   Table::num(heap.pool_hit_rate, 3),
                   Table::num(static_cast<double>(rss) / (1u << 20),
                              1)});
@@ -307,16 +359,30 @@ main(int argc, char **argv)
     writeJson(out_path, recs);
     std::cout << ">> wrote " << out_path << " (" << recs.size()
               << " records)\n";
-    std::cout << ">> event core at " << largest_workers
-              << " workers: heap " << Table::num(largest_core_ratio, 2)
+    if (fast)
+        return 0;
+    std::cout << ">> event core at 1024 workers: heap "
+              << Table::num(core_ratio_1024, 2)
               << "x over std::map baseline\n";
-
-    if (!fast && largest_core_ratio < 3.0) {
-        std::cerr << "FAIL: heap event core only "
-                  << largest_core_ratio
-                  << "x over std::map at largest sweep size "
+    std::cout << ">> full simulation, one thread: "
+              << Table::num(sim_ns_1024, 1)
+              << " ns/event at 1024 workers, "
+              << Table::num(sim_ns_16, 1) << " at 16 ("
+              << Table::num(sim_ns_1024 / sim_ns_16, 2) << "x)\n";
+    int status = 0;
+    if (core_ratio_1024 < 3.0) {
+        std::cerr << "FAIL: heap event core only " << core_ratio_1024
+                  << "x over std::map at 1024 workers "
                      "(acceptance gate requires >= 3x)\n";
-        return 1;
+        status = 1;
     }
-    return 0;
+    if (sim_ns_1024 > 2.0 * sim_ns_16) {
+        std::cerr << "FAIL: full simulation costs " << sim_ns_1024
+                  << " ns/event at 1024 workers on one thread, more "
+                     "than 2x the "
+                  << sim_ns_16
+                  << " at 16 (acceptance gate requires <= 2x)\n";
+        status = 1;
+    }
+    return status;
 }

@@ -849,6 +849,7 @@ Engine::pullProcess(WorkerContext &w)
     const std::size_t units = partition_->unitCount();
     const bool atp = cfg_.system.atp;
     const double header = kTransferHeaderBytes;
+    std::vector<float> pending;
     std::vector<float> decoded;
 
     std::vector<std::size_t> cand;
@@ -931,11 +932,11 @@ Engine::pullProcess(WorkerContext &w)
                 continue;
             if (cfg_.invariants)
                 cfg_.invariants->onApply(w.id, u, had_pending);
-            auto pending = server_->pending(w.id, u);
+            pending.resize(partition_->unit(u).width);
+            server_->takePending(w.id, u, pending);
             decoded.resize(pending.size());
             transcodeUnit(*w.pull_codec, *w.flat, u, pending, decoded);
             applyRowChunks(*w.opt, partition_->chunks(u), decoded);
-            server_->clearPending(w.id, u);
         }
         if (atp && pull_elapsed > 0.0) {
             server_->report(w.id, pull_wire, pull_elapsed,

@@ -41,6 +41,7 @@
 
 #include "common/buffer_pool.hpp"
 #include "common/crc32c.hpp"
+#include "core/fair_share_channel.hpp"
 #include "core/mta.hpp"
 #include "core/server_checkpoint.hpp"
 #include "core/server_shard.hpp"
@@ -109,6 +110,14 @@ class FleetEngine
                                                   shards_);
         for (std::size_t s = 0; s < shards_; ++s)
             lanes_.emplace_back();
+        for (std::size_t row = 0; row < cfg.rows; ++row) {
+            Lane &lane = lanes_[server_->shardOf(row)];
+            if (lane.end_row == 0)
+                lane.first_row = row;
+            lane.end_row = row + 1;
+        }
+        mta_bytes_ = mtaFraction(cfg_.staleness_threshold) *
+                     static_cast<double>(cfg.rows * cfg.row_width) * 4.0;
 
         target_.resize(cfg.rows * cfg.row_width);
         for (std::size_t i = 0; i < target_.size(); ++i)
@@ -190,18 +199,9 @@ class FleetEngine
         sim::EventQueue queue;
         std::uint64_t events = 0;
         std::uint32_t crc = 0;
-    };
-
-    struct Transfer
-    {
-        std::uint32_t worker = 0;
-        bool is_pull = false;
-        std::uint64_t seq = 0; //!< start order (completion tie-break).
-        double remaining = 0.0;
-        double rate = 0.0;
-        /** rate / n, n the active count at the last settle; 0 until the
-         *  first settle after the transfer started. */
-        double share = 0.0;
+        std::size_t first_row = 0; //!< the shard's contiguous rows.
+        std::size_t end_row = 0;
+        std::vector<float> row; //!< deliverPending scratch.
     };
 
     // ---- deterministic hashes ----
@@ -307,75 +307,43 @@ class FleetEngine
     }
 
     // ---- airtime-fair fluid channel ----
-    /**
-     * One pass over the active transfers. Each moves forward to now at
-     * the share it was given by the previous settle (a transfer started
-     * since then has share 0 and stays put), takes its share under the
-     * current count, and gets a finish time; the completion event is
-     * re-armed for the transfer that finishes first (ties by start
-     * order).
-     */
+    /** Re-arm the completion event for the channel's next finisher. */
     void
-    channelSettle()
+    channelRearm()
     {
         if (channel_ev_.valid()) {
             coord_.cancel(channel_ev_);
             channel_ev_ = {};
         }
-        const double dt = coord_.now() - channel_last_;
-        channel_last_ = coord_.now();
-        if (active_.empty())
-            return;
-        const double n = static_cast<double>(active_.size());
-        double best_fin = 0.0;
-        std::uint64_t best_seq = 0;
-        for (std::size_t i = 0; i < active_.size(); ++i) {
-            Transfer &tr = active_[i];
-            if (dt != 0.0)
-                tr.remaining -= dt * tr.share;
-            tr.share = tr.rate / n;
-            const double rem = tr.remaining > 0.0 ? tr.remaining : 0.0;
-            const double fin = rem / tr.share;
-            if (best_seq == 0 || fin < best_fin ||
-                (fin == best_fin && tr.seq < best_seq)) {
-                best_fin = fin;
-                best_seq = tr.seq;
-                channel_next_ = i;
-            }
-        }
-        channel_ev_ = coord_.schedule(coord_.now() + best_fin,
-                                      [this] { onChannelFire(); });
+        if (!channel_.empty())
+            channel_ev_ = coord_.schedule(channel_.nextFinish(),
+                                          [this] { onChannelFire(); });
     }
 
-    /** Append a transfer. The caller settles the channel afterwards;
+    /** Start a transfer. The caller re-arms the channel afterwards;
      *  inside a completion handler, onChannelFire does. */
     void
     channelStart(std::size_t w, bool is_pull, double bytes)
     {
-        Transfer tr;
-        tr.worker = static_cast<std::uint32_t>(w);
-        tr.is_pull = is_pull;
-        tr.seq = next_transfer_seq_++;
-        tr.remaining = bytes;
-        tr.rate = workers_[w].link_rate;
-        active_.push_back(tr);
+        channel_.start(coord_.now(), bytes, workers_[w].link_rate,
+                       (static_cast<std::uint64_t>(w) << 1) |
+                           (is_pull ? 1u : 0u));
         total_bytes_ += bytes;
     }
 
-    /** The transfer channel_next_ finished: drop it, run its handler,
-     *  then settle the rest under the new shares. */
+    /** The next transfer finished: drop it, run its handler, then
+     *  re-arm for the rest under the new shares. */
     void
     onChannelFire()
     {
         channel_ev_ = {};
-        const Transfer done = active_[channel_next_];
-        active_[channel_next_] = active_.back();
-        active_.pop_back();
-        if (done.is_pull)
-            onPullComplete(done.worker);
+        const std::uint64_t tag = channel_.finish(coord_.now());
+        const auto w = static_cast<std::size_t>(tag >> 1);
+        if (tag & 1u)
+            onPullComplete(w);
         else
-            onPushComplete(done.worker);
-        channelSettle();
+            onPushComplete(w);
+        channelRearm();
     }
 
     // ---- worker state machine ----
@@ -462,7 +430,7 @@ class FleetEngine
             static_cast<double>(push_rows_ * width) * 4.0 +
             cfg_.header_bytes;
         channelStart(w, /*is_pull=*/false, bytes);
-        channelSettle();
+        channelRearm();
     }
 
     void
@@ -480,9 +448,6 @@ class FleetEngine
             static_cast<double>(push_rows_ * cfg_.row_width) * 4.0 +
             cfg_.header_bytes;
         const double elapsed = coord_.now() - fw.push_start;
-        const double mta_bytes =
-            mtaFraction(cfg_.staleness_threshold) *
-            static_cast<double>(cfg_.rows * cfg_.row_width) * 4.0;
 
         // Apply ops: one per shard that owns a pushed row. The op
         // routes through the ShardedServer facade, which touches only
@@ -497,8 +462,8 @@ class FleetEngine
                 });
             // MTA reports replicate into every lane's tracker so the
             // per-shard EWMAs stay identical replicas.
-            enqueueShard(s, [this, s, w, bytes, elapsed, mta_bytes] {
-                server_->shard(s).report(w, bytes, elapsed, mta_bytes);
+            enqueueShard(s, [this, s, w, bytes, elapsed] {
+                server_->shard(s).report(w, bytes, elapsed, mta_bytes_);
                 logLane(s, kTagReport, w, 0, s);
             });
         }
@@ -577,15 +542,16 @@ class FleetEngine
     deliverPending(std::size_t s, std::size_t w)
     {
         const std::size_t width = cfg_.row_width;
-        for (std::size_t row = 0; row < cfg_.rows; ++row) {
-            if (server_->shardOf(row) != s ||
-                !server_->hasPending(w, row))
+        Lane &lane = lanes_[s];
+        std::vector<float> &p = lane.row;
+        p.resize(width);
+        for (std::size_t row = lane.first_row; row < lane.end_row; ++row) {
+            if (!server_->hasPending(w, row))
                 continue;
-            std::span<float> p = server_->pending(w, row);
+            server_->takePending(w, row, p);
             float *x = replicaRow(w, row);
             for (std::size_t j = 0; j < width; ++j)
                 x[j] -= cfg_.learning_rate * p[j];
-            server_->clearPending(w, row);
             logLane(s, kTagDeliver, w, 0, row);
         }
     }
@@ -650,6 +616,7 @@ class FleetEngine
     parallel::ThreadPool &pool_;
     std::size_t shards_ = 1;
     std::size_t push_rows_ = 0;
+    double mta_bytes_ = 0.0; //!< MTA report's byte budget.
 
     std::unique_ptr<ShardedServer> server_;
     std::deque<Lane> lanes_; //!< deque: a queue is pinned (non-movable).
@@ -670,11 +637,8 @@ class FleetEngine
     std::uint64_t coord_events_ = 0;
     std::uint32_t coord_crc_ = 0;
 
-    std::vector<Transfer> active_;
+    FairShareChannel channel_;
     sim::EventQueue::id_type channel_ev_{};
-    std::size_t channel_next_ = 0; //!< active_ index of the finisher.
-    std::uint64_t next_transfer_seq_ = 1;
-    double channel_last_ = 0.0;
 
     double total_bytes_ = 0.0;
     std::uint64_t iterations_done_ = 0;

@@ -460,10 +460,9 @@ ServerNode::answerPull(std::size_t w, std::int64_t iter)
             continue;
         UnitUpdate up;
         up.unit = static_cast<std::uint32_t>(u);
-        std::span<float> pending = server_.pending(w, u);
-        up.values.assign(pending.begin(), pending.end());
+        up.values.resize(partition_->unit(u).width);
+        server_.takePending(w, u, up.values);
         pd.units.push_back(std::move(up));
-        server_.clearPending(w, u);
     }
     peers_[w].pending_pull = -1;
     table_.noteResponse(w, iter);

@@ -16,13 +16,16 @@ namespace core {
 namespace {
 
 constexpr char kMagic[4] = {'R', 'O', 'G', 'S'};
-// v2 appends server-recovery state: run epoch, the session table
-// (resume tokens + watermarks), and the model blob. v1 files predate
-// recoverable socket servers and are rejected rather than guessed at.
-constexpr std::uint32_t kVersion = 2;
+// v2 appended server-recovery state: run epoch, the session table
+// (resume tokens + watermarks), and the model blob. v3 stores each
+// pending row as the server's exact fixed-point units (int64), not as
+// floats, which cannot restore the running sums exactly. v1 and v2
+// files are rejected rather than guessed at.
+constexpr std::uint32_t kVersion = 3;
 
-// A server checkpoint holds one float per (worker, unit, element):
-// anything past this is a corrupted size field, not a real file.
+// A server checkpoint holds one int64 per (worker, unit, element) plus
+// the model blob: anything past this is a corrupted size field, not a
+// real file.
 constexpr std::uint64_t kMaxPayload = 1ull << 30;
 
 void
@@ -70,14 +73,15 @@ class Cursor
     }
 
     void
-    takeFloats(std::vector<float> &dst, std::size_t n)
+    takeInt64s(std::vector<std::int64_t> &dst, std::size_t n)
     {
-        if ((size_ - pos_) / sizeof(float) < n)
+        if ((size_ - pos_) / sizeof(std::int64_t) < n)
             ROG_FATAL("server checkpoint: truncated payload");
         dst.resize(n);
         if (n > 0) // empty vector data() may be null.
-            std::memcpy(dst.data(), data_ + pos_, n * sizeof(float));
-        pos_ += n * sizeof(float);
+            std::memcpy(dst.data(), data_ + pos_,
+                        n * sizeof(std::int64_t));
+        pos_ += n * sizeof(std::int64_t);
     }
 
     void
@@ -135,7 +139,7 @@ encodePayload(const ServerCheckpoint &c)
             const auto &buf = c.server.outbox[w][u];
             putU32(out, static_cast<std::uint32_t>(buf.size()));
             out.append(reinterpret_cast<const char *>(buf.data()),
-                       buf.size() * sizeof(float));
+                       buf.size() * sizeof(std::int64_t));
         }
         out.append(reinterpret_cast<const char *>(
                        c.server.has_pending[w].data()),
@@ -201,7 +205,7 @@ decodePayload(const std::string &payload)
         c.server.outbox[w].resize(units);
         for (std::uint32_t u = 0; u < units; ++u) {
             const auto width = cur.take<std::uint32_t>();
-            cur.takeFloats(c.server.outbox[w][u], width);
+            cur.takeInt64s(c.server.outbox[w][u], width);
         }
         c.server.has_pending[w].resize(units);
         for (auto &p : c.server.has_pending[w])

@@ -1,7 +1,6 @@
 #include "core/server_shard.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 
 #include "common/logging.hpp"
@@ -11,27 +10,78 @@ namespace core {
 
 namespace {
 
-/** accumulate() adds into the outbox in fixed blocks of this many
- *  floats. */
-constexpr std::size_t kBlock = 64;
+// The row kernels carry an AVX2 clone beside the baseline one: both
+// run the same IEEE double and integer operations, so every clone
+// gives the same bits. Not under TSan: it instruments the ifunc
+// resolver, which runs before the TSan runtime is up.
+#if defined(__GNUC__) && !defined(__clang__) && defined(__x86_64__) && \
+    !defined(__SANITIZE_THREAD__)
+#define ROG_ROW_KERNEL [[gnu::target_clones("avx2", "default")]]
+#else
+#define ROG_ROW_KERNEL
+#endif
+
+/** sum[j] += quantise(decoded[j]), wrapping. */
+ROG_ROW_KERNEL void
+addQuantised(std::uint64_t *__restrict sum,
+             const float *__restrict decoded, double scale,
+             std::size_t n)
+{
+    for (std::size_t j = 0; j < n; ++j)
+        sum[j] += static_cast<std::uint64_t>(
+            fixed::quantise(decoded[j], scale));
+}
+
+/** out[j] = sum[j] - snap[j] as a float, then snap[j] = sum[j]. */
+ROG_ROW_KERNEL void
+takeRow(std::uint64_t *__restrict snap,
+        const std::uint64_t *__restrict sum, float *__restrict out,
+        std::size_t n)
+{
+    for (std::size_t j = 0; j < n; ++j) {
+        out[j] =
+            fixed::dequantise(static_cast<std::int64_t>(sum[j] - snap[j]));
+        snap[j] = sum[j];
+    }
+}
+
+/** sum(|sum[j] - snap[j]|) in units, as a double. The magnitudes are
+ *  summed as 32-bit halves in two 64-bit sums, so no row shorter than
+ *  2^32 overflows, and rounded once. */
+ROG_ROW_KERNEL double
+sumAbsPending(const std::uint64_t *__restrict sum,
+              const std::uint64_t *__restrict snap, std::size_t n)
+{
+    std::uint64_t hi = 0;
+    std::uint64_t lo = 0;
+    for (std::size_t j = 0; j < n; ++j) {
+        const std::uint64_t d = sum[j] - snap[j];
+        const std::uint64_t neg = 0 - (d >> 63); // all ones if d < 0.
+        const std::uint64_t mag = (d ^ neg) - neg;
+        hi += mag >> 32;
+        lo += mag & 0xFFFFFFFFull;
+    }
+    return static_cast<double>(hi) * 0x1p32 + static_cast<double>(lo);
+}
 
 } // namespace
 
 ServerShard::ServerShard(std::size_t workers,
                          std::vector<std::size_t> unit_widths)
-    : workers_(workers), unit_widths_(std::move(unit_widths)),
-      tracker_(workers)
+    : workers_(workers), scale_(fixed::scaleFor(workers)),
+      unit_widths_(std::move(unit_widths)), tracker_(workers)
 {
     ROG_ASSERT(workers_ > 0, "shard needs at least one worker");
     ROG_ASSERT(!unit_widths_.empty(), "shard needs at least one unit");
-    std::size_t floats = 0;
     unit_offsets_.reserve(unit_widths_.size());
     for (std::size_t w : unit_widths_) {
-        unit_offsets_.push_back(floats);
-        floats += workers_ * w;
+        unit_offsets_.push_back(row_elems_);
+        row_elems_ += w;
     }
-    outbox_.assign(floats, 0.0f);
-    has_pending_.assign(unit_widths_.size() * workers_, 0);
+    sums_.assign(row_elems_, 0);
+    snaps_.assign(workers_ * row_elems_, 0);
+    pushes_.assign(unit_widths_.size(), 0);
+    taken_.assign(workers_ * unit_widths_.size(), 0);
     last_update_.assign(unit_widths_.size(), 0);
     versions_.assign(workers_ * unit_widths_.size(), 0);
     retired_.assign(workers_, 0);
@@ -43,56 +93,34 @@ ServerShard::accumulate(std::size_t unit, std::span<const float> decoded)
     ROG_ASSERT(unit < unit_widths_.size(), "unit out of range");
     ROG_ASSERT(decoded.size() == unit_widths_[unit],
                "decoded width mismatch");
-    // Every element gets dst += scale * decoded[j] with the product
-    // rounded to float first (rog_core is built with -ffp-contract=off),
-    // so the result is bit-identical to a per-worker nested-vector
-    // server. Only the addresses and the order across elements differ.
-    const auto scale =
-        static_cast<float>(1.0 / static_cast<double>(workers_));
-    const std::size_t width = decoded.size();
-    float *dst = outbox_.data() + offset(0, unit);
-    std::fill_n(has_pending_.begin() +
-                    static_cast<std::ptrdiff_t>(flag(0, unit)),
-                workers_, std::uint8_t{1});
-    if (width == 0 || width > kBlock) {
-        for (std::size_t w = 0; w < workers_; ++w, dst += width)
-            for (std::size_t j = 0; j < width; ++j)
-                dst[j] += scale * decoded[j];
-        return;
-    }
-    // All workers' copies of the unit are one run of workers * width
-    // floats, swept in fixed blocks of kBlock. The products repeat with
-    // period width, so the block starting at flat index i reads them
-    // from phase i % width of a window of kBlock + width. On the
-    // fleet_1024 shape this ran about 1.3-1.4x faster end to end than a
-    // per-worker row loop over the same run (EXPERIMENTS.md).
-    float products[2 * kBlock];
-    for (std::size_t j = 0; j < width; ++j)
-        products[j] = scale * decoded[j];
-    for (std::size_t k = width; k < kBlock + width; ++k)
-        products[k] = products[k - width];
-    const std::size_t total = workers_ * width;
-    const std::size_t step = kBlock % width;
-    std::size_t phase = 0;
-    std::size_t i = 0;
-    for (; i + kBlock <= total; i += kBlock) {
-        const float *src = products + phase;
-        for (std::size_t j = 0; j < kBlock; ++j)
-            dst[i + j] += src[j];
-        phase += step;
-        if (phase >= width)
-            phase -= width;
-    }
-    for (std::size_t j = 0; i + j < total; ++j)
-        dst[i + j] += products[phase + j];
+    addQuantised(sums_.data() + unit_offsets_[unit], decoded.data(),
+                 scale_, decoded.size());
+    ++pushes_[unit];
 }
 
-std::span<float>
-ServerShard::pending(std::size_t worker, std::size_t unit)
+void
+ServerShard::takePending(std::size_t worker, std::size_t unit,
+                         std::span<float> out)
 {
     ROG_ASSERT(worker < workers_ && unit < unit_widths_.size(),
                "pending index out of range");
-    return {outbox_.data() + offset(worker, unit), unit_widths_[unit]};
+    ROG_ASSERT(out.size() == unit_widths_[unit], "pending width mismatch");
+    takeRow(snaps_.data() + offset(worker, unit),
+            sums_.data() + unit_offsets_[unit], out.data(), out.size());
+    taken_[cell(worker, unit)] = pushes_[unit];
+}
+
+std::vector<std::int64_t>
+ServerShard::pending(std::size_t worker, std::size_t unit) const
+{
+    ROG_ASSERT(worker < workers_ && unit < unit_widths_.size(),
+               "pending index out of range");
+    const std::uint64_t *sum = sums_.data() + unit_offsets_[unit];
+    const std::uint64_t *snap = snaps_.data() + offset(worker, unit);
+    std::vector<std::int64_t> row(unit_widths_[unit]);
+    for (std::size_t j = 0; j < row.size(); ++j)
+        row[j] = static_cast<std::int64_t>(sum[j] - snap[j]);
+    return row;
 }
 
 bool
@@ -100,7 +128,7 @@ ServerShard::hasPending(std::size_t worker, std::size_t unit) const
 {
     ROG_ASSERT(worker < workers_ && unit < unit_widths_.size(),
                "pending index out of range");
-    return has_pending_[flag(worker, unit)] != 0;
+    return taken_[cell(worker, unit)] != pushes_[unit];
 }
 
 void
@@ -108,9 +136,10 @@ ServerShard::clearPending(std::size_t worker, std::size_t unit)
 {
     ROG_ASSERT(worker < workers_ && unit < unit_widths_.size(),
                "pending index out of range");
-    float *dst = outbox_.data() + offset(worker, unit);
-    std::fill(dst, dst + unit_widths_[unit], 0.0f);
-    has_pending_[flag(worker, unit)] = 0;
+    const std::uint64_t *sum = sums_.data() + unit_offsets_[unit];
+    std::copy(sum, sum + unit_widths_[unit],
+              snaps_.data() + offset(worker, unit));
+    taken_[cell(worker, unit)] = pushes_[unit];
 }
 
 void
@@ -129,11 +158,10 @@ ServerShard::pendingMeanAbs(std::size_t worker, std::size_t unit) const
     const std::size_t width = unit_widths_[unit];
     if (width == 0)
         return 0.0;
-    const float *buf = outbox_.data() + offset(worker, unit);
-    double s = 0.0;
-    for (std::size_t j = 0; j < width; ++j)
-        s += std::fabs(buf[j]);
-    return s / static_cast<double>(width);
+    return sumAbsPending(sums_.data() + unit_offsets_[unit],
+                         snaps_.data() + offset(worker, unit), width) /
+           static_cast<double>(std::int64_t{1} << fixed::kFracBits) /
+           static_cast<double>(width);
 }
 
 std::int64_t
@@ -232,8 +260,8 @@ ServerShard::versionSnapshot() const
 ServerStateSnapshot
 ServerShard::serverSnapshot() const
 {
-    // The snapshot keeps the legacy per-worker shape, so ROGS bytes do
-    // not depend on the arena layout.
+    // Per-worker rows of exact pending units: the ROGS bytes depend on
+    // the pending values only, not on S or the snapshots that make them.
     ServerStateSnapshot s;
     s.outbox.resize(workers_);
     s.has_pending.resize(workers_);
@@ -241,9 +269,8 @@ ServerShard::serverSnapshot() const
         s.outbox[w].resize(unit_widths_.size());
         s.has_pending[w].resize(unit_widths_.size());
         for (std::size_t u = 0; u < unit_widths_.size(); ++u) {
-            const float *src = outbox_.data() + offset(w, u);
-            s.outbox[w][u].assign(src, src + unit_widths_[u]);
-            s.has_pending[w][u] = has_pending_[flag(w, u)];
+            s.outbox[w][u] = pending(w, u);
+            s.has_pending[w][u] = hasPending(w, u) ? 1 : 0;
         }
     }
     s.last_update = last_update_;
@@ -269,20 +296,31 @@ ServerShard::restore(const VersionSnapshot &versions,
             server.outbox[w].size() != unit_widths_.size() ||
             server.has_pending[w].size() != unit_widths_.size())
             ROG_FATAL("shard snapshot unit count mismatch");
-        for (std::size_t u = 0; u < unit_widths_.size(); ++u)
-            if (server.outbox[w][u].size() != unit_widths_[u])
+        for (std::size_t u = 0; u < unit_widths_.size(); ++u) {
+            const auto &row = server.outbox[w][u];
+            if (row.size() != unit_widths_[u])
                 ROG_FATAL("shard snapshot unit width mismatch");
+            if (server.has_pending[w][u] == 0 &&
+                std::any_of(row.begin(), row.end(),
+                            [](std::int64_t q) { return q != 0; }))
+                ROG_FATAL("shard snapshot: pending row without its flag");
+        }
     }
+    // S restarts at zero and each snapshot at minus the pending row, so
+    // S - snapshot is the checkpointed row exactly. One push on every
+    // unit's counter, seen at take by the workers with nothing pending.
+    std::fill(sums_.begin(), sums_.end(), 0);
+    std::fill(pushes_.begin(), pushes_.end(), 1);
     for (std::size_t w = 0; w < workers_; ++w) {
         std::copy(versions.versions[w].begin(),
                   versions.versions[w].end(),
                   versions_.begin() + static_cast<std::ptrdiff_t>(
                                           w * unit_widths_.size()));
         for (std::size_t u = 0; u < unit_widths_.size(); ++u) {
-            std::copy(server.outbox[w][u].begin(),
-                      server.outbox[w][u].end(),
-                      outbox_.data() + offset(w, u));
-            has_pending_[flag(w, u)] = server.has_pending[w][u] != 0;
+            std::uint64_t *snap = snaps_.data() + offset(w, u);
+            for (std::int64_t q : server.outbox[w][u])
+                *snap++ = 0 - static_cast<std::uint64_t>(q);
+            taken_[cell(w, u)] = server.has_pending[w][u] != 0 ? 0 : 1;
         }
         retired_[w] = versions.retired[w] != 0;
     }
@@ -351,8 +389,15 @@ ShardedServer::accumulate(std::size_t unit,
     owner(unit).accumulate(unit_local_[unit], decoded);
 }
 
-std::span<float>
-ShardedServer::pending(std::size_t worker, std::size_t unit)
+void
+ShardedServer::takePending(std::size_t worker, std::size_t unit,
+                           std::span<float> out)
+{
+    owner(unit).takePending(worker, unit_local_[unit], out);
+}
+
+std::vector<std::int64_t>
+ShardedServer::pending(std::size_t worker, std::size_t unit) const
 {
     return owner(unit).pending(worker, unit_local_[unit]);
 }

@@ -37,7 +37,7 @@ smallCheckpoint()
                                std::vector<std::int64_t>(kUnits, 0));
     c.versions.retired.assign(kWorkers, 0);
     c.server.outbox.assign(kWorkers,
-                           std::vector<std::vector<float>>(kUnits));
+                           std::vector<std::vector<std::int64_t>>(kUnits));
     c.server.has_pending.assign(kWorkers,
                                 std::vector<std::uint8_t>(kUnits, 0));
     c.server.last_update.assign(kUnits, 0);

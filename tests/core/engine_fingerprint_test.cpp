@@ -139,16 +139,16 @@ TEST(EngineFingerprint, FaultFreeSystems)
     } cases[] = {
         {SystemConfig::bsp(),
          {"bsp", 0x4042aafe034ec6b6ull, 0x40dce5ffffffffc1ull,
-          {12, 12, 12}, 0x95a9f3b0u}},
+          {12, 12, 12}, 0x106e749fu}},
         {SystemConfig::ssp(4),
          {"ssp4", 0x40418c061dc68578ull, 0x40dce5ffffffff84ull,
-          {12, 12, 12}, 0xd1173c45u}},
+          {12, 12, 12}, 0xc79712b2u}},
         {SystemConfig::flownSystem(),
          {"flown", 0x404197ebb691017bull, 0x40dce5ffffffff8dull,
-          {12, 12, 12}, 0x2afaebbdu}},
+          {12, 12, 12}, 0x7391dc0eu}},
         {SystemConfig::rog(4),
          {"rog4", 0x4041061ad3f8a4a7ull, 0x40e32f3a7808d729ull,
-          {12, 12, 12}, 0xf4cf70d1u}},
+          {12, 12, 12}, 0x6511eecdu}},
     };
     for (const auto &c : cases)
         expectPin(runPreset(c.system, nullptr, ""), c.pin);
@@ -173,7 +173,7 @@ TEST(EngineFingerprint, RogUnderEveryHonouredFault)
     EXPECT_EQ(res.recoveries.size(), 1u);
     EXPECT_GT(res.checkpoints_written, 0u);
     expectPin(res, {"rog4+faults", 0x4041c7fb90b84147ull,
-                    0x40e0ecf2c33c4838ull, {12, 12, 10}, 0x827f446fu});
+                    0x40e0ecf2c33c4838ull, {12, 12, 10}, 0x3b1f96f1u});
 }
 
 #endif // __x86_64__

@@ -78,16 +78,12 @@ VersionStorage::minWorkerIteration() const
 
 ServerState::ServerState(std::size_t workers,
                          const RowPartition &partition)
-    : outbox_(workers), has_pending_(workers),
-      last_update_(partition.unitCount(), 0),
-      inv_workers_(1.0 / static_cast<double>(workers))
+    : outbox_(workers), inv_workers_(1.0 / static_cast<double>(workers))
 {
     ROG_ASSERT(workers > 0, "server needs at least one worker");
-    for (std::size_t w = 0; w < workers; ++w) {
-        has_pending_[w].assign(partition.unitCount(), false);
+    for (std::size_t w = 0; w < workers; ++w)
         for (const Unit &u : partition.units())
             outbox_[w].emplace_back(u.width, 0.0f);
-    }
 }
 
 void
@@ -99,7 +95,6 @@ ServerState::accumulate(std::size_t unit, std::span<const float> decoded)
         ROG_ASSERT(decoded.size() == dst.size(), "decoded width mismatch");
         for (std::size_t j = 0; j < decoded.size(); ++j)
             dst[j] += scale * decoded[j];
-        has_pending_[w][unit] = true;
     }
 }
 
@@ -109,53 +104,115 @@ ServerState::pending(std::size_t worker, std::size_t unit)
     return outbox_.at(worker).at(unit);
 }
 
-bool
-ServerState::hasPending(std::size_t worker, std::size_t unit) const
-{
-    return has_pending_.at(worker).at(unit);
-}
-
 void
 ServerState::clearPending(std::size_t worker, std::size_t unit)
 {
     auto &buf = outbox_.at(worker).at(unit);
     std::fill(buf.begin(), buf.end(), 0.0f);
+}
+
+EagerFixedServer::EagerFixedServer(std::size_t workers,
+                                   const RowPartition &partition)
+    : outbox_(workers), has_pending_(workers),
+      last_update_(partition.unitCount(), 0),
+      scale_(fixed::scaleFor(workers))
+{
+    ROG_ASSERT(workers > 0, "server needs at least one worker");
+    for (std::size_t w = 0; w < workers; ++w) {
+        has_pending_[w].assign(partition.unitCount(), false);
+        for (const Unit &u : partition.units())
+            outbox_[w].emplace_back(u.width, 0);
+    }
+}
+
+void
+EagerFixedServer::accumulate(std::size_t unit,
+                             std::span<const float> decoded)
+{
+    for (std::size_t w = 0; w < outbox_.size(); ++w) {
+        auto &dst = outbox_[w].at(unit);
+        ROG_ASSERT(decoded.size() == dst.size(), "decoded width mismatch");
+        for (std::size_t j = 0; j < decoded.size(); ++j) {
+            // Wrap-around add: signed overflow would be undefined.
+            const std::uint64_t sum =
+                static_cast<std::uint64_t>(dst[j]) +
+                static_cast<std::uint64_t>(
+                    fixed::quantise(decoded[j], scale_));
+            dst[j] = static_cast<std::int64_t>(sum);
+        }
+        has_pending_[w][unit] = true;
+    }
+}
+
+std::vector<std::int64_t>
+EagerFixedServer::pending(std::size_t worker, std::size_t unit) const
+{
+    return outbox_.at(worker).at(unit);
+}
+
+void
+EagerFixedServer::takePending(std::size_t worker, std::size_t unit,
+                              std::span<float> out)
+{
+    const auto &buf = outbox_.at(worker).at(unit);
+    ROG_ASSERT(out.size() == buf.size(), "pending width mismatch");
+    for (std::size_t j = 0; j < buf.size(); ++j)
+        out[j] = fixed::dequantise(buf[j]);
+    clearPending(worker, unit);
+}
+
+bool
+EagerFixedServer::hasPending(std::size_t worker, std::size_t unit) const
+{
+    return has_pending_.at(worker).at(unit);
+}
+
+void
+EagerFixedServer::clearPending(std::size_t worker, std::size_t unit)
+{
+    auto &buf = outbox_.at(worker).at(unit);
+    std::fill(buf.begin(), buf.end(), 0);
     has_pending_[worker][unit] = false;
 }
 
 void
-ServerState::clearWorker(std::size_t worker)
+EagerFixedServer::clearWorker(std::size_t worker)
 {
     for (std::size_t u = 0; u < outbox_.at(worker).size(); ++u)
         clearPending(worker, u);
 }
 
 double
-ServerState::pendingMeanAbs(std::size_t worker, std::size_t unit) const
+EagerFixedServer::pendingMeanAbs(std::size_t worker,
+                                 std::size_t unit) const
 {
     const auto &buf = outbox_.at(worker).at(unit);
     if (buf.empty())
         return 0.0;
-    double s = 0.0;
-    for (float v : buf)
-        s += std::fabs(v);
-    return s / static_cast<double>(buf.size());
+    // The exact integer total, rounded to double once.
+    unsigned __int128 total = 0;
+    for (std::int64_t q : buf)
+        total += q < 0 ? 0 - static_cast<std::uint64_t>(q)
+                       : static_cast<std::uint64_t>(q);
+    return static_cast<double>(total) /
+           static_cast<double>(std::int64_t{1} << fixed::kFracBits) /
+           static_cast<double>(buf.size());
 }
 
 std::int64_t
-ServerState::lastUpdate(std::size_t unit) const
+EagerFixedServer::lastUpdate(std::size_t unit) const
 {
     return last_update_.at(unit);
 }
 
 void
-ServerState::noteUpdate(std::size_t unit, std::int64_t iter)
+EagerFixedServer::noteUpdate(std::size_t unit, std::int64_t iter)
 {
     last_update_.at(unit) = std::max(last_update_[unit], iter);
 }
 
 ServerStateSnapshot
-ServerState::snapshot() const
+EagerFixedServer::snapshot() const
 {
     ServerStateSnapshot s;
     s.outbox = outbox_;

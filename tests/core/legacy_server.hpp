@@ -1,13 +1,22 @@
 /**
  * @file
- * Test oracle: the original, unsharded parameter server — one nested
+ * Test oracles: the original, unsharded parameter server — one nested
  * vector per (worker, unit) outbox cell and version cell, written for
- * clarity rather than speed. ShardedServer (core/server_shard.hpp)
- * must stay bit-identical to it; sharded_server_test drives both with
- * the same operation trace and compares every observable value.
+ * clarity rather than speed.
  *
- * Only the operations the differential tests compare are kept.
- * Production code never links this.
+ *  - VersionStorage: the version matrix. ShardedServer must match it
+ *    exactly.
+ *  - EagerFixedServer: the fixed-point outbox of
+ *    core/server_shard.hpp done eagerly, one int64 copy per (worker,
+ *    unit) that every push is added into. ShardedServer's running sums
+ *    and snapshots must be bit-identical to it;
+ *    sharded_server_test drives both with the same operation trace and
+ *    compares every observable value.
+ *  - ServerState: the float outbox the fixed-point one replaced. The
+ *    fixed-point server must stay within its stated error bound of it.
+ *
+ * Only the operations the tests compare are kept. Production code
+ * never links this.
  */
 #ifndef ROG_TESTS_CORE_LEGACY_SERVER_HPP
 #define ROG_TESTS_CORE_LEGACY_SERVER_HPP
@@ -45,7 +54,7 @@ class VersionStorage
     std::vector<bool> retired_;
 };
 
-/** One gradient outbox per worker, nested [worker][unit][j]. */
+/** One float gradient outbox per worker, nested [worker][unit][j]. */
 class ServerState
 {
   public:
@@ -54,6 +63,26 @@ class ServerState
     /** Add decoded / workers into every worker's copy of @p unit. */
     void accumulate(std::size_t unit, std::span<const float> decoded);
     std::span<float> pending(std::size_t worker, std::size_t unit);
+    void clearPending(std::size_t worker, std::size_t unit);
+
+  private:
+    std::vector<std::vector<std::vector<float>>> outbox_;
+    double inv_workers_;
+};
+
+/** One int64 fixed-point outbox per worker, nested [worker][unit][j]. */
+class EagerFixedServer
+{
+  public:
+    EagerFixedServer(std::size_t workers, const RowPartition &partition);
+
+    /** Add quantise(decoded[j]) into every worker's copy of @p unit. */
+    void accumulate(std::size_t unit, std::span<const float> decoded);
+    std::vector<std::int64_t> pending(std::size_t worker,
+                                      std::size_t unit) const;
+    /** Dequantise the copy into @p out, then zero it. */
+    void takePending(std::size_t worker, std::size_t unit,
+                     std::span<float> out);
     bool hasPending(std::size_t worker, std::size_t unit) const;
     void clearPending(std::size_t worker, std::size_t unit);
     void clearWorker(std::size_t worker);
@@ -63,10 +92,10 @@ class ServerState
     ServerStateSnapshot snapshot() const;
 
   private:
-    std::vector<std::vector<std::vector<float>>> outbox_;
+    std::vector<std::vector<std::vector<std::int64_t>>> outbox_;
     std::vector<std::vector<bool>> has_pending_;
     std::vector<std::int64_t> last_update_;
-    double inv_workers_;
+    double scale_;
 };
 
 } // namespace legacy

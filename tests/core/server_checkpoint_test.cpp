@@ -49,9 +49,14 @@ sampleCheckpoint()
                 static_cast<std::int64_t>(w * 10 + u);
             if ((w + u) % 2 == 0) {
                 c.server.has_pending[w][u] = 1;
-                // Ragged widths on purpose: unit payloads differ.
-                c.server.outbox[w][u].assign(
-                    3 + u, 0.25f * static_cast<float>(w + u));
+                // Ragged widths on purpose: unit payloads differ. The
+                // fixed-point units span sign and all eight bytes.
+                c.server.outbox[w][u].resize(3 + u);
+                for (std::size_t j = 0; j < 3 + u; ++j)
+                    c.server.outbox[w][u][j] =
+                        (j % 2 == 0 ? 1 : -1) *
+                        static_cast<std::int64_t>(
+                            0x0123456789ABCDull * (w + 1) + j * 977 + u);
             }
         }
         c.tracker.rate[w] = 1e3 * static_cast<double>(w + 1);
@@ -341,9 +346,14 @@ TEST(ServerCheckpoint, RejectsWrongMagicAndVersion)
     bad_magic[0] = 'X';
     EXPECT_THROW(decode(bad_magic), std::runtime_error);
 
-    std::string bad_version = encode(sampleCheckpoint());
-    bad_version[4] = 9; // version lives right after the magic.
-    EXPECT_THROW(decode(bad_version), std::runtime_error);
+    // The version lives right after the magic. v1 and v2 (float
+    // pending rows) are rejected like any unknown version.
+    for (const char version : {1, 2, 9}) {
+        std::string bad_version = encode(sampleCheckpoint());
+        bad_version[4] = version;
+        EXPECT_THROW(decode(bad_version), std::runtime_error)
+            << "version " << int{version};
+    }
 }
 
 } // namespace

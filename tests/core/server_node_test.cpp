@@ -60,7 +60,7 @@ TEST(ServerNodeTest, RejectedCheckpointLeavesNoVersionsBehind)
     for (auto &row : ckpt.versions.versions)
         for (std::int64_t &v : row)
             v = 3;
-    ckpt.server.outbox[0][0].push_back(0.0f);
+    ckpt.server.outbox[0][0].push_back(0);
     writeServerCheckpointFile(train.checkpoint_path, ckpt);
 
     ServerNode second(fabric, *workload, train);
@@ -106,9 +106,9 @@ TEST(ServerNodeTest, PinnedDesTwinFingerprints)
                      << tensor::gemm::tierName(kPinnedTier);
     const TwinPin pins[] = {
         {2, 0, 0x404cc00000000000ull, 264u, 0u},
-        {2, 3, 0x404c200000000000ull, 132u, 0xca6c0a4fu},
+        {2, 3, 0x404c200000000000ull, 132u, 0x6da8105bu},
         {4, 0, 0x404e000000000000ull, 528u, 0u},
-        {4, 3, 0x404e000000000000ull, 264u, 0x0feff0d9u},
+        {4, 3, 0x404e000000000000ull, 264u, 0xfbc4b070u},
     };
     for (const TwinPin &pin : pins) {
         NodeRunConfig cfg = chaosRunDefaults();

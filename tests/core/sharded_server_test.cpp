@@ -9,7 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -52,10 +55,10 @@ unstableNetwork(std::size_t workers, double mean = 20e3)
 
 /**
  * Differential driver: the legacy trio (the legacy::VersionStorage +
- * legacy::ServerState oracle and one MtaTimeTracker) against a
+ * legacy::EagerFixedServer oracle and one MtaTimeTracker) against a
  * ShardedServer with @p shards, fed the same random operation trace;
- * every observable value must match bit-for-bit (float equality, not
- * tolerance).
+ * every observable value must match bit-for-bit (integer and float
+ * equality, not tolerance).
  */
 void
 runDifferentialTrace(std::size_t shards, std::uint32_t seed)
@@ -73,13 +76,13 @@ runDifferentialTrace(std::size_t shards, std::uint32_t seed)
     ASSERT_GT(units, shards);
 
     legacy::VersionStorage versions(workers, units);
-    legacy::ServerState server(workers, partition);
+    legacy::EagerFixedServer server(workers, partition);
     MtaTimeTracker tracker(workers);
     ShardedServer sharded(workers, partition, shards);
     ASSERT_EQ(sharded.shardCount(), shards);
 
     Rng rng(seed);
-    std::vector<float> grad;
+    std::vector<float> grad, a, b;
     for (int op = 0; op < 4000; ++op) {
         const std::size_t w = rng.uniformInt(workers);
         const std::size_t u = rng.uniformInt(units);
@@ -101,13 +104,17 @@ runDifferentialTrace(std::size_t shards, std::uint32_t seed)
             ASSERT_EQ(server.hasPending(w, u),
                       sharded.hasPending(w, u));
             if (server.hasPending(w, u)) {
-                auto a = server.pending(w, u);
-                auto b = sharded.pending(w, u);
-                ASSERT_EQ(a.size(), b.size());
+                ASSERT_EQ(server.pending(w, u), sharded.pending(w, u))
+                    << "row " << u;
+                a.resize(partition.unit(u).width);
+                b.resize(a.size());
+                server.takePending(w, u, a);
+                sharded.takePending(w, u, b);
                 for (std::size_t j = 0; j < a.size(); ++j)
-                    ASSERT_EQ(a[j], b[j]) << "row " << u;
-                server.clearPending(w, u);
-                sharded.clearPending(w, u);
+                    ASSERT_EQ(std::bit_cast<std::uint32_t>(a[j]),
+                              std::bit_cast<std::uint32_t>(b[j]))
+                        << "row " << u;
+                ASSERT_FALSE(sharded.hasPending(w, u));
             }
             break;
         case 2:
@@ -158,10 +165,7 @@ runDifferentialTrace(std::size_t shards, std::uint32_t seed)
         for (std::size_t u = 0; u < units; ++u) {
             ASSERT_EQ(versions.get(w, u), sharded.version(w, u));
             ASSERT_EQ(server.hasPending(w, u), sharded.hasPending(w, u));
-            auto a = server.pending(w, u);
-            auto b = sharded.pending(w, u);
-            for (std::size_t j = 0; j < a.size(); ++j)
-                ASSERT_EQ(a[j], b[j]);
+            ASSERT_EQ(server.pending(w, u), sharded.pending(w, u));
         }
     }
 }
@@ -304,9 +308,8 @@ TEST(ShardedServerTest, ShardSnapshotRoundTripsRaggedWidths)
 
 TEST(ShardedServerTest, ShardSnapshotsMatchLegacyServerState)
 {
-    // Rows of 32, 80 and 12 floats over 7 workers: accumulate's
-    // blocked sweep at phases that do not divide its block, its tail,
-    // and its per-worker loop for rows wider than a block.
+    // Rows of 32, 80 and 12 floats over 7 workers, ragged across
+    // three shards.
     const std::size_t workers = 7;
     CrudaWorkloadConfig wcfg = tinyCruda(workers);
     wcfg.model.hidden = {80, 12};
@@ -316,7 +319,7 @@ TEST(ShardedServerTest, ShardSnapshotsMatchLegacyServerState)
     RowPartition partition(flat, Granularity::Row);
     const std::size_t units = partition.unitCount();
 
-    legacy::ServerState legacy(workers, partition);
+    legacy::EagerFixedServer legacy(workers, partition);
     ShardedServer sharded(workers, partition, 3);
     ASSERT_EQ(sharded.shardCount(), 3u);
 
@@ -362,6 +365,157 @@ TEST(ShardedServerTest, ShardSnapshotsMatchLegacyServerState)
     EXPECT_EQ(joined.outbox, want.outbox);
     EXPECT_EQ(joined.has_pending, want.has_pending);
     EXPECT_EQ(joined.last_update, want.last_update);
+}
+
+/**
+ * The error bound of server_shard.hpp, against exact summation and
+ * against the float server the fixed-point one replaced: for k pushes
+ * of in-range products p_i since the last take, a take returns
+ * sum(p_i) within k * 2^-F + 2^-24 (1 + 2^-28) |sum(p_i)|. The float
+ * oracle's own error is gamma_(k+2) * sum|p_i| (one rounding for the
+ * 1/workers scale, one per product, one per add), so the two servers
+ * agree within the sum of the bounds.
+ */
+TEST(ShardedServerTest, FixedPointStaysWithinBoundOfFloatOracle)
+{
+    const std::size_t workers = 3;
+    CrudaWorkload workload(tinyCruda(workers));
+    auto model = workload.buildReplica();
+    FlatModel flat(*model);
+    RowPartition partition(flat, Granularity::Row);
+    const std::size_t units = partition.unitCount();
+
+    legacy::ServerState legacy(workers, partition);
+    ShardedServer sharded(workers, partition, 2);
+    // Per (worker, unit, element): the exact sum (long double) and the
+    // sum of |p_i| of the products since the last take, and k.
+    struct Cell
+    {
+        std::vector<long double> exact, abs;
+        std::size_t k = 0;
+    };
+    std::vector<std::vector<Cell>> cells(workers);
+    for (auto &row : cells) {
+        row.resize(units);
+        for (std::size_t u = 0; u < units; ++u) {
+            row[u].exact.assign(partition.unit(u).width, 0.0L);
+            row[u].abs.assign(partition.unit(u).width, 0.0L);
+        }
+    }
+
+    const double unit = std::ldexp(1.0, -fixed::kFracBits);
+    const double u24 = std::ldexp(1.0, -24);
+    Rng rng(0xB0DEu);
+    std::vector<float> grad, got;
+    std::size_t checked = 0;
+    for (int op = 0; op < 6000; ++op) {
+        const std::size_t w = rng.uniformInt(workers);
+        const std::size_t u = rng.uniformInt(units);
+        const std::size_t width = partition.unit(u).width;
+        if (rng.uniformInt(4) != 0) {
+            grad.resize(width);
+            // Magnitudes from 2^-30 to 2^4, both signs: the range the
+            // figure presets push, and well beyond.
+            for (auto &g : grad) {
+                const int exp = static_cast<int>(rng.uniformInt(35)) - 30;
+                g = static_cast<float>(rng.uniform(-1.0, 1.0) *
+                                       std::ldexp(1.0, exp));
+            }
+            legacy.accumulate(u, grad);
+            sharded.accumulate(u, grad);
+            for (auto &row : cells) {
+                Cell &c = row[u];
+                ++c.k;
+                for (std::size_t j = 0; j < width; ++j) {
+                    const long double p =
+                        static_cast<long double>(grad[j]) / workers;
+                    c.exact[j] += p;
+                    c.abs[j] += std::fabs(p);
+                }
+            }
+            continue;
+        }
+        Cell &c = cells[w][u];
+        got.resize(width);
+        sharded.takePending(w, u, got);
+        const auto old = legacy.pending(w, u);
+        const double k = static_cast<double>(c.k);
+        for (std::size_t j = 0; j < width; ++j) {
+            const long double exact = c.exact[j];
+            const double bound =
+                k * unit + u24 * (1.0 + std::ldexp(1.0, -28)) *
+                               static_cast<double>(std::fabs(exact));
+            ASSERT_LE(std::fabs(static_cast<long double>(got[j]) - exact),
+                      bound)
+                << "k " << c.k << " exact " << static_cast<double>(exact);
+            const double gamma = (k + 2) * u24 / (1.0 - (k + 2) * u24);
+            const double old_bound =
+                gamma * static_cast<double>(c.abs[j]);
+            ASSERT_LE(std::fabs(static_cast<double>(got[j]) -
+                                static_cast<double>(old[j])),
+                      bound + old_bound);
+            c.exact[j] = 0.0L;
+            c.abs[j] = 0.0L;
+            ++checked;
+        }
+        c.k = 0;
+        legacy.clearPending(w, u);
+    }
+    EXPECT_GT(checked, 1000u);
+}
+
+/**
+ * Non-finite products (red/green): the float server lets one NaN or
+ * infinity reach every worker's copy, and from there the replicas. The
+ * fixed-point server neither aborts nor propagates: NaN quantises to 0
+ * and drops out, +-inf clamps to +-kMaxQuantum, and the finite
+ * products pushed beside them arrive exactly.
+ */
+TEST(ShardedServerTest, NonFiniteProductsAreDroppedOrClamped)
+{
+    const std::size_t workers = 2;
+    CrudaWorkload workload(tinyCruda(workers));
+    auto model = workload.buildReplica();
+    FlatModel flat(*model);
+    RowPartition partition(flat, Granularity::Row);
+    const std::size_t width = partition.unit(0).width;
+    ASSERT_GE(width, 4u);
+
+    legacy::ServerState legacy(workers, partition);
+    ShardedServer sharded(workers, partition, 1);
+    const float inf = std::numeric_limits<float>::infinity();
+    std::vector<float> finite(width, 0.5f);
+    std::vector<float> bad(width, 0.25f);
+    bad[0] = std::numeric_limits<float>::quiet_NaN();
+    bad[1] = inf;
+    bad[2] = -inf;
+    for (const auto *row : {&finite, &bad}) {
+        legacy.accumulate(0, *row);
+        sharded.accumulate(0, *row);
+    }
+
+    // Red: the float server hands out NaN and infinities.
+    const auto old = legacy.pending(0, 0);
+    EXPECT_TRUE(std::isnan(old[0]));
+    EXPECT_TRUE(std::isinf(old[1]) && std::isinf(old[2]));
+
+    // Green: exact units, every value finite.
+    const std::int64_t half = fixed::quantise(0.5f, fixed::scaleFor(2));
+    const std::int64_t quarter =
+        fixed::quantise(0.25f, fixed::scaleFor(2));
+    const std::vector<std::int64_t> q = sharded.pending(0, 0);
+    EXPECT_EQ(q[0], half);
+    EXPECT_EQ(q[1], half + fixed::kMaxQuantum);
+    EXPECT_EQ(q[2], half - fixed::kMaxQuantum);
+    for (std::size_t j = 3; j < width; ++j)
+        EXPECT_EQ(q[j], half + quarter);
+    std::vector<float> got(width);
+    sharded.takePending(0, 0, got);
+    for (float v : got)
+        EXPECT_TRUE(std::isfinite(v));
+    EXPECT_EQ(got[0], 0.25f);
+    EXPECT_EQ(got[3], 0.375f);
+    EXPECT_TRUE(std::isfinite(sharded.pendingMeanAbs(1, 0)));
 }
 
 /**
