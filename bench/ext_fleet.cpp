@@ -14,7 +14,9 @@
  *    with fleet-sized closures) isolating the queue itself;
  *  - the final accuracy gap of ROG (RSP threshold 4 + ATP partial
  *    pushes) versus BSP lockstep at equal iteration counts, peak RSS,
- *    and the BufferPool hit rate of the transfer-staging leases.
+ *    the BufferPool hit rate of the transfer-staging leases, and how
+ *    often the coordinator drained the shard lanes (lane_flushes) and
+ *    how many lane ops those drains ran (lane_ops).
  *
  * Two acceptance gates fail the run (exit 1) on the full sweep:
  *  - at 1024 workers the heap event core must clear >= 3x the
@@ -23,9 +25,9 @@
  *    16-worker ns per event on the one-thread pool: the server's push,
  *    pull and the channel are O(width) and O(log active) per event,
  *    not O(workers). The gate reads the one-thread records because on
- *    a pool the per-event cost at 1024 workers is dominated by lane
- *    state migrating between cores at every flush, which varied 1.9-2.9x
- *    against 16 workers between runs of one build on a shared VM.
+ *    a pool the per-event cost also carries the fork/join of each lane
+ *    drain and lane state migrating between cores, which swings with
+ *    the host's scheduling far more than the one-thread cost does.
  *
  * ROG_BENCH_FAST=1 shrinks the sweep to 16/64 workers for the
  * bench_fleet_smoke ctest entry (the gates are only enforced on the
@@ -153,6 +155,8 @@ struct Record
     double accuracy_gap = std::nan("");
     double pool_hit_rate = -1.0;
     std::size_t peak_rss_bytes = 0;
+    std::uint64_t lane_flushes = 0;
+    std::uint64_t lane_ops = 0;
 };
 
 void
@@ -176,6 +180,9 @@ writeJson(const std::string &path, const std::vector<Record> &recs)
             os << ", \"pool_hit_rate\": " << r.pool_hit_rate;
         if (r.peak_rss_bytes != 0)
             os << ", \"peak_rss_bytes\": " << r.peak_rss_bytes;
+        if (r.lane_flushes != 0)
+            os << ", \"lane_flushes\": " << r.lane_flushes
+               << ", \"lane_ops\": " << r.lane_ops;
         os << "}" << (i + 1 < recs.size() ? "," : "") << "\n";
     }
     os << "]\n";
@@ -242,7 +249,7 @@ main(int argc, char **argv)
     Table t("Fleet sweep (ROG threshold 4 + ATP vs BSP lockstep)",
             {"workers", "events", "heap_ev/s", "sim_s/wall_s",
              "ns/ev_1thr", "acc_gap_rog-bsp", "core_ratio", "pool_hit",
-             "rss_mb"});
+             "rss_mb", "flushes", "ops/flush"});
 
     double core_ratio_1024 = 0.0;
     double sim_ns_16 = 0.0;
@@ -309,6 +316,8 @@ main(int argc, char **argv)
         heap_rec.accuracy_gap = gap;
         heap_rec.pool_hit_rate = heap.pool_hit_rate;
         heap_rec.peak_rss_bytes = rss;
+        heap_rec.lane_flushes = heap.lane_flushes;
+        heap_rec.lane_ops = heap.lane_ops;
         recs.push_back(heap_rec);
 
         Record serial_rec;
@@ -351,7 +360,10 @@ main(int argc, char **argv)
                   Table::num(serial_ns, 1), Table::num(gap, 4),
                   Table::num(core_ratio, 2),
                   Table::num(heap.pool_hit_rate, 3),
-                  Table::num(static_cast<double>(rss) / (1u << 20),
+                  Table::num(static_cast<double>(rss) / (1u << 20), 1),
+                  std::to_string(heap.lane_flushes),
+                  Table::num(static_cast<double>(heap.lane_ops) /
+                                 static_cast<double>(heap.lane_flushes),
                              1)});
     }
 

@@ -5,16 +5,19 @@
  *
  * Structure: a sequential COORDINATOR event queue drives the worker
  * state machines (compute -> push -> pull -> gate -> next iteration)
- * and the airtime-fair fluid channel; S shard lanes, each a private
- * event queue plus the ServerShard it feeds, absorb the server-side
- * work (gradient accumulation, version updates, MTA reports,
- * deliveries into worker replicas). The coordinator only ever READS
- * shard state after flushShards(), which drains every lane on the
- * thread pool (parallelFor, grain 1) — lanes touch disjoint state
- * (their ServerShard plus the disjoint replica rows their units map
- * to), so any interleaving of lanes yields the same memory image, and
- * the flush points themselves are a pure function of the event
- * timeline. Hence: bitwise-identical results for every thread count.
+ * and the airtime-fair fluid channel; S shard lanes, each a FIFO of
+ * plain LaneOp records plus the ServerShard it feeds, absorb the
+ * server-side work (gradient accumulation, version updates, MTA
+ * reports, deliveries into worker replicas). The coordinator drains
+ * the lanes (flushShards(): parallelFor over lanes, grain 1) only when
+ * it must read state they own: at a worker's compute-done after a
+ * deliver for it was enqueued, at a checkpoint, and at the end. It
+ * sizes pulls from its own pending-row ledger instead of the shards.
+ * Lanes touch disjoint state (their ServerShard plus the disjoint
+ * replica rows their units map to) and each runs its ops in enqueue
+ * order, so neither the interleaving of lanes nor the placement of
+ * flushes changes the memory image. Hence: bitwise-identical results
+ * for every thread count.
  *
  * Synthetic workload: each worker descends ||x - target||^2 on its own
  * replica with hash-derived gradient noise; ATP partial pushes pick
@@ -31,7 +34,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <deque>
 #include <memory>
 #include <span>
 #include <stdexcept>
@@ -108,8 +110,7 @@ class FleetEngine
         std::vector<std::size_t> widths(cfg.rows, cfg.row_width);
         server_ = std::make_unique<ShardedServer>(cfg.workers, widths,
                                                   shards_);
-        for (std::size_t s = 0; s < shards_; ++s)
-            lanes_.emplace_back();
+        lanes_.resize(shards_);
         for (std::size_t row = 0; row < cfg.rows; ++row) {
             Lane &lane = lanes_[server_->shardOf(row)];
             if (lane.end_row == 0)
@@ -118,6 +119,10 @@ class FleetEngine
         }
         mta_bytes_ = mtaFraction(cfg_.staleness_threshold) *
                      static_cast<double>(cfg.rows * cfg.row_width) * 4.0;
+        push_bytes_ =
+            static_cast<double>(push_rows_ * cfg.row_width) * 4.0 +
+            cfg.header_bytes;
+        row_push_seq_.assign(cfg.rows, 0);
 
         target_.resize(cfg.rows * cfg.row_width);
         for (std::size_t i = 0; i < target_.size(); ++i)
@@ -166,6 +171,8 @@ class FleetEngine
         r.final_metric = finalMetric();
         r.state_digest = stateDigest();
         r.checkpoint_files_written = ckpt_files_;
+        r.lane_flushes = lane_flushes_;
+        r.lane_ops = lane_ops_;
         return r;
     }
 
@@ -187,16 +194,34 @@ class FleetEngine
         bool retired = false;
         double link_rate = 0.0;
         double push_start = 0.0;
+        /** The last push's transfer time and gradient (its iteration
+         *  is last_pushed_). The push's lane ops read them when a flush
+         *  runs them, so they stay put until the next compute-done. */
+        double push_elapsed = 0.0;
         BufferPool::Lease<float> push_buf;
         BufferPool::Lease<std::uint8_t> pull_buf;
+        /** push_seq_ when the last deliver ops were enqueued. */
+        std::uint64_t deliver_seq = 0;
+        /** The flush that runs the last deliver ops: they are settled
+         *  once lane_flushes_ reaches it. */
+        std::uint64_t deliver_flush = 0;
     };
 
-    /** One shard lane: a private event queue feeding one ServerShard,
-     *  plus its event counter and log digest (combined in shard order
-     *  at the end — the ordered-combine discipline). */
-    struct Lane
+    /** One deferred server-side operation. Every op is enqueued at the
+     *  coordinator's current time, so enqueue order is event order. */
+    struct LaneOp
     {
-        sim::EventQueue queue;
+        std::uint32_t kind; //!< kTagApply/Report/Deliver/Retire.
+        std::uint32_t worker;
+    };
+
+    /** One shard lane: a FIFO of ops feeding one ServerShard, plus its
+     *  event counter and log digest (combined in shard order at the
+     *  end — the ordered-combine discipline). Cache-line aligned: the
+     *  lanes are written by different pool threads. */
+    struct alignas(64) Lane
+    {
+        std::vector<LaneOp> ops; //!< enqueued since the last flush.
         std::uint64_t events = 0;
         std::uint32_t crc = 0;
         std::size_t first_row = 0; //!< the shard's contiguous rows.
@@ -275,18 +300,44 @@ class FleetEngine
     }
 
     // ---- shard lanes ----
-    template <typename F>
     void
-    enqueueShard(std::size_t s, F &&op)
+    enqueueShard(std::size_t s, std::uint32_t kind, std::size_t w)
     {
-        lanes_[s].queue.schedule(coord_.now(), std::forward<F>(op));
+        lanes_[s].ops.push_back({kind, static_cast<std::uint32_t>(w)});
         ++pending_ops_;
     }
 
+    void
+    runLaneOp(std::size_t s, const LaneOp &op)
+    {
+        const std::size_t w = op.worker;
+        switch (op.kind) {
+        case kTagApply:
+            applyPush(s, w);
+            break;
+        case kTagReport:
+            // MTA reports replicate into every lane's tracker so the
+            // per-shard EWMAs stay identical replicas.
+            server_->shard(s).report(w, push_bytes_,
+                                     workers_[w].push_elapsed, mta_bytes_);
+            logLane(s, kTagReport, w, 0, s);
+            break;
+        case kTagDeliver:
+            deliverPending(s, w);
+            break;
+        case kTagRetire:
+            server_->shard(s).retireWorker(w);
+            logLane(s, kTagRetire, w, 0, s);
+            break;
+        }
+    }
+
     /**
-     * Drain every shard lane on the pool. Grain 1 puts each shard in
-     * its own chunk; lanes touch disjoint state, so the flush result
-     * is independent of which thread drains which lane.
+     * Run every lane's ops on the pool, in enqueue order per lane.
+     * Grain 1 puts each shard in its own chunk; lanes touch disjoint
+     * state, so the flush result is independent of which thread drains
+     * which lane, and a lane's state after its ops ran is independent
+     * of how they were batched into flushes.
      */
     void
     flushShards()
@@ -298,11 +349,14 @@ class FleetEngine
             [this](std::size_t lo, std::size_t hi) {
                 for (std::size_t s = lo; s < hi; ++s) {
                     Lane &lane = lanes_[s];
-                    while (!lane.queue.empty())
-                        lane.queue.step();
+                    for (const LaneOp &op : lane.ops)
+                        runLaneOp(s, op);
+                    lane.ops.clear();
                 }
             },
             pool_);
+        ++lane_flushes_;
+        lane_ops_ += pending_ops_;
         pending_ops_ = 0;
     }
 
@@ -405,11 +459,16 @@ class FleetEngine
     void
     onComputeDone(std::size_t w)
     {
-        // The gradient reads this worker's replica rows, which pending
-        // deliver ops may still own — settle the lanes first.
-        flushShards();
-
+        // The gradient reads this worker's replica rows. Only its own
+        // deliver ops write them: settle the lanes if the last ones
+        // have not run yet. That flush (or an earlier one) also ran the
+        // apply and report ops of the last push, enqueued before the
+        // deliver, so the push's lease and fields are free to change.
         FleetWorker &fw = workers_[w];
+        if (lane_flushes_ < fw.deliver_flush)
+            flushShards();
+        fw.push_buf.release();
+
         const std::int64_t n = fw.iter;
         logCoord(kTagCompute, w, n);
 
@@ -426,10 +485,7 @@ class FleetEngine
         }
 
         fw.push_start = coord_.now();
-        const double bytes =
-            static_cast<double>(push_rows_ * width) * 4.0 +
-            cfg_.header_bytes;
-        channelStart(w, /*is_pull=*/false, bytes);
+        channelStart(w, /*is_pull=*/false, push_bytes_);
         channelRearm();
     }
 
@@ -444,10 +500,7 @@ class FleetEngine
         last_pushed_[w] = n;
         raiseFloor();
 
-        const double bytes =
-            static_cast<double>(push_rows_ * cfg_.row_width) * 4.0 +
-            cfg_.header_bytes;
-        const double elapsed = coord_.now() - fw.push_start;
+        fw.push_elapsed = coord_.now() - fw.push_start;
 
         // Apply ops: one per shard that owns a pushed row. The op
         // routes through the ShardedServer facade, which touches only
@@ -457,27 +510,23 @@ class FleetEngine
             for (std::size_t i = 0; i < push_rows_ && !owns; ++i)
                 owns = server_->shardOf(rotationRow(n, i)) == s;
             if (owns)
-                enqueueShard(s, [this, s, w, n] {
-                    applyPush(s, w, n);
-                });
-            // MTA reports replicate into every lane's tracker so the
-            // per-shard EWMAs stay identical replicas.
-            enqueueShard(s, [this, s, w, bytes, elapsed] {
-                server_->shard(s).report(w, bytes, elapsed, mta_bytes_);
-                logLane(s, kTagReport, w, 0, s);
-            });
+                enqueueShard(s, kTagApply, w);
+            enqueueShard(s, kTagReport, w);
         }
 
-        // Reading the pending-row count is a shard-state read: flush
-        // first (this also settles the apply ops just enqueued, after
-        // which the push staging lease can recycle).
-        flushShards();
-        fw.push_buf.release();
-
+        // Size the pull from the pending-row ledger, not the shards
+        // (no flush). After a flush, ServerShard::hasPending(w, row)
+        // holds iff a push of row ran after w's last take of row. Each
+        // lane runs its ops in enqueue order, and a deliver takes every
+        // pending row of its lane, so that is: the last push of row was
+        // enqueued after w's last deliver ops, i.e.
+        // row_push_seq_[row] > fw.deliver_seq. This push counts too.
+        ++push_seq_;
+        for (std::size_t i = 0; i < push_rows_; ++i)
+            row_push_seq_[rotationRow(n, i)] = push_seq_;
         std::size_t pending_rows = 0;
-        for (std::size_t row = 0; row < cfg_.rows; ++row)
-            if (server_->hasPending(w, row))
-                ++pending_rows;
+        for (std::uint64_t seq : row_push_seq_)
+            pending_rows += seq > fw.deliver_seq ? 1 : 0;
         const double pull_bytes =
             static_cast<double>(pending_rows * cfg_.row_width) * 4.0 +
             cfg_.header_bytes;
@@ -489,8 +538,9 @@ class FleetEngine
     }
 
     void
-    applyPush(std::size_t s, std::size_t w, std::int64_t n)
+    applyPush(std::size_t s, std::size_t w)
     {
+        const std::int64_t n = last_pushed_[w];
         const std::size_t width = cfg_.row_width;
         const float *buf = workers_[w].push_buf.data();
         for (std::size_t i = 0; i < push_rows_; ++i) {
@@ -514,7 +564,9 @@ class FleetEngine
         fw.pull_buf.release();
 
         for (std::size_t s = 0; s < shards_; ++s)
-            enqueueShard(s, [this, s, w] { deliverPending(s, w); });
+            enqueueShard(s, kTagDeliver, w);
+        fw.deliver_seq = push_seq_;
+        fw.deliver_flush = lane_flushes_ + 1;
         ++iterations_done_;
 
         if (w == 0)
@@ -525,10 +577,7 @@ class FleetEngine
             --pushed_count_[static_cast<std::size_t>(last_pushed_[w])];
             raiseFloor();
             for (std::size_t s = 0; s < shards_; ++s)
-                enqueueShard(s, [this, s, w] {
-                    server_->shard(s).retireWorker(w);
-                    logLane(s, kTagRetire, w, 0, s);
-                });
+                enqueueShard(s, kTagRetire, w);
             unblockScan();
             return;
         }
@@ -616,11 +665,19 @@ class FleetEngine
     parallel::ThreadPool &pool_;
     std::size_t shards_ = 1;
     std::size_t push_rows_ = 0;
-    double mta_bytes_ = 0.0; //!< MTA report's byte budget.
+    double mta_bytes_ = 0.0;  //!< MTA report's byte budget.
+    double push_bytes_ = 0.0; //!< every push's wire size.
 
     std::unique_ptr<ShardedServer> server_;
-    std::deque<Lane> lanes_; //!< deque: a queue is pinned (non-movable).
-    std::size_t pending_ops_ = 0;
+    std::vector<Lane> lanes_;
+    std::size_t pending_ops_ = 0; //!< enqueued since the last flush.
+    std::uint64_t lane_flushes_ = 0;
+    std::uint64_t lane_ops_ = 0;
+
+    /** Pending-row ledger: pushes are numbered from 1, and
+     *  row_push_seq_[row] is the number of the last push of row. */
+    std::uint64_t push_seq_ = 0;
+    std::vector<std::uint64_t> row_push_seq_;
 
     std::vector<float> target_;
     std::vector<float> replicas_;

@@ -2,7 +2,7 @@
  * @file
  * Fleet-scale parallel DES (ROADMAP item 1): a purpose-built
  * discrete-event engine that sweeps 16 -> 1024 workers over the
- * sharded parameter server, with the event queue partitioned by shard
+ * sharded parameter server, with the server work partitioned by shard
  * and shard phases executed on the thread pool — deterministically.
  *
  * Why a second engine: the coroutine engine in engine.cpp simulates a
@@ -11,23 +11,27 @@
  * exactly what does NOT scale to a 1024-robot fleet. This engine
  * trades model fidelity (a synthetic convex workload with hash-derived
  * gradient noise) for scale: contiguous worker state, the
- * allocation-free heap event core, per-shard event queues, and a
- * parallel tick.
+ * allocation-free heap event core, per-shard op lanes drained on the
+ * thread pool, and a coordinator that drains them only on demand.
  *
  * Determinism (DESIGN.md Sec. 17): one sequential COORDINATOR owns the
  * workers' state machines and the airtime-fair fluid channel; the
- * parameter server is split into S shards, each owning a private event
- * queue and its ServerShard state. When a transfer completes, the
- * coordinator enqueues apply-operations into every affected shard's
- * queue (deterministic content, shard-local timestamps) and runs ONE
- * parallel tick: parallelFor over shards with grain 1 — each shard
- * drains its queue up to the coordinator's clock, touching only
- * shard-local state and the (disjoint) model rows it owns — then
- * combines per-shard results (event counts, digests) in ascending
- * shard order, the same ordered pairwise combine the tensor reductions
- * use. No shard reads another shard's state, the combine order is
- * fixed, so the result is bitwise identical for every ROG_THREADS
- * (verified by fleet_determinism_test across pools of 1/2/4/8).
+ * parameter server is split into S shards, each owning a FIFO lane of
+ * plain op records and its ServerShard state. When a transfer
+ * completes, the coordinator appends ops (apply, MTA report, deliver,
+ * retire; deterministic content) to the affected lanes. It drains
+ * them (parallelFor over shards, grain 1, each lane running its ops in
+ * enqueue order against shard-local state and the disjoint model rows
+ * it owns) only before it reads lane-owned state: a worker's replica
+ * after a deliver for it, a checkpoint, the end of the run. Pull sizes
+ * come from a coordinator-side pending-row ledger. Per-shard results
+ * (event counts, digests) combine in ascending shard order, the same
+ * ordered pairwise combine the tensor reductions use. No shard reads
+ * another shard's state, each lane's op order is fixed, and the
+ * combine order is fixed, so the result is bitwise identical for
+ * every ROG_THREADS and every flush placement (verified by
+ * fleet_determinism_test across pools of 1/2/4/8 and with extra
+ * checkpoint flushes).
  */
 #ifndef ROG_CORE_FLEET_HPP
 #define ROG_CORE_FLEET_HPP
@@ -97,6 +101,11 @@ struct FleetResult
     std::uint32_t state_digest = 0;
 
     std::size_t checkpoint_files_written = 0;
+
+    /** Lane drains (fork/joins) and ops run by them; counted, not
+     *  timed, and outside the digest. */
+    std::uint64_t lane_flushes = 0;
+    std::uint64_t lane_ops = 0;
 
     // BufferPool::global() deltas over the run (transfer staging).
     std::size_t pool_leases = 0;

@@ -106,6 +106,35 @@ TEST(FleetDeterminismTest, BspLockstepConvergesTighterThanRog)
     EXPECT_GT(bsp_r.total_bytes, rog.total_bytes);
 }
 
+/** Checkpoints drain the lanes at points the plain run does not, so a
+ *  run with a checkpoint every iteration batches the lane ops into
+ *  different flushes. The outputs must not notice, on any pool. */
+TEST(FleetDeterminismTest, FlushPlacementDoesNotChangeOutputs)
+{
+    FleetConfig cfg = fleetConfig64();
+    cfg.workers = 48;
+    cfg.iterations = 8;
+    FleetConfig ckpt = cfg;
+    ckpt.checkpoint_every = 1;
+    ckpt.checkpoint_dir = testing::TempDir() + "rog_fleet_flushes";
+    ::mkdir(ckpt.checkpoint_dir.c_str(), 0755);
+
+    for (std::size_t threads : {1u, 4u}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        parallel::ThreadPool pool(threads);
+        const FleetResult plain = runFleetSimulation(cfg, pool);
+        const FleetResult flushed = runFleetSimulation(ckpt, pool);
+        EXPECT_EQ(flushed.checkpoint_files_written, 4u * 8u);
+        EXPECT_GT(flushed.lane_flushes, plain.lane_flushes);
+        EXPECT_EQ(flushed.lane_ops, plain.lane_ops);
+        EXPECT_EQ(plain.state_digest, flushed.state_digest);
+        EXPECT_EQ(plain.sim_seconds, flushed.sim_seconds);
+        EXPECT_EQ(plain.events_processed, flushed.events_processed);
+        EXPECT_EQ(plain.iterations_completed,
+                  flushed.iterations_completed);
+    }
+}
+
 TEST(FleetDeterminismTest, WritesOneCheckpointFilePerShard)
 {
     FleetConfig cfg = fleetConfig64();
