@@ -54,17 +54,6 @@ class LineLog
     FILE *f_ = nullptr;
 };
 
-void
-writeEventLog(const std::string &path,
-              const std::vector<net::transport::TransportEvent> &events)
-{
-    if (path.empty())
-        return;
-    std::ofstream os(path, std::ios::trunc);
-    for (const auto &ev : events)
-        os << net::transport::toString(ev) << '\n';
-}
-
 net::session::SocketFabricOptions
 fabricOptions(const NodeRunConfig &cfg, bool faults,
               std::uint16_t listen_port)
@@ -111,7 +100,9 @@ chaosRunDefaults()
     cfg.train.server_phi_suspect = 6.0;
 
     // A restarted server reclaims its port even if the kernel is
-    // still tearing down its predecessor's socket.
+    // still tearing down its predecessor's socket: receivers bind
+    // without SO_REUSEADDR, so that bind fails until the socket is
+    // gone.
     cfg.socket.bind_retry_window_s = 3.0;
 
     // Pushes ride out partitions: unbounded chunk retries, quick
@@ -177,6 +168,7 @@ runServerNode(const NodeRunConfig &cfg,
     res.metric_name = workload->metricName();
 
     PollLoop loop;
+    std::ofstream events; // outlives the fabric that writes to it.
     // The server never injects faults: perturbation belongs on the
     // worker->server push path where the chaos plan puts it.
     net::session::SocketFabric fabric(
@@ -184,6 +176,15 @@ runServerNode(const NodeRunConfig &cfg,
         fabricOptions(cfg, /*faults=*/false, cfg.listen_port));
     if (!fabric.ok())
         return res;
+    if (!cfg.artifact_dir.empty()) {
+        // Streamed as it happens: the receiver keeps no event log.
+        events.open(cfg.artifact_dir + "/server_events.log",
+                    std::ios::trunc);
+        fabric.setReceiverEventSink(
+            [&events](const net::transport::TransportEvent &ev) {
+                events << net::transport::toString(ev) << '\n';
+            });
+    }
     if (on_listen)
         on_listen(fabric.listenPort());
 
@@ -215,8 +216,7 @@ runServerNode(const NodeRunConfig &cfg,
         server.checkpointNow();
         nn::saveModelFile(cfg.artifact_dir + "/model.rogm",
                           server.model());
-        writeEventLog(cfg.artifact_dir + "/server_events.log",
-                      fabric.receiverLog());
+        events.close();
         std::ofstream sum(cfg.artifact_dir + "/summary.txt",
                           std::ios::trunc);
         sum << "done " << (res.done ? 1 : 0) << '\n'

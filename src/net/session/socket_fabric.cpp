@@ -147,10 +147,10 @@ SocketFabric::listenPort() const
     return port_;
 }
 
-const std::vector<transport::TransportEvent> &
-SocketFabric::receiverLog() const
+void
+SocketFabric::setReceiverEventSink(transport::EventSink sink)
 {
-    return rx_->log();
+    rx_->setEventSink(std::move(sink));
 }
 
 bool

@@ -10,6 +10,11 @@
  * node notices a peer restart — while the receiver endpoint (and with
  * it the exactly-once decision state) lives for the fabric's whole
  * lifetime, so a reconnecting peer's retransmits are still deduped.
+ * That state grows only by one small payload-free record per
+ * delivered message key: each payload is moved up to the message
+ * handler exactly once and nothing else of the message is kept. The
+ * receiver's event log is streamed to a sink the caller attaches, and
+ * is not recorded at all without one.
  *
  * Backend choice is by kind string ("udp" | "tcp"), read once at
  * construction; nothing above this class branches on it.
@@ -66,9 +71,9 @@ class SocketFabric : public Fabric
     void setMessageHandler(MessageHandler handler) override;
     std::uint16_t listenPort() const override;
 
-    /** The receiver endpoint's structured event log (for artifact
-     *  dumps and the chaos invariant checker). */
-    const std::vector<transport::TransportEvent> &receiverLog() const;
+    /** Stream the receiver endpoint's structured event log (for
+     *  artifact dumps and the chaos invariant checker). */
+    void setReceiverEventSink(transport::EventSink sink);
 
     bool ok() const;
     const std::string &error() const;

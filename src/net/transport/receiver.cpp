@@ -30,20 +30,53 @@ ChunkReceiver::state(std::uint64_t instance)
 }
 
 void
-ChunkReceiver::emit(TransportEvent::Kind kind, const MessageState &m,
-                    std::uint32_t seq, double a, double b)
+ChunkReceiver::emit(TransportEvent::Kind kind, LinkId link,
+                    const MessageKey &key, std::uint32_t seq, double a)
 {
     if (!sink_)
         return;
     TransportEvent ev;
     ev.t = clock_();
     ev.kind = kind;
-    ev.link = m.link;
-    ev.key = m.key;
+    ev.link = link;
+    ev.key = key;
     ev.chunk_seq = seq;
     ev.a = a;
-    ev.b = b;
     sink_(ev);
+}
+
+bool
+ChunkReceiver::checkCrc(LinkId link, const MessageKey &key,
+                        const FrameHeader &hdr,
+                        std::span<const std::uint8_t> chunk,
+                        double chunk_len)
+{
+    if (crc32c(chunk) == hdr.payload_crc)
+        return true;
+    if (observer_)
+        observer_->onTransportChunk(key.worker, key.version, key.row,
+                                    hdr.chunk_seq, false, false,
+                                    key.pull);
+    emit(TransportEvent::Kind::CorruptDrop, link, key, hdr.chunk_seq,
+         chunk_len);
+    return false;
+}
+
+void
+ChunkReceiver::noteChunk(LinkId link, const MessageKey &key,
+                         std::uint32_t seq, bool fresh, double chunk_len,
+                         Decision &d)
+{
+    if (observer_)
+        observer_->onTransportChunk(key.worker, key.version, key.row, seq,
+                                    true, fresh, key.pull);
+    if (!fresh) {
+        ++d.duplicates;
+        emit(TransportEvent::Kind::Duplicate, link, key, seq);
+        return;
+    }
+    ++d.fresh_accepts;
+    emit(TransportEvent::Kind::Accept, link, key, seq, chunk_len);
 }
 
 void
@@ -52,18 +85,8 @@ ChunkReceiver::acceptOnce(MessageState &m, const FrameHeader &hdr,
                           double chunk_len, Decision &d)
 {
     const bool fresh = m.accepted.insert(hdr.chunk_seq).second;
-    if (observer_)
-        observer_->onTransportChunk(m.key.worker, m.key.version,
-                                    m.key.row, hdr.chunk_seq, true,
-                                    fresh, m.key.pull);
-    if (!fresh) {
-        ++d.duplicates;
-        emit(TransportEvent::Kind::Duplicate, m, hdr.chunk_seq);
-        return;
-    }
-    ++d.fresh_accepts;
-    emit(TransportEvent::Kind::Accept, m, hdr.chunk_seq, chunk_len);
-    if (m.store_payload)
+    noteChunk(m.link, m.key, hdr.chunk_seq, fresh, chunk_len, d);
+    if (fresh && m.store_payload)
         m.chunks[hdr.chunk_seq].assign(chunk.begin(), chunk.end());
 }
 
@@ -94,16 +117,9 @@ ChunkReceiver::onChunk(std::uint64_t instance, LinkId link,
     m.chunk_count = hdr.chunk_count;
 
     Decision d;
-    d.crc_ok = crc32c(chunk) == hdr.payload_crc;
-    if (!d.crc_ok) {
-        if (observer_)
-            observer_->onTransportChunk(key.worker, key.version, key.row,
-                                        hdr.chunk_seq, false, false,
-                                        key.pull);
-        emit(TransportEvent::Kind::CorruptDrop, m, hdr.chunk_seq,
-             chunk_len);
+    d.crc_ok = checkCrc(link, key, hdr, chunk, chunk_len);
+    if (!d.crc_ok)
         return d;
-    }
 
     if (reordered_hint && !m.hold_pending &&
         hdr.chunk_seq + 1 < hdr.chunk_count) {
@@ -115,7 +131,7 @@ ChunkReceiver::onChunk(std::uint64_t instance, LinkId link,
         m.hold_chunk_len = chunk_len;
         m.hold_bytes.assign(chunk.begin(), chunk.end());
         d.held = true;
-        emit(TransportEvent::Kind::ReorderHold, m, hdr.chunk_seq);
+        emit(TransportEvent::Kind::ReorderHold, link, key, hdr.chunk_seq);
         return d;
     }
 
@@ -138,7 +154,7 @@ ChunkReceiver::onChunk(std::uint64_t instance, LinkId link,
         if (observer_)
             observer_->onTransportDeliver(key.worker, key.version,
                                           key.row, key.pull);
-        emit(TransportEvent::Kind::Deliver, m, m.chunk_count);
+        emit(TransportEvent::Kind::Deliver, link, key, m.chunk_count);
     }
     d.message_complete = m.complete;
     if (m.complete && m.store_payload)
@@ -170,6 +186,40 @@ ChunkReceiver::payload(std::uint64_t instance) const
     return it == messages_.end() ? kEmpty : it->second.assembled;
 }
 
+ChunkReceiver::Retired
+ChunkReceiver::retire(std::uint64_t instance)
+{
+    auto it = messages_.find(instance);
+    ROG_ASSERT(it != messages_.end() && it->second.complete &&
+                   !it->second.hold_pending,
+               "retire of an undelivered message");
+    Retired r;
+    r.payload = std::move(it->second.assembled);
+    for (const std::uint32_t seq : it->second.accepted) {
+        if (seq == r.accepted_prefix)
+            ++r.accepted_prefix;
+        else
+            r.accepted_extra.push_back(seq);
+    }
+    messages_.erase(it);
+    return r;
+}
+
+ChunkReceiver::Decision
+ChunkReceiver::onRetiredChunk(LinkId link, const MessageKey &key,
+                              const FrameHeader &hdr,
+                              std::span<const std::uint8_t> chunk,
+                              double chunk_len, bool fresh)
+{
+    Decision d;
+    d.crc_ok = checkCrc(link, key, hdr, chunk, chunk_len);
+    if (!d.crc_ok)
+        return d;
+    noteChunk(link, key, hdr.chunk_seq, fresh, chunk_len, d);
+    d.message_complete = true;
+    return d;
+}
+
 FrameAssembler::FrameAssembler(ChunkReceiver &rx, bool store_payload)
     : rx_(rx), store_payload_(store_payload)
 {
@@ -185,14 +235,8 @@ FrameAssembler::onFrame(LinkId link, const FrameHeader &hdr,
     key.row = hdr.row;
     key.pull = hdr.pull();
 
-    auto [ins_it, fresh] = instances_.try_emplace(key, next_instance_);
-    if (fresh) {
-        ++next_instance_;
-        rx_.open(ins_it->second, store_payload_);
-    }
-    const std::uint64_t instance = ins_it->second;
-
-    ChunkBuf &buf = bufs_[{instance, hdr.chunk_seq}];
+    const auto buf_key = std::make_pair(key, hdr.chunk_seq);
+    ChunkBuf &buf = bufs_[buf_key];
     const std::uint64_t off = hdr.payload_off;
     const std::uint64_t end = off + present.size();
     if (buf.bytes.size() < end)
@@ -212,21 +256,107 @@ FrameAssembler::onFrame(LinkId link, const FrameHeader &hdr,
     // before it are contiguous.
     const std::uint64_t chunk_total = off + hdr.payload_len;
     const bool whole = present.size() == hdr.payload_len;
-    if (!whole || buf.prefix < chunk_total) {
-        r.chunk_complete = false;
+    if (!whole || buf.prefix < chunk_total)
         return r;
-    }
 
-    r.chunk_complete = true;
-    r.decision = rx_.onChunk(
-        instance, link, key, hdr,
-        {buf.bytes.data(), static_cast<std::size_t>(chunk_total)},
-        static_cast<double>(chunk_total), false, false);
+    decide(r, link, key, hdr,
+           {buf.bytes.data(), static_cast<std::size_t>(chunk_total)});
     // Accepted or discarded, this chunk's buffer is spent: a CRC
     // failure restarts the chunk from offset zero (the prefix was
     // untrustworthy), and an accept has no more use for it.
-    bufs_.erase({instance, hdr.chunk_seq});
+    bufs_.erase(buf_key);
     return r;
+}
+
+void
+FrameAssembler::decide(Result &r, LinkId link, const MessageKey &key,
+                       const FrameHeader &hdr,
+                       std::span<const std::uint8_t> chunk)
+{
+    r.chunk_complete = true;
+    const auto chunk_len = static_cast<double>(chunk.size());
+    if (const std::uint32_t *prefix = delivered_.find(key)) {
+        const auto extra = std::make_pair(key, hdr.chunk_seq);
+        const bool fresh = hdr.chunk_seq >= *prefix &&
+                           delivered_extra_.count(extra) == 0;
+        r.decision =
+            rx_.onRetiredChunk(link, key, hdr, chunk, chunk_len, fresh);
+        if (r.decision.fresh_accepts > 0)
+            delivered_extra_.insert(extra);
+        return;
+    }
+
+    auto [it, fresh] = instances_.try_emplace(key, next_instance_);
+    if (fresh) {
+        ++next_instance_;
+        rx_.open(it->second, store_payload_);
+    }
+    r.decision = rx_.onChunk(it->second, link, key, hdr, chunk, chunk_len,
+                             false, false);
+    if (!r.decision.message_complete)
+        return;
+
+    // Delivered: keep only what dedup of late frames needs.
+    ChunkReceiver::Retired done = rx_.retire(it->second);
+    instances_.erase(it);
+    delivered_.insert(key, done.accepted_prefix);
+    for (const std::uint32_t seq : done.accepted_extra)
+        delivered_extra_.insert({key, seq});
+    r.decision.assembled = nullptr;
+    r.delivered = true;
+    r.payload = std::move(done.payload);
+}
+
+std::size_t
+FrameAssembler::DeliveredKeys::slotOf(const MessageKey &key) const
+{
+    // Row, worker and direction pack disjointly into one word; the
+    // fmix64 finalizer spreads every input bit over the low bits.
+    std::uint64_t h =
+        static_cast<std::uint64_t>(key.version) * 0x9e3779b97f4a7c15ull;
+    h ^= (static_cast<std::uint64_t>(key.row) << 17) ^
+         (static_cast<std::uint64_t>(key.worker) << 1) ^
+         (key.pull ? 1u : 0u);
+    h ^= h >> 33;
+    h *= 0xff51afd7ed558ccdull;
+    h ^= h >> 33;
+    return static_cast<std::size_t>(h) & (slots_.size() - 1);
+}
+
+const std::uint32_t *
+FrameAssembler::DeliveredKeys::find(const MessageKey &key) const
+{
+    if (size_ == 0)
+        return nullptr;
+    for (std::size_t i = slotOf(key);; i = (i + 1) & (slots_.size() - 1)) {
+        const Slot &s = slots_[i];
+        if (!s.used)
+            return nullptr;
+        if (s.version == key.version && s.row == key.row &&
+            s.worker == key.worker && s.pull == key.pull)
+            return &s.accepted_prefix;
+    }
+}
+
+void
+FrameAssembler::DeliveredKeys::insert(const MessageKey &key,
+                                      std::uint32_t accepted_prefix)
+{
+    if (4 * (size_ + 1) > 3 * slots_.size()) {
+        std::vector<Slot> old = std::move(slots_);
+        slots_.assign(std::max<std::size_t>(64, 2 * old.size()), Slot{});
+        size_ = 0;
+        for (const Slot &s : old)
+            if (s.used)
+                insert({s.worker, s.version, s.row, s.pull},
+                       s.accepted_prefix);
+    }
+    std::size_t i = slotOf(key);
+    while (slots_[i].used)
+        i = (i + 1) & (slots_.size() - 1);
+    slots_[i] = Slot{key.version, key.row, accepted_prefix, key.worker,
+                     key.pull, true};
+    ++size_;
 }
 
 } // namespace transport

@@ -13,8 +13,10 @@
  *
  * State is scoped per message *instance* (an opaque id the caller
  * picks): the simulator scopes instances per send so repeated keys
- * stay independent, while a real receiver endpoint maps each distinct
- * MessageKey to one instance for true cross-process exactly-once.
+ * stay independent and releases each one when its send finishes,
+ * while a real receiver endpoint maps each distinct MessageKey to one
+ * instance for true cross-process exactly-once and retires it at
+ * delivery (retire(), onRetiredChunk(); see FrameAssembler).
  */
 #ifndef ROG_NET_TRANSPORT_RECEIVER_HPP
 #define ROG_NET_TRANSPORT_RECEIVER_HPP
@@ -100,8 +102,42 @@ class ChunkReceiver
     /** Reassembled payload of a delivered instance (empty if none). */
     const std::vector<std::uint8_t> &payload(std::uint64_t instance) const;
 
+    /** What a delivered instance leaves behind once retired. */
+    struct Retired
+    {
+        /** The reassembled payload, moved out (empty unless stored). */
+        std::vector<std::uint8_t> payload;
+
+        /** Chunks [0, accepted_prefix) were accepted... */
+        std::uint32_t accepted_prefix = 0;
+
+        /** ...and so were these, all past the prefix. Empty unless a
+         *  sender framed chunk_seq >= chunk_count. */
+        std::vector<std::uint32_t> accepted_extra;
+    };
+
+    /** Drop every piece of state of delivered @p instance. */
+    Retired retire(std::uint64_t instance);
+
+    /**
+     * One complete chunk for a message that was delivered and then
+     * retired: the CRC verdict, observer hooks and events onChunk()
+     * would have produced from the kept state. @p fresh says whether
+     * the chunk's sequence number is missing from the message's
+     * accepted set; the caller adds it there when the decision shows a
+     * fresh accept.
+     */
+    Decision onRetiredChunk(LinkId link, const MessageKey &key,
+                            const FrameHeader &hdr,
+                            std::span<const std::uint8_t> chunk,
+                            double chunk_len, bool fresh);
+
     /** Messages fully delivered since construction. */
     std::size_t deliveredMessages() const { return delivered_; }
+
+    /** Instances with live state (opened, neither released nor
+     *  retired). */
+    std::size_t liveMessages() const { return messages_.size(); }
 
   private:
     struct MessageState
@@ -126,8 +162,15 @@ class ChunkReceiver
                     std::span<const std::uint8_t> chunk, double chunk_len,
                     Decision &d);
     void flushHold(MessageState &m, Decision &d);
-    void emit(TransportEvent::Kind kind, const MessageState &m,
-              std::uint32_t seq, double a = 0.0, double b = 0.0);
+    /** Verdict over @p chunk; a failure is reported and dropped. */
+    bool checkCrc(LinkId link, const MessageKey &key,
+                  const FrameHeader &hdr,
+                  std::span<const std::uint8_t> chunk, double chunk_len);
+    /** Report one CRC-intact chunk as a fresh accept or a duplicate. */
+    void noteChunk(LinkId link, const MessageKey &key, std::uint32_t seq,
+                   bool fresh, double chunk_len, Decision &d);
+    void emit(TransportEvent::Kind kind, LinkId link,
+              const MessageKey &key, std::uint32_t seq, double a = 0.0);
 
     std::function<double()> clock_;
     TransportObserver *observer_ = nullptr;
@@ -147,6 +190,14 @@ class ChunkReceiver
  * CRC is wiped, so the retry rebuilds it from scratch — mirroring the
  * simulator's restart-the-chunk-on-corruption rule. Message instances
  * are scoped per distinct MessageKey: cross-process exactly-once.
+ *
+ * State is proportional to messages in flight. The frame that
+ * completes a message retires it: its instance, chunk buffers and
+ * receiver state are dropped, its payload is handed out once in the
+ * Result, and the key keeps one payload-free record (the length of its
+ * accepted chunk prefix) in a flat open-addressed table. A late frame
+ * for a retired key gets the same ACK decision and events as before
+ * retirement; it is never delivered again.
  */
 class FrameAssembler
 {
@@ -161,12 +212,18 @@ class FrameAssembler
         std::uint64_t prefix = 0;
 
         ChunkReceiver::Decision decision;
+
+        /** This frame delivered its message (at most once per key). */
+        bool delivered = false;
+
+        /** The delivered message's bytes when storing payloads. */
+        std::vector<std::uint8_t> payload;
     };
 
     /**
      * @param rx makes every protocol decision; must outlive this.
-     * @param store_payload retain reassembled payload bytes per
-     *        message (see ChunkReceiver::payload).
+     * @param store_payload hand each delivered message's reassembled
+     *        bytes out in Result::payload.
      */
     explicit FrameAssembler(ChunkReceiver &rx, bool store_payload = false);
 
@@ -179,6 +236,15 @@ class FrameAssembler
 
     ChunkReceiver &receiver() { return rx_; }
 
+    /** Partially received chunks currently buffered. */
+    std::size_t chunkBuffers() const { return bufs_.size(); }
+
+    /** Delivered (retired) keys remembered. */
+    std::size_t deliveredKeys() const { return delivered_.size(); }
+
+    /** Heap bytes of the delivered-key table. */
+    std::size_t deliveredBytes() const { return delivered_.bytes(); }
+
   private:
     struct ChunkBuf
     {
@@ -186,11 +252,51 @@ class FrameAssembler
         std::uint64_t prefix = 0;
     };
 
+    /**
+     * Delivered keys, each with the length of its accepted chunk
+     * prefix: linear probing over a power-of-two slot array, grown at
+     * 3/4 load. Keys are never removed (a delivered key is remembered
+     * for the receiver's lifetime), so no tombstones.
+     */
+    class DeliveredKeys
+    {
+      public:
+        /** The accepted prefix recorded for @p key, or null. */
+        const std::uint32_t *find(const MessageKey &key) const;
+        void insert(const MessageKey &key, std::uint32_t accepted_prefix);
+        std::size_t size() const { return size_; }
+        std::size_t bytes() const { return slots_.capacity() * sizeof(Slot); }
+
+      private:
+        struct Slot
+        {
+            std::int64_t version = 0;
+            std::uint32_t row = 0;
+            std::uint32_t accepted_prefix = 0;
+            std::uint16_t worker = 0;
+            bool pull = false;
+            bool used = false;
+        };
+
+        std::size_t slotOf(const MessageKey &key) const;
+
+        std::vector<Slot> slots_;
+        std::size_t size_ = 0;
+    };
+
+    /** Decide a whole chunk of message @p key. */
+    void decide(Result &r, LinkId link, const MessageKey &key,
+                const FrameHeader &hdr,
+                std::span<const std::uint8_t> chunk);
+
     ChunkReceiver &rx_;
     bool store_payload_ = false;
-    std::map<MessageKey, std::uint64_t> instances_;
+    std::map<MessageKey, std::uint64_t> instances_; //!< in flight only.
     std::uint64_t next_instance_ = 1;
-    std::map<std::pair<std::uint64_t, std::uint32_t>, ChunkBuf> bufs_;
+    std::map<std::pair<MessageKey, std::uint32_t>, ChunkBuf> bufs_;
+    DeliveredKeys delivered_;
+    /** Accepted chunks of delivered keys past their prefix. */
+    std::set<std::pair<MessageKey, std::uint32_t>> delivered_extra_;
 };
 
 } // namespace transport

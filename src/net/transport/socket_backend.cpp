@@ -182,7 +182,7 @@ SocketSenderBase::sendFrame(std::uint64_t send_id, const FrameHeader &hdr,
         wait, [this, send_id] { resolveTimeout(send_id); });
     pending_.emplace(send_id, std::move(p));
 
-    emitFrame(bytes);
+    emitFrame(std::move(bytes));
 }
 
 void
@@ -334,7 +334,7 @@ UdpBackend::~UdpBackend()
 }
 
 void
-UdpBackend::emitFrame(const std::vector<std::uint8_t> &bytes)
+UdpBackend::emitFrame(std::vector<std::uint8_t> &&wire)
 {
     DatagramFate fate;
     if (faults_)
@@ -342,7 +342,6 @@ UdpBackend::emitFrame(const std::vector<std::uint8_t> &bytes)
     if (fate.drop)
         return;
 
-    std::vector<std::uint8_t> wire = bytes;
     const std::size_t payload = wire.size() - FrameHeader::kWireSize;
     if (fate.keep_frac < 1.0 && payload > 0) {
         // Cut the payload mid-fragment: the receiver ACKs the intact
@@ -364,7 +363,9 @@ UdpBackend::emitFrame(const std::vector<std::uint8_t> &bytes)
     };
     if (fate.delay_s > 0.0) {
         loop_.after(fate.delay_s,
-                    [ship, wire, copies] { ship(wire, copies); });
+                    [ship, wire = std::move(wire), copies] {
+                        ship(wire, copies);
+                    });
         return;
     }
     ship(wire, copies);
@@ -428,7 +429,7 @@ TcpBackend::~TcpBackend()
 }
 
 void
-TcpBackend::emitFrame(const std::vector<std::uint8_t> &bytes)
+TcpBackend::emitFrame(std::vector<std::uint8_t> &&bytes)
 {
     out_.insert(out_.end(), bytes.begin(), bytes.end());
     if (connected_)
@@ -512,10 +513,7 @@ ReceiverEndpointBase::ReceiverEndpointBase(PollLoop &loop,
                                            TransportObserver *observer,
                                            bool store_payload)
     : loop_(loop),
-      receiver_([&loop] { return loop.now(); }, observer,
-                [this](const TransportEvent &ev) {
-                    events_.push_back(ev);
-                }),
+      receiver_([&loop] { return loop.now(); }, observer),
       assembler_(receiver_, store_payload), store_payload_(store_payload)
 {
 }
@@ -539,22 +537,22 @@ FrameHeader
 ReceiverEndpointBase::onDataFrame(const FrameHeader &hdr,
                                   std::span<const std::uint8_t> present)
 {
-    const auto r = assembler_.onFrame(0, hdr, present);
+    FrameAssembler::Result r = assembler_.onFrame(0, hdr, present);
 
-    RxRecord rec;
-    rec.link = 0;
-    rec.key = keyOf(hdr);
-    rec.chunk_seq = hdr.chunk_seq;
-    rec.payload_off = hdr.payload_off;
-    rec.frag_len = hdr.payload_len;
-    rec.got = static_cast<std::uint32_t>(present.size());
-    rec.crc_ok = r.chunk_complete ? r.decision.crc_ok : true;
-    rx_records_.push_back(rec);
+    if (trace_) {
+        RxRecord rec;
+        rec.link = 0;
+        rec.key = keyOf(hdr);
+        rec.chunk_seq = hdr.chunk_seq;
+        rec.payload_off = hdr.payload_off;
+        rec.frag_len = hdr.payload_len;
+        rec.got = static_cast<std::uint32_t>(present.size());
+        rec.crc_ok = r.chunk_complete ? r.decision.crc_ok : true;
+        trace_->rx.push_back(rec);
+    }
 
-    if (r.chunk_complete && r.decision.message_complete &&
-        r.decision.assembled && delivery_)
-        delivery_(keyOf(hdr),
-                  std::vector<std::uint8_t>(*r.decision.assembled));
+    if (r.delivered && delivery_)
+        delivery_(keyOf(hdr), std::move(r.payload));
 
     return makeAck(hdr, r);
 }
@@ -573,9 +571,10 @@ UdpReceiverEndpoint::UdpReceiverEndpoint(PollLoop &loop,
         fail("udp socket");
         return;
     }
-    int one = 1;
-    ::setsockopt(fd_.get(), SOL_SOCKET, SO_REUSEADDR, &one,
-                 sizeof(one));
+    // No SO_REUSEADDR: on Linux two reuse-flagged UDP sockets may share
+    // an address, so an ephemeral bind could land on a live endpoint's
+    // port and steal its unicast datagrams. A restarted server that
+    // reclaims its old port rides the bind-retry window instead.
     sockaddr_in addr{};
     resolveAddr("127.0.0.1", port, addr);
     if (!bindWithRetry(fd_.get(), addr, bind_retry_window_s)) {

@@ -14,11 +14,11 @@
  * resume-from-offset, so a cut datagram's tail is all that gets
  * resent.
  *
- * The sender side optionally records an AttemptRecord per frame into
- * a TransportTrace, and the receiver endpoints record an RxRecord per
- * frame — together exactly what the cross-validation harness
- * (crossval.hpp) needs to replay the run through the DES twin and
- * compare event logs frame-for-frame.
+ * Given a TransportTrace, the sender side records an AttemptRecord per
+ * frame and a receiver endpoint an RxRecord per frame — together
+ * exactly what the cross-validation harness (crossval.hpp) needs to
+ * replay the run through the DES twin and compare event logs
+ * frame-for-frame. Without one, nothing is recorded.
  *
  * Backend selection is by construction (the harness reads
  * ROG_TRANSPORT_BACKEND=des|udp|tcp); nothing in the protocol core
@@ -112,7 +112,7 @@ class SocketSenderBase : public Backend
     };
 
     /** Ship one serialized data frame (header + fragment). */
-    virtual void emitFrame(const std::vector<std::uint8_t> &bytes) = 0;
+    virtual void emitFrame(std::vector<std::uint8_t> &&bytes) = 0;
 
     /** An ACK frame arrived; resolve the matching pending attempt. */
     void handleAck(const FrameHeader &ack);
@@ -148,7 +148,7 @@ class UdpBackend : public SocketSenderBase
     ~UdpBackend() override;
 
   protected:
-    void emitFrame(const std::vector<std::uint8_t> &bytes) override;
+    void emitFrame(std::vector<std::uint8_t> &&bytes) override;
 
   private:
     void onReadable();
@@ -167,7 +167,7 @@ class TcpBackend : public SocketSenderBase
     ~TcpBackend() override;
 
   protected:
-    void emitFrame(const std::vector<std::uint8_t> &bytes) override;
+    void emitFrame(std::vector<std::uint8_t> &&bytes) override;
 
   private:
     void onEvents(short revents);
@@ -181,24 +181,29 @@ class TcpBackend : public SocketSenderBase
 
 /**
  * Receiver-side endpoint shared state: the protocol half
- * (ChunkReceiver + FrameAssembler), the structured event log, and the
- * per-frame RxRecord trace the cross-validation harness replays.
+ * (ChunkReceiver + FrameAssembler) and the optional consumers of its
+ * decisions — an EventSink for the structured event log and a
+ * TransportTrace for the per-frame RxRecords the cross-validation
+ * harness replays. Neither is kept unless the caller attaches it, and
+ * a delivered message costs only its dedup record
+ * (FrameAssembler).
  */
 class ReceiverEndpointBase
 {
   public:
     /**
      * Hand-off of a fully delivered message's reassembled payload
-     * bytes (the session layer's receive path). Fired exactly once
-     * per message, at the frame that completes it.
+     * bytes (the session layer's receive path), moved out of the
+     * receiver. Fired exactly once per message, at the frame that
+     * completes it; a late duplicate is ACKed, never handed up again.
      */
     using DeliverySink =
         std::function<void(const MessageKey &, std::vector<std::uint8_t> &&)>;
 
     /**
-     * @param store_payload retain reassembled payloads so a
-     *        DeliverySink can hand them up; transport-only endpoints
-     *        leave it off and keep only the decision state.
+     * @param store_payload reassemble payloads so a DeliverySink
+     *        can hand them up; transport-only endpoints leave it off
+     *        and keep only the decision state.
      */
     ReceiverEndpointBase(PollLoop &loop,
                          TransportObserver *observer = nullptr,
@@ -208,8 +213,16 @@ class ReceiverEndpointBase
     /** Requires construction with store_payload = true. */
     void setDeliverySink(DeliverySink sink);
 
-    const std::vector<TransportEvent> &log() const { return events_; }
-    const std::vector<RxRecord> &rxRecords() const { return rx_records_; }
+    /** Stream every receiver decision as a TransportEvent. */
+    void setEventSink(EventSink sink)
+    {
+        receiver_.setEventSink(std::move(sink));
+    }
+
+    /** Append one RxRecord per data frame to @p trace->rx; @p trace
+     *  must outlive the endpoint (null stops recording). */
+    void setTrace(TransportTrace *trace) { trace_ = trace; }
+
     std::size_t deliveredMessages() const
     {
         return receiver_.deliveredMessages();
@@ -228,8 +241,7 @@ class ReceiverEndpointBase
     FrameAssembler assembler_;
     bool store_payload_ = false;
     DeliverySink delivery_;
-    std::vector<TransportEvent> events_;
-    std::vector<RxRecord> rx_records_;
+    TransportTrace *trace_ = nullptr;
     std::string last_error_;
 };
 

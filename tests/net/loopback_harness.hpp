@@ -123,6 +123,10 @@ runLoopback(const LoopbackSpec &spec)
         out.error = sock->error();
         return out;
     }
+    ep->setTrace(&out.trace);
+    ep->setEventSink([&out](const TransportEvent &ev) {
+        out.receiver_log.push_back(ev);
+    });
 
     ReliableLink link(*sock, spec.config);
     std::function<void(std::size_t)> issue = [&](std::size_t i) {
@@ -163,11 +167,9 @@ runLoopback(const LoopbackSpec &spec)
     out.rx_delivered = ep->deliveredMessages();
     out.totals = link.totals();
     out.sender_log = link.log();
-    out.receiver_log = ep->log();
     out.merged_log = out.sender_log;
     out.merged_log.insert(out.merged_log.end(), out.receiver_log.begin(),
                           out.receiver_log.end());
-    out.trace.rx = ep->rxRecords();
     out.ok = true;
     return out;
 }

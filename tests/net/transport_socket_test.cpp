@@ -84,6 +84,12 @@ receiverChild(const std::string &backend, std::size_t expect,
     }
     if (!ep->ok())
         _exit(2);
+    TransportTrace rx_trace;
+    rx_trace.config = tc;
+    std::vector<TransportEvent> events;
+    ep->setTrace(&rx_trace);
+    ep->setEventSink(
+        [&events](const TransportEvent &e) { events.push_back(e); });
     if (::write(port_fd, &port, sizeof port) !=
         static_cast<ssize_t>(sizeof port))
         _exit(3);
@@ -98,11 +104,8 @@ receiverChild(const std::string &backend, std::size_t expect,
         _exit(5);
 
     std::ofstream ev(events_path);
-    for (const TransportEvent &e : ep->log())
+    for (const TransportEvent &e : events)
         ev << toString(e) << "\n";
-    TransportTrace rx_trace;
-    rx_trace.config = tc;
-    rx_trace.rx = ep->rxRecords();
     std::ofstream tr(trace_path);
     tr << rx_trace.toText();
     ev.flush();

@@ -232,6 +232,12 @@ runRecv(const Args &args)
         std::cerr << "recv: " << ep->error() << "\n";
         return 1;
     }
+    TransportTrace trace;
+    trace.config.backend = backend;
+    std::vector<TransportEvent> events;
+    ep->setTrace(&trace);
+    ep->setEventSink(
+        [&events](const TransportEvent &ev) { events.push_back(ev); });
     std::cout << "port " << bound << "\n" << std::flush;
 
     const bool got = loop.runUntil(
@@ -239,10 +245,7 @@ runRecv(const Args &args)
     // Linger: the last ACK (and any TCP flush) must still go out.
     loop.runUntil([] { return false; }, 0.2);
 
-    TransportTrace trace;
-    trace.config.backend = backend;
-    trace.rx = ep->rxRecords();
-    if (!writeFile(args.get("events"), eventsText(ep->log())) ||
+    if (!writeFile(args.get("events"), eventsText(events)) ||
         !writeFile(args.get("trace"), trace.toText())) {
         std::cerr << "recv: cannot write output files\n";
         return 1;
@@ -416,6 +419,11 @@ runLoopback(const Args &args)
         std::cerr << "loopback: " << sock->error() << "\n";
         return 1;
     }
+    std::vector<TransportEvent> rx_events;
+    ep->setTrace(&trace);
+    ep->setEventSink([&rx_events](const TransportEvent &ev) {
+        rx_events.push_back(ev);
+    });
 
     ReliableLink link(*sock, cfg);
     SendDriver driver{link, &trace, args.getSize("sends", 1),
@@ -438,9 +446,8 @@ runLoopback(const Args &args)
         return 1;
     }
 
-    trace.rx = ep->rxRecords();
     std::vector<TransportEvent> merged = link.log();
-    merged.insert(merged.end(), ep->log().begin(), ep->log().end());
+    merged.insert(merged.end(), rx_events.begin(), rx_events.end());
 
     if (!writeFile(args.get("events"), eventsText(merged)) ||
         !writeFile(args.get("trace"), trace.toText())) {
