@@ -133,59 +133,41 @@ InvariantChecker::onServerRecovery(std::int64_t checkpoint_iter,
 }
 
 void
-InvariantChecker::onTransportChunk(std::size_t worker,
-                                   std::int64_t version,
-                                   std::size_t row,
-                                   std::uint32_t chunk_seq, bool crc_ok,
-                                   bool accepted_fresh, bool pull)
+InvariantChecker::onTransportEvent(const net::transport::TransportEvent &ev)
 {
-    ++checks_;
-    if (!accepted_fresh)
+    using Kind = net::transport::TransportEvent::Kind;
+    const auto where = [&ev] {
+        return detail::concat(ev.key.pull ? "pull" : "push", " worker ",
+                              ev.key.worker, " version ", ev.key.version,
+                              " row ", ev.key.row);
+    };
+    switch (ev.kind) {
+    case Kind::Duplicate:
+    case Kind::CorruptDrop:
+        ++checks_;
         return;
-    const char *dir = pull ? "pull" : "push";
-    if (!crc_ok) {
-        fail(detail::concat("transport accepted a corrupted chunk: ",
-                            dir, " worker ", worker, " version ",
-                            version, " row ", row, " chunk ",
-                            chunk_seq));
-    }
-    const TransportKey key{worker, version, row, chunk_seq, pull};
-    if (!accepted_chunks_.insert(key).second) {
-        fail(detail::concat("transport accepted a chunk twice "
-                            "(duplicate delivery applied): ", dir,
-                            " worker ", worker, " version ", version,
-                            " row ", row, " chunk ", chunk_seq));
-    }
-}
-
-void
-InvariantChecker::onTransportDeliver(std::size_t worker,
-                                     std::int64_t version,
-                                     std::size_t row, bool pull)
-{
-    ++checks_;
-    const TransportKey key{worker, version, row, kAnyChunk, pull};
-    if (!delivered_.insert(key).second) {
-        fail(detail::concat("transport delivered a message twice: ",
-                            pull ? "pull" : "push", " worker ", worker,
-                            " version ", version, " row ", row));
-    }
-}
-
-void
-InvariantChecker::onTransportResume(std::size_t worker,
-                                    std::int64_t version,
-                                    std::size_t row,
-                                    double resumed_bytes,
-                                    double requested_bytes, bool pull)
-{
-    ++checks_;
-    if (resumed_bytes > requested_bytes + 1e-6 || resumed_bytes < 0.0) {
-        fail(detail::concat("transport resumed ", resumed_bytes,
-                            " bytes of a ", requested_bytes,
-                            "-byte chunk: ", pull ? "pull" : "push",
-                            " worker ", worker, " version ", version,
-                            " row ", row));
+    case Kind::Accept:
+        ++checks_;
+        if (!accepted_chunks_.insert({ev.key, ev.chunk_seq}).second) {
+            fail(detail::concat("transport accepted a chunk twice "
+                                "(duplicate delivery applied): ",
+                                where(), " chunk ", ev.chunk_seq));
+        }
+        return;
+    case Kind::Deliver:
+        ++checks_;
+        if (!delivered_.insert(ev.key).second)
+            fail("transport delivered a message twice: " + where());
+        return;
+    case Kind::Resume:
+        ++checks_;
+        if (ev.a > ev.b + 1e-6 || ev.a < 0.0) {
+            fail(detail::concat("transport resumed ", ev.a, " bytes of a ",
+                                ev.b, "-byte chunk: ", where()));
+        }
+        return;
+    default:
+        return;
     }
 }
 

@@ -23,9 +23,10 @@
  *  - server recovery only ever rolls state backwards (write-ahead
  *    ordering);
  *  - the reliable transport (net/transport) applies every chunk at
- *    most once even when the link duplicates deliveries, never accepts
- *    a chunk whose CRC check failed, never delivers one message twice,
- *    and never resumes a retry beyond the bytes actually requested.
+ *    most once even when the link duplicates deliveries, never delivers
+ *    one message twice, and never resumes a retry beyond the bytes
+ *    actually requested. These are read from the transport's event
+ *    stream (onTransportEvent, attached as a net::transport::EventSink).
  */
 #ifndef ROG_FAULT_INVARIANT_CHECKER_HPP
 #define ROG_FAULT_INVARIANT_CHECKER_HPP
@@ -33,16 +34,16 @@
 #include <cstdint>
 #include <set>
 #include <string>
-#include <tuple>
+#include <utility>
 #include <vector>
 
-#include "net/transport/observer.hpp"
+#include "net/transport/event_log.hpp"
 
 namespace rog {
 namespace fault {
 
 /** Collects violations of the engine's conservation invariants. */
-class InvariantChecker final : public net::transport::TransportObserver
+class InvariantChecker final
 {
   public:
     InvariantChecker() = default;
@@ -88,35 +89,18 @@ class InvariantChecker final : public net::transport::TransportObserver
                           std::int64_t crash_iter);
 
     /**
-     * The transport receiver handled one chunk of the message keyed
-     * (worker, version, row, pull-direction). @p crc_ok is the
-     * receiver-side checksum verdict; @p accepted_fresh is whether the
-     * receiver treated the chunk as new payload (as opposed to a
-     * dedup'd duplicate or a discard). Accepting a corrupted chunk, or
-     * accepting the same @p chunk_seq fresh twice, is a violation.
+     * One transport decision (wire it up as the link's EventSink).
+     *  - Accept: the chunk was applied as new payload; accepting the
+     *    same (message, chunk_seq) fresh twice is a violation.
+     *  - Duplicate / CorruptDrop: a dedup'd or discarded chunk.
+     *  - Deliver: the message reached the application; a second
+     *    delivery of the same message is a violation (exactly-once).
+     *  - Resume: a retry resumed after @c a of the chunk's @c b bytes;
+     *    resuming past the request (or below zero) is a violation —
+     *    the transport would be inventing delivered bytes.
+     * Other kinds are not checked.
      */
-    void onTransportChunk(std::size_t worker, std::int64_t version,
-                          std::size_t row, std::uint32_t chunk_seq,
-                          bool crc_ok, bool accepted_fresh,
-                          bool pull) override;
-
-    /**
-     * The transport delivered the complete message (worker, version,
-     * row, pull-direction) to the application. A second delivery of
-     * the same message is a violation (exactly-once apply).
-     */
-    void onTransportDeliver(std::size_t worker, std::int64_t version,
-                            std::size_t row, bool pull) override;
-
-    /**
-     * A retry of (worker, version, row) resumed from a byte offset:
-     * @p resumed_bytes were skipped as already delivered out of
-     * @p requested_bytes for the chunk. Resuming past the request is a
-     * violation (the transport would be inventing delivered bytes).
-     */
-    void onTransportResume(std::size_t worker, std::int64_t version,
-                           std::size_t row, double resumed_bytes,
-                           double requested_bytes, bool pull) override;
+    void onTransportEvent(const net::transport::TransportEvent &ev);
 
     /** True if no invariant was violated. */
     bool clean() const { return violation_count_ == 0; }
@@ -139,15 +123,10 @@ class InvariantChecker final : public net::transport::TransportObserver
     double last_time_ = 0.0;
 
     // Transport shadow state: which chunks were accepted fresh and
-    // which messages were delivered, keyed by
-    // (worker, version, row, chunk_seq, pull). kAnyChunk marks a
-    // whole-message (delivery) entry.
-    using TransportKey =
-        std::tuple<std::size_t, std::int64_t, std::size_t,
-                   std::uint32_t, bool>;
-    static constexpr std::uint32_t kAnyChunk = ~0u;
-    std::set<TransportKey> accepted_chunks_;
-    std::set<TransportKey> delivered_;
+    // which messages were delivered.
+    using ChunkKey = std::pair<net::transport::MessageKey, std::uint32_t>;
+    std::set<ChunkKey> accepted_chunks_;
+    std::set<net::transport::MessageKey> delivered_;
 
     std::vector<std::string> violations_; //!< capped sample.
     std::size_t violation_count_ = 0;

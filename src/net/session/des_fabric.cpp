@@ -85,19 +85,9 @@ DesFabric::sendTo(int peer, const MessageKey &key,
                   std::span<const std::uint8_t> payload, double deadline_s,
                   SendDone done)
 {
-    DesFabricNet::Pair &p = net_.pair(node_, peer);
-    ReliableLink *link = p.link.get();
-    link->startSendPayload(
+    net_.pair(node_, peer).link->startSendPayload(
         0, key, payload, deadline_s,
-        [this, peer, key, link, done = std::move(done)](SendResult r) {
-            if (r.delivered) {
-                DesFabric &dst = net_.node(peer);
-                if (dst.handler_) {
-                    std::vector<std::uint8_t> bytes =
-                        link->deliveredPayload(key);
-                    dst.handler_(key, std::move(bytes));
-                }
-            }
+        [done = std::move(done)](SendResult r) {
             if (done)
                 done(r.delivered);
         });
@@ -143,16 +133,16 @@ DesFabricNet::pair(int src, int dst)
                   BandwidthTrace::constant(rate_bps_, 1e6)});
     transport::TransportConfig cfg = cfg_;
     cfg.jitter_seed = next_jitter_seed_++;
-    p.link = std::make_unique<ReliableLink>(sim_, *p.channel, cfg);
+    p.backend = std::make_unique<transport::DesBackend>(
+        sim_, *p.channel, cfg,
+        [this, dst](const MessageKey &key, std::vector<std::uint8_t> &&bytes) {
+            DesFabric &to = node(dst);
+            if (to.handler_)
+                to.handler_(key, std::move(bytes));
+        });
+    p.link = std::make_unique<ReliableLink>(*p.backend, cfg);
     return pairs_.emplace(std::make_pair(src, dst), std::move(p))
         .first->second;
-}
-
-const std::vector<transport::TransportEvent> *
-DesFabricNet::linkLog(int src, int dst) const
-{
-    auto it = pairs_.find({src, dst});
-    return it == pairs_.end() ? nullptr : &it->second.link->log();
 }
 
 } // namespace session

@@ -4,11 +4,13 @@
  *
  * The in-process correctness twin of SocketFabric. All nodes share a
  * sim::Simulation; each directed (src, dst) pair lazily gets its own
- * simulated Channel and ReliableLink, so per-pair transport state
- * (exactly-once receiver tables, retry backoff) matches the socket
- * topology one-to-one. Delivery is the sender link's completion: when
- * a payload send finishes delivered, the reassembled bytes are handed
- * to the destination node's message handler at that simulation time.
+ * simulated Channel, DesBackend and ReliableLink, so per-pair
+ * transport state (exactly-once receiver tables, retry backoff)
+ * matches the socket topology one-to-one. Delivery works as on
+ * sockets: the pair's DesBackend moves the reassembled bytes to the
+ * destination node's message handler at the frame that completes the
+ * message, before the sender's completion runs, at that simulation
+ * time. The links record no transport events.
  *
  * Determinism: everything runs on the simulation clock; a given seed
  * and plan produce bit-identical traffic, which is what the chaos
@@ -22,6 +24,7 @@
 
 #include "net/channel.hpp"
 #include "net/session/fabric.hpp"
+#include "net/transport/des_backend.hpp"
 #include "net/transport/reliable_link.hpp"
 #include "sim/simulation.hpp"
 
@@ -79,17 +82,13 @@ class DesFabricNet
 
     sim::Simulation &sim() { return sim_; }
 
-    /** Sender-side transport event log of the (src, dst) link, or
-     *  nullptr when the pair never talked. */
-    const std::vector<transport::TransportEvent> *linkLog(int src,
-                                                          int dst) const;
-
   private:
     friend class DesFabric;
 
     struct Pair
     {
         std::unique_ptr<Channel> channel;
+        std::unique_ptr<transport::DesBackend> backend;
         std::unique_ptr<transport::ReliableLink> link;
         bool healthy = true;
     };

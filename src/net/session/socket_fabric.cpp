@@ -17,7 +17,7 @@ SocketFabric::SocketFabric(PollLoop &loop, int node,
                "unknown socket fabric kind");
     if (opts_.kind == "udp") {
         auto rx = std::make_unique<transport::UdpReceiverEndpoint>(
-            loop_, opts_.listen_port, nullptr, /*store_payload=*/true,
+            loop_, opts_.listen_port, /*store_payload=*/true,
             opts_.socket.bind_retry_window_s);
         port_ = rx->port();
         if (!rx->ok())
@@ -25,7 +25,7 @@ SocketFabric::SocketFabric(PollLoop &loop, int node,
         rx_ = std::move(rx);
     } else {
         auto rx = std::make_unique<transport::TcpReceiverEndpoint>(
-            loop_, opts_.listen_port, nullptr, /*store_payload=*/true,
+            loop_, opts_.listen_port, /*store_payload=*/true,
             opts_.socket.bind_retry_window_s);
         port_ = rx->port();
         if (!rx->ok())

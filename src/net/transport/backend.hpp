@@ -21,13 +21,19 @@
  *   - DesBackend (des_backend.hpp): the deterministic twin. Frames
  *     travel the fluid-simulated Channel; receiver decisions come from
  *     a local ChunkReceiver fed exactly what the channel (and its
- *     fault layer) says arrived.
+ *     fault layer) says arrived, and a delivered payload goes to a
+ *     DeliverySink at the frame that completes it.
  *   - UdpBackend / TcpBackend (socket_backend.hpp): real nonblocking
  *     sockets in wall-clock time; receiver decisions come back as
- *     acknowledgement frames from the peer's ChunkReceiver.
+ *     acknowledgement frames from the peer's ChunkReceiver, whose
+ *     endpoint hands delivered payloads to the same kind of sink.
  *   - ReplayBackend (des_backend.hpp): re-resolves each attempt from
  *     a recorded wire trace inside the simulator — the cross-
  *     validation twin for real-socket runs.
+ *
+ * Every decision, sender or receiver side, is reported as one
+ * TransportEvent to an EventSink the caller attaches (an event log, an
+ * invariant checker, or both); with none attached nothing is recorded.
  */
 #ifndef ROG_NET_TRANSPORT_BACKEND_HPP
 #define ROG_NET_TRANSPORT_BACKEND_HPP
@@ -114,16 +120,15 @@ struct FrameVerdict
 
     /** Every chunk of the message is now accepted. */
     bool message_complete = false;
-
-    /**
-     * Reassembled payload bytes, set with message_complete on
-     * payload-mode sends when the receiver is reachable in-process
-     * (DES / replay / loopback). Valid only during the verdict
-     * callback. Real remote receivers leave it null — the bytes live
-     * in the peer process.
-     */
-    const std::vector<std::uint8_t> *assembled = nullptr;
 };
+
+/**
+ * Hand-off of a fully delivered message's reassembled payload bytes,
+ * moved out of the receiver. Fired exactly once per message, at the
+ * frame that completes it; a late duplicate is never handed up again.
+ */
+using DeliverySink =
+    std::function<void(const MessageKey &, std::vector<std::uint8_t> &&)>;
 
 /** I/O + clocking provider for the transport protocol core. */
 class Backend
@@ -199,11 +204,10 @@ class Backend
     virtual void abortSend(std::uint64_t send_id) = 0;
 
     /**
-     * Sink for receiver-side events decided in-process (DES, replay,
-     * and the receiving end of loopback backends). ReliableLink binds
-     * its own log here so the combined sender+receiver log reads as
-     * one timeline, as the simulator always produced. Backends whose
-     * receiver lives in another process never call it.
+     * Sink for receiver-side events decided in-process (the DES twin).
+     * ReliableLink binds its own sink here so sender and receiver
+     * events read as one timeline. Backends whose receiver lives in
+     * another process never call it.
      */
     virtual void setReceiverEventSink(EventSink sink) = 0;
 };

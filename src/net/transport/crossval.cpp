@@ -78,7 +78,10 @@ replaySenderTrace(const TransportTrace &trace)
     ReplayResult res;
     sim::Simulation sim;
     ReplayBackend backend(sim, trace);
-    ReliableLink link(backend, configOf(trace.config));
+    ReliableLink link(backend, configOf(trace.config),
+                      [&res](const TransportEvent &ev) {
+                          res.log.push_back(ev);
+                      });
 
     // The recording harness issues sends strictly one after another
     // (stop-and-wait end to end), so the replay chains them the same
@@ -101,7 +104,6 @@ replaySenderTrace(const TransportTrace &trace)
     issue(0);
     sim.run();
 
-    res.log = link.log();
     res.divergence = backend.divergence();
     res.sends_completed = completed;
     if (res.divergence.empty() &&
@@ -135,7 +137,7 @@ replayReceiverTrace(const TransportTrace &trace)
         msgs[s.key] = info;
     }
 
-    ChunkReceiver rx([] { return 0.0; }, nullptr,
+    ChunkReceiver rx([] { return 0.0; },
                      [&res](const TransportEvent &ev) {
                          res.log.push_back(ev);
                      });

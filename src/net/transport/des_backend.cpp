@@ -47,10 +47,9 @@ SimTimers::cancel(TimerId id)
 // ----------------------------------------------------------- DesBackend
 
 DesBackend::DesBackend(sim::Simulation &sim, Channel &channel,
-                       const TransportConfig &config,
-                       TransportObserver *observer)
+                       const TransportConfig &config, DeliverySink deliver)
     : sim_(sim), channel_(channel), config_(config), timers_(sim),
-      receiver_([&sim] { return sim.now(); }, observer)
+      receiver_([&sim] { return sim.now(); }), deliver_(std::move(deliver))
 {
 }
 
@@ -81,9 +80,9 @@ DesBackend::openSend(LinkId link, const MessageKey &key, bool payload_mode)
     Stream &s = streams_[id];
     s.link = link;
     s.key = key;
-    s.payload_mode = payload_mode;
+    s.deliver = payload_mode && deliver_;
     s.wire = BufferPool::global().leaseBytes(FrameHeader::kWireSize);
-    receiver_.open(id, payload_mode);
+    receiver_.open(id, s.deliver);
     return id;
 }
 
@@ -171,6 +170,8 @@ DesBackend::onTransferDone(std::uint64_t send_id, const TransferResult &r)
         receiver_.onChunk(send_id, s.link, s.key, *hdr, received,
                           s.chunk_len, r.duplicated, r.reordered);
     s.garbled = false; // chunk resolved (accepted or restarted).
+    if (d.message_complete && s.deliver)
+        deliver_(s.key, receiver_.retire(send_id).payload);
 
     v.completed = true;
     v.crc_ok = d.crc_ok;
@@ -178,7 +179,6 @@ DesBackend::onTransferDone(std::uint64_t send_id, const TransferResult &r)
     v.duplicates = d.duplicates;
     v.held = d.held;
     v.message_complete = d.message_complete;
-    v.assembled = d.assembled;
     done(v);
 }
 

@@ -7,7 +7,10 @@
  * come from a local ChunkReceiver fed exactly what the channel (and
  * its fault layer) says arrived — corrupted deliveries garble a real
  * byte so the CRC verdict is computed, never assumed. Byte-for-byte,
- * this reproduces the pre-split ReliableLink timeline.
+ * this reproduces the pre-split ReliableLink timeline. A delivered
+ * payload send's bytes are moved to the DeliverySink at the frame that
+ * completes the message, before the sender sees its verdict — the
+ * same point a socket receiver endpoint hands them up.
  *
  * ReplayBackend is the cross-validation twin: each attempt resolves
  * from the next record of a wire trace captured on a real-socket run,
@@ -55,10 +58,13 @@ class SimTimers
 class DesBackend : public Backend
 {
   public:
-    /** @p sim and @p channel must outlive the backend. */
+    /**
+     * @p sim and @p channel must outlive the backend. @p deliver
+     * receives each delivered payload send's bytes; without one, the
+     * receiver keeps no payload bytes at all.
+     */
     DesBackend(sim::Simulation &sim, Channel &channel,
-               const TransportConfig &config,
-               TransportObserver *observer = nullptr);
+               const TransportConfig &config, DeliverySink deliver = {});
     ~DesBackend() override;
 
     double now() const override;
@@ -76,16 +82,13 @@ class DesBackend : public Backend
     void abortSend(std::uint64_t send_id) override;
     void setReceiverEventSink(EventSink sink) override;
 
-    /** The local receiver half (e.g. for delivered-message counts). */
-    ChunkReceiver &receiver() { return receiver_; }
-
   private:
     /** Per-send wire state; receiver state is scoped to the same id. */
     struct Stream
     {
         LinkId link = 0;
         MessageKey key;
-        bool payload_mode = false;
+        bool deliver = false; //!< payload send with a DeliverySink.
 
         /** A corrupted fragment contributed to the current chunk. */
         bool garbled = false;
@@ -108,6 +111,7 @@ class DesBackend : public Backend
     TransportConfig config_;
     SimTimers timers_;
     ChunkReceiver receiver_;
+    DeliverySink deliver_;
     std::map<std::uint64_t, Stream> streams_;
     std::uint64_t next_send_ = 1;
     std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);

@@ -73,6 +73,11 @@ FrameHeader::parse(std::span<const std::uint8_t> in)
     const std::uint32_t expect = crc32c(in.first(pos));
     if (take<std::uint32_t>(in, pos) != expect)
         return std::nullopt;
+    // Bounding the offset first keeps offset + u32 length from
+    // wrapping the u64 sum.
+    if (h.payload_off > kMaxChunkBytes ||
+        h.payload_off + h.payload_len > kMaxChunkBytes)
+        return std::nullopt;
     return h;
 }
 

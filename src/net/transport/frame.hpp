@@ -29,6 +29,10 @@
  * receiver reassembles fragments and verifies once the chunk is
  * complete — corruption cannot be localized below CRC granularity, so
  * a mismatch discards and re-requests the entire chunk.
+ *
+ * A fragment never reaches past kMaxChunkBytes into its chunk: a
+ * receiver sizes its reassembly buffer from payload_off + payload_len,
+ * so a header that claims more is rejected like a corrupt one.
  */
 #ifndef ROG_NET_TRANSPORT_FRAME_HPP
 #define ROG_NET_TRANSPORT_FRAME_HPP
@@ -59,6 +63,12 @@ enum FrameFlags : std::uint16_t {
     kFlagAckPartial = 1u << 6,  //!< fragment incomplete; off = prefix.
 };
 
+/**
+ * Largest chunk the wire carries, in payload bytes: the bound on
+ * payload_off + payload_len, and on TransportConfig::chunk_bytes.
+ */
+inline constexpr std::uint64_t kMaxChunkBytes = 1u << 20;
+
 /** Parsed (or to-be-serialized) frame header. */
 struct FrameHeader
 {
@@ -82,8 +92,9 @@ struct FrameHeader
 
     /**
      * Parse @p in; returns nullopt when the buffer is short, the magic
-     * is wrong, or the header CRC does not match (a corrupted header
-     * is indistinguishable from line noise and the frame is dropped).
+     * is wrong, the header CRC does not match (a corrupted header is
+     * indistinguishable from line noise and the frame is dropped), or
+     * the fragment ends past kMaxChunkBytes.
      */
     static std::optional<FrameHeader> parse(std::span<const std::uint8_t> in);
 };

@@ -9,9 +9,8 @@ namespace rog {
 namespace net {
 namespace transport {
 
-ChunkReceiver::ChunkReceiver(std::function<double()> clock,
-                             TransportObserver *observer, EventSink sink)
-    : clock_(std::move(clock)), observer_(observer), sink_(std::move(sink))
+ChunkReceiver::ChunkReceiver(std::function<double()> clock, EventSink sink)
+    : clock_(std::move(clock)), sink_(std::move(sink))
 {
     ROG_ASSERT(clock_, "chunk receiver needs a clock");
 }
@@ -53,10 +52,6 @@ ChunkReceiver::checkCrc(LinkId link, const MessageKey &key,
 {
     if (crc32c(chunk) == hdr.payload_crc)
         return true;
-    if (observer_)
-        observer_->onTransportChunk(key.worker, key.version, key.row,
-                                    hdr.chunk_seq, false, false,
-                                    key.pull);
     emit(TransportEvent::Kind::CorruptDrop, link, key, hdr.chunk_seq,
          chunk_len);
     return false;
@@ -67,9 +62,6 @@ ChunkReceiver::noteChunk(LinkId link, const MessageKey &key,
                          std::uint32_t seq, bool fresh, double chunk_len,
                          Decision &d)
 {
-    if (observer_)
-        observer_->onTransportChunk(key.worker, key.version, key.row, seq,
-                                    true, fresh, key.pull);
     if (!fresh) {
         ++d.duplicates;
         emit(TransportEvent::Kind::Duplicate, link, key, seq);
@@ -151,14 +143,9 @@ ChunkReceiver::onChunk(std::uint64_t instance, LinkId link,
                                    bytes.end());
             m.chunks.clear();
         }
-        if (observer_)
-            observer_->onTransportDeliver(key.worker, key.version,
-                                          key.row, key.pull);
         emit(TransportEvent::Kind::Deliver, link, key, m.chunk_count);
     }
     d.message_complete = m.complete;
-    if (m.complete && m.store_payload)
-        d.assembled = &m.assembled;
     return d;
 }
 
@@ -176,14 +163,6 @@ void
 ChunkReceiver::release(std::uint64_t instance)
 {
     messages_.erase(instance);
-}
-
-const std::vector<std::uint8_t> &
-ChunkReceiver::payload(std::uint64_t instance) const
-{
-    static const std::vector<std::uint8_t> kEmpty;
-    auto it = messages_.find(instance);
-    return it == messages_.end() ? kEmpty : it->second.assembled;
 }
 
 ChunkReceiver::Retired
@@ -302,9 +281,17 @@ FrameAssembler::decide(Result &r, LinkId link, const MessageKey &key,
     delivered_.insert(key, done.accepted_prefix);
     for (const std::uint32_t seq : done.accepted_extra)
         delivered_extra_.insert({key, seq});
-    r.decision.assembled = nullptr;
     r.delivered = true;
     r.payload = std::move(done.payload);
+}
+
+std::size_t
+FrameAssembler::largestChunkBuffer() const
+{
+    std::size_t most = 0;
+    for (const auto &[key, buf] : bufs_)
+        most = std::max(most, buf.bytes.size());
+    return most;
 }
 
 std::size_t

@@ -13,10 +13,11 @@
  *
  * State is scoped per message *instance* (an opaque id the caller
  * picks): the simulator scopes instances per send so repeated keys
- * stay independent and releases each one when its send finishes,
- * while a real receiver endpoint maps each distinct MessageKey to one
- * instance for true cross-process exactly-once and retires it at
- * delivery (retire(), onRetiredChunk(); see FrameAssembler).
+ * stay independent and releases each one when its send finishes (or
+ * retires it when it hands the payload over), while a real receiver
+ * endpoint maps each distinct MessageKey to one instance for true
+ * cross-process exactly-once and retires it at delivery (retire(),
+ * onRetiredChunk(); see FrameAssembler).
  */
 #ifndef ROG_NET_TRANSPORT_RECEIVER_HPP
 #define ROG_NET_TRANSPORT_RECEIVER_HPP
@@ -31,7 +32,6 @@
 #include "net/transport/backend.hpp"
 #include "net/transport/event_log.hpp"
 #include "net/transport/frame.hpp"
-#include "net/transport/observer.hpp"
 
 namespace rog {
 namespace net {
@@ -49,25 +49,22 @@ class ChunkReceiver
         std::size_t duplicates = 0;
         bool held = false;
         bool message_complete = false;
-        const std::vector<std::uint8_t> *assembled = nullptr;
     };
 
     /**
      * @param clock stamps emitted events (virtual or wall seconds).
-     * @param observer / @p sink receive every decision; either may be
-     *        null/empty.
+     * @param sink receives every decision as a TransportEvent; empty
+     *        records nothing.
      */
-    ChunkReceiver(std::function<double()> clock,
-                  TransportObserver *observer = nullptr,
-                  EventSink sink = {});
+    explicit ChunkReceiver(std::function<double()> clock,
+                           EventSink sink = {});
 
     void setEventSink(EventSink sink) { sink_ = std::move(sink); }
-    void setObserver(TransportObserver *obs) { observer_ = obs; }
 
     /**
      * Begin (or re-scope) message @p instance. Optional — onChunk
      * creates state lazily with store_payload on — but lets the DES
-     * twin skip retaining synthesized payload bytes.
+     * twin skip retaining payload bytes nobody takes.
      */
     void open(std::uint64_t instance, bool store_payload);
 
@@ -99,9 +96,6 @@ class ChunkReceiver
     /** Drop all state for @p instance. */
     void release(std::uint64_t instance);
 
-    /** Reassembled payload of a delivered instance (empty if none). */
-    const std::vector<std::uint8_t> &payload(std::uint64_t instance) const;
-
     /** What a delivered instance leaves behind once retired. */
     struct Retired
     {
@@ -121,8 +115,8 @@ class ChunkReceiver
 
     /**
      * One complete chunk for a message that was delivered and then
-     * retired: the CRC verdict, observer hooks and events onChunk()
-     * would have produced from the kept state. @p fresh says whether
+     * retired: the CRC verdict and events onChunk() would have
+     * produced from the kept state. @p fresh says whether
      * the chunk's sequence number is missing from the message's
      * accepted set; the caller adds it there when the decision shows a
      * fresh accept.
@@ -173,7 +167,6 @@ class ChunkReceiver
               const MessageKey &key, std::uint32_t seq, double a = 0.0);
 
     std::function<double()> clock_;
-    TransportObserver *observer_ = nullptr;
     EventSink sink_;
     std::map<std::uint64_t, MessageState> messages_;
     std::size_t delivered_ = 0;
@@ -234,10 +227,11 @@ class FrameAssembler
     Result onFrame(LinkId link, const FrameHeader &hdr,
                    std::span<const std::uint8_t> present);
 
-    ChunkReceiver &receiver() { return rx_; }
-
     /** Partially received chunks currently buffered. */
     std::size_t chunkBuffers() const { return bufs_.size(); }
+
+    /** Bytes of the largest partially received chunk buffer. */
+    std::size_t largestChunkBuffer() const;
 
     /** Delivered (retired) keys remembered. */
     std::size_t deliveredKeys() const { return delivered_.size(); }

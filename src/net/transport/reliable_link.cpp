@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "common/crc32c.hpp"
 #include "common/logging.hpp"
@@ -68,34 +67,32 @@ struct ReliableLink::SendOp
 };
 
 ReliableLink::ReliableLink(Backend &backend, const TransportConfig &config,
-                           TransportObserver *observer)
-    : backend_(backend), config_(config), observer_(observer)
+                           EventSink sink)
+    : backend_(backend), config_(config), sink_(std::move(sink))
 {
     ROG_ASSERT(config_.chunk_bytes > 0.0,
                "transport chunk size must be positive");
+    ROG_ASSERT(config_.chunk_bytes <= static_cast<double>(kMaxChunkBytes),
+               "transport chunk size exceeds the wire's kMaxChunkBytes");
     ROG_ASSERT(config_.backoff_base_s > 0.0,
                "transport backoff base must be positive");
     ROG_ASSERT(config_.jitter_frac >= 0.0 && config_.jitter_frac < 1.0,
                "transport jitter fraction must be in [0, 1)");
-    backend_.setReceiverEventSink(
-        [this](const TransportEvent &ev) { log_.push_back(ev); });
+    backend_.setReceiverEventSink(sink_);
 }
 
 ReliableLink::ReliableLink(sim::Simulation &sim, Channel &channel,
-                           const TransportConfig &config,
-                           TransportObserver *observer)
-    : owned_backend_(
-          std::make_unique<DesBackend>(sim, channel, config, observer)),
-      backend_(*owned_backend_), config_(config), observer_(observer)
+                           const TransportConfig &config, EventSink sink)
+    : ReliableLink(std::make_unique<DesBackend>(sim, channel, config),
+                   config, std::move(sink))
 {
-    ROG_ASSERT(config_.chunk_bytes > 0.0,
-               "transport chunk size must be positive");
-    ROG_ASSERT(config_.backoff_base_s > 0.0,
-               "transport backoff base must be positive");
-    ROG_ASSERT(config_.jitter_frac >= 0.0 && config_.jitter_frac < 1.0,
-               "transport jitter fraction must be in [0, 1)");
-    backend_.setReceiverEventSink(
-        [this](const TransportEvent &ev) { log_.push_back(ev); });
+}
+
+ReliableLink::ReliableLink(std::unique_ptr<Backend> owned,
+                           const TransportConfig &config, EventSink sink)
+    : ReliableLink(*owned, config, std::move(sink))
+{
+    owned_backend_ = std::move(owned);
 }
 
 ReliableLink::~ReliableLink()
@@ -128,7 +125,6 @@ ReliableLink::reset()
         else if (drop)
             drop();
     }
-    delivered_payloads_.clear();
 }
 
 double
@@ -352,10 +348,6 @@ ReliableLink::onFrameVerdict(std::uint64_t op_id, const FrameVerdict &v)
     if (config_.resume_from_offset) {
         op.resume_off =
             std::min(op.chunk_len, op.resume_off + payload_delivered);
-        if (observer_)
-            observer_->onTransportResume(op.key.worker, op.key.version,
-                                         op.key.row, op.resume_off,
-                                         op.chunk_len, op.key.pull);
         logEvent(TransportEvent::Kind::Resume, op, op.seq,
                  op.resume_off, op.chunk_len);
     } else {
@@ -411,8 +403,6 @@ ReliableLink::resolveChunk(SendOp &op, const FrameVerdict &v)
     }
     ROG_ASSERT(v.message_complete,
                "message finished sending with chunks unaccepted");
-    if (op.payload_mode && v.assembled)
-        delivered_payloads_[op.key] = *v.assembled;
     finish(op, true, false);
 }
 
@@ -493,6 +483,8 @@ void
 ReliableLink::logEvent(TransportEvent::Kind kind, const SendOp &op,
                        std::uint32_t seq, double a, double b)
 {
+    if (!sink_)
+        return;
     TransportEvent ev;
     ev.t = backend_.now();
     ev.kind = kind;
@@ -501,24 +493,7 @@ ReliableLink::logEvent(TransportEvent::Kind kind, const SendOp &op,
     ev.chunk_seq = seq;
     ev.a = a;
     ev.b = b;
-    log_.push_back(ev);
-}
-
-const std::vector<std::uint8_t> &
-ReliableLink::deliveredPayload(const MessageKey &key) const
-{
-    static const std::vector<std::uint8_t> kEmpty;
-    auto it = delivered_payloads_.find(key);
-    return it == delivered_payloads_.end() ? kEmpty : it->second;
-}
-
-std::string
-ReliableLink::logDump() const
-{
-    std::ostringstream os;
-    for (const auto &ev : log_)
-        os << toString(ev) << '\n';
-    return os.str();
+    sink_(ev);
 }
 
 } // namespace transport

@@ -22,26 +22,24 @@
  * the identical state machine runs in wall-clock time, and the
  * recorded event log cross-validates against a DES replay of the same
  * wire trace (see des_backend.hpp / crossval.hpp).
+ *
+ * The link records nothing itself: every decision goes to the
+ * EventSink given at construction, if any.
  */
 #ifndef ROG_NET_TRANSPORT_RELIABLE_LINK_HPP
 #define ROG_NET_TRANSPORT_RELIABLE_LINK_HPP
 
-#include <coroutine>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
-#include <optional>
 #include <span>
-#include <string>
-#include <vector>
 
 #include "common/buffer_pool.hpp"
 #include "net/channel.hpp"
 #include "net/transport/backend.hpp"
 #include "net/transport/event_log.hpp"
 #include "net/transport/frame.hpp"
-#include "net/transport/observer.hpp"
 #include "sim/simulation.hpp"
 
 namespace rog {
@@ -90,22 +88,21 @@ class ReliableLink
 
     /**
      * Run the protocol core over @p backend (which must outlive the
-     * link). The link binds the backend's receiver event sink to its
-     * own log, so exactly one ReliableLink may drive a backend.
+     * link). @p sink receives every sender decision, and the link
+     * binds it as the backend's receiver event sink too, so the two
+     * sides read as one timeline; exactly one ReliableLink may drive a
+     * backend. An empty sink records nothing.
      */
     ReliableLink(Backend &backend, const TransportConfig &config,
-                 TransportObserver *observer = nullptr);
+                 EventSink sink = {});
 
     /**
-     * Convenience (and the historical signature): run over the
-     * simulated channel via an owned DesBackend. @p sim and
-     * @p channel must outlive the link. The optional @p observer
-     * (e.g. a fault::InvariantChecker) receives an onTransport*()
-     * hook for every receiver decision.
+     * Convenience: run over the simulated channel via an owned
+     * DesBackend (with no DeliverySink). @p sim and @p channel must
+     * outlive the link.
      */
     ReliableLink(sim::Simulation &sim, Channel &channel,
-                 const TransportConfig &config,
-                 TransportObserver *observer = nullptr);
+                 const TransportConfig &config, EventSink sink = {});
     ~ReliableLink();
 
     ReliableLink(const ReliableLink &) = delete;
@@ -131,7 +128,7 @@ class ReliableLink
 
     /**
      * As startSend, but carrying @p payload real bytes; the receiver
-     * reassembles them (see deliveredPayload) and every checksum is
+     * reassembles them for its DeliverySink and every checksum is
      * computed over the actual data. An empty span is a valid
      * zero-length message.
      *
@@ -150,83 +147,25 @@ class ReliableLink
                           double deadline_s, Callback done,
                           std::function<void()> drop = {});
 
-    /** Awaitable send for simulation processes. */
-    class SendAwaiter
-    {
-      public:
-        SendAwaiter(ReliableLink &rl, LinkId link, const MessageKey &key,
-                    double bytes, double deadline)
-            : rl_(rl), link_(link), key_(key), bytes_(bytes),
-              deadline_(deadline)
-        {
-        }
-
-        bool await_ready() const noexcept { return false; }
-
-        void
-        await_suspend(std::coroutine_handle<> h)
-        {
-            rl_.startSend(
-                link_, key_, bytes_, deadline_,
-                [this, h](SendResult r) {
-                    result_ = r;
-                    h.resume();
-                },
-                [h] { h.destroy(); });
-        }
-
-        SendResult await_resume() const noexcept { return result_; }
-
-      private:
-        ReliableLink &rl_;
-        LinkId link_;
-        MessageKey key_;
-        double bytes_;
-        double deadline_;
-        SendResult result_;
-    };
-
-    /** co_await a reliable send; resumes with the SendResult. */
-    SendAwaiter
-    send(LinkId link, const MessageKey &key, double payload_bytes,
-         double deadline_s = kNoDeadline)
-    {
-        return SendAwaiter(*this, link, key, payload_bytes, deadline_s);
-    }
-
-    /** Reassembled bytes of a delivered payload send (empty if none). */
-    const std::vector<std::uint8_t> &
-    deliveredPayload(const MessageKey &key) const;
-
     /**
      * Abandon every in-flight send (each fires its @p done with
-     * delivered=false, or its @p drop when no done was given) and
-     * forget all per-key delivery bookkeeping. For peer restarts:
-     * the remote came back with fresh receiver state, so this
-     * sender's memory of delivered keys is stale — keeping it would
-     * suppress re-sends the new remote has never seen.
+     * delivered=false, or its @p drop when no done was given). For
+     * peer restarts: the remote came back with fresh receiver state,
+     * so nothing sent to the old one is worth finishing.
      */
     void reset();
 
     const TransportTotals &totals() const { return totals_; }
-
-    /**
-     * Structured event log since construction: every sender decision,
-     * plus every receiver decision when the backend's receiver lives
-     * in-process (DES / loopback). See event_log.hpp.
-     */
-    const std::vector<TransportEvent> &log() const { return log_; }
-
-    /** The whole log as text, one event per line. */
-    std::string logDump() const;
-
-    const TransportConfig &config() const { return config_; }
 
     /** The backend this link drives. */
     Backend &backend() { return backend_; }
 
   private:
     struct SendOp;
+
+    /** Own the DES twin the convenience constructor builds. */
+    ReliableLink(std::unique_ptr<Backend> owned,
+                 const TransportConfig &config, EventSink sink);
 
     void startSendImpl(LinkId link, const MessageKey &key,
                        double payload_bytes,
@@ -255,17 +194,15 @@ class ReliableLink
     void refreshChunkCrc(SendOp &op);
     double chunkLen(const SendOp &op, std::uint32_t seq) const;
 
-    std::unique_ptr<Backend> owned_backend_; //!< legacy-ctor DES twin.
+    std::unique_ptr<Backend> owned_backend_; //!< convenience-ctor DES twin.
     Backend &backend_;
     TransportConfig config_;
-    TransportObserver *observer_ = nullptr;
+    EventSink sink_;
 
     std::map<std::uint64_t, std::unique_ptr<SendOp>> ops_;
     std::uint64_t next_op_id_ = 1;
 
-    std::map<MessageKey, std::vector<std::uint8_t>> delivered_payloads_;
     TransportTotals totals_;
-    std::vector<TransportEvent> log_;
 
     /** Cleared by the destructor so stale backend callbacks no-op. */
     std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);

@@ -510,10 +510,8 @@ TcpBackend::onEvents(short revents)
 // ------------------------------------------------- ReceiverEndpointBase
 
 ReceiverEndpointBase::ReceiverEndpointBase(PollLoop &loop,
-                                           TransportObserver *observer,
                                            bool store_payload)
-    : loop_(loop),
-      receiver_([&loop] { return loop.now(); }, observer),
+    : loop_(loop), receiver_([&loop] { return loop.now(); }),
       assembler_(receiver_, store_payload), store_payload_(store_payload)
 {
 }
@@ -561,10 +559,9 @@ ReceiverEndpointBase::onDataFrame(const FrameHeader &hdr,
 
 UdpReceiverEndpoint::UdpReceiverEndpoint(PollLoop &loop,
                                          std::uint16_t port,
-                                         TransportObserver *observer,
                                          bool store_payload,
                                          double bind_retry_window_s)
-    : ReceiverEndpointBase(loop, observer, store_payload)
+    : ReceiverEndpointBase(loop, store_payload)
 {
     fd_.reset(::socket(AF_INET, SOCK_DGRAM, 0));
     if (!fd_) {
@@ -636,10 +633,9 @@ UdpReceiverEndpoint::onReadable()
 
 TcpReceiverEndpoint::TcpReceiverEndpoint(PollLoop &loop,
                                          std::uint16_t port,
-                                         TransportObserver *observer,
                                          bool store_payload,
                                          double bind_retry_window_s)
-    : ReceiverEndpointBase(loop, observer, store_payload)
+    : ReceiverEndpointBase(loop, store_payload)
 {
     listen_fd_.reset(::socket(AF_INET, SOCK_STREAM, 0));
     if (!listen_fd_) {
@@ -752,9 +748,12 @@ TcpReceiverEndpoint::onConnEvents(int fd, short revents)
             break;
         const auto hdr =
             FrameHeader::parse({c.in.data(), FrameHeader::kWireSize});
-        ROG_ASSERT(hdr.has_value(), "tcp data stream desynchronized");
-        ROG_ASSERT((hdr->flags & kFlagAck) == 0,
-                   "ack frame on the receiver's data stream");
+        if (!hdr || (hdr->flags & kFlagAck) != 0) {
+            // No frame boundary to resync on: this peer's stream is
+            // garbage from here, so it loses its connection.
+            closed = true;
+            break;
+        }
         const std::size_t need = FrameHeader::kWireSize + hdr->payload_len;
         if (c.in.size() < need)
             break;

@@ -192,25 +192,19 @@ class ReceiverEndpointBase
 {
   public:
     /**
-     * Hand-off of a fully delivered message's reassembled payload
-     * bytes (the session layer's receive path), moved out of the
-     * receiver. Fired exactly once per message, at the frame that
-     * completes it; a late duplicate is ACKed, never handed up again.
-     */
-    using DeliverySink =
-        std::function<void(const MessageKey &, std::vector<std::uint8_t> &&)>;
-
-    /**
      * @param store_payload reassemble payloads so a DeliverySink
      *        can hand them up; transport-only endpoints leave it off
      *        and keep only the decision state.
      */
-    ReceiverEndpointBase(PollLoop &loop,
-                         TransportObserver *observer = nullptr,
-                         bool store_payload = false);
+    explicit ReceiverEndpointBase(PollLoop &loop,
+                                  bool store_payload = false);
     virtual ~ReceiverEndpointBase() = default;
 
-    /** Requires construction with store_payload = true. */
+    /**
+     * Hand each delivered message's payload (the session layer's
+     * receive path) to @p sink; a late duplicate is ACKed, never
+     * handed up again. Requires construction with store_payload.
+     */
     void setDeliverySink(DeliverySink sink);
 
     /** Stream every receiver decision as a TransportEvent. */
@@ -254,7 +248,6 @@ class UdpReceiverEndpoint : public ReceiverEndpointBase
     /** @param port 0 binds an ephemeral port (see port()).
      *  @param bind_retry_window_s see SocketOptions. */
     UdpReceiverEndpoint(PollLoop &loop, std::uint16_t port,
-                        TransportObserver *observer = nullptr,
                         bool store_payload = false,
                         double bind_retry_window_s = 0.0);
     ~UdpReceiverEndpoint() override;
@@ -271,15 +264,15 @@ class UdpReceiverEndpoint : public ReceiverEndpointBase
 /**
  * TCP receiver endpoint: listen, accept any number of senders, decide,
  * ACK on the connection the data came in on. A peer that dies (reset,
- * half-open close) costs only its own connection — the endpoint keeps
- * serving the rest, and the exactly-once state survives for when the
- * peer reconnects.
+ * half-open close) or writes a byte stream that is not data frames
+ * costs only its own connection — the endpoint keeps serving the
+ * rest, and the exactly-once state survives for when the peer
+ * reconnects.
  */
 class TcpReceiverEndpoint : public ReceiverEndpointBase
 {
   public:
     TcpReceiverEndpoint(PollLoop &loop, std::uint16_t port,
-                        TransportObserver *observer = nullptr,
                         bool store_payload = false,
                         double bind_retry_window_s = 0.0);
     ~TcpReceiverEndpoint() override;

@@ -9,9 +9,8 @@ namespace net {
 namespace transport {
 namespace legacy {
 
-ChunkReceiver::ChunkReceiver(std::function<double()> clock,
-                             TransportObserver *observer, EventSink sink)
-    : clock_(std::move(clock)), observer_(observer), sink_(std::move(sink))
+ChunkReceiver::ChunkReceiver(std::function<double()> clock, EventSink sink)
+    : clock_(std::move(clock)), sink_(std::move(sink))
 {
 }
 
@@ -43,10 +42,6 @@ ChunkReceiver::acceptOnce(MessageState &m, const FrameHeader &hdr,
                           double chunk_len, Decision &d)
 {
     const bool fresh = m.accepted.insert(hdr.chunk_seq).second;
-    if (observer_)
-        observer_->onTransportChunk(m.key.worker, m.key.version,
-                                    m.key.row, hdr.chunk_seq, true,
-                                    fresh, m.key.pull);
     if (!fresh) {
         ++d.duplicates;
         emit(TransportEvent::Kind::Duplicate, m, hdr.chunk_seq);
@@ -72,10 +67,6 @@ ChunkReceiver::onChunk(std::uint64_t instance, LinkId link,
     Decision d;
     d.crc_ok = crc32c(chunk) == hdr.payload_crc;
     if (!d.crc_ok) {
-        if (observer_)
-            observer_->onTransportChunk(key.worker, key.version, key.row,
-                                        hdr.chunk_seq, false, false,
-                                        key.pull);
         emit(TransportEvent::Kind::CorruptDrop, m, hdr.chunk_seq,
              chunk_len);
         return d;
@@ -93,9 +84,6 @@ ChunkReceiver::onChunk(std::uint64_t instance, LinkId link,
                                    bytes.end());
             m.chunks.clear();
         }
-        if (observer_)
-            observer_->onTransportDeliver(key.worker, key.version,
-                                          key.row, key.pull);
         emit(TransportEvent::Kind::Deliver, m, m.chunk_count);
     }
     d.message_complete = m.complete;

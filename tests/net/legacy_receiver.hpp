@@ -29,7 +29,6 @@
 #include "net/transport/backend.hpp"
 #include "net/transport/event_log.hpp"
 #include "net/transport/frame.hpp"
-#include "net/transport/observer.hpp"
 
 namespace rog {
 namespace net {
@@ -48,8 +47,7 @@ class ChunkReceiver
         const std::vector<std::uint8_t> *assembled = nullptr;
     };
 
-    ChunkReceiver(std::function<double()> clock,
-                  TransportObserver *observer, EventSink sink);
+    ChunkReceiver(std::function<double()> clock, EventSink sink);
 
     void open(std::uint64_t instance, bool store_payload);
     Decision onChunk(std::uint64_t instance, LinkId link,
@@ -80,7 +78,6 @@ class ChunkReceiver
               std::uint32_t seq, double a = 0.0);
 
     std::function<double()> clock_;
-    TransportObserver *observer_ = nullptr;
     EventSink sink_;
     std::map<std::uint64_t, MessageState> messages_;
     std::size_t delivered_ = 0;

@@ -128,7 +128,9 @@ runLoopback(const LoopbackSpec &spec)
         out.receiver_log.push_back(ev);
     });
 
-    ReliableLink link(*sock, spec.config);
+    ReliableLink link(*sock, spec.config, [&out](const TransportEvent &ev) {
+        out.sender_log.push_back(ev);
+    });
     std::function<void(std::size_t)> issue = [&](std::size_t i) {
         if (i >= spec.sends)
             return;
@@ -166,7 +168,6 @@ runLoopback(const LoopbackSpec &spec)
 
     out.rx_delivered = ep->deliveredMessages();
     out.totals = link.totals();
-    out.sender_log = link.log();
     out.merged_log = out.sender_log;
     out.merged_log.insert(out.merged_log.end(), out.receiver_log.begin(),
                           out.receiver_log.end());

@@ -108,7 +108,10 @@ TEST(TransportBackoffCap, ExponentSaturatesAtTheBoundary)
     cfg.backoff_base_s = 1e-6;
     cfg.backoff_max_s = 1e18; // so the delay exposes the raw 2^exp.
     cfg.jitter_frac = 0.0;    // exact delays for the boundary check.
-    ReliableLink link(wire, cfg);
+    std::vector<TransportEvent> events;
+    ReliableLink link(wire, cfg, [&events](const TransportEvent &ev) {
+        events.push_back(ev);
+    });
 
     bool finished = false;
     link.startSend(
@@ -124,7 +127,7 @@ TEST(TransportBackoffCap, ExponentSaturatesAtTheBoundary)
 
     std::vector<double> exps;
     std::vector<double> delays;
-    for (const auto &ev : link.log()) {
+    for (const auto &ev : events) {
         if (ev.kind != TransportEvent::Kind::Backoff)
             continue;
         exps.push_back(ev.b);
@@ -162,7 +165,10 @@ TEST(TransportBackoffCap, MaxDelayStillRulesWhenSmaller)
     cfg.backoff_base_s = 0.05;
     cfg.backoff_max_s = 2.0;
     cfg.jitter_frac = 0.0;
-    ReliableLink link(wire, cfg);
+    std::vector<TransportEvent> events;
+    ReliableLink link(wire, cfg, [&events](const TransportEvent &ev) {
+        events.push_back(ev);
+    });
 
     link.startSend(1, MessageKey{1, 1, 0, false}, 64.0, kNoDeadline,
                    [](SendResult) {});
@@ -171,7 +177,7 @@ TEST(TransportBackoffCap, MaxDelayStillRulesWhenSmaller)
 
     double last_delay = 0.0;
     double last_exp = 0.0;
-    for (const auto &ev : link.log()) {
+    for (const auto &ev : events) {
         if (ev.kind != TransportEvent::Kind::Backoff)
             continue;
         EXPECT_LE(ev.a, cfg.backoff_max_s);

@@ -61,7 +61,7 @@ class UdpEndpointDelivery : public ::testing::Test
     SetUp() override
     {
         ep_ = std::make_unique<UdpReceiverEndpoint>(
-            loop_, 0, nullptr, /*store_payload=*/true);
+            loop_, 0, /*store_payload=*/true);
         ASSERT_TRUE(ep_->ok()) << ep_->error();
         ep_->setDeliverySink(
             [this](const MessageKey &, std::vector<std::uint8_t> &&p) {

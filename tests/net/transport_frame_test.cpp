@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <optional>
 #include <vector>
 
 #include "common/crc32c.hpp"
@@ -59,10 +60,21 @@ sampleHeader()
     h.row = 123456;
     h.chunk_seq = 4;
     h.chunk_count = 9;
-    h.payload_off = (1ull << 33) + 17;
-    h.payload_len = 0xDEADBEEFu;
+    h.payload_off = 0x0ABCDE; // multi-byte, within kMaxChunkBytes.
+    h.payload_len = 0x012345u;
     h.payload_crc = 0xCAFEBABEu;
     return h;
+}
+
+/** @p h with the given fragment window, serialized and parsed. */
+std::optional<FrameHeader>
+parseWindow(FrameHeader h, std::uint64_t off, std::uint32_t len)
+{
+    h.payload_off = off;
+    h.payload_len = len;
+    std::vector<std::uint8_t> wire(FrameHeader::kWireSize);
+    h.serialize(wire);
+    return FrameHeader::parse(wire);
 }
 
 TEST(FrameTest, SerializeParseRoundTrip)
@@ -130,6 +142,26 @@ TEST(FrameTest, AnySingleByteCorruptionRejected)
         EXPECT_FALSE(FrameHeader::parse(garbled).has_value())
             << "byte " << i;
     }
+}
+
+TEST(FrameTest, FragmentPastMaxChunkBytesRejected)
+{
+    // A receiver sizes its chunk buffer from off + len, so a header
+    // that reaches past kMaxChunkBytes must not parse, however
+    // intact its CRC.
+    const FrameHeader h = sampleHeader();
+    EXPECT_TRUE(parseWindow(h, 0, kMaxChunkBytes).has_value());
+    EXPECT_TRUE(parseWindow(h, kMaxChunkBytes, 0).has_value());
+    EXPECT_TRUE(parseWindow(h, kMaxChunkBytes - 10, 10).has_value());
+    EXPECT_FALSE(parseWindow(h, kMaxChunkBytes - 10, 11).has_value());
+    EXPECT_FALSE(parseWindow(h, 0, kMaxChunkBytes + 1).has_value());
+    EXPECT_FALSE(parseWindow(h, kMaxChunkBytes + 1, 0).has_value());
+    // The high offset bytes are read: 2^33 + 17 is not 17.
+    EXPECT_FALSE(parseWindow(h, (1ull << 33) + 17, 0xDEADBEEFu).has_value());
+    EXPECT_FALSE(parseWindow(h, 1ull << 40, 8).has_value());
+    // Sums that wrap a u64 to a small value are still rejected.
+    EXPECT_FALSE(parseWindow(h, ~0ull, 1).has_value());
+    EXPECT_FALSE(parseWindow(h, ~0ull - 15, 32).has_value());
 }
 
 TEST(FrameTest, TrailingPayloadBytesIgnoredByParse)

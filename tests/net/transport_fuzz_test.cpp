@@ -12,6 +12,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -85,7 +86,11 @@ runTransportFuzz(std::uint64_t seed)
         Channel ch(sim, std::move(traces));
         injector.attach(ch);
         fault::InvariantChecker checker;
-        ReliableLink link(sim, ch, cfg, &checker);
+        std::ostringstream log;
+        ReliableLink link(sim, ch, cfg, [&](const TransportEvent &ev) {
+            checker.onTransportEvent(ev);
+            log << toString(ev) << '\n';
+        });
 
         for (std::size_t i = 0; i < kMessages; ++i) {
             const double start = rng.uniform(0.0, 30.0);
@@ -112,7 +117,7 @@ runTransportFuzz(std::uint64_t seed)
         out.violations = checker.violationCount();
         out.checks = checker.checksRun();
         out.violation_report = checker.report();
-        out.log_dump = link.logDump();
+        out.log_dump = log.str();
     }
     return out;
 }

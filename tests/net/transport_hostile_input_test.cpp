@@ -1,0 +1,259 @@
+/**
+ * @file
+ * No input a peer can send takes a receiver down.
+ *
+ *  - HostileFrame: a frame header whose fragment reaches past
+ *    kMaxChunkBytes does not parse, so the receiver never sizes a
+ *    chunk buffer from it (one datagram with payload_off = 2^40 would
+ *    otherwise ask for a 1 TiB buffer). A seeded stream of random
+ *    (validly CRC'd) headers never grows a chunk buffer past
+ *    kMaxChunkBytes.
+ *  - TcpEndpointGarbage: bytes on a TCP connection that are not data
+ *    frames cost that connection only. The endpoint stays healthy and
+ *    a well-formed sender on a new connection still delivers.
+ */
+#include <gtest/gtest.h>
+
+#include <arpa/inet.h>
+#include <sys/socket.h>
+
+#include <cerrno>
+#include <cstdint>
+#include <memory>
+#include <optional>
+#include <vector>
+
+#include "common/crc32c.hpp"
+#include "common/fd.hpp"
+#include "common/poll_loop.hpp"
+#include "common/rng.hpp"
+#include "net/transport/receiver.hpp"
+#include "net/transport/reliable_link.hpp"
+#include "net/transport/socket_backend.hpp"
+
+namespace rog {
+namespace net {
+namespace transport {
+namespace {
+
+/** @p hdr serialized (header CRC and all), then @p payload. */
+std::vector<std::uint8_t>
+wire(const FrameHeader &hdr, const std::vector<std::uint8_t> &payload)
+{
+    std::vector<std::uint8_t> out(FrameHeader::kWireSize + payload.size());
+    hdr.serialize({out.data(), FrameHeader::kWireSize});
+    std::copy(payload.begin(), payload.end(),
+              out.begin() + FrameHeader::kWireSize);
+    return out;
+}
+
+/** A well-formed one-chunk message, framed whole. */
+std::vector<std::uint8_t>
+goodFrame(const std::vector<std::uint8_t> &chunk)
+{
+    FrameHeader hdr;
+    hdr.worker = 1;
+    hdr.version = 4;
+    hdr.payload_len = static_cast<std::uint32_t>(chunk.size());
+    hdr.payload_crc = crc32c({chunk.data(), chunk.size()});
+    return wire(hdr, chunk);
+}
+
+/** A nonblocking client socket of @p type connected to @p port. */
+UniqueFd
+client(int type, std::uint16_t port)
+{
+    UniqueFd fd(::socket(AF_INET, type, 0));
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(port);
+    ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+    if (!fd ||
+        ::connect(fd.get(), reinterpret_cast<sockaddr *>(&addr),
+                  sizeof(addr)) != 0 ||
+        !setNonBlocking(fd.get()))
+        return UniqueFd();
+    return fd;
+}
+
+TEST(HostileFrame, UdpEndpointSurvivesAnOffsetPastMaxChunk)
+{
+    PollLoop loop;
+    UdpReceiverEndpoint ep(loop, 0, /*store_payload=*/true);
+    ASSERT_TRUE(ep.ok()) << ep.error();
+    std::size_t delivered = 0;
+    ep.setDeliverySink([&delivered](const MessageKey &,
+                                    std::vector<std::uint8_t> &&) {
+        ++delivered;
+    });
+    UniqueFd c = client(SOCK_DGRAM, ep.port());
+    ASSERT_TRUE(c);
+
+    // Intact header CRC, a few payload bytes, offset 2^40.
+    const std::vector<std::uint8_t> bytes = {1, 2, 3, 4, 5, 6, 7, 8};
+    FrameHeader hostile;
+    hostile.worker = 1;
+    hostile.version = 3;
+    hostile.payload_off = 1ull << 40;
+    hostile.payload_len = static_cast<std::uint32_t>(bytes.size());
+    hostile.payload_crc = crc32c({bytes.data(), bytes.size()});
+    const auto h = wire(hostile, bytes);
+    ASSERT_EQ(::send(c.get(), h.data(), h.size(), 0),
+              static_cast<ssize_t>(h.size()));
+    const auto g = goodFrame(bytes);
+    ASSERT_EQ(::send(c.get(), g.data(), g.size(), 0),
+              static_cast<ssize_t>(g.size()));
+
+    // The hostile frame is dropped unanswered: the first ACK is the
+    // good frame's.
+    std::uint8_t buf[FrameHeader::kWireSize];
+    ssize_t n = -1;
+    loop.runUntil(
+        [&] {
+            n = ::recv(c.get(), buf, sizeof(buf), 0);
+            return n >= 0;
+        },
+        5.0);
+    ASSERT_EQ(n, static_cast<ssize_t>(sizeof(buf)));
+    const auto ack = FrameHeader::parse({buf, sizeof(buf)});
+    ASSERT_TRUE(ack.has_value());
+    EXPECT_EQ(ack->version, 4);
+    EXPECT_EQ(ack->flags, kFlagAck | kFlagAckComplete);
+    EXPECT_TRUE(ep.ok()) << ep.error();
+    EXPECT_EQ(delivered, 1u);
+}
+
+TEST(HostileFrame, RandomHeadersKeepChunkBuffersBounded)
+{
+    // Random headers, re-CRC'd so only the bound can reject them, fed
+    // to a FrameAssembler as an endpoint would: parse, then hand over
+    // at most payload_len present bytes. A fresh assembler every few
+    // frames keeps the buffers of this test itself small.
+    Rng rng(26);
+    const auto pick64 = [&rng]() -> std::uint64_t {
+        switch (rng.uniformInt(8)) {
+        case 0:
+            return rng.next(); // anywhere in u64.
+        case 1:
+            return ~0ull - rng.uniformInt(64); // wraps when summed.
+        case 2:
+        case 3:
+            return kMaxChunkBytes - 64 + rng.uniformInt(128);
+        default:
+            return rng.uniformInt(2 * kMaxChunkBytes);
+        }
+    };
+    std::vector<std::uint8_t> present(256);
+    std::size_t parsed = 0;
+    std::unique_ptr<ChunkReceiver> rx;
+    std::unique_ptr<FrameAssembler> assembler;
+    for (std::size_t i = 0; i < 10000; ++i) {
+        if (i % 8 == 0) {
+            assembler.reset();
+            rx = std::make_unique<ChunkReceiver>([] { return 0.0; });
+            assembler = std::make_unique<FrameAssembler>(*rx, true);
+        }
+        FrameHeader hdr;
+        hdr.flags = static_cast<std::uint16_t>(rng.uniformInt(2));
+        hdr.worker = static_cast<std::uint16_t>(rng.uniformInt(3));
+        hdr.version = static_cast<std::int64_t>(rng.uniformInt(3));
+        hdr.row = static_cast<std::uint32_t>(rng.uniformInt(3));
+        hdr.chunk_seq = static_cast<std::uint32_t>(rng.uniformInt(3));
+        hdr.chunk_count = static_cast<std::uint32_t>(rng.uniformInt(4));
+        hdr.payload_off = pick64();
+        hdr.payload_len = rng.uniform() < 0.25
+                              ? static_cast<std::uint32_t>(rng.next())
+                              : static_cast<std::uint32_t>(
+                                    rng.uniformInt(present.size() + 1));
+        hdr.payload_crc = static_cast<std::uint32_t>(rng.next());
+        for (auto &b : present)
+            b = static_cast<std::uint8_t>(rng.next());
+        const auto w = wire(hdr, present);
+        const auto got = FrameHeader::parse({w.data(), w.size()});
+        if (!got)
+            continue;
+        ++parsed;
+        ASSERT_LE(got->payload_off + got->payload_len, kMaxChunkBytes);
+        const std::size_t n = std::min<std::size_t>(
+            present.size(), rng.uniformInt(got->payload_len + 1ull));
+        assembler->onFrame(0, *got, {present.data(), n});
+        ASSERT_LE(assembler->largestChunkBuffer(), kMaxChunkBytes)
+            << "frame " << i;
+    }
+    EXPECT_GT(parsed, 1000u); // the bound let most small windows by.
+}
+
+/** A TCP receiver endpoint and the loop that drives it. */
+class TcpEndpointGarbage : public ::testing::Test
+{
+  protected:
+    void
+    SetUp() override
+    {
+        ep_ = std::make_unique<TcpReceiverEndpoint>(loop_, 0);
+        ASSERT_TRUE(ep_->ok()) << ep_->error();
+    }
+
+    /** Write @p bytes on a fresh connection; true once the endpoint
+     *  has closed it. */
+    bool
+    endpointCloses(const std::vector<std::uint8_t> &bytes)
+    {
+        UniqueFd c = client(SOCK_STREAM, ep_->port());
+        if (!c || ::send(c.get(), bytes.data(), bytes.size(),
+                         MSG_NOSIGNAL) !=
+                      static_cast<ssize_t>(bytes.size()))
+            return false;
+        return loop_.runUntil(
+            [&] {
+                std::uint8_t buf[64];
+                const ssize_t n = ::recv(c.get(), buf, sizeof(buf), 0);
+                return n == 0 ||
+                       (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK);
+            },
+            5.0);
+    }
+
+    /** A well-formed sender on a new connection delivers a message. */
+    void
+    expectCleanSenderDelivers()
+    {
+        TcpBackend tx(loop_, "127.0.0.1", ep_->port());
+        ASSERT_TRUE(tx.ok()) << tx.error();
+        ReliableLink link(tx, TransportConfig{});
+        std::optional<SendResult> out;
+        link.startSend(0, MessageKey{1, 9, 2, false}, 3000.0, kNoDeadline,
+                       [&out](SendResult r) { out = r; });
+        ASSERT_TRUE(loop_.runUntil([&] { return out.has_value(); }, 10.0));
+        EXPECT_TRUE(out->delivered);
+        EXPECT_TRUE(ep_->ok()) << ep_->error();
+        EXPECT_EQ(ep_->deliveredMessages(), 1u);
+    }
+
+    PollLoop loop_;
+    std::unique_ptr<TcpReceiverEndpoint> ep_;
+};
+
+TEST_F(TcpEndpointGarbage, GarbageBytesDropOnlyThatConnection)
+{
+    ASSERT_TRUE(endpointCloses(
+        std::vector<std::uint8_t>(FrameHeader::kWireSize, 0xAB)));
+    EXPECT_TRUE(ep_->ok()) << ep_->error();
+    EXPECT_EQ(ep_->connections(), 0u);
+    expectCleanSenderDelivers();
+}
+
+TEST_F(TcpEndpointGarbage, AckFrameOnTheDataStreamDropsThatConnection)
+{
+    FrameHeader ack;
+    ack.flags = kFlagAck | kFlagAckComplete;
+    ASSERT_TRUE(endpointCloses(wire(ack, {})));
+    EXPECT_TRUE(ep_->ok()) << ep_->error();
+    EXPECT_EQ(ep_->connections(), 0u);
+    expectCleanSenderDelivers();
+}
+
+} // namespace
+} // namespace transport
+} // namespace net
+} // namespace rog

@@ -10,11 +10,13 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <sstream>
 #include <vector>
 
 #include "fault/fault_injector.hpp"
 #include "fault/fault_plan.hpp"
 #include "fault/invariant_checker.hpp"
+#include "net/transport/des_backend.hpp"
 #include "net/transport/reliable_link.hpp"
 #include "sim/simulation.hpp"
 
@@ -37,7 +39,9 @@ key(std::uint16_t worker = 0, std::int64_t version = 1,
     return k;
 }
 
-/** One link at a constant rate, one message, one curated fault plan. */
+/** One link at a constant rate, one message, one curated fault plan;
+ *  every event goes to the checker and the log, every delivered
+ *  payload to @c delivered. */
 struct Bench
 {
     sim::Simulation sim;
@@ -45,6 +49,9 @@ struct Bench
     std::unique_ptr<fault::FaultInjector> injector;
     std::unique_ptr<Channel> channel;
     fault::InvariantChecker checker;
+    std::vector<TransportEvent> events;
+    std::vector<std::pair<MessageKey, std::vector<std::uint8_t>>> delivered;
+    std::unique_ptr<DesBackend> backend;
     std::unique_ptr<ReliableLink> link;
 
     explicit Bench(const TransportConfig &cfg, fault::FaultPlan p = {},
@@ -56,8 +63,36 @@ struct Bench
             sim, std::vector<BandwidthTrace>{
                      BandwidthTrace::constant(rate, 600.0)});
         injector->attach(*channel);
-        link = std::make_unique<ReliableLink>(sim, *channel, cfg,
-                                              &checker);
+        backend = std::make_unique<DesBackend>(
+            sim, *channel, cfg,
+            [this](const MessageKey &k, std::vector<std::uint8_t> &&p) {
+                delivered.emplace_back(k, std::move(p));
+            });
+        link = std::make_unique<ReliableLink>(
+            *backend, cfg, [this](const TransportEvent &ev) {
+                checker.onTransportEvent(ev);
+                events.push_back(ev);
+            });
+    }
+
+    /** The event log as text, one event per line. */
+    std::string
+    eventText() const
+    {
+        std::ostringstream os;
+        for (const auto &ev : events)
+            os << toString(ev) << '\n';
+        return os.str();
+    }
+
+    /** The payload delivered last for @p k (empty if none). */
+    std::vector<std::uint8_t>
+    payloadOf(const MessageKey &k) const
+    {
+        for (auto it = delivered.rbegin(); it != delivered.rend(); ++it)
+            if (it->first == k)
+                return it->second;
+        return {};
     }
 
     SendResult
@@ -222,7 +257,7 @@ TEST(TransportLink, ReorderedChunkIsHeldAndAppliedAfterSuccessor)
 
     // The log must show chunk 1 accepted before the held chunk 0.
     std::vector<std::uint32_t> accept_order;
-    for (const auto &ev : b.link->log())
+    for (const auto &ev : b.events)
         if (ev.kind == TransportEvent::Kind::Accept)
             accept_order.push_back(ev.chunk_seq);
     ASSERT_EQ(accept_order.size(), 2u);
@@ -249,7 +284,9 @@ TEST(TransportLink, DeadlineExpiresInsteadOfBackingOffPastIt)
                     BandwidthTrace::constant(1000.0, 600.0), 0, 600.0)});
     injector.attach(ch);
     fault::InvariantChecker checker;
-    ReliableLink link(sim, ch, cfg, &checker);
+    ReliableLink link(sim, ch, cfg, [&checker](const TransportEvent &ev) {
+        checker.onTransportEvent(ev);
+    });
 
     SendResult out;
     int fired = 0;
@@ -320,7 +357,7 @@ TEST(TransportLink, PayloadReassemblyIsByteIdenticalUnderFaults)
     ASSERT_EQ(fired, 1);
     EXPECT_TRUE(out.delivered);
     EXPECT_GT(out.retries, 0u);
-    EXPECT_EQ(b.link->deliveredPayload(k), payload);
+    EXPECT_EQ(b.payloadOf(k), payload);
     EXPECT_TRUE(b.checker.clean()) << b.checker.report();
 }
 
@@ -361,7 +398,7 @@ TEST(TransportLink, PayloadNeedNotOutliveStartCall)
     ASSERT_EQ(fired, 1);
     EXPECT_TRUE(out.delivered);
     EXPECT_GT(out.retries, 0u);
-    EXPECT_EQ(b.link->deliveredPayload(k), expected);
+    EXPECT_EQ(b.payloadOf(k), expected);
     EXPECT_TRUE(b.checker.clean()) << b.checker.report();
 }
 
@@ -420,7 +457,7 @@ TEST(TransportLink, BackoffJitterIsDeterministicPerKey)
         Bench b(cfg, plan);
         const auto r = b.send(k, 2000.0);
         EXPECT_TRUE(r.delivered);
-        return b.link->logDump();
+        return b.eventText();
     };
     const auto a1 = run(key(1, 5, 2));
     const auto a2 = run(key(1, 5, 2));
@@ -452,11 +489,11 @@ TEST(TransportLink, DestroyMidSendInvokesDropNotDone)
 TEST(TransportLink, ResetAbortsInFlightAndForgetsDeliveredKeys)
 {
     // Peer-restart contract (see reset()): every in-flight send fails
-    // fast with delivered=false, and the per-key delivery memory is
-    // wiped so a re-send of an already-delivered key goes out again
-    // instead of being suppressed as a duplicate of a dead process's
-    // stream. This is what DesFabric/SocketFabric::resetPeer leans on
-    // when a worker adopts a bumped server epoch.
+    // fast with delivered=false, and a re-send of an already-delivered
+    // key goes out and is handed up again instead of being suppressed
+    // as a duplicate of a dead process's stream. This is what
+    // DesFabric/SocketFabric::resetPeer leans on when a worker adopts
+    // a bumped server epoch.
     TransportConfig cfg;
     Bench b(cfg);
     std::vector<std::uint8_t> payload(600);
@@ -473,7 +510,8 @@ TEST(TransportLink, ResetAbortsInFlightAndForgetsDeliveredKeys)
     b.sim.run();
     ASSERT_EQ(first_fired, 1);
     ASSERT_TRUE(first.delivered);
-    ASSERT_EQ(b.link->deliveredPayload(done_key), payload);
+    ASSERT_EQ(b.delivered.size(), 1u);
+    ASSERT_EQ(b.payloadOf(done_key), payload);
 
     // A second message still in the air when the peer dies.
     const MessageKey inflight_key = key(0, 2);
@@ -490,10 +528,10 @@ TEST(TransportLink, ResetAbortsInFlightAndForgetsDeliveredKeys)
     b.link->reset();
     EXPECT_EQ(aborted_fired, 1);
     EXPECT_FALSE(aborted.delivered);
-    EXPECT_TRUE(b.link->deliveredPayload(done_key).empty());
+    EXPECT_EQ(b.delivered.size(), 1u); // the abort handed nothing up.
 
     // Epoch bumped, fresh remote receiver: the same key must flow
-    // end to end again and repopulate the delivery memory.
+    // end to end again and be handed up a second time.
     SendResult again;
     int again_fired = 0;
     b.link->startSendPayload(0, done_key, payload, kNoDeadline,
@@ -504,7 +542,8 @@ TEST(TransportLink, ResetAbortsInFlightAndForgetsDeliveredKeys)
     b.sim.run();
     ASSERT_EQ(again_fired, 1);
     EXPECT_TRUE(again.delivered);
-    EXPECT_EQ(b.link->deliveredPayload(done_key), payload);
+    EXPECT_EQ(b.delivered.size(), 2u);
+    EXPECT_EQ(b.payloadOf(done_key), payload);
     sim::Simulation &s = b.sim;
     s.run(); // stale channel callbacks from the aborted op must no-op.
     EXPECT_EQ(aborted_fired, 1);

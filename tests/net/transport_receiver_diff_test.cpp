@@ -11,8 +11,7 @@
  * datagrams, gap fragments past the received prefix, reordering across
  * messages, chunk_seq >= chunk_count, and late retransmits of messages
  * delivered long ago (whole, truncated or corrupted). Both sides see
- * the same frames; every ACK, every TransportEvent and every observer
- * hook must match. The one intended difference is delivery: the
+ * the same frames; every ACK and every TransportEvent must match. The one intended difference is delivery: the
  * oracle reports its retained payload again on every late frame of a
  * completed message, production hands each payload up exactly once.
  *
@@ -25,7 +24,6 @@
 #include <algorithm>
 #include <iostream>
 #include <set>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -42,41 +40,6 @@ namespace {
 
 constexpr std::size_t kMessages = 10000;
 constexpr std::size_t kWindow = 6; //!< messages in flight at once.
-
-/** Every observer hook, rendered as one line. */
-class HookLog : public TransportObserver
-{
-  public:
-    void
-    onTransportChunk(std::size_t worker, std::int64_t version,
-                     std::size_t row, std::uint32_t chunk_seq, bool crc_ok,
-                     bool accepted_fresh, bool pull) override
-    {
-        std::ostringstream os;
-        os << "chunk " << worker << ' ' << version << ' ' << row << ' '
-           << chunk_seq << ' ' << crc_ok << accepted_fresh << pull;
-        lines.push_back(os.str());
-    }
-
-    void
-    onTransportDeliver(std::size_t worker, std::int64_t version,
-                       std::size_t row, bool pull) override
-    {
-        std::ostringstream os;
-        os << "deliver " << worker << ' ' << version << ' ' << row << ' '
-           << pull;
-        lines.push_back(os.str());
-    }
-
-    void
-    onTransportResume(std::size_t, std::int64_t, std::size_t, double,
-                      double, bool) override
-    {
-        lines.push_back("resume"); // sender-side only: never expected.
-    }
-
-    std::vector<std::string> lines;
-};
 
 struct Message
 {
@@ -194,19 +157,16 @@ TEST_P(ReceiverDiff, SameAcksAndEventsWithStateBoundedByMessagesInFlight)
     double now = 0.0;
     const auto clock = [&now] { return now; };
 
-    HookLog old_hooks, new_hooks;
     std::vector<TransportEvent> old_events, new_events;
     legacy::ChunkReceiver old_rx(
-        clock, &old_hooks,
-        [&](const TransportEvent &ev) { old_events.push_back(ev); });
+        clock, [&](const TransportEvent &ev) { old_events.push_back(ev); });
     legacy::FrameAssembler old_asm(old_rx, param.store_payload);
     ChunkReceiver new_rx(
-        clock, &new_hooks,
-        [&](const TransportEvent &ev) { new_events.push_back(ev); });
+        clock, [&](const TransportEvent &ev) { new_events.push_back(ev); });
     FrameAssembler new_asm(new_rx, param.store_payload);
 
     std::size_t frames = 0, late_frames = 0, old_redeliveries = 0;
-    std::size_t new_deliveries = 0, events_checked = 0, hooks_checked = 0;
+    std::size_t new_deliveries = 0, events_checked = 0;
     std::vector<Message> sent;
 
     const auto feed = [&](const Frame &f) {
@@ -236,10 +196,6 @@ TEST_P(ReceiverDiff, SameAcksAndEventsWithStateBoundedByMessagesInFlight)
         for (; events_checked < new_events.size(); ++events_checked)
             ASSERT_EQ(toString(new_events[events_checked]),
                       toString(old_events[events_checked]));
-        ASSERT_EQ(new_hooks.lines.size(), old_hooks.lines.size());
-        for (; hooks_checked < new_hooks.lines.size(); ++hooks_checked)
-            ASSERT_EQ(new_hooks.lines[hooks_checked],
-                      old_hooks.lines[hooks_checked]);
     };
 
     while (sent.size() < kMessages) {

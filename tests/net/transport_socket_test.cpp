@@ -179,7 +179,10 @@ runMultiProcess(const RunSpec &spec)
                                             opts, &trace);
     ASSERT_TRUE(sock->ok()) << sock->error();
 
-    ReliableLink link(*sock, cfg);
+    std::vector<TransportEvent> merged;
+    ReliableLink link(*sock, cfg, [&merged](const TransportEvent &ev) {
+        merged.push_back(ev);
+    });
     std::size_t completed = 0;
     std::size_t delivered = 0;
     std::function<void(std::size_t)> issue = [&](std::size_t i) {
@@ -220,7 +223,6 @@ runMultiProcess(const RunSpec &spec)
     const LogParseResult rx_log = tryParseLog(slurp(events_path));
     ASSERT_TRUE(rx_log.ok()) << rx_log.error;
     trace.rx = rx_trace.trace.rx;
-    std::vector<TransportEvent> merged = link.log();
     merged.insert(merged.end(), rx_log.events.begin(),
                   rx_log.events.end());
 

@@ -11,6 +11,7 @@
 #include "loopback_harness.hpp"
 #include "net/channel.hpp"
 #include "net/transport/crossval.hpp"
+#include "net/transport/des_backend.hpp"
 #include "net/transport/reliable_link.hpp"
 #include "sim/simulation.hpp"
 
@@ -28,7 +29,9 @@ TEST(TransportZeroLen, DesDeliversHeaderOnlyChunk)
 {
     sim::Simulation sim;
     Channel ch(sim, {BandwidthTrace::constant(10e3, 600.0)});
-    ReliableLink link(sim, ch, TransportConfig{});
+    std::vector<TransportEvent> log;
+    ReliableLink link(sim, ch, TransportConfig{},
+                      [&log](const TransportEvent &ev) { log.push_back(ev); });
 
     SendResult out;
     MessageKey key;
@@ -44,15 +47,21 @@ TEST(TransportZeroLen, DesDeliversHeaderOnlyChunk)
     // The wire still carried the header.
     EXPECT_DOUBLE_EQ(out.bytes_sent,
                      static_cast<double>(FrameHeader::kWireSize));
-    EXPECT_EQ(countKind(link.log(), TransportEvent::Kind::Accept), 1u);
-    EXPECT_EQ(countKind(link.log(), TransportEvent::Kind::Deliver), 1u);
+    EXPECT_EQ(countKind(log, TransportEvent::Kind::Accept), 1u);
+    EXPECT_EQ(countKind(log, TransportEvent::Kind::Deliver), 1u);
 }
 
 TEST(TransportZeroLen, DesEmptyPayloadSpanDelivers)
 {
     sim::Simulation sim;
     Channel ch(sim, {BandwidthTrace::constant(10e3, 600.0)});
-    ReliableLink link(sim, ch, TransportConfig{});
+    std::vector<std::vector<std::uint8_t>> delivered;
+    DesBackend backend(sim, ch, TransportConfig{},
+                       [&delivered](const MessageKey &,
+                                    std::vector<std::uint8_t> &&p) {
+                           delivered.push_back(std::move(p));
+                       });
+    ReliableLink link(backend, TransportConfig{});
 
     SendResult out;
     MessageKey key;
@@ -63,7 +72,8 @@ TEST(TransportZeroLen, DesEmptyPayloadSpanDelivers)
 
     EXPECT_TRUE(out.delivered);
     EXPECT_EQ(out.chunks, 1u);
-    EXPECT_TRUE(link.deliveredPayload(key).empty());
+    ASSERT_EQ(delivered.size(), 1u);
+    EXPECT_TRUE(delivered[0].empty());
 }
 
 TEST(TransportZeroLen, UdpLoopbackDelivers)

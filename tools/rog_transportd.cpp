@@ -307,7 +307,10 @@ runSend(const Args &args)
         return 1;
     }
 
-    ReliableLink link(*sock, cfg);
+    std::vector<TransportEvent> events;
+    ReliableLink link(*sock, cfg, [&events](const TransportEvent &ev) {
+        events.push_back(ev);
+    });
     SendDriver driver{link, &trace, args.getSize("sends", 1),
                       args.getDouble("bytes", 4096.0),
                       args.has("deadline")
@@ -321,7 +324,7 @@ runSend(const Args &args)
         return 1;
     }
 
-    if (!writeFile(args.get("events"), eventsText(link.log())) ||
+    if (!writeFile(args.get("events"), eventsText(events)) ||
         !writeFile(args.get("trace"), trace.toText())) {
         std::cerr << "send: cannot write output files\n";
         return 1;
@@ -340,7 +343,11 @@ runLoopbackDes(const Args &args)
     sim::Simulation sim;
     Channel channel(sim, {BandwidthTrace::constant(
                              args.getDouble("bandwidth", 1e6), 3600.0)});
-    ReliableLink link(sim, channel, cfg);
+    std::vector<TransportEvent> events;
+    ReliableLink link(sim, channel, cfg,
+                      [&events](const TransportEvent &ev) {
+                          events.push_back(ev);
+                      });
     SendDriver driver{link, nullptr, args.getSize("sends", 1),
                       args.getDouble("bytes", 4096.0),
                       args.has("deadline")
@@ -348,7 +355,7 @@ runLoopbackDes(const Args &args)
                           : kNoDeadline};
     driver.issue(0);
     sim.run();
-    if (!writeFile(args.get("events"), eventsText(link.log()))) {
+    if (!writeFile(args.get("events"), eventsText(events))) {
         std::cerr << "loopback: cannot write events file\n";
         return 1;
     }
@@ -425,7 +432,12 @@ runLoopback(const Args &args)
         rx_events.push_back(ev);
     });
 
-    ReliableLink link(*sock, cfg);
+    // Sender events first, then the receiver's: crossValidate compares
+    // each side on its own.
+    std::vector<TransportEvent> merged;
+    ReliableLink link(*sock, cfg, [&merged](const TransportEvent &ev) {
+        merged.push_back(ev);
+    });
     SendDriver driver{link, &trace, args.getSize("sends", 1),
                       args.getDouble("bytes", 4096.0),
                       args.has("deadline")
@@ -446,7 +458,6 @@ runLoopback(const Args &args)
         return 1;
     }
 
-    std::vector<TransportEvent> merged = link.log();
     merged.insert(merged.end(), rx_events.begin(), rx_events.end());
 
     if (!writeFile(args.get("events"), eventsText(merged)) ||
