@@ -10,6 +10,7 @@
 #include "common/text_line.hpp"
 #include "core/node_event.hpp"
 #include "core/server_checkpoint.hpp"
+#include "fault/invariant_checker.hpp"
 #include "net/transport/event_log.hpp"
 #include "nn/serialize.hpp"
 
@@ -162,7 +163,7 @@ checkChaosRun(const NodeRunConfig &cfg, const ChaosCheckOptions &opts)
     }
 
     // 4. Transport-level exactly-once from the server's receiver
-    //    event log: one Deliver per key, one fresh Accept per chunk.
+    //    event log, judged by the one transport checker.
     {
         std::ifstream is(dir + "/server_events.log");
         std::stringstream buf;
@@ -173,35 +174,14 @@ checkChaosRun(const NodeRunConfig &cfg, const ChaosCheckOptions &opts)
             violate("server event log unparsable: " + parsed.error);
             report << "transport log: FAIL\n";
         } else {
-            std::map<std::string, std::size_t> delivers;
-            std::set<std::string> accepts;
-            std::size_t dup_delivers = 0;
-            std::size_t dup_accepts = 0;
-            for (const auto &ev : parsed.events) {
-                std::ostringstream key;
-                key << ev.key.worker << ':' << ev.key.version << ':'
-                    << ev.key.row << ':' << ev.key.pull;
-                if (ev.kind ==
-                    net::transport::TransportEvent::Kind::Deliver) {
-                    if (++delivers[key.str()] > 1) {
-                        ++dup_delivers;
-                        violate("transport delivered twice: key " +
-                                key.str());
-                    }
-                } else if (ev.kind == net::transport::TransportEvent::
-                                          Kind::Accept) {
-                    key << '#' << ev.chunk_seq;
-                    if (!accepts.insert(key.str()).second) {
-                        ++dup_accepts;
-                        violate("chunk accepted fresh twice: " +
-                                key.str());
-                    }
-                }
-            }
+            fault::InvariantChecker checker;
+            for (const auto &ev : parsed.events)
+                checker.onTransportEvent(ev);
+            for (const std::string &v : checker.violations())
+                violate(v);
             report << "transport log: " << parsed.events.size()
-                   << " events, " << dup_delivers
-                   << " double-delivers, " << dup_accepts
-                   << " double-accepts\n";
+                   << " events, " << checker.violationCount()
+                   << " exactly-once violations\n";
         }
     }
 

@@ -15,7 +15,8 @@
  *     (application-level exactly-once, from the server run log).
  *  4. The server's transport event log shows no receiver-side
  *     exactly-once violation: at most one Deliver per message key, at
- *     most one fresh Accept per (key, chunk).
+ *     most one fresh Accept per (key, chunk), as
+ *     fault::InvariantChecker::onTransportEvent judges it.
  *  5. Every killed worker was either evicted or re-admitted (and when
  *     the run requires it, finished with a Bye).
  *  6. The final metric is within tolerance of the DES twin of the

@@ -79,13 +79,6 @@ unitWireBytes(const RowPartition &partition, const compress::Codec &codec,
     return bytes;
 }
 
-/** Shard 0 keeps the configured path; shard k gets ".shard<k>". */
-std::string
-shardCheckpointPath(const std::string &base, std::size_t shard)
-{
-    return shard == 0 ? base : base + ".shard" + std::to_string(shard);
-}
-
 /** Everything one simulated robot owns. */
 struct WorkerContext
 {
@@ -1045,17 +1038,7 @@ Engine::maybeCheckpointServer(std::int64_t iter)
     if (iter % static_cast<std::int64_t>(every) != 0 ||
         iter <= last_checkpoint_iter_)
         return;
-    // One ROGS file per shard: shard 0 keeps the legacy path so a
-    // single-shard run is file-for-file identical to the old layout.
-    for (std::size_t s = 0; s < server_->shardCount(); ++s) {
-        ServerCheckpoint ckpt;
-        ckpt.iteration = iter;
-        ckpt.versions = server_->shard(s).versionSnapshot();
-        ckpt.server = server_->shard(s).serverSnapshot();
-        ckpt.tracker = server_->shard(s).trackerSnapshot();
-        writeServerCheckpointFile(
-            shardCheckpointPath(cfg_.checkpoint_path, s), ckpt);
-    }
+    writeShardCheckpoints(cfg_.checkpoint_path, *server_, iter);
     last_checkpoint_iter_ = iter;
     ++result_.checkpoints_written;
 }

@@ -64,10 +64,11 @@ struct EngineConfig
      * Crash-consistent server recovery: when non-empty, the server
      * writes a write-ahead checkpoint of its volatile state (version
      * matrix, gradient outbox, MTA-time estimates) to this path every
-     * checkpoint_every iterations — temp file + atomic rename, CRC32C
-     * verified on restore. A `server_crash iter=N` fault event then
-     * recovers from the newest checkpoint (or genesis state if none
-     * was written yet) instead of aborting the run.
+     * checkpoint_every iterations — one durable atomic write per
+     * shard (writeShardCheckpoints), CRC32C verified on restore. A
+     * `server_crash iter=N` fault event then recovers from the newest
+     * checkpoint (or genesis state if none was written yet) instead
+     * of aborting the run.
      */
     std::string checkpoint_path{};
 
@@ -75,11 +76,12 @@ struct EngineConfig
      * Parameter-server shard count (fleet-scale layout, ROADMAP
      * item 1). Model rows are partitioned across this many
      * ServerShards, each with its own contiguous outbox/version
-     * arenas, MTA bookkeeping, and checkpoint file (shard 0 writes
-     * checkpoint_path; shard k > 0 writes checkpoint_path +
-     * ".shard<k>"). Clamped to the unit count. Any value yields
-     * bit-identical training results to 1 — sharding only changes the
-     * storage layout; see DESIGN.md Sec. 17.
+     * arenas, MTA bookkeeping, and checkpoint file (named by
+     * shardCheckpointPath: shard 0 writes checkpoint_path; shard
+     * k > 0 writes checkpoint_path + ".shard<k>"). Clamped to the
+     * unit count. Any value yields bit-identical training results to
+     * 1 — sharding only changes the storage layout; see DESIGN.md
+     * Sec. 17.
      */
     std::size_t server_shards = 1;
 

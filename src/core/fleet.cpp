@@ -614,18 +614,8 @@ class FleetEngine
         if (n % static_cast<std::int64_t>(cfg_.checkpoint_every) != 0)
             return;
         flushShards(); // snapshots read shard state.
-        for (std::size_t s = 0; s < shards_; ++s) {
-            ServerCheckpoint ckpt;
-            ckpt.iteration = n;
-            ckpt.versions = server_->shard(s).versionSnapshot();
-            ckpt.server = server_->shard(s).serverSnapshot();
-            ckpt.tracker = server_->shard(s).trackerSnapshot();
-            std::string path = cfg_.checkpoint_dir + "/fleet.rogs";
-            if (s != 0)
-                path += ".shard" + std::to_string(s);
-            writeServerCheckpointFile(path, ckpt);
-            ++ckpt_files_;
-        }
+        ckpt_files_ += writeShardCheckpoints(
+            cfg_.checkpoint_dir + "/fleet.rogs", *server_, n);
     }
 
     // ---- final accounting ----

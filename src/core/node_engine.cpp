@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <sstream>
+#include <cstring>
 #include <stdexcept>
 
+#include "common/durable_file.hpp"
 #include "common/logging.hpp"
 #include "core/server_checkpoint.hpp"
 #include "net/transport/backend.hpp"
@@ -36,6 +36,49 @@ using net::session::workerNode;
 using net::transport::kNoDeadline;
 
 using K = NodeEvent::Kind;
+
+// --------------------------------------------------------------------
+// Worker state record
+// --------------------------------------------------------------------
+
+namespace {
+
+/** Token, done iteration, incarnation; the model bytes follow. */
+constexpr std::size_t kStateFields = 8 + 8 + 4;
+constexpr RecordFormat kStateFormat{"ROGW", 1, 1ull << 30, "worker state"};
+
+} // namespace
+
+std::string
+workerStatePath(const std::string &dir, std::size_t worker)
+{
+    return dir + "/worker" + std::to_string(worker) + ".rogw";
+}
+
+void
+writeWorkerState(const std::string &path, const WorkerResumeState &state)
+{
+    std::string payload(kStateFields, '\0');
+    std::memcpy(payload.data(), &state.resume_token, 8);
+    std::memcpy(payload.data() + 8, &state.last_done_iter, 8);
+    std::memcpy(payload.data() + 16, &state.incarnation, 4);
+    payload.append(state.model.begin(), state.model.end());
+    writeRecordFile(path, kStateFormat, payload);
+}
+
+WorkerResumeState
+readWorkerState(const std::string &path)
+{
+    const std::string payload = readRecordFile(path, kStateFormat);
+    if (payload.size() < kStateFields)
+        ROG_FATAL("worker state: truncated payload");
+    WorkerResumeState state;
+    std::memcpy(&state.resume_token, payload.data(), 8);
+    std::memcpy(&state.last_done_iter, payload.data() + 8, 8);
+    std::memcpy(&state.incarnation, payload.data() + 16, 4);
+    state.model.assign(payload.begin() + kStateFields, payload.end());
+    return state;
+}
 
 // --------------------------------------------------------------------
 // ServerNode
@@ -84,21 +127,12 @@ ServerNode::restoreFromCheckpoint()
                 "checkpoint session table does not cover this fleet");
         if (ckpt.model.empty())
             throw std::runtime_error("checkpoint carries no model");
-        {
-            // Parse into a throwaway replica first; only a blob the
-            // architecture fully accepts may touch the live model.
-            auto probe = workload_.buildReplica();
-            std::string s(ckpt.model.begin(), ckpt.model.end());
-            std::istringstream is(s);
-            nn::loadModel(is, *probe);
-        }
+        // Parse into a throwaway replica first; only a blob the
+        // architecture fully accepts may touch the live model.
+        nn::loadModelBytes(ckpt.model, *workload_.buildReplica());
         server_.shard(0).restore(ckpt.versions, ckpt.server,
                                  ckpt.tracker);
-        {
-            std::string s(ckpt.model.begin(), ckpt.model.end());
-            std::istringstream is(s);
-            nn::loadModel(is, *model_);
-        }
+        nn::loadModelBytes(ckpt.model, *model_);
         // The epoch bump fences off every pre-crash scope; workers
         // holding the old epoch are rejected with the new one and
         // adopt it on retry.
@@ -280,7 +314,7 @@ ServerNode::onHello(std::vector<std::uint8_t> &&bytes)
     wmsg.start_iter = start;
     wmsg.epoch = table_.epoch();
     if (a.mode != AdmitMode::Resume)
-        wmsg.model = modelBytes();
+        wmsg.model = nn::saveModelBytes(*model_);
 
     emit({.kind = K::Admit, .t = now, .w = w, .epoch = table_.epoch(),
           .inc = h.incarnation, .mode = a.mode, .session = a.session,
@@ -499,7 +533,7 @@ ServerNode::checkpointNow()
     ckpt.tracker = server_.shard(0).trackerSnapshot();
     ckpt.epoch = table_.epoch();
     ckpt.sessions = table_.snapshot();
-    ckpt.model = modelBytes();
+    ckpt.model = nn::saveModelBytes(*model_);
     ckpt.worker_done.resize(peers_.size());
     for (std::size_t w = 0; w < peers_.size(); ++w)
         ckpt.worker_done[w] = peers_[w].bye ? 1 : 0;
@@ -526,15 +560,6 @@ ServerNode::evaluateModel()
     return workload_.evaluate(*model_);
 }
 
-std::vector<std::uint8_t>
-ServerNode::modelBytes()
-{
-    std::ostringstream os;
-    nn::saveModel(os, *model_);
-    const std::string s = os.str();
-    return std::vector<std::uint8_t>(s.begin(), s.end());
-}
-
 // --------------------------------------------------------------------
 // WorkerNode
 // --------------------------------------------------------------------
@@ -555,21 +580,13 @@ WorkerNode::WorkerNode(net::session::Fabric &fabric, Workload &workload,
       resume_token_(resume.resume_token), epoch_(cfg.epoch),
       done_iter_(resume.last_done_iter)
 {
-    // A resume claim is only honest with the checkpointed model on
-    // disk; without it, fall back to a fresh (token-less) handshake.
+    // A resume claim comes with the model it was cut with, in one
+    // record; without a loadable model, fall back to a fresh
+    // (token-less) handshake.
     if (resume_token_ != 0) {
-        bool loaded = false;
-        if (!cfg_.worker_state_dir.empty()) {
-            try {
-                nn::loadModelFile(cfg_.worker_state_dir + "/worker" +
-                                      std::to_string(worker_) + ".rogm",
-                                  *model_);
-                loaded = true;
-            } catch (const std::exception &) {
-                loaded = false;
-            }
-        }
-        if (!loaded) {
+        try {
+            nn::loadModelBytes(resume.model, *model_);
+        } catch (const std::exception &) {
             resume_token_ = 0;
             done_iter_ = 0;
         }
@@ -709,11 +726,8 @@ WorkerNode::onWelcome(std::vector<std::uint8_t> &&bytes)
     done_iter_ = w.start_iter;
     hello_tries_ = 0;
 
-    if (w.mode != AdmitMode::Resume && !w.model.empty()) {
-        std::string s(w.model.begin(), w.model.end());
-        std::istringstream is(s);
-        nn::loadModel(is, *model_);
-    }
+    if (w.mode != AdmitMode::Resume && !w.model.empty())
+        nn::loadModelBytes(w.model, *model_);
     // Fresh transmission state for a fresh session: the codec's error
     // residual and the momentum buffers belong to the dead
     // incarnation's stream (they are not part of the resume
@@ -902,24 +916,15 @@ WorkerNode::writeLocalCheckpoint()
 {
     if (cfg_.worker_state_dir.empty())
         return;
-    const std::string base =
-        cfg_.worker_state_dir + "/worker" + std::to_string(worker_);
-    nn::saveModelFile(base + ".rogm", *model_);
-    // Tiny metadata sidecar, atomically renamed into place: token,
-    // durable iteration, incarnation.
-    const std::string tmp = base + ".meta.tmp";
-    {
-        std::ostringstream os;
-        os << resume_token_ << ' ' << done_iter_ << ' '
-           << incarnation_ << '\n';
-        FILE *f = std::fopen(tmp.c_str(), "w");
-        if (f == nullptr)
-            return;
-        const std::string s = os.str();
-        std::fwrite(s.data(), 1, s.size(), f);
-        std::fclose(f);
+    try {
+        writeWorkerState(workerStatePath(cfg_.worker_state_dir, worker_),
+                         {incarnation_, resume_token_, done_iter_,
+                          nn::saveModelBytes(*model_)});
+    } catch (const std::exception &e) {
+        // The previous record stays whole; the next apply retries.
+        emit({.kind = K::StateWriteFailed, .t = fabric_.now(),
+              .iter = done_iter_, .why = e.what()});
     }
-    std::rename(tmp.c_str(), (base + ".meta").c_str());
 }
 
 void

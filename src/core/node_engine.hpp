@@ -23,9 +23,9 @@
  * retry), computes real minibatch gradients, pushes each
  * synchronization unit through its one-bit codec, requests a pull
  * once every push of the iteration is acknowledged, applies the
- * averaged gradients, and writes a local checkpoint (model + resume
- * token) after every applied pull so its next incarnation can resume
- * instead of resyncing.
+ * averaged gradients, and writes its resume record (model + resume
+ * token, one durable file) after every applied pull so its next
+ * incarnation can resume instead of resyncing.
  *
  * All I/O goes through the Fabric; neither class names a socket, a
  * simulation, or a backend.
@@ -37,6 +37,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "compress/codec.hpp"
 #include "core/failure_detector.hpp"
@@ -103,13 +104,27 @@ struct NodeTrainConfig
     std::string worker_state_dir;
 };
 
-/** What a (possibly restarted) worker process brings to the table. */
+/** What a (possibly restarted) worker process brings to the table:
+ *  the resume claim and its model, persisted as one record. */
 struct WorkerResumeState
 {
     std::uint32_t incarnation = 0;
     std::uint64_t resume_token = 0;
     std::int64_t last_done_iter = 0;
+    std::vector<std::uint8_t> model; //!< ROGM bytes ("" = none).
 };
+
+/** `<dir>/worker<w>.rogw`, the worker's resume record. */
+std::string workerStatePath(const std::string &dir, std::size_t worker);
+
+/** Replace @p path with @p state as one durable "ROGW" record
+ *  (RecordFormat). @throws std::runtime_error on I/O failure. */
+void writeWorkerState(const std::string &path,
+                      const WorkerResumeState &state);
+
+/** Strict reader of writeWorkerState's record.
+ *  @throws std::runtime_error if missing, torn, or corrupt. */
+WorkerResumeState readWorkerState(const std::string &path);
 
 /** Parameter-server node. */
 class ServerNode
@@ -130,9 +145,6 @@ class ServerNode
 
     /** Evaluate the canonical model into the workload metric. */
     double evaluateModel();
-
-    /** Serialize the canonical model ("ROGM" bytes). */
-    std::vector<std::uint8_t> modelBytes();
 
     nn::Model &model() { return *model_; }
 

@@ -31,6 +31,13 @@ struct Spec
 constexpr Spec kSpecs[] = {ROG_NODE_EVENTS(ROG_NODE_EVENT_SPEC)};
 #undef ROG_NODE_EVENT_SPEC
 
+/** Kinds whose `why` is free text, written quoted as their last key. */
+bool
+quotedWhy(K kind)
+{
+    return kind == K::RecoverFailed || kind == K::StateWriteFailed;
+}
+
 /** Call @p fn with each key of @p s, in order. */
 template <typename Fn>
 void
@@ -190,8 +197,8 @@ toLine(const NodeEvent &ev)
     os << s.word;
     forEachKey(s, [&](std::string_view key) {
         os << ' ' << key << '=';
-        // Free text is quoted; it is recover_failed's only field.
-        if (ev.kind == K::RecoverFailed)
+        // Free text is quoted; it is the last field of its kinds.
+        if (key == "why" && quotedWhy(ev.kind))
             os << '"' << ev.why << '"';
         else
             withField(ev, key, [&](const auto &v) { put(os, v); });
@@ -218,7 +225,7 @@ tryParseNodeEvent(const std::string &line, std::size_t line_no)
             withField(res.event, key, [&](auto &v) { get(r, key, v); });
         });
         std::string &why = res.event.why;
-        if (res.event.kind == K::RecoverFailed && why.size() >= 2)
+        if (quotedWhy(res.event.kind) && why.size() >= 2)
             why = why.substr(1, why.size() - 2); // the writer's quotes.
         if (r.ok() && toLine(res.event) != line)
             r.fail("not in the writer's form: '" + line + "'");

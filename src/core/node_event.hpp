@@ -62,6 +62,8 @@ namespace core {
     X(WorkerBye, "bye", true, false, "done_iter")                           \
     X(ServerSuspect, "server_suspect", true, false, "silence")              \
     X(Resync, "resync", true, false, "why")                                 \
+    X(StateWriteFailed, "state_write_failed", true, false,                  \
+      "iter why") /* quoted */                                              \
     /* node_runner */                                                       \
     X(WorkerStart, "worker_start", false, false, "w inc token done_iter")   \
     X(ServerTimeout, "server_timeout", false, false, "")                    \

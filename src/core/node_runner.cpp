@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <fstream>
 
+#include "common/durable_file.hpp"
 #include "core/workloads.hpp"
 #include "net/session/des_fabric.hpp"
 #include "net/session/socket_fabric.hpp"
@@ -55,15 +56,15 @@ class LineLog
 };
 
 net::session::SocketFabricOptions
-fabricOptions(const NodeRunConfig &cfg, bool faults,
+fabricOptions(const NodeRunConfig &cfg,
+              const net::transport::SocketFaultPlan &faults,
               std::uint16_t listen_port)
 {
     net::session::SocketFabricOptions o;
     o.kind = cfg.backend;
     o.transport = cfg.transport;
     o.socket = cfg.socket;
-    o.fault_plan = cfg.fault_plan;
-    o.inject_faults = faults;
+    o.fault_plan = faults;
     o.listen_port = listen_port;
     return o;
 }
@@ -143,20 +144,16 @@ makeNodeWorkload(const NodeRunConfig &cfg)
 WorkerResumeState
 loadWorkerResume(const std::string &state_dir, std::size_t worker)
 {
-    WorkerResumeState r;
     if (state_dir.empty())
+        return {};
+    try {
+        WorkerResumeState r =
+            readWorkerState(workerStatePath(state_dir, worker));
+        ++r.incarnation; // this is a new process.
         return r;
-    std::ifstream is(state_dir + "/worker" + std::to_string(worker) +
-                     ".meta");
-    std::uint64_t token = 0;
-    std::int64_t iter = 0;
-    std::uint32_t inc = 0;
-    if (is >> token >> iter >> inc) {
-        r.resume_token = token;
-        r.last_done_iter = iter;
-        r.incarnation = inc + 1; // this is a new process.
+    } catch (const std::exception &) {
+        return {}; // no record, or a torn one: a fresh process.
     }
-    return r;
 }
 
 ServerRunResult
@@ -173,7 +170,7 @@ runServerNode(const NodeRunConfig &cfg,
     // worker->server push path where the chaos plan puts it.
     net::session::SocketFabric fabric(
         loop, net::session::kServerNode,
-        fabricOptions(cfg, /*faults=*/false, cfg.listen_port));
+        fabricOptions(cfg, /*faults=*/{}, cfg.listen_port));
     if (!fabric.ok())
         return res;
     if (!cfg.artifact_dir.empty()) {
@@ -217,18 +214,19 @@ runServerNode(const NodeRunConfig &cfg,
         nn::saveModelFile(cfg.artifact_dir + "/model.rogm",
                           server.model());
         events.close();
-        std::ofstream sum(cfg.artifact_dir + "/summary.txt",
-                          std::ios::trunc);
-        sum << "done " << (res.done ? 1 : 0) << '\n'
-            << "metric_name " << res.metric_name << '\n'
-            << "metric " << res.metric << '\n'
-            << "applied_pushes " << res.applied_pushes << '\n'
-            << "duplicate_pushes " << res.duplicate_pushes << '\n'
-            << "stale_drops " << res.stale_drops << '\n'
-            << "min_worker_iteration " << server.minWorkerIteration()
-            << '\n'
-            << "epoch " << res.epoch << '\n'
-            << "recovered " << (res.recovered ? 1 : 0) << '\n';
+        writeFileDurably(cfg.artifact_dir + "/summary.txt",
+                         [&](std::ostream &sum) {
+            sum << "done " << (res.done ? 1 : 0) << '\n'
+                << "metric_name " << res.metric_name << '\n'
+                << "metric " << res.metric << '\n'
+                << "applied_pushes " << res.applied_pushes << '\n'
+                << "duplicate_pushes " << res.duplicate_pushes << '\n'
+                << "stale_drops " << res.stale_drops << '\n'
+                << "min_worker_iteration "
+                << server.minWorkerIteration() << '\n'
+                << "epoch " << res.epoch << '\n'
+                << "recovered " << (res.recovered ? 1 : 0) << '\n';
+        });
     }
     return res;
 }
@@ -243,7 +241,7 @@ runWorkerNode(const NodeRunConfig &cfg, std::size_t worker,
     PollLoop loop;
     net::session::SocketFabric fabric(
         loop, net::session::workerNode(worker),
-        fabricOptions(cfg, cfg.inject_faults, /*listen_port=*/0));
+        fabricOptions(cfg, cfg.fault_plan, /*listen_port=*/0));
     if (!fabric.ok()) {
         res.failed = true;
         return res;
@@ -366,12 +364,13 @@ runDesTwin(const NodeRunConfig &cfg)
     res.metric = server ? server->evaluateModel() : 0.0;
     res.applied_pushes = server ? server->appliedPushes() : 0;
     if (!cfg.artifact_dir.empty()) {
-        std::ofstream sum(cfg.artifact_dir + "/des_summary.txt",
-                          std::ios::trunc);
-        sum << "done " << (res.done ? 1 : 0) << '\n'
-            << "metric_name " << res.metric_name << '\n'
-            << "metric " << res.metric << '\n'
-            << "applied_pushes " << res.applied_pushes << '\n';
+        writeFileDurably(cfg.artifact_dir + "/des_summary.txt",
+                         [&res](std::ostream &sum) {
+            sum << "done " << (res.done ? 1 : 0) << '\n'
+                << "metric_name " << res.metric_name << '\n'
+                << "metric " << res.metric << '\n'
+                << "applied_pushes " << res.applied_pushes << '\n';
+        });
     }
     return res;
 }

@@ -9,7 +9,7 @@
  * twin, so "same run, different wire" is a config value, not a code
  * path. The runners here own everything OS-flavored the node engine
  * refuses to know about: poll loops, fabrics, artifact files, worker
- * resume metadata, and run timeouts.
+ * resume records, and run timeouts.
  */
 #ifndef ROG_CORE_NODE_RUNNER_HPP
 #define ROG_CORE_NODE_RUNNER_HPP
@@ -42,9 +42,9 @@ struct NodeRunConfig
     net::transport::TransportConfig transport;
     net::transport::SocketOptions socket;
 
-    /** Seeded wire faults on worker->server pushes (UDP only). */
+    /** Seeded wire faults on worker->server pushes (UDP only; a
+     *  clean plan installs no injector). */
     net::transport::SocketFaultPlan fault_plan;
-    bool inject_faults = false;
 
     /** Server listen port (0 = ephemeral). A restarted server passes
      *  its old port here to reclaim it (with the bind-retry window). */
@@ -76,8 +76,9 @@ NodeRunConfig chaosRunDefaults();
 /** The tiny CRUDA workload every role builds identically. */
 std::unique_ptr<Workload> makeNodeWorkload(const NodeRunConfig &cfg);
 
-/** Worker resume metadata from `<dir>/worker<w>.meta` (incarnation
- *  already bumped for the new process); zeros when absent. */
+/** Worker resume record from workerStatePath(@p state_dir, @p worker)
+ *  (incarnation already bumped for the new process); zeros and no
+ *  model when absent, torn or corrupt. */
 WorkerResumeState loadWorkerResume(const std::string &state_dir,
                                    std::size_t worker);
 

@@ -1,13 +1,10 @@
 #include "core/server_checkpoint.hpp"
 
-#include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <istream>
 #include <ostream>
-#include <sstream>
 
-#include "common/crc32c.hpp"
+#include "common/durable_file.hpp"
 #include "common/logging.hpp"
 
 namespace rog {
@@ -15,18 +12,17 @@ namespace core {
 
 namespace {
 
-constexpr char kMagic[4] = {'R', 'O', 'G', 'S'};
+// A server checkpoint holds one int64 per (worker, unit, element) plus
+// the model blob: anything past this is a corrupted size field, not a
+// real file.
+constexpr std::uint64_t kMaxPayload = 1ull << 30;
+
 // v2 appended server-recovery state: run epoch, the session table
 // (resume tokens + watermarks), and the model blob. v3 stores each
 // pending row as the server's exact fixed-point units (int64), not as
 // floats, which cannot restore the running sums exactly. v1 and v2
 // files are rejected rather than guessed at.
-constexpr std::uint32_t kVersion = 3;
-
-// A server checkpoint holds one int64 per (worker, unit, element) plus
-// the model blob: anything past this is a corrupted size field, not a
-// real file.
-constexpr std::uint64_t kMaxPayload = 1ull << 30;
+constexpr RecordFormat kFormat{"ROGS", 3, kMaxPayload, "server checkpoint"};
 
 void
 putU32(std::string &out, std::uint32_t v)
@@ -267,82 +263,47 @@ decodePayload(const std::string &payload)
 void
 writeServerCheckpoint(std::ostream &os, const ServerCheckpoint &ckpt)
 {
-    const std::string payload = encodePayload(ckpt);
-    const std::uint32_t crc = crc32c(
-        {reinterpret_cast<const std::uint8_t *>(payload.data()),
-         payload.size()});
-    os.write(kMagic, sizeof(kMagic));
-    const std::uint32_t version = kVersion;
-    os.write(reinterpret_cast<const char *>(&version), sizeof(version));
-    const std::uint64_t size = payload.size();
-    os.write(reinterpret_cast<const char *>(&size), sizeof(size));
-    os.write(reinterpret_cast<const char *>(&crc), sizeof(crc));
-    os.write(payload.data(),
-             static_cast<std::streamsize>(payload.size()));
-    if (!os)
-        ROG_FATAL("server checkpoint: write failed");
+    writeRecord(os, kFormat, encodePayload(ckpt));
 }
 
 ServerCheckpoint
 readServerCheckpoint(std::istream &is)
 {
-    char magic[4] = {};
-    is.read(magic, sizeof(magic));
-    if (!is || std::string(magic, 4) != std::string(kMagic, 4))
-        ROG_FATAL("server checkpoint: bad magic");
-    std::uint32_t version = 0;
-    is.read(reinterpret_cast<char *>(&version), sizeof(version));
-    if (!is)
-        ROG_FATAL("server checkpoint: truncated header");
-    if (version != kVersion)
-        ROG_FATAL("server checkpoint: unsupported version ", version);
-    std::uint64_t size = 0;
-    std::uint32_t crc = 0;
-    is.read(reinterpret_cast<char *>(&size), sizeof(size));
-    is.read(reinterpret_cast<char *>(&crc), sizeof(crc));
-    if (!is)
-        ROG_FATAL("server checkpoint: truncated header");
-    if (size > kMaxPayload)
-        ROG_FATAL("server checkpoint: implausible payload size ", size);
-    std::string payload(size, '\0');
-    is.read(payload.data(), static_cast<std::streamsize>(size));
-    if (!is || static_cast<std::uint64_t>(is.gcount()) != size)
-        ROG_FATAL("server checkpoint: truncated payload");
-    const std::uint32_t actual = crc32c(
-        {reinterpret_cast<const std::uint8_t *>(payload.data()),
-         payload.size()});
-    if (actual != crc)
-        ROG_FATAL("server checkpoint: CRC mismatch (stored ", crc,
-                  ", computed ", actual, ")");
-    return decodePayload(payload);
+    return decodePayload(readRecord(is, kFormat));
 }
 
 void
 writeServerCheckpointFile(const std::string &path,
                           const ServerCheckpoint &ckpt)
 {
-    const std::string tmp = path + ".tmp";
-    {
-        std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-        if (!os)
-            ROG_FATAL("cannot open '", tmp, "' for writing");
-        writeServerCheckpoint(os, ckpt);
-        os.flush();
-        if (!os)
-            ROG_FATAL("server checkpoint: flush of '", tmp, "' failed");
+    writeRecordFile(path, kFormat, encodePayload(ckpt));
+}
+
+std::string
+shardCheckpointPath(const std::string &base, std::size_t shard)
+{
+    return shard == 0 ? base : base + ".shard" + std::to_string(shard);
+}
+
+std::size_t
+writeShardCheckpoints(const std::string &base,
+                      const ShardedServer &server, std::int64_t iteration)
+{
+    for (std::size_t s = 0; s < server.shardCount(); ++s) {
+        ServerCheckpoint ckpt;
+        ckpt.iteration = iteration;
+        ckpt.versions = server.shard(s).versionSnapshot();
+        ckpt.server = server.shard(s).serverSnapshot();
+        ckpt.tracker = server.shard(s).trackerSnapshot();
+        writeServerCheckpointFile(shardCheckpointPath(base, s), ckpt);
     }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0)
-        ROG_FATAL("server checkpoint: rename '", tmp, "' -> '", path,
-                  "' failed");
+    return server.shardCount();
 }
 
 ServerCheckpoint
 readServerCheckpointFile(const std::string &path)
 {
-    std::ifstream is(path, std::ios::binary);
-    if (!is)
-        ROG_FATAL("cannot open '", path, "' for reading");
-    return readServerCheckpoint(is);
+    return decodePayload(readRecordFile(path, kFormat));
 }
 
 } // namespace core

@@ -5,10 +5,10 @@
  * The server's volatile state — the RSP version matrix, the
  * one-copy-per-worker gradient outbox, and ATP's MTA-time estimates —
  * is periodically serialized as a write-ahead checkpoint ("ROGS"
- * format: magic, version, payload size, CRC32C, payload). Files are
- * written to `<path>.tmp` and atomically renamed into place so a
- * crash mid-write can never leave a half-written checkpoint where a
- * good one stood; the CRC trailer catches torn or bit-rotten files at
+ * format: magic, version, payload size, CRC32C, payload). Files go
+ * through the one durable writer (common/durable_file.hpp), so a crash
+ * or power cut mid-write can never leave a half-written checkpoint
+ * where a good one stood; the CRC catches torn or bit-rotten files at
  * restore time. A server that crashes recovers by loading the newest
  * checkpoint and resuming: pushes that arrived after the checkpoint
  * are re-sent by the workers' reliable links, and the monotone
@@ -90,12 +90,22 @@ void writeServerCheckpoint(std::ostream &os,
 ServerCheckpoint readServerCheckpoint(std::istream &is);
 
 /**
- * Write to `path + ".tmp"`, then atomically rename onto @p path —
- * readers see either the old complete file or the new complete file,
- * never a prefix.
+ * Replace @p path with @p ckpt through writeFileDurably: readers see
+ * either the old complete file or the new complete file, never a
+ * prefix, and the new one survives a power cut.
  */
 void writeServerCheckpointFile(const std::string &path,
                                const ServerCheckpoint &ckpt);
+
+/** Shard 0's file is @p base, shard k's `<base>.shard<k>`. */
+std::string shardCheckpointPath(const std::string &base,
+                                std::size_t shard);
+
+/** Checkpoint each shard's versions, server state and tracker at
+ *  @p iteration into its shardCheckpointPath file; @return the count. */
+std::size_t writeShardCheckpoints(const std::string &base,
+                                  const ShardedServer &server,
+                                  std::int64_t iteration);
 
 /** @throws std::runtime_error if missing, torn, or corrupt. */
 ServerCheckpoint readServerCheckpointFile(const std::string &path);

@@ -113,6 +113,9 @@ class InvariantChecker final
     /** First few violations, one per line (empty when clean). */
     std::string report() const;
 
+    /** The first few violations, one message each. */
+    const std::vector<std::string> &violations() const { return violations_; }
+
   private:
     void fail(std::string msg);
     std::int64_t &pushSlot(std::size_t worker, std::size_t unit);

@@ -126,11 +126,11 @@ DesFabricNet::pair(int src, int dst)
     if (it != pairs_.end())
         return it->second;
     Pair p;
-    // Effectively infinite duration so long chaos twins never run off
-    // the end of the trace.
+    // One 0.1 s sample, looped forever: the same rate and step
+    // boundaries as any longer constant trace, in 8 bytes.
     p.channel = std::make_unique<Channel>(
-        sim_, std::vector<BandwidthTrace>{
-                  BandwidthTrace::constant(rate_bps_, 1e6)});
+        sim_, std::vector<BandwidthTrace>{BandwidthTrace::constant(
+                  rate_bps_, /*duration_seconds=*/0.1)});
     transport::TransportConfig cfg = cfg_;
     cfg.jitter_seed = next_jitter_seed_++;
     p.backend = std::make_unique<transport::DesBackend>(

@@ -64,7 +64,7 @@ SocketFabric::connectPeer(int peer, const std::string &host,
     peers_.erase(peer);
     Peer p;
     if (opts_.kind == "udp") {
-        if (opts_.inject_faults) {
+        if (!opts_.fault_plan.clean()) {
             transport::SocketFaultPlan plan = opts_.fault_plan;
             // Decorrelate per-peer fault streams deterministically.
             plan.seed = plan.seed * 1000003u + static_cast<std::uint64_t>(peer);

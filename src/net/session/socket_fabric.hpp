@@ -42,9 +42,9 @@ struct SocketFabricOptions
     transport::TransportConfig transport;
     transport::SocketOptions socket;
     /** Applied to every outgoing peer link (UDP only; TCP's stream
-     *  semantics make datagram-style faults meaningless). */
+     *  semantics make datagram-style faults meaningless). A clean
+     *  plan installs no injector. */
     transport::SocketFaultPlan fault_plan;
-    bool inject_faults = false;
     std::uint16_t listen_port = 0; //!< 0 = ephemeral.
 };
 

@@ -482,13 +482,7 @@ TcpBackend::onEvents(short revents)
                 break;
             }
             if (n == 0) {
-                // Peer closed. Stop watching so a dead stream cannot
-                // spin the loop; pending attempts time out and the
-                // session layer reconnects with a fresh backend.
-                loop_.unwatch(fd_.get());
-                connected_ = false;
-                if (last_error_.empty())
-                    last_error_ = "tcp peer closed";
+                closeStream("tcp peer closed");
                 break;
             }
             in_.insert(in_.end(), buf, buf + n);
@@ -496,15 +490,31 @@ TcpBackend::onEvents(short revents)
         while (in_.size() >= FrameHeader::kWireSize) {
             const auto hdr = FrameHeader::parse(
                 {in_.data(), FrameHeader::kWireSize});
-            ROG_ASSERT(hdr.has_value(),
-                       "tcp ack stream desynchronized");
-            ROG_ASSERT((hdr->flags & kFlagAck) != 0,
-                       "data frame on the sender's ack stream");
+            // A receiver that answers garbage or data costs only this
+            // stream, exactly as if it had closed it.
+            if (!hdr || (hdr->flags & kFlagAck) == 0) {
+                closeStream(hdr ? "data frame on the tcp ack stream"
+                                : "tcp ack stream desynchronized");
+                in_.clear();
+                return;
+            }
             in_.erase(in_.begin(),
                       in_.begin() + FrameHeader::kWireSize);
             handleAck(*hdr);
         }
     }
+}
+
+void
+TcpBackend::closeStream(const char *why)
+{
+    // Stop watching so a dead stream cannot spin the loop; pending
+    // attempts time out and the session layer reconnects with a fresh
+    // backend.
+    loop_.unwatch(fd_.get());
+    connected_ = false;
+    if (last_error_.empty())
+        last_error_ = why;
 }
 
 // ------------------------------------------------- ReceiverEndpointBase

@@ -172,6 +172,8 @@ class TcpBackend : public SocketSenderBase
   private:
     void onEvents(short revents);
     void flushOut();
+    /** Stop using the stream after a peer close or a bad ACK stream. */
+    void closeStream(const char *why);
 
     UniqueFd fd_;
     bool connected_ = false;

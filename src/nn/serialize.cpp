@@ -4,8 +4,10 @@
 #include <fstream>
 #include <istream>
 #include <ostream>
+#include <sstream>
 
 #include "common/crc32c.hpp"
+#include "common/durable_file.hpp"
 #include "common/logging.hpp"
 
 namespace rog {
@@ -176,13 +178,27 @@ loadModel(std::istream &is, Model &model)
     }
 }
 
+std::vector<std::uint8_t>
+saveModelBytes(Model &model)
+{
+    std::ostringstream os;
+    saveModel(os, model);
+    const std::string s = os.str();
+    return {s.begin(), s.end()};
+}
+
+void
+loadModelBytes(std::span<const std::uint8_t> bytes, Model &model)
+{
+    std::istringstream is(std::string(bytes.begin(), bytes.end()));
+    loadModel(is, model);
+}
+
 void
 saveModelFile(const std::string &path, Model &model)
 {
-    std::ofstream os(path, std::ios::binary);
-    if (!os)
-        ROG_FATAL("cannot open '", path, "' for writing");
-    saveModel(os, model);
+    writeFileDurably(path,
+                     [&model](std::ostream &os) { saveModel(os, model); });
 }
 
 void

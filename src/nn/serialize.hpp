@@ -13,8 +13,11 @@
 #ifndef ROG_NN_SERIALIZE_HPP
 #define ROG_NN_SERIALIZE_HPP
 
+#include <cstdint>
 #include <iosfwd>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "nn/model.hpp"
 
@@ -32,7 +35,12 @@ void saveModel(std::ostream &os, Model &model);
  */
 void loadModel(std::istream &is, Model &model);
 
-/** File convenience wrappers. @throws on I/O failure */
+/** In-memory forms, for records and messages that embed a model. */
+std::vector<std::uint8_t> saveModelBytes(Model &model);
+void loadModelBytes(std::span<const std::uint8_t> bytes, Model &model);
+
+/** File convenience wrappers. @throws on I/O failure. The save
+ *  replaces @p path through writeFileDurably, never in place. */
 void saveModelFile(const std::string &path, Model &model);
 void loadModelFile(const std::string &path, Model &model);
 

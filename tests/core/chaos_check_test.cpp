@@ -5,7 +5,9 @@
  * model, an empty receiver event log, a DES twin summary and a
  * `server_run.log` in the node roles' exact line format, then checks
  * that the exactly-once (3), membership (5) and server-restart (7)
- * invariants pass on a clean log and name each failing shape.
+ * invariants pass on a clean log and name each failing shape; two
+ * cases put a double Deliver and a double fresh Accept into the
+ * receiver event log (4).
  */
 #include <gtest/gtest.h>
 
@@ -19,6 +21,7 @@
 
 #include "core/chaos_check.hpp"
 #include "core/server_checkpoint.hpp"
+#include "net/transport/event_log.hpp"
 #include "nn/serialize.hpp"
 
 namespace rog {
@@ -362,6 +365,60 @@ TEST_F(ChaosCheckTest, MalformedRecoveredVersionIsAReportedViolation)
               restartOptions());
     EXPECT_FALSE(res.ok);
     EXPECT_TRUE(hasViolation(res, "server_run.log")) << violations(res);
+}
+
+/** A receiver event log with @p ev written twice after one clean
+ *  delivered message, in the server's own line format. */
+std::string
+eventLogWithRepeat(net::transport::TransportEvent ev)
+{
+    using Kind = net::transport::TransportEvent::Kind;
+    net::transport::TransportEvent ok;
+    ok.key = {0, 1, 0, false};
+    std::string log;
+    for (Kind k : {Kind::Accept, Kind::Deliver}) {
+        ok.kind = k;
+        log += net::transport::toString(ok) + "\n";
+    }
+    ev.key = {1, 1, 3, false};
+    ev.t = 0.5;
+    log += net::transport::toString(ev) + "\n";
+    ev.t = 0.75;
+    log += net::transport::toString(ev) + "\n";
+    return log;
+}
+
+TEST_F(ChaosCheckTest, DoubleDeliverInTheTransportLogIsAViolation)
+{
+    net::transport::TransportEvent deliver;
+    deliver.kind = net::transport::TransportEvent::Kind::Deliver;
+    write("server_events.log", eventLogWithRepeat(deliver));
+    const ChaosCheckResult res = check(kCleanRun, ChaosCheckOptions{});
+    EXPECT_FALSE(res.ok);
+    EXPECT_TRUE(hasViolation(res, "transport delivered a message twice: "
+                                  "push worker 1 version 1 row 3"))
+        << violations(res);
+    EXPECT_NE(res.report.find("transport log: 4 events, 1 exactly-once "
+                              "violations"),
+              std::string::npos)
+        << res.report;
+}
+
+TEST_F(ChaosCheckTest, DoubleFreshAcceptInTheTransportLogIsAViolation)
+{
+    net::transport::TransportEvent accept;
+    accept.kind = net::transport::TransportEvent::Kind::Accept;
+    accept.chunk_seq = 2;
+    write("server_events.log", eventLogWithRepeat(accept));
+    const ChaosCheckResult res = check(kCleanRun, ChaosCheckOptions{});
+    EXPECT_FALSE(res.ok);
+    EXPECT_TRUE(hasViolation(res, "transport accepted a chunk twice"))
+        << violations(res);
+    EXPECT_TRUE(hasViolation(res, "row 3 chunk 2")) << violations(res);
+    EXPECT_NE(res.report.find("transport log: 4 events, 1 exactly-once "
+                              "violations"),
+              std::string::npos)
+        << res.report;
 }
 
 } // namespace

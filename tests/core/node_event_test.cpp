@@ -67,6 +67,10 @@ const Golden kGolden[] = {
     {K::WorkerBye, "t=0.334477 bye done_iter=8"},
     {K::ServerSuspect, "t=1.50896 server_suspect silence=1.47859"},
     {K::Resync, "t=0.510761 resync why=heartbeat_failed"},
+    {K::StateWriteFailed,
+     "t=0.0029886 state_write_failed iter=1 why=\"fatal: durable write "
+     "of 'run/worker0.rogw': open of the temporary file failed: No such "
+     "file or directory @ src/common/durable_file.cpp:88\""},
     {K::WorkerStart, "worker_start w=0 inc=0 token=0 done_iter=0"},
     {K::ServerTimeout, "server_timeout"},
     {K::WorkerTimeout, "worker_timeout"},

@@ -213,7 +213,6 @@ TEST(SessionServerChaos, PartitionedWorkerHealsAndRunStaysCorrect)
         if (w == 1) {
             wcfg.fault_plan.part_begin_s = 0.02;
             wcfg.fault_plan.part_end_s = 2.52;
-            wcfg.inject_faults = true;
         }
         pids[w] = spawnWorker(wcfg, w, port);
     }

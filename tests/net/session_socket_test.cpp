@@ -61,10 +61,8 @@ runFleet(const FleetSpec &spec)
     std::vector<std::unique_ptr<core::WorkerNode>> workers;
     for (std::size_t w = 0; w < spec.workers; ++w) {
         SocketFabricOptions wopts = sopts;
-        if (spec.faults != nullptr) {
+        if (spec.faults != nullptr)
             wopts.fault_plan = *spec.faults;
-            wopts.inject_faults = true;
-        }
         fabrics.push_back(std::make_unique<SocketFabric>(
             loop, workerNode(w), wopts));
         ASSERT_TRUE(fabrics.back()->ok()) << fabrics.back()->error();

@@ -11,6 +11,8 @@
  *  - TcpEndpointGarbage: bytes on a TCP connection that are not data
  *    frames cost that connection only. The endpoint stays healthy and
  *    a well-formed sender on a new connection still delivers.
+ *  - TcpSenderGarbage: bytes on a sender's ACK stream that are not
+ *    ACK frames cost the sender that stream only.
  */
 #include <gtest/gtest.h>
 
@@ -21,6 +23,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "common/crc32c.hpp"
@@ -250,6 +253,71 @@ TEST_F(TcpEndpointGarbage, AckFrameOnTheDataStreamDropsThatConnection)
     ASSERT_TRUE(endpointCloses(wire(ack, {})));
     EXPECT_TRUE(ep_->ok()) << ep_->error();
     EXPECT_EQ(ep_->connections(), 0u);
+    expectCleanSenderDelivers();
+}
+
+/**
+ * The sender's side of the same rule: a receiver that answers the
+ * ACK stream with garbage or with a data frame costs the sender that
+ * stream, as a peer close does, never the process. A fresh backend to
+ * a good endpoint still delivers.
+ */
+class TcpSenderGarbage : public TcpEndpointGarbage
+{
+  protected:
+    /** Send one message to a raw listener that answers @p reply;
+     *  the sender must give up the stream. */
+    void
+    expectSenderDropsStream(const std::vector<std::uint8_t> &reply)
+    {
+        UniqueFd lis(::socket(AF_INET, SOCK_STREAM, 0));
+        sockaddr_in addr{};
+        addr.sin_family = AF_INET;
+        ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+        socklen_t len = sizeof(addr);
+        ASSERT_TRUE(lis);
+        ASSERT_EQ(::bind(lis.get(), reinterpret_cast<sockaddr *>(&addr),
+                         sizeof(addr)),
+                  0);
+        ASSERT_EQ(::listen(lis.get(), 1), 0);
+        ASSERT_EQ(::getsockname(lis.get(),
+                                reinterpret_cast<sockaddr *>(&addr), &len),
+                  0);
+        ASSERT_TRUE(setNonBlocking(lis.get()));
+
+        TcpBackend tx(loop_, "127.0.0.1", ntohs(addr.sin_port));
+        ASSERT_TRUE(tx.ok()) << tx.error();
+        ReliableLink link(tx, TransportConfig{});
+        link.startSend(0, MessageKey{1, 9, 2, false}, 3000.0, kNoDeadline,
+                       [](SendResult) {});
+        UniqueFd conn;
+        const bool dropped = loop_.runUntil(
+            [&] {
+                if (!conn) {
+                    conn.reset(::accept(lis.get(), nullptr, nullptr));
+                    if (conn)
+                        ::send(conn.get(), reply.data(), reply.size(),
+                               MSG_NOSIGNAL);
+                }
+                return !tx.ok();
+            },
+            5.0);
+        EXPECT_TRUE(dropped);
+        EXPECT_NE(tx.error().find("ack stream"), std::string::npos)
+            << tx.error();
+    }
+};
+
+TEST_F(TcpSenderGarbage, GarbageOnTheAckStreamDropsOnlyThatStream)
+{
+    expectSenderDropsStream(
+        std::vector<std::uint8_t>(FrameHeader::kWireSize, 0xAB));
+    expectCleanSenderDelivers();
+}
+
+TEST_F(TcpSenderGarbage, DataFrameOnTheAckStreamDropsOnlyThatStream)
+{
+    expectSenderDropsStream(goodFrame({1, 2, 3}));
     expectCleanSenderDelivers();
 }
 

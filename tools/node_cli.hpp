@@ -70,7 +70,6 @@ configFromArgs(const Args &args)
         if (!parsed.ok())
             ROG_FATAL("bad --faults: ", parsed.error);
         cfg.fault_plan = parsed.plan;
-        cfg.inject_faults = true;
     }
     return cfg;
 }

@@ -260,7 +260,6 @@ class ChaosSupervisor
             cfg.fault_plan.part_begin_s = part->second.first;
             cfg.fault_plan.part_end_s =
                 part->second.first + part->second.second;
-            cfg.inject_faults = true;
         }
         std::fflush(nullptr);
         const pid_t pid = fork();
@@ -467,8 +466,10 @@ parseIndexList(const std::string &s)
  *  Per-process logs are opened in append mode (a restarted worker
  *  must extend its own log), so a reused --dir would concatenate
  *  runs and the invariant checker would count every apply twice;
- *  stale workerN.meta resume state would likewise leak an old run's
- *  token into a fresh fleet. Only files this tool owns are touched.
+ *  a stale workerN.rogw resume record would likewise leak an old
+ *  run's token into a fresh fleet. Only files this tool owns are
+ *  touched: the logs, summaries, checkpoints, the final model and
+ *  each worker's log and resume record.
  */
 void
 cleanRunDir(const core::NodeRunConfig &cfg)
@@ -485,8 +486,7 @@ cleanRunDir(const core::NodeRunConfig &cfg)
         const std::string stem =
             cfg.artifact_dir + "/worker" + std::to_string(w);
         std::remove((stem + ".log").c_str());
-        std::remove((stem + ".meta").c_str());
-        std::remove((stem + ".rogm").c_str());
+        std::remove(core::workerStatePath(cfg.artifact_dir, w).c_str());
     }
 }
 

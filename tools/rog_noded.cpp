@@ -11,9 +11,11 @@
  *       log, final model, checkpoint, summary.txt) land in --dir.
  *
  *   rog_noded worker --worker W --port P [--host H] --dir DIR ...
- *       Run worker W against the server at H:P. Resumes from
- *       DIR/worker<W>.meta + model when present (a restarted process
- *       re-enters with a bumped incarnation and its resume token).
+ *       Run worker W against the server at H:P. Resumes from its
+ *       one resume record DIR/worker<W>.rogw (resume token, done
+ *       iteration, incarnation and model, CRC-checked) when present:
+ *       a restarted process re-enters with a bumped incarnation and
+ *       its resume token.
  *       Exit 0 iff the worker finished its iterations and said Bye.
  *
  *   rog_noded des --dir DIR ...

@@ -341,8 +341,9 @@ runLoopbackDes(const Args &args)
     // same sends, virtual time, in-process receiver.
     const TransportConfig cfg = transportConfig(args);
     sim::Simulation sim;
+    // One looped 0.1 s sample: constant, and 8 bytes.
     Channel channel(sim, {BandwidthTrace::constant(
-                             args.getDouble("bandwidth", 1e6), 3600.0)});
+                             args.getDouble("bandwidth", 1e6), 0.1)});
     std::vector<TransportEvent> events;
     ReliableLink link(sim, channel, cfg,
                       [&events](const TransportEvent &ev) {
