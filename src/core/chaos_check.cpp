@@ -19,17 +19,36 @@ namespace core {
 
 namespace {
 
-/** "key value" pairs from a summary file. */
-std::map<std::string, std::string>
-readSummary(const std::string &path)
+/** A summary file's "key value" lines, or the first bad line. */
+struct Summary
 {
     std::map<std::string, std::string> kv;
+    std::string error; //!< "line N: ..."; empty when every line parsed.
+};
+
+/**
+ * Read @p path, where every line is exactly one key and one value and
+ * no key repeats. An absent file reads as an empty summary.
+ */
+Summary
+readSummary(const std::string &path)
+{
+    Summary s;
     std::ifstream is(path);
-    std::string key;
-    std::string value;
-    while (is >> key >> value)
-        kv[key] = value;
-    return kv;
+    std::string line;
+    for (std::size_t n = 1; s.error.empty() && std::getline(is, line);
+         ++n) {
+        TextLine f(line, n);
+        if (f.size() != 2)
+            f.fail("expected 'key value', got " +
+                   std::to_string(f.size()) + " tokens");
+        const std::string key(f.word());
+        const std::string value(f.word());
+        if (f.ok() && !s.kv.emplace(key, value).second)
+            f.fail("repeated key '" + key + "'");
+        s.error = f.error();
+    }
+    return s;
 }
 
 } // namespace
@@ -253,10 +272,13 @@ checkChaosRun(const NodeRunConfig &cfg, const ChaosCheckOptions &opts)
     // 6. Metric within tolerance of the fault-free DES twin.
     {
         const std::string path = dir + "/des_summary.txt";
-        const auto twin = readSummary(path);
-        auto it = twin.find("metric");
+        const Summary twin = readSummary(path);
+        auto it = twin.kv.find("metric");
         double ref = 0.0;
-        if (it == twin.end()) {
+        if (!twin.error.empty()) {
+            violate(path + ": " + twin.error);
+            report << "twin: FAIL\n";
+        } else if (it == twin.kv.end()) {
             if (opts.require_twin)
                 violate("no DES twin summary to compare against");
             report << "twin: absent\n";

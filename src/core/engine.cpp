@@ -331,13 +331,11 @@ Engine::Engine(Workload &workload, const EngineConfig &cfg,
                        "fault plan names link ", f.link, " but the run "
                        "has ", traces.size());
         // Transfers are bulk flows: one can be truncated or cut, but
-        // there is no frame to corrupt, duplicate or reorder.
+        // there is no frame to corrupt or duplicate.
         for (const auto &r : plan.transfer_faults)
-            ROG_ASSERT(!(r.corrupt || r.duplicate || r.reorder),
+            ROG_ASSERT(!(r.corrupt || r.duplicate),
                        "the engine cannot honour fault rule '",
-                       r.corrupt     ? "corrupt"
-                       : r.duplicate ? "duplicate"
-                                     : "reorder",
+                       r.corrupt ? "corrupt" : "duplicate",
                        " link=", r.link, " at=", r.at_s,
                        "': only the node roles frame messages");
         for (const auto &e : plan.churn)

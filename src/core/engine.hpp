@@ -141,8 +141,8 @@ struct EngineConfig
      * gate, rejoins that resync to the current model version, and
      * announced graceful leaves. A crash's `detect` delay is the
      * engine's failure detector (an oracle). Corruption-class rules
-     * (corrupt / duplicate / reorder) need framed messages, which only
-     * the node roles' ReliableLink has, so the engine rejects them.
+     * (corrupt / duplicate) need framed messages, which only the node
+     * roles' ReliableLink has, so the engine rejects them.
      * Non-owning; must outlive the run.
      */
     const fault::FaultPlan *fault_plan = nullptr;

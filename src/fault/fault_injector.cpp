@@ -73,7 +73,6 @@ FaultInjector::onTransferStart(net::LinkId link, double bytes,
         d.forced_timeout = std::min(d.forced_timeout, r.force_timeout_s);
         d.corrupt = r.corrupt;
         d.duplicate = r.duplicate;
-        d.reorder = r.reorder;
         // One rule per transfer: remaining matches wait for the next.
         break;
     }

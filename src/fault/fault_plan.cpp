@@ -132,17 +132,6 @@ FaultPlan::random(std::uint64_t seed, const FaultPlanConfig &cfg)
                 plan.transfer_faults.push_back(r);
             }
         }
-        if (cfg.max_reorders_per_link > 0) {
-            const auto n =
-                rng.uniformInt(cfg.max_reorders_per_link + 1);
-            for (std::uint64_t i = 0; i < n; ++i) {
-                TransferFaultRule r;
-                r.link = l;
-                r.at_s = rng.uniform(0.0, cfg.horizon_s);
-                r.reorder = true;
-                plan.transfer_faults.push_back(r);
-            }
-        }
     }
 
     for (std::size_t w = 0; w < cfg.workers; ++w) {
@@ -219,15 +208,13 @@ FaultPlan::tryParse(const std::string &spec)
             r.at_s = number(f, "at");
             r.force_timeout_s = number(f, "after");
             out.plan.transfer_faults.push_back(r);
-        } else if (keyword == "corrupt" || keyword == "duplicate" ||
-                   keyword == "reorder") {
+        } else if (keyword == "corrupt" || keyword == "duplicate") {
             f.only({"link", "at"});
             TransferFaultRule r;
             r.link = index(f, "link");
             r.at_s = number(f, "at");
             r.corrupt = keyword == "corrupt";
             r.duplicate = keyword == "duplicate";
-            r.reorder = keyword == "reorder";
             out.plan.transfer_faults.push_back(r);
         } else if (keyword == "crash") {
             f.only({"worker", "at", "rejoin", "detect"});
@@ -305,10 +292,6 @@ FaultPlan::toSpec() const
         }
         if (r.duplicate) {
             os << "duplicate link=" << r.link << " at=" << num(r.at_s)
-               << '\n';
-        }
-        if (r.reorder) {
-            os << "reorder link=" << r.link << " at=" << num(r.at_s)
                << '\n';
         }
     }

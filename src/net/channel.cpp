@@ -88,7 +88,6 @@ Channel::finish(FlowIter it, double elapsed)
     res.faulted = it->faulted;
     res.corrupted = it->corrupted;
     res.duplicated = it->duplicated;
-    res.reordered = it->reordered;
     res.elapsed = elapsed;
     Callback done = std::move(it->done);
     flows_.erase(it);
@@ -194,7 +193,6 @@ Channel::startTransfer(LinkId link, double bytes, double timeout,
     flow.faulted = decision.faulty();
     flow.corrupted = decision.corrupt;
     flow.duplicated = decision.duplicate;
-    flow.reordered = decision.reorder;
     flow.done = std::move(done);
     flow.drop = std::move(drop);
     if (std::isfinite(timeout)) {

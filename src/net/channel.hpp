@@ -44,7 +44,6 @@ struct TransferResult
     bool corrupted = false;   //!< payload arrived bit-flipped (CRC will
                               //!< fail on whatever this flow carried).
     bool duplicated = false;  //!< the link delivered this payload twice.
-    bool reordered = false;   //!< delivery overtaken by a later send.
 };
 
 /**
@@ -52,12 +51,11 @@ struct TransferResult
  * that will ever get through (the link dies mid-flow and the tail is
  * lost), cut the flow after a forced timeout (whichever the caller's
  * own timeout doesn't hit first), and/or mark the delivered payload as
- * corrupted / duplicated / reordered. The channel itself only moves
- * byte counts, so the last three are flags carried through to the
- * TransferResult for the reliability sublayer (net/transport) to act
- * on: a corrupted delivery fails its CRC check at the receiver, a
- * duplicated one is handed to the receiver twice, a reordered one is
- * delivered after its successor. Everything defaults to "no fault".
+ * corrupted / duplicated. The channel itself only moves byte counts,
+ * so the last two are flags carried through to the TransferResult for
+ * the reliability sublayer (net/transport) to act on: a corrupted
+ * delivery fails its CRC check at the receiver, a duplicated one is
+ * handed to the receiver twice. Everything defaults to "no fault".
  */
 struct FaultDecision
 {
@@ -65,7 +63,6 @@ struct FaultDecision
     double forced_timeout = std::numeric_limits<double>::infinity();
     bool corrupt = false;
     bool duplicate = false;
-    bool reorder = false;
 
     bool
     faulty() const
@@ -74,7 +71,7 @@ struct FaultDecision
                    std::numeric_limits<double>::infinity() ||
                forced_timeout !=
                    std::numeric_limits<double>::infinity() ||
-               corrupt || duplicate || reorder;
+               corrupt || duplicate;
     }
 };
 
@@ -192,7 +189,6 @@ class Channel
         bool faulted;
         bool corrupted;
         bool duplicated;
-        bool reordered;
         Callback done;
         std::function<void()> drop;
         sim::EventId timeout_event;

@@ -63,8 +63,10 @@ DesFabric::peerHealthy(int peer) const
 void
 DesFabric::dropPeer(int peer)
 {
-    // Keep the pair (its exactly-once receiver state is the whole
-    // point) but mark it unhealthy until the next connectPeer.
+    // Keep the pair, and with it any in-flight sends, but mark it
+    // unhealthy until the next connectPeer. There is no per-key
+    // receiver state to keep: the pair's DesBackend scopes dedup to
+    // each send.
     auto it = net_.pairs_.find({node_, peer});
     if (it != net_.pairs_.end())
         it->second.healthy = false;
@@ -73,8 +75,9 @@ DesFabric::dropPeer(int peer)
 void
 DesFabric::resetPeer(int peer)
 {
-    // The remote restarted: wipe this direction's per-key delivery
-    // memory so re-sends under the new epoch are not suppressed.
+    // The remote restarted: abort this direction's in-flight sends
+    // (their done callbacks fire false). Nothing else is remembered
+    // per key; each send's receiver state closes with the send.
     auto it = net_.pairs_.find({node_, peer});
     if (it != net_.pairs_.end() && it->second.link)
         it->second.link->reset();
@@ -85,7 +88,7 @@ DesFabric::sendTo(int peer, const MessageKey &key,
                   std::span<const std::uint8_t> payload, double deadline_s,
                   SendDone done)
 {
-    net_.pair(node_, peer).link->startSendPayload(
+    net_.pair(node_, peer).link->startSend(
         0, key, payload, deadline_s,
         [done = std::move(done)](SendResult r) {
             if (done)

@@ -4,13 +4,14 @@
  *
  * The in-process correctness twin of SocketFabric. All nodes share a
  * sim::Simulation; each directed (src, dst) pair lazily gets its own
- * simulated Channel, DesBackend and ReliableLink, so per-pair
- * transport state (exactly-once receiver tables, retry backoff)
- * matches the socket topology one-to-one. Delivery works as on
- * sockets: the pair's DesBackend moves the reassembled bytes to the
- * destination node's message handler at the frame that completes the
- * message, before the sender's completion runs, at that simulation
- * time. The links record no transport events.
+ * simulated Channel, DesBackend and ReliableLink, so per-pair sender
+ * state (in-flight sends, retry backoff) matches the socket topology
+ * one-to-one. Receiver dedup does not: a DesBackend scopes it to each
+ * send, where a socket receiver dedups per message key for its whole
+ * lifetime. Delivery works as on sockets: the pair's DesBackend moves
+ * the reassembled bytes to the destination node's message handler at
+ * the frame that completes the message, before the sender's completion
+ * runs, at that simulation time. The links record no transport events.
  *
  * Determinism: everything runs on the simulation clock; a given seed
  * and plan produce bit-identical traffic, which is what the chaos

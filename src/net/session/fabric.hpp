@@ -74,11 +74,10 @@ class Fabric
     virtual void dropPeer(int peer) = 0;
 
     /**
-     * Forget all per-key delivery bookkeeping for @p peer, aborting
-     * in-flight sends (their @p done callbacks fire with false). Call
-     * on epoch change: a peer that restarted came back with fresh
-     * receiver state, so the sender's memory of what that peer has
-     * already seen is stale and must not suppress re-sends.
+     * Abort every in-flight send to @p peer (their @p done callbacks
+     * fire with false). Call on epoch change: a peer that restarted
+     * came back with fresh receiver state, so nothing sent to the old
+     * one is worth finishing.
      */
     virtual void resetPeer(int peer) { (void)peer; }
 

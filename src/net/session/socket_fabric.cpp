@@ -15,9 +15,14 @@ SocketFabric::SocketFabric(PollLoop &loop, int node,
 {
     ROG_ASSERT(opts_.kind == "udp" || opts_.kind == "tcp",
                "unknown socket fabric kind");
+    transport::DeliverySink deliver =
+        [this](const MessageKey &key, std::vector<std::uint8_t> &&bytes) {
+            if (handler_)
+                handler_(key, std::move(bytes));
+        };
     if (opts_.kind == "udp") {
         auto rx = std::make_unique<transport::UdpReceiverEndpoint>(
-            loop_, opts_.listen_port, /*store_payload=*/true,
+            loop_, opts_.listen_port, std::move(deliver),
             opts_.socket.bind_retry_window_s);
         port_ = rx->port();
         if (!rx->ok())
@@ -25,7 +30,7 @@ SocketFabric::SocketFabric(PollLoop &loop, int node,
         rx_ = std::move(rx);
     } else {
         auto rx = std::make_unique<transport::TcpReceiverEndpoint>(
-            loop_, opts_.listen_port, /*store_payload=*/true,
+            loop_, opts_.listen_port, std::move(deliver),
             opts_.socket.bind_retry_window_s);
         port_ = rx->port();
         if (!rx->ok())
@@ -110,8 +115,8 @@ void
 SocketFabric::resetPeer(int peer)
 {
     // The remote restarted with fresh receiver state. Abort in-flight
-    // sends (their done callbacks fire false) and forget delivered
-    // keys, then tear the socket down; the caller reconnects.
+    // sends (their done callbacks fire false), then tear the socket
+    // down; the caller reconnects.
     auto it = peers_.find(peer);
     if (it == peers_.end())
         return;
@@ -127,7 +132,7 @@ SocketFabric::sendTo(int peer, const MessageKey &key,
 {
     auto it = peers_.find(peer);
     ROG_ASSERT(it != peers_.end(), "sendTo before connectPeer");
-    it->second.link->startSendPayload(
+    it->second.link->startSend(
         0, key, payload, deadline_s,
         [done = std::move(done)](SendResult r) {
             if (done)
@@ -138,7 +143,7 @@ SocketFabric::sendTo(int peer, const MessageKey &key,
 void
 SocketFabric::setMessageHandler(MessageHandler handler)
 {
-    rx_->setDeliverySink(std::move(handler));
+    handler_ = std::move(handler);
 }
 
 std::uint16_t

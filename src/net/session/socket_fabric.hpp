@@ -3,11 +3,11 @@
  * SocketFabric: one node's Fabric over real UDP or TCP sockets.
  *
  * The process-local half of the session layer: a receiver endpoint
- * (bound port, store_payload on, delivery sink wired to the message
- * handler) plus one {fault injector?, backend, ReliableLink} trio per
- * connected peer, all driven by the caller's PollLoop. connectPeer()
- * replaces any existing trio — that is the reconnect path after this
- * node notices a peer restart — while the receiver endpoint (and with
+ * (bound port, delivery sink wired to the message handler) plus one
+ * {fault injector?, backend, ReliableLink} trio per connected peer,
+ * all driven by the caller's PollLoop. connectPeer() replaces any
+ * existing trio — that is the reconnect path after this node notices
+ * a peer restart — while the receiver endpoint (and with
  * it the exactly-once decision state) lives for the fabric's whole
  * lifetime, so a reconnecting peer's retransmits are still deduped.
  * That state grows only by one small payload-free record per
@@ -89,6 +89,7 @@ class SocketFabric : public Fabric
     PollLoop &loop_;
     int node_ = 0;
     SocketFabricOptions opts_;
+    MessageHandler handler_;
     std::unique_ptr<transport::ReceiverEndpointBase> rx_;
     std::uint16_t port_ = 0;
     std::map<int, Peer> peers_;

@@ -11,9 +11,9 @@
  *   - a clock (virtual seconds in the DES twin, monotonic wall-clock
  *     seconds over real sockets),
  *   - one-shot timers (the backoff schedule),
- *   - a frame exchange: ship one framed fragment and resolve it to a
- *     FrameVerdict — did the frame arrive whole, and what did the
- *     receiver decide about it.
+ *   - a frame exchange: ship one framed fragment of caller bytes and
+ *     resolve it to a FrameVerdict: did the frame arrive whole, and
+ *     what did the receiver decide about it.
  *
  * Three backends implement the interface with zero forks in the
  * protocol core:
@@ -55,7 +55,7 @@ namespace transport {
 struct TransportConfig
 {
     /** Payload bytes per chunk (a chunk is the CRC/retry unit). */
-    double chunk_bytes = 16.0 * 1024.0;
+    std::size_t chunk_bytes = 16 * 1024;
 
     /** Attempts per chunk before the send fails (0 = unbounded). */
     std::size_t max_attempts_per_chunk = 8;
@@ -73,6 +73,15 @@ struct TransportConfig
      * (used to measure what resumption saves).
      */
     bool resume_from_offset = true;
+
+    /** Chunks a @p bytes-byte message travels as; an empty message is
+     *  one header-only chunk. */
+    std::uint32_t
+    chunkCount(std::size_t bytes) const
+    {
+        return static_cast<std::uint32_t>(
+            bytes == 0 ? 1 : (bytes + chunk_bytes - 1) / chunk_bytes);
+    }
 };
 
 /** No deadline: retry until delivered or out of attempts. */
@@ -102,7 +111,7 @@ struct FrameVerdict
     bool completed = false;
 
     /** Wire bytes that arrived (header + intact payload prefix). */
-    double bytes_sent = 0.0;
+    std::uint64_t bytes_sent = 0;
 
     // --- receiver decision, meaningful only when completed ---
 
@@ -114,9 +123,6 @@ struct FrameVerdict
 
     /** Deliveries dedup'd against already-accepted chunks. */
     std::size_t duplicates = 0;
-
-    /** The chunk was reorder-held to apply after its successor. */
-    bool held = false;
 
     /** Every chunk of the message is now accepted. */
     bool message_complete = false;
@@ -148,16 +154,12 @@ class Backend
     virtual void cancelTimer(TimerId id) = 0;
 
     /**
-     * Open a per-message send stream. Receiver-side state (dedup,
-     * reorder hold, reassembly) is scoped to the returned handle, so
-     * two sequential sends with the same key are distinct messages —
-     * matching the simulator's per-send semantics.
-     *
-     * @param payload_mode true when the message carries caller bytes
-     *        the receiver should retain and reassemble.
+     * Open a per-message send stream. An in-process receiver (the DES
+     * twin) scopes its dedup and reassembly state to the returned
+     * handle, so two sequential sends with the same key are distinct
+     * messages there; a socket receiver dedups per key.
      */
-    virtual std::uint64_t openSend(LinkId link, const MessageKey &key,
-                                   bool payload_mode) = 0;
+    virtual std::uint64_t openSend(LinkId link, const MessageKey &key) = 0;
 
     /**
      * Ship one framed fragment and resolve it.
@@ -170,9 +172,6 @@ class Backend
      *        backends only ship @p frag). Both spans must stay valid
      *        until @p done or @p drop fires; the protocol core keeps
      *        the backing buffers stable per chunk.
-     * @param frag_len / @p chunk_len exact (possibly fractional,
-     *        simulated) byte lengths; real backends require them to
-     *        match the span sizes.
      * @param timeout_s seconds until the exchange is cut
      *        (infinity = none).
      * @param done invoked exactly once with the verdict, unless the
@@ -186,22 +185,15 @@ class Backend
     virtual void sendFrame(std::uint64_t send_id, const FrameHeader &hdr,
                            std::span<const std::uint8_t> frag,
                            std::span<const std::uint8_t> chunk,
-                           double frag_len, double chunk_len,
                            double timeout_s, VerdictCallback done,
                            std::function<void()> drop) = 0;
 
     /**
-     * Close a send stream after its final verdict: @p delivered false
-     * means the sender gave up, and a reorder-held chunk (if any) is
-     * flushed receiver-side — whatever arrived, arrived.
+     * Close a send stream, after its final verdict or mid-flight
+     * (the sender gave up, was reset or destroyed). Fires no
+     * callbacks and emits no events.
      */
-    virtual void finishSend(std::uint64_t send_id, bool delivered) = 0;
-
-    /**
-     * Tear down a send stream mid-flight without firing callbacks
-     * (ReliableLink destruction). No receiver flush, no events.
-     */
-    virtual void abortSend(std::uint64_t send_id) = 0;
+    virtual void closeSend(std::uint64_t send_id) = 0;
 
     /**
      * Sink for receiver-side events decided in-process (the DES twin).

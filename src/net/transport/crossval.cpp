@@ -21,17 +21,6 @@ namespace transport {
 
 namespace {
 
-constexpr double kEps = 1e-9;
-
-std::size_t
-byteLen(double len)
-{
-    if (len <= 0.0)
-        return 0;
-    return static_cast<std::size_t>(
-        std::max(1.0, std::ceil(len - kEps)));
-}
-
 TransportConfig
 configOf(const TraceConfig &tc)
 {
@@ -95,7 +84,9 @@ replaySenderTrace(const TransportTrace &trace)
             std::isfinite(rec.deadline_s)
                 ? backend.now() + rec.deadline_s
                 : kNoDeadline;
-        link.startSend(rec.link, rec.key, rec.payload_bytes, deadline,
+        const std::vector<std::uint8_t> payload = synthesizeMessage(
+            rec.key, rec.payload_bytes, trace.config.chunk_bytes);
+        link.startSend(rec.link, rec.key, payload, deadline,
                        [&, i](const SendResult &) {
                            ++completed;
                            issue(i + 1);
@@ -121,21 +112,11 @@ replayReceiverTrace(const TransportTrace &trace)
 {
     ReplayResult res;
 
-    struct MsgInfo
-    {
-        std::uint32_t chunk_count = 1;
-        double payload_bytes = 0.0;
-    };
-    std::map<MessageKey, MsgInfo> msgs;
-    for (const SendRecord &s : trace.sends) {
-        MsgInfo info;
-        info.payload_bytes = s.payload_bytes;
-        info.chunk_count = static_cast<std::uint32_t>(std::max(
-            1.0,
-            std::ceil(s.payload_bytes / trace.config.chunk_bytes -
-                      kEps)));
-        msgs[s.key] = info;
-    }
+    // Each message's bytes, exactly as the sender framed them.
+    std::map<MessageKey, std::vector<std::uint8_t>> msgs;
+    for (const SendRecord &s : trace.sends)
+        msgs[s.key] = synthesizeMessage(s.key, s.payload_bytes,
+                                        trace.config.chunk_bytes);
 
     ChunkReceiver rx([] { return 0.0; },
                      [&res](const TransportEvent &ev) {
@@ -143,7 +124,8 @@ replayReceiverTrace(const TransportTrace &trace)
                      });
     FrameAssembler assembler(rx);
 
-    std::vector<std::uint8_t> chunk, present;
+    const TransportConfig config = configOf(trace.config);
+    std::vector<std::uint8_t> present;
     for (const RxRecord &rec : trace.rx) {
         auto mit = msgs.find(rec.key);
         if (mit == msgs.end()) {
@@ -151,25 +133,20 @@ replayReceiverTrace(const TransportTrace &trace)
                 res.divergence = "rx record for a message never sent";
             continue;
         }
-        const MsgInfo &info = mit->second;
-        if (rec.chunk_seq >= info.chunk_count) {
+        const std::vector<std::uint8_t> &msg = mit->second;
+        const std::uint32_t chunk_count = config.chunkCount(msg.size());
+        if (rec.chunk_seq >= chunk_count) {
             if (res.divergence.empty())
                 res.divergence = "rx record beyond the message's chunks";
             continue;
         }
 
-        // Regenerate exactly the bytes the sender framed: the chunk's
-        // synthesized payload, cut to this frame's recorded window.
-        const double chunk_len =
-            rec.chunk_seq + 1 < info.chunk_count
-                ? trace.config.chunk_bytes
-                : info.payload_bytes -
-                      trace.config.chunk_bytes *
-                          static_cast<double>(info.chunk_count - 1);
-        const std::size_t chunk_bytes = byteLen(chunk_len);
-        chunk.resize(chunk_bytes);
-        synthesizeChunk(rec.key, rec.chunk_seq,
-                        {chunk.data(), chunk.size()});
+        // The chunk's bytes, cut to this frame's recorded window.
+        const std::size_t start =
+            static_cast<std::size_t>(rec.chunk_seq) * config.chunk_bytes;
+        const std::span<const std::uint8_t> chunk =
+            std::span<const std::uint8_t>(msg).subspan(
+                start, std::min(config.chunk_bytes, msg.size() - start));
 
         FrameHeader hdr;
         hdr.flags = rec.key.pull ? kFlagPull : 0;
@@ -177,17 +154,15 @@ replayReceiverTrace(const TransportTrace &trace)
         hdr.version = rec.key.version;
         hdr.row = rec.key.row;
         hdr.chunk_seq = rec.chunk_seq;
-        hdr.chunk_count = info.chunk_count;
+        hdr.chunk_count = chunk_count;
         hdr.payload_off = rec.payload_off;
         hdr.payload_len = rec.frag_len;
-        hdr.payload_crc = crc32c({chunk.data(), chunk.size()});
+        hdr.payload_crc = crc32c(chunk);
 
-        const std::size_t off =
-            static_cast<std::size_t>(rec.payload_off);
+        const auto off = static_cast<std::size_t>(
+            std::min<std::uint64_t>(rec.payload_off, chunk.size()));
         const std::size_t got =
-            std::min<std::size_t>(rec.got,
-                                  chunk_bytes > off ? chunk_bytes - off
-                                                    : 0);
+            std::min<std::size_t>(rec.got, chunk.size() - off);
         present.assign(chunk.begin() + off, chunk.begin() + off + got);
         if (!rec.crc_ok && !present.empty()) {
             // The wire corrupted this delivery; garble one byte so the

@@ -16,6 +16,11 @@
  * A mismatch means the socket backend and the simulator disagree about
  * the protocol — exactly the divergence the ROG methodology exists to
  * rule out.
+ *
+ * A trace records each send's key and length, not its bytes, so the
+ * recorded run must have sent synthesizeMessage bytes (payload.hpp),
+ * as rog_transportd and the transport tests do: both halves of the
+ * replay regenerate them from the key.
  */
 #ifndef ROG_NET_TRANSPORT_CROSSVAL_HPP
 #define ROG_NET_TRANSPORT_CROSSVAL_HPP
@@ -46,8 +51,9 @@ struct ReplayResult
 
 /**
  * Re-run the sender protocol over the recorded wire verdicts: every
- * attempt resolves from the trace's next AttemptRecord, in virtual
- * time. Returns the sender-side event log the core re-derived.
+ * send carries its synthesizeMessage bytes again, and every attempt
+ * resolves from the trace's next AttemptRecord, in virtual time.
+ * Returns the sender-side event log the core re-derived.
  */
 ReplayResult replaySenderTrace(const TransportTrace &trace);
 

@@ -49,7 +49,7 @@ SimTimers::cancel(TimerId id)
 DesBackend::DesBackend(sim::Simulation &sim, Channel &channel,
                        const TransportConfig &config, DeliverySink deliver)
     : sim_(sim), channel_(channel), config_(config), timers_(sim),
-      receiver_([&sim] { return sim.now(); }), deliver_(std::move(deliver))
+      receiver_([&sim] { return sim.now(); }, {}, std::move(deliver))
 {
 }
 
@@ -74,41 +74,37 @@ DesBackend::cancelTimer(TimerId id)
 }
 
 std::uint64_t
-DesBackend::openSend(LinkId link, const MessageKey &key, bool payload_mode)
+DesBackend::openSend(LinkId link, const MessageKey &key)
 {
     const std::uint64_t id = next_send_++;
     Stream &s = streams_[id];
     s.link = link;
     s.key = key;
-    s.deliver = payload_mode && deliver_;
     s.wire = BufferPool::global().leaseBytes(FrameHeader::kWireSize);
-    receiver_.open(id, s.deliver);
     return id;
 }
 
 void
 DesBackend::sendFrame(std::uint64_t send_id, const FrameHeader &hdr,
                       std::span<const std::uint8_t> frag,
-                      std::span<const std::uint8_t> chunk, double frag_len,
-                      double chunk_len, double timeout_s,
+                      std::span<const std::uint8_t> chunk, double timeout_s,
                       VerdictCallback done, std::function<void()> drop)
 {
     auto it = streams_.find(send_id);
     ROG_ASSERT(it != streams_.end(), "sendFrame on unopened stream");
     Stream &s = it->second;
     ROG_ASSERT(!s.pending, "transport stream is stop-and-wait");
-    (void)frag;
 
     // Serialize onto the (simulated) wire; the receive side re-parses
     // it, so the header round-trips exactly as over real sockets.
     hdr.serialize({s.wire.data(), s.wire.size()});
     s.pending = true;
     s.chunk = chunk;
-    s.chunk_len = chunk_len;
     s.done = std::move(done);
     s.drop = std::move(drop);
 
-    const double wire_bytes = FrameHeader::kWireSize + frag_len;
+    const auto wire_bytes =
+        static_cast<double>(FrameHeader::kWireSize + frag.size());
     const double timeout =
         std::isfinite(timeout_s) ? timeout_s : Channel::kNoTimeout;
     channel_.startTransfer(
@@ -139,7 +135,9 @@ DesBackend::onTransferDone(std::uint64_t send_id, const TransferResult &r)
         s.garbled = true;
 
     FrameVerdict v;
-    v.bytes_sent = r.bytes_sent;
+    // Whole bytes: a cut transfer keeps only the bytes fully through.
+    v.bytes_sent = static_cast<std::uint64_t>(
+        r.completed ? r.bytes_requested : std::floor(r.bytes_sent));
     if (!r.completed) {
         // Cut mid-flow. In baseline (from-scratch) mode the retry
         // restarts the chunk, so a garbled prefix is discarded with it.
@@ -166,18 +164,14 @@ DesBackend::onTransferDone(std::uint64_t send_id, const TransferResult &r)
         mut[hdr->chunk_seq % received.size()] ^= 0x40;
         received = {mut, received.size()};
     }
-    const ChunkReceiver::Decision d =
-        receiver_.onChunk(send_id, s.link, s.key, *hdr, received,
-                          s.chunk_len, r.duplicated, r.reordered);
     s.garbled = false; // chunk resolved (accepted or restarted).
-    if (d.message_complete && s.deliver)
-        deliver_(s.key, receiver_.retire(send_id).payload);
+    const ChunkReceiver::Decision d = receiver_.onChunk(
+        send_id, s.link, s.key, *hdr, received, r.duplicated);
 
     v.completed = true;
     v.crc_ok = d.crc_ok;
     v.fresh_accepts = d.fresh_accepts;
     v.duplicates = d.duplicates;
-    v.held = d.held;
     v.message_complete = d.message_complete;
     done(v);
 }
@@ -197,16 +191,7 @@ DesBackend::onTransferDrop(std::uint64_t send_id)
 }
 
 void
-DesBackend::finishSend(std::uint64_t send_id, bool delivered)
-{
-    if (!delivered)
-        receiver_.abandon(send_id); // flush a reorder-held chunk.
-    receiver_.release(send_id);
-    streams_.erase(send_id);
-}
-
-void
-DesBackend::abortSend(std::uint64_t send_id)
+DesBackend::closeSend(std::uint64_t send_id)
 {
     receiver_.release(send_id);
     streams_.erase(send_id);
@@ -245,10 +230,8 @@ ReplayBackend::cancelTimer(TimerId id)
 }
 
 std::uint64_t
-ReplayBackend::openSend(LinkId link, const MessageKey &key,
-                        bool payload_mode)
+ReplayBackend::openSend(LinkId link, const MessageKey &key)
 {
-    (void)payload_mode;
     const std::uint64_t id = next_send_++;
     streams_[id] = Stream{link, key};
     return id;
@@ -258,14 +241,11 @@ void
 ReplayBackend::sendFrame(std::uint64_t send_id, const FrameHeader &hdr,
                          std::span<const std::uint8_t> frag,
                          std::span<const std::uint8_t> chunk,
-                         double frag_len, double chunk_len,
                          double timeout_s, VerdictCallback done,
                          std::function<void()> drop)
 {
     (void)frag;
     (void)chunk;
-    (void)frag_len;
-    (void)chunk_len;
     (void)timeout_s;
     (void)drop;
     auto it = streams_.find(send_id);
@@ -308,11 +288,6 @@ ReplayBackend::sendFrame(std::uint64_t send_id, const FrameHeader &hdr,
         case AttemptOutcome::Corrupt:
             v.completed = true;
             break; // crc_ok stays false.
-        case AttemptOutcome::Held:
-            v.completed = true;
-            v.crc_ok = true;
-            v.held = true;
-            break;
         case AttemptOutcome::Dup:
             v.completed = true;
             v.crc_ok = true;
@@ -333,14 +308,7 @@ ReplayBackend::sendFrame(std::uint64_t send_id, const FrameHeader &hdr,
 }
 
 void
-ReplayBackend::finishSend(std::uint64_t send_id, bool delivered)
-{
-    (void)delivered;
-    streams_.erase(send_id);
-}
-
-void
-ReplayBackend::abortSend(std::uint64_t send_id)
+ReplayBackend::closeSend(std::uint64_t send_id)
 {
     streams_.erase(send_id);
 }

@@ -6,11 +6,13 @@
  * fluid-simulated Channel under virtual time, and receiver decisions
  * come from a local ChunkReceiver fed exactly what the channel (and
  * its fault layer) says arrived — corrupted deliveries garble a real
- * byte so the CRC verdict is computed, never assumed. Byte-for-byte,
- * this reproduces the pre-split ReliableLink timeline. A delivered
- * payload send's bytes are moved to the DeliverySink at the frame that
- * completes the message, before the sender sees its verdict — the
- * same point a socket receiver endpoint hands them up.
+ * byte so the CRC verdict is computed, never assumed. A cut transfer
+ * delivers the whole bytes the channel moved before the cut (rounded
+ * down). A delivered message's bytes are moved to the DeliverySink at
+ * the frame that completes it, before the sender sees its verdict: the
+ * same point a socket receiver endpoint hands them up. Receiver state
+ * is scoped per send, so the twin dedups within one send, not across
+ * sends of the same key as a socket receiver does.
  *
  * ReplayBackend is the cross-validation twin: each attempt resolves
  * from the next record of a wire trace captured on a real-socket run,
@@ -60,7 +62,7 @@ class DesBackend : public Backend
   public:
     /**
      * @p sim and @p channel must outlive the backend. @p deliver
-     * receives each delivered payload send's bytes; without one, the
+     * receives each delivered message's bytes; without one, the
      * receiver keeps no payload bytes at all.
      */
     DesBackend(sim::Simulation &sim, Channel &channel,
@@ -70,16 +72,13 @@ class DesBackend : public Backend
     double now() const override;
     TimerId after(double delay_s, std::function<void()> fire) override;
     void cancelTimer(TimerId id) override;
-    std::uint64_t openSend(LinkId link, const MessageKey &key,
-                           bool payload_mode) override;
+    std::uint64_t openSend(LinkId link, const MessageKey &key) override;
     void sendFrame(std::uint64_t send_id, const FrameHeader &hdr,
                    std::span<const std::uint8_t> frag,
-                   std::span<const std::uint8_t> chunk, double frag_len,
-                   double chunk_len, double timeout_s,
+                   std::span<const std::uint8_t> chunk, double timeout_s,
                    VerdictCallback done,
                    std::function<void()> drop) override;
-    void finishSend(std::uint64_t send_id, bool delivered) override;
-    void abortSend(std::uint64_t send_id) override;
+    void closeSend(std::uint64_t send_id) override;
     void setReceiverEventSink(EventSink sink) override;
 
   private:
@@ -88,14 +87,12 @@ class DesBackend : public Backend
     {
         LinkId link = 0;
         MessageKey key;
-        bool deliver = false; //!< payload send with a DeliverySink.
 
         /** A corrupted fragment contributed to the current chunk. */
         bool garbled = false;
 
         bool pending = false; //!< a frame is in flight.
         std::span<const std::uint8_t> chunk;
-        double chunk_len = 0.0;
         VerdictCallback done;
         std::function<void()> drop;
 
@@ -111,7 +108,6 @@ class DesBackend : public Backend
     TransportConfig config_;
     SimTimers timers_;
     ChunkReceiver receiver_;
-    DeliverySink deliver_;
     std::map<std::uint64_t, Stream> streams_;
     std::uint64_t next_send_ = 1;
     std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
@@ -127,16 +123,13 @@ class ReplayBackend : public Backend
     double now() const override;
     TimerId after(double delay_s, std::function<void()> fire) override;
     void cancelTimer(TimerId id) override;
-    std::uint64_t openSend(LinkId link, const MessageKey &key,
-                           bool payload_mode) override;
+    std::uint64_t openSend(LinkId link, const MessageKey &key) override;
     void sendFrame(std::uint64_t send_id, const FrameHeader &hdr,
                    std::span<const std::uint8_t> frag,
-                   std::span<const std::uint8_t> chunk, double frag_len,
-                   double chunk_len, double timeout_s,
+                   std::span<const std::uint8_t> chunk, double timeout_s,
                    VerdictCallback done,
                    std::function<void()> drop) override;
-    void finishSend(std::uint64_t send_id, bool delivered) override;
-    void abortSend(std::uint64_t send_id) override;
+    void closeSend(std::uint64_t send_id) override;
     void setReceiverEventSink(EventSink sink) override;
 
     /** Trace records consumed so far. */

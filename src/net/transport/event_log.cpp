@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "common/text_line.hpp"
+#include "net/transport/frame.hpp"
 
 namespace rog {
 namespace net {
@@ -15,17 +16,16 @@ namespace {
 using K = TransportEvent::Kind;
 
 constexpr std::pair<const char *, K> kKindNames[] = {
-    {"attempt", K::Attempt},         {"resume", K::Resume},
-    {"backoff", K::Backoff},         {"accept", K::Accept},
-    {"duplicate", K::Duplicate},     {"corrupt-drop", K::CorruptDrop},
-    {"reorder-hold", K::ReorderHold}, {"deliver", K::Deliver},
-    {"fail", K::Fail},
+    {"attempt", K::Attempt},     {"resume", K::Resume},
+    {"backoff", K::Backoff},     {"accept", K::Accept},
+    {"duplicate", K::Duplicate}, {"corrupt-drop", K::CorruptDrop},
+    {"deliver", K::Deliver},     {"fail", K::Fail},
 };
 
 constexpr std::pair<const char *, AttemptOutcome> kOutcomeNames[] = {
     {"accept", AttemptOutcome::Accept},   {"dup", AttemptOutcome::Dup},
-    {"corrupt", AttemptOutcome::Corrupt}, {"held", AttemptOutcome::Held},
-    {"partial", AttemptOutcome::Partial}, {"timeout", AttemptOutcome::Timeout},
+    {"corrupt", AttemptOutcome::Corrupt}, {"partial", AttemptOutcome::Partial},
+    {"timeout", AttemptOutcome::Timeout},
 };
 
 /** The name of @p v in @p names. */
@@ -109,7 +109,6 @@ eventSide(TransportEvent::Kind kind)
     case TransportEvent::Kind::Accept:
     case TransportEvent::Kind::Duplicate:
     case TransportEvent::Kind::CorruptDrop:
-    case TransportEvent::Kind::ReorderHold:
     case TransportEvent::Kind::Deliver:
         return EventSide::Receiver;
     }
@@ -250,7 +249,7 @@ readHeader(TextLine &r, TraceConfig &c)
     c.backend = r.next<std::string>("backend");
     if (r.ok() && c.backend.empty())
         r.fail("empty value for 'backend'");
-    c.chunk_bytes = r.next<double>("chunk");
+    c.chunk_bytes = r.next<std::uint64_t>("chunk");
     c.max_attempts = r.next<std::size_t>("attempts");
     c.backoff_base_s = r.next<double>("base");
     c.backoff_max_s = r.next<double>("max");
@@ -260,8 +259,9 @@ readHeader(TextLine &r, TraceConfig &c)
     c.resume_from_offset = resume == 1;
     if (r.ok() && resume > 1)
         r.fail("resume must be 0 or 1");
-    if (r.ok() && c.chunk_bytes <= 0.0)
-        r.fail("chunk must be positive");
+    if (r.ok() && (c.chunk_bytes == 0 || c.chunk_bytes > kMaxChunkBytes))
+        r.fail("chunk must be in [1, " + std::to_string(kMaxChunkBytes) +
+               "]");
     if (r.ok() && (c.jitter_frac < 0.0 || c.jitter_frac >= 1.0))
         r.fail("jitter must be in [0, 1)");
 }
@@ -273,10 +273,8 @@ readSend(TextLine &r)
     if (!fieldCount(r, "send record", 8))
         return s;
     readKey(r, s.link, s.key);
-    s.payload_bytes = r.next<double>("bytes");
+    s.payload_bytes = r.next<std::uint64_t>("bytes");
     s.deadline_s = r.next<double>("deadline");
-    if (r.ok() && s.payload_bytes < 0.0)
-        r.fail("send bytes must be non-negative");
     return s;
 }
 
@@ -292,14 +290,14 @@ readAttempt(TextLine &r)
     const std::string_view out = r.next<std::string_view>("out");
     if (r.ok() && !valueOf(kOutcomeNames, out, a.outcome))
         r.fail("unknown attempt outcome '" + std::string(out) + "'");
-    a.bytes_sent = r.next<double>("bytes");
+    a.bytes_sent = r.next<std::uint64_t>("bytes");
     a.elapsed_s = r.next<double>("elapsed");
     const std::uint64_t complete = r.next<std::uint64_t>("complete");
     a.message_complete = complete == 1;
     if (r.ok() && complete > 1)
         r.fail("complete must be 0 or 1");
-    if (r.ok() && (a.bytes_sent < 0.0 || a.elapsed_s < 0.0))
-        r.fail("att bytes/elapsed must be non-negative");
+    if (r.ok() && a.elapsed_s < 0.0)
+        r.fail("att elapsed must be non-negative");
     return a;
 }
 

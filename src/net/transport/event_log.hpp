@@ -15,12 +15,12 @@
  *
  * Wire-trace line format (one record per line, `#` comments allowed):
  *
- *     trace v1 backend=udp chunk=<f> attempts=<n> base=<f> max=<f>
+ *     trace v1 backend=udp chunk=<n> attempts=<n> base=<f> max=<f>
  *         jitter=<f> jseed=<n> resume=<0|1>
- *     send link=<n> w=<n> v=<n> row=<n> dir=push|pull bytes=<f>
+ *     send link=<n> w=<n> v=<n> row=<n> dir=push|pull bytes=<n>
  *         deadline=<f|inf>
  *     att link=<n> w=<n> v=<n> row=<n> dir=push|pull seq=<n> off=<n>
- *         out=accept|dup|corrupt|held|partial|timeout bytes=<f>
+ *         out=accept|dup|corrupt|partial|timeout bytes=<n>
  *         elapsed=<f> complete=<0|1>
  *     rx link=<n> w=<n> v=<n> row=<n> dir=push|pull seq=<n> off=<n>
  *         len=<n> got=<n> crc=ok|bad
@@ -79,7 +79,6 @@ struct TransportEvent
         Accept,      //!< chunk passed CRC and was applied fresh.
         Duplicate,   //!< chunk arrived again and was dedup'd.
         CorruptDrop, //!< chunk failed CRC and was discarded.
-        ReorderHold, //!< chunk held to apply after its successor.
         Deliver,     //!< message complete.
         Fail,        //!< a=1 if the deadline expired, 0 otherwise.
     };
@@ -98,7 +97,7 @@ struct TransportEvent
 /** Which end of the link a decision belongs to. */
 enum class EventSide {
     Sender,   //!< Attempt / Resume / Backoff / Fail.
-    Receiver, //!< Accept / Duplicate / CorruptDrop / ReorderHold / Deliver.
+    Receiver, //!< Accept / Duplicate / CorruptDrop / Deliver.
 };
 
 /** The side that emits events of @p kind. */
@@ -151,7 +150,6 @@ enum class AttemptOutcome {
     Accept,  //!< receiver accepted the chunk fresh.
     Dup,     //!< receiver had the chunk already.
     Corrupt, //!< receiver dropped the chunk on CRC failure.
-    Held,    //!< receiver reorder-held the chunk.
     Partial, //!< a prefix arrived; off+bytes tell how much.
     Timeout, //!< nothing (or no acknowledgement) came back.
 };
@@ -163,7 +161,7 @@ struct SendRecord
 {
     LinkId link = 0;
     MessageKey key;
-    double payload_bytes = 0.0;
+    std::uint64_t payload_bytes = 0;
     double deadline_s = 0.0; //!< inf = none.
 };
 
@@ -175,7 +173,7 @@ struct AttemptRecord
     std::uint32_t chunk_seq = 0;
     std::uint64_t payload_off = 0;
     AttemptOutcome outcome = AttemptOutcome::Timeout;
-    double bytes_sent = 0.0; //!< wire bytes that arrived (hdr + prefix).
+    std::uint64_t bytes_sent = 0; //!< wire bytes that arrived (hdr + prefix).
     double elapsed_s = 0.0;  //!< wall seconds from attempt to verdict.
     bool message_complete = false;
 };
@@ -196,7 +194,7 @@ struct RxRecord
 struct TraceConfig
 {
     std::string backend = "des";
-    double chunk_bytes = 16.0 * 1024.0;
+    std::uint64_t chunk_bytes = 16 * 1024;
     std::size_t max_attempts = 8;
     double backoff_base_s = 0.05;
     double backoff_max_s = 2.0;

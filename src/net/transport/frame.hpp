@@ -58,7 +58,7 @@ enum FrameFlags : std::uint16_t {
     kFlagAck = 1u << 1,         //!< this frame is an acknowledgement.
     kFlagAckCrcFail = 1u << 2,  //!< chunk discarded on CRC failure.
     kFlagAckDup = 1u << 3,      //!< chunk dedup'd (already accepted).
-    kFlagAckHeld = 1u << 4,     //!< chunk reorder-held.
+    // Bit 4 is retired; the other bits keep their wire values.
     kFlagAckComplete = 1u << 5, //!< whole message now delivered.
     kFlagAckPartial = 1u << 6,  //!< fragment incomplete; off = prefix.
 };

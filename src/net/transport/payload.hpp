@@ -1,18 +1,19 @@
 /**
  * @file
- * Deterministic synthesized payload bytes for transport messages.
+ * Deterministic keyed test payloads for transport messages.
  *
- * A startSend() message carries no caller bytes; the wire still needs
- * real content so checksums are meaningful. Both ends (and the replay
- * harness) regenerate the same bytes from the message key alone, so a
- * receiver in another process — or a simulator replaying a recorded
- * socket trace — verifies exactly the payload the sender framed.
+ * Tools and tests that drive the transport without application data
+ * (rog_transportd send|loopback, the cross-validation replay) still
+ * need real bytes so checksums mean something. Every party regenerates
+ * the same bytes from the message key alone, so a receiver in another
+ * process, or a simulator replaying a recorded socket trace, verifies
+ * exactly the payload the sender framed.
  */
 #ifndef ROG_NET_TRANSPORT_PAYLOAD_HPP
 #define ROG_NET_TRANSPORT_PAYLOAD_HPP
 
 #include <cstdint>
-#include <span>
+#include <vector>
 
 namespace rog {
 namespace net {
@@ -20,27 +21,18 @@ namespace transport {
 
 struct MessageKey;
 
-/** splitmix64 step, for seeding and synthesized payload bytes. */
-inline std::uint64_t
-mix64(std::uint64_t &state)
-{
-    state += 0x9e3779b97f4a7c15ull;
-    std::uint64_t z = state;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
-}
-
 /** Mix a message key (and an extra word) into a 64-bit seed. */
 std::uint64_t messageSeed(std::uint64_t base, const MessageKey &key,
                           std::uint64_t extra);
 
 /**
- * Fill @p out with the synthesized payload of chunk @p seq of the
- * message keyed @p key. Pure function of (key, seq, out.size()).
+ * The @p bytes-byte keyed payload of message @p key. Each
+ * @p chunk_bytes-sized chunk (the last one shorter) is a pure function
+ * of (key, chunk index, chunk length), so every chunk CRC is too.
  */
-void synthesizeChunk(const MessageKey &key, std::uint32_t seq,
-                     std::span<std::uint8_t> out);
+std::vector<std::uint8_t> synthesizeMessage(const MessageKey &key,
+                                            std::size_t bytes,
+                                            std::size_t chunk_bytes);
 
 } // namespace transport
 } // namespace net

@@ -9,23 +9,12 @@ namespace rog {
 namespace net {
 namespace transport {
 
-ChunkReceiver::ChunkReceiver(std::function<double()> clock, EventSink sink)
-    : clock_(std::move(clock)), sink_(std::move(sink))
+ChunkReceiver::ChunkReceiver(std::function<double()> clock, EventSink sink,
+                             DeliverySink deliver)
+    : clock_(std::move(clock)), sink_(std::move(sink)),
+      deliver_(std::move(deliver))
 {
     ROG_ASSERT(clock_, "chunk receiver needs a clock");
-}
-
-void
-ChunkReceiver::open(std::uint64_t instance, bool store_payload)
-{
-    MessageState &m = messages_[instance];
-    m.store_payload = store_payload;
-}
-
-ChunkReceiver::MessageState &
-ChunkReceiver::state(std::uint64_t instance)
-{
-    return messages_[instance];
 }
 
 void
@@ -47,20 +36,19 @@ ChunkReceiver::emit(TransportEvent::Kind kind, LinkId link,
 bool
 ChunkReceiver::checkCrc(LinkId link, const MessageKey &key,
                         const FrameHeader &hdr,
-                        std::span<const std::uint8_t> chunk,
-                        double chunk_len)
+                        std::span<const std::uint8_t> chunk)
 {
     if (crc32c(chunk) == hdr.payload_crc)
         return true;
     emit(TransportEvent::Kind::CorruptDrop, link, key, hdr.chunk_seq,
-         chunk_len);
+         static_cast<double>(chunk.size()));
     return false;
 }
 
 void
 ChunkReceiver::noteChunk(LinkId link, const MessageKey &key,
-                         std::uint32_t seq, bool fresh, double chunk_len,
-                         Decision &d)
+                         std::uint32_t seq, bool fresh,
+                         std::size_t chunk_len, Decision &d)
 {
     if (!fresh) {
         ++d.duplicates;
@@ -68,95 +56,55 @@ ChunkReceiver::noteChunk(LinkId link, const MessageKey &key,
         return;
     }
     ++d.fresh_accepts;
-    emit(TransportEvent::Kind::Accept, link, key, seq, chunk_len);
+    emit(TransportEvent::Kind::Accept, link, key, seq,
+         static_cast<double>(chunk_len));
 }
 
 void
 ChunkReceiver::acceptOnce(MessageState &m, const FrameHeader &hdr,
-                          std::span<const std::uint8_t> chunk,
-                          double chunk_len, Decision &d)
+                          std::span<const std::uint8_t> chunk, Decision &d)
 {
     const bool fresh = m.accepted.insert(hdr.chunk_seq).second;
-    noteChunk(m.link, m.key, hdr.chunk_seq, fresh, chunk_len, d);
-    if (fresh && m.store_payload)
+    noteChunk(m.link, m.key, hdr.chunk_seq, fresh, chunk.size(), d);
+    if (fresh && deliver_)
         m.chunks[hdr.chunk_seq].assign(chunk.begin(), chunk.end());
-}
-
-void
-ChunkReceiver::flushHold(MessageState &m, Decision &d)
-{
-    m.hold_pending = false;
-    acceptOnce(m, m.hold_hdr,
-               {m.hold_bytes.data(), m.hold_bytes.size()},
-               m.hold_chunk_len, d);
-    if (m.hold_duplicated)
-        acceptOnce(m, m.hold_hdr,
-                   {m.hold_bytes.data(), m.hold_bytes.size()},
-                   m.hold_chunk_len, d);
-    m.hold_bytes.clear();
 }
 
 ChunkReceiver::Decision
 ChunkReceiver::onChunk(std::uint64_t instance, LinkId link,
                        const MessageKey &key, const FrameHeader &hdr,
                        std::span<const std::uint8_t> chunk,
-                       double chunk_len, bool duplicated_hint,
-                       bool reordered_hint)
+                       bool duplicated_hint)
 {
-    MessageState &m = state(instance);
+    MessageState &m = messages_[instance];
     m.link = link;
     m.key = key;
     m.chunk_count = hdr.chunk_count;
 
     Decision d;
-    d.crc_ok = checkCrc(link, key, hdr, chunk, chunk_len);
+    d.crc_ok = checkCrc(link, key, hdr, chunk);
     if (!d.crc_ok)
         return d;
 
-    if (reordered_hint && !m.hold_pending &&
-        hdr.chunk_seq + 1 < hdr.chunk_count) {
-        // Delivery overtaken by the next send: hold the (intact)
-        // chunk and apply it after its successor.
-        m.hold_pending = true;
-        m.hold_hdr = hdr;
-        m.hold_duplicated = duplicated_hint;
-        m.hold_chunk_len = chunk_len;
-        m.hold_bytes.assign(chunk.begin(), chunk.end());
-        d.held = true;
-        emit(TransportEvent::Kind::ReorderHold, link, key, hdr.chunk_seq);
-        return d;
-    }
-
-    acceptOnce(m, hdr, chunk, chunk_len, d);
+    acceptOnce(m, hdr, chunk, d);
     if (duplicated_hint)
-        acceptOnce(m, hdr, chunk, chunk_len, d); // delivered twice.
-    if (m.hold_pending)
-        flushHold(m, d);
+        acceptOnce(m, hdr, chunk, d); // delivered twice.
 
-    if (!m.complete && m.accepted.size() == m.chunk_count) {
-        m.complete = true;
-        ++delivered_;
-        if (m.store_payload) {
-            m.assembled.clear();
-            for (const auto &[seq, bytes] : m.chunks)
-                m.assembled.insert(m.assembled.end(), bytes.begin(),
-                                   bytes.end());
-            m.chunks.clear();
-        }
-        emit(TransportEvent::Kind::Deliver, link, key, m.chunk_count);
-    }
     d.message_complete = m.complete;
+    if (m.complete || m.accepted.size() != m.chunk_count)
+        return d;
+    m.complete = true;
+    d.message_complete = true;
+    ++delivered_;
+    std::vector<std::uint8_t> payload;
+    for (const auto &[seq, bytes] : m.chunks)
+        payload.insert(payload.end(), bytes.begin(), bytes.end());
+    m.chunks.clear();
+    emit(TransportEvent::Kind::Deliver, link, key, m.chunk_count);
+    // Last: the sink may start new work on this receiver.
+    if (deliver_)
+        deliver_(key, std::move(payload));
     return d;
-}
-
-void
-ChunkReceiver::abandon(std::uint64_t instance)
-{
-    auto it = messages_.find(instance);
-    if (it == messages_.end() || !it->second.hold_pending)
-        return;
-    Decision d;
-    flushHold(it->second, d); // whatever arrived, arrived.
 }
 
 void
@@ -169,11 +117,9 @@ ChunkReceiver::Retired
 ChunkReceiver::retire(std::uint64_t instance)
 {
     auto it = messages_.find(instance);
-    ROG_ASSERT(it != messages_.end() && it->second.complete &&
-                   !it->second.hold_pending,
+    ROG_ASSERT(it != messages_.end() && it->second.complete,
                "retire of an undelivered message");
     Retired r;
-    r.payload = std::move(it->second.assembled);
     for (const std::uint32_t seq : it->second.accepted) {
         if (seq == r.accepted_prefix)
             ++r.accepted_prefix;
@@ -188,20 +134,15 @@ ChunkReceiver::Decision
 ChunkReceiver::onRetiredChunk(LinkId link, const MessageKey &key,
                               const FrameHeader &hdr,
                               std::span<const std::uint8_t> chunk,
-                              double chunk_len, bool fresh)
+                              bool fresh)
 {
     Decision d;
-    d.crc_ok = checkCrc(link, key, hdr, chunk, chunk_len);
+    d.crc_ok = checkCrc(link, key, hdr, chunk);
     if (!d.crc_ok)
         return d;
-    noteChunk(link, key, hdr.chunk_seq, fresh, chunk_len, d);
+    noteChunk(link, key, hdr.chunk_seq, fresh, chunk.size(), d);
     d.message_complete = true;
     return d;
-}
-
-FrameAssembler::FrameAssembler(ChunkReceiver &rx, bool store_payload)
-    : rx_(rx), store_payload_(store_payload)
-{
 }
 
 FrameAssembler::Result
@@ -253,36 +194,32 @@ FrameAssembler::decide(Result &r, LinkId link, const MessageKey &key,
                        std::span<const std::uint8_t> chunk)
 {
     r.chunk_complete = true;
-    const auto chunk_len = static_cast<double>(chunk.size());
     if (const std::uint32_t *prefix = delivered_.find(key)) {
         const auto extra = std::make_pair(key, hdr.chunk_seq);
         const bool fresh = hdr.chunk_seq >= *prefix &&
                            delivered_extra_.count(extra) == 0;
-        r.decision =
-            rx_.onRetiredChunk(link, key, hdr, chunk, chunk_len, fresh);
+        r.decision = rx_.onRetiredChunk(link, key, hdr, chunk, fresh);
         if (r.decision.fresh_accepts > 0)
             delivered_extra_.insert(extra);
         return;
     }
 
     auto [it, fresh] = instances_.try_emplace(key, next_instance_);
-    if (fresh) {
+    if (fresh)
         ++next_instance_;
-        rx_.open(it->second, store_payload_);
-    }
-    r.decision = rx_.onChunk(it->second, link, key, hdr, chunk, chunk_len,
-                             false, false);
+    const std::uint64_t instance = it->second;
+    r.decision = rx_.onChunk(instance, link, key, hdr, chunk, false);
     if (!r.decision.message_complete)
         return;
 
-    // Delivered: keep only what dedup of late frames needs.
-    ChunkReceiver::Retired done = rx_.retire(it->second);
-    instances_.erase(it);
+    // Delivered (the receiver handed the payload to its sink): keep
+    // only what dedup of late frames needs.
+    ChunkReceiver::Retired done = rx_.retire(instance);
+    instances_.erase(key);
     delivered_.insert(key, done.accepted_prefix);
     for (const std::uint32_t seq : done.accepted_extra)
         delivered_extra_.insert({key, seq});
     r.delivered = true;
-    r.payload = std::move(done.payload);
 }
 
 std::size_t

@@ -4,20 +4,21 @@
  *
  * ChunkReceiver owns every receiver-side decision: the checksum
  * verdict over a reassembled chunk, exactly-once acceptance keyed on
- * chunk sequence, the single-slot reorder hold, and end-of-message
- * delivery. Exactly one implementation serves every backend — the DES
- * twin feeds it what the simulated channel delivered, the socket
- * receiver endpoint feeds it what came off the wire, and the replay
- * harness feeds it a recorded trace — so a decision can never fork
- * between simulation and deployment.
+ * chunk sequence, and end-of-message delivery. Exactly one
+ * implementation serves every backend: the DES twin feeds it what the
+ * simulated channel delivered, the socket receiver endpoint feeds it
+ * what came off the wire, and the replay harness feeds it a recorded
+ * trace, so a decision can never fork between simulation and
+ * deployment. It keeps payload bytes only when a DeliverySink is
+ * attached, and hands each message's bytes to that sink once, at the
+ * chunk that completes it.
  *
  * State is scoped per message *instance* (an opaque id the caller
  * picks): the simulator scopes instances per send so repeated keys
- * stay independent and releases each one when its send finishes (or
- * retires it when it hands the payload over), while a real receiver
- * endpoint maps each distinct MessageKey to one instance for true
- * cross-process exactly-once and retires it at delivery (retire(),
- * onRetiredChunk(); see FrameAssembler).
+ * stay independent and releases each one when its send closes, while
+ * a real receiver endpoint maps each distinct MessageKey to one
+ * instance for true cross-process exactly-once and retires it at
+ * delivery (retire(), onRetiredChunk(); see FrameAssembler).
  */
 #ifndef ROG_NET_TRANSPORT_RECEIVER_HPP
 #define ROG_NET_TRANSPORT_RECEIVER_HPP
@@ -47,7 +48,6 @@ class ChunkReceiver
         bool crc_ok = false;
         std::size_t fresh_accepts = 0;
         std::size_t duplicates = 0;
-        bool held = false;
         bool message_complete = false;
     };
 
@@ -55,43 +55,28 @@ class ChunkReceiver
      * @param clock stamps emitted events (virtual or wall seconds).
      * @param sink receives every decision as a TransportEvent; empty
      *        records nothing.
+     * @param deliver receives each delivered message's reassembled
+     *        bytes; empty keeps no payload bytes at all.
      */
     explicit ChunkReceiver(std::function<double()> clock,
-                           EventSink sink = {});
+                           EventSink sink = {}, DeliverySink deliver = {});
 
     void setEventSink(EventSink sink) { sink_ = std::move(sink); }
 
     /**
-     * Begin (or re-scope) message @p instance. Optional — onChunk
-     * creates state lazily with store_payload on — but lets the DES
-     * twin skip retaining payload bytes nobody takes.
-     */
-    void open(std::uint64_t instance, bool store_payload);
-
-    /**
      * One complete chunk arrived (all fragments reassembled) for
-     * message @p instance: verify, dedup, hold or accept, and deliver
-     * when the message completes.
+     * message @p instance: verify, dedup or accept, and deliver when
+     * the message completes.
      *
      * @param chunk the chunk payload exactly as received (a corrupted
-     *        delivery hands in the garbled bytes — the CRC verdict is
+     *        delivery hands in the garbled bytes: the CRC verdict is
      *        recomputed here, never trusted from a flag).
-     * @param chunk_len the chunk's exact (possibly fractional,
-     *        simulated) payload length, echoed into events.
      * @param duplicated_hint the wire delivered this frame twice.
-     * @param reordered_hint delivery was overtaken by a later send.
      */
     Decision onChunk(std::uint64_t instance, LinkId link,
                      const MessageKey &key, const FrameHeader &hdr,
                      std::span<const std::uint8_t> chunk,
-                     double chunk_len, bool duplicated_hint,
-                     bool reordered_hint);
-
-    /**
-     * The sender gave up on @p instance: flush a reorder-held chunk
-     * (whatever arrived, arrived) without delivering the message.
-     */
-    void abandon(std::uint64_t instance);
+                     bool duplicated_hint);
 
     /** Drop all state for @p instance. */
     void release(std::uint64_t instance);
@@ -99,9 +84,6 @@ class ChunkReceiver
     /** What a delivered instance leaves behind once retired. */
     struct Retired
     {
-        /** The reassembled payload, moved out (empty unless stored). */
-        std::vector<std::uint8_t> payload;
-
         /** Chunks [0, accepted_prefix) were accepted... */
         std::uint32_t accepted_prefix = 0;
 
@@ -124,7 +106,7 @@ class ChunkReceiver
     Decision onRetiredChunk(LinkId link, const MessageKey &key,
                             const FrameHeader &hdr,
                             std::span<const std::uint8_t> chunk,
-                            double chunk_len, bool fresh);
+                            bool fresh);
 
     /** Messages fully delivered since construction. */
     std::size_t deliveredMessages() const { return delivered_; }
@@ -139,35 +121,27 @@ class ChunkReceiver
         LinkId link = 0;
         MessageKey key;
         std::uint32_t chunk_count = 1;
-        bool store_payload = true;
         bool complete = false;
         std::set<std::uint32_t> accepted;
-        bool hold_pending = false;
-        FrameHeader hold_hdr;
-        bool hold_duplicated = false;
-        double hold_chunk_len = 0.0;
-        std::vector<std::uint8_t> hold_bytes;
+        /** Accepted chunk bytes, kept only for a DeliverySink. */
         std::map<std::uint32_t, std::vector<std::uint8_t>> chunks;
-        std::vector<std::uint8_t> assembled;
     };
 
-    MessageState &state(std::uint64_t instance);
     void acceptOnce(MessageState &m, const FrameHeader &hdr,
-                    std::span<const std::uint8_t> chunk, double chunk_len,
-                    Decision &d);
-    void flushHold(MessageState &m, Decision &d);
+                    std::span<const std::uint8_t> chunk, Decision &d);
     /** Verdict over @p chunk; a failure is reported and dropped. */
     bool checkCrc(LinkId link, const MessageKey &key,
                   const FrameHeader &hdr,
-                  std::span<const std::uint8_t> chunk, double chunk_len);
+                  std::span<const std::uint8_t> chunk);
     /** Report one CRC-intact chunk as a fresh accept or a duplicate. */
     void noteChunk(LinkId link, const MessageKey &key, std::uint32_t seq,
-                   bool fresh, double chunk_len, Decision &d);
+                   bool fresh, std::size_t chunk_len, Decision &d);
     void emit(TransportEvent::Kind kind, LinkId link,
               const MessageKey &key, std::uint32_t seq, double a = 0.0);
 
     std::function<double()> clock_;
     EventSink sink_;
+    DeliverySink deliver_;
     std::map<std::uint64_t, MessageState> messages_;
     std::size_t delivered_ = 0;
 };
@@ -185,12 +159,13 @@ class ChunkReceiver
  * are scoped per distinct MessageKey: cross-process exactly-once.
  *
  * State is proportional to messages in flight. The frame that
- * completes a message retires it: its instance, chunk buffers and
- * receiver state are dropped, its payload is handed out once in the
- * Result, and the key keeps one payload-free record (the length of its
- * accepted chunk prefix) in a flat open-addressed table. A late frame
- * for a retired key gets the same ACK decision and events as before
- * retirement; it is never delivered again.
+ * completes a message retires it: its payload goes to the
+ * ChunkReceiver's DeliverySink once, its instance, chunk buffers and
+ * receiver state are dropped, and the key keeps one payload-free
+ * record (the length of its accepted chunk prefix) in a flat
+ * open-addressed table. A late frame for a retired key gets the same
+ * ACK decision and events as before retirement; it is never delivered
+ * again.
  */
 class FrameAssembler
 {
@@ -208,17 +183,10 @@ class FrameAssembler
 
         /** This frame delivered its message (at most once per key). */
         bool delivered = false;
-
-        /** The delivered message's bytes when storing payloads. */
-        std::vector<std::uint8_t> payload;
     };
 
-    /**
-     * @param rx makes every protocol decision; must outlive this.
-     * @param store_payload hand each delivered message's reassembled
-     *        bytes out in Result::payload.
-     */
-    explicit FrameAssembler(ChunkReceiver &rx, bool store_payload = false);
+    /** @param rx makes every protocol decision; must outlive this. */
+    explicit FrameAssembler(ChunkReceiver &rx) : rx_(rx) {}
 
     /**
      * One data frame arrived with @p present payload bytes (possibly
@@ -284,7 +252,6 @@ class FrameAssembler
                 std::span<const std::uint8_t> chunk);
 
     ChunkReceiver &rx_;
-    bool store_payload_ = false;
     std::map<MessageKey, std::uint64_t> instances_; //!< in flight only.
     std::uint64_t next_instance_ = 1;
     std::map<std::pair<MessageKey, std::uint32_t>, ChunkBuf> bufs_;

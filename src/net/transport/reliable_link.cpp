@@ -6,28 +6,11 @@
 #include "common/crc32c.hpp"
 #include "common/logging.hpp"
 #include "common/rng.hpp"
-#include "net/transport/des_backend.hpp"
 #include "net/transport/payload.hpp"
 
 namespace rog {
 namespace net {
 namespace transport {
-
-namespace {
-
-constexpr double kEps = 1e-9;
-
-/** Integer byte length of a (possibly fractional) simulated length. */
-std::size_t
-byteLen(double len)
-{
-    if (len <= 0.0)
-        return 0; // a zero-length message frames a header-only chunk.
-    return static_cast<std::size_t>(
-        std::max(1.0, std::ceil(len - kEps)));
-}
-
-} // namespace
 
 /** State of one in-flight message send. */
 struct ReliableLink::SendOp
@@ -36,9 +19,7 @@ struct ReliableLink::SendOp
     std::uint64_t stream = 0; //!< backend send-stream handle.
     LinkId link = 0;
     MessageKey key;
-    double payload_bytes = 0.0;
     double deadline = kNoDeadline;
-    bool payload_mode = false; //!< carrying caller bytes (else synthesized).
     std::span<const std::uint8_t> payload; //!< views payload_copy.
     Callback done;
     std::function<void()> drop;
@@ -46,18 +27,17 @@ struct ReliableLink::SendOp
     double start_time = 0.0;
 
     std::uint32_t chunk_count = 1;
-    std::uint32_t seq = 0;        //!< chunk currently being sent.
-    double chunk_len = 0.0;       //!< payload bytes of that chunk.
-    std::uint32_t chunk_crc = 0;  //!< CRC of that chunk (cached).
-    double resume_off = 0.0;      //!< intact delivered prefix.
-    double high_water = 0.0;      //!< most ever delivered (retransmit acct).
+    std::uint32_t seq = 0;          //!< chunk currently being sent.
+    std::span<const std::uint8_t> chunk; //!< that chunk's bytes.
+    std::uint32_t chunk_crc = 0;    //!< CRC of that chunk (cached).
+    std::uint64_t resume_off = 0;   //!< intact delivered prefix.
+    std::uint64_t high_water = 0;   //!< most ever delivered (retransmit acct).
     std::size_t chunk_attempts = 0;
     std::size_t backoff_exp = 0;
 
-    // Pool-leased working memory: recycled when the op retires, so a
-    // steady stream of sends allocates nothing after warm-up.
-    BufferPool::Lease<std::uint8_t> payload_copy; //!< retransmit copy.
-    BufferPool::Lease<std::uint8_t> chunk_scratch; //!< chunk regen.
+    // Pool-leased retransmission copy: recycled when the op retires,
+    // so a steady stream of sends allocates nothing after warm-up.
+    BufferPool::Lease<std::uint8_t> payload_copy;
 #ifdef ROG_SANITIZE_BUILD
     std::uint32_t payload_guard_crc = 0; //!< lifetime canary.
 #endif
@@ -70,9 +50,9 @@ ReliableLink::ReliableLink(Backend &backend, const TransportConfig &config,
                            EventSink sink)
     : backend_(backend), config_(config), sink_(std::move(sink))
 {
-    ROG_ASSERT(config_.chunk_bytes > 0.0,
+    ROG_ASSERT(config_.chunk_bytes > 0,
                "transport chunk size must be positive");
-    ROG_ASSERT(config_.chunk_bytes <= static_cast<double>(kMaxChunkBytes),
+    ROG_ASSERT(config_.chunk_bytes <= kMaxChunkBytes,
                "transport chunk size exceeds the wire's kMaxChunkBytes");
     ROG_ASSERT(config_.backoff_base_s > 0.0,
                "transport backoff base must be positive");
@@ -81,26 +61,12 @@ ReliableLink::ReliableLink(Backend &backend, const TransportConfig &config,
     backend_.setReceiverEventSink(sink_);
 }
 
-ReliableLink::ReliableLink(sim::Simulation &sim, Channel &channel,
-                           const TransportConfig &config, EventSink sink)
-    : ReliableLink(std::make_unique<DesBackend>(sim, channel, config),
-                   config, std::move(sink))
-{
-}
-
-ReliableLink::ReliableLink(std::unique_ptr<Backend> owned,
-                           const TransportConfig &config, EventSink sink)
-    : ReliableLink(*owned, config, std::move(sink))
-{
-    owned_backend_ = std::move(owned);
-}
-
 ReliableLink::~ReliableLink()
 {
     *alive_ = false;
     for (auto &[id, op] : ops_) {
         backend_.cancelTimer(op->backoff_timer);
-        backend_.abortSend(op->stream);
+        backend_.closeSend(op->stream);
         if (op->drop)
             op->drop();
     }
@@ -115,7 +81,7 @@ ReliableLink::reset()
     ops_.clear();
     for (auto &[id, op] : ops) {
         backend_.cancelTimer(op->backoff_timer);
-        backend_.abortSend(op->stream);
+        backend_.closeSend(op->stream);
         op->res.delivered = false;
         op->res.elapsed_s = backend_.now() - op->start_time;
         Callback done = std::move(op->done);
@@ -127,87 +93,34 @@ ReliableLink::reset()
     }
 }
 
-double
-ReliableLink::chunkLen(const SendOp &op, std::uint32_t seq) const
-{
-    if (seq + 1 < op.chunk_count)
-        return config_.chunk_bytes;
-    return op.payload_bytes -
-           config_.chunk_bytes * static_cast<double>(op.chunk_count - 1);
-}
-
 std::span<const std::uint8_t>
-ReliableLink::chunkPayloadInto(SendOp &op, std::uint32_t seq) const
+ReliableLink::chunkPayload(const SendOp &op, std::uint32_t seq) const
 {
-    if (op.payload_mode) {
-        // Payload mode: a zero-copy view into the leased copy.
-        const auto ci = byteLen(config_.chunk_bytes);
-        const std::size_t off = static_cast<std::size_t>(seq) * ci;
-        const std::size_t len = std::min(ci, op.payload.size() - off);
-        return op.payload.subspan(off, len);
-    }
-    // Synthesized mode: regenerate into the op's pooled scratch.
-    const std::size_t len = byteLen(chunkLen(op, seq));
-    ROG_ASSERT(len <= op.chunk_scratch.size(),
-               "chunk scratch undersized for synthesized chunk");
-    std::uint8_t *out = op.chunk_scratch.data();
-    synthesizeChunk(op.key, seq, {out, len});
-    return {out, len};
-}
-
-void
-ReliableLink::refreshChunkCrc(SendOp &op)
-{
-    op.chunk_crc = crc32c(chunkPayloadInto(op, op.seq));
+    const std::size_t off =
+        static_cast<std::size_t>(seq) * config_.chunk_bytes;
+    return op.payload.subspan(
+        off, std::min(config_.chunk_bytes, op.payload.size() - off));
 }
 
 void
 ReliableLink::startSend(LinkId link, const MessageKey &key,
-                        double payload_bytes, double deadline_s,
-                        Callback done, std::function<void()> drop)
-{
-    ROG_ASSERT(payload_bytes >= 0.0,
-               "send needs non-negative payload bytes");
-    startSendImpl(link, key, payload_bytes, {}, false, deadline_s,
-                  std::move(done), std::move(drop));
-}
-
-void
-ReliableLink::startSendPayload(LinkId link, const MessageKey &key,
-                               std::span<const std::uint8_t> payload,
-                               double deadline_s, Callback done,
-                               std::function<void()> drop)
-{
-    startSendImpl(link, key, static_cast<double>(payload.size()),
-                  payload, true, deadline_s, std::move(done),
-                  std::move(drop));
-}
-
-void
-ReliableLink::startSendImpl(LinkId link, const MessageKey &key,
-                            double payload_bytes,
-                            std::span<const std::uint8_t> payload,
-                            bool payload_mode, double deadline_s,
-                            Callback done, std::function<void()> drop)
+                        std::span<const std::uint8_t> payload,
+                        double deadline_s, Callback done,
+                        std::function<void()> drop)
 {
     auto op = std::make_unique<SendOp>();
     op->id = next_op_id_++;
     op->link = link;
     op->key = key;
-    op->payload_bytes = payload_bytes;
     op->deadline = deadline_s;
-    op->payload_mode = payload_mode;
-    op->payload = payload;
     op->done = std::move(done);
     op->drop = std::move(drop);
     op->jitter = Rng(messageSeed(config_.jitter_seed, key, 0));
     op->start_time = backend_.now();
-    op->chunk_count = static_cast<std::uint32_t>(std::max(
-        1.0, std::ceil(payload_bytes / config_.chunk_bytes - kEps)));
-    op->chunk_len = chunkLen(*op, 0);
-    if (payload_mode && !payload.empty()) {
+    op->chunk_count = config_.chunkCount(payload.size());
+    if (!payload.empty()) {
         // Lease the retransmission copy before returning: the caller's
-        // span only has to survive this call (see startSendPayload).
+        // span only has to survive this call.
         op->payload_copy = BufferPool::global().leaseBytes(payload.size());
         std::copy(payload.begin(), payload.end(),
                   op->payload_copy.data());
@@ -216,15 +129,12 @@ ReliableLink::startSendImpl(LinkId link, const MessageKey &key,
         op->payload_guard_crc = crc32c(op->payload);
 #endif
     }
-    op->res.payload_bytes = payload_bytes;
+    op->res.payload_bytes = payload.size();
     op->res.chunks = op->chunk_count;
-    op->chunk_scratch = BufferPool::global().leaseBytes(
-        std::max<std::size_t>(1, byteLen(op->chunk_count > 1
-                                             ? config_.chunk_bytes
-                                             : op->chunk_len)));
-    refreshChunkCrc(*op);
+    op->chunk = chunkPayload(*op, 0);
+    op->chunk_crc = crc32c(op->chunk);
     ++totals_.sends;
-    op->stream = backend_.openSend(link, key, payload_mode);
+    op->stream = backend_.openSend(link, key);
 
     SendOp &ref = *op;
     ops_.emplace(ref.id, std::move(op));
@@ -240,14 +150,12 @@ ReliableLink::attempt(SendOp &op)
         return;
     }
 
-    const double frag_len = op.chunk_len - op.resume_off;
-
 #ifdef ROG_SANITIZE_BUILD
-    // Payload-lifetime canary: the leased copy taken at
-    // startSendPayload must still checksum to the value captured
-    // there; a mismatch means someone clobbered the pooled buffer
-    // mid-send (e.g. a premature release re-leased it elsewhere).
-    if (op.payload_mode && !op.payload.empty())
+    // Payload-lifetime canary: the leased copy taken at startSend
+    // must still checksum to the value captured there; a mismatch
+    // means someone clobbered the pooled buffer mid-send (e.g. a
+    // premature release re-leased it elsewhere).
+    if (!op.payload.empty())
         ROG_ASSERT(crc32c(op.payload) == op.payload_guard_crc,
                    "leased payload copy mutated mid-send");
 #endif
@@ -259,30 +167,26 @@ ReliableLink::attempt(SendOp &op)
     hdr.row = op.key.row;
     hdr.chunk_seq = op.seq;
     hdr.chunk_count = op.chunk_count;
-    hdr.payload_off =
-        static_cast<std::uint64_t>(std::llround(op.resume_off));
-    hdr.payload_len = static_cast<std::uint32_t>(byteLen(frag_len));
-    // Per chunk, not per attempt: refreshChunkCrc cached this when the
-    // chunk became current, so retries skip the checksum (and, in
-    // synthesized mode, the payload regeneration) entirely.
+    hdr.payload_off = op.resume_off;
+    const auto frag =
+        op.chunk.subspan(static_cast<std::size_t>(op.resume_off));
+    hdr.payload_len = static_cast<std::uint32_t>(frag.size());
+    // Per chunk, not per attempt: cached when the chunk became
+    // current, so retries skip the checksum.
     hdr.payload_crc = op.chunk_crc;
 
-    const double timeout = std::isfinite(op.deadline)
-                               ? std::max(kEps, op.deadline - now)
-                               : kNoDeadline;
+    const double timeout =
+        std::isfinite(op.deadline) ? op.deadline - now : kNoDeadline;
 
     ++op.res.attempts;
     ++op.chunk_attempts;
     logEvent(TransportEvent::Kind::Attempt, op, op.seq,
-             FrameHeader::kWireSize + frag_len, op.resume_off);
+             static_cast<double>(FrameHeader::kWireSize + frag.size()),
+             static_cast<double>(op.resume_off));
 
-    const auto chunk = chunkPayloadInto(op, op.seq);
-    const auto frag = chunk.subspan(
-        std::min<std::size_t>(chunk.size(),
-                              static_cast<std::size_t>(hdr.payload_off)));
     const std::uint64_t id = op.id;
     backend_.sendFrame(
-        op.stream, hdr, frag, chunk, frag_len, op.chunk_len, timeout,
+        op.stream, hdr, frag, op.chunk, timeout,
         [this, alive = alive_, id](const FrameVerdict &v) {
             if (*alive)
                 onFrameVerdict(id, v);
@@ -300,7 +204,7 @@ ReliableLink::dropOp(std::uint64_t op_id)
     if (it == ops_.end())
         return;
     backend_.cancelTimer(it->second->backoff_timer);
-    backend_.abortSend(it->second->stream);
+    backend_.closeSend(it->second->stream);
     std::function<void()> drop = std::move(it->second->drop);
     ops_.erase(it);
     if (drop)
@@ -315,22 +219,20 @@ ReliableLink::onFrameVerdict(std::uint64_t op_id, const FrameVerdict &v)
         return;
     SendOp &op = *it->second;
 
-    const double delivered = v.bytes_sent;
-    const double hdr_delivered =
-        std::min(delivered, double(FrameHeader::kWireSize));
-    const double payload_delivered =
-        std::max(0.0, delivered - FrameHeader::kWireSize);
+    const std::uint64_t delivered = v.bytes_sent;
+    const std::uint64_t hdr_delivered =
+        std::min<std::uint64_t>(delivered, FrameHeader::kWireSize);
+    const std::uint64_t payload_delivered = delivered - hdr_delivered;
     op.res.bytes_sent += delivered;
 
     // Anything delivered on a retry that had already been delivered
     // before is retransmission: the header every time, plus the
     // overlap of this fragment with the chunk's high-water mark.
     if (op.chunk_attempts > 1) {
-        const double overlap =
-            std::max(0.0, std::min(op.resume_off + payload_delivered,
-                                   op.high_water) -
-                              op.resume_off);
-        op.res.retransmitted_bytes += hdr_delivered + overlap;
+        const std::uint64_t end =
+            std::min(op.resume_off + payload_delivered, op.high_water);
+        op.res.retransmitted_bytes +=
+            hdr_delivered + (end > op.resume_off ? end - op.resume_off : 0);
     }
     op.high_water =
         std::max(op.high_water, op.resume_off + payload_delivered);
@@ -344,14 +246,15 @@ ReliableLink::onFrameVerdict(std::uint64_t op_id, const FrameVerdict &v)
     // intact prefix and resume, or restart from scratch in baseline
     // mode. New bytes arriving counts as progress and resets the
     // backoff exponent.
-    const bool progress = payload_delivered > kEps;
+    const bool progress = payload_delivered > 0;
     if (config_.resume_from_offset) {
-        op.resume_off =
-            std::min(op.chunk_len, op.resume_off + payload_delivered);
+        op.resume_off = std::min<std::uint64_t>(
+            op.chunk.size(), op.resume_off + payload_delivered);
         logEvent(TransportEvent::Kind::Resume, op, op.seq,
-                 op.resume_off, op.chunk_len);
+                 static_cast<double>(op.resume_off),
+                 static_cast<double>(op.chunk.size()));
     } else {
-        op.resume_off = 0.0;
+        op.resume_off = 0;
     }
     if (progress)
         op.backoff_exp = 0;
@@ -368,13 +271,13 @@ void
 ReliableLink::resolveChunk(SendOp &op, const FrameVerdict &v)
 {
     // Receiver-side events (Accept / Duplicate / CorruptDrop /
-    // ReorderHold / Deliver) are emitted by the ChunkReceiver through
-    // the backend's event sink when the receiver runs in-process; the
-    // sender only accounts and advances here.
+    // Deliver) are emitted by the ChunkReceiver through the backend's
+    // event sink when the receiver runs in-process; the sender only
+    // accounts and advances here.
     if (!v.crc_ok) {
         ++op.res.corrupt_chunks;
         // Discard: the prefix is untrustworthy, restart the chunk.
-        op.resume_off = 0.0;
+        op.resume_off = 0;
         if (config_.max_attempts_per_chunk > 0 &&
             op.chunk_attempts >= config_.max_attempts_per_chunk) {
             finish(op, false, false);
@@ -384,20 +287,18 @@ ReliableLink::resolveChunk(SendOp &op, const FrameVerdict &v)
         return;
     }
 
-    if (v.held)
-        ++op.res.reordered_chunks;
     op.res.duplicate_chunks += v.duplicates;
 
-    // Chunk resolved (accepted, dedup'd, or held for its successor):
-    // advance to the next chunk with fresh retry state.
+    // Chunk resolved (accepted or dedup'd): advance to the next chunk
+    // with fresh retry state.
     ++op.seq;
-    op.resume_off = 0.0;
-    op.high_water = 0.0;
+    op.resume_off = 0;
+    op.high_water = 0;
     op.chunk_attempts = 0;
     op.backoff_exp = 0;
     if (op.seq < op.chunk_count) {
-        op.chunk_len = chunkLen(op, op.seq);
-        refreshChunkCrc(op);
+        op.chunk = chunkPayload(op, op.seq);
+        op.chunk_crc = crc32c(op.chunk);
         attempt(op);
         return;
     }
@@ -450,10 +351,7 @@ ReliableLink::finish(SendOp &op, bool delivered, bool expired)
 {
     backend_.cancelTimer(op.backoff_timer);
     op.backoff_timer = 0;
-    // Closing an undelivered stream flushes a reorder-held chunk
-    // receiver-side (whatever arrived, arrived) — its Accept events
-    // land in the log ahead of the Fail below, as they always did.
-    backend_.finishSend(op.stream, delivered);
+    backend_.closeSend(op.stream);
     op.res.delivered = delivered;
     op.res.deadline_expired = expired;
     op.res.elapsed_s = backend_.now() - op.start_time;
@@ -470,7 +368,6 @@ ReliableLink::finish(SendOp &op, bool delivered, bool expired)
     totals_.retransmitted_bytes += op.res.retransmitted_bytes;
     totals_.corrupt_chunks += op.res.corrupt_chunks;
     totals_.duplicate_chunks += op.res.duplicate_chunks;
-    totals_.reordered_chunks += op.res.reordered_chunks;
 
     const SendResult res = op.res;
     Callback done = std::move(op.done);

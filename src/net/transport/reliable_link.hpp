@@ -1,21 +1,20 @@
 /**
  * @file
- * Reliable, resumable message transport — the protocol core.
+ * Reliable, resumable message transport: the protocol core.
  *
- * ReliableLink frames each message (FrameHeader with worker, version,
- * row, chunk bookkeeping, and a CRC32C over the chunk payload), sends
- * it as a sequence of chunked stop-and-wait frames, and retries cut or
- * corrupted chunks with deadline-aware exponential backoff and seeded
- * deterministic jitter — resuming from the delivered byte offset
- * rather than from scratch, so a 90%-delivered chunk only resends its
- * tail. The receiver side (ChunkReceiver) dedups chunks on (worker,
- * version, row, chunk_seq), so a duplicated delivery is applied
- * exactly once, and a chunk flagged reordered is held and applied
- * after its successor.
+ * ReliableLink carries a caller's message bytes. It frames each
+ * message (FrameHeader with worker, version, row, chunk bookkeeping,
+ * and a CRC32C over the chunk payload), sends it as a sequence of
+ * chunked stop-and-wait frames, and retries cut or corrupted chunks
+ * with deadline-aware exponential backoff and seeded deterministic
+ * jitter. A retry resumes from the delivered byte offset rather than
+ * from scratch, so a 90%-delivered chunk only resends its tail. The
+ * receiver side (ChunkReceiver) dedups chunks on chunk_seq within a
+ * message, so a duplicated delivery is applied exactly once.
  *
  * The protocol core is backend-agnostic: every I/O and clocking
  * decision goes through the transport::Backend seam (backend.hpp).
- * Over the DES twin everything is deterministic — backoff jitter comes
+ * Over the DES twin everything is deterministic: backoff jitter comes
  * from an Rng seeded by (config seed, message key), and every decision
  * is a pure function of the channel's behaviour, so the same seed and
  * fault plan replay the same timeline byte for byte. Over real sockets
@@ -36,11 +35,9 @@
 #include <span>
 
 #include "common/buffer_pool.hpp"
-#include "net/channel.hpp"
 #include "net/transport/backend.hpp"
 #include "net/transport/event_log.hpp"
 #include "net/transport/frame.hpp"
-#include "sim/simulation.hpp"
 
 namespace rog {
 namespace net {
@@ -55,12 +52,11 @@ struct SendResult
     std::size_t attempts = 0;      //!< channel transfers started.
     std::size_t retries = 0;       //!< attempts beyond the first per chunk.
     double backoff_s = 0.0;        //!< total time spent backing off.
-    double payload_bytes = 0.0;    //!< application bytes requested.
-    double bytes_sent = 0.0;       //!< payload + header bytes delivered.
-    double retransmitted_bytes = 0.0; //!< delivered more than once.
+    std::size_t payload_bytes = 0; //!< application bytes requested.
+    std::uint64_t bytes_sent = 0;  //!< payload + header bytes delivered.
+    std::uint64_t retransmitted_bytes = 0; //!< delivered more than once.
     std::size_t corrupt_chunks = 0;   //!< CRC rejections at the receiver.
     std::size_t duplicate_chunks = 0; //!< dedup'd duplicate deliveries.
-    std::size_t reordered_chunks = 0; //!< held-and-flushed chunks.
     double elapsed_s = 0.0;
 };
 
@@ -73,11 +69,10 @@ struct TransportTotals
     std::size_t attempts = 0;
     std::size_t retries = 0;
     double backoff_s = 0.0;
-    double bytes_sent = 0.0;
-    double retransmitted_bytes = 0.0;
+    std::uint64_t bytes_sent = 0;
+    std::uint64_t retransmitted_bytes = 0;
     std::size_t corrupt_chunks = 0;
     std::size_t duplicate_chunks = 0;
-    std::size_t reordered_chunks = 0;
 };
 
 /** The reliability sublayer: one sender endpoint over one backend. */
@@ -95,25 +90,25 @@ class ReliableLink
      */
     ReliableLink(Backend &backend, const TransportConfig &config,
                  EventSink sink = {});
-
-    /**
-     * Convenience: run over the simulated channel via an owned
-     * DesBackend (with no DeliverySink). @p sim and @p channel must
-     * outlive the link.
-     */
-    ReliableLink(sim::Simulation &sim, Channel &channel,
-                 const TransportConfig &config, EventSink sink = {});
     ~ReliableLink();
 
     ReliableLink(const ReliableLink &) = delete;
     ReliableLink &operator=(const ReliableLink &) = delete;
 
     /**
-     * Start sending a message of @p payload_bytes simulated bytes
-     * (callback form). The payload content is synthesized
-     * deterministically from @p key so checksums are real. A
-     * zero-byte payload is valid and travels as one header-only
-     * chunk (delivery still means the frame round-tripped intact).
+     * Start sending the message @p payload; the receiver reassembles
+     * the bytes for its DeliverySink and every checksum is computed
+     * over them. An empty span is a valid zero-length message that
+     * travels as one header-only chunk (delivery still means the
+     * frame round-tripped intact).
+     *
+     * Lifetime: the link leases a retransmission copy from the
+     * BufferPool before returning, so @p payload only has to stay
+     * alive for the duration of this call; retries and resumed
+     * fragments read the leased copy. Under ROG_SANITIZE builds every
+     * attempt re-checksums the leased copy against the CRC taken here
+     * and panics on a mismatch, so a clobbered pool buffer is caught
+     * at the attempt that would have shipped it.
      *
      * @param deadline_s absolute deadline on the backend's clock
      *        (kNoDeadline for none); the send gives up,
@@ -123,29 +118,8 @@ class ReliableLink
      * @param drop invoked instead of @p done on destruction mid-send.
      */
     void startSend(LinkId link, const MessageKey &key,
-                   double payload_bytes, double deadline_s,
+                   std::span<const std::uint8_t> payload, double deadline_s,
                    Callback done, std::function<void()> drop = {});
-
-    /**
-     * As startSend, but carrying @p payload real bytes; the receiver
-     * reassembles them for its DeliverySink and every checksum is
-     * computed over the actual data. An empty span is a valid
-     * zero-length message.
-     *
-     * Lifetime: the link leases a retransmission copy from the
-     * BufferPool before returning, so @p payload only has to stay
-     * alive *for the duration of this call* — retries and resumed
-     * fragments read the leased copy, never the caller's memory.
-     * (Historically the span had to outlive the whole send; that
-     * contract is gone.) Under ROG_SANITIZE builds every attempt
-     * re-checksums the leased copy against the CRC taken here and
-     * panics on a mismatch, so a clobbered pool buffer is caught at
-     * the attempt that would have shipped it.
-     */
-    void startSendPayload(LinkId link, const MessageKey &key,
-                          std::span<const std::uint8_t> payload,
-                          double deadline_s, Callback done,
-                          std::function<void()> drop = {});
 
     /**
      * Abandon every in-flight send (each fires its @p done with
@@ -163,15 +137,6 @@ class ReliableLink
   private:
     struct SendOp;
 
-    /** Own the DES twin the convenience constructor builds. */
-    ReliableLink(std::unique_ptr<Backend> owned,
-                 const TransportConfig &config, EventSink sink);
-
-    void startSendImpl(LinkId link, const MessageKey &key,
-                       double payload_bytes,
-                       std::span<const std::uint8_t> payload,
-                       bool payload_mode, double deadline_s,
-                       Callback done, std::function<void()> drop);
     void attempt(SendOp &op);
     void onFrameVerdict(std::uint64_t op_id, const FrameVerdict &v);
     void dropOp(std::uint64_t op_id);
@@ -181,20 +146,11 @@ class ReliableLink
     void logEvent(TransportEvent::Kind kind, const SendOp &op,
                   std::uint32_t seq, double a = 0.0, double b = 0.0);
 
-    /**
-     * Payload bytes of chunk @p seq for @p op: a view into the leased
-     * payload copy, or the synthesized bytes regenerated into the
-     * op's pooled chunk scratch. Valid until the next call for the
-     * same op; no allocation either way.
-     */
-    std::span<const std::uint8_t> chunkPayloadInto(SendOp &op,
-                                                   std::uint32_t seq) const;
-    /** Cache the current chunk's payload CRC (per chunk, not per
-     *  attempt: retries reuse it). */
-    void refreshChunkCrc(SendOp &op);
-    double chunkLen(const SendOp &op, std::uint32_t seq) const;
+    /** Payload bytes of chunk @p seq of @p op: a view into its leased
+     *  copy. */
+    std::span<const std::uint8_t> chunkPayload(const SendOp &op,
+                                               std::uint32_t seq) const;
 
-    std::unique_ptr<Backend> owned_backend_; //!< convenience-ctor DES twin.
     Backend &backend_;
     TransportConfig config_;
     EventSink sink_;

@@ -87,9 +87,7 @@ makeAck(const FrameHeader &data, const FrameAssembler::Result &r)
         ack.flags |= kFlagAckCrcFail;
         return ack;
     }
-    if (r.decision.held)
-        ack.flags |= kFlagAckHeld;
-    else if (r.decision.duplicates > 0 && r.decision.fresh_accepts == 0)
+    if (r.decision.duplicates > 0 && r.decision.fresh_accepts == 0)
         ack.flags |= kFlagAckDup;
     if (r.decision.message_complete)
         ack.flags |= kFlagAckComplete;
@@ -130,10 +128,8 @@ SocketSenderBase::cancelTimer(TimerId id)
 }
 
 std::uint64_t
-SocketSenderBase::openSend(LinkId link, const MessageKey &key,
-                           bool payload_mode)
+SocketSenderBase::openSend(LinkId link, const MessageKey &key)
 {
-    (void)payload_mode; // the receiver's peer decides what to retain.
     const std::uint64_t id = next_send_++;
     streams_[id] = Stream{link, key};
     return id;
@@ -150,19 +146,15 @@ void
 SocketSenderBase::sendFrame(std::uint64_t send_id, const FrameHeader &hdr,
                             std::span<const std::uint8_t> frag,
                             std::span<const std::uint8_t> chunk,
-                            double frag_len, double chunk_len,
                             double timeout_s, VerdictCallback done,
                             std::function<void()> drop)
 {
     (void)chunk;
-    (void)chunk_len;
     (void)drop; // the socket cannot be torn down under the link.
     ROG_ASSERT(streams_.count(send_id) != 0,
                "sendFrame on unopened stream");
     ROG_ASSERT(pending_.count(send_id) == 0,
                "transport stream is stop-and-wait");
-    ROG_ASSERT(static_cast<double>(frag.size()) == frag_len,
-               "socket backends need integral byte lengths");
 
     std::vector<std::uint8_t> bytes(FrameHeader::kWireSize + frag.size());
     hdr.serialize({bytes.data(), FrameHeader::kWireSize});
@@ -172,7 +164,6 @@ SocketSenderBase::sendFrame(std::uint64_t send_id, const FrameHeader &hdr,
     Pending p;
     p.send_id = send_id;
     p.hdr = hdr;
-    p.frag_len = frag_len;
     p.done = std::move(done);
     p.started = loop_.now();
     const double wait = std::isfinite(timeout_s)
@@ -208,10 +199,12 @@ SocketSenderBase::handleAck(const FrameHeader &ack)
     if (ack.flags & kFlagAckPartial) {
         // The receiver holds a contiguous prefix; what this attempt
         // delivered is whatever extends past its own start offset.
-        const double progress = std::clamp(
-            static_cast<double>(ack.payload_off) -
-                static_cast<double>(p.hdr.payload_off),
-            0.0, p.frag_len);
+        const std::uint64_t progress =
+            ack.payload_off > p.hdr.payload_off
+                ? std::min<std::uint64_t>(
+                      ack.payload_off - p.hdr.payload_off,
+                      p.hdr.payload_len)
+                : 0;
         v.bytes_sent = FrameHeader::kWireSize + progress;
         recordAttempt(p, AttemptOutcome::Partial, v.bytes_sent, false);
         p.done(v);
@@ -219,7 +212,7 @@ SocketSenderBase::handleAck(const FrameHeader &ack)
     }
 
     v.completed = true;
-    v.bytes_sent = FrameHeader::kWireSize + p.frag_len;
+    v.bytes_sent = FrameHeader::kWireSize + p.hdr.payload_len;
     v.message_complete = (ack.flags & kFlagAckComplete) != 0;
     if (ack.flags & kFlagAckCrcFail) {
         recordAttempt(p, AttemptOutcome::Corrupt, v.bytes_sent, false);
@@ -228,10 +221,7 @@ SocketSenderBase::handleAck(const FrameHeader &ack)
     }
     v.crc_ok = true;
     AttemptOutcome out = AttemptOutcome::Accept;
-    if (ack.flags & kFlagAckHeld) {
-        v.held = true;
-        out = AttemptOutcome::Held;
-    } else if (ack.flags & kFlagAckDup) {
+    if (ack.flags & kFlagAckDup) {
         v.duplicates = 1;
         out = AttemptOutcome::Dup;
     } else {
@@ -249,14 +239,14 @@ SocketSenderBase::resolveTimeout(std::uint64_t send_id)
         return;
     Pending p = std::move(it->second);
     pending_.erase(it);
-    recordAttempt(p, AttemptOutcome::Timeout, 0.0, false);
+    recordAttempt(p, AttemptOutcome::Timeout, 0, false);
     FrameVerdict v; // nothing came back: no progress to report.
     p.done(v);
 }
 
 void
 SocketSenderBase::recordAttempt(const Pending &p, AttemptOutcome out,
-                                double bytes_sent, bool complete)
+                                std::uint64_t bytes_sent, bool complete)
 {
     if (!trace_)
         return;
@@ -274,21 +264,14 @@ SocketSenderBase::recordAttempt(const Pending &p, AttemptOutcome out,
 }
 
 void
-SocketSenderBase::finishSend(std::uint64_t send_id, bool delivered)
+SocketSenderBase::closeSend(std::uint64_t send_id)
 {
-    (void)delivered; // receiver-side flush happens in the peer.
     auto it = pending_.find(send_id);
     if (it != pending_.end()) {
         loop_.cancel(it->second.timer);
         pending_.erase(it);
     }
     streams_.erase(send_id);
-}
-
-void
-SocketSenderBase::abortSend(std::uint64_t send_id)
-{
-    finishSend(send_id, false);
 }
 
 void
@@ -520,18 +503,11 @@ TcpBackend::closeStream(const char *why)
 // ------------------------------------------------- ReceiverEndpointBase
 
 ReceiverEndpointBase::ReceiverEndpointBase(PollLoop &loop,
-                                           bool store_payload)
-    : loop_(loop), receiver_([&loop] { return loop.now(); }),
-      assembler_(receiver_, store_payload), store_payload_(store_payload)
+                                           DeliverySink deliver)
+    : loop_(loop),
+      receiver_([&loop] { return loop.now(); }, {}, std::move(deliver)),
+      assembler_(receiver_)
 {
-}
-
-void
-ReceiverEndpointBase::setDeliverySink(DeliverySink sink)
-{
-    ROG_ASSERT(store_payload_,
-               "delivery sink needs store_payload at construction");
-    delivery_ = std::move(sink);
 }
 
 void
@@ -558,10 +534,6 @@ ReceiverEndpointBase::onDataFrame(const FrameHeader &hdr,
         rec.crc_ok = r.chunk_complete ? r.decision.crc_ok : true;
         trace_->rx.push_back(rec);
     }
-
-    if (r.delivered && delivery_)
-        delivery_(keyOf(hdr), std::move(r.payload));
-
     return makeAck(hdr, r);
 }
 
@@ -569,9 +541,9 @@ ReceiverEndpointBase::onDataFrame(const FrameHeader &hdr,
 
 UdpReceiverEndpoint::UdpReceiverEndpoint(PollLoop &loop,
                                          std::uint16_t port,
-                                         bool store_payload,
+                                         DeliverySink deliver,
                                          double bind_retry_window_s)
-    : ReceiverEndpointBase(loop, store_payload)
+    : ReceiverEndpointBase(loop, std::move(deliver))
 {
     fd_.reset(::socket(AF_INET, SOCK_DGRAM, 0));
     if (!fd_) {
@@ -643,9 +615,9 @@ UdpReceiverEndpoint::onReadable()
 
 TcpReceiverEndpoint::TcpReceiverEndpoint(PollLoop &loop,
                                          std::uint16_t port,
-                                         bool store_payload,
+                                         DeliverySink deliver,
                                          double bind_retry_window_s)
-    : ReceiverEndpointBase(loop, store_payload)
+    : ReceiverEndpointBase(loop, std::move(deliver))
 {
     listen_fd_.reset(::socket(AF_INET, SOCK_STREAM, 0));
     if (!listen_fd_) {

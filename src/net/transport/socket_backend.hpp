@@ -78,16 +78,13 @@ class SocketSenderBase : public Backend
     double now() const override;
     TimerId after(double delay_s, std::function<void()> fire) override;
     void cancelTimer(TimerId id) override;
-    std::uint64_t openSend(LinkId link, const MessageKey &key,
-                           bool payload_mode) override;
+    std::uint64_t openSend(LinkId link, const MessageKey &key) override;
     void sendFrame(std::uint64_t send_id, const FrameHeader &hdr,
                    std::span<const std::uint8_t> frag,
-                   std::span<const std::uint8_t> chunk, double frag_len,
-                   double chunk_len, double timeout_s,
+                   std::span<const std::uint8_t> chunk, double timeout_s,
                    VerdictCallback done,
                    std::function<void()> drop) override;
-    void finishSend(std::uint64_t send_id, bool delivered) override;
-    void abortSend(std::uint64_t send_id) override;
+    void closeSend(std::uint64_t send_id) override;
     void setReceiverEventSink(EventSink sink) override;
 
     /** The socket was created and connected successfully. */
@@ -105,7 +102,6 @@ class SocketSenderBase : public Backend
     {
         std::uint64_t send_id = 0;
         FrameHeader hdr;
-        double frag_len = 0.0;
         VerdictCallback done;
         double started = 0.0;
         PollLoop::TimerHandle timer = 0;
@@ -119,7 +115,7 @@ class SocketSenderBase : public Backend
 
     void resolveTimeout(std::uint64_t send_id);
     void recordAttempt(const Pending &p, AttemptOutcome out,
-                       double bytes_sent, bool complete);
+                       std::uint64_t bytes_sent, bool complete);
     void fail(const std::string &what);
 
     PollLoop &loop_;
@@ -184,30 +180,23 @@ class TcpBackend : public SocketSenderBase
 /**
  * Receiver-side endpoint shared state: the protocol half
  * (ChunkReceiver + FrameAssembler) and the optional consumers of its
- * decisions — an EventSink for the structured event log and a
- * TransportTrace for the per-frame RxRecords the cross-validation
- * harness replays. Neither is kept unless the caller attaches it, and
- * a delivered message costs only its dedup record
- * (FrameAssembler).
+ * decisions: a DeliverySink for delivered payloads, an EventSink for
+ * the structured event log and a TransportTrace for the per-frame
+ * RxRecords the cross-validation harness replays. None is kept unless
+ * the caller attaches it, and a delivered message costs only its
+ * dedup record (FrameAssembler).
  */
 class ReceiverEndpointBase
 {
   public:
     /**
-     * @param store_payload reassemble payloads so a DeliverySink
-     *        can hand them up; transport-only endpoints leave it off
-     *        and keep only the decision state.
+     * @param deliver receives each delivered message's payload (the
+     *        session layer's receive path) once; a late duplicate is
+     *        ACKed, never handed up again. Without one the endpoint
+     *        keeps no payload bytes, only the decision state.
      */
-    explicit ReceiverEndpointBase(PollLoop &loop,
-                                  bool store_payload = false);
+    explicit ReceiverEndpointBase(PollLoop &loop, DeliverySink deliver = {});
     virtual ~ReceiverEndpointBase() = default;
-
-    /**
-     * Hand each delivered message's payload (the session layer's
-     * receive path) to @p sink; a late duplicate is ACKed, never
-     * handed up again. Requires construction with store_payload.
-     */
-    void setDeliverySink(DeliverySink sink);
 
     /** Stream every receiver decision as a TransportEvent. */
     void setEventSink(EventSink sink)
@@ -235,8 +224,6 @@ class ReceiverEndpointBase
     PollLoop &loop_;
     ChunkReceiver receiver_;
     FrameAssembler assembler_;
-    bool store_payload_ = false;
-    DeliverySink delivery_;
     TransportTrace *trace_ = nullptr;
     std::string last_error_;
 };
@@ -248,9 +235,10 @@ class UdpReceiverEndpoint : public ReceiverEndpointBase
 {
   public:
     /** @param port 0 binds an ephemeral port (see port()).
+     *  @param deliver see ReceiverEndpointBase.
      *  @param bind_retry_window_s see SocketOptions. */
     UdpReceiverEndpoint(PollLoop &loop, std::uint16_t port,
-                        bool store_payload = false,
+                        DeliverySink deliver = {},
                         double bind_retry_window_s = 0.0);
     ~UdpReceiverEndpoint() override;
 
@@ -275,7 +263,7 @@ class TcpReceiverEndpoint : public ReceiverEndpointBase
 {
   public:
     TcpReceiverEndpoint(PollLoop &loop, std::uint16_t port,
-                        bool store_payload = false,
+                        DeliverySink deliver = {},
                         double bind_retry_window_s = 0.0);
     ~TcpReceiverEndpoint() override;
 

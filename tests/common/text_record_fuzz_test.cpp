@@ -161,7 +161,6 @@ TEST(TextRecordFuzz, FaultPlanMutantsAreRejectedOrRoundTrip)
         "timeout link=1 at=2 after=0.5\n"
         "corrupt link=0 at=1 # mid-line comment\n"
         "duplicate link=1 at=3\n"
-        "reorder link=0 at=5\n"
         "crash worker=0 at=10 rejoin=20 detect=2\n"
         "leave worker=1 at=7\n"
         "server_crash iter=3\n",
@@ -172,7 +171,6 @@ TEST(TextRecordFuzz, FaultPlanMutantsAreRejectedOrRoundTrip)
     cfg.horizon_s = 30.0;
     cfg.max_corruptions_per_link = 1;
     cfg.max_duplicates_per_link = 1;
-    cfg.max_reorders_per_link = 1;
     cfg.crash_prob = 0.5;
     cfg.leave_prob = 0.5;
     for (std::uint64_t s = 0; s < 8; ++s)

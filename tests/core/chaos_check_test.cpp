@@ -68,11 +68,10 @@ class ChaosCheckTest : public ::testing::Test
         std::unique_ptr<Workload> workload = makeNodeWorkload(cfg_);
         std::unique_ptr<nn::Model> model = workload->buildReplica();
         nn::saveModelFile(path("model.rogm"), *model);
-        const double metric = workload->evaluate(*model);
+        metric_ = std::to_string(workload->evaluate(*model));
         write("server_events.log", "");
         write("des_summary.txt", "done 1\nmetric_name accuracy\nmetric " +
-                                     std::to_string(metric) +
-                                     "\napplied_pushes 4\n");
+                                     metric_ + "\napplied_pushes 4\n");
     }
 
     std::string
@@ -114,6 +113,7 @@ class ChaosCheckTest : public ::testing::Test
     }
 
     NodeRunConfig cfg_;
+    std::string metric_; //!< the saved model's metric, as text.
 };
 
 /** One incarnation, both workers admitted fresh, applied, finished. */
@@ -353,6 +353,30 @@ TEST_F(ChaosCheckTest, MalformedTwinMetricIsAReportedViolation)
     const ChaosCheckResult res = check(kCleanRun, ChaosCheckOptions{});
     EXPECT_FALSE(res.ok);
     EXPECT_TRUE(hasViolation(res, "des_summary.txt")) << violations(res);
+}
+
+TEST_F(ChaosCheckTest, TwinSummaryTrailingTokenIsAReportedViolation)
+{
+    // The value itself matches the model; only the extra token is bad.
+    write("des_summary.txt",
+          "done 1\nmetric_name accuracy\nmetric " + metric_ + " junk\n");
+    const ChaosCheckResult res = check(kCleanRun, ChaosCheckOptions{});
+    EXPECT_FALSE(res.ok);
+    EXPECT_TRUE(hasViolation(res, "des_summary.txt: line 3"))
+        << violations(res);
+}
+
+TEST_F(ChaosCheckTest, TwinSummaryRepeatedKeyIsAReportedViolation)
+{
+    // The last value matches the model; the first one must not be
+    // silently overwritten.
+    write("des_summary.txt", "done 1\nmetric 10\nmetric_name accuracy\n"
+                             "metric " + metric_ + "\n");
+    const ChaosCheckResult res = check(kCleanRun, ChaosCheckOptions{});
+    EXPECT_FALSE(res.ok);
+    EXPECT_TRUE(hasViolation(res, "des_summary.txt: line 4: repeated "
+                                  "key 'metric'"))
+        << violations(res);
 }
 
 TEST_F(ChaosCheckTest, MalformedRecoveredVersionIsAReportedViolation)

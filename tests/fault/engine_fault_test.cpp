@@ -259,11 +259,10 @@ TEST(EngineFault, BspStallsThroughOutageWhileRogRides)
 TEST(EngineFaultDeathTest, CorruptionClassRulesAreRejected)
 {
     // The engine moves bulk transfers: it can truncate or cut one, but
-    // it has no frames to corrupt, duplicate or reorder. Such a rule
-    // must stop the run instead of being silently ignored.
+    // it has no frames to corrupt or duplicate. Such a rule must stop
+    // the run instead of being silently ignored.
     for (const char *spec : {"corrupt link=1 at=3",
-                             "duplicate link=0 at=2",
-                             "reorder link=2 at=4"}) {
+                             "duplicate link=0 at=2"}) {
         SCOPED_TRACE(spec);
         const FaultPlan plan = FaultPlan::parse(spec);
         EXPECT_DEATH(runWithPlan(core::SystemConfig::rog(4),

@@ -105,14 +105,12 @@ TEST(FaultPlan, CorruptionClassSpecRoundTrips)
 {
     const FaultPlan p = FaultPlan::parse(
         "corrupt   link=1 at=12\n"
-        "duplicate link=0 at=3\n"
-        "reorder   link=2 at=5\n");
-    ASSERT_EQ(p.transfer_faults.size(), 3u);
+        "duplicate link=0 at=3\n");
+    ASSERT_EQ(p.transfer_faults.size(), 2u);
     EXPECT_TRUE(p.transfer_faults[0].corrupt);
     EXPECT_EQ(p.transfer_faults[0].link, 1u);
     EXPECT_TRUE(p.transfer_faults[1].duplicate);
-    EXPECT_TRUE(p.transfer_faults[2].reorder);
-    EXPECT_DOUBLE_EQ(p.transfer_faults[2].at_s, 5.0);
+    EXPECT_DOUBLE_EQ(p.transfer_faults[1].at_s, 3.0);
     const FaultPlan q = FaultPlan::parse(p.toSpec());
     EXPECT_EQ(p.toSpec(), q.toSpec());
 }
@@ -124,22 +122,19 @@ TEST(FaultPlan, RandomGeneratesCorruptionClassesWhenEnabled)
     cfg.horizon_s = 60.0;
     cfg.max_corruptions_per_link = 3;
     cfg.max_duplicates_per_link = 3;
-    cfg.max_reorders_per_link = 3;
-    std::size_t corrupt = 0, duplicate = 0, reorder = 0;
+    std::size_t corrupt = 0, duplicate = 0;
     for (std::uint64_t s = 0; s < 20; ++s) {
         const FaultPlan p = FaultPlan::random(s, cfg);
         p.validate();
         for (const auto &r : p.transfer_faults) {
             corrupt += r.corrupt;
             duplicate += r.duplicate;
-            reorder += r.reorder;
         }
         // Enabling the knobs keeps the spec round-trip exact.
         EXPECT_EQ(FaultPlan::parse(p.toSpec()).toSpec(), p.toSpec());
     }
     EXPECT_GT(corrupt, 0u);
     EXPECT_GT(duplicate, 0u);
-    EXPECT_GT(reorder, 0u);
 }
 
 TEST(FaultPlan, ZeroedCorruptionKnobsDrawNoRng)
@@ -151,7 +146,6 @@ TEST(FaultPlan, ZeroedCorruptionKnobsDrawNoRng)
     auto with_knob_fields = cfg; // same values, knobs explicitly 0.
     with_knob_fields.max_corruptions_per_link = 0;
     with_knob_fields.max_duplicates_per_link = 0;
-    with_knob_fields.max_reorders_per_link = 0;
     for (std::uint64_t s = 0; s < 10; ++s)
         EXPECT_EQ(FaultPlan::random(s, cfg).toSpec(),
                   FaultPlan::random(s, with_knob_fields).toSpec());
@@ -174,6 +168,9 @@ TEST(FaultPlanParse, RejectsUnknownKeyword)
 {
     expectReject("frobnicate link=0 at=1\n",
                  {"line 1", "unknown keyword 'frobnicate'"});
+    // The reorder rule went with the receiver's reorder hold.
+    expectReject("corrupt link=0 at=1\nreorder link=0 at=5\n",
+                 {"line 2", "unknown keyword 'reorder'"});
 }
 
 TEST(FaultPlanParse, RejectsUnknownKey)

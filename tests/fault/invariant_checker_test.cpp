@@ -81,8 +81,7 @@ TEST(CheckerTransportInvariants, ResumePastTheRequestIsOneViolation)
 TEST(CheckerTransportInvariants, OtherKindsAreNotChecked)
 {
     InvariantChecker c;
-    for (const Kind k : {Kind::Attempt, Kind::Backoff, Kind::ReorderHold,
-                         Kind::Fail})
+    for (const Kind k : {Kind::Attempt, Kind::Backoff, Kind::Fail})
         c.onTransportEvent(event(k, kPush));
     EXPECT_TRUE(c.clean());
     EXPECT_EQ(c.checksRun(), 0u);

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "common/poll_loop.hpp"
+#include "net/transport/payload.hpp"
 #include "net/transport/reliable_link.hpp"
 #include "net/transport/socket_backend.hpp"
 #include "net/transport/socket_fault.hpp"
@@ -28,7 +29,7 @@ struct LoopbackSpec
 {
     std::string backend = "udp"; //!< "udp" or "tcp".
     std::size_t sends = 1;
-    double bytes = 4096.0;
+    std::size_t bytes = 4096;
     double deadline_rel = kNoDeadline; //!< per-send, from its start.
     TransportConfig config;
     SocketOptions opts;
@@ -64,7 +65,7 @@ loopbackKey(std::size_t i)
 
 /** Fast-suite-friendly knobs: short waits, quick backoff. */
 inline LoopbackSpec
-quickSpec(const std::string &backend, std::size_t sends, double bytes)
+quickSpec(const std::string &backend, std::size_t sends, std::size_t bytes)
 {
     LoopbackSpec spec;
     spec.backend = backend;
@@ -144,8 +145,10 @@ runLoopback(const LoopbackSpec &spec)
         const double deadline = std::isfinite(spec.deadline_rel)
                                     ? sock->now() + spec.deadline_rel
                                     : kNoDeadline;
-        link.startSend(0, key, spec.bytes, deadline,
-                       [&, i](SendResult r) {
+        link.startSend(0, key,
+                       synthesizeMessage(key, spec.bytes,
+                                         spec.config.chunk_bytes),
+                       deadline, [&, i](SendResult r) {
                            ++out.completed;
                            if (r.delivered)
                                ++out.delivered;

@@ -42,7 +42,7 @@ class BlackholeBackend : public Backend
     void cancelTimer(TimerId id) override { timers_.erase(id); }
 
     std::uint64_t
-    openSend(LinkId, const MessageKey &, bool) override
+    openSend(LinkId, const MessageKey &) override
     {
         return next_send_++;
     }
@@ -50,14 +50,12 @@ class BlackholeBackend : public Backend
     void
     sendFrame(std::uint64_t, const FrameHeader &,
               std::span<const std::uint8_t>, std::span<const std::uint8_t>,
-              double, double, double, VerdictCallback done,
-              std::function<void()>) override
+              double, VerdictCallback done, std::function<void()>) override
     {
         pending_.push_back(std::move(done));
     }
 
-    void finishSend(std::uint64_t, bool) override {}
-    void abortSend(std::uint64_t) override {}
+    void closeSend(std::uint64_t) override {}
     void setReceiverEventSink(EventSink) override {}
 
     /** Resolve one lost frame or fire the next due timer. */
@@ -103,7 +101,7 @@ TEST(TransportBackoffCap, ExponentSaturatesAtTheBoundary)
 {
     BlackholeBackend wire;
     TransportConfig cfg;
-    cfg.chunk_bytes = 256.0;
+    cfg.chunk_bytes = 256;
     cfg.max_attempts_per_chunk = 0; // unbounded: ride out the partition.
     cfg.backoff_base_s = 1e-6;
     cfg.backoff_max_s = 1e18; // so the delay exposes the raw 2^exp.
@@ -115,7 +113,8 @@ TEST(TransportBackoffCap, ExponentSaturatesAtTheBoundary)
 
     bool finished = false;
     link.startSend(
-        1, MessageKey{1, 1, 0, false}, 64.0, kNoDeadline,
+        1, MessageKey{1, 1, 0, false}, std::vector<std::uint8_t>(64),
+        kNoDeadline,
         [&](SendResult) { finished = true; });
 
     // Enough lost-frame/retry cycles to blow well past the cap were it
@@ -160,7 +159,7 @@ TEST(TransportBackoffCap, MaxDelayStillRulesWhenSmaller)
     // The cap must not disturb the existing saturation at max.
     BlackholeBackend wire;
     TransportConfig cfg;
-    cfg.chunk_bytes = 256.0;
+    cfg.chunk_bytes = 256;
     cfg.max_attempts_per_chunk = 0;
     cfg.backoff_base_s = 0.05;
     cfg.backoff_max_s = 2.0;
@@ -170,7 +169,8 @@ TEST(TransportBackoffCap, MaxDelayStillRulesWhenSmaller)
         events.push_back(ev);
     });
 
-    link.startSend(1, MessageKey{1, 1, 0, false}, 64.0, kNoDeadline,
+    link.startSend(1, MessageKey{1, 1, 0, false},
+                   std::vector<std::uint8_t>(64), kNoDeadline,
                    [](SendResult) {});
     for (std::size_t i = 0; i < 2 * (kMaxBackoffExponent + 8); ++i)
         ASSERT_TRUE(wire.step());

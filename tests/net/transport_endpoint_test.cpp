@@ -61,12 +61,11 @@ class UdpEndpointDelivery : public ::testing::Test
     SetUp() override
     {
         ep_ = std::make_unique<UdpReceiverEndpoint>(
-            loop_, 0, /*store_payload=*/true);
-        ASSERT_TRUE(ep_->ok()) << ep_->error();
-        ep_->setDeliverySink(
+            loop_, 0,
             [this](const MessageKey &, std::vector<std::uint8_t> &&p) {
                 delivered_.push_back(std::move(p));
             });
+        ASSERT_TRUE(ep_->ok()) << ep_->error();
         client_.reset(::socket(AF_INET, SOCK_DGRAM, 0));
         ASSERT_TRUE(client_);
         sockaddr_in addr{};

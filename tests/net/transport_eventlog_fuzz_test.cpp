@@ -54,8 +54,7 @@ TEST(EventLogParse, EveryKindRoundTrips)
 {
     using K = TransportEvent::Kind;
     for (K kind : {K::Attempt, K::Resume, K::Backoff, K::Accept,
-                   K::Duplicate, K::CorruptDrop, K::ReorderHold,
-                   K::Deliver, K::Fail}) {
+                   K::Duplicate, K::CorruptDrop, K::Deliver, K::Fail}) {
         TransportEvent ev = sampleEvent();
         ev.kind = kind;
         const auto parsed = tryParseEvent(toString(ev));
@@ -112,6 +111,8 @@ TEST(EventLogParse, EveryRejectionPathNamesTheProblem)
          "bad number for 't'"},
         {"t=1 attempt link=0 w=1 v=2 row=3 dir=push seq=0 a=nan b=2",
          "bad number for 'a'"},
+        {"t=1 reorder-hold link=0 w=1 v=2 row=3 dir=push seq=0 a=0 b=0",
+         "unknown event kind 'reorder-hold'"},
     };
     for (const RejectCase &c : cases) {
         const auto parsed = tryParseEvent(c.line);
@@ -128,7 +129,7 @@ TEST(EventLogParse, FuzzedEventsRoundTripExactly)
     for (int i = 0; i < 2000; ++i) {
         TransportEvent ev;
         ev.t = rng.uniform(-10.0, 1e6);
-        ev.kind = static_cast<TransportEvent::Kind>(rng.uniformInt(9));
+        ev.kind = static_cast<TransportEvent::Kind>(rng.uniformInt(8));
         ev.link = static_cast<LinkId>(rng.uniformInt(64));
         ev.key.worker =
             static_cast<std::uint16_t>(rng.uniformInt(65536));
@@ -174,7 +175,7 @@ TEST(EventLogParse, InterleavedLinksRoundTripInOrder)
         ev.t = 0.01 * i;
         ev.link = static_cast<LinkId>(rng.uniformInt(8));
         ev.key.worker = static_cast<std::uint16_t>(ev.link);
-        ev.kind = static_cast<TransportEvent::Kind>(rng.uniformInt(9));
+        ev.kind = static_cast<TransportEvent::Kind>(rng.uniformInt(8));
         ev.chunk_seq = static_cast<std::uint32_t>(i);
         log.push_back(ev);
     }
@@ -264,7 +265,10 @@ TEST(TraceParse, EveryRejectionPathNamesTheProblem)
          "unsupported trace version 'v2'"},
         {"trace v1 backend=udp chunk=0 attempts=8 base=0.05 max=2 "
          "jitter=0.25 jseed=7 resume=1\n",
-         "chunk must be positive"},
+         "chunk must be in [1, 1048576]"},
+        {"trace v1 backend=udp chunk=1048577 attempts=8 base=0.05 max=2 "
+         "jitter=0.25 jseed=7 resume=1\n",
+         "chunk must be in [1, 1048576]"},
         {"trace v1 backend=udp chunk=16384 attempts=8 base=0.05 max=2 "
          "jitter=1.5 jseed=7 resume=1\n",
          "jitter must be in [0, 1)"},
@@ -289,19 +293,27 @@ TEST(TraceParse, EveryRejectionPathNamesTheProblem)
         {"send link=0 w=1 v=0 row=1 dir=push bytes=1\n",
          "send record needs 8 fields"},
         {"send link=0 w=1 v=0 row=1 dir=push bytes=-4 deadline=inf\n",
-         "send bytes must be non-negative"},
+         "bad integer for 'bytes'"},
+        {"send link=0 w=1 v=0 row=1 dir=push bytes=1.5 deadline=inf\n",
+         "bad integer for 'bytes'"},
         {"att link=0 w=1 v=0 row=1 dir=push seq=0 off=0 out=accept "
          "bytes=1 elapsed=0\n",
          "att record needs 12 fields"},
         {"att link=0 w=1 v=0 row=1 dir=push seq=0 off=0 out=vanished "
          "bytes=1 elapsed=0 complete=0\n",
          "unknown attempt outcome 'vanished'"},
+        {"att link=0 w=1 v=0 row=1 dir=push seq=0 off=0 out=held "
+         "bytes=1 elapsed=0 complete=0\n",
+         "unknown attempt outcome 'held'"},
         {"att link=0 w=1 v=0 row=1 dir=push seq=0 off=0 out=accept "
          "bytes=1 elapsed=0 complete=3\n",
          "complete must be 0 or 1"},
         {"att link=0 w=1 v=0 row=1 dir=push seq=0 off=0 out=accept "
          "bytes=-1 elapsed=0 complete=0\n",
-         "att bytes/elapsed must be non-negative"},
+         "bad integer for 'bytes'"},
+        {"att link=0 w=1 v=0 row=1 dir=push seq=0 off=0 out=accept "
+         "bytes=1 elapsed=-1 complete=0\n",
+         "att elapsed must be non-negative"},
         {"rx link=0 w=1 v=0 row=1 dir=push seq=0 off=0 len=1 got=1\n",
          "rx record needs 11 fields"},
         {"rx link=0 w=1 v=0 row=1 dir=push seq=0 off=0 len=1 got=2 "
@@ -314,7 +326,7 @@ TEST(TraceParse, EveryRejectionPathNamesTheProblem)
          "bytes=1 elapsed=0 complete=0\n",
          "bad integer for 'seq'"},
         {"send link=0 w=1 v=0 row=1 dir=push bytes=nan deadline=inf\n",
-         "bad number for 'bytes'"},
+         "bad integer for 'bytes'"},
         {"att link=0 w=1 v=0 row=1 dir=push seq=0 off=0 out=accept "
          "bytes=1 elapsed=nan complete=0\n",
          "bad number for 'elapsed'"},
@@ -341,7 +353,7 @@ TEST(TraceParse, FuzzedTracesRoundTripExactly)
     for (int iter = 0; iter < 50; ++iter) {
         TransportTrace trace;
         trace.config.backend = (iter % 2) != 0 ? "udp" : "tcp";
-        trace.config.chunk_bytes = rng.uniform(1.0, 65536.0);
+        trace.config.chunk_bytes = 1 + rng.uniformInt(65536);
         trace.config.max_attempts =
             static_cast<std::size_t>(1 + rng.uniformInt(16));
         trace.config.jitter_frac = rng.uniform(0.0, 0.99);
@@ -355,7 +367,7 @@ TEST(TraceParse, FuzzedTracesRoundTripExactly)
             rec.key.row =
                 static_cast<std::uint32_t>(rng.uniformInt(1000));
             rec.key.pull = rng.uniform() < 0.5;
-            rec.payload_bytes = rng.uniform(0.0, 1e6);
+            rec.payload_bytes = rng.uniformInt(1000001);
             rec.deadline_s =
                 rng.uniform() < 0.3
                     ? std::numeric_limits<double>::infinity()
@@ -367,8 +379,8 @@ TEST(TraceParse, FuzzedTracesRoundTripExactly)
             att.chunk_seq =
                 static_cast<std::uint32_t>(rng.uniformInt(8));
             att.payload_off = rng.uniformInt(1u << 20);
-            att.outcome = static_cast<AttemptOutcome>(rng.uniformInt(6));
-            att.bytes_sent = rng.uniform(0.0, 70000.0);
+            att.outcome = static_cast<AttemptOutcome>(rng.uniformInt(5));
+            att.bytes_sent = rng.uniformInt(70001);
             att.elapsed_s = rng.uniform(0.0, 2.0);
             att.message_complete = rng.uniform() < 0.5;
             trace.attempts.push_back(att);

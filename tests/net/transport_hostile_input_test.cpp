@@ -82,13 +82,13 @@ client(int type, std::uint16_t port)
 TEST(HostileFrame, UdpEndpointSurvivesAnOffsetPastMaxChunk)
 {
     PollLoop loop;
-    UdpReceiverEndpoint ep(loop, 0, /*store_payload=*/true);
-    ASSERT_TRUE(ep.ok()) << ep.error();
     std::size_t delivered = 0;
-    ep.setDeliverySink([&delivered](const MessageKey &,
-                                    std::vector<std::uint8_t> &&) {
-        ++delivered;
-    });
+    UdpReceiverEndpoint ep(loop, 0,
+                           [&delivered](const MessageKey &,
+                                        std::vector<std::uint8_t> &&) {
+                               ++delivered;
+                           });
+    ASSERT_TRUE(ep.ok()) << ep.error();
     UniqueFd c = client(SOCK_DGRAM, ep.port());
     ASSERT_TRUE(c);
 
@@ -153,8 +153,10 @@ TEST(HostileFrame, RandomHeadersKeepChunkBuffersBounded)
     for (std::size_t i = 0; i < 10000; ++i) {
         if (i % 8 == 0) {
             assembler.reset();
-            rx = std::make_unique<ChunkReceiver>([] { return 0.0; });
-            assembler = std::make_unique<FrameAssembler>(*rx, true);
+            rx = std::make_unique<ChunkReceiver>(
+                [] { return 0.0; }, EventSink{},
+                [](const MessageKey &, std::vector<std::uint8_t> &&) {});
+            assembler = std::make_unique<FrameAssembler>(*rx);
         }
         FrameHeader hdr;
         hdr.flags = static_cast<std::uint16_t>(rng.uniformInt(2));
@@ -225,7 +227,8 @@ class TcpEndpointGarbage : public ::testing::Test
         ASSERT_TRUE(tx.ok()) << tx.error();
         ReliableLink link(tx, TransportConfig{});
         std::optional<SendResult> out;
-        link.startSend(0, MessageKey{1, 9, 2, false}, 3000.0, kNoDeadline,
+        link.startSend(0, MessageKey{1, 9, 2, false},
+                       std::vector<std::uint8_t>(3000), kNoDeadline,
                        [&out](SendResult r) { out = r; });
         ASSERT_TRUE(loop_.runUntil([&] { return out.has_value(); }, 10.0));
         EXPECT_TRUE(out->delivered);
@@ -288,7 +291,8 @@ class TcpSenderGarbage : public TcpEndpointGarbage
         TcpBackend tx(loop_, "127.0.0.1", ntohs(addr.sin_port));
         ASSERT_TRUE(tx.ok()) << tx.error();
         ReliableLink link(tx, TransportConfig{});
-        link.startSend(0, MessageKey{1, 9, 2, false}, 3000.0, kNoDeadline,
+        link.startSend(0, MessageKey{1, 9, 2, false},
+                       std::vector<std::uint8_t>(3000), kNoDeadline,
                        [](SendResult) {});
         UniqueFd conn;
         const bool dropped = loop_.runUntil(

@@ -3,9 +3,9 @@
  * Unit tests for the reliable transport sublayer: framed chunked
  * delivery over the fluid channel, resume-from-offset after a cut
  * link, CRC-triggered retransmission of corrupted chunks, duplicate
- * deduplication, reorder holds, deadline-aware give-up, attempt caps,
- * payload reassembly, and teardown safety — each driven by a curated
- * fault plan and watched by the InvariantChecker.
+ * deduplication, deadline-aware give-up, attempt caps, payload
+ * reassembly, and teardown safety — each driven by a curated fault
+ * plan and watched by the InvariantChecker.
  */
 #include <gtest/gtest.h>
 
@@ -17,6 +17,7 @@
 #include "fault/fault_plan.hpp"
 #include "fault/invariant_checker.hpp"
 #include "net/transport/des_backend.hpp"
+#include "net/transport/payload.hpp"
 #include "net/transport/reliable_link.hpp"
 #include "sim/simulation.hpp"
 
@@ -53,10 +54,11 @@ struct Bench
     std::vector<std::pair<MessageKey, std::vector<std::uint8_t>>> delivered;
     std::unique_ptr<DesBackend> backend;
     std::unique_ptr<ReliableLink> link;
+    std::size_t chunk_bytes = 0;
 
     explicit Bench(const TransportConfig &cfg, fault::FaultPlan p = {},
                    double rate = 1000.0)
-        : plan(std::move(p))
+        : plan(std::move(p)), chunk_bytes(cfg.chunk_bytes)
     {
         injector = std::make_unique<fault::FaultInjector>(sim, plan);
         channel = std::make_unique<Channel>(
@@ -95,13 +97,15 @@ struct Bench
         return {};
     }
 
+    /** Send @p bytes keyed test bytes as @p k and run to the end. */
     SendResult
-    send(const MessageKey &k, double payload,
+    send(const MessageKey &k, std::size_t bytes,
          double deadline = kNoDeadline)
     {
         SendResult out;
         int fired = 0;
-        link->startSend(0, k, payload, deadline, [&](SendResult r) {
+        link->startSend(0, k, synthesizeMessage(k, bytes, chunk_bytes),
+                        deadline, [&](SendResult r) {
             out = r;
             ++fired;
         });
@@ -124,13 +128,13 @@ TEST(TransportLink, SingleChunkCleanDelivery)
 {
     TransportConfig cfg;
     Bench b(cfg);
-    const auto r = b.send(key(), 952.0);
+    const auto r = b.send(key(), 952);
     EXPECT_TRUE(r.delivered);
     EXPECT_FALSE(r.deadline_expired);
     EXPECT_EQ(r.chunks, 1u);
     EXPECT_EQ(r.attempts, 1u);
     EXPECT_EQ(r.retries, 0u);
-    EXPECT_DOUBLE_EQ(r.payload_bytes, 952.0);
+    EXPECT_EQ(r.payload_bytes, 952u);
     // Wire = payload + one frame header, at 1000 B/s.
     EXPECT_NEAR(r.bytes_sent, 952.0 + kHdr, 1e-6);
     EXPECT_NEAR(r.elapsed_s, 1.0, 1e-6);
@@ -141,9 +145,9 @@ TEST(TransportLink, SingleChunkCleanDelivery)
 TEST(TransportLink, MultiChunkPaysOneHeaderPerChunk)
 {
     TransportConfig cfg;
-    cfg.chunk_bytes = 400.0;
+    cfg.chunk_bytes = 400;
     Bench b(cfg);
-    const auto r = b.send(key(), 1000.0); // 400 + 400 + 200.
+    const auto r = b.send(key(), 1000); // 400 + 400 + 200.
     EXPECT_TRUE(r.delivered);
     EXPECT_EQ(r.chunks, 3u);
     EXPECT_EQ(r.attempts, 3u);
@@ -164,7 +168,7 @@ TEST(TransportLink, TruncationResumesFromDeliveredOffset)
     plan.transfer_faults.push_back(t);
 
     Bench b(cfg, plan);
-    const auto r = b.send(key(), 8192.0);
+    const auto r = b.send(key(), 8192);
     EXPECT_TRUE(r.delivered);
     EXPECT_EQ(r.chunks, 1u);
     EXPECT_EQ(r.attempts, 2u);
@@ -189,7 +193,7 @@ TEST(TransportLink, FromScratchBaselineResendsWholeChunk)
     plan.transfer_faults.push_back(t);
 
     Bench b(cfg, plan);
-    const auto r = b.send(key(), 8192.0);
+    const auto r = b.send(key(), 8192);
     EXPECT_TRUE(r.delivered);
     EXPECT_EQ(r.retries, 1u);
     // The retry resends everything, so the 2952 payload bytes that had
@@ -208,7 +212,7 @@ TEST(TransportLink, CorruptedChunkFailsCrcAndIsRetransmitted)
     plan.transfer_faults.push_back(c);
 
     Bench b(cfg, plan);
-    const auto r = b.send(key(), 2000.0);
+    const auto r = b.send(key(), 2000);
     EXPECT_TRUE(r.delivered);
     EXPECT_EQ(r.chunks, 1u);
     EXPECT_EQ(r.attempts, 2u);
@@ -230,39 +234,13 @@ TEST(TransportLink, DuplicateDeliveryIsAppliedExactlyOnce)
     plan.transfer_faults.push_back(d);
 
     Bench b(cfg, plan);
-    const auto r = b.send(key(), 2000.0);
+    const auto r = b.send(key(), 2000);
     EXPECT_TRUE(r.delivered);
     EXPECT_EQ(r.attempts, 1u);
     EXPECT_EQ(r.duplicate_chunks, 1u);
     // Apply-once under duplication is exactly what the checker's
     // accepted-chunks shadow set verifies.
     EXPECT_TRUE(b.checker.clean()) << b.checker.report();
-}
-
-TEST(TransportLink, ReorderedChunkIsHeldAndAppliedAfterSuccessor)
-{
-    TransportConfig cfg;
-    cfg.chunk_bytes = 1000.0;
-    fault::FaultPlan plan;
-    auto o = rule(0.0);
-    o.reorder = true;
-    plan.transfer_faults.push_back(o);
-
-    Bench b(cfg, plan);
-    const auto r = b.send(key(), 2000.0); // two chunks.
-    EXPECT_TRUE(r.delivered);
-    EXPECT_EQ(r.chunks, 2u);
-    EXPECT_EQ(r.reordered_chunks, 1u);
-    EXPECT_TRUE(b.checker.clean()) << b.checker.report();
-
-    // The log must show chunk 1 accepted before the held chunk 0.
-    std::vector<std::uint32_t> accept_order;
-    for (const auto &ev : b.events)
-        if (ev.kind == TransportEvent::Kind::Accept)
-            accept_order.push_back(ev.chunk_seq);
-    ASSERT_EQ(accept_order.size(), 2u);
-    EXPECT_EQ(accept_order[0], 1u);
-    EXPECT_EQ(accept_order[1], 0u);
 }
 
 TEST(TransportLink, DeadlineExpiresInsteadOfBackingOffPastIt)
@@ -284,13 +262,15 @@ TEST(TransportLink, DeadlineExpiresInsteadOfBackingOffPastIt)
                     BandwidthTrace::constant(1000.0, 600.0), 0, 600.0)});
     injector.attach(ch);
     fault::InvariantChecker checker;
-    ReliableLink link(sim, ch, cfg, [&checker](const TransportEvent &ev) {
+    DesBackend backend(sim, ch, cfg);
+    ReliableLink link(backend, cfg, [&checker](const TransportEvent &ev) {
         checker.onTransportEvent(ev);
     });
 
     SendResult out;
     int fired = 0;
-    link.startSend(0, key(), 500.0, 1.0, [&](SendResult r) {
+    link.startSend(0, key(), std::vector<std::uint8_t>(500), 1.0,
+                   [&](SendResult r) {
         out = r;
         ++fired;
     });
@@ -299,7 +279,7 @@ TEST(TransportLink, DeadlineExpiresInsteadOfBackingOffPastIt)
     EXPECT_FALSE(out.delivered);
     EXPECT_TRUE(out.deadline_expired);
     EXPECT_NEAR(out.elapsed_s, 1.0, 1e-6);
-    EXPECT_DOUBLE_EQ(out.bytes_sent, 0.0);
+    EXPECT_EQ(out.bytes_sent, 0u);
     EXPECT_TRUE(checker.clean()) << checker.report();
 }
 
@@ -315,7 +295,7 @@ TEST(TransportLink, AttemptCapGivesUpAfterRepeatedCorruption)
     }
 
     Bench b(cfg, plan);
-    const auto r = b.send(key(), 1000.0);
+    const auto r = b.send(key(), 1000);
     EXPECT_FALSE(r.delivered);
     EXPECT_FALSE(r.deadline_expired);
     EXPECT_EQ(r.attempts, 2u);
@@ -329,7 +309,7 @@ TEST(TransportLink, PayloadReassemblyIsByteIdenticalUnderFaults)
     // Real bytes through truncation + corruption + duplication: the
     // receiver must reassemble exactly what was sent.
     TransportConfig cfg;
-    cfg.chunk_bytes = 300.0;
+    cfg.chunk_bytes = 300;
     fault::FaultPlan plan;
     auto t = rule(0.0);
     t.truncate_bytes = 150.0;
@@ -348,11 +328,10 @@ TEST(TransportLink, PayloadReassemblyIsByteIdenticalUnderFaults)
     SendResult out;
     int fired = 0;
     const MessageKey k = key(3, 42, 7);
-    b.link->startSendPayload(0, k, payload, kNoDeadline,
-                             [&](SendResult r) {
-                                 out = r;
-                                 ++fired;
-                             });
+    b.link->startSend(0, k, payload, kNoDeadline, [&](SendResult r) {
+        out = r;
+        ++fired;
+    });
     b.sim.run();
     ASSERT_EQ(fired, 1);
     EXPECT_TRUE(out.delivered);
@@ -363,13 +342,13 @@ TEST(TransportLink, PayloadReassemblyIsByteIdenticalUnderFaults)
 
 TEST(TransportLink, PayloadNeedNotOutliveStartCall)
 {
-    // The lifetime contract (see startSendPayload): the link leases a
+    // The lifetime contract (see startSend): the link leases a
     // retransmission copy before returning, so the caller may destroy
     // and even clobber its buffer immediately — mid-send, with
     // retransmissions still reading "the payload". Faults force both a
     // resume and a CRC retry so retries really do re-read it.
     TransportConfig cfg;
-    cfg.chunk_bytes = 300.0;
+    cfg.chunk_bytes = 300;
     fault::FaultPlan plan;
     auto t = rule(0.0);
     t.truncate_bytes = 150.0;
@@ -387,11 +366,10 @@ TEST(TransportLink, PayloadNeedNotOutliveStartCall)
     const MessageKey k = key(1, 9, 4);
     {
         auto doomed = expected; // dies (and is poisoned) below.
-        b.link->startSendPayload(0, k, doomed, kNoDeadline,
-                                 [&](SendResult r) {
-                                     out = r;
-                                     ++fired;
-                                 });
+        b.link->startSend(0, k, doomed, kNoDeadline, [&](SendResult r) {
+            out = r;
+            ++fired;
+        });
         std::fill(doomed.begin(), doomed.end(), std::uint8_t{0xEE});
     }
     b.sim.run();
@@ -409,10 +387,10 @@ TEST(TransportLink, PoolRecyclesAcrossBackToBackSends)
     // should be served mostly from the free lists.
     TransportConfig cfg;
     Bench b(cfg);
-    b.send(key(0, 1), 500.0); // warm-up.
+    b.send(key(0, 1), 500); // warm-up.
     const auto before = BufferPool::global().stats();
     for (std::int64_t v = 2; v < 10; ++v)
-        EXPECT_TRUE(b.send(key(0, v), 500.0).delivered);
+        EXPECT_TRUE(b.send(key(0, v), 500).delivered);
     const auto after = BufferPool::global().stats();
     EXPECT_GT(after.leases, before.leases);
     EXPECT_EQ(after.allocations, before.allocations)
@@ -428,8 +406,8 @@ TEST(TransportLink, TotalsAggregateAcrossSends)
     plan.transfer_faults.push_back(c);
 
     Bench b(cfg, plan);
-    const auto r1 = b.send(key(0, 1), 500.0);
-    const auto r2 = b.send(key(0, 2), 700.0);
+    const auto r1 = b.send(key(0, 1), 500);
+    const auto r2 = b.send(key(0, 2), 700);
     EXPECT_TRUE(r1.delivered);
     EXPECT_TRUE(r2.delivered);
     const auto &t = b.link->totals();
@@ -438,7 +416,7 @@ TEST(TransportLink, TotalsAggregateAcrossSends)
     EXPECT_EQ(t.failed, 0u);
     EXPECT_EQ(t.attempts, r1.attempts + r2.attempts);
     EXPECT_EQ(t.corrupt_chunks, 1u);
-    EXPECT_NEAR(t.bytes_sent, r1.bytes_sent + r2.bytes_sent, 1e-6);
+    EXPECT_EQ(t.bytes_sent, r1.bytes_sent + r2.bytes_sent);
 }
 
 TEST(TransportLink, BackoffJitterIsDeterministicPerKey)
@@ -455,7 +433,7 @@ TEST(TransportLink, BackoffJitterIsDeterministicPerKey)
         t2.truncate_bytes = 100.0;
         plan.transfer_faults.push_back(t2);
         Bench b(cfg, plan);
-        const auto r = b.send(k, 2000.0);
+        const auto r = b.send(k, 2000);
         EXPECT_TRUE(r.delivered);
         return b.eventText();
     };
@@ -470,12 +448,13 @@ TEST(TransportLink, DestroyMidSendInvokesDropNotDone)
 {
     sim::Simulation sim;
     Channel ch(sim, {BandwidthTrace::constant(1.0, 600.0)});
+    DesBackend backend(sim, ch, TransportConfig{});
     bool done_fired = false;
     bool drop_fired = false;
     {
-        ReliableLink link(sim, ch, TransportConfig{});
+        ReliableLink link(backend, TransportConfig{});
         link.startSend(
-            0, key(), 1e6, kNoDeadline,
+            0, key(), std::vector<std::uint8_t>(100000), kNoDeadline,
             [&](SendResult) { done_fired = true; },
             [&] { drop_fired = true; });
         // Destroy the link with the first chunk still in the air.
@@ -502,11 +481,10 @@ TEST(TransportLink, ResetAbortsInFlightAndForgetsDeliveredKeys)
     const MessageKey done_key = key(0, 1);
     SendResult first;
     int first_fired = 0;
-    b.link->startSendPayload(0, done_key, payload, kNoDeadline,
-                             [&](SendResult r) {
-                                 first = r;
-                                 ++first_fired;
-                             });
+    b.link->startSend(0, done_key, payload, kNoDeadline, [&](SendResult r) {
+        first = r;
+        ++first_fired;
+    });
     b.sim.run();
     ASSERT_EQ(first_fired, 1);
     ASSERT_TRUE(first.delivered);
@@ -517,8 +495,8 @@ TEST(TransportLink, ResetAbortsInFlightAndForgetsDeliveredKeys)
     const MessageKey inflight_key = key(0, 2);
     SendResult aborted;
     int aborted_fired = 0;
-    b.link->startSend(0, inflight_key, 1e6, kNoDeadline,
-                      [&](SendResult r) {
+    b.link->startSend(0, inflight_key, std::vector<std::uint8_t>(100000),
+                      kNoDeadline, [&](SendResult r) {
                           aborted = r;
                           ++aborted_fired;
                       });
@@ -534,11 +512,10 @@ TEST(TransportLink, ResetAbortsInFlightAndForgetsDeliveredKeys)
     // end to end again and be handed up a second time.
     SendResult again;
     int again_fired = 0;
-    b.link->startSendPayload(0, done_key, payload, kNoDeadline,
-                             [&](SendResult r) {
-                                 again = r;
-                                 ++again_fired;
-                             });
+    b.link->startSend(0, done_key, payload, kNoDeadline, [&](SendResult r) {
+        again = r;
+        ++again_fired;
+    });
     b.sim.run();
     ASSERT_EQ(again_fired, 1);
     EXPECT_TRUE(again.delivered);
@@ -559,11 +536,12 @@ TEST(TransportLink, ResetCallbackMayStartNewSend)
     Bench b(cfg);
     SendResult retry;
     int retry_fired = 0;
-    b.link->startSend(0, key(0, 7), 1e6, kNoDeadline,
-                      [&](SendResult r) {
+    b.link->startSend(0, key(0, 7), std::vector<std::uint8_t>(100000),
+                      kNoDeadline, [&](SendResult r) {
                           if (r.delivered)
                               return;
-                          b.link->startSend(0, key(0, 8), 400.0,
+                          b.link->startSend(0, key(0, 8),
+                                            std::vector<std::uint8_t>(400),
                                             kNoDeadline,
                                             [&](SendResult r2) {
                                                 retry = r2;
@@ -582,15 +560,16 @@ TEST(TransportLink, InvalidArgumentsDie)
 {
     sim::Simulation sim;
     Channel ch(sim, {BandwidthTrace::constant(100.0, 60.0)});
-    ReliableLink link(sim, ch, TransportConfig{});
-    EXPECT_DEATH(link.startSend(0, key(), -1.0, kNoDeadline, {}),
-                 "payload");
+    DesBackend backend(sim, ch, TransportConfig{});
     TransportConfig bad;
-    bad.chunk_bytes = 0.0;
-    EXPECT_DEATH(ReliableLink(sim, ch, bad), "chunk");
+    bad.chunk_bytes = 0;
+    EXPECT_DEATH(ReliableLink(backend, bad), "chunk");
+    TransportConfig big;
+    big.chunk_bytes = kMaxChunkBytes + 1;
+    EXPECT_DEATH(ReliableLink(backend, big), "chunk");
     TransportConfig badj;
     badj.jitter_frac = 1.5;
-    EXPECT_DEATH(ReliableLink(sim, ch, badj), "jitter");
+    EXPECT_DEATH(ReliableLink(backend, badj), "jitter");
 }
 
 } // namespace

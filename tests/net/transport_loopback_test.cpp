@@ -27,14 +27,12 @@ using testing::runLoopback;
 std::size_t
 chunksOf(const LoopbackSpec &spec)
 {
-    return static_cast<std::size_t>(std::max(
-        1.0,
-        std::ceil(spec.bytes / spec.config.chunk_bytes - 1e-9)));
+    return spec.config.chunkCount(spec.bytes);
 }
 
 TEST(TransportLoopback, UdpCleanDeliversAll)
 {
-    const LoopbackSpec spec = quickSpec("udp", 3, 40000.0);
+    const LoopbackSpec spec = quickSpec("udp", 3, 40000);
     const LoopbackOutcome out = runLoopback(spec);
     ASSERT_TRUE(out.ok) << out.error;
     EXPECT_EQ(out.delivered, 3u);
@@ -52,7 +50,7 @@ TEST(TransportLoopback, UdpCleanDeliversAll)
 
 TEST(TransportLoopback, UdpDropsAreRetriedToExactlyOnceDelivery)
 {
-    LoopbackSpec spec = quickSpec("udp", 3, 40000.0);
+    LoopbackSpec spec = quickSpec("udp", 3, 40000);
     SocketFaultPlan plan;
     plan.seed = 11;
     plan.drop_p = 0.3;
@@ -72,7 +70,7 @@ TEST(TransportLoopback, UdpDropsAreRetriedToExactlyOnceDelivery)
 
 TEST(TransportLoopback, UdpDuplicatesAreDedupd)
 {
-    LoopbackSpec spec = quickSpec("udp", 3, 40000.0);
+    LoopbackSpec spec = quickSpec("udp", 3, 40000);
     SocketFaultPlan plan;
     plan.seed = 5;
     plan.dup_p = 0.6;
@@ -97,7 +95,7 @@ TEST(TransportLoopback, UdpDuplicatesAreDedupd)
 
 TEST(TransportLoopback, UdpTruncationResumesFromDeliveredOffset)
 {
-    LoopbackSpec spec = quickSpec("udp", 3, 50000.0);
+    LoopbackSpec spec = quickSpec("udp", 3, 50000);
     SocketFaultPlan plan;
     plan.seed = 23;
     plan.trunc_p = 0.5;
@@ -113,11 +111,10 @@ TEST(TransportLoopback, UdpTruncationResumesFromDeliveredOffset)
     // Resume accounting: a resumed retry re-sends only the header
     // again, so retransmitted bytes stay well under one whole chunk
     // per retry.
-    EXPECT_GT(out.totals.retransmitted_bytes, 0.0);
+    EXPECT_GT(out.totals.retransmitted_bytes, 0u);
     EXPECT_LT(out.totals.retransmitted_bytes,
-              static_cast<double>(out.totals.retries) *
-                  (spec.config.chunk_bytes +
-                   static_cast<double>(FrameHeader::kWireSize)));
+              out.totals.retries *
+                  (spec.config.chunk_bytes + FrameHeader::kWireSize));
 }
 
 TEST(TransportLoopback, UdpResumeOffRetransmitsMore)
@@ -126,7 +123,7 @@ TEST(TransportLoopback, UdpResumeOffRetransmitsMore)
     plan.seed = 23;
     plan.trunc_p = 0.5;
 
-    LoopbackSpec on = quickSpec("udp", 3, 50000.0);
+    LoopbackSpec on = quickSpec("udp", 3, 50000);
     on.faults = &plan;
     LoopbackSpec off = on;
     off.config.resume_from_offset = false;
@@ -147,7 +144,7 @@ TEST(TransportLoopback, UdpResumeOffRetransmitsMore)
 
 TEST(TransportLoopback, UdpCorruptionIsCaughtByCrc)
 {
-    LoopbackSpec spec = quickSpec("udp", 3, 40000.0);
+    LoopbackSpec spec = quickSpec("udp", 3, 40000);
     SocketFaultPlan plan;
     plan.seed = 41;
     plan.corrupt_p = 0.4;
@@ -168,7 +165,7 @@ TEST(TransportLoopback, UdpCorruptionIsCaughtByCrc)
 
 TEST(TransportLoopback, UdpFaultSoupCrossValidates)
 {
-    LoopbackSpec spec = quickSpec("udp", 4, 60000.0);
+    LoopbackSpec spec = quickSpec("udp", 4, 60000);
     SocketFaultPlan plan;
     plan.seed = 7;
     plan.drop_p = 0.15;
@@ -188,7 +185,7 @@ TEST(TransportLoopback, UdpFaultSoupCrossValidates)
 
 TEST(TransportLoopback, UdpDeadlineExpiresUnderTotalLoss)
 {
-    LoopbackSpec spec = quickSpec("udp", 1, 20000.0);
+    LoopbackSpec spec = quickSpec("udp", 1, 20000);
     spec.deadline_rel = 0.15;
     SocketFaultPlan plan;
     plan.seed = 3;
@@ -206,7 +203,7 @@ TEST(TransportLoopback, UdpDeadlineExpiresUnderTotalLoss)
 
 TEST(TransportLoopback, TcpCleanDeliversAll)
 {
-    const LoopbackSpec spec = quickSpec("tcp", 3, 40000.0);
+    const LoopbackSpec spec = quickSpec("tcp", 3, 40000);
     const LoopbackOutcome out = runLoopback(spec);
     ASSERT_TRUE(out.ok) << out.error;
     EXPECT_EQ(out.delivered, 3u);
@@ -217,7 +214,7 @@ TEST(TransportLoopback, TcpCleanDeliversAll)
 
 TEST(TransportLoopback, TcpRunCrossValidates)
 {
-    const LoopbackOutcome out = runLoopback(quickSpec("tcp", 2, 50000.0));
+    const LoopbackOutcome out = runLoopback(quickSpec("tcp", 2, 50000));
     ASSERT_TRUE(out.ok) << out.error;
     const CrossvalReport report =
         crossValidate(out.trace, out.merged_log);

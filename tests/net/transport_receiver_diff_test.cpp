@@ -161,9 +161,18 @@ TEST_P(ReceiverDiff, SameAcksAndEventsWithStateBoundedByMessagesInFlight)
     legacy::ChunkReceiver old_rx(
         clock, [&](const TransportEvent &ev) { old_events.push_back(ev); });
     legacy::FrameAssembler old_asm(old_rx, param.store_payload);
+    // Production keeps payloads exactly when a DeliverySink is attached.
+    std::vector<std::vector<std::uint8_t>> handed_up;
+    DeliverySink sink;
+    if (param.store_payload)
+        sink = [&handed_up](const MessageKey &,
+                            std::vector<std::uint8_t> &&p) {
+            handed_up.push_back(std::move(p));
+        };
     ChunkReceiver new_rx(
-        clock, [&](const TransportEvent &ev) { new_events.push_back(ev); });
-    FrameAssembler new_asm(new_rx, param.store_payload);
+        clock, [&](const TransportEvent &ev) { new_events.push_back(ev); },
+        std::move(sink));
+    FrameAssembler new_asm(new_rx);
 
     std::size_t frames = 0, late_frames = 0, old_redeliveries = 0;
     std::size_t new_deliveries = 0, events_checked = 0;
@@ -173,18 +182,22 @@ TEST_P(ReceiverDiff, SameAcksAndEventsWithStateBoundedByMessagesInFlight)
         ++frames;
         now += 1e-3;
         const std::size_t old_delivered = old_rx.deliveredMessages();
+        const std::size_t handed_before = handed_up.size();
         const auto o = old_asm.onFrame(0, f.hdr, f.present);
-        auto n = new_asm.onFrame(0, f.hdr, f.present);
+        const auto n = new_asm.onFrame(0, f.hdr, f.present);
         ASSERT_EQ(ackBytes(f.hdr, asProduction(o)), ackBytes(f.hdr, n))
             << "ACK diverged at frame " << frames;
 
         const bool first = old_rx.deliveredMessages() > old_delivered;
         ASSERT_EQ(n.delivered, first) << "frame " << frames;
+        ASSERT_EQ(handed_up.size(),
+                  handed_before + (n.delivered && param.store_payload))
+            << "frame " << frames;
         if (n.delivered) {
             ++new_deliveries;
             if (param.store_payload) {
                 ASSERT_NE(o.decision.assembled, nullptr);
-                ASSERT_EQ(n.payload, *o.decision.assembled);
+                ASSERT_EQ(handed_up.back(), *o.decision.assembled);
             }
         } else if (o.chunk_complete && o.decision.message_complete &&
                    o.decision.assembled) {

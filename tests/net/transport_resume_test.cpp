@@ -15,6 +15,8 @@
 #include "fault/fault_injector.hpp"
 #include "fault/fault_plan.hpp"
 #include "net/trace_generator.hpp"
+#include "net/transport/des_backend.hpp"
+#include "net/transport/payload.hpp"
 #include "net/transport/reliable_link.hpp"
 #include "sim/simulation.hpp"
 
@@ -44,13 +46,14 @@ runSingleCut(bool resume)
     TransportConfig cfg;
     cfg.jitter_frac = 0.0;
     cfg.resume_from_offset = resume;
-    ReliableLink link(sim, ch, cfg);
+    DesBackend backend(sim, ch, cfg);
+    ReliableLink link(backend, cfg);
 
     SendResult out;
     MessageKey key;
     key.version = 1;
-    link.startSend(0, key, 8192.0, kNoDeadline,
-                   [&](SendResult r) { out = r; });
+    link.startSend(0, key, synthesizeMessage(key, 8192, cfg.chunk_bytes),
+                   kNoDeadline, [&](SendResult r) { out = r; });
     sim.run();
     return out;
 }
@@ -102,21 +105,24 @@ runSchedule(std::uint64_t seed, bool resume)
     injector.attach(ch);
 
     TransportConfig cfg;
-    cfg.chunk_bytes = 8192.0;
+    cfg.chunk_bytes = 8192;
     cfg.max_attempts_per_chunk = 0; // retry until delivered.
     cfg.resume_from_offset = resume;
-    ReliableLink link(sim, ch, cfg);
+    DesBackend backend(sim, ch, cfg);
+    ReliableLink link(backend, cfg);
 
     for (std::size_t i = 0; i < 6; ++i) {
         const double start = rng.uniform(0.0, 30.0);
         const auto l = rng.uniformInt(std::size_t{2});
-        const double bytes = rng.uniform(2e3, 30e3);
+        const auto bytes =
+            static_cast<std::size_t>(rng.uniform(2e3, 30e3));
         MessageKey key;
         key.worker = static_cast<std::uint16_t>(l);
         key.version = static_cast<std::int64_t>(i);
-        sim.after(start, [&link, l, key, bytes] {
-            link.startSend(l, key, bytes, kNoDeadline,
-                           [](SendResult) {});
+        sim.after(start, [&link, &cfg, l, key, bytes] {
+            link.startSend(l, key,
+                           synthesizeMessage(key, bytes, cfg.chunk_bytes),
+                           kNoDeadline, [](SendResult) {});
         });
     }
     sim.run();

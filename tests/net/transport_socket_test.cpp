@@ -28,6 +28,7 @@
 
 #include "common/poll_loop.hpp"
 #include "net/transport/crossval.hpp"
+#include "net/transport/payload.hpp"
 #include "net/transport/reliable_link.hpp"
 #include "net/transport/socket_backend.hpp"
 #include "net/transport/socket_fault.hpp"
@@ -126,7 +127,7 @@ struct RunSpec
 {
     std::string backend = "udp";
     std::size_t sends = 3;
-    double bytes = 50000.0;
+    std::size_t bytes = 50000;
     const SocketFaultPlan *faults = nullptr;
 };
 
@@ -194,8 +195,10 @@ runMultiProcess(const RunSpec &spec)
         rec.payload_bytes = spec.bytes;
         rec.deadline_s = std::numeric_limits<double>::infinity();
         trace.sends.push_back(rec);
-        link.startSend(0, rec.key, spec.bytes, kNoDeadline,
-                       [&, i](SendResult r) {
+        link.startSend(0, rec.key,
+                       synthesizeMessage(rec.key, spec.bytes,
+                                         cfg.chunk_bytes),
+                       kNoDeadline, [&, i](SendResult r) {
                            ++completed;
                            if (r.delivered)
                                ++delivered;
@@ -256,7 +259,7 @@ TEST(TransportSocket, UdpFaultyTwoProcessRunCrossValidates)
     RunSpec spec;
     spec.backend = "udp";
     spec.sends = 4;
-    spec.bytes = 60000.0;
+    spec.bytes = 60000;
     spec.faults = &plan;
     runMultiProcess(spec);
 }
@@ -266,7 +269,7 @@ TEST(TransportSocket, TcpCleanTwoProcessRunCrossValidates)
     RunSpec spec;
     spec.backend = "tcp";
     spec.sends = 3;
-    spec.bytes = 40000.0;
+    spec.bytes = 40000;
     runMultiProcess(spec);
 }
 

@@ -79,7 +79,7 @@ class TcpPartialAck : public ::testing::Test
         tx = std::make_unique<TcpBackend>(loop, "127.0.0.1",
                                           rx->port(), opts);
         ASSERT_TRUE(tx->ok()) << tx->error();
-        send_id = tx->openSend(0, testKey(), /*payload_mode=*/false);
+        send_id = tx->openSend(0, testKey());
     }
 
     /** Ship one fragment and run the loop until its verdict lands. */
@@ -91,8 +91,7 @@ class TcpPartialAck : public ::testing::Test
         tx->sendFrame(
             send_id, fragmentHeader(chunk, off, len),
             {chunk.data() + off, len}, {chunk.data(), chunk.size()},
-            static_cast<double>(len),
-            static_cast<double>(chunk.size()), /*timeout_s=*/2.0,
+            /*timeout_s=*/2.0,
             [&](const FrameVerdict &v) { verdict = v; }, [] {});
         EXPECT_TRUE(
             loop.runUntil([&] { return verdict.has_value(); }, 5.0))
@@ -117,8 +116,7 @@ TEST_F(TcpPartialAck, GapFragmentPartialAcksThenRestartDelivers)
     const FrameVerdict partial = sendFragment(chunk, 3000, 3000);
     EXPECT_FALSE(partial.completed);
     EXPECT_EQ(partial.fresh_accepts, 0u);
-    EXPECT_DOUBLE_EQ(partial.bytes_sent,
-                     static_cast<double>(FrameHeader::kWireSize));
+    EXPECT_EQ(partial.bytes_sent, FrameHeader::kWireSize);
     EXPECT_EQ(rx->deliveredMessages(), 0u);
 
     // The sender restarts the chunk from the acked prefix: one whole
@@ -129,7 +127,7 @@ TEST_F(TcpPartialAck, GapFragmentPartialAcksThenRestartDelivers)
     EXPECT_EQ(full.fresh_accepts, 1u);
     EXPECT_TRUE(full.message_complete);
     EXPECT_EQ(rx->deliveredMessages(), 1u);
-    tx->finishSend(send_id, true);
+    tx->closeSend(send_id);
 }
 
 TEST_F(TcpPartialAck, DuplicateChunkDedupsExactlyOnce)
@@ -147,7 +145,7 @@ TEST_F(TcpPartialAck, DuplicateChunkDedupsExactlyOnce)
     EXPECT_EQ(again.fresh_accepts, 0u);
     EXPECT_EQ(again.duplicates, 1u);
     EXPECT_EQ(rx->deliveredMessages(), 1u);
-    tx->finishSend(send_id, true);
+    tx->closeSend(send_id);
 }
 
 TEST_F(TcpPartialAck, CrcFailureWipesChunkThenFullResendDelivers)
@@ -170,7 +168,7 @@ TEST_F(TcpPartialAck, CrcFailureWipesChunkThenFullResendDelivers)
     EXPECT_EQ(good.fresh_accepts, 1u);
     EXPECT_TRUE(good.message_complete);
     EXPECT_EQ(rx->deliveredMessages(), 1u);
-    tx->finishSend(send_id, true);
+    tx->closeSend(send_id);
 }
 
 } // namespace

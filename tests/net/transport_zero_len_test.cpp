@@ -30,23 +30,22 @@ TEST(TransportZeroLen, DesDeliversHeaderOnlyChunk)
     sim::Simulation sim;
     Channel ch(sim, {BandwidthTrace::constant(10e3, 600.0)});
     std::vector<TransportEvent> log;
-    ReliableLink link(sim, ch, TransportConfig{},
+    DesBackend backend(sim, ch, TransportConfig{});
+    ReliableLink link(backend, TransportConfig{},
                       [&log](const TransportEvent &ev) { log.push_back(ev); });
 
     SendResult out;
     MessageKey key;
     key.version = 7;
-    link.startSend(0, key, 0.0, kNoDeadline,
-                   [&](SendResult r) { out = r; });
+    link.startSend(0, key, {}, kNoDeadline, [&](SendResult r) { out = r; });
     sim.run();
 
     EXPECT_TRUE(out.delivered);
     EXPECT_EQ(out.chunks, 1u);
     EXPECT_EQ(out.attempts, 1u);
-    EXPECT_DOUBLE_EQ(out.payload_bytes, 0.0);
+    EXPECT_EQ(out.payload_bytes, 0u);
     // The wire still carried the header.
-    EXPECT_DOUBLE_EQ(out.bytes_sent,
-                     static_cast<double>(FrameHeader::kWireSize));
+    EXPECT_EQ(out.bytes_sent, FrameHeader::kWireSize);
     EXPECT_EQ(countKind(log, TransportEvent::Kind::Accept), 1u);
     EXPECT_EQ(countKind(log, TransportEvent::Kind::Deliver), 1u);
 }
@@ -66,8 +65,7 @@ TEST(TransportZeroLen, DesEmptyPayloadSpanDelivers)
     SendResult out;
     MessageKey key;
     key.version = 9;
-    link.startSendPayload(0, key, {}, kNoDeadline,
-                          [&](SendResult r) { out = r; });
+    link.startSend(0, key, {}, kNoDeadline, [&](SendResult r) { out = r; });
     sim.run();
 
     EXPECT_TRUE(out.delivered);
@@ -78,15 +76,14 @@ TEST(TransportZeroLen, DesEmptyPayloadSpanDelivers)
 
 TEST(TransportZeroLen, UdpLoopbackDelivers)
 {
-    const LoopbackOutcome out = runLoopback(quickSpec("udp", 2, 0.0));
+    const LoopbackOutcome out = runLoopback(quickSpec("udp", 2, 0));
     ASSERT_TRUE(out.ok) << out.error;
     EXPECT_EQ(out.delivered, 2u);
     EXPECT_EQ(out.rx_delivered, 2u);
     for (const SendResult &r : out.results) {
         EXPECT_TRUE(r.delivered);
         EXPECT_EQ(r.chunks, 1u);
-        EXPECT_DOUBLE_EQ(
-            r.bytes_sent, static_cast<double>(FrameHeader::kWireSize));
+        EXPECT_EQ(r.bytes_sent, FrameHeader::kWireSize);
     }
     EXPECT_EQ(countKind(out.receiver_log, TransportEvent::Kind::Accept),
               2u);
@@ -94,7 +91,7 @@ TEST(TransportZeroLen, UdpLoopbackDelivers)
 
 TEST(TransportZeroLen, TcpLoopbackDelivers)
 {
-    const LoopbackOutcome out = runLoopback(quickSpec("tcp", 2, 0.0));
+    const LoopbackOutcome out = runLoopback(quickSpec("tcp", 2, 0));
     ASSERT_TRUE(out.ok) << out.error;
     EXPECT_EQ(out.delivered, 2u);
     EXPECT_EQ(out.rx_delivered, 2u);
@@ -102,7 +99,7 @@ TEST(TransportZeroLen, TcpLoopbackDelivers)
 
 TEST(TransportZeroLen, UdpZeroLenRunCrossValidates)
 {
-    const LoopbackOutcome out = runLoopback(quickSpec("udp", 2, 0.0));
+    const LoopbackOutcome out = runLoopback(quickSpec("udp", 2, 0));
     ASSERT_TRUE(out.ok) << out.error;
     const CrossvalReport report =
         crossValidate(out.trace, out.merged_log);

@@ -39,6 +39,7 @@
 #include <memory>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 #include "common/args.hpp"
@@ -48,6 +49,7 @@
 #include "net/transport/crossval.hpp"
 #include "net/transport/des_backend.hpp"
 #include "net/transport/event_log.hpp"
+#include "net/transport/payload.hpp"
 #include "net/transport/reliable_link.hpp"
 #include "net/transport/socket_backend.hpp"
 #include "net/transport/socket_fault.hpp"
@@ -90,7 +92,10 @@ TransportConfig
 transportConfig(const Args &args)
 {
     TransportConfig cfg;
-    cfg.chunk_bytes = args.getDouble("chunk", cfg.chunk_bytes);
+    cfg.chunk_bytes = args.getSize("chunk", cfg.chunk_bytes);
+    if (cfg.chunk_bytes == 0 || cfg.chunk_bytes > kMaxChunkBytes)
+        throw std::invalid_argument("--chunk must be in [1, " +
+                                    std::to_string(kMaxChunkBytes) + "]");
     cfg.max_attempts_per_chunk =
         args.getSize("attempts", cfg.max_attempts_per_chunk);
     if (args.has("no-resume"))
@@ -158,18 +163,19 @@ readFile(const std::string &path, std::string &out)
 }
 
 /**
- * Drive @p link through @p sends sequential messages; returns how many
- * ran to completion before @p issue_done stopped being polled. Sends
- * are chained (each starts from the previous one's callback) so the
- * wire sees one stop-and-wait conversation — the shape the replay
- * harness reproduces.
+ * Drive @p link through @p total sequential messages of @p bytes keyed
+ * test bytes each (synthesizeMessage, so a replay can regenerate
+ * them). Sends are chained (each starts from the previous one's
+ * callback) so the wire sees one stop-and-wait conversation: the shape
+ * the replay harness reproduces.
  */
 struct SendDriver
 {
     ReliableLink &link;
     TransportTrace *trace = nullptr;
     std::size_t total = 0;
-    double bytes = 0.0;
+    std::size_t bytes = 0;
+    std::size_t chunk_bytes = 0;
     double deadline_rel = kNoDeadline;
     std::size_t completed = 0;
     std::size_t delivered = 0;
@@ -192,7 +198,9 @@ struct SendDriver
             std::isfinite(deadline_rel)
                 ? link.backend().now() + deadline_rel
                 : kNoDeadline;
-        link.startSend(0, key, bytes, deadline,
+        const std::vector<std::uint8_t> payload = synthesizeMessage(
+            key, bytes, chunk_bytes);
+        link.startSend(0, key, payload, deadline,
                        [this, i](const SendResult &r) {
                            ++completed;
                            if (r.delivered)
@@ -203,6 +211,17 @@ struct SendDriver
 
     bool done() const { return completed >= total; }
 };
+
+/** The --sends/--bytes/--deadline driver over @p link. */
+SendDriver
+sendDriver(ReliableLink &link, TransportTrace *trace,
+           const TransportConfig &cfg, const Args &args)
+{
+    return {link, trace, args.getSize("sends", 1),
+            args.getSize("bytes", 4096), cfg.chunk_bytes,
+            args.has("deadline") ? args.getDouble("deadline", 0.0)
+                                 : kNoDeadline};
+}
 
 int
 runRecv(const Args &args)
@@ -311,11 +330,7 @@ runSend(const Args &args)
     ReliableLink link(*sock, cfg, [&events](const TransportEvent &ev) {
         events.push_back(ev);
     });
-    SendDriver driver{link, &trace, args.getSize("sends", 1),
-                      args.getDouble("bytes", 4096.0),
-                      args.has("deadline")
-                          ? args.getDouble("deadline", 0.0)
-                          : kNoDeadline};
+    SendDriver driver = sendDriver(link, &trace, cfg, args);
     driver.issue(0);
     const bool done =
         loop.runUntil([&] { return driver.done(); }, timeout);
@@ -344,16 +359,12 @@ runLoopbackDes(const Args &args)
     // One looped 0.1 s sample: constant, and 8 bytes.
     Channel channel(sim, {BandwidthTrace::constant(
                              args.getDouble("bandwidth", 1e6), 0.1)});
+    DesBackend backend(sim, channel, cfg);
     std::vector<TransportEvent> events;
-    ReliableLink link(sim, channel, cfg,
-                      [&events](const TransportEvent &ev) {
-                          events.push_back(ev);
-                      });
-    SendDriver driver{link, nullptr, args.getSize("sends", 1),
-                      args.getDouble("bytes", 4096.0),
-                      args.has("deadline")
-                          ? args.getDouble("deadline", 0.0)
-                          : kNoDeadline};
+    ReliableLink link(backend, cfg, [&events](const TransportEvent &ev) {
+        events.push_back(ev);
+    });
+    SendDriver driver = sendDriver(link, nullptr, cfg, args);
     driver.issue(0);
     sim.run();
     if (!writeFile(args.get("events"), eventsText(events))) {
@@ -439,11 +450,7 @@ runLoopback(const Args &args)
     ReliableLink link(*sock, cfg, [&merged](const TransportEvent &ev) {
         merged.push_back(ev);
     });
-    SendDriver driver{link, &trace, args.getSize("sends", 1),
-                      args.getDouble("bytes", 4096.0),
-                      args.has("deadline")
-                          ? args.getDouble("deadline", 0.0)
-                          : kNoDeadline};
+    SendDriver driver = sendDriver(link, &trace, cfg, args);
     driver.issue(0);
     const bool done =
         loop.runUntil([&] { return driver.done(); }, timeout);
