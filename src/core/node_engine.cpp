@@ -770,8 +770,8 @@ WorkerNode::onReject(std::vector<std::uint8_t> &&bytes)
     if (r.reason == RejectReason::BadEpoch) {
         epoch_ = r.server_epoch; // adopt and retry.
         // An epoch change means the server restarted with fresh
-        // receiver state: wipe this link's per-key delivery memory
-        // (it describes a dead process) and rebuild the connection.
+        // receiver state: abort this link's sends to the dead process
+        // and rebuild the connection.
         fabric_.resetPeer(kServerNode);
         fabric_.connectPeer(kServerNode, server_host_, server_port_);
     } else {

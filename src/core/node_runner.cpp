@@ -351,6 +351,9 @@ runDesTwin(const NodeRunConfig &cfg)
             if (restart_at >= 0.0 && t >= restart_at) {
                 restart_at = -1.0;
                 restarted = true;
+                // A restarted socket server comes back with a fresh
+                // receiver endpoint; so does the twin's.
+                net.restartReceivers(net::session::kServerNode);
                 server = std::make_unique<ServerNode>(
                     server_fabric, *workload, train, log.logger());
                 server->start();

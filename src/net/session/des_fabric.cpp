@@ -41,8 +41,8 @@ DesFabric::cancelTimer(FabricTimer id)
 bool
 DesFabric::connectPeer(int peer, const std::string &, std::uint16_t)
 {
-    // Simulated links never die; (re)connecting just (re)creates the
-    // pair so reconnect paths exercise the same code as sockets.
+    // Simulated links never die: connecting creates the pair on first
+    // use and otherwise only marks it healthy again.
     net_.pair(node_, peer).healthy = true;
     return true;
 }
@@ -63,10 +63,9 @@ DesFabric::peerHealthy(int peer) const
 void
 DesFabric::dropPeer(int peer)
 {
-    // Keep the pair, and with it any in-flight sends, but mark it
-    // unhealthy until the next connectPeer. There is no per-key
-    // receiver state to keep: the pair's DesBackend scopes dedup to
-    // each send.
+    // Keep the pair, and with it any in-flight sends and the peer's
+    // per-key receiver state, but mark it unhealthy until the next
+    // connectPeer.
     auto it = net_.pairs_.find({node_, peer});
     if (it != net_.pairs_.end())
         it->second.healthy = false;
@@ -76,8 +75,9 @@ void
 DesFabric::resetPeer(int peer)
 {
     // The remote restarted: abort this direction's in-flight sends
-    // (their done callbacks fire false). Nothing else is remembered
-    // per key; each send's receiver state closes with the send.
+    // (their done callbacks fire false). The receiver's per-key state
+    // belongs to the remote process; its restart clears it
+    // (DesFabricNet::restartReceivers).
     auto it = net_.pairs_.find({node_, peer});
     if (it != net_.pairs_.end() && it->second.link)
         it->second.link->reset();
@@ -122,6 +122,14 @@ DesFabricNet::node(int node)
     return *it->second;
 }
 
+void
+DesFabricNet::restartReceivers(int node)
+{
+    for (auto &[ends, p] : pairs_)
+        if (ends.second == node)
+            p.backend->restartReceiver();
+}
+
 DesFabricNet::Pair &
 DesFabricNet::pair(int src, int dst)
 {
@@ -137,7 +145,7 @@ DesFabricNet::pair(int src, int dst)
     transport::TransportConfig cfg = cfg_;
     cfg.jitter_seed = next_jitter_seed_++;
     p.backend = std::make_unique<transport::DesBackend>(
-        sim_, *p.channel, cfg,
+        sim_, *p.channel,
         [this, dst](const MessageKey &key, std::vector<std::uint8_t> &&bytes) {
             DesFabric &to = node(dst);
             if (to.handler_)

@@ -6,12 +6,13 @@
  * sim::Simulation; each directed (src, dst) pair lazily gets its own
  * simulated Channel, DesBackend and ReliableLink, so per-pair sender
  * state (in-flight sends, retry backoff) matches the socket topology
- * one-to-one. Receiver dedup does not: a DesBackend scopes it to each
- * send, where a socket receiver dedups per message key for its whole
- * lifetime. Delivery works as on sockets: the pair's DesBackend moves
- * the reassembled bytes to the destination node's message handler at
- * the frame that completes the message, before the sender's completion
- * runs, at that simulation time. The links record no transport events.
+ * one-to-one. So does the receiver: each pair's DesBackend runs the
+ * FrameReceiver a socket endpoint runs, which dedups per message key
+ * until the destination restarts (restartReceivers). Delivery works as
+ * on sockets: the pair's DesBackend moves the reassembled bytes to the
+ * destination node's message handler at the frame that completes the
+ * message, before the sender's completion runs, at that simulation
+ * time. The links record no transport events.
  *
  * Determinism: everything runs on the simulation clock; a given seed
  * and plan produce bit-identical traffic, which is what the chaos
@@ -80,6 +81,13 @@ class DesFabricNet
 
     /** Get (create on first use) node @p node's fabric. */
     DesFabric &node(int node);
+
+    /**
+     * Node @p node's process restarted: every pair into it drops its
+     * receiver state, as a restarted socket node comes back with a
+     * fresh receiver endpoint.
+     */
+    void restartReceivers(int node);
 
     sim::Simulation &sim() { return sim_; }
 

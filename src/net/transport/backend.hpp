@@ -20,12 +20,12 @@
  *
  *   - DesBackend (des_backend.hpp): the deterministic twin. Frames
  *     travel the fluid-simulated Channel; receiver decisions come from
- *     a local ChunkReceiver fed exactly what the channel (and its
- *     fault layer) says arrived, and a delivered payload goes to a
+ *     a local FrameReceiver fed each frame exactly as the channel (and
+ *     its fault layer) delivered it, and a delivered payload goes to a
  *     DeliverySink at the frame that completes it.
  *   - UdpBackend / TcpBackend (socket_backend.hpp): real nonblocking
  *     sockets in wall-clock time; receiver decisions come back as
- *     acknowledgement frames from the peer's ChunkReceiver, whose
+ *     acknowledgement frames from the peer's FrameReceiver, whose
  *     endpoint hands delivered payloads to the same kind of sink.
  *   - ReplayBackend (des_backend.hpp): re-resolves each attempt from
  *     a recorded wire trace inside the simulator — the cross-
@@ -154,10 +154,9 @@ class Backend
     virtual void cancelTimer(TimerId id) = 0;
 
     /**
-     * Open a per-message send stream. An in-process receiver (the DES
-     * twin) scopes its dedup and reassembly state to the returned
-     * handle, so two sequential sends with the same key are distinct
-     * messages there; a socket receiver dedups per key.
+     * Open a per-message send stream: the handle of the sender's
+     * stop-and-wait exchange. Receivers dedup per key, not per stream:
+     * a second send of a delivered key is answered as a duplicate.
      */
     virtual std::uint64_t openSend(LinkId link, const MessageKey &key) = 0;
 
@@ -166,12 +165,8 @@ class Backend
      *
      * @param hdr the frame header exactly as the protocol core built
      *        it (the backend serializes it onto its wire).
-     * @param frag the fragment's payload bytes.
-     * @param chunk the full current chunk's payload bytes (the DES
-     *        twin needs them to model reassembled delivery; socket
-     *        backends only ship @p frag). Both spans must stay valid
-     *        until @p done or @p drop fires; the protocol core keeps
-     *        the backing buffers stable per chunk.
+     * @param frag the fragment's payload bytes; the backend copies
+     *        them onto its wire before returning.
      * @param timeout_s seconds until the exchange is cut
      *        (infinity = none).
      * @param done invoked exactly once with the verdict, unless the
@@ -184,7 +179,6 @@ class Backend
      */
     virtual void sendFrame(std::uint64_t send_id, const FrameHeader &hdr,
                            std::span<const std::uint8_t> frag,
-                           std::span<const std::uint8_t> chunk,
                            double timeout_s, VerdictCallback done,
                            std::function<void()> drop) = 0;
 

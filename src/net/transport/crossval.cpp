@@ -118,11 +118,9 @@ replayReceiverTrace(const TransportTrace &trace)
         msgs[s.key] = synthesizeMessage(s.key, s.payload_bytes,
                                         trace.config.chunk_bytes);
 
-    ChunkReceiver rx([] { return 0.0; },
-                     [&res](const TransportEvent &ev) {
-                         res.log.push_back(ev);
-                     });
-    FrameAssembler assembler(rx);
+    FrameReceiver rx([] { return 0.0; }, [&res](const TransportEvent &ev) {
+        res.log.push_back(ev);
+    });
 
     const TransportConfig config = configOf(trace.config);
     std::vector<std::uint8_t> present;
@@ -169,8 +167,7 @@ replayReceiverTrace(const TransportTrace &trace)
             // replayed verdict is computed over bad bytes, not assumed.
             present[0] ^= 0x40;
         }
-        assembler.onFrame(rec.link, hdr,
-                          {present.data(), present.size()});
+        rx.onFrame(rec.link, hdr, {present.data(), present.size()});
     }
 
     res.sends_completed = rx.deliveredMessages();

@@ -7,8 +7,8 @@
  * arrival) plus the structured event log both endpoints emitted. This
  * harness replays the trace through the *same protocol core* under
  * virtual time — the sender half through ReliableLink over a
- * ReplayBackend, the receiver half through FrameAssembler +
- * ChunkReceiver fed re-synthesized payload bytes — and asserts the
+ * ReplayBackend, the receiver half through the FrameReceiver fed
+ * re-synthesized payload bytes — and asserts the
  * replayed decision log matches the recorded one frame for frame
  * (timestamps normalized away: wall clock and virtual time cannot
  * agree, every decision must).

@@ -47,8 +47,8 @@ SimTimers::cancel(TimerId id)
 // ----------------------------------------------------------- DesBackend
 
 DesBackend::DesBackend(sim::Simulation &sim, Channel &channel,
-                       const TransportConfig &config, DeliverySink deliver)
-    : sim_(sim), channel_(channel), config_(config), timers_(sim),
+                       DeliverySink deliver)
+    : sim_(sim), channel_(channel), timers_(sim),
       receiver_([&sim] { return sim.now(); }, {}, std::move(deliver))
 {
 }
@@ -76,18 +76,15 @@ DesBackend::cancelTimer(TimerId id)
 std::uint64_t
 DesBackend::openSend(LinkId link, const MessageKey &key)
 {
+    (void)key; // the receiver reads it from each frame's header.
     const std::uint64_t id = next_send_++;
-    Stream &s = streams_[id];
-    s.link = link;
-    s.key = key;
-    s.wire = BufferPool::global().leaseBytes(FrameHeader::kWireSize);
+    streams_[id].link = link;
     return id;
 }
 
 void
 DesBackend::sendFrame(std::uint64_t send_id, const FrameHeader &hdr,
-                      std::span<const std::uint8_t> frag,
-                      std::span<const std::uint8_t> chunk, double timeout_s,
+                      std::span<const std::uint8_t> frag, double timeout_s,
                       VerdictCallback done, std::function<void()> drop)
 {
     auto it = streams_.find(send_id);
@@ -96,19 +93,21 @@ DesBackend::sendFrame(std::uint64_t send_id, const FrameHeader &hdr,
     ROG_ASSERT(!s.pending, "transport stream is stop-and-wait");
 
     // Serialize onto the (simulated) wire; the receive side re-parses
-    // it, so the header round-trips exactly as over real sockets.
-    hdr.serialize({s.wire.data(), s.wire.size()});
+    // it, so the frame round-trips exactly as over real sockets.
+    s.frame_bytes = FrameHeader::kWireSize + frag.size();
+    if (s.wire.size() < s.frame_bytes)
+        s.wire = BufferPool::global().leaseBytes(s.frame_bytes);
+    hdr.serialize({s.wire.data(), FrameHeader::kWireSize});
+    std::copy(frag.begin(), frag.end(),
+              s.wire.data() + FrameHeader::kWireSize);
     s.pending = true;
-    s.chunk = chunk;
     s.done = std::move(done);
     s.drop = std::move(drop);
 
-    const auto wire_bytes =
-        static_cast<double>(FrameHeader::kWireSize + frag.size());
     const double timeout =
         std::isfinite(timeout_s) ? timeout_s : Channel::kNoTimeout;
     channel_.startTransfer(
-        s.link, wire_bytes, timeout,
+        s.link, static_cast<double>(s.frame_bytes), timeout,
         [this, alive = alive_, send_id](TransferResult r) {
             if (*alive)
                 onTransferDone(send_id, r);
@@ -131,48 +130,60 @@ DesBackend::onTransferDone(std::uint64_t send_id, const TransferResult &r)
     s.done = nullptr;
     s.drop = nullptr;
 
-    if (r.corrupted)
-        s.garbled = true;
-
     FrameVerdict v;
     // Whole bytes: a cut transfer keeps only the bytes fully through.
-    v.bytes_sent = static_cast<std::uint64_t>(
-        r.completed ? r.bytes_requested : std::floor(r.bytes_sent));
-    if (!r.completed) {
-        // Cut mid-flow. In baseline (from-scratch) mode the retry
-        // restarts the chunk, so a garbled prefix is discarded with it.
-        if (!config_.resume_from_offset)
-            s.garbled = false;
-        done(v);
+    v.bytes_sent = r.completed
+                       ? s.frame_bytes
+                       : static_cast<std::uint64_t>(std::floor(r.bytes_sent));
+    if (v.bytes_sent < FrameHeader::kWireSize) {
+        done(v); // the header never got through: nothing arrived.
         return;
     }
 
-    // The receiver re-parses the header exactly as it was framed.
-    const auto hdr = FrameHeader::parse({s.wire.data(), s.wire.size()});
+    // The receiver re-parses the header exactly as it was framed and
+    // takes the payload bytes that got through, as a socket receiver
+    // takes a (possibly truncated) datagram. Corruption flips the
+    // first of them, as the UDP fault injector does; a frame that
+    // delivers no payload byte arrives intact.
+    const auto hdr =
+        FrameHeader::parse({s.wire.data(), FrameHeader::kWireSize});
     ROG_ASSERT(hdr.has_value(), "transport framed an unparsable header");
-
-    // A corrupted fragment garbled the reassembled chunk; flip a
-    // deterministic byte in a scratch copy so the CRC genuinely fails
-    // (the sender's chunk bytes are never mutated).
-    auto received = s.chunk;
-    if (s.garbled && !received.empty()) {
-        if (s.garble_scratch.size() < received.size())
-            s.garble_scratch =
-                BufferPool::global().leaseBytes(received.size());
-        std::uint8_t *mut = s.garble_scratch.data();
-        std::copy(received.begin(), received.end(), mut);
-        mut[hdr->chunk_seq % received.size()] ^= 0x40;
-        received = {mut, received.size()};
+    const std::span<std::uint8_t> present(
+        s.wire.data() + FrameHeader::kWireSize,
+        static_cast<std::size_t>(v.bytes_sent) - FrameHeader::kWireSize);
+    if (r.corrupted && !present.empty())
+        present[0] ^= 0x40;
+    FrameReceiver::Result rx = receiver_.onFrame(s.link, *hdr, present);
+    if (r.duplicated) {
+        const FrameReceiver::Result again =
+            receiver_.onFrame(s.link, *hdr, present);
+        rx.fresh_accepts += again.fresh_accepts;
+        rx.duplicates += again.duplicates;
+        rx.message_complete = rx.message_complete || again.message_complete;
     }
-    s.garbled = false; // chunk resolved (accepted or restarted).
-    const ChunkReceiver::Decision d = receiver_.onChunk(
-        send_id, s.link, s.key, *hdr, received, r.duplicated);
 
+    if (!r.completed) {
+        done(v); // cut mid-flow: the sender resumes past what got through.
+        return;
+    }
+    if (!rx.chunk_complete) {
+        // The receiver lacks bytes before this fragment (it restarted
+        // mid-chunk): what got through is what extends its prefix, as
+        // a socket receiver's partial ACK reports.
+        v.bytes_sent =
+            FrameHeader::kWireSize +
+            (rx.prefix > hdr->payload_off
+                 ? std::min<std::uint64_t>(rx.prefix - hdr->payload_off,
+                                           hdr->payload_len)
+                 : 0);
+        done(v);
+        return;
+    }
     v.completed = true;
-    v.crc_ok = d.crc_ok;
-    v.fresh_accepts = d.fresh_accepts;
-    v.duplicates = d.duplicates;
-    v.message_complete = d.message_complete;
+    v.crc_ok = rx.crc_ok;
+    v.fresh_accepts = rx.fresh_accepts;
+    v.duplicates = rx.duplicates;
+    v.message_complete = rx.message_complete;
     done(v);
 }
 
@@ -193,7 +204,6 @@ DesBackend::onTransferDrop(std::uint64_t send_id)
 void
 DesBackend::closeSend(std::uint64_t send_id)
 {
-    receiver_.release(send_id);
     streams_.erase(send_id);
 }
 
@@ -240,12 +250,10 @@ ReplayBackend::openSend(LinkId link, const MessageKey &key)
 void
 ReplayBackend::sendFrame(std::uint64_t send_id, const FrameHeader &hdr,
                          std::span<const std::uint8_t> frag,
-                         std::span<const std::uint8_t> chunk,
                          double timeout_s, VerdictCallback done,
                          std::function<void()> drop)
 {
     (void)frag;
-    (void)chunk;
     (void)timeout_s;
     (void)drop;
     auto it = streams_.find(send_id);

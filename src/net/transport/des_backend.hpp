@@ -3,16 +3,19 @@
  * Simulator-side transport backends.
  *
  * DesBackend is the deterministic twin: frames travel the
- * fluid-simulated Channel under virtual time, and receiver decisions
- * come from a local ChunkReceiver fed exactly what the channel (and
- * its fault layer) says arrived — corrupted deliveries garble a real
- * byte so the CRC verdict is computed, never assumed. A cut transfer
- * delivers the whole bytes the channel moved before the cut (rounded
- * down). A delivered message's bytes are moved to the DeliverySink at
- * the frame that completes it, before the sender sees its verdict: the
- * same point a socket receiver endpoint hands them up. Receiver state
- * is scoped per send, so the twin dedups within one send, not across
- * sends of the same key as a socket receiver does.
+ * fluid-simulated Channel under virtual time and land in a local
+ * FrameReceiver, the same class a socket receiver endpoint runs, fed
+ * the frame exactly as a socket wire would deliver it. A completed
+ * transfer delivers the whole frame; a cut transfer delivers the whole
+ * bytes the channel moved before the cut (rounded down), once the
+ * header is through; a corrupted transfer flips its first delivered
+ * payload byte, so the CRC verdict is computed, never assumed; a
+ * duplicated transfer delivers the frame twice. A delivered message's
+ * bytes go to the DeliverySink at the frame that completes it, before
+ * the sender sees its verdict: the same point a socket receiver
+ * endpoint hands them up. The receiver dedups per key for its whole
+ * lifetime, as a socket receiver does; restartReceiver() models the
+ * receiving process restarting.
  *
  * ReplayBackend is the cross-validation twin: each attempt resolves
  * from the next record of a wire trace captured on a real-socket run,
@@ -66,7 +69,7 @@ class DesBackend : public Backend
      * receiver keeps no payload bytes at all.
      */
     DesBackend(sim::Simulation &sim, Channel &channel,
-               const TransportConfig &config, DeliverySink deliver = {});
+               DeliverySink deliver = {});
     ~DesBackend() override;
 
     double now() const override;
@@ -74,30 +77,31 @@ class DesBackend : public Backend
     void cancelTimer(TimerId id) override;
     std::uint64_t openSend(LinkId link, const MessageKey &key) override;
     void sendFrame(std::uint64_t send_id, const FrameHeader &hdr,
-                   std::span<const std::uint8_t> frag,
-                   std::span<const std::uint8_t> chunk, double timeout_s,
+                   std::span<const std::uint8_t> frag, double timeout_s,
                    VerdictCallback done,
                    std::function<void()> drop) override;
     void closeSend(std::uint64_t send_id) override;
     void setReceiverEventSink(EventSink sink) override;
 
+    /**
+     * The receiving process restarted: drop every piece of receiver
+     * state, delivered keys included. In-flight sends are untouched
+     * (aborting those is the sender's ReliableLink::reset()).
+     */
+    void restartReceiver() { receiver_.restart(); }
+
   private:
-    /** Per-send wire state; receiver state is scoped to the same id. */
+    /** Per-send wire state. */
     struct Stream
     {
         LinkId link = 0;
-        MessageKey key;
-
-        /** A corrupted fragment contributed to the current chunk. */
-        bool garbled = false;
-
         bool pending = false; //!< a frame is in flight.
-        std::span<const std::uint8_t> chunk;
         VerdictCallback done;
         std::function<void()> drop;
 
-        BufferPool::Lease<std::uint8_t> wire; //!< serialized header.
-        BufferPool::Lease<std::uint8_t> garble_scratch;
+        /** The frame in flight as serialized: header, then fragment. */
+        BufferPool::Lease<std::uint8_t> wire;
+        std::size_t frame_bytes = 0;
     };
 
     void onTransferDone(std::uint64_t send_id, const TransferResult &r);
@@ -105,9 +109,8 @@ class DesBackend : public Backend
 
     sim::Simulation &sim_;
     Channel &channel_;
-    TransportConfig config_;
     SimTimers timers_;
-    ChunkReceiver receiver_;
+    FrameReceiver receiver_;
     std::map<std::uint64_t, Stream> streams_;
     std::uint64_t next_send_ = 1;
     std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
@@ -125,8 +128,7 @@ class ReplayBackend : public Backend
     void cancelTimer(TimerId id) override;
     std::uint64_t openSend(LinkId link, const MessageKey &key) override;
     void sendFrame(std::uint64_t send_id, const FrameHeader &hdr,
-                   std::span<const std::uint8_t> frag,
-                   std::span<const std::uint8_t> chunk, double timeout_s,
+                   std::span<const std::uint8_t> frag, double timeout_s,
                    VerdictCallback done,
                    std::function<void()> drop) override;
     void closeSend(std::uint64_t send_id) override;

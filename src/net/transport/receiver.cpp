@@ -9,16 +9,16 @@ namespace rog {
 namespace net {
 namespace transport {
 
-ChunkReceiver::ChunkReceiver(std::function<double()> clock, EventSink sink,
+FrameReceiver::FrameReceiver(std::function<double()> clock, EventSink sink,
                              DeliverySink deliver)
     : clock_(std::move(clock)), sink_(std::move(sink)),
       deliver_(std::move(deliver))
 {
-    ROG_ASSERT(clock_, "chunk receiver needs a clock");
+    ROG_ASSERT(clock_, "frame receiver needs a clock");
 }
 
 void
-ChunkReceiver::emit(TransportEvent::Kind kind, LinkId link,
+FrameReceiver::emit(TransportEvent::Kind kind, LinkId link,
                     const MessageKey &key, std::uint32_t seq, double a)
 {
     if (!sink_)
@@ -33,121 +33,9 @@ ChunkReceiver::emit(TransportEvent::Kind kind, LinkId link,
     sink_(ev);
 }
 
-bool
-ChunkReceiver::checkCrc(LinkId link, const MessageKey &key,
-                        const FrameHeader &hdr,
-                        std::span<const std::uint8_t> chunk)
-{
-    if (crc32c(chunk) == hdr.payload_crc)
-        return true;
-    emit(TransportEvent::Kind::CorruptDrop, link, key, hdr.chunk_seq,
-         static_cast<double>(chunk.size()));
-    return false;
-}
-
-void
-ChunkReceiver::noteChunk(LinkId link, const MessageKey &key,
-                         std::uint32_t seq, bool fresh,
-                         std::size_t chunk_len, Decision &d)
-{
-    if (!fresh) {
-        ++d.duplicates;
-        emit(TransportEvent::Kind::Duplicate, link, key, seq);
-        return;
-    }
-    ++d.fresh_accepts;
-    emit(TransportEvent::Kind::Accept, link, key, seq,
-         static_cast<double>(chunk_len));
-}
-
-void
-ChunkReceiver::acceptOnce(MessageState &m, const FrameHeader &hdr,
-                          std::span<const std::uint8_t> chunk, Decision &d)
-{
-    const bool fresh = m.accepted.insert(hdr.chunk_seq).second;
-    noteChunk(m.link, m.key, hdr.chunk_seq, fresh, chunk.size(), d);
-    if (fresh && deliver_)
-        m.chunks[hdr.chunk_seq].assign(chunk.begin(), chunk.end());
-}
-
-ChunkReceiver::Decision
-ChunkReceiver::onChunk(std::uint64_t instance, LinkId link,
-                       const MessageKey &key, const FrameHeader &hdr,
-                       std::span<const std::uint8_t> chunk,
-                       bool duplicated_hint)
-{
-    MessageState &m = messages_[instance];
-    m.link = link;
-    m.key = key;
-    m.chunk_count = hdr.chunk_count;
-
-    Decision d;
-    d.crc_ok = checkCrc(link, key, hdr, chunk);
-    if (!d.crc_ok)
-        return d;
-
-    acceptOnce(m, hdr, chunk, d);
-    if (duplicated_hint)
-        acceptOnce(m, hdr, chunk, d); // delivered twice.
-
-    d.message_complete = m.complete;
-    if (m.complete || m.accepted.size() != m.chunk_count)
-        return d;
-    m.complete = true;
-    d.message_complete = true;
-    ++delivered_;
-    std::vector<std::uint8_t> payload;
-    for (const auto &[seq, bytes] : m.chunks)
-        payload.insert(payload.end(), bytes.begin(), bytes.end());
-    m.chunks.clear();
-    emit(TransportEvent::Kind::Deliver, link, key, m.chunk_count);
-    // Last: the sink may start new work on this receiver.
-    if (deliver_)
-        deliver_(key, std::move(payload));
-    return d;
-}
-
-void
-ChunkReceiver::release(std::uint64_t instance)
-{
-    messages_.erase(instance);
-}
-
-ChunkReceiver::Retired
-ChunkReceiver::retire(std::uint64_t instance)
-{
-    auto it = messages_.find(instance);
-    ROG_ASSERT(it != messages_.end() && it->second.complete,
-               "retire of an undelivered message");
-    Retired r;
-    for (const std::uint32_t seq : it->second.accepted) {
-        if (seq == r.accepted_prefix)
-            ++r.accepted_prefix;
-        else
-            r.accepted_extra.push_back(seq);
-    }
-    messages_.erase(it);
-    return r;
-}
-
-ChunkReceiver::Decision
-ChunkReceiver::onRetiredChunk(LinkId link, const MessageKey &key,
-                              const FrameHeader &hdr,
-                              std::span<const std::uint8_t> chunk,
-                              bool fresh)
-{
-    Decision d;
-    d.crc_ok = checkCrc(link, key, hdr, chunk);
-    if (!d.crc_ok)
-        return d;
-    noteChunk(link, key, hdr.chunk_seq, fresh, chunk.size(), d);
-    d.message_complete = true;
-    return d;
-}
-
-FrameAssembler::Result
-FrameAssembler::onFrame(LinkId link, const FrameHeader &hdr,
-                        std::span<const std::uint8_t> present)
+FrameReceiver::Result
+FrameReceiver::onFrame(LinkId link, const FrameHeader &hdr,
+                       std::span<const std::uint8_t> present)
 {
     MessageKey key;
     key.worker = hdr.worker;
@@ -155,10 +43,22 @@ FrameAssembler::onFrame(LinkId link, const FrameHeader &hdr,
     key.row = hdr.row;
     key.pull = hdr.pull();
 
+    Result r;
     const auto buf_key = std::make_pair(key, hdr.chunk_seq);
-    ChunkBuf &buf = bufs_[buf_key];
     const std::uint64_t off = hdr.payload_off;
     const std::uint64_t end = off + present.size();
+    const bool whole = present.size() == hdr.payload_len;
+    if (off == 0 && whole) {
+        // The frame carries its whole chunk: nothing to reassemble,
+        // and it supersedes any prefix an earlier attempt left.
+        bufs_.erase(buf_key);
+        r.prefix = end;
+        decide(r, link, key, hdr, present);
+        return r;
+    }
+
+    const auto it = bufs_.try_emplace(buf_key).first;
+    ChunkBuf &buf = it->second;
     if (buf.bytes.size() < end)
         buf.bytes.resize(static_cast<std::size_t>(end), 0);
     std::copy(present.begin(), present.end(),
@@ -167,15 +67,12 @@ FrameAssembler::onFrame(LinkId link, const FrameHeader &hdr,
     // never leaves one, but a stray datagram cannot corrupt state.
     if (off <= buf.prefix)
         buf.prefix = std::max(buf.prefix, end);
-
-    Result r;
     r.prefix = buf.prefix;
 
     // The sender always frames to the end of the chunk, so this frame
     // completes the chunk exactly when it arrived whole and the bytes
     // before it are contiguous.
     const std::uint64_t chunk_total = off + hdr.payload_len;
-    const bool whole = present.size() == hdr.payload_len;
     if (!whole || buf.prefix < chunk_total)
         return r;
 
@@ -184,46 +81,101 @@ FrameAssembler::onFrame(LinkId link, const FrameHeader &hdr,
     // Accepted or discarded, this chunk's buffer is spent: a CRC
     // failure restarts the chunk from offset zero (the prefix was
     // untrustworthy), and an accept has no more use for it.
-    bufs_.erase(buf_key);
+    bufs_.erase(it);
     return r;
 }
 
 void
-FrameAssembler::decide(Result &r, LinkId link, const MessageKey &key,
-                       const FrameHeader &hdr,
-                       std::span<const std::uint8_t> chunk)
+FrameReceiver::noteChunk(Result &r, LinkId link, const MessageKey &key,
+                         std::uint32_t seq, bool fresh,
+                         std::size_t chunk_len)
+{
+    if (!fresh) {
+        ++r.duplicates;
+        emit(TransportEvent::Kind::Duplicate, link, key, seq);
+        return;
+    }
+    ++r.fresh_accepts;
+    emit(TransportEvent::Kind::Accept, link, key, seq,
+         static_cast<double>(chunk_len));
+}
+
+void
+FrameReceiver::decide(Result &r, LinkId link, const MessageKey &key,
+                      const FrameHeader &hdr,
+                      std::span<const std::uint8_t> chunk)
 {
     r.chunk_complete = true;
+    r.crc_ok = crc32c(chunk) == hdr.payload_crc;
+    if (!r.crc_ok) {
+        emit(TransportEvent::Kind::CorruptDrop, link, key, hdr.chunk_seq,
+             static_cast<double>(chunk.size()));
+        return;
+    }
+
     if (const std::uint32_t *prefix = delivered_.find(key)) {
         const auto extra = std::make_pair(key, hdr.chunk_seq);
         const bool fresh = hdr.chunk_seq >= *prefix &&
                            delivered_extra_.count(extra) == 0;
-        r.decision = rx_.onRetiredChunk(link, key, hdr, chunk, fresh);
-        if (r.decision.fresh_accepts > 0)
+        noteChunk(r, link, key, hdr.chunk_seq, fresh, chunk.size());
+        if (fresh)
             delivered_extra_.insert(extra);
+        r.message_complete = true;
         return;
     }
 
-    auto [it, fresh] = instances_.try_emplace(key, next_instance_);
-    if (fresh)
-        ++next_instance_;
-    const std::uint64_t instance = it->second;
-    r.decision = rx_.onChunk(instance, link, key, hdr, chunk, false);
-    if (!r.decision.message_complete)
+    const auto it = messages_.try_emplace(key).first;
+    MessageState &m = it->second;
+    const bool fresh = m.accepted.insert(hdr.chunk_seq).second;
+    noteChunk(r, link, key, hdr.chunk_seq, fresh, chunk.size());
+    if (fresh && deliver_)
+        m.chunks[hdr.chunk_seq].assign(chunk.begin(), chunk.end());
+    if (m.accepted.size() != hdr.chunk_count)
         return;
+    MessageState done = std::move(m);
+    messages_.erase(it);
+    deliver(r, link, key, hdr, std::move(done));
+}
 
-    // Delivered (the receiver handed the payload to its sink): keep
-    // only what dedup of late frames needs.
-    ChunkReceiver::Retired done = rx_.retire(instance);
-    instances_.erase(key);
-    delivered_.insert(key, done.accepted_prefix);
-    for (const std::uint32_t seq : done.accepted_extra)
-        delivered_extra_.insert({key, seq});
+void
+FrameReceiver::deliver(Result &r, LinkId link, const MessageKey &key,
+                       const FrameHeader &hdr, MessageState &&m)
+{
+    r.message_complete = true;
     r.delivered = true;
+    ++delivered_count_;
+
+    // Keep only what dedup of late frames needs: the accepted prefix,
+    // and any accepted chunk past it.
+    std::uint32_t accepted_prefix = 0;
+    for (const std::uint32_t seq : m.accepted) {
+        if (seq == accepted_prefix)
+            ++accepted_prefix;
+        else
+            delivered_extra_.insert({key, seq});
+    }
+    delivered_.insert(key, accepted_prefix);
+
+    std::vector<std::uint8_t> payload;
+    for (const auto &[seq, bytes] : m.chunks)
+        payload.insert(payload.end(), bytes.begin(), bytes.end());
+    emit(TransportEvent::Kind::Deliver, link, key, hdr.chunk_count);
+    // Last: the sink may start new work on this receiver.
+    if (deliver_)
+        deliver_(key, std::move(payload));
+}
+
+void
+FrameReceiver::restart()
+{
+    messages_.clear();
+    bufs_.clear();
+    delivered_ = DeliveredKeys{};
+    delivered_extra_.clear();
 }
 
 std::size_t
-FrameAssembler::largestChunkBuffer() const
+FrameReceiver::largestChunkBuffer() const
 {
     std::size_t most = 0;
     for (const auto &[key, buf] : bufs_)
@@ -232,7 +184,7 @@ FrameAssembler::largestChunkBuffer() const
 }
 
 std::size_t
-FrameAssembler::DeliveredKeys::slotOf(const MessageKey &key) const
+FrameReceiver::DeliveredKeys::slotOf(const MessageKey &key) const
 {
     // Row, worker and direction pack disjointly into one word; the
     // fmix64 finalizer spreads every input bit over the low bits.
@@ -248,7 +200,7 @@ FrameAssembler::DeliveredKeys::slotOf(const MessageKey &key) const
 }
 
 const std::uint32_t *
-FrameAssembler::DeliveredKeys::find(const MessageKey &key) const
+FrameReceiver::DeliveredKeys::find(const MessageKey &key) const
 {
     if (size_ == 0)
         return nullptr;
@@ -263,8 +215,8 @@ FrameAssembler::DeliveredKeys::find(const MessageKey &key) const
 }
 
 void
-FrameAssembler::DeliveredKeys::insert(const MessageKey &key,
-                                      std::uint32_t accepted_prefix)
+FrameReceiver::DeliveredKeys::insert(const MessageKey &key,
+                                     std::uint32_t accepted_prefix)
 {
     if (4 * (size_ + 1) > 3 * slots_.size()) {
         std::vector<Slot> old = std::move(slots_);

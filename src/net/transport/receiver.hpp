@@ -2,23 +2,22 @@
  * @file
  * Receiver half of the reliable transport protocol core.
  *
- * ChunkReceiver owns every receiver-side decision: the checksum
- * verdict over a reassembled chunk, exactly-once acceptance keyed on
- * chunk sequence, and end-of-message delivery. Exactly one
- * implementation serves every backend: the DES twin feeds it what the
- * simulated channel delivered, the socket receiver endpoint feeds it
- * what came off the wire, and the replay harness feeds it a recorded
- * trace, so a decision can never fork between simulation and
- * deployment. It keeps payload bytes only when a DeliverySink is
- * attached, and hands each message's bytes to that sink once, at the
- * chunk that completes it.
+ * FrameReceiver owns every receiver-side decision: fragment
+ * reassembly, the checksum verdict over a reassembled chunk,
+ * exactly-once acceptance keyed on (message key, chunk sequence), and
+ * end-of-message delivery. Exactly one implementation serves every
+ * backend, through one entry point, the frame: the socket endpoints
+ * feed it what came off the wire, the DES twin feeds it what the
+ * simulated channel (and its fault layer) delivered, and the replay
+ * harness feeds it a recorded trace, so a decision can never fork
+ * between simulation and deployment. It keeps payload bytes only when
+ * a DeliverySink is attached, and hands each message's bytes to that
+ * sink once, at the frame that completes it.
  *
- * State is scoped per message *instance* (an opaque id the caller
- * picks): the simulator scopes instances per send so repeated keys
- * stay independent and releases each one when its send closes, while
- * a real receiver endpoint maps each distinct MessageKey to one
- * instance for true cross-process exactly-once and retires it at
- * delivery (retire(), onRetiredChunk(); see FrameAssembler).
+ * State is scoped per MessageKey for the receiver's lifetime, which is
+ * the lifetime of the receiving process: a second send of a delivered
+ * key is answered as a duplicate and never handed up again. Only a
+ * restart of the receiving process (restart()) forgets delivered keys.
  */
 #ifndef ROG_NET_TRANSPORT_RECEIVER_HPP
 #define ROG_NET_TRANSPORT_RECEIVER_HPP
@@ -38,17 +37,50 @@ namespace rog {
 namespace net {
 namespace transport {
 
-/** Receiver-side protocol decisions, shared by every backend. */
-class ChunkReceiver
+/**
+ * Reassembles frames into chunks and decides each chunk.
+ *
+ * Tracks the contiguous byte prefix of each in-progress chunk; when a
+ * frame completes its chunk, the assembled bytes get the CRC verdict
+ * and the acceptance decision. A chunk that fails its CRC is wiped, so
+ * the retry rebuilds it from offset zero.
+ *
+ * State is proportional to messages in flight. The frame that
+ * completes a message retires it: its payload goes to the DeliverySink
+ * once, its chunk buffers and accepted set are dropped, and the key
+ * keeps one payload-free record (the length of its accepted chunk
+ * prefix) in a flat open-addressed table. A late frame for a retired
+ * key gets the same decision and events as before retirement; it is
+ * never delivered again.
+ */
+class FrameReceiver
 {
   public:
-    /** What one completed chunk delivery resolved to. */
-    struct Decision
+    /** What one incoming frame resolved to. */
+    struct Result
     {
+        /** The frame completed its chunk (the decision below is valid). */
+        bool chunk_complete = false;
+
+        /** Contiguous chunk bytes present after this frame. */
+        std::uint64_t prefix = 0;
+
+        // --- decision about the completed chunk ---
+
+        /** Checksum verdict over the reassembled chunk. */
         bool crc_ok = false;
+
+        /** The chunk was applied as new payload. */
         std::size_t fresh_accepts = 0;
+
+        /** The chunk had already been accepted. */
         std::size_t duplicates = 0;
+
+        /** Every chunk of the message is now accepted. */
         bool message_complete = false;
+
+        /** This frame delivered its message (at most once per key). */
+        bool delivered = false;
     };
 
     /**
@@ -58,142 +90,32 @@ class ChunkReceiver
      * @param deliver receives each delivered message's reassembled
      *        bytes; empty keeps no payload bytes at all.
      */
-    explicit ChunkReceiver(std::function<double()> clock,
+    explicit FrameReceiver(std::function<double()> clock,
                            EventSink sink = {}, DeliverySink deliver = {});
 
     void setEventSink(EventSink sink) { sink_ = std::move(sink); }
 
     /**
-     * One complete chunk arrived (all fragments reassembled) for
-     * message @p instance: verify, dedup or accept, and deliver when
-     * the message completes.
-     *
-     * @param chunk the chunk payload exactly as received (a corrupted
-     *        delivery hands in the garbled bytes: the CRC verdict is
-     *        recomputed here, never trusted from a flag).
-     * @param duplicated_hint the wire delivered this frame twice.
-     */
-    Decision onChunk(std::uint64_t instance, LinkId link,
-                     const MessageKey &key, const FrameHeader &hdr,
-                     std::span<const std::uint8_t> chunk,
-                     bool duplicated_hint);
-
-    /** Drop all state for @p instance. */
-    void release(std::uint64_t instance);
-
-    /** What a delivered instance leaves behind once retired. */
-    struct Retired
-    {
-        /** Chunks [0, accepted_prefix) were accepted... */
-        std::uint32_t accepted_prefix = 0;
-
-        /** ...and so were these, all past the prefix. Empty unless a
-         *  sender framed chunk_seq >= chunk_count. */
-        std::vector<std::uint32_t> accepted_extra;
-    };
-
-    /** Drop every piece of state of delivered @p instance. */
-    Retired retire(std::uint64_t instance);
-
-    /**
-     * One complete chunk for a message that was delivered and then
-     * retired: the CRC verdict and events onChunk() would have
-     * produced from the kept state. @p fresh says whether
-     * the chunk's sequence number is missing from the message's
-     * accepted set; the caller adds it there when the decision shows a
-     * fresh accept.
-     */
-    Decision onRetiredChunk(LinkId link, const MessageKey &key,
-                            const FrameHeader &hdr,
-                            std::span<const std::uint8_t> chunk,
-                            bool fresh);
-
-    /** Messages fully delivered since construction. */
-    std::size_t deliveredMessages() const { return delivered_; }
-
-    /** Instances with live state (opened, neither released nor
-     *  retired). */
-    std::size_t liveMessages() const { return messages_.size(); }
-
-  private:
-    struct MessageState
-    {
-        LinkId link = 0;
-        MessageKey key;
-        std::uint32_t chunk_count = 1;
-        bool complete = false;
-        std::set<std::uint32_t> accepted;
-        /** Accepted chunk bytes, kept only for a DeliverySink. */
-        std::map<std::uint32_t, std::vector<std::uint8_t>> chunks;
-    };
-
-    void acceptOnce(MessageState &m, const FrameHeader &hdr,
-                    std::span<const std::uint8_t> chunk, Decision &d);
-    /** Verdict over @p chunk; a failure is reported and dropped. */
-    bool checkCrc(LinkId link, const MessageKey &key,
-                  const FrameHeader &hdr,
-                  std::span<const std::uint8_t> chunk);
-    /** Report one CRC-intact chunk as a fresh accept or a duplicate. */
-    void noteChunk(LinkId link, const MessageKey &key, std::uint32_t seq,
-                   bool fresh, std::size_t chunk_len, Decision &d);
-    void emit(TransportEvent::Kind kind, LinkId link,
-              const MessageKey &key, std::uint32_t seq, double a = 0.0);
-
-    std::function<double()> clock_;
-    EventSink sink_;
-    DeliverySink deliver_;
-    std::map<std::uint64_t, MessageState> messages_;
-    std::size_t delivered_ = 0;
-};
-
-/**
- * Fragment-reassembly front end for receivers that see frames one
- * wire delivery at a time (the socket endpoints and the trace
- * replayer — the DES twin hands ChunkReceiver whole chunks directly).
- *
- * Tracks the contiguous byte prefix of each in-progress chunk; when a
- * frame completes its chunk, the assembled bytes go to ChunkReceiver
- * for the CRC verdict and acceptance decision. A chunk that fails its
- * CRC is wiped, so the retry rebuilds it from scratch — mirroring the
- * simulator's restart-the-chunk-on-corruption rule. Message instances
- * are scoped per distinct MessageKey: cross-process exactly-once.
- *
- * State is proportional to messages in flight. The frame that
- * completes a message retires it: its payload goes to the
- * ChunkReceiver's DeliverySink once, its instance, chunk buffers and
- * receiver state are dropped, and the key keeps one payload-free
- * record (the length of its accepted chunk prefix) in a flat
- * open-addressed table. A late frame for a retired key gets the same
- * ACK decision and events as before retirement; it is never delivered
- * again.
- */
-class FrameAssembler
-{
-  public:
-    /** What one incoming frame resolved to. */
-    struct Result
-    {
-        /** The frame completed its chunk (decision below is valid). */
-        bool chunk_complete = false;
-
-        /** Contiguous chunk bytes present after this frame. */
-        std::uint64_t prefix = 0;
-
-        ChunkReceiver::Decision decision;
-
-        /** This frame delivered its message (at most once per key). */
-        bool delivered = false;
-    };
-
-    /** @param rx makes every protocol decision; must outlive this. */
-    explicit FrameAssembler(ChunkReceiver &rx) : rx_(rx) {}
-
-    /**
      * One data frame arrived with @p present payload bytes (possibly
-     * fewer than hdr.payload_len claims — a truncated delivery).
+     * fewer than hdr.payload_len claims — a truncated delivery). The
+     * bytes are taken exactly as received: a corrupted delivery hands
+     * in the garbled bytes and the CRC verdict is computed here.
      */
     Result onFrame(LinkId link, const FrameHeader &hdr,
                    std::span<const std::uint8_t> present);
+
+    /**
+     * Drop every piece of per-key state, as the receiving process
+     * does when it restarts: the next frame of any key starts afresh.
+     * The sinks stay attached.
+     */
+    void restart();
+
+    /** Messages fully delivered since construction. */
+    std::size_t deliveredMessages() const { return delivered_count_; }
+
+    /** Messages with a chunk accepted but not yet delivered. */
+    std::size_t liveMessages() const { return messages_.size(); }
 
     /** Partially received chunks currently buffered. */
     std::size_t chunkBuffers() const { return bufs_.size(); }
@@ -208,6 +130,14 @@ class FrameAssembler
     std::size_t deliveredBytes() const { return delivered_.bytes(); }
 
   private:
+    /** An undelivered message with at least one accepted chunk. */
+    struct MessageState
+    {
+        std::set<std::uint32_t> accepted;
+        /** Accepted chunk bytes, kept only for a DeliverySink. */
+        std::map<std::uint32_t, std::vector<std::uint8_t>> chunks;
+    };
+
     struct ChunkBuf
     {
         std::vector<std::uint8_t> bytes;
@@ -246,18 +176,28 @@ class FrameAssembler
         std::size_t size_ = 0;
     };
 
-    /** Decide a whole chunk of message @p key. */
+    /** Decide the whole chunk @p chunk of message @p key. */
     void decide(Result &r, LinkId link, const MessageKey &key,
                 const FrameHeader &hdr,
                 std::span<const std::uint8_t> chunk);
+    /** Retire @p key's completed message and hand its bytes up. */
+    void deliver(Result &r, LinkId link, const MessageKey &key,
+                 const FrameHeader &hdr, MessageState &&m);
+    /** Report one CRC-intact chunk as a fresh accept or a duplicate. */
+    void noteChunk(Result &r, LinkId link, const MessageKey &key,
+                   std::uint32_t seq, bool fresh, std::size_t chunk_len);
+    void emit(TransportEvent::Kind kind, LinkId link,
+              const MessageKey &key, std::uint32_t seq, double a = 0.0);
 
-    ChunkReceiver &rx_;
-    std::map<MessageKey, std::uint64_t> instances_; //!< in flight only.
-    std::uint64_t next_instance_ = 1;
+    std::function<double()> clock_;
+    EventSink sink_;
+    DeliverySink deliver_;
+    std::map<MessageKey, MessageState> messages_; //!< in flight only.
     std::map<std::pair<MessageKey, std::uint32_t>, ChunkBuf> bufs_;
     DeliveredKeys delivered_;
     /** Accepted chunks of delivered keys past their prefix. */
     std::set<std::pair<MessageKey, std::uint32_t>> delivered_extra_;
+    std::size_t delivered_count_ = 0;
 };
 
 } // namespace transport

@@ -186,7 +186,7 @@ ReliableLink::attempt(SendOp &op)
 
     const std::uint64_t id = op.id;
     backend_.sendFrame(
-        op.stream, hdr, frag, op.chunk, timeout,
+        op.stream, hdr, frag, timeout,
         [this, alive = alive_, id](const FrameVerdict &v) {
             if (*alive)
                 onFrameVerdict(id, v);
@@ -271,7 +271,7 @@ void
 ReliableLink::resolveChunk(SendOp &op, const FrameVerdict &v)
 {
     // Receiver-side events (Accept / Duplicate / CorruptDrop /
-    // Deliver) are emitted by the ChunkReceiver through the backend's
+    // Deliver) are emitted by the FrameReceiver through the backend's
     // event sink when the receiver runs in-process; the sender only
     // accounts and advances here.
     if (!v.crc_ok) {

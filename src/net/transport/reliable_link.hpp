@@ -9,8 +9,9 @@
  * with deadline-aware exponential backoff and seeded deterministic
  * jitter. A retry resumes from the delivered byte offset rather than
  * from scratch, so a 90%-delivered chunk only resends its tail. The
- * receiver side (ChunkReceiver) dedups chunks on chunk_seq within a
- * message, so a duplicated delivery is applied exactly once.
+ * receiver side (FrameReceiver) dedups chunks on (key, chunk_seq) for
+ * its lifetime, so a duplicated delivery, or a second send of a
+ * delivered key, is applied exactly once.
  *
  * The protocol core is backend-agnostic: every I/O and clocking
  * decision goes through the transport::Backend seam (backend.hpp).
@@ -125,7 +126,8 @@ class ReliableLink
      * Abandon every in-flight send (each fires its @p done with
      * delivered=false, or its @p drop when no done was given). For
      * peer restarts: the remote came back with fresh receiver state,
-     * so nothing sent to the old one is worth finishing.
+     * so nothing sent to the old one is worth finishing. The receiver
+     * is not touched: its state lives and dies with the remote process.
      */
     void reset();
 

@@ -66,7 +66,7 @@ bindWithRetry(int fd, const sockaddr_in &addr, double window_s)
 } // namespace
 
 FrameHeader
-makeAck(const FrameHeader &data, const FrameAssembler::Result &r)
+makeAck(const FrameHeader &data, const FrameReceiver::Result &r)
 {
     FrameHeader ack;
     ack.flags = kFlagAck | (data.flags & kFlagPull);
@@ -83,13 +83,13 @@ makeAck(const FrameHeader &data, const FrameAssembler::Result &r)
         return ack;
     }
     ack.payload_off = data.payload_off;
-    if (!r.decision.crc_ok) {
+    if (!r.crc_ok) {
         ack.flags |= kFlagAckCrcFail;
         return ack;
     }
-    if (r.decision.duplicates > 0 && r.decision.fresh_accepts == 0)
+    if (r.duplicates > 0 && r.fresh_accepts == 0)
         ack.flags |= kFlagAckDup;
-    if (r.decision.message_complete)
+    if (r.message_complete)
         ack.flags |= kFlagAckComplete;
     return ack;
 }
@@ -145,11 +145,9 @@ SocketSenderBase::fail(const std::string &what)
 void
 SocketSenderBase::sendFrame(std::uint64_t send_id, const FrameHeader &hdr,
                             std::span<const std::uint8_t> frag,
-                            std::span<const std::uint8_t> chunk,
                             double timeout_s, VerdictCallback done,
                             std::function<void()> drop)
 {
-    (void)chunk;
     (void)drop; // the socket cannot be torn down under the link.
     ROG_ASSERT(streams_.count(send_id) != 0,
                "sendFrame on unopened stream");
@@ -505,8 +503,7 @@ TcpBackend::closeStream(const char *why)
 ReceiverEndpointBase::ReceiverEndpointBase(PollLoop &loop,
                                            DeliverySink deliver)
     : loop_(loop),
-      receiver_([&loop] { return loop.now(); }, {}, std::move(deliver)),
-      assembler_(receiver_)
+      receiver_([&loop] { return loop.now(); }, {}, std::move(deliver))
 {
 }
 
@@ -521,7 +518,7 @@ FrameHeader
 ReceiverEndpointBase::onDataFrame(const FrameHeader &hdr,
                                   std::span<const std::uint8_t> present)
 {
-    FrameAssembler::Result r = assembler_.onFrame(0, hdr, present);
+    const FrameReceiver::Result r = receiver_.onFrame(0, hdr, present);
 
     if (trace_) {
         RxRecord rec;
@@ -531,7 +528,7 @@ ReceiverEndpointBase::onDataFrame(const FrameHeader &hdr,
         rec.payload_off = hdr.payload_off;
         rec.frag_len = hdr.payload_len;
         rec.got = static_cast<std::uint32_t>(present.size());
-        rec.crc_ok = r.chunk_complete ? r.decision.crc_ok : true;
+        rec.crc_ok = r.chunk_complete ? r.crc_ok : true;
         trace_->rx.push_back(rec);
     }
     return makeAck(hdr, r);

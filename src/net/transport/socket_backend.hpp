@@ -3,7 +3,7 @@
  * Real-socket transport backends: UDP datagrams and loopback TCP.
  *
  * Both run the *identical* protocol core (ReliableLink +
- * ChunkReceiver) the simulator proves out — the only new code is I/O:
+ * FrameReceiver) the simulator proves out — the only new code is I/O:
  * nonblocking sockets on a single-threaded PollLoop, wall-clock
  * timers, and an acknowledgement frame per data frame (the DES twin
  * resolves verdicts in-process; a real peer has to say what it
@@ -59,9 +59,9 @@ struct SocketOptions
     double bind_retry_window_s = 0.0;
 };
 
-/** Build the ACK for a data frame given the assembler's result. */
+/** Build the ACK for a data frame given the receiver's result. */
 FrameHeader makeAck(const FrameHeader &data,
-                    const FrameAssembler::Result &r);
+                    const FrameReceiver::Result &r);
 
 /**
  * Sender-side machinery shared by the UDP and TCP backends: pending
@@ -80,8 +80,7 @@ class SocketSenderBase : public Backend
     void cancelTimer(TimerId id) override;
     std::uint64_t openSend(LinkId link, const MessageKey &key) override;
     void sendFrame(std::uint64_t send_id, const FrameHeader &hdr,
-                   std::span<const std::uint8_t> frag,
-                   std::span<const std::uint8_t> chunk, double timeout_s,
+                   std::span<const std::uint8_t> frag, double timeout_s,
                    VerdictCallback done,
                    std::function<void()> drop) override;
     void closeSend(std::uint64_t send_id) override;
@@ -178,13 +177,13 @@ class TcpBackend : public SocketSenderBase
 };
 
 /**
- * Receiver-side endpoint shared state: the protocol half
- * (ChunkReceiver + FrameAssembler) and the optional consumers of its
- * decisions: a DeliverySink for delivered payloads, an EventSink for
- * the structured event log and a TransportTrace for the per-frame
+ * Receiver-side endpoint shared state: the protocol half (the
+ * FrameReceiver every backend shares) and the optional consumers of
+ * its decisions: a DeliverySink for delivered payloads, an EventSink
+ * for the structured event log and a TransportTrace for the per-frame
  * RxRecords the cross-validation harness replays. None is kept unless
  * the caller attaches it, and a delivered message costs only its
- * dedup record (FrameAssembler).
+ * dedup record.
  */
 class ReceiverEndpointBase
 {
@@ -222,8 +221,7 @@ class ReceiverEndpointBase
     void fail(const std::string &what);
 
     PollLoop &loop_;
-    ChunkReceiver receiver_;
-    FrameAssembler assembler_;
+    FrameReceiver receiver_;
     TransportTrace *trace_ = nullptr;
     std::string last_error_;
 };

@@ -49,8 +49,8 @@ class BlackholeBackend : public Backend
 
     void
     sendFrame(std::uint64_t, const FrameHeader &,
-              std::span<const std::uint8_t>, std::span<const std::uint8_t>,
-              double, VerdictCallback done, std::function<void()>) override
+              std::span<const std::uint8_t>, double, VerdictCallback done,
+              std::function<void()>) override
     {
         pending_.push_back(std::move(done));
     }

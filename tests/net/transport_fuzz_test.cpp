@@ -8,10 +8,13 @@
  * deliver (or verifiably fail) every message, keep the
  * InvariantChecker's transport invariants clean (apply-once under
  * duplication, no corrupted chunk accepted, resume never past the
- * request), and replay byte-identically from the same seed.
+ * request), and replay byte-identically from the same seed. A further
+ * seed range re-sends delivered keys: each resend must be answered as a
+ * duplicate, never handed up a second time.
  */
 #include <gtest/gtest.h>
 
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -50,6 +53,10 @@ struct FuzzOutcome
 {
     std::vector<SendResult> results;
     std::vector<int> callback_count;
+    std::vector<SendResult> resends;
+    std::map<MessageKey, std::size_t> handed_up; //!< payloads per key.
+    std::map<MessageKey, std::size_t> deliver_events;
+    std::size_t bad_payloads = 0;
     TransportTotals totals;
     std::size_t violations = 0;
     std::size_t checks = 0;
@@ -57,8 +64,13 @@ struct FuzzOutcome
     std::string log_dump;
 };
 
+/**
+ * One seeded schedule. With @p resend, a delivered message is sent
+ * again under its key with probability 1/2 (drawn from a separate
+ * stream, so the schedule itself is the one the seed always made).
+ */
 FuzzOutcome
-runTransportFuzz(std::uint64_t seed)
+runTransportFuzz(std::uint64_t seed, bool resend = false)
 {
     Rng rng(seed);
     const fault::FaultPlan plan =
@@ -88,11 +100,22 @@ runTransportFuzz(std::uint64_t seed)
         injector.attach(ch);
         fault::InvariantChecker checker;
         std::ostringstream log;
-        DesBackend backend(sim, ch, cfg);
+        DesBackend backend(
+            sim, ch,
+            [&out, &cfg](const MessageKey &key,
+                         std::vector<std::uint8_t> &&bytes) {
+                ++out.handed_up[key];
+                if (bytes != synthesizeMessage(key, bytes.size(),
+                                               cfg.chunk_bytes))
+                    ++out.bad_payloads;
+            });
         ReliableLink link(backend, cfg, [&](const TransportEvent &ev) {
             checker.onTransportEvent(ev);
             log << toString(ev) << '\n';
+            if (ev.kind == TransportEvent::Kind::Deliver)
+                ++out.deliver_events[ev.key];
         });
+        Rng resend_rng(seed ^ 0x5e5e5e5eull);
 
         for (std::size_t i = 0; i < kMessages; ++i) {
             const double start = rng.uniform(0.0, 30.0);
@@ -107,14 +130,23 @@ runTransportFuzz(std::uint64_t seed)
             key.version = static_cast<std::int64_t>(i);
             key.row = static_cast<std::uint32_t>(rng.uniformInt(64));
             key.pull = rng.uniform() < 0.5;
-            sim.after(start, [&link, &out, &cfg, i, l, key, bytes,
-                              deadline] {
-                link.startSend(l, key,
-                               synthesizeMessage(key, bytes, cfg.chunk_bytes),
-                               deadline, [&out, i](SendResult r) {
-                                   out.results[i] = r;
-                                   ++out.callback_count[i];
-                               });
+            sim.after(start, [&link, &out, &cfg, &resend_rng, resend, i, l,
+                              key, bytes, deadline] {
+                const auto payload =
+                    synthesizeMessage(key, bytes, cfg.chunk_bytes);
+                link.startSend(
+                    l, key, payload, deadline,
+                    [&link, &out, &resend_rng, resend, i, l, key,
+                     payload](SendResult r) {
+                        out.results[i] = r;
+                        ++out.callback_count[i];
+                        if (resend && r.delivered &&
+                            resend_rng.uniform() < 0.5)
+                            link.startSend(l, key, payload, kNoDeadline,
+                                           [&out](SendResult again) {
+                                               out.resends.push_back(again);
+                                           });
+                    });
             });
         }
         sim.run();
@@ -193,6 +225,40 @@ TEST_P(TransportFuzz, ReplayIsByteIdentical)
         EXPECT_DOUBLE_EQ(a.totals.backoff_s, b.totals.backoff_s)
             << "seed " << seed;
     }
+}
+
+TEST_P(TransportFuzz, ResentDeliveredKeysAreHandedUpOnce)
+{
+    // A seed range of its own: the schedules above stay as they are.
+    std::size_t resent = 0;
+    for (std::uint64_t k = 0; k < 25; ++k) {
+        const std::uint64_t seed = 100000 + GetParam() * 1000 + k;
+        const auto out = runTransportFuzz(seed, /*resend=*/true);
+        ASSERT_EQ(out.violations, 0u)
+            << "seed " << seed << "\n" << out.violation_report;
+
+        std::size_t delivered = 0;
+        for (std::size_t i = 0; i < out.results.size(); ++i) {
+            ASSERT_EQ(out.callback_count[i], 1)
+                << "seed " << seed << " message " << i;
+            delivered += out.results[i].delivered ? 1 : 0;
+        }
+        // A resend reaches a receiver that delivered the key: it is
+        // answered as a duplicate chunk by chunk, or fails under
+        // faults, and never delivers again.
+        for (const SendResult &r : out.resends)
+            if (r.delivered)
+                EXPECT_GE(r.duplicate_chunks, r.chunks)
+                    << "seed " << seed;
+        EXPECT_EQ(out.deliver_events.size(), delivered) << "seed " << seed;
+        for (const auto &[key, n] : out.deliver_events)
+            EXPECT_EQ(n, 1u) << "seed " << seed << " version "
+                             << key.version;
+        EXPECT_EQ(out.handed_up, out.deliver_events) << "seed " << seed;
+        EXPECT_EQ(out.bad_payloads, 0u) << "seed " << seed;
+        resent += out.resends.size();
+    }
+    EXPECT_GT(resent, 25u); // the resend path really ran.
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TransportFuzz,

@@ -129,9 +129,9 @@ TEST(HostileFrame, UdpEndpointSurvivesAnOffsetPastMaxChunk)
 TEST(HostileFrame, RandomHeadersKeepChunkBuffersBounded)
 {
     // Random headers, re-CRC'd so only the bound can reject them, fed
-    // to a FrameAssembler as an endpoint would: parse, then hand over
-    // at most payload_len present bytes. A fresh assembler every few
-    // frames keeps the buffers of this test itself small.
+    // to a FrameReceiver as an endpoint would: parse, then hand over
+    // at most payload_len present bytes. Restarting the receiver every
+    // few frames keeps the buffers of this test itself small.
     Rng rng(26);
     const auto pick64 = [&rng]() -> std::uint64_t {
         switch (rng.uniformInt(8)) {
@@ -148,16 +148,11 @@ TEST(HostileFrame, RandomHeadersKeepChunkBuffersBounded)
     };
     std::vector<std::uint8_t> present(256);
     std::size_t parsed = 0;
-    std::unique_ptr<ChunkReceiver> rx;
-    std::unique_ptr<FrameAssembler> assembler;
+    FrameReceiver rx([] { return 0.0; }, EventSink{},
+                     [](const MessageKey &, std::vector<std::uint8_t> &&) {});
     for (std::size_t i = 0; i < 10000; ++i) {
-        if (i % 8 == 0) {
-            assembler.reset();
-            rx = std::make_unique<ChunkReceiver>(
-                [] { return 0.0; }, EventSink{},
-                [](const MessageKey &, std::vector<std::uint8_t> &&) {});
-            assembler = std::make_unique<FrameAssembler>(*rx);
-        }
+        if (i % 8 == 0)
+            rx.restart();
         FrameHeader hdr;
         hdr.flags = static_cast<std::uint16_t>(rng.uniformInt(2));
         hdr.worker = static_cast<std::uint16_t>(rng.uniformInt(3));
@@ -181,8 +176,8 @@ TEST(HostileFrame, RandomHeadersKeepChunkBuffersBounded)
         ASSERT_LE(got->payload_off + got->payload_len, kMaxChunkBytes);
         const std::size_t n = std::min<std::size_t>(
             present.size(), rng.uniformInt(got->payload_len + 1ull));
-        assembler->onFrame(0, *got, {present.data(), n});
-        ASSERT_LE(assembler->largestChunkBuffer(), kMaxChunkBytes)
+        rx.onFrame(0, *got, {present.data(), n});
+        ASSERT_LE(rx.largestChunkBuffer(), kMaxChunkBytes)
             << "frame " << i;
     }
     EXPECT_GT(parsed, 1000u); // the bound let most small windows by.

@@ -66,7 +66,7 @@ struct Bench
                      BandwidthTrace::constant(rate, 600.0)});
         injector->attach(*channel);
         backend = std::make_unique<DesBackend>(
-            sim, *channel, cfg,
+            sim, *channel,
             [this](const MessageKey &k, std::vector<std::uint8_t> &&p) {
                 delivered.emplace_back(k, std::move(p));
             });
@@ -223,6 +223,44 @@ TEST(TransportLink, CorruptedChunkFailsCrcAndIsRetransmitted)
     // The checker saw the CRC rejection and the clean accept; neither
     // violates an invariant (no corrupted chunk was *accepted*).
     EXPECT_TRUE(b.checker.clean()) << b.checker.report();
+
+    // A corrupted transfer that is cut mid-flow leaves a garbled byte
+    // in the receiver's prefix: the resumed tail completes the chunk,
+    // which fails its CRC once and is then resent whole. A corrupted
+    // transfer that delivers no payload byte (the header is cut, or is
+    // all that got through, or the chunk is empty) has no byte to
+    // garble, so it arrives intact, as over UDP.
+    struct Case
+    {
+        const char *what;
+        double truncate_bytes;
+        std::size_t bytes;
+        std::size_t attempts;
+        std::size_t corrupt_chunks;
+    };
+    const Case cases[] = {
+        {"cut after 500 payload bytes", kHdr + 500.0, 2000, 3, 1},
+        {"cut inside the header", kHdr / 2, 2000, 2, 0},
+        {"cut after the header", kHdr, 2000, 2, 0},
+        {"empty chunk", kHdr, 0, 1, 0},
+    };
+    for (const Case &k : cases) {
+        fault::FaultPlan cut;
+        auto cc = rule(0.0);
+        cc.corrupt = true;
+        cc.truncate_bytes = k.truncate_bytes;
+        cut.transfer_faults.push_back(cc);
+        Bench bc(cfg, cut);
+        const MessageKey mk = key(0, 2);
+        const auto rc = bc.send(mk, k.bytes);
+        EXPECT_TRUE(rc.delivered) << k.what;
+        EXPECT_EQ(rc.attempts, k.attempts) << k.what;
+        EXPECT_EQ(rc.corrupt_chunks, k.corrupt_chunks) << k.what;
+        EXPECT_EQ(bc.payloadOf(mk),
+                  synthesizeMessage(mk, k.bytes, cfg.chunk_bytes))
+            << k.what;
+        EXPECT_TRUE(bc.checker.clean()) << k.what << bc.checker.report();
+    }
 }
 
 TEST(TransportLink, DuplicateDeliveryIsAppliedExactlyOnce)
@@ -262,7 +300,7 @@ TEST(TransportLink, DeadlineExpiresInsteadOfBackingOffPastIt)
                     BandwidthTrace::constant(1000.0, 600.0), 0, 600.0)});
     injector.attach(ch);
     fault::InvariantChecker checker;
-    DesBackend backend(sim, ch, cfg);
+    DesBackend backend(sim, ch);
     ReliableLink link(backend, cfg, [&checker](const TransportEvent &ev) {
         checker.onTransportEvent(ev);
     });
@@ -448,7 +486,7 @@ TEST(TransportLink, DestroyMidSendInvokesDropNotDone)
 {
     sim::Simulation sim;
     Channel ch(sim, {BandwidthTrace::constant(1.0, 600.0)});
-    DesBackend backend(sim, ch, TransportConfig{});
+    DesBackend backend(sim, ch);
     bool done_fired = false;
     bool drop_fired = false;
     {
@@ -465,14 +503,12 @@ TEST(TransportLink, DestroyMidSendInvokesDropNotDone)
     EXPECT_FALSE(done_fired);
 }
 
-TEST(TransportLink, ResetAbortsInFlightAndForgetsDeliveredKeys)
+TEST(TransportLink, ResetAbortsInFlightSends)
 {
-    // Peer-restart contract (see reset()): every in-flight send fails
-    // fast with delivered=false, and a re-send of an already-delivered
-    // key goes out and is handed up again instead of being suppressed
-    // as a duplicate of a dead process's stream. This is what
-    // DesFabric/SocketFabric::resetPeer leans on when a worker adopts
-    // a bumped server epoch.
+    // Peer-restart contract on the sending side (see reset()): every
+    // in-flight send fails fast with delivered=false. The receiver is
+    // not the link's to reset: it still remembers the delivered key,
+    // so a re-send of it is answered as a duplicate, not handed up.
     TransportConfig cfg;
     Bench b(cfg);
     std::vector<std::uint8_t> payload(600);
@@ -508,22 +544,69 @@ TEST(TransportLink, ResetAbortsInFlightAndForgetsDeliveredKeys)
     EXPECT_FALSE(aborted.delivered);
     EXPECT_EQ(b.delivered.size(), 1u); // the abort handed nothing up.
 
-    // Epoch bumped, fresh remote receiver: the same key must flow
-    // end to end again and be handed up a second time.
     SendResult again;
-    int again_fired = 0;
-    b.link->startSend(0, done_key, payload, kNoDeadline, [&](SendResult r) {
-        again = r;
-        ++again_fired;
-    });
-    b.sim.run();
-    ASSERT_EQ(again_fired, 1);
+    b.link->startSend(0, done_key, payload, kNoDeadline,
+                      [&](SendResult r) { again = r; });
+    b.sim.run(); // stale channel callbacks from the aborted op must no-op.
     EXPECT_TRUE(again.delivered);
-    EXPECT_EQ(b.delivered.size(), 2u);
-    EXPECT_EQ(b.payloadOf(done_key), payload);
-    sim::Simulation &s = b.sim;
-    s.run(); // stale channel callbacks from the aborted op must no-op.
+    EXPECT_EQ(again.duplicate_chunks, 1u);
+    EXPECT_EQ(b.delivered.size(), 1u);
     EXPECT_EQ(aborted_fired, 1);
+    EXPECT_TRUE(b.checker.clean()) << b.checker.report();
+}
+
+TEST(TransportLink, ReceiverRestartForgetsDeliveredKeys)
+{
+    // The remote process restarted (DesFabricNet::restartReceivers):
+    // its fresh receiver has never seen the key, so the same key flows
+    // end to end again and is handed up a second time.
+    TransportConfig cfg;
+    Bench b(cfg);
+    std::vector<std::uint8_t> payload(600);
+    std::iota(payload.begin(), payload.end(), std::uint8_t{1});
+    const MessageKey k = key(0, 1);
+    b.link->startSend(0, k, payload, kNoDeadline, {});
+    b.sim.run();
+    ASSERT_EQ(b.delivered.size(), 1u);
+
+    b.backend->restartReceiver();
+    SendResult again;
+    b.link->startSend(0, k, payload, kNoDeadline,
+                      [&](SendResult r) { again = r; });
+    b.sim.run();
+    EXPECT_TRUE(again.delivered);
+    EXPECT_EQ(again.duplicate_chunks, 0u);
+    ASSERT_EQ(b.delivered.size(), 2u);
+    EXPECT_EQ(b.payloadOf(k), payload);
+}
+
+TEST(TransportLink, ReceiverRestartMidChunkStrandsTheResumedTail)
+{
+    // A receiver that restarts between a cut attempt and its resume
+    // has lost the chunk's prefix, so the resumed tail cannot complete
+    // the chunk. The twin answers as a socket receiver's partial ACK
+    // does (no progress past the sender's offset); the sender does not
+    // rewind, so the send fails at its attempt cap, delivering nothing.
+    TransportConfig cfg;
+    cfg.max_attempts_per_chunk = 3;
+    fault::FaultPlan plan;
+    auto t = rule(0.0);
+    t.truncate_bytes = 3000.0;
+    plan.transfer_faults.push_back(t);
+    Bench b(cfg, plan);
+
+    SendResult out;
+    b.link->startSend(0, key(), std::vector<std::uint8_t>(8192),
+                      kNoDeadline, [&](SendResult r) { out = r; });
+    b.sim.runUntil(3.5); // cut at 3 s; the resumed tail is in flight.
+    ASSERT_EQ(out.attempts, 0u);
+    b.backend->restartReceiver();
+    b.sim.run();
+    EXPECT_FALSE(out.delivered);
+    EXPECT_EQ(out.attempts, 3u);
+    EXPECT_EQ(out.bytes_sent, 3000u + 2 * kHdr);
+    EXPECT_TRUE(b.delivered.empty());
+    EXPECT_TRUE(b.checker.clean()) << b.checker.report();
 }
 
 TEST(TransportLink, ResetCallbackMayStartNewSend)
@@ -560,7 +643,7 @@ TEST(TransportLink, InvalidArgumentsDie)
 {
     sim::Simulation sim;
     Channel ch(sim, {BandwidthTrace::constant(100.0, 60.0)});
-    DesBackend backend(sim, ch, TransportConfig{});
+    DesBackend backend(sim, ch);
     TransportConfig bad;
     bad.chunk_bytes = 0;
     EXPECT_DEATH(ReliableLink(backend, bad), "chunk");

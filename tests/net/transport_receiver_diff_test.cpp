@@ -1,10 +1,9 @@
 /**
  * @file
- * Differential fuzz of the socket receive path: the production
- * FrameAssembler + ChunkReceiver, which retire each message the moment
- * it is delivered, against the pre-retirement pair kept as a test
- * oracle (legacy_receiver.hpp), which keeps every message's full
- * state forever.
+ * Differential fuzz of the receive path: the production FrameReceiver,
+ * which retires each message the moment it is delivered, against the
+ * pre-retirement pair kept as a test oracle (legacy_receiver.hpp),
+ * which keeps every message's full state forever.
  *
  * A seeded generator frames messages of 1-4 chunks and mangles the
  * frame stream: truncated fragments, CRC corruption, duplicated
@@ -113,23 +112,23 @@ attempt(Rng &rng, const Message &m, std::uint32_t seq,
 
 /** ACK bytes exactly as an endpoint would send them. */
 std::vector<std::uint8_t>
-ackBytes(const FrameHeader &data, const FrameAssembler::Result &r)
+ackBytes(const FrameHeader &data, const FrameReceiver::Result &r)
 {
     std::vector<std::uint8_t> out(FrameHeader::kWireSize);
     makeAck(data, r).serialize({out.data(), out.size()});
     return out;
 }
 
-FrameAssembler::Result
+FrameReceiver::Result
 asProduction(const legacy::FrameAssembler::Result &l)
 {
-    FrameAssembler::Result r;
+    FrameReceiver::Result r;
     r.chunk_complete = l.chunk_complete;
     r.prefix = l.prefix;
-    r.decision.crc_ok = l.decision.crc_ok;
-    r.decision.fresh_accepts = l.decision.fresh_accepts;
-    r.decision.duplicates = l.decision.duplicates;
-    r.decision.message_complete = l.decision.message_complete;
+    r.crc_ok = l.decision.crc_ok;
+    r.fresh_accepts = l.decision.fresh_accepts;
+    r.duplicates = l.decision.duplicates;
+    r.message_complete = l.decision.message_complete;
     return r;
 }
 
@@ -169,10 +168,9 @@ TEST_P(ReceiverDiff, SameAcksAndEventsWithStateBoundedByMessagesInFlight)
                             std::vector<std::uint8_t> &&p) {
             handed_up.push_back(std::move(p));
         };
-    ChunkReceiver new_rx(
+    FrameReceiver new_rx(
         clock, [&](const TransportEvent &ev) { new_events.push_back(ev); },
         std::move(sink));
-    FrameAssembler new_asm(new_rx);
 
     std::size_t frames = 0, late_frames = 0, old_redeliveries = 0;
     std::size_t new_deliveries = 0, events_checked = 0;
@@ -184,7 +182,7 @@ TEST_P(ReceiverDiff, SameAcksAndEventsWithStateBoundedByMessagesInFlight)
         const std::size_t old_delivered = old_rx.deliveredMessages();
         const std::size_t handed_before = handed_up.size();
         const auto o = old_asm.onFrame(0, f.hdr, f.present);
-        const auto n = new_asm.onFrame(0, f.hdr, f.present);
+        const auto n = new_rx.onFrame(0, f.hdr, f.present);
         ASSERT_EQ(ackBytes(f.hdr, asProduction(o)), ackBytes(f.hdr, n))
             << "ACK diverged at frame " << frames;
 
@@ -273,7 +271,7 @@ TEST_P(ReceiverDiff, SameAcksAndEventsWithStateBoundedByMessagesInFlight)
     EXPECT_EQ(new_rx.deliveredMessages(), kMessages);
     EXPECT_EQ(old_rx.deliveredMessages(), kMessages);
     EXPECT_EQ(new_deliveries, kMessages);
-    EXPECT_EQ(new_asm.deliveredKeys(), kMessages);
+    EXPECT_EQ(new_rx.deliveredKeys(), kMessages);
     EXPECT_GT(late_frames, 0u);
     if (param.store_payload) {
         EXPECT_GT(old_redeliveries, 0u); // the oracle's double hand-up.
@@ -281,15 +279,15 @@ TEST_P(ReceiverDiff, SameAcksAndEventsWithStateBoundedByMessagesInFlight)
 
     // State proportional to messages in flight: none are left.
     EXPECT_EQ(new_rx.liveMessages(), 0u);
-    EXPECT_EQ(new_asm.chunkBuffers(), 0u);
+    EXPECT_EQ(new_rx.chunkBuffers(), 0u);
     EXPECT_EQ(old_rx.messageStates(), kMessages); // kept forever.
     EXPECT_EQ(old_asm.chunkBuffers(), 0u);
 
     const double per_key =
-        static_cast<double>(new_asm.deliveredBytes()) / kMessages;
+        static_cast<double>(new_rx.deliveredBytes()) / kMessages;
     std::cout << "[ receiver ] " << frames << " frames (" << late_frames
               << " late), " << kMessages << " delivered; retained "
-              << new_asm.deliveredBytes() << " B = " << per_key
+              << new_rx.deliveredBytes() << " B = " << per_key
               << " B per delivered key\n";
     RecordProperty("retained_bytes_per_key", static_cast<int>(per_key));
     EXPECT_LE(per_key, 64.0);

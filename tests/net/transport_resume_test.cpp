@@ -46,7 +46,7 @@ runSingleCut(bool resume)
     TransportConfig cfg;
     cfg.jitter_frac = 0.0;
     cfg.resume_from_offset = resume;
-    DesBackend backend(sim, ch, cfg);
+    DesBackend backend(sim, ch);
     ReliableLink link(backend, cfg);
 
     SendResult out;
@@ -108,7 +108,7 @@ runSchedule(std::uint64_t seed, bool resume)
     cfg.chunk_bytes = 8192;
     cfg.max_attempts_per_chunk = 0; // retry until delivered.
     cfg.resume_from_offset = resume;
-    DesBackend backend(sim, ch, cfg);
+    DesBackend backend(sim, ch);
     ReliableLink link(backend, cfg);
 
     for (std::size_t i = 0; i < 6; ++i) {

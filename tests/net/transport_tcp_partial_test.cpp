@@ -90,8 +90,7 @@ class TcpPartialAck : public ::testing::Test
         std::optional<FrameVerdict> verdict;
         tx->sendFrame(
             send_id, fragmentHeader(chunk, off, len),
-            {chunk.data() + off, len}, {chunk.data(), chunk.size()},
-            /*timeout_s=*/2.0,
+            {chunk.data() + off, len}, /*timeout_s=*/2.0,
             [&](const FrameVerdict &v) { verdict = v; }, [] {});
         EXPECT_TRUE(
             loop.runUntil([&] { return verdict.has_value(); }, 5.0))

@@ -30,7 +30,7 @@ TEST(TransportZeroLen, DesDeliversHeaderOnlyChunk)
     sim::Simulation sim;
     Channel ch(sim, {BandwidthTrace::constant(10e3, 600.0)});
     std::vector<TransportEvent> log;
-    DesBackend backend(sim, ch, TransportConfig{});
+    DesBackend backend(sim, ch);
     ReliableLink link(backend, TransportConfig{},
                       [&log](const TransportEvent &ev) { log.push_back(ev); });
 
@@ -55,7 +55,7 @@ TEST(TransportZeroLen, DesEmptyPayloadSpanDelivers)
     sim::Simulation sim;
     Channel ch(sim, {BandwidthTrace::constant(10e3, 600.0)});
     std::vector<std::vector<std::uint8_t>> delivered;
-    DesBackend backend(sim, ch, TransportConfig{},
+    DesBackend backend(sim, ch,
                        [&delivered](const MessageKey &,
                                     std::vector<std::uint8_t> &&p) {
                            delivered.push_back(std::move(p));

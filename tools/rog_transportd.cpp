@@ -359,7 +359,7 @@ runLoopbackDes(const Args &args)
     // One looped 0.1 s sample: constant, and 8 bytes.
     Channel channel(sim, {BandwidthTrace::constant(
                              args.getDouble("bandwidth", 1e6), 0.1)});
-    DesBackend backend(sim, channel, cfg);
+    DesBackend backend(sim, channel);
     std::vector<TransportEvent> events;
     ReliableLink link(backend, cfg, [&events](const TransportEvent &ev) {
         events.push_back(ev);
