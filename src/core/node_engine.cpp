@@ -28,7 +28,6 @@ using net::session::PullData;
 using net::session::PullReq;
 using net::session::Reject;
 using net::session::RejectReason;
-using net::session::UnitUpdate;
 using net::session::versionScope;
 using net::session::versionSeq;
 using net::session::Welcome;
@@ -336,44 +335,61 @@ ServerNode::onPush(const MessageKey &key,
     if (w >= peers_.size() || !sessionCurrent(w, key.version))
         return;
     const std::int64_t iter = versionSeq(key.version);
-    const std::size_t unit = key.row;
-    if (unit >= partition_->unitCount())
-        return;
-    std::vector<float> decoded;
-    if (!net::session::parseFloats(bytes, decoded) ||
-        decoded.size() != partition_->unit(unit).width)
+    net::session::Push push;
+    if (key.row != net::session::kRowPush ||
+        !net::session::parse(bytes, push) || push.iter != iter)
         return;
 
-    // Application-level exactly-once: the version matrix is monotone
-    // per (worker, unit), so a retransmitted or replayed push (e.g. a
-    // restarted worker redoing its last iteration) is recorded, never
-    // applied.
-    if (iter <= server_.version(w, unit)) {
-        ++duplicate_pushes_;
-        emit({.kind = K::DupPush, .t = fabric_.now(), .w = w,
-              .iter = iter, .unit = unit});
-        return;
+    // Validate the whole push before applying any of it: a unit out of
+    // range, a width mismatch or a unit listed twice drops the message,
+    // so a push is never half-applied.
+    seen_.assign(partition_->unitCount(), 0);
+    for (const net::session::UnitEntry &e : push.units) {
+        if (e.unit >= seen_.size() || seen_[e.unit] != 0 ||
+            e.size() != partition_->unit(e.unit).width)
+            return;
+        seen_[e.unit] = 1;
     }
 
-    server_.accumulate(unit, decoded);
-    server_.noteUpdate(unit, iter);
-    server_.updateVersion(w, unit, iter);
-
-    // The canonical model eats the same 1/num share every outbox
-    // gets, so a rejoiner resyncing from it owes nothing twice.
     const float inv =
         1.0f / static_cast<float>(workload_.workers());
-    scaled_.resize(decoded.size());
-    for (std::size_t i = 0; i < decoded.size(); ++i)
-        scaled_[i] = decoded[i] * inv;
-    applyRowChunks(*opt_, partition_->chunks(unit), scaled_);
+    bool applied = false;
+    for (const net::session::UnitEntry &e : push.units) {
+        const std::size_t unit = e.unit;
+        // Application-level exactly-once: the version matrix is
+        // monotone per (worker, unit), so a retransmitted or replayed
+        // push (e.g. a restarted worker redoing its last iteration) is
+        // recorded, never applied.
+        if (iter <= server_.version(w, unit)) {
+            ++duplicate_pushes_;
+            emit({.kind = K::DupPush, .t = fabric_.now(), .w = w,
+                  .iter = iter, .unit = unit});
+            continue;
+        }
 
-    ++applied_pushes_;
-    ++applies_since_ckpt_;
-    emit({.kind = K::Apply, .t = fabric_.now(), .w = w, .iter = iter,
-          .unit = unit});
+        decoded_.resize(e.size());
+        e.decode(decoded_);
+        server_.accumulate(unit, decoded_);
+        server_.noteUpdate(unit, iter);
+        server_.updateVersion(w, unit, iter);
+
+        // The canonical model eats the same 1/num share every outbox
+        // gets, so a rejoiner resyncing from it owes nothing twice.
+        scaled_.resize(decoded_.size());
+        for (std::size_t i = 0; i < decoded_.size(); ++i)
+            scaled_[i] = decoded_[i] * inv;
+        applyRowChunks(*opt_, partition_->chunks(unit), scaled_);
+
+        ++applied_pushes_;
+        ++applies_since_ckpt_;
+        applied = true;
+        emit({.kind = K::Apply, .t = fabric_.now(), .w = w, .iter = iter,
+              .unit = unit});
+    }
+    // Once per message: the cadence counts unit applies, but a
+    // checkpoint never splits a worker's iteration.
     maybeCheckpoint();
-    if (apply_hook_)
+    if (applied && apply_hook_)
         apply_hook_(iter);
     answerReadyPulls();
 }
@@ -486,28 +502,26 @@ ServerNode::answerPull(std::size_t w, std::int64_t iter)
     // gradients queued until the worker reconnects or is evicted.
     if (!fabric_.hasPeer(workerNode(w)))
         return;
-    PullData pd;
-    pd.iter = iter;
-    pd.min_done = server_.minWorkerIteration();
+    std::vector<std::uint8_t> bytes;
+    net::session::UnitListWriter pd = net::session::UnitListWriter::pullData(
+        bytes, iter, server_.minWorkerIteration());
     for (std::size_t u = 0; u < partition_->unitCount(); ++u) {
         if (!server_.hasPending(w, u))
             continue;
-        UnitUpdate up;
-        up.unit = static_cast<std::uint32_t>(u);
-        up.values.resize(partition_->unit(u).width);
-        server_.takePending(w, u, up.values);
-        pd.units.push_back(std::move(up));
+        decoded_.resize(partition_->unit(u).width);
+        server_.takePending(w, u, decoded_);
+        pd.add(static_cast<std::uint32_t>(u), decoded_);
     }
     peers_[w].pending_pull = -1;
     table_.noteResponse(w, iter);
 
     emit({.kind = K::PullAnswer, .t = fabric_.now(), .w = w,
-          .iter = iter, .units = pd.units.size()});
+          .iter = iter, .units = pd.units()});
 
     MessageKey key{static_cast<std::uint16_t>(w),
                    packVersion(table_.sessionOf(w), iter),
                    net::session::kRowPullData, true};
-    fabric_.sendTo(workerNode(w), key, net::session::encode(pd),
+    fabric_.sendTo(workerNode(w), key, bytes,
                    fabric_.now() + cfg_.pull_timeout_s, {});
 }
 
@@ -808,20 +822,20 @@ WorkerNode::beginIteration()
             : nn::softmaxCrossEntropy(out, batch.labels);
     model_->backward(loss.grad);
 
-    // Encode every synchronization unit through the codec and park
-    // the bytes: if the server dies mid-push, the next admission can
-    // re-send these exact payloads (the codec residual has already
-    // advanced, so a recompute would not reproduce them).
-    parked_.clear();
-    parked_.reserve(partition_->unitCount());
+    // Encode every synchronization unit through the codec straight
+    // into the parked push: if the server dies mid-push, the next
+    // admission can re-send these exact bytes (the codec residual has
+    // already advanced, so a recompute would not reproduce them).
     parked_iter_ = iter_;
+    net::session::UnitListWriter push =
+        net::session::UnitListWriter::push(parked_, iter_);
     for (std::size_t u = 0; u < partition_->unitCount(); ++u) {
         const Unit &unit = partition_->unit(u);
         grad_.resize(unit.width);
         decoded_.resize(unit.width);
         flat_->gatherGrad(partition_->chunks(u), grad_);
         codec_->transcodeRow(u, grad_, decoded_);
-        parked_.push_back(net::session::encodeFloats(decoded_));
+        push.add(static_cast<std::uint32_t>(u), decoded_);
     }
     sendParked();
 }
@@ -831,24 +845,19 @@ WorkerNode::sendParked()
 {
     // Deadline-less with unbounded chunk retries: a partition stalls
     // the run, it does not corrupt it.
-    pushes_in_flight_ = parked_.size();
-    push_failed_ = false;
     const std::uint32_t session = session_;
-    for (std::size_t u = 0; u < parked_.size(); ++u) {
-        MessageKey key{static_cast<std::uint16_t>(worker_),
-                       packVersion(session, iter_),
-                       static_cast<std::uint32_t>(u), false};
-        fabric_.sendTo(
-            kServerNode, key, parked_[u], kNoDeadline,
-            [this, session](bool ok) {
-                if (session != session_ || phase_ != Phase::Pushing)
-                    return; // superseded by a resync.
-                if (!ok)
-                    push_failed_ = true;
-                if (--pushes_in_flight_ == 0)
-                    onPushesSettled();
-            });
-    }
+    MessageKey key{static_cast<std::uint16_t>(worker_),
+                   packVersion(session, iter_), net::session::kRowPush,
+                   false};
+    fabric_.sendTo(kServerNode, key, parked_, kNoDeadline,
+                   [this, session](bool ok) {
+                       if (session != session_ || phase_ != Phase::Pushing)
+                           return; // superseded by a resync.
+                       if (!ok)
+                           resync("push_failed");
+                       else
+                           onPushDelivered();
+                   });
 }
 
 void
@@ -857,17 +866,13 @@ WorkerNode::repushParked()
     iter_ = parked_iter_;
     phase_ = Phase::Pushing;
     emit({.kind = K::Repush, .t = fabric_.now(), .iter = iter_,
-          .units = parked_.size()});
+          .units = partition_->unitCount()});
     sendParked();
 }
 
 void
-WorkerNode::onPushesSettled()
+WorkerNode::onPushDelivered()
 {
-    if (push_failed_) {
-        resync("push_failed");
-        return;
-    }
     emit({.kind = K::PushDone, .t = fabric_.now(), .iter = iter_});
     phase_ = Phase::PullWait;
     PullReq req;
@@ -892,8 +897,11 @@ WorkerNode::onPullData(std::vector<std::uint8_t> &&bytes)
     if (!net::session::parse(bytes, pd) || phase_ != Phase::PullWait ||
         pd.iter != iter_)
         return;
-    for (const UnitUpdate &u : pd.units)
-        applyUnit(u.unit, u.values);
+    for (const net::session::UnitEntry &u : pd.units) {
+        decoded_.resize(u.size());
+        u.decode(decoded_);
+        applyUnit(u.unit, decoded_);
+    }
     done_iter_ = iter_;
     parked_.clear(); // the iteration landed; nothing left to re-send.
     writeLocalCheckpoint();
@@ -1081,12 +1089,6 @@ WorkerNode::resync(const char *why)
     fabric_.connectPeer(kServerNode, server_host_, server_port_);
     sendHello();
     armHelloRetry();
-}
-
-std::int64_t
-WorkerNode::pushVersion(std::int64_t iter) const
-{
-    return packVersion(session_, iter);
 }
 
 } // namespace core

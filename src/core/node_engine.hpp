@@ -8,7 +8,7 @@
  *
  * ServerNode: parameter-server half. Admits workers through a
  * SessionTable (epoch + resume-token gated handshake), accumulates
- * decoded gradient pushes into the one-copy-per-worker outbox
+ * each push's decoded units into the one-copy-per-worker outbox
  * (gradient conservation), gates pulls on the RSP staleness bound,
  * applies every contribution to a canonical model replica (the resync
  * source for rejoining workers), drives the phi-accrual
@@ -20,12 +20,12 @@
  * indistinguishable.
  *
  * WorkerNode: training half. Handshakes (with capped-exponential
- * retry), computes real minibatch gradients, pushes each
- * synchronization unit through its one-bit codec, requests a pull
- * once every push of the iteration is acknowledged, applies the
- * averaged gradients, and writes its resume record (model + resume
- * token, one durable file) after every applied pull so its next
- * incarnation can resume instead of resyncing.
+ * retry), computes real minibatch gradients, encodes every
+ * synchronization unit through its one-bit codec into one push message
+ * per iteration, requests a pull once that push is acknowledged,
+ * applies the averaged gradients, and writes its resume record (model
+ * + resume token, one durable file) after every applied pull so its
+ * next incarnation can resume instead of resyncing.
  *
  * All I/O goes through the Fabric; neither class names a socket, a
  * simulation, or a backend.
@@ -96,7 +96,8 @@ struct NodeTrainConfig
 
     /** Worker heartbeat send deadline = 2 * interval (best effort). */
 
-    /** Server checkpoint cadence, in applied pushes (0 = off). */
+    /** Server checkpoint cadence, in applied units (0 = off); checked
+     *  once per push message. */
     std::size_t checkpoint_every = 16;
     std::string checkpoint_path; //!< server "ROGS" file ("" = off).
 
@@ -166,14 +167,16 @@ class ServerNode
     /** True when construction restored a ROGS checkpoint. */
     bool recovered() const { return recovered_; }
 
-    /** Test/harness hook: fired after every applied push with the
-     *  push's iteration (e.g. to schedule a mid-run server crash). */
+    /** Test/harness hook: fired after every push message that applied
+     *  a unit, with the push's iteration (e.g. to schedule a mid-run
+     *  server crash). */
     void setApplyHook(std::function<void(std::int64_t)> hook)
     {
         apply_hook_ = std::move(hook);
     }
 
-    /** Pushes applied / recorded-duplicate / stale-session counts. */
+    /** Units applied / units recorded as duplicates / stale-session
+     *  messages dropped. */
     std::size_t appliedPushes() const { return applied_pushes_; }
     std::size_t duplicatePushes() const { return duplicate_pushes_; }
     std::size_t staleDrops() const { return stale_drops_; }
@@ -230,7 +233,9 @@ class ServerNode
     MembershipTracker tracker_;
 
     std::vector<WorkerPeer> peers_;
-    std::vector<float> scaled_; //!< scratch: decoded / num_workers.
+    std::vector<float> decoded_; //!< scratch: one unit's values.
+    std::vector<float> scaled_;  //!< scratch: decoded / num_workers.
+    std::vector<char> seen_;     //!< scratch: units listed in a push.
     net::session::FabricTimer member_timer_ = 0;
     std::uint32_t ctrl_seq_ = 1; //!< server control-message keys.
     std::size_t applied_pushes_ = 0;
@@ -280,7 +285,7 @@ class WorkerNode
   private:
     enum class Phase {
         Hello,    //!< (re)handshaking.
-        Pushing,  //!< unit pushes of iter_ in flight.
+        Pushing,  //!< the push of iter_ in flight.
         PullWait, //!< PullReq sent, waiting for PullData.
         Leaving,  //!< Bye in flight.
         Done,
@@ -295,7 +300,7 @@ class WorkerNode
     void onReject(std::vector<std::uint8_t> &&bytes);
     void onPullData(std::vector<std::uint8_t> &&bytes);
     void beginIteration();
-    void onPushesSettled();
+    void onPushDelivered();
     void finishRun();
     void armHeartbeat();
     void sendHeartbeat();
@@ -305,7 +310,7 @@ class WorkerNode
     void checkServer();
     /** Re-send the parked push under the new session scope. */
     void repushParked();
-    /** Ship parked_ as iter_'s unit pushes under the live session. */
+    /** Ship parked_ as iter_'s push under the live session. */
     void sendParked();
     void applyUnit(std::uint32_t unit, std::span<const float> values);
     void writeLocalCheckpoint();
@@ -313,7 +318,6 @@ class WorkerNode
     void resync(const char *why);
     /** Hand @p ev to the log sink, formatted, if one is attached. */
     void emit(const NodeEvent &ev);
-    std::int64_t pushVersion(std::int64_t iter) const;
 
     net::session::Fabric &fabric_;
     Workload &workload_;
@@ -345,11 +349,9 @@ class WorkerNode
     net::session::AdmitMode admit_mode_ = net::session::AdmitMode::Fresh;
     std::int64_t iter_ = 0;       //!< iteration in flight (1-based).
     std::int64_t done_iter_ = 0;  //!< last fully applied iteration.
-    std::size_t pushes_in_flight_ = 0;
-    bool push_failed_ = false;
     std::uint32_t hb_seq_ = 1;
     std::vector<float> grad_;    //!< scratch: gathered unit gradient.
-    std::vector<float> decoded_; //!< scratch: codec reconstruction.
+    std::vector<float> decoded_; //!< scratch: one unit, coded or pulled.
 
     /** Consecutive best-effort heartbeat send failures. */
     std::size_t hb_fail_streak_ = 0;
@@ -361,12 +363,13 @@ class WorkerNode
     std::size_t server_gap_samples_ = 0;
 
     /**
-     * The in-flight iteration's encoded unit payloads, parked so a
-     * server restart mid-push can re-send them under the new session
+     * The in-flight iteration's encoded push message, parked so a
+     * server restart mid-push can re-send it under the new session
      * instead of recomputing (the codec residual already advanced —
-     * a recompute would not reproduce these bytes).
+     * a recompute would not reproduce these bytes). Its capacity is
+     * reused from iteration to iteration.
      */
-    std::vector<std::vector<std::uint8_t>> parked_;
+    std::vector<std::uint8_t> parked_;
     std::int64_t parked_iter_ = 0;
 };
 

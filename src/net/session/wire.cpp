@@ -1,5 +1,6 @@
 #include "net/session/wire.hpp"
 
+#include <bit>
 #include <cstring>
 
 #include "common/logging.hpp"
@@ -150,6 +151,17 @@ class ByteReader
         return true;
     }
 
+    /** View the next @p n bytes (n comes off the wire). */
+    bool
+    view(std::size_t n, std::span<const std::uint8_t> &out)
+    {
+        if (n > in_.size() - pos_)
+            return false;
+        out = in_.subspan(pos_, n);
+        pos_ += n;
+        return true;
+    }
+
     bool done() const { return pos_ == in_.size(); }
 
     std::size_t remaining() const { return in_.size() - pos_; }
@@ -168,7 +180,39 @@ enum : std::uint8_t {
     kTagPullReq = 0x15,
     kTagPullData = 0x16,
     kTagBye = 0x17,
+    kTagPush = 0x18,
 };
+
+/**
+ * The one reader of a unit list (Push and PullData): a u32 unit count,
+ * then per unit a u32 index, a u32 value count and the f32 values.
+ * Total: the list must end the message exactly.
+ */
+bool
+readUnitList(ByteReader &r, std::vector<UnitEntry> &out)
+{
+    std::uint32_t units = 0;
+    if (!r.u32(units))
+        return false;
+    // The counts are untrusted: a short message claiming ~2^32 units
+    // or floats must fail the parse, not drive a multi-GB allocation.
+    // Each unit occupies at least 8 header bytes, each value 4.
+    out.clear();
+    if (units > r.remaining() / 8)
+        return false;
+    out.reserve(units);
+    for (std::uint32_t i = 0; i < units; ++i) {
+        UnitEntry e;
+        std::uint32_t n = 0;
+        if (!(r.u32(e.unit) && r.u32(n)))
+            return false;
+        if (n > r.remaining() / 4 ||
+            !r.view(std::size_t{n} * 4, e.values))
+            return false;
+        out.push_back(e);
+    }
+    return r.done();
+}
 
 } // namespace
 
@@ -356,56 +400,6 @@ parse(std::span<const std::uint8_t> in, PullReq &out)
 }
 
 std::vector<std::uint8_t>
-encode(const PullData &m)
-{
-    std::vector<std::uint8_t> out;
-    ByteWriter w(out);
-    w.u8(kTagPullData);
-    w.i64(m.iter);
-    w.i64(m.min_done);
-    w.u32(static_cast<std::uint32_t>(m.units.size()));
-    for (const UnitUpdate &u : m.units) {
-        w.u32(u.unit);
-        w.u32(static_cast<std::uint32_t>(u.values.size()));
-        for (float v : u.values)
-            w.f32(v);
-    }
-    return out;
-}
-
-bool
-parse(std::span<const std::uint8_t> in, PullData &out)
-{
-    ByteReader r(in);
-    std::uint8_t tag = 0;
-    std::uint32_t units = 0;
-    if (!(r.u8(tag) && tag == kTagPullData && r.i64(out.iter) &&
-          r.i64(out.min_done) && r.u32(units)))
-        return false;
-    // The counts are untrusted: a short message claiming ~2^32 units
-    // or floats must fail the parse, not drive a multi-GB allocation.
-    // Each unit occupies at least 8 header bytes, each value 4.
-    if (units > r.remaining() / 8)
-        return false;
-    out.units.clear();
-    out.units.reserve(units);
-    for (std::uint32_t i = 0; i < units; ++i) {
-        UnitUpdate u;
-        std::uint32_t n = 0;
-        if (!(r.u32(u.unit) && r.u32(n)))
-            return false;
-        if (n > r.remaining() / 4)
-            return false;
-        u.values.resize(n);
-        for (std::uint32_t j = 0; j < n; ++j)
-            if (!r.f32(u.values[j]))
-                return false;
-        out.units.push_back(std::move(u));
-    }
-    return r.done();
-}
-
-std::vector<std::uint8_t>
 encode(const Bye &m)
 {
     std::vector<std::uint8_t> out;
@@ -425,28 +419,92 @@ parse(std::span<const std::uint8_t> in, Bye &out)
            r.i64(out.done_iter) && r.done();
 }
 
-std::vector<std::uint8_t>
-encodeFloats(std::span<const float> values)
+void
+UnitEntry::decode(std::span<float> out) const
 {
-    std::vector<std::uint8_t> out;
-    out.reserve(values.size() * 4);
+    ROG_ASSERT(out.size() == size(), "unit decode size mismatch");
+    if constexpr (std::endian::native == std::endian::little) {
+        if (!out.empty())
+            std::memcpy(out.data(), values.data(), values.size());
+    } else {
+        ByteReader r(values);
+        for (float &v : out)
+            r.f32(v);
+    }
+}
+
+UnitListWriter::UnitListWriter(std::vector<std::uint8_t> &out)
+    : out_(out), count_at_(out.size())
+{
+    ByteWriter(out_).u32(0);
+}
+
+UnitListWriter
+UnitListWriter::push(std::vector<std::uint8_t> &out, std::int64_t iter)
+{
+    out.clear();
     ByteWriter w(out);
-    for (float v : values)
-        w.f32(v);
-    return out;
+    w.u8(kTagPush);
+    w.i64(iter);
+    return UnitListWriter(out);
+}
+
+UnitListWriter
+UnitListWriter::pullData(std::vector<std::uint8_t> &out, std::int64_t iter,
+                         std::int64_t min_done)
+{
+    out.clear();
+    ByteWriter w(out);
+    w.u8(kTagPullData);
+    w.i64(iter);
+    w.i64(min_done);
+    return UnitListWriter(out);
+}
+
+void
+UnitListWriter::add(std::uint32_t unit, std::span<const float> values)
+{
+    ByteWriter w(out_);
+    w.u32(unit);
+    w.u32(static_cast<std::uint32_t>(values.size()));
+    if constexpr (std::endian::native == std::endian::little) {
+        const std::size_t at = out_.size();
+        out_.resize(at + 4 * values.size());
+        if (!values.empty())
+            std::memcpy(out_.data() + at, values.data(), 4 * values.size());
+    } else {
+        for (float v : values)
+            w.f32(v);
+    }
+    // The count field is kept current, so the buffer is a whole
+    // message after every add.
+    ++units_;
+    for (int i = 0; i < 4; ++i)
+        out_[count_at_ + i] = static_cast<std::uint8_t>(units_ >> (8 * i));
 }
 
 bool
-parseFloats(std::span<const std::uint8_t> in, std::vector<float> &out)
+parse(std::span<const std::uint8_t> in, Push &out)
 {
-    if (in.size() % 4 != 0)
-        return false;
     ByteReader r(in);
-    out.resize(in.size() / 4);
-    for (float &v : out)
-        if (!r.f32(v))
-            return false;
-    return true;
+    std::uint8_t tag = 0;
+    if (r.u8(tag) && tag == kTagPush && r.i64(out.iter) &&
+        readUnitList(r, out.units))
+        return true;
+    out.units.clear();
+    return false;
+}
+
+bool
+parse(std::span<const std::uint8_t> in, PullData &out)
+{
+    ByteReader r(in);
+    std::uint8_t tag = 0;
+    if (r.u8(tag) && tag == kTagPullData && r.i64(out.iter) &&
+        r.i64(out.min_done) && readUnitList(r, out.units))
+        return true;
+    out.units.clear();
+    return false;
 }
 
 } // namespace session

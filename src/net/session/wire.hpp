@@ -3,10 +3,11 @@
  * Session-layer wire messages.
  *
  * The session layer multiplexes everything a training node says onto
- * the transport's MessageKey space: gradient pushes and pull data use
- * real unit indices in the row field, while control traffic (handshake,
- * heartbeats, pull requests, goodbyes) lives in a reserved row band at
- * the top of the 32-bit row space that no model partition can reach.
+ * the transport's MessageKey space: a worker's gradient push for one
+ * iteration is one message in the data band (row kRowPush), carrying
+ * every synchronization unit, while control traffic (handshake,
+ * heartbeats, pull requests, pull data, goodbyes) lives in a reserved
+ * row band at the top of the 32-bit row space.
  * The 64-bit version field carries a (scope, sequence) pair — scope is
  * the server-assigned session id after admission (the worker's
  * incarnation during the handshake), sequence is the training
@@ -44,8 +45,11 @@ workerNode(std::size_t w)
     return static_cast<int>(w) + 1;
 }
 
-/** Control-plane rows: the top band of the row space. A model would
- *  need ~4.29 billion synchronization units to collide. */
+/** Row of a worker's push: one message per iteration, every unit in
+ *  it. It lies in the data band, below every control row. */
+inline constexpr std::uint32_t kRowPush = 0;
+
+/** Control-plane rows: the top band of the row space. */
 inline constexpr std::uint32_t kRowControlBase = 0xFFFF0000u;
 inline constexpr std::uint32_t kRowHello = kRowControlBase + 1;
 inline constexpr std::uint32_t kRowWelcome = kRowControlBase + 2;
@@ -129,11 +133,26 @@ struct PullReq
     std::int64_t iter = 0;
 };
 
-/** One unit's averaged pending gradient. */
-struct UnitUpdate
+/**
+ * One unit of a parsed Push or PullData: the unit index and its values
+ * as little-endian f32 bytes, a view into the parsed message.
+ */
+struct UnitEntry
 {
     std::uint32_t unit = 0;
-    std::vector<float> values;
+    std::span<const std::uint8_t> values; //!< 4 bytes per value.
+
+    std::size_t size() const { return values.size() / 4; }
+
+    /** Decode the values into @p out, which holds size() floats. */
+    void decode(std::span<float> out) const;
+};
+
+/** Worker -> server: every unit of the worker's iteration @p iter. */
+struct Push
+{
+    std::int64_t iter = 0;
+    std::vector<UnitEntry> units;
 };
 
 /** Server -> worker: averaged gradients pending for the worker. */
@@ -141,7 +160,38 @@ struct PullData
 {
     std::int64_t iter = 0;     //!< echoed PullReq iteration.
     std::int64_t min_done = 0; //!< gate floor at response time.
-    std::vector<UnitUpdate> units;
+    std::vector<UnitEntry> units;
+};
+
+/**
+ * Encodes a Push or a PullData straight into a caller's buffer, one
+ * unit at a time: the one writer of a unit list. The buffer's capacity
+ * is reused, so a steady stream of messages allocates nothing.
+ */
+class UnitListWriter
+{
+  public:
+    /** Start a Push of @p iter in @p out, replacing its contents. */
+    static UnitListWriter push(std::vector<std::uint8_t> &out,
+                               std::int64_t iter);
+    /** Start a PullData in @p out, replacing its contents. */
+    static UnitListWriter pullData(std::vector<std::uint8_t> &out,
+                                   std::int64_t iter,
+                                   std::int64_t min_done);
+
+    /** Append unit @p unit with @p values. */
+    void add(std::uint32_t unit, std::span<const float> values);
+
+    /** Units appended so far. */
+    std::uint32_t units() const { return units_; }
+
+  private:
+    /** Append the unit count field to @p out's header. */
+    explicit UnitListWriter(std::vector<std::uint8_t> &out);
+
+    std::vector<std::uint8_t> &out_;
+    std::size_t count_at_ = 0; //!< offset of the unit count field.
+    std::uint32_t units_ = 0;
 };
 
 /** Worker -> server: graceful leave after finishing. */
@@ -156,7 +206,6 @@ std::vector<std::uint8_t> encode(const Welcome &m);
 std::vector<std::uint8_t> encode(const Reject &m);
 std::vector<std::uint8_t> encode(const Heartbeat &m);
 std::vector<std::uint8_t> encode(const PullReq &m);
-std::vector<std::uint8_t> encode(const PullData &m);
 std::vector<std::uint8_t> encode(const Bye &m);
 
 bool parse(std::span<const std::uint8_t> in, Hello &out);
@@ -164,13 +213,12 @@ bool parse(std::span<const std::uint8_t> in, Welcome &out);
 bool parse(std::span<const std::uint8_t> in, Reject &out);
 bool parse(std::span<const std::uint8_t> in, Heartbeat &out);
 bool parse(std::span<const std::uint8_t> in, PullReq &out);
-bool parse(std::span<const std::uint8_t> in, PullData &out);
 bool parse(std::span<const std::uint8_t> in, Bye &out);
 
-/** Raw f32 little-endian array (gradient push payloads). */
-std::vector<std::uint8_t> encodeFloats(std::span<const float> values);
-bool parseFloats(std::span<const std::uint8_t> in,
-                 std::vector<float> &out);
+/** Push and PullData parses leave @p out's entries viewing @p in; on
+ *  failure @p out keeps no entry. */
+bool parse(std::span<const std::uint8_t> in, Push &out);
+bool parse(std::span<const std::uint8_t> in, PullData &out);
 
 } // namespace session
 } // namespace net

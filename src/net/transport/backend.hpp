@@ -41,6 +41,7 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -112,6 +113,16 @@ struct FrameVerdict
 
     /** Wire bytes that arrived (header + intact payload prefix). */
     std::uint64_t bytes_sent = 0;
+
+    /**
+     * Contiguous bytes of the chunk the receiver reports holding after
+     * a frame that did not complete it (a partial ACK), when it
+     * reported one. The sender resumes there, even behind its own
+     * offset: a receiver that restarted mid-chunk holds nothing. A
+     * replayed trace records progress, not the report, so the replay
+     * leaves it empty.
+     */
+    std::optional<std::uint64_t> receiver_prefix;
 
     // --- receiver decision, meaningful only when completed ---
 

@@ -160,22 +160,22 @@ DesBackend::onTransferDone(std::uint64_t send_id, const TransferResult &r)
         rx.fresh_accepts += again.fresh_accepts;
         rx.duplicates += again.duplicates;
         rx.message_complete = rx.message_complete || again.message_complete;
+        rx.prefix = again.prefix;
     }
 
-    if (!r.completed) {
-        done(v); // cut mid-flow: the sender resumes past what got through.
-        return;
-    }
-    if (!rx.chunk_complete) {
-        // The receiver lacks bytes before this fragment (it restarted
-        // mid-chunk): what got through is what extends its prefix, as
-        // a socket receiver's partial ACK reports.
-        v.bytes_sent =
-            FrameHeader::kWireSize +
-            (rx.prefix > hdr->payload_off
-                 ? std::min<std::uint64_t>(rx.prefix - hdr->payload_off,
-                                           hdr->payload_len)
-                 : 0);
+    if (!r.completed || !rx.chunk_complete) {
+        // Cut mid-flow, or the receiver lacks bytes before this
+        // fragment (it restarted mid-chunk): report the prefix it
+        // holds, as a socket receiver's partial ACK does, so the
+        // sender resumes there. What got through is what extends it.
+        if (r.completed)
+            v.bytes_sent =
+                FrameHeader::kWireSize +
+                (rx.prefix > hdr->payload_off
+                     ? std::min<std::uint64_t>(
+                           rx.prefix - hdr->payload_off, hdr->payload_len)
+                     : 0);
+        v.receiver_prefix = rx.prefix;
         done(v);
         return;
     }

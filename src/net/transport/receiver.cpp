@@ -57,16 +57,25 @@ FrameReceiver::onFrame(LinkId link, const FrameHeader &hdr,
         return r;
     }
 
-    const auto it = bufs_.try_emplace(buf_key).first;
+    // Only a gap-free prefix is trustworthy. A fragment that starts
+    // past it can never extend it: the stop-and-wait sender never
+    // leaves a gap, so it is a stray, or a resumed tail whose prefix
+    // this receiver no longer holds (a late duplicate of a delivered
+    // message's tail, or one sent before this receiver restarted). It
+    // is answered with the prefix held and none of its bytes are
+    // kept; the sender resumes from that prefix.
+    auto it = bufs_.find(buf_key);
+    r.prefix = it == bufs_.end() ? 0 : it->second.prefix;
+    if (off > r.prefix)
+        return r;
+    if (it == bufs_.end())
+        it = bufs_.try_emplace(buf_key).first;
     ChunkBuf &buf = it->second;
     if (buf.bytes.size() < end)
         buf.bytes.resize(static_cast<std::size_t>(end), 0);
     std::copy(present.begin(), present.end(),
               buf.bytes.begin() + static_cast<std::size_t>(off));
-    // Only a gap-free prefix is trustworthy; the stop-and-wait sender
-    // never leaves one, but a stray datagram cannot corrupt state.
-    if (off <= buf.prefix)
-        buf.prefix = std::max(buf.prefix, end);
+    buf.prefix = std::max(buf.prefix, end);
     r.prefix = buf.prefix;
 
     // The sender always frames to the end of the chunk, so this frame

@@ -42,8 +42,10 @@ namespace transport {
  *
  * Tracks the contiguous byte prefix of each in-progress chunk; when a
  * frame completes its chunk, the assembled bytes get the CRC verdict
- * and the acceptance decision. A chunk that fails its CRC is wiped, so
- * the retry rebuilds it from offset zero.
+ * and the acceptance decision. A fragment that starts past the prefix
+ * is answered with the prefix and never buffered, so the sender
+ * resumes from what this receiver holds. A chunk that fails its CRC is
+ * wiped, so the retry rebuilds it from offset zero.
  *
  * State is proportional to messages in flight. The frame that
  * completes a message retires it: its payload goes to the DeliverySink

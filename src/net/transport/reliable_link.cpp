@@ -242,14 +242,17 @@ ReliableLink::onFrameVerdict(std::uint64_t op_id, const FrameVerdict &v)
         return;
     }
 
-    // Cut mid-flow (truncation, forced timeout, or deadline): keep the
-    // intact prefix and resume, or restart from scratch in baseline
-    // mode. New bytes arriving counts as progress and resets the
+    // Cut mid-flow (truncation, forced timeout, or deadline): resume
+    // from the prefix the receiver reports holding, even behind this
+    // attempt's offset (it restarted mid-chunk), or, without a report,
+    // past what this attempt delivered; in baseline mode restart from
+    // scratch. New bytes arriving counts as progress and resets the
     // backoff exponent.
     const bool progress = payload_delivered > 0;
     if (config_.resume_from_offset) {
         op.resume_off = std::min<std::uint64_t>(
-            op.chunk.size(), op.resume_off + payload_delivered);
+            op.chunk.size(),
+            v.receiver_prefix.value_or(op.resume_off + payload_delivered));
         logEvent(TransportEvent::Kind::Resume, op, op.seq,
                  static_cast<double>(op.resume_off),
                  static_cast<double>(op.chunk.size()));

@@ -204,6 +204,7 @@ SocketSenderBase::handleAck(const FrameHeader &ack)
                       p.hdr.payload_len)
                 : 0;
         v.bytes_sent = FrameHeader::kWireSize + progress;
+        v.receiver_prefix = ack.payload_off;
         recordAttempt(p, AttemptOutcome::Partial, v.bytes_sent, false);
         p.done(v);
         return;

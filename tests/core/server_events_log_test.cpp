@@ -6,8 +6,8 @@
  * own threads and poll loops, loopback UDP) must leave the same file
  * the collected write produced: one toString() line per receiver
  * event, in order, nothing else — and a log the chaos checker's
- * transport rule accepts (one Deliver per key, covering every applied
- * push).
+ * transport rule accepts (one Deliver per key, one push message per
+ * worker-iteration, every unit of it applied).
  */
 #include <gtest/gtest.h>
 
@@ -87,8 +87,13 @@ TEST(ServerEventsLog, StreamedLogIsOneRenderedLinePerReceiverEvent)
         if (ev.key.row < net::session::kRowControlBase)
             ++push_delivers;
     }
-    EXPECT_GT(res.applied_pushes, 0u);
-    EXPECT_GE(push_delivers, res.applied_pushes);
+    // One push message per worker-iteration, every unit applied from
+    // it exactly once.
+    const std::size_t units =
+        makeNodeWorkload(cfg)->buildReplica()->rowCount();
+    EXPECT_EQ(push_delivers,
+              cfg.workers * static_cast<std::size_t>(cfg.train.max_iters));
+    EXPECT_EQ(res.applied_pushes, push_delivers * units);
 
     std::filesystem::remove_all(dir);
 }

@@ -90,15 +90,135 @@ TEST(SessionWire, WelcomeWithHugeModelLenFailsParse)
     EXPECT_FALSE(parse(bytes, out));
 }
 
+/** Push of iteration 9: unit 3 with {1.5, -2}, unit 0 with {0.25}. */
+std::vector<std::uint8_t>
+twoUnitPush()
+{
+    std::vector<std::uint8_t> bytes;
+    UnitListWriter w = UnitListWriter::push(bytes, 9);
+    const float a[] = {1.5f, -2.0f};
+    const float b[] = {0.25f};
+    w.add(3, a);
+    w.add(0, b);
+    EXPECT_EQ(w.units(), 2u);
+    return bytes;
+}
+
+// Push layout: tag(1) + iter(8), unit count at 9, first unit id at 13,
+// its value count at 17, its values at 21..28, second unit at 29.
+constexpr std::size_t kPushCountAt = 9;
+constexpr std::size_t kPushFirstValueCountAt = 17;
+
+TEST(SessionWire, PushRoundTripsEveryUnitInOrder)
+{
+    const std::vector<std::uint8_t> bytes = twoUnitPush();
+    ASSERT_EQ(bytes.size(), 41u);
+    Push out;
+    ASSERT_TRUE(parse(bytes, out));
+    EXPECT_EQ(out.iter, 9);
+    ASSERT_EQ(out.units.size(), 2u);
+    EXPECT_EQ(out.units[0].unit, 3u);
+    ASSERT_EQ(out.units[0].size(), 2u);
+    std::vector<float> v(2);
+    out.units[0].decode(v);
+    EXPECT_EQ(v, (std::vector<float>{1.5f, -2.0f}));
+    EXPECT_EQ(out.units[1].unit, 0u);
+    ASSERT_EQ(out.units[1].size(), 1u);
+    v.resize(1);
+    out.units[1].decode(v);
+    EXPECT_EQ(v[0], 0.25f);
+}
+
+TEST(SessionWire, PullDataSharesThePushUnitList)
+{
+    std::vector<std::uint8_t> bytes;
+    UnitListWriter w = UnitListWriter::pullData(bytes, 4, 2);
+    const float a[] = {7.0f};
+    w.add(5, a);
+    PullData out;
+    ASSERT_TRUE(parse(bytes, out));
+    EXPECT_EQ(out.iter, 4);
+    EXPECT_EQ(out.min_done, 2);
+    ASSERT_EQ(out.units.size(), 1u);
+    EXPECT_EQ(out.units[0].unit, 5u);
+    // The unit list after PullData's 8-byte min_done is byte for byte
+    // the one a Push carries.
+    std::vector<std::uint8_t> push;
+    UnitListWriter::push(push, 4).add(5, a);
+    EXPECT_TRUE(std::equal(push.begin() + 9, push.end(),
+                           bytes.begin() + 17, bytes.end()));
+}
+
+TEST(SessionWire, PushTruncatedAtEveryByteFailsWithNoEntries)
+{
+    const std::vector<std::uint8_t> bytes = twoUnitPush();
+    for (std::size_t n = 0; n < bytes.size(); ++n) {
+        Push out;
+        ASSERT_TRUE(parse(bytes, out)); // leave entries behind first.
+        EXPECT_FALSE(parse(std::span(bytes).first(n), out)) << n;
+        EXPECT_TRUE(out.units.empty()) << n;
+    }
+}
+
+TEST(SessionWire, PushCountsBeyondTheRemainingBytesFailParse)
+{
+    const std::vector<std::uint8_t> bytes = twoUnitPush();
+    Push out;
+
+    // One unit more than the message carries.
+    std::vector<std::uint8_t> more_units = bytes;
+    more_units[kPushCountAt] = 3;
+    EXPECT_FALSE(parse(more_units, out));
+    EXPECT_TRUE(out.units.empty());
+
+    // A short message claiming ~2^32 units must fail before any
+    // proportional allocation.
+    std::vector<std::uint8_t> huge_units = bytes;
+    for (std::size_t i = kPushCountAt; i < kPushCountAt + 4; ++i)
+        huge_units[i] = 0xFF;
+    EXPECT_FALSE(parse(huge_units, out));
+
+    // A unit claiming more values than remain, by one and by ~2^32.
+    std::vector<std::uint8_t> more_values = bytes;
+    more_values[kPushFirstValueCountAt] = 5;
+    EXPECT_FALSE(parse(more_values, out));
+    std::vector<std::uint8_t> huge_values = bytes;
+    for (std::size_t i = kPushFirstValueCountAt;
+         i < kPushFirstValueCountAt + 4; ++i)
+        huge_values[i] = 0xFF;
+    EXPECT_FALSE(parse(huge_values, out));
+    EXPECT_TRUE(out.units.empty());
+}
+
+TEST(SessionWire, PushWithTrailingBytesFailsParse)
+{
+    std::vector<std::uint8_t> bytes = twoUnitPush();
+    bytes.push_back(0);
+    Push out;
+    EXPECT_FALSE(parse(bytes, out));
+    EXPECT_TRUE(out.units.empty());
+}
+
+TEST(SessionWire, PushAndPullDataRejectEachOthersTag)
+{
+    const std::vector<std::uint8_t> push = twoUnitPush();
+    std::vector<std::uint8_t> pull;
+    UnitListWriter::pullData(pull, 9, 0);
+    PullData pd;
+    EXPECT_FALSE(parse(push, pd));
+    Push p;
+    EXPECT_FALSE(parse(pull, p));
+    std::vector<std::uint8_t> bad_tag = push;
+    bad_tag[0] ^= 0x01;
+    EXPECT_FALSE(parse(bad_tag, p));
+    EXPECT_TRUE(p.units.empty());
+}
+
 TEST(SessionWire, PullDataWithHugeCountsFailsParse)
 {
-    PullData in;
-    in.iter = 1;
-    UnitUpdate u;
-    u.unit = 0;
-    u.values = {1.0f, 2.0f};
-    in.units.push_back(u);
-    const std::vector<std::uint8_t> bytes = encode(in);
+    std::vector<std::uint8_t> bytes;
+    const float values[] = {1.0f, 2.0f};
+    UnitListWriter::pullData(bytes, 1, 0).add(0, values);
     // Layout: tag(1) + iter(8) + min_done(8), unit count at 17,
     // first unit id at 21, its value count at 25.
     ASSERT_EQ(bytes.size(), 37u);

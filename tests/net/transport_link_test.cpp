@@ -580,13 +580,13 @@ TEST(TransportLink, ReceiverRestartForgetsDeliveredKeys)
     EXPECT_EQ(b.payloadOf(k), payload);
 }
 
-TEST(TransportLink, ReceiverRestartMidChunkStrandsTheResumedTail)
+TEST(TransportLink, ReceiverRestartMidChunkRestartsTheChunk)
 {
     // A receiver that restarts between a cut attempt and its resume
     // has lost the chunk's prefix, so the resumed tail cannot complete
-    // the chunk. The twin answers as a socket receiver's partial ACK
-    // does (no progress past the sender's offset); the sender does not
-    // rewind, so the send fails at its attempt cap, delivering nothing.
+    // the chunk. The twin reports the prefix the receiver holds (none),
+    // as a socket receiver's partial ACK does, and the sender resumes
+    // from there: the chunk restarts whole and is delivered, once.
     TransportConfig cfg;
     cfg.max_attempts_per_chunk = 3;
     fault::FaultPlan plan;
@@ -595,17 +595,22 @@ TEST(TransportLink, ReceiverRestartMidChunkStrandsTheResumedTail)
     plan.transfer_faults.push_back(t);
     Bench b(cfg, plan);
 
+    const MessageKey k = key();
+    std::vector<std::uint8_t> payload(8192);
+    std::iota(payload.begin(), payload.end(), std::uint8_t{1});
     SendResult out;
-    b.link->startSend(0, key(), std::vector<std::uint8_t>(8192),
-                      kNoDeadline, [&](SendResult r) { out = r; });
+    b.link->startSend(0, k, payload, kNoDeadline,
+                      [&](SendResult r) { out = r; });
     b.sim.runUntil(3.5); // cut at 3 s; the resumed tail is in flight.
     ASSERT_EQ(out.attempts, 0u);
     b.backend->restartReceiver();
     b.sim.run();
-    EXPECT_FALSE(out.delivered);
+    EXPECT_TRUE(out.delivered);
+    // The cut, the stranded tail, then the whole chunk from offset 0.
     EXPECT_EQ(out.attempts, 3u);
-    EXPECT_EQ(out.bytes_sent, 3000u + 2 * kHdr);
-    EXPECT_TRUE(b.delivered.empty());
+    EXPECT_EQ(out.bytes_sent, 3000u + kHdr + (kHdr + 8192u));
+    ASSERT_EQ(b.delivered.size(), 1u);
+    EXPECT_EQ(b.payloadOf(k), payload);
     EXPECT_TRUE(b.checker.clean()) << b.checker.report();
 }
 

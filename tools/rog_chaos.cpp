@@ -402,7 +402,10 @@ class ChaosSupervisor
                     }
                 return;
             }
-            usleep(20 * 1000);
+            // A 1 ms cadence, as the fork-based chaos test polls: a
+            // clean 8-iteration fleet finishes in about 20 ms, so a
+            // coarser poll can miss every planned kill and stall.
+            usleep(1000);
         }
     }
 
