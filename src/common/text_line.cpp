@@ -4,6 +4,8 @@
 #include <charconv>
 #include <cmath>
 
+#include "common/logging.hpp"
+
 namespace rog {
 
 namespace {
@@ -32,6 +34,17 @@ parseNumber(std::string_view text, double &out)
     if (std::isinf(out))
         return text == "inf" || text == "-inf";
     return out == 0.0 || std::fabs(out) >= std::numeric_limits<double>::min();
+}
+
+void
+appendNumber(std::string &out, double v, int precision)
+{
+    // %.17g needs at most 24 bytes: sign, 17 digits, point, e-308.
+    ROG_ASSERT(precision >= 1 && precision <= 17, "precision ", precision);
+    char buf[32];
+    const auto r = std::to_chars(buf, buf + sizeof buf, v,
+                                 std::chars_format::general, precision);
+    out.append(buf, r.ptr);
 }
 
 bool

@@ -11,6 +11,16 @@
  * (including a double that overflows or underflows) and NaN are all
  * refused; "inf" and "-inf" are the only spellings of infinity.
  *
+ * The one matching writer (appendNumber) spells an integer in plain
+ * decimal and a double as printf's `%.<p>g` does: p significant digits
+ * (6 unless the record asks for more), trailing zeros dropped, an
+ * exponent only below 1e-04 or at 10^p and above ("1e-05", "0.0001",
+ * "999999", "1e+06"), and "inf", "-inf", "nan", "-nan" for the special
+ * values. That is byte for byte what an iostream writes at the same
+ * precision. At p = 17 every value parseNumber accepts (zero and the
+ * normal range) reads back bit for bit; a subnormal is written but
+ * refused on reading, as underflow.
+ *
  * Lines (TextLine) are whitespace-separated tokens. A token is a bare
  * word or key=value with a non-empty key; a value may be empty (the
  * getters decide whether that is an error). A value that opens with
@@ -27,6 +37,7 @@
 #ifndef ROG_COMMON_TEXT_LINE_HPP
 #define ROG_COMMON_TEXT_LINE_HPP
 
+#include <charconv>
 #include <cstddef>
 #include <cstdint>
 #include <initializer_list>
@@ -43,6 +54,21 @@ namespace rog {
 bool parseNumber(std::string_view text, double &out);
 bool parseNumber(std::string_view text, std::uint64_t &out);
 bool parseNumber(std::string_view text, std::int64_t &out);
+
+/** Append @p v in decimal. */
+template <typename T>
+    requires(std::is_integral_v<T> && !std::is_same_v<T, bool>)
+void
+appendNumber(std::string &out, T v)
+{
+    char buf[24];
+    const auto r = std::to_chars(buf, buf + sizeof buf, v);
+    out.append(buf, r.ptr);
+}
+
+/** Append @p v as `%.<precision>g` spells it; @p precision is in
+ *  [1, 17]. */
+void appendNumber(std::string &out, double v, int precision = 6);
 
 /** One tokenized line of a text record. Holds views into @p line,
  *  which must outlive the reader. */

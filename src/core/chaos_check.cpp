@@ -1,5 +1,6 @@
 #include "core/chaos_check.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <fstream>
 #include <map>
@@ -295,6 +296,59 @@ checkChaosRun(const NodeRunConfig &cfg, const ChaosCheckOptions &opts)
             report << "twin: ref " << ref << ", delta " << delta
                    << "\n";
         }
+    }
+
+    // 8. Every planned fault fired.
+    {
+        std::set<std::size_t> killed;
+        std::ifstream is(dir + "/kills.txt");
+        std::string line;
+        for (std::size_t n = 1; std::getline(is, line); ++n) {
+            std::uint64_t w = 0;
+            if (parseNumber(line, w))
+                killed.insert(static_cast<std::size_t>(w));
+            else
+                violate(dir + "/kills.txt line " + std::to_string(n) +
+                        ": bad worker '" + line + "'");
+        }
+        std::size_t planned = 0;
+        std::size_t fired = 0;
+        for (std::size_t w : opts.planned_kills) {
+            ++planned;
+            if (killed.count(w) != 0)
+                ++fired;
+            else
+                violate("planned fault never fired: kill w=" +
+                        std::to_string(w) + " is not in kills.txt");
+        }
+        if (opts.server_kill_planned) {
+            ++planned;
+            if (opts.server_restarts > 0)
+                ++fired;
+            else
+                violate("planned fault never fired: the server was "
+                        "never killed");
+        }
+        for (const auto &[w, start] : opts.partition_starts) {
+            ++planned;
+            const std::string path =
+                dir + "/worker" + std::to_string(w) + ".log";
+            const NodeLogReadResult log = readNodeLog(path);
+            double last = -1.0;
+            for (const NodeEvent &ev : log.events)
+                if (isTimed(ev.kind))
+                    last = std::max(last, ev.t);
+            if (log.ok() && last >= start)
+                ++fired;
+            else
+                violate("planned fault never fired: partition w=" +
+                        std::to_string(w) + " opens at t=" +
+                        std::to_string(start) + " but " + path +
+                        (log.ok() ? " has no timed event from then on"
+                                  : " is unreadable: " + log.error));
+        }
+        report << "planned faults: " << fired << " of " << planned
+               << " fired\n";
     }
 
     res.ok = res.violations.empty();

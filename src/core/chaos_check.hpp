@@ -27,6 +27,12 @@
  *     gradient the checkpoint already covered is re-applied by a
  *     later incarnation, and every worker that finished after the
  *     last restart was re-admitted under the final epoch.
+ *  8. Every planned fault fired: each planned worker kill is listed in
+ *     kills.txt, a planned server kill restarted the server, and each
+ *     partition victim's run log has a timed event at or after its
+ *     window start (the log and the fault injector read the same
+ *     process clock, so the victim was running while the window was
+ *     open). A fault that never took effect checks nothing.
  *
  * Violations are returned as human-readable strings; an empty list is
  * a passing run.
@@ -34,6 +40,7 @@
 #ifndef ROG_CORE_CHAOS_CHECK_HPP
 #define ROG_CORE_CHAOS_CHECK_HPP
 
+#include <map>
 #include <string>
 #include <vector>
 
@@ -63,6 +70,16 @@ struct ChaosCheckOptions
      *  strictly rising epoch, and every worker that finished after
      *  the last restart re-admitted under the final epoch. */
     std::size_t server_restarts = 0;
+
+    /** Workers the plan asked to kill; each must be in kills.txt. */
+    std::vector<std::size_t> planned_kills;
+
+    /** The plan asked to kill the server; it must have restarted. */
+    bool server_kill_planned = false;
+
+    /** Partitioned workers and their window starts, in seconds of the
+     *  victim's process clock. */
+    std::map<std::size_t, double> partition_starts;
 };
 
 struct ChaosCheckResult

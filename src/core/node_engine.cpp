@@ -158,8 +158,11 @@ ServerNode::restoreFromCheckpoint()
 void
 ServerNode::emit(const NodeEvent &ev)
 {
-    if (log_)
-        log_(toLine(ev));
+    if (!log_)
+        return;
+    line_.clear();
+    appendLine(ev, line_);
+    log_(line_);
 }
 
 void
@@ -621,8 +624,11 @@ WorkerNode::~WorkerNode()
 void
 WorkerNode::emit(const NodeEvent &ev)
 {
-    if (log_)
-        log_(toLine(ev));
+    if (!log_)
+        return;
+    line_.clear();
+    appendLine(ev, line_);
+    log_(line_);
 }
 
 void

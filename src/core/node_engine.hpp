@@ -211,7 +211,7 @@ class ServerNode
     bool restoreFromCheckpoint();
     void maybeCheckpoint();
     void checkDone();
-    /** Hand @p ev to the log sink, formatted, if one is attached. */
+    /** Hand @p ev to the log sink, rendered, if one is attached. */
     void emit(const NodeEvent &ev);
     /** True when @p key carries worker @p w's live session scope. */
     bool sessionCurrent(std::size_t w, std::int64_t version);
@@ -220,6 +220,9 @@ class ServerNode
     Workload &workload_;
     NodeTrainConfig cfg_;
     NodeLogger log_;
+    /** emit()'s rendering buffer, reused so a line costs no
+     *  allocation; valid only during the log_ call. */
+    std::string line_;
 
     std::unique_ptr<nn::Model> model_; //!< canonical replica.
     std::unique_ptr<FlatModel> flat_;
@@ -316,7 +319,7 @@ class WorkerNode
     void writeLocalCheckpoint();
     /** Transport trouble: tear down and re-handshake. */
     void resync(const char *why);
-    /** Hand @p ev to the log sink, formatted, if one is attached. */
+    /** Hand @p ev to the log sink, rendered, if one is attached. */
     void emit(const NodeEvent &ev);
 
     net::session::Fabric &fabric_;
@@ -324,6 +327,9 @@ class WorkerNode
     NodeTrainConfig cfg_;
     std::size_t worker_ = 0;
     NodeLogger log_;
+    /** emit()'s rendering buffer, reused so a line costs no
+     *  allocation; valid only during the log_ call. */
+    std::string line_;
 
     std::unique_ptr<nn::Model> model_;
     std::unique_ptr<FlatModel> flat_;

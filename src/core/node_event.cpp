@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <fstream>
 #include <iterator>
-#include <sstream>
 #include <type_traits>
 
 #include "common/text_line.hpp"
@@ -84,24 +83,29 @@ withField(Event &ev, std::string_view key, Fn &&fn)
     // clang-format on
 }
 
-/** Write @p v as the writer spells it. */
+/** Append @p v as the writer spells it. */
 template <typename T>
 void
-put(std::ostream &os, const T &v)
+put(std::string &out, const T &v)
 {
     if constexpr (std::is_same_v<T, bool>)
-        os << (v ? 1 : 0);
+        out += v ? '1' : '0';
     else if constexpr (std::is_same_v<T, RejectReason>)
-        os << net::session::rejectReasonName(v);
+        out += net::session::rejectReasonName(v);
     else if constexpr (std::is_same_v<T, AdmitMode>)
-        os << net::session::admitModeName(v);
+        out += net::session::admitModeName(v);
     else if constexpr (std::is_same_v<T, MemberState>)
-        os << memberStateName(v);
+        out += memberStateName(v);
     else if constexpr (std::is_same_v<T, std::vector<std::int64_t>>) {
-        for (std::size_t i = 0; i < v.size(); ++i)
-            os << (i > 0 ? "," : "") << v[i];
-    } else
-        os << v;
+        for (std::size_t i = 0; i < v.size(); ++i) {
+            if (i > 0)
+                out += ',';
+            appendNumber(out, v[i]);
+        }
+    } else if constexpr (std::is_same_v<T, std::string>)
+        out += v;
+    else
+        appendNumber(out, v);
 }
 
 /** The enumerator of @p all whose name() is the next @p key value. */
@@ -185,25 +189,48 @@ identify(TextLine &r, NodeEvent &ev)
 
 } // namespace
 
+bool
+isTimed(NodeEvent::Kind kind)
+{
+    return kSpecs[static_cast<std::size_t>(kind)].timed;
+}
+
+void
+appendLine(const NodeEvent &ev, std::string &out)
+{
+    const Spec &s = kSpecs[static_cast<std::size_t>(ev.kind)];
+    if (s.timed) {
+        out += "t=";
+        appendNumber(out, ev.t);
+        out += ' ';
+    }
+    if (s.phase) {
+        out += "iter=";
+        appendNumber(out, ev.iter);
+        out += " phase=";
+    }
+    out += s.word;
+    forEachKey(s, [&](std::string_view key) {
+        out += ' ';
+        out += key;
+        out += '=';
+        // Free text is quoted; it is the last field of its kinds.
+        if (key == "why" && quotedWhy(ev.kind)) {
+            out += '"';
+            out += ev.why;
+            out += '"';
+        } else {
+            withField(ev, key, [&](const auto &v) { put(out, v); });
+        }
+    });
+}
+
 std::string
 toLine(const NodeEvent &ev)
 {
-    const Spec &s = kSpecs[static_cast<std::size_t>(ev.kind)];
-    std::ostringstream os;
-    if (s.timed)
-        os << "t=" << ev.t << ' ';
-    if (s.phase)
-        os << "iter=" << ev.iter << " phase=";
-    os << s.word;
-    forEachKey(s, [&](std::string_view key) {
-        os << ' ' << key << '=';
-        // Free text is quoted; it is the last field of its kinds.
-        if (key == "why" && quotedWhy(ev.kind))
-            os << '"' << ev.why << '"';
-        else
-            withField(ev, key, [&](const auto &v) { put(os, v); });
-    });
-    return os.str();
+    std::string line;
+    appendLine(ev, line);
+    return line;
 }
 
 NodeEventParseResult

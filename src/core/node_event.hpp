@@ -2,13 +2,17 @@
  * @file
  * The node run log as a typed record: one NodeEvent per line that
  * ServerNode, WorkerNode and their process runners (node_runner) write,
- * one writer (toLine) and one reader (tryParseNodeEvent, readNodeLog).
+ * one writer (appendLine, and toLine over it) and one reader
+ * (tryParseNodeEvent, readNodeLog).
  *
  * A line is `[t=<seconds> ]<word> key=value ...`, with each kind's
  * word and keys fixed by ROG_NODE_EVENTS below. Runner kinds carry no
  * time; phase kinds write their word as `iter=<n> phase=<word>`.
- * Numbers print with the stream defaults, so times keep six
- * significant digits.
+ * Integers are plain decimal. Doubles (times, phi, silence) are
+ * spelled as printf's `%.6g`: six significant digits, trailing zeros
+ * dropped, an exponent only below 1e-04 or from 1e+06 up, and "inf" /
+ * "nan" for the special values (common/text_line's appendNumber; the
+ * same bytes an iostream writes at its default precision).
  *
  * The reader sits on the shared strict line reader (common/text_line)
  * and accepts exactly what the writer emits: a line that parses but
@@ -108,6 +112,12 @@ struct NodeEvent
 
     bool operator==(const NodeEvent &) const = default;
 };
+
+/** Whether lines of @p kind carry a time (`t=`). */
+bool isTimed(NodeEvent::Kind kind);
+
+/** Append @p ev's run-log line (no newline) to @p out. */
+void appendLine(const NodeEvent &ev, std::string &out);
 
 /** Render @p ev as its run-log line (no newline). */
 std::string toLine(const NodeEvent &ev);

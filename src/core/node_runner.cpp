@@ -3,6 +3,8 @@
 #include <cstdio>
 #include <fstream>
 
+#include <sys/stat.h>
+
 #include "common/durable_file.hpp"
 #include "core/workloads.hpp"
 #include "net/session/des_fabric.hpp"
@@ -115,6 +117,9 @@ chaosRunDefaults()
     return cfg;
 }
 
+/** The node workload's training set: one sample per worker at most. */
+constexpr std::size_t kNodeTrainSamples = 240;
+
 std::unique_ptr<Workload>
 makeNodeWorkload(const NodeRunConfig &cfg)
 {
@@ -124,7 +129,7 @@ makeNodeWorkload(const NodeRunConfig &cfg)
     CrudaWorkloadConfig wc;
     wc.data.input_dim = 8;
     wc.data.classes = 4;
-    wc.data.train_samples = 240;
+    wc.data.train_samples = kNodeTrainSamples;
     wc.data.test_samples = 80;
     wc.data.seed = cfg.workload_seed;
     wc.model = nn::ClassifierConfig{8, {12}, 4};
@@ -139,6 +144,26 @@ makeNodeWorkload(const NodeRunConfig &cfg)
     wc.eval_subset = 80;
     wc.seed = cfg.workload_seed;
     return std::make_unique<CrudaWorkload>(wc);
+}
+
+std::string
+nodeRunConfigError(const NodeRunConfig &cfg)
+{
+    if (cfg.workers == 0 || cfg.workers > kNodeTrainSamples)
+        return std::to_string(cfg.workers) + " workers: the node "
+               "workload has " + std::to_string(kNodeTrainSamples) +
+               " training samples, so a run takes 1 to " +
+               std::to_string(kNodeTrainSamples) + " workers";
+    if (cfg.artifact_dir.empty())
+        return {};
+    struct stat st;
+    if (::stat(cfg.artifact_dir.c_str(), &st) != 0)
+        return "artifact directory '" + cfg.artifact_dir +
+               "' does not exist";
+    if (!S_ISDIR(st.st_mode))
+        return "artifact directory '" + cfg.artifact_dir +
+               "' is not a directory";
+    return {};
 }
 
 WorkerResumeState
@@ -165,7 +190,8 @@ runServerNode(const NodeRunConfig &cfg,
     res.metric_name = workload->metricName();
 
     PollLoop loop;
-    std::ofstream events; // outlives the fabric that writes to it.
+    std::ofstream events; // these two outlive the fabric that
+    std::string event_line; // writes to them.
     // The server never injects faults: perturbation belongs on the
     // worker->server push path where the chaos plan puts it.
     net::session::SocketFabric fabric(
@@ -178,8 +204,11 @@ runServerNode(const NodeRunConfig &cfg,
         events.open(cfg.artifact_dir + "/server_events.log",
                     std::ios::trunc);
         fabric.setReceiverEventSink(
-            [&events](const net::transport::TransportEvent &ev) {
-                events << net::transport::toString(ev) << '\n';
+            [&](const net::transport::TransportEvent &ev) {
+                event_line.clear();
+                net::transport::appendEvent(event_line, ev);
+                event_line += '\n';
+                events << event_line;
             });
     }
     if (on_listen)

@@ -76,6 +76,14 @@ NodeRunConfig chaosRunDefaults();
 /** The tiny CRUDA workload every role builds identically. */
 std::unique_ptr<Workload> makeNodeWorkload(const NodeRunConfig &cfg);
 
+/**
+ * Why no role could run @p cfg, as one line; empty when it can. A run
+ * needs 1 to 240 workers (each worker's shard of the node workload's
+ * 240 training samples must be non-empty) and, when it names an
+ * artifact directory, that directory must exist.
+ */
+std::string nodeRunConfigError(const NodeRunConfig &cfg);
+
 /** Worker resume record from workerStatePath(@p state_dir, @p worker)
  *  (incarnation already bumped for the new process); zeros and no
  *  model when absent, torn or corrupt. */

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <limits>
 #include <sstream>
+#include <type_traits>
 
 #include "common/text_line.hpp"
 #include "net/transport/frame.hpp"
@@ -70,12 +71,34 @@ readKey(TextLine &r, LinkId &link, MessageKey &key)
         r.fail("bad direction '" + std::string(dir) + "' (want push|pull)");
 }
 
-std::ostream &
-writeKey(std::ostream &os, LinkId link, const MessageKey &key)
+/** Append the shared "link= w= v= row= dir=" run. */
+void
+writeKey(std::string &out, LinkId link, const MessageKey &key)
 {
-    os << "link=" << link << " w=" << key.worker << " v=" << key.version
-       << " row=" << key.row << " dir=" << (key.pull ? "pull" : "push");
-    return os;
+    out += "link=";
+    appendNumber(out, link);
+    out += " w=";
+    appendNumber(out, key.worker);
+    out += " v=";
+    appendNumber(out, key.version);
+    out += " row=";
+    appendNumber(out, key.row);
+    out += key.pull ? " dir=pull" : " dir=push";
+}
+
+/** Append " <name>=<v>": an integer in decimal, a double at 17
+ *  significant digits so that it reads back bit for bit. */
+template <typename T>
+void
+field(std::string &out, const char *name, T v)
+{
+    out += ' ';
+    out += name;
+    out += '=';
+    if constexpr (std::is_floating_point_v<T>)
+        appendNumber(out, v, 17);
+    else
+        appendNumber(out, v);
 }
 
 /** Fail unless the line has exactly @p want tokens. */
@@ -115,15 +138,26 @@ eventSide(TransportEvent::Kind kind)
     return EventSide::Sender;
 }
 
+void
+appendEvent(std::string &out, const TransportEvent &ev)
+{
+    out += "t=";
+    appendNumber(out, ev.t, 17);
+    out += ' ';
+    out += nameOf(kKindNames, ev.kind);
+    out += ' ';
+    writeKey(out, ev.link, ev.key);
+    field(out, "seq", ev.chunk_seq);
+    field(out, "a", ev.a);
+    field(out, "b", ev.b);
+}
+
 std::string
 toString(const TransportEvent &ev)
 {
-    std::ostringstream os;
-    os.precision(17);
-    os << "t=" << ev.t << ' ' << nameOf(kKindNames, ev.kind) << ' ';
-    writeKey(os, ev.link, ev.key)
-        << " seq=" << ev.chunk_seq << " a=" << ev.a << " b=" << ev.b;
-    return os.str();
+    std::string line;
+    appendEvent(line, ev);
+    return line;
 }
 
 EventParseResult
@@ -181,12 +215,13 @@ filterSide(const std::vector<TransportEvent> &log, EventSide side)
 std::string
 renderNormalized(const std::vector<TransportEvent> &log)
 {
-    std::ostringstream os;
+    std::string out;
     for (TransportEvent ev : log) {
         ev.t = 0.0;
-        os << toString(ev) << '\n';
+        appendEvent(out, ev);
+        out += '\n';
     }
-    return os.str();
+    return out;
 }
 
 const char *
@@ -198,42 +233,47 @@ toString(AttemptOutcome o)
 std::string
 TransportTrace::toText() const
 {
-    std::ostringstream os;
-    os.precision(17);
-    os << "trace v1 backend=" << config.backend
-       << " chunk=" << config.chunk_bytes
-       << " attempts=" << config.max_attempts
-       << " base=" << config.backoff_base_s
-       << " max=" << config.backoff_max_s
-       << " jitter=" << config.jitter_frac
-       << " jseed=" << config.jitter_seed
-       << " resume=" << (config.resume_from_offset ? 1 : 0) << '\n';
+    std::string out = "trace v1 backend=" + config.backend;
+    field(out, "chunk", config.chunk_bytes);
+    field(out, "attempts", config.max_attempts);
+    field(out, "base", config.backoff_base_s);
+    field(out, "max", config.backoff_max_s);
+    field(out, "jitter", config.jitter_frac);
+    field(out, "jseed", config.jitter_seed);
+    field(out, "resume", config.resume_from_offset ? 1 : 0);
+    out += '\n';
     for (const auto &s : sends) {
-        os << "send ";
-        writeKey(os, s.link, s.key) << " bytes=" << s.payload_bytes
-                                    << " deadline=";
+        out += "send ";
+        writeKey(out, s.link, s.key);
+        field(out, "bytes", s.payload_bytes);
         if (std::isinf(s.deadline_s))
-            os << "inf";
+            out += " deadline=inf";
         else
-            os << s.deadline_s;
-        os << '\n';
+            field(out, "deadline", s.deadline_s);
+        out += '\n';
     }
     for (const auto &a : attempts) {
-        os << "att ";
-        writeKey(os, a.link, a.key)
-            << " seq=" << a.chunk_seq << " off=" << a.payload_off
-            << " out=" << toString(a.outcome) << " bytes=" << a.bytes_sent
-            << " elapsed=" << a.elapsed_s
-            << " complete=" << (a.message_complete ? 1 : 0) << '\n';
+        out += "att ";
+        writeKey(out, a.link, a.key);
+        field(out, "seq", a.chunk_seq);
+        field(out, "off", a.payload_off);
+        out += " out=";
+        out += toString(a.outcome);
+        field(out, "bytes", a.bytes_sent);
+        field(out, "elapsed", a.elapsed_s);
+        field(out, "complete", a.message_complete ? 1 : 0);
+        out += '\n';
     }
     for (const auto &r : rx) {
-        os << "rx ";
-        writeKey(os, r.link, r.key)
-            << " seq=" << r.chunk_seq << " off=" << r.payload_off
-            << " len=" << r.frag_len << " got=" << r.got
-            << " crc=" << (r.crc_ok ? "ok" : "bad") << '\n';
+        out += "rx ";
+        writeKey(out, r.link, r.key);
+        field(out, "seq", r.chunk_seq);
+        field(out, "off", r.payload_off);
+        field(out, "len", r.frag_len);
+        field(out, "got", r.got);
+        out += r.crc_ok ? " crc=ok\n" : " crc=bad\n";
     }
-    return os.str();
+    return out;
 }
 
 namespace {

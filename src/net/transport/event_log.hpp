@@ -30,6 +30,10 @@
  *     t=<f> <kind> link=<n> w=<n> v=<n> row=<n> dir=push|pull
  *         seq=<n> a=<f> b=<f>
  *
+ * Every <n> is plain decimal and every <f> is spelled as printf's
+ * `%.17g` (common/text_line's appendNumber), which reads back to the
+ * same double.
+ *
  * Both parsers reject malformed input with a line-numbered diagnostic
  * (the same contract as fault::FaultPlan::tryParse) — never a silent
  * skip.
@@ -105,6 +109,9 @@ EventSide eventSide(TransportEvent::Kind kind);
 
 /** Receives events as they are decided (stamped by the producer). */
 using EventSink = std::function<void(const TransportEvent &)>;
+
+/** Append @p ev's event line (no newline) to @p out. */
+void appendEvent(std::string &out, const TransportEvent &ev);
 
 /** Render one event as a stable text line (for replay comparison). */
 std::string toString(const TransportEvent &ev);

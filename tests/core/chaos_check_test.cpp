@@ -7,7 +7,8 @@
  * that the exactly-once (3), membership (5) and server-restart (7)
  * invariants pass on a clean log and name each failing shape; two
  * cases put a double Deliver and a double fresh Accept into the
- * receiver event log (4).
+ * receiver event log (4). The last cases plan kills and partitions
+ * that never fired (8).
  */
 #include <gtest/gtest.h>
 
@@ -443,6 +444,66 @@ TEST_F(ChaosCheckTest, DoubleFreshAcceptInTheTransportLogIsAViolation)
                               "violations"),
               std::string::npos)
         << res.report;
+}
+
+TEST_F(ChaosCheckTest, PlannedKillMissingFromTheKillsFileNeverFired)
+{
+    ChaosCheckOptions opts;
+    opts.planned_kills = {0, 1};
+    write("kills.txt", "0\n");
+    const ChaosCheckResult res = check(kCleanRun, opts);
+    EXPECT_FALSE(res.ok);
+    EXPECT_TRUE(hasViolation(res, "planned fault never fired: kill w=1 "
+                                  "is not in kills.txt"))
+        << violations(res);
+    EXPECT_FALSE(hasViolation(res, "kill w=0")) << violations(res);
+    EXPECT_NE(res.report.find("planned faults: 1 of 2 fired"),
+              std::string::npos)
+        << res.report;
+
+    write("kills.txt", "0\n1\n");
+    EXPECT_TRUE(check(kCleanRun, opts).ok);
+}
+
+TEST_F(ChaosCheckTest, PlannedServerKillThatNeverRestartedNeverFired)
+{
+    ChaosCheckOptions opts;
+    opts.server_kill_planned = true;
+    const ChaosCheckResult res = check(kCleanRun, opts);
+    EXPECT_FALSE(res.ok);
+    EXPECT_TRUE(hasViolation(res, "planned fault never fired: the server "
+                                  "was never killed"))
+        << violations(res);
+}
+
+TEST_F(ChaosCheckTest, PartitionFiresOnlyIfTheVictimRanIntoItsWindow)
+{
+    // The victim's log ends at t=0.5 of its process clock; its
+    // untimed worker_start line says nothing about when it ran.
+    write("worker1.log", "worker_start w=1 inc=0 token=0 done_iter=0\n"
+                         "t=0.1 hello try=0 inc=0 token=0 done_iter=0\n"
+                         "t=0.5 bye done_iter=1\n");
+    ChaosCheckOptions opts;
+    opts.partition_starts = {{1, 0.5}};
+    const ChaosCheckResult open = check(kCleanRun, opts);
+    EXPECT_TRUE(open.ok) << violations(open);
+    EXPECT_NE(open.report.find("planned faults: 1 of 1 fired"),
+              std::string::npos)
+        << open.report;
+
+    opts.partition_starts = {{1, 0.6}};
+    const ChaosCheckResult late = check(kCleanRun, opts);
+    EXPECT_FALSE(late.ok);
+    EXPECT_TRUE(hasViolation(late, "planned fault never fired: partition "
+                                   "w=1 opens at t=0.600000"))
+        << violations(late);
+
+    write("worker1.log", "worker_start w=1 inc=0 token=0 done_iter=0\n");
+    opts.partition_starts = {{1, 0.0}};
+    EXPECT_FALSE(check(kCleanRun, opts).ok);
+
+    opts.partition_starts = {{2, 0.0}}; // no worker2.log at all.
+    EXPECT_FALSE(check(kCleanRun, opts).ok);
 }
 
 } // namespace

@@ -28,7 +28,8 @@
  * CRC-valid checkpoint, finite model within tolerance of the twin,
  * no exactly-once violation at either the application or transport
  * level, every killed worker evicted-or-readmitted, every worker
- * finished. Exit 0 iff no invariant was violated.
+ * finished, and every planned kill and partition fired. Exit 0 iff no
+ * invariant was violated.
  *
  * The children are forked, not exec'd: the supervisor creates no
  * threads before the last fork, so the children get clean copies and
@@ -576,10 +577,24 @@ main(int argc, char **argv)
             return 2;
         }
         mkdir(cfg.artifact_dir.c_str(), 0755);
+        const std::string error = core::nodeRunConfigError(cfg);
+        if (!error.empty()) {
+            std::fprintf(stderr, "rog_chaos: %s\n", error.c_str());
+            return 2;
+        }
         cleanRunDir(cfg);
 
         const std::vector<std::size_t> kill_list =
             parseIndexList(args.get("kill", "1,2"));
+        const std::map<std::size_t, std::pair<double, double>>
+            partitions = parsePartitions(args.get("partition", ""));
+        if (!partitions.empty() && cfg.backend != "udp") {
+            // Only the UDP fault injector drops datagrams, so a
+            // partition on any other backend could never fire.
+            std::fprintf(stderr,
+                         "rog_chaos: --partition needs --backend udp\n");
+            return 2;
+        }
         const std::int64_t kill_server_iter =
             static_cast<std::int64_t>(
                 args.getSize("kill-server-iter", 0));
@@ -594,8 +609,7 @@ main(int argc, char **argv)
             static_cast<std::int64_t>(args.getSize("kill-iter", 3)),
             args.getDouble("restart-delay", 0.3),
             parseStalls(args.get("stall", "")), kill_server_iter,
-            server_restart_delay,
-            parsePartitions(args.get("partition", "")));
+            server_restart_delay, partitions);
 
         if (!sup.run()) {
             std::fprintf(stderr, "rog_chaos: fleet failed to start\n");
@@ -628,6 +642,10 @@ main(int argc, char **argv)
         opts.killed_workers = sup.killedWorkers();
         opts.metric_tolerance = args.getDouble("tolerance", 15.0);
         opts.server_restarts = sup.serverRestarts();
+        opts.planned_kills = kill_list;
+        opts.server_kill_planned = kill_server_iter > 0;
+        for (const auto &[w, window] : partitions)
+            opts.partition_starts[w] = window.first;
         const core::ChaosCheckResult res =
             core::checkChaosRun(cfg, opts);
 

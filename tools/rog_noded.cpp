@@ -125,6 +125,11 @@ main(int argc, char **argv)
         if (args.positional().size() != 1)
             return usage();
         const core::NodeRunConfig cfg = tools::configFromArgs(args);
+        const std::string error = core::nodeRunConfigError(cfg);
+        if (!error.empty()) {
+            std::fprintf(stderr, "rog_noded: %s\n", error.c_str());
+            return 2;
+        }
 
         const std::string &cmd = args.positional()[0];
         if (cmd == "server")
