@@ -29,11 +29,11 @@ parseNumber(std::string_view text, double &out)
     if (!fromChars(text, out) || std::isnan(out))
         return false;
     // from_chars also takes "infinity" and any letter case; only the
-    // spelling the writers emit is accepted. Subnormals count as
-    // underflow, as strtod's ERANGE did.
+    // spelling the writers emit is accepted. A subnormal reads back
+    // bit for bit; only a value that rounds to zero is out of range.
     if (std::isinf(out))
         return text == "inf" || text == "-inf";
-    return out == 0.0 || std::fabs(out) >= std::numeric_limits<double>::min();
+    return true;
 }
 
 void

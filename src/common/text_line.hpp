@@ -8,8 +8,9 @@
  * Numbers (parseNumber) are decimal and must fill the whole token: an
  * optional '-', then digits (and for doubles '.' and an exponent). A
  * leading '+' or whitespace, hex, a value outside the target type
- * (including a double that overflows or underflows) and NaN are all
- * refused; "inf" and "-inf" are the only spellings of infinity.
+ * (including a double that overflows, or underflows to zero) and NaN
+ * are all refused; "inf" and "-inf" are the only spellings of
+ * infinity.
  *
  * The one matching writer (appendNumber) spells an integer in plain
  * decimal and a double as printf's `%.<p>g` does: p significant digits
@@ -17,9 +18,8 @@
  * exponent only below 1e-04 or at 10^p and above ("1e-05", "0.0001",
  * "999999", "1e+06"), and "inf", "-inf", "nan", "-nan" for the special
  * values. That is byte for byte what an iostream writes at the same
- * precision. At p = 17 every value parseNumber accepts (zero and the
- * normal range) reads back bit for bit; a subnormal is written but
- * refused on reading, as underflow.
+ * precision. At p = 17 every finite value, subnormals included, reads
+ * back bit for bit.
  *
  * Lines (TextLine) are whitespace-separated tokens. A token is a bare
  * word or key=value with a non-empty key; a value may be empty (the

@@ -97,6 +97,8 @@ checkChaosRun(const NodeRunConfig &cfg, const ChaosCheckOptions &opts)
     //    applied-set (a restarted server legitimately re-applies
     //    pushes its checkpoint never covered) and its own restored
     //    watermark (anything at or below it must NOT re-apply).
+    //    An `apply` record lists one push's units; each of its
+    //    (w, iter, unit) triples is checked on its own.
     std::set<std::size_t> admitted_restart; //!< admit with inc >= 1.
     std::set<std::size_t> evicted;
     std::set<std::size_t> byed;
@@ -128,28 +130,28 @@ checkChaosRun(const NodeRunConfig &cfg, const ChaosCheckOptions &opts)
         for (const NodeEvent &ev : log.events) {
             switch (ev.kind) {
             case NodeEvent::Kind::Apply: {
-                ++total_applies;
                 Incarnation &seg = cur();
-                if (!seg.applied.emplace(ev.w, ev.iter, ev.unit).second) {
-                    ++dup_applies;
-                    violate("gradient applied twice: w=" +
-                            std::to_string(ev.w) +
-                            " iter=" + std::to_string(ev.iter) +
-                            " unit=" + std::to_string(ev.unit));
-                }
                 auto wm = seg.watermark.find(ev.w);
-                if (wm != seg.watermark.end() &&
-                    ev.unit < wm->second.size() &&
-                    ev.iter <= wm->second[ev.unit]) {
-                    ++dup_applies;
-                    violate(
-                        "gradient re-applied after server restart: "
-                        "w=" +
-                        std::to_string(ev.w) +
-                        " iter=" + std::to_string(ev.iter) +
-                        " unit=" + std::to_string(ev.unit) +
-                        " watermark=" +
-                        std::to_string(wm->second[ev.unit]));
+                for (const std::size_t unit : ev.unit_list) {
+                    ++total_applies;
+                    auto triple = [&] {
+                        return "w=" + std::to_string(ev.w) +
+                               " iter=" + std::to_string(ev.iter) +
+                               " unit=" + std::to_string(unit);
+                    };
+                    if (!seg.applied.emplace(ev.w, ev.iter, unit).second) {
+                        ++dup_applies;
+                        violate("gradient applied twice: " + triple());
+                    }
+                    if (wm != seg.watermark.end() &&
+                        unit < wm->second.size() &&
+                        ev.iter <= wm->second[unit]) {
+                        ++dup_applies;
+                        violate("gradient re-applied after server "
+                                "restart: " +
+                                triple() + " watermark=" +
+                                std::to_string(wm->second[unit]));
+                    }
                 }
                 break;
             }

@@ -356,7 +356,8 @@ ServerNode::onPush(const MessageKey &key,
 
     const float inv =
         1.0f / static_cast<float>(workload_.workers());
-    bool applied = false;
+    apply_ev_.unit_list.clear();
+    dup_ev_.unit_list.clear();
     for (const net::session::UnitEntry &e : push.units) {
         const std::size_t unit = e.unit;
         // Application-level exactly-once: the version matrix is
@@ -365,8 +366,7 @@ ServerNode::onPush(const MessageKey &key,
         // recorded, never applied.
         if (iter <= server_.version(w, unit)) {
             ++duplicate_pushes_;
-            emit({.kind = K::DupPush, .t = fabric_.now(), .w = w,
-                  .iter = iter, .unit = unit});
+            dup_ev_.unit_list.push_back(unit);
             continue;
         }
 
@@ -385,14 +385,21 @@ ServerNode::onPush(const MessageKey &key,
 
         ++applied_pushes_;
         ++applies_since_ckpt_;
-        applied = true;
-        emit({.kind = K::Apply, .t = fabric_.now(), .w = w, .iter = iter,
-              .unit = unit});
+        apply_ev_.unit_list.push_back(unit);
+    }
+    // One record per outcome, listing its units in message order.
+    for (NodeEvent *ev : {&apply_ev_, &dup_ev_}) {
+        if (ev->unit_list.empty())
+            continue;
+        ev->t = fabric_.now();
+        ev->w = w;
+        ev->iter = iter;
+        emit(*ev);
     }
     // Once per message: the cadence counts unit applies, but a
     // checkpoint never splits a worker's iteration.
     maybeCheckpoint();
-    if (applied && apply_hook_)
+    if (!apply_ev_.unit_list.empty() && apply_hook_)
         apply_hook_(iter);
     answerReadyPulls();
 }

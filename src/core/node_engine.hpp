@@ -239,6 +239,9 @@ class ServerNode
     std::vector<float> decoded_; //!< scratch: one unit's values.
     std::vector<float> scaled_;  //!< scratch: decoded / num_workers.
     std::vector<char> seen_;     //!< scratch: units listed in a push.
+    /** onPush's records, reused so their unit lists keep capacity. */
+    NodeEvent apply_ev_{.kind = NodeEvent::Kind::Apply};
+    NodeEvent dup_ev_{.kind = NodeEvent::Kind::DupPush};
     net::session::FabricTimer member_timer_ = 0;
     std::uint32_t ctrl_seq_ = 1; //!< server control-message keys.
     std::size_t applied_pushes_ = 0;

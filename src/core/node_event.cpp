@@ -58,7 +58,7 @@ withField(Event &ev, std::string_view key, Fn &&fn)
     // clang-format off
     if (key == "w") fn(ev.w);
     else if (key == "iter") fn(ev.iter);
-    else if (key == "unit") fn(ev.unit);
+    else if (key == "unit_list") fn(ev.unit_list);
     else if (key == "epoch") fn(ev.epoch);
     else if (key == "recovered") fn(ev.recovered);
     else if (key == "versions") fn(ev.versions);
@@ -83,6 +83,12 @@ withField(Event &ev, std::string_view key, Fn &&fn)
     // clang-format on
 }
 
+/** Whether T is a list field: integers written joined by commas. */
+template <typename T>
+constexpr bool kIsList = false;
+template <typename T>
+constexpr bool kIsList<std::vector<T>> = std::is_integral_v<T>;
+
 /** Append @p v as the writer spells it. */
 template <typename T>
 void
@@ -96,7 +102,7 @@ put(std::string &out, const T &v)
         out += net::session::admitModeName(v);
     else if constexpr (std::is_same_v<T, MemberState>)
         out += memberStateName(v);
-    else if constexpr (std::is_same_v<T, std::vector<std::int64_t>>) {
+    else if constexpr (kIsList<T>) {
         for (std::size_t i = 0; i < v.size(); ++i) {
             if (i > 0)
                 out += ',';
@@ -140,14 +146,21 @@ get(TextLine &r, std::string_view key, T &v)
                  {MemberState::Alive, MemberState::Suspect,
                   MemberState::Dead, MemberState::Rejoining},
                  memberStateName);
-    } else if constexpr (std::is_same_v<T, std::vector<std::int64_t>>) {
+    } else if constexpr (kIsList<T>) {
+        using Item = typename T::value_type;
+        using Wide = std::conditional_t<std::is_signed_v<Item>,
+                                        std::int64_t, std::uint64_t>;
         std::string_view text = r.next<std::string_view>(key);
+        if (r.ok() && text.empty())
+            r.fail("empty list for '" + std::string(key) + "'");
         while (r.ok() && !text.empty()) {
             const std::string_view item = text.substr(0, text.find(','));
-            std::int64_t x = 0;
-            if (!parseNumber(item, x))
-                r.fail("bad version '" + std::string(item) + "'");
-            v.push_back(x);
+            Wide x = 0;
+            if (!parseNumber(item, x) ||
+                static_cast<Wide>(static_cast<Item>(x)) != x)
+                r.fail("bad item in '" + std::string(key) + "': '" +
+                       std::string(item) + "'");
+            v.push_back(static_cast<Item>(x));
             text = item.size() == text.size()
                        ? ""
                        : text.substr(item.size() + 1);

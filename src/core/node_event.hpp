@@ -8,11 +8,13 @@
  * A line is `[t=<seconds> ]<word> key=value ...`, with each kind's
  * word and keys fixed by ROG_NODE_EVENTS below. Runner kinds carry no
  * time; phase kinds write their word as `iter=<n> phase=<word>`.
- * Integers are plain decimal. Doubles (times, phi, silence) are
- * spelled as printf's `%.6g`: six significant digits, trailing zeros
- * dropped, an exponent only below 1e-04 or from 1e+06 up, and "inf" /
- * "nan" for the special values (common/text_line's appendNumber; the
- * same bytes an iostream writes at its default precision).
+ * Integers are plain decimal; a list (`versions`, `unit_list`) is its
+ * integers joined by commas, never empty. Doubles (times, phi,
+ * silence) are spelled as printf's `%.6g`: six significant digits,
+ * trailing zeros dropped, an exponent only below 1e-04 or from 1e+06
+ * up, and "inf" / "nan" for the special values (common/text_line's
+ * appendNumber; the same bytes an iostream writes at its default
+ * precision).
  *
  * The reader sits on the shared strict line reader (common/text_line)
  * and accepts exactly what the writer emits: a line that parses but
@@ -43,8 +45,8 @@ namespace core {
     X(Reject, "reject", true, false, "w reason inc")                        \
     X(Admit, "admit", true, false,                                          \
       "w mode session start inc model_bytes epoch")                         \
-    X(DupPush, "dup_push", true, false, "w iter unit")                      \
-    X(Apply, "apply", true, false, "w iter unit")                           \
+    X(DupPush, "dup_push", true, false, "w iter unit_list")                 \
+    X(Apply, "apply", true, false, "w iter unit_list")                      \
     X(PullReq, "pull_req", true, false, "w iter")                           \
     X(ServerBye, "bye", true, false, "w done_iter")                         \
     X(Member, "member", true, false, "w from to phi")                       \
@@ -86,7 +88,8 @@ struct NodeEvent
     double t = 0.0; //!< seconds on the node's clock (timed kinds).
     std::size_t w = 0;
     std::int64_t iter = 0;
-    std::size_t unit = 0;
+    /** apply / dup_push: the push's units, in message order. */
+    std::vector<std::size_t> unit_list = {};
     std::uint64_t epoch = 0;
     bool recovered = false;
     /** recover_w: the restored per-unit apply watermark. */

@@ -311,6 +311,8 @@ UdpBackend::UdpBackend(PollLoop &loop, const std::string &host,
 
 UdpBackend::~UdpBackend()
 {
+    for (const auto &[id, timer] : delayed_)
+        loop_.cancel(timer);
     if (fd_)
         loop_.unwatch(fd_.get());
 }
@@ -344,10 +346,12 @@ UdpBackend::emitFrame(std::vector<std::uint8_t> &&wire)
                 fail("udp send");
     };
     if (fate.delay_s > 0.0) {
-        loop_.after(fate.delay_s,
-                    [ship, wire = std::move(wire), copies] {
-                        ship(wire, copies);
-                    });
+        const std::uint64_t id = next_delayed_++;
+        delayed_[id] = loop_.after(
+            fate.delay_s, [this, id, ship, wire = std::move(wire), copies] {
+                delayed_.erase(id);
+                ship(wire, copies);
+            });
         return;
     }
     ship(wire, copies);

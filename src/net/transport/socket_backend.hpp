@@ -150,6 +150,11 @@ class UdpBackend : public SocketSenderBase
 
     UniqueFd fd_;
     SocketFaultInjector *faults_ = nullptr;
+    /** Timers of the datagrams a `delay` fault holds back, keyed by
+     *  a local id so each drops itself when it fires. The destructor
+     *  cancels the rest: they would send through a freed backend. */
+    std::map<std::uint64_t, PollLoop::TimerHandle> delayed_;
+    std::uint64_t next_delayed_ = 0;
 };
 
 /** Stream backend: one loopback TCP connection to the receiver. */

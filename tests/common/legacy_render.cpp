@@ -36,7 +36,7 @@ withField(const NodeEvent &ev, std::string_view key, Fn &&fn)
     // clang-format off
     if (key == "w") fn(ev.w);
     else if (key == "iter") fn(ev.iter);
-    else if (key == "unit") fn(ev.unit);
+    else if (key == "unit_list") fn(ev.unit_list);
     else if (key == "epoch") fn(ev.epoch);
     else if (key == "recovered") fn(ev.recovered);
     else if (key == "versions") fn(ev.versions);
@@ -73,7 +73,8 @@ put(std::ostream &os, const T &v)
         os << net::session::admitModeName(v);
     else if constexpr (std::is_same_v<T, MemberState>)
         os << core::memberStateName(v);
-    else if constexpr (std::is_same_v<T, std::vector<std::int64_t>>) {
+    else if constexpr (std::is_same_v<T, std::vector<std::int64_t>> ||
+                       std::is_same_v<T, std::vector<std::size_t>>) {
         for (std::size_t i = 0; i < v.size(); ++i)
             os << (i > 0 ? "," : "") << v[i];
     } else

@@ -102,8 +102,9 @@ TEST(TextRecordFuzz, NodeLogMutantsAreRejectedOrRoundTrip)
         "t=0.0724488 reject w=2 reason=bad_epoch inc=0",
         "t=0.00573024 admit w=1 mode=fresh session=1 start=0 inc=0 "
         "model_bytes=742 epoch=1",
-        "t=0.61 dup_push w=2 iter=3 unit=7",
-        "t=0.00600171 apply w=3 iter=1 unit=0",
+        "t=0.61 dup_push w=2 iter=3 unit_list=7,2",
+        "t=0.00600171 apply w=3 iter=1 unit_list=0,1,2,3,4,5,6,7,8,9,10,"
+        "11,12,13,14,15,16,17,18,19,20,21",
         "t=0.00757091 pull_req w=0 iter=1",
         "t=0.340143 bye w=3 done_iter=8",
         "t=1.6 member w=1 from=suspect to=dead phi=inf",

@@ -124,10 +124,8 @@ const char kCleanRun[] =
     "model_bytes=512 epoch=1\n"
     "t=0.1 admit w=1 mode=fresh session=2 start=0 inc=0 "
     "model_bytes=512 epoch=1\n"
-    "t=0.2 apply w=0 iter=1 unit=0\n"
-    "t=0.2 apply w=0 iter=1 unit=1\n"
-    "t=0.25 apply w=1 iter=1 unit=0\n"
-    "t=0.25 apply w=1 iter=1 unit=1\n"
+    "t=0.2 apply w=0 iter=1 unit_list=0,1\n"
+    "t=0.25 apply w=1 iter=1 unit_list=0,1\n"
     "t=0.3 pull_answer w=0 iter=1 units=2\n"
     "t=0.4 bye w=0 done_iter=1\n"
     "t=0.4 bye w=1 done_iter=1\n"
@@ -141,8 +139,7 @@ const char kBeforeCrash[] =
     "model_bytes=512 epoch=1\n"
     "t=0.1 admit w=1 mode=fresh session=2 start=0 inc=0 "
     "model_bytes=512 epoch=1\n"
-    "t=0.2 apply w=0 iter=1 unit=0\n"
-    "t=0.2 apply w=0 iter=1 unit=1\n"
+    "t=0.2 apply w=0 iter=1 unit_list=0,1\n"
     "t=0.2 checkpoint iter=0 applied=2\n";
 
 /** A recovered second incarnation: w0's iter 1 is under the mark. */
@@ -157,8 +154,7 @@ const char kRecovered[] =
     "model_bytes=512 epoch=2\n";
 
 const char kRecoveredTail[] =
-    "t=0.5 apply w=1 iter=1 unit=0\n"
-    "t=0.5 apply w=1 iter=1 unit=1\n"
+    "t=0.5 apply w=1 iter=1 unit_list=0,1\n"
     "t=0.6 bye w=0 done_iter=1\n"
     "t=0.6 bye w=1 done_iter=1\n"
     "t=0.6 server_done\n";
@@ -190,8 +186,9 @@ TEST_F(ChaosCheckTest, CleanRunPasses)
 
 TEST_F(ChaosCheckTest, DoubleApplyIsAViolation)
 {
+    // The same triple in two records.
     const std::string log =
-        std::string(kCleanRun) + "t=0.5 apply w=1 iter=1 unit=1\n";
+        std::string(kCleanRun) + "t=0.5 apply w=1 iter=1 unit_list=1\n";
     const ChaosCheckResult res = check(log, ChaosCheckOptions{});
     EXPECT_FALSE(res.ok);
     EXPECT_TRUE(
@@ -201,10 +198,26 @@ TEST_F(ChaosCheckTest, DoubleApplyIsAViolation)
         << res.report;
 }
 
+TEST_F(ChaosCheckTest, UnitListedTwiceInOneRecordIsAViolation)
+{
+    const std::string log = std::string(kCleanRun) +
+                            "t=0.5 apply w=1 iter=2 unit_list=1,0,1\n";
+    const ChaosCheckResult res = check(log, ChaosCheckOptions{});
+    EXPECT_FALSE(res.ok);
+    EXPECT_TRUE(
+        hasViolation(res, "gradient applied twice: w=1 iter=2 unit=1"))
+        << violations(res);
+    EXPECT_FALSE(hasViolation(res, "unit=0")) << violations(res);
+    EXPECT_NE(res.report.find("applies: 7 total over 1 server "
+                              "incarnation(s), 1 double-applied"),
+              std::string::npos)
+        << res.report;
+}
+
 TEST_F(ChaosCheckTest, RecoveredRestartPasses)
 {
     const std::string log = std::string(kBeforeCrash) + kRecovered +
-                            "t=0.4 apply w=0 iter=2 unit=0\n" +
+                            "t=0.4 apply w=0 iter=2 unit_list=0\n" +
                             kRecoveredTail;
     const ChaosCheckResult res = check(log, restartOptions());
     EXPECT_TRUE(res.ok) << violations(res);
@@ -220,7 +233,7 @@ TEST_F(ChaosCheckTest, ApplyAtOrBelowRecoveredWatermarkIsAViolation)
     // apply by itself; it is one because the recovered watermark
     // already covers it.
     const std::string log = std::string(kBeforeCrash) + kRecovered +
-                            "t=0.4 apply w=0 iter=1 unit=1\n" +
+                            "t=0.4 apply w=0 iter=1 unit_list=1\n" +
                             kRecoveredTail;
     const ChaosCheckResult res = check(log, restartOptions());
     EXPECT_FALSE(res.ok);
@@ -230,6 +243,37 @@ TEST_F(ChaosCheckTest, ApplyAtOrBelowRecoveredWatermarkIsAViolation)
         << violations(res);
     EXPECT_FALSE(hasViolation(res, "gradient applied twice"))
         << violations(res);
+}
+
+TEST_F(ChaosCheckTest, ApplyRecordIsCheckedAgainstTheWatermarkUnitByUnit)
+{
+    // w1's restored mark covers unit 1 only: the record's unit 0 is a
+    // fresh apply, its unit 1 a re-apply.
+    std::string recovered = kRecovered;
+    recovered.replace(recovered.find("w=1 versions=0,0"),
+                      std::string("w=1 versions=0,0").size(),
+                      "w=1 versions=0,1");
+    const ChaosCheckResult res =
+        check(std::string(kBeforeCrash) + recovered + kRecoveredTail,
+              restartOptions());
+    EXPECT_FALSE(res.ok);
+    EXPECT_TRUE(hasViolation(res, "gradient re-applied after server "
+                                  "restart: w=1 iter=1 unit=1 "
+                                  "watermark=1"))
+        << violations(res);
+    EXPECT_FALSE(hasViolation(res, "unit=0")) << violations(res);
+}
+
+TEST_F(ChaosCheckTest, ServerKillWaitsForAnApplyRecordAndACheckpoint)
+{
+    write("server_run.log", kBeforeCrash);
+    EXPECT_TRUE(serverKillReady(cfg_.artifact_dir, 1));
+    EXPECT_FALSE(serverKillReady(cfg_.artifact_dir, 2));
+
+    std::string unsaved = kBeforeCrash;
+    unsaved.erase(unsaved.find("t=0.2 checkpoint"));
+    write("server_run.log", unsaved);
+    EXPECT_FALSE(serverKillReady(cfg_.artifact_dir, 1));
 }
 
 TEST_F(ChaosCheckTest, KilledWorkerMustBeEvictedOrReadmitted)

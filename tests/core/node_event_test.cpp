@@ -2,8 +2,9 @@
  * @file
  * The node run log's one writer and one reader. A golden table holds
  * one literal line per NodeEvent kind, in the exact bytes the node
- * roles and runners wrote before the record was typed; each must parse
- * to its kind and re-render byte-identically. Every rejection path
+ * roles and runners write (the per-push `apply` and `dup_push` records
+ * list their units); each must parse to its kind and re-render
+ * byte-identically. Every rejection path
  * names its problem, and readNodeLog skips only an unterminated final
  * line.
  */
@@ -44,8 +45,10 @@ const Golden kGolden[] = {
     {K::Admit,
      "t=0.00573024 admit w=1 mode=fresh session=1 start=0 inc=0 "
      "model_bytes=742 epoch=1"},
-    {K::DupPush, "t=0.61 dup_push w=2 iter=3 unit=7"},
-    {K::Apply, "t=0.00600171 apply w=3 iter=1 unit=0"},
+    {K::DupPush, "t=0.61 dup_push w=2 iter=3 unit_list=7"},
+    {K::Apply,
+     "t=0.00600171 apply w=3 iter=1 unit_list=0,1,2,3,4,5,6,7,8,9,10,11,"
+     "12,13,14,15,16,17,18,19,20,21"},
     {K::PullReq, "t=0.00757091 pull_req w=0 iter=1"},
     {K::ServerBye, "t=0.340143 bye w=3 done_iter=8"},
     {K::Member, "t=1.51025 member w=1 from=alive to=suspect phi=0"},
@@ -83,6 +86,10 @@ const Golden kGolden[] = {
     {K::Hello,
      "t=12.5 hello try=7 inc=2 token=18446744073709551615 done_iter=-1"},
     {K::RecoverFailed, "t=0 recover_failed why=\"say \"no\" twice\""},
+    {K::DupPush, "t=0.61 dup_push w=2 iter=3 unit_list=21,0,7"},
+    {K::Apply,
+     "t=3.5 apply w=239 iter=9223372036854775807 "
+     "unit_list=18446744073709551615"},
 };
 // clang-format on
 
@@ -128,9 +135,18 @@ TEST(NodeEventGolden, FieldsAreTyped)
             .event;
     EXPECT_EQ(quoted.why, "say \"no\" twice");
 
+    const NodeEvent apply =
+        tryParseNodeEvent("t=0.2 apply w=1 iter=4 unit_list=5,0,3").event;
+    EXPECT_EQ(apply.kind, K::Apply);
+    EXPECT_EQ(apply.unit_list, (std::vector<std::size_t>{5, 0, 3}));
+
     // The writer side of the same record.
-    NodeEvent ev{.kind = K::Apply, .t = 0.00600171, .w = 3, .iter = 1};
-    EXPECT_EQ(toLine(ev), "t=0.00600171 apply w=3 iter=1 unit=0");
+    NodeEvent ev{.kind = K::Apply, .t = 0.00600171, .w = 3, .iter = 1,
+                 .unit_list = {0, 1}};
+    EXPECT_EQ(toLine(ev), "t=0.00600171 apply w=3 iter=1 unit_list=0,1");
+    ev.kind = K::DupPush;
+    EXPECT_EQ(toLine(ev),
+              "t=0.00600171 dup_push w=3 iter=1 unit_list=0,1");
 }
 
 struct RejectCase
@@ -145,18 +161,33 @@ TEST(NodeEventParse, EveryRejectionPathNamesTheProblem)
         {"", "missing a word"},
         {"t=1 explode w=0", "unknown node event 'explode'"},
         {"t=1 iter=2 phase=sideways", "unknown node event 'sideways'"},
-        {"t=1 apply w=0 iter=1", "missing 'unit='"},
-        {"t=1 apply w=0 unit=0 iter=1", "expected 'iter=...'"},
-        {"t=1 apply w=0 iter=1 unit=0 extra=1", "writer's form"},
-        {"t=1  apply w=0 iter=1 unit=0", "writer's form"},
-        {"t=1.0 apply w=0 iter=1 unit=0", "writer's form"},
-        {"apply w=0 iter=1 unit=0", "apply needs a time"},
+        {"t=1 apply w=0 iter=1", "missing 'unit_list='"},
+        {"t=1 dup_push w=0 iter=1", "missing 'unit_list='"},
+        {"t=1 apply w=0 iter=1 unit=0", "expected 'unit_list=...'"},
+        {"t=1 apply w=0 unit_list=0 iter=1", "expected 'iter=...'"},
+        {"t=1 apply w=0 iter=1 unit_list=0 extra=1", "writer's form"},
+        {"t=1  apply w=0 iter=1 unit_list=0", "writer's form"},
+        {"t=1.0 apply w=0 iter=1 unit_list=0", "writer's form"},
+        {"apply w=0 iter=1 unit_list=0", "apply needs a time"},
+        {"t=1 apply w=0 iter=1 unit_list=", "empty list for 'unit_list'"},
+        {"t=1 dup_push w=0 iter=1 unit_list=",
+         "empty list for 'unit_list'"},
+        {"t=1 apply w=0 iter=1 unit_list=0,x",
+         "bad item in 'unit_list': 'x'"},
+        {"t=1 dup_push w=0 iter=1 unit_list=3,,4",
+         "bad item in 'unit_list': ''"},
+        {"t=1 apply w=0 iter=1 unit_list=-1",
+         "bad item in 'unit_list': '-1'"},
+        {"t=1 apply w=0 iter=1 unit_list=18446744073709551616",
+         "bad item in 'unit_list'"},
+        {"t=1 apply w=0 iter=1 unit_list=0,", "writer's form"},
+        {"t=1 apply w=0 iter=1 unit_list=0,01", "writer's form"},
         {"t=0 worker_start w=0 inc=0 token=0 done_iter=0",
          "worker_start takes no time"},
-        {"t=nan apply w=0 iter=1 unit=0", "bad number for 't'"},
-        {"t=1e999 apply w=0 iter=1 unit=0", "bad number for 't'"},
-        {"t=1 apply w=-1 iter=1 unit=0", "bad integer for 'w'"},
-        {"t=1 apply w=0 iter=99999999999999999999 unit=0",
+        {"t=nan apply w=0 iter=1 unit_list=0", "bad number for 't'"},
+        {"t=1e999 apply w=0 iter=1 unit_list=0", "bad number for 't'"},
+        {"t=1 apply w=-1 iter=1 unit_list=0", "bad integer for 'w'"},
+        {"t=1 apply w=0 iter=99999999999999999999 unit_list=0",
          "bad integer for 'iter'"},
         {"t=1 stale_drop w=0 scope=4294967296", "scope out of range"},
         {"t=1 server_start epoch=1 recovered=2", "recovered out of range"},
@@ -165,12 +196,14 @@ TEST(NodeEventParse, EveryRejectionPathNamesTheProblem)
          "model_bytes=0 epoch=1",
          "unknown mode 'sideways'"},
         {"t=1 member w=0 from=alive to=gone phi=0", "unknown to 'gone'"},
-        {"t=1 recover_w w=0 versions=1,x", "bad version 'x'"},
-        {"t=1 recover_w w=0 versions=1,,2", "bad version ''"},
+        {"t=1 recover_w w=0 versions=1,x", "bad item in 'versions': 'x'"},
+        {"t=1 recover_w w=0 versions=1,,2", "bad item in 'versions': ''"},
+        {"t=1 recover_w w=0 versions=", "empty list for 'versions'"},
         {"t=1 recover_failed why=\"open", "unterminated quoted value"},
-        {"t=1 apply w= iter=1 unit=0", "empty value for 'w'"},
-        {"t=1 apply =0 iter=1 unit=0", "expected key=value"},
-        {"t=1 apply w=0 iter=1 unit=\"0\"", "bad integer for 'unit'"},
+        {"t=1 apply w= iter=1 unit_list=0", "empty value for 'w'"},
+        {"t=1 apply =0 iter=1 unit_list=0", "expected key=value"},
+        {"t=1 apply w=0 iter=1 unit_list=\"0\"",
+         "bad item in 'unit_list': '\"0\"'"},
         {"t=1 recover_failed why=plain", "writer's form"},
     };
     for (const RejectCase &c : cases) {
@@ -215,7 +248,7 @@ TEST_F(NodeLogFile, ABadTerminatedLineFailsTheWholeRead)
 {
     const NodeLogReadResult res =
         readNodeLog(write("t=0 server_start epoch=1 recovered=0\n"
-                          "t=0.1 apply w=0 iter=one unit=0\n"
+                          "t=0.1 apply w=0 iter=one unit_list=0\n"
                           "t=0.2 server_done\n"));
     EXPECT_FALSE(res.ok());
     EXPECT_NE(res.error.find("line 2: bad integer for 'iter'"),

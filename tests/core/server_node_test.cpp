@@ -2,8 +2,8 @@
  * @file
  * ServerNode, the parameter-server node role, over the DES fabric:
  * pinned end-to-end fingerprints of the DES twin, checkpoint restore
- * edge cases, whole-message validation of a push, and the message
- * count of one worker-iteration.
+ * edge cases, whole-message validation of a push, the message count
+ * of one worker-iteration and the one apply record per push.
  */
 #include <sys/stat.h>
 
@@ -16,12 +16,15 @@
 #include <iterator>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/crc32c.hpp"
 #include "core/flat_model.hpp"
 #include "core/node_engine.hpp"
+#include "core/node_event.hpp"
 #include "core/node_runner.hpp"
 #include "core/row_partition.hpp"
 #include "core/server_checkpoint.hpp"
@@ -300,6 +303,50 @@ TEST(NodeSendCount, OnePushOnePullRequestOnePullAnswerPerWorkerIteration)
         {net::session::kRowPullData, cfg.workers * iters},
     };
     EXPECT_EQ(server_fabric.sends, want_server);
+}
+
+// The server writes one `apply` record per push message that applied
+// a unit, listing the units; expanded, the records are exactly the
+// (w, iter, unit) triples appliedPushes counts, each once.
+TEST(ServerApplyRecord, DesTwinWritesOneRecordPerAppliedPush)
+{
+    NodeRunConfig cfg = chaosRunDefaults();
+    cfg.workers = 4;
+    cfg.train.max_iters = 6;
+    cfg.run_timeout_s = 300.0; // simulated seconds.
+    cfg.artifact_dir = testing::TempDir() + "rog_apply_record";
+    ::mkdir(cfg.artifact_dir.c_str(), 0755);
+    const std::string log_path = cfg.artifact_dir + "/des_twin.log";
+    std::remove(log_path.c_str()); // the twin appends to its log.
+    const DesTwinResult res = runDesTwin(cfg);
+    ASSERT_TRUE(res.done);
+
+    const NodeLogReadResult log = readNodeLog(log_path);
+    ASSERT_TRUE(log.ok()) << log.error;
+    std::size_t records = 0;
+    std::size_t listed = 0;
+    std::set<std::tuple<std::size_t, std::int64_t, std::size_t>> triples;
+    for (const NodeEvent &ev : log.events) {
+        EXPECT_NE(ev.kind, NodeEvent::Kind::DupPush);
+        if (ev.kind != NodeEvent::Kind::Apply)
+            continue;
+        ++records;
+        listed += ev.unit_list.size();
+        for (const std::size_t unit : ev.unit_list)
+            triples.emplace(ev.w, ev.iter, unit);
+    }
+    EXPECT_EQ(records, 24u);
+    EXPECT_EQ(res.applied_pushes, 528u);
+    EXPECT_EQ(listed, res.applied_pushes);
+
+    const std::size_t units =
+        makeNodeWorkload(cfg)->buildReplica()->rowCount();
+    std::set<std::tuple<std::size_t, std::int64_t, std::size_t>> want;
+    for (std::size_t w = 0; w < cfg.workers; ++w)
+        for (std::int64_t iter = 1; iter <= cfg.train.max_iters; ++iter)
+            for (std::size_t unit = 0; unit < units; ++unit)
+                want.emplace(w, iter, unit);
+    EXPECT_EQ(triples, want);
 }
 
 // Fingerprints of the DES twin pinned from a known-good build: the

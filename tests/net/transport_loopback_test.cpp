@@ -201,6 +201,38 @@ TEST(TransportLoopback, UdpDeadlineExpiresUnderTotalLoss)
     EXPECT_EQ(out.rx_delivered, 0u);
 }
 
+// A backend destroyed while a `delay` fault holds one of its datagrams
+// (the session fabric drops and rebuilds its backend on every Hello
+// retry and reconnect) must take that datagram with it: the held send
+// may neither run on the freed backend nor reach the receiver.
+TEST(TransportLoopback, UdpBackendDestroyedWithADelayedDatagramSendsNothing)
+{
+    PollLoop loop;
+    UdpReceiverEndpoint rx(loop, 0);
+    ASSERT_TRUE(rx.ok()) << rx.error();
+    SocketFaultPlan plan;
+    plan.seed = 1;
+    plan.delay_p = 1.0;
+    plan.delay_s = 0.01;
+    SocketFaultInjector faults(plan);
+    const LoopbackSpec spec = quickSpec("udp", 1, 2000);
+    auto sock = std::make_unique<UdpBackend>(loop, "127.0.0.1", rx.port(),
+                                             spec.opts, &faults);
+    ASSERT_TRUE(sock->ok()) << sock->error();
+    auto link = std::make_unique<ReliableLink>(*sock, spec.config);
+    const MessageKey key = testing::loopbackKey(0);
+    link->startSend(0, key,
+                    synthesizeMessage(key, spec.bytes,
+                                      spec.config.chunk_bytes),
+                    kNoDeadline, [](SendResult) {});
+    // As SocketFabric::connectPeer replaces a peer: link, then backend.
+    link.reset();
+    sock.reset();
+    loop.runUntil([] { return false; }, 0.05);
+    EXPECT_TRUE(rx.ok()) << rx.error();
+    EXPECT_EQ(rx.deliveredMessages(), 0u);
+}
+
 TEST(TransportLoopback, TcpCleanDeliversAll)
 {
     const LoopbackSpec spec = quickSpec("tcp", 3, 40000);
