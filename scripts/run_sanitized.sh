@@ -44,8 +44,7 @@ run_tsan() {
         thread_pool_test kernel_equivalence_test ops_test conv_test \
         codec_test codec_fused_test engine_test \
         replay_determinism_test fleet_determinism_test \
-        transport_socket_test transport_tcp_partial_test \
-        session_socket_test session_chaos_test
+        transport_socket_test session_socket_test session_chaos_test
 
     # Run with a real worker count: with ROG_THREADS=1 the pool paths
     # are inline and TSan has nothing to check.
@@ -65,8 +64,8 @@ run_tsan() {
     # loops are single-threaded by design — what TSan checks here is
     # that the session/engine layers never sneak a thread past them,
     # and that workload pretraining's pool hand-off stays clean.
-    for t in transport_socket_test transport_tcp_partial_test \
-        session_socket_test session_chaos_test; do
+    for t in transport_socket_test session_socket_test \
+        session_chaos_test; do
         echo ">> tsan: $t (socket label, ROG_THREADS=4)"
         ROG_THREADS=4 TSAN_OPTIONS=halt_on_error=1 \
             "$dir/tests/$t" --gtest_brief=1

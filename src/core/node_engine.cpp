@@ -249,8 +249,8 @@ ServerNode::onHello(std::vector<std::uint8_t> &&bytes)
     peer.connected =
         fabric_.connectPeer(workerNode(w), peer.host, peer.port);
     if (!peer.connected) {
-        // No return path — e.g. the worker died right after its Hello
-        // and a tcp connect fails synchronously. Answering would hit
+        // No return path — the socket toward the worker's receiver
+        // could not be made or connected. Answering would hit
         // sendTo on a missing peer; drop the handshake instead. The
         // worker's Hello retry re-triggers admission on a live socket.
         emit({.kind = K::HelloConnectFailed, .t = now, .w = w,

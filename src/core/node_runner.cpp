@@ -63,7 +63,6 @@ fabricOptions(const NodeRunConfig &cfg,
               std::uint16_t listen_port)
 {
     net::session::SocketFabricOptions o;
-    o.kind = cfg.backend;
     o.transport = cfg.transport;
     o.socket = cfg.socket;
     o.fault_plan = faults;
@@ -330,9 +329,14 @@ runDesTwin(const NodeRunConfig &cfg)
         std::remove(train.checkpoint_path.c_str());
     }
 
-    LineLog log(cfg.artifact_dir.empty()
-                    ? std::string()
-                    : cfg.artifact_dir + "/des_twin.log");
+    // LineLog appends (right for a restarted server's log); each twin
+    // run starts its log afresh.
+    const std::string log_path =
+        cfg.artifact_dir.empty() ? std::string()
+                                 : cfg.artifact_dir + "/des_twin.log";
+    if (!log_path.empty())
+        std::remove(log_path.c_str());
+    LineLog log(log_path);
     net::session::DesFabric &server_fabric =
         net.node(net::session::kServerNode);
     auto server = std::make_unique<ServerNode>(server_fabric, *workload,

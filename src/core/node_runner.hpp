@@ -3,13 +3,13 @@
  * Process entry points for the session-layer training nodes.
  *
  * One NodeRunConfig describes a whole run — workload sizing,
- * transport/backend selection (des | udp | tcp), fault plan, failure
- * detector tuning, artifact paths — and is shared verbatim by the
- * server process, every worker process, and the in-simulation DES
- * twin, so "same run, different wire" is a config value, not a code
- * path. The runners here own everything OS-flavored the node engine
- * refuses to know about: poll loops, fabrics, artifact files, worker
- * resume records, and run timeouts.
+ * transport tuning, fault plan, failure detector tuning, artifact
+ * paths — and is shared verbatim by the server process, every worker
+ * process, and the in-simulation DES twin, so "same run, different
+ * wire" is a choice of runner, not a code path. The runners here own
+ * everything OS-flavored the node engine refuses to know about: poll
+ * loops, fabrics, artifact files, worker resume records, and run
+ * timeouts.
  */
 #ifndef ROG_CORE_NODE_RUNNER_HPP
 #define ROG_CORE_NODE_RUNNER_HPP
@@ -36,14 +36,11 @@ struct NodeRunConfig
     std::size_t workers = 4;
     std::uint64_t workload_seed = 1234;
 
-    /** "des" | "udp" | "tcp". */
-    std::string backend = "udp";
-
     net::transport::TransportConfig transport;
     net::transport::SocketOptions socket;
 
-    /** Seeded wire faults on worker->server pushes (UDP only; a
-     *  clean plan installs no injector). */
+    /** Seeded wire faults on worker->server pushes (a clean plan
+     *  installs no injector). */
     net::transport::SocketFaultPlan fault_plan;
 
     /** Server listen port (0 = ephemeral). A restarted server passes

@@ -6,7 +6,7 @@
  * clock and timers, plus keyed reliable messaging to peers. There are
  * two implementations — DesFabricNet hands every node a port on one
  * shared discrete-event simulation, SocketFabric gives a node real
- * UDP/TCP sockets on its own PollLoop — and the node engine code on
+ * UDP sockets on its own PollLoop — and the node engine code on
  * top (node_engine.hpp) is written against this interface only, so
  * the exact same worker and server logic runs in-process under DES
  * and across processes over loopback sockets. That is the paper's

@@ -11,32 +11,15 @@ using transport::SendResult;
 
 SocketFabric::SocketFabric(PollLoop &loop, int node,
                            const SocketFabricOptions &opts)
-    : loop_(loop), node_(node), opts_(opts)
+    : loop_(loop), node_(node), opts_(opts),
+      rx_(loop_, opts_.listen_port,
+          [this](const MessageKey &key, std::vector<std::uint8_t> &&bytes) {
+              if (handler_)
+                  handler_(key, std::move(bytes));
+          },
+          opts_.socket.bind_retry_window_s)
 {
-    ROG_ASSERT(opts_.kind == "udp" || opts_.kind == "tcp",
-               "unknown socket fabric kind");
-    transport::DeliverySink deliver =
-        [this](const MessageKey &key, std::vector<std::uint8_t> &&bytes) {
-            if (handler_)
-                handler_(key, std::move(bytes));
-        };
-    if (opts_.kind == "udp") {
-        auto rx = std::make_unique<transport::UdpReceiverEndpoint>(
-            loop_, opts_.listen_port, std::move(deliver),
-            opts_.socket.bind_retry_window_s);
-        port_ = rx->port();
-        if (!rx->ok())
-            last_error_ = rx->error();
-        rx_ = std::move(rx);
-    } else {
-        auto rx = std::make_unique<transport::TcpReceiverEndpoint>(
-            loop_, opts_.listen_port, std::move(deliver),
-            opts_.socket.bind_retry_window_s);
-        port_ = rx->port();
-        if (!rx->ok())
-            last_error_ = rx->error();
-        rx_ = std::move(rx);
-    }
+    ROG_ASSERT(opts_.kind == "udp", "unknown socket fabric kind");
 }
 
 SocketFabric::~SocketFabric() = default;
@@ -67,21 +50,20 @@ SocketFabric::connectPeer(int peer, const std::string &host,
     // in-flight sends (their done callbacks already fired false or
     // will be dropped with the backend).
     peers_.erase(peer);
-    Peer p;
-    if (opts_.kind == "udp") {
-        if (!opts_.fault_plan.clean()) {
+    transport::SocketFaultInjector *faults = nullptr;
+    if (!opts_.fault_plan.clean()) {
+        auto it = faults_.find(peer);
+        if (it == faults_.end()) {
             transport::SocketFaultPlan plan = opts_.fault_plan;
             // Decorrelate per-peer fault streams deterministically.
             plan.seed = plan.seed * 1000003u + static_cast<std::uint64_t>(peer);
-            p.faults =
-                std::make_unique<transport::SocketFaultInjector>(plan);
+            it = faults_.emplace(peer, plan).first;
         }
-        p.backend = std::make_unique<transport::UdpBackend>(
-            loop_, host, port, opts_.socket, p.faults.get());
-    } else {
-        p.backend = std::make_unique<transport::TcpBackend>(
-            loop_, host, port, opts_.socket);
+        faults = &it->second;
     }
+    Peer p;
+    p.backend = std::make_unique<transport::UdpBackend>(
+        loop_, host, port, opts_.socket, faults);
     if (!p.backend->ok()) {
         last_error_ = p.backend->error();
         return false;
@@ -149,25 +131,25 @@ SocketFabric::setMessageHandler(MessageHandler handler)
 std::uint16_t
 SocketFabric::listenPort() const
 {
-    return port_;
+    return rx_.port();
 }
 
 void
 SocketFabric::setReceiverEventSink(transport::EventSink sink)
 {
-    rx_->setEventSink(std::move(sink));
+    rx_.setEventSink(std::move(sink));
 }
 
 bool
 SocketFabric::ok() const
 {
-    return last_error_.empty() && rx_ && rx_->ok();
+    return last_error_.empty() && rx_.ok();
 }
 
 const std::string &
 SocketFabric::error() const
 {
-    return !last_error_.empty() ? last_error_ : rx_->error();
+    return !last_error_.empty() ? last_error_ : rx_.error();
 }
 
 } // namespace session

@@ -1,23 +1,23 @@
 /**
  * @file
- * SocketFabric: one node's Fabric over real UDP or TCP sockets.
+ * SocketFabric: one node's Fabric over real UDP sockets.
  *
  * The process-local half of the session layer: a receiver endpoint
  * (bound port, delivery sink wired to the message handler) plus one
- * {fault injector?, backend, ReliableLink} trio per connected peer,
- * all driven by the caller's PollLoop. connectPeer() replaces any
- * existing trio — that is the reconnect path after this node notices
- * a peer restart — while the receiver endpoint (and with
- * it the exactly-once decision state) lives for the fabric's whole
- * lifetime, so a reconnecting peer's retransmits are still deduped.
- * That state grows only by one small payload-free record per
- * delivered message key: each payload is moved up to the message
- * handler exactly once and nothing else of the message is kept. The
- * receiver's event log is streamed to a sink the caller attaches, and
- * is not recorded at all without one.
+ * {backend, ReliableLink} pair per connected peer, all driven by the
+ * caller's PollLoop. connectPeer() replaces any existing pair — that
+ * is the reconnect path after this node notices a peer restart —
+ * while the receiver endpoint (and with it the exactly-once decision
+ * state) lives for the fabric's whole lifetime, so a reconnecting
+ * peer's retransmits are still deduped. That state grows only by one
+ * small payload-free record per delivered message key: each payload
+ * is moved up to the message handler exactly once and nothing else of
+ * the message is kept. The receiver's event log is streamed to a sink
+ * the caller attaches, and is not recorded at all without one.
  *
- * Backend choice is by kind string ("udp" | "tcp"), read once at
- * construction; nothing above this class branches on it.
+ * A faulty plan gives each peer one fault injector, made at its first
+ * connect and kept for the fabric's lifetime: a reconnect continues
+ * that peer's fate stream instead of replaying its first fates.
  */
 #ifndef ROG_NET_SESSION_SOCKET_FABRIC_HPP
 #define ROG_NET_SESSION_SOCKET_FABRIC_HPP
@@ -38,12 +38,12 @@ namespace session {
 /** Everything a SocketFabric needs beyond the poll loop. */
 struct SocketFabricOptions
 {
-    std::string kind = "udp"; //!< "udp" or "tcp".
+    /** Always "udp"; kept only for callers that still set it. */
+    std::string kind = "udp";
     transport::TransportConfig transport;
     transport::SocketOptions socket;
-    /** Applied to every outgoing peer link (UDP only; TCP's stream
-     *  semantics make datagram-style faults meaningless). A clean
-     *  plan installs no injector. */
+    /** Applied to every outgoing peer link. A clean plan installs no
+     *  injector. */
     transport::SocketFaultPlan fault_plan;
     std::uint16_t listen_port = 0; //!< 0 = ephemeral.
 };
@@ -81,8 +81,7 @@ class SocketFabric : public Fabric
   private:
     struct Peer
     {
-        std::unique_ptr<transport::SocketFaultInjector> faults;
-        std::unique_ptr<transport::SocketSenderBase> backend;
+        std::unique_ptr<transport::UdpBackend> backend;
         std::unique_ptr<transport::ReliableLink> link;
     };
 
@@ -90,8 +89,10 @@ class SocketFabric : public Fabric
     int node_ = 0;
     SocketFabricOptions opts_;
     MessageHandler handler_;
-    std::unique_ptr<transport::ReceiverEndpointBase> rx_;
-    std::uint16_t port_ = 0;
+    transport::UdpReceiverEndpoint rx_;
+    /** One fate stream per peer, across reconnects; declared before
+     *  peers_ so it outlives every backend that points at it. */
+    std::map<int, transport::SocketFaultInjector> faults_;
     std::map<int, Peer> peers_;
     std::string last_error_;
 };

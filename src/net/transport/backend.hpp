@@ -23,8 +23,8 @@
  *     a local FrameReceiver fed each frame exactly as the channel (and
  *     its fault layer) delivered it, and a delivered payload goes to a
  *     DeliverySink at the frame that completes it.
- *   - UdpBackend / TcpBackend (socket_backend.hpp): real nonblocking
- *     sockets in wall-clock time; receiver decisions come back as
+ *   - UdpBackend (socket_backend.hpp): a real nonblocking datagram
+ *     socket in wall-clock time; receiver decisions come back as
  *     acknowledgement frames from the peer's FrameReceiver, whose
  *     endpoint hands delivered payloads to the same kind of sink.
  *   - ReplayBackend (des_backend.hpp): re-resolves each attempt from

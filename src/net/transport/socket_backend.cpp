@@ -94,41 +94,66 @@ makeAck(const FrameHeader &data, const FrameReceiver::Result &r)
     return ack;
 }
 
-// ----------------------------------------------------- SocketSenderBase
+// ---------------------------------------------------------- UdpBackend
 
-SocketSenderBase::SocketSenderBase(PollLoop &loop,
-                                   const SocketOptions &opts,
-                                   TransportTrace *trace)
-    : loop_(loop), opts_(opts), trace_(trace)
+UdpBackend::UdpBackend(PollLoop &loop, const std::string &host,
+                       std::uint16_t port, const SocketOptions &opts,
+                       SocketFaultInjector *faults,
+                       TransportTrace *trace)
+    : loop_(loop), opts_(opts), trace_(trace), faults_(faults)
 {
+    sockaddr_in addr{};
+    if (!resolveAddr(host, port, addr)) {
+        fail("bad address " + host);
+        return;
+    }
+    fd_.reset(::socket(AF_INET, SOCK_DGRAM, 0));
+    if (!fd_) {
+        fail("udp socket");
+        return;
+    }
+    if (::connect(fd_.get(), reinterpret_cast<sockaddr *>(&addr),
+                  sizeof(addr)) != 0) {
+        fail("udp connect");
+        return;
+    }
+    if (!setNonBlocking(fd_.get())) {
+        fail("udp nonblock");
+        return;
+    }
+    loop_.watch(fd_.get(), POLLIN, [this](short) { onReadable(); });
 }
 
-SocketSenderBase::~SocketSenderBase()
+UdpBackend::~UdpBackend()
 {
     for (auto &[id, p] : pending_)
         loop_.cancel(p.timer);
+    for (const auto &[id, timer] : delayed_)
+        loop_.cancel(timer);
+    if (fd_)
+        loop_.unwatch(fd_.get());
 }
 
 double
-SocketSenderBase::now() const
+UdpBackend::now() const
 {
     return loop_.now();
 }
 
 TimerId
-SocketSenderBase::after(double delay_s, std::function<void()> fire)
+UdpBackend::after(double delay_s, std::function<void()> fire)
 {
     return loop_.after(delay_s, std::move(fire));
 }
 
 void
-SocketSenderBase::cancelTimer(TimerId id)
+UdpBackend::cancelTimer(TimerId id)
 {
     loop_.cancel(id);
 }
 
 std::uint64_t
-SocketSenderBase::openSend(LinkId link, const MessageKey &key)
+UdpBackend::openSend(LinkId link, const MessageKey &key)
 {
     const std::uint64_t id = next_send_++;
     streams_[id] = Stream{link, key};
@@ -136,17 +161,16 @@ SocketSenderBase::openSend(LinkId link, const MessageKey &key)
 }
 
 void
-SocketSenderBase::fail(const std::string &what)
+UdpBackend::fail(const std::string &what)
 {
     if (last_error_.empty())
         last_error_ = what + " (" + std::strerror(errno) + ")";
 }
 
 void
-SocketSenderBase::sendFrame(std::uint64_t send_id, const FrameHeader &hdr,
-                            std::span<const std::uint8_t> frag,
-                            double timeout_s, VerdictCallback done,
-                            std::function<void()> drop)
+UdpBackend::sendFrame(std::uint64_t send_id, const FrameHeader &hdr,
+                      std::span<const std::uint8_t> frag, double timeout_s,
+                      VerdictCallback done, std::function<void()> drop)
 {
     (void)drop; // the socket cannot be torn down under the link.
     ROG_ASSERT(streams_.count(send_id) != 0,
@@ -175,7 +199,7 @@ SocketSenderBase::sendFrame(std::uint64_t send_id, const FrameHeader &hdr,
 }
 
 void
-SocketSenderBase::handleAck(const FrameHeader &ack)
+UdpBackend::handleAck(const FrameHeader &ack)
 {
     const MessageKey key = keyOf(ack);
     auto it = pending_.end();
@@ -231,7 +255,7 @@ SocketSenderBase::handleAck(const FrameHeader &ack)
 }
 
 void
-SocketSenderBase::resolveTimeout(std::uint64_t send_id)
+UdpBackend::resolveTimeout(std::uint64_t send_id)
 {
     auto it = pending_.find(send_id);
     if (it == pending_.end())
@@ -244,8 +268,8 @@ SocketSenderBase::resolveTimeout(std::uint64_t send_id)
 }
 
 void
-SocketSenderBase::recordAttempt(const Pending &p, AttemptOutcome out,
-                                std::uint64_t bytes_sent, bool complete)
+UdpBackend::recordAttempt(const Pending &p, AttemptOutcome out,
+                          std::uint64_t bytes_sent, bool complete)
 {
     if (!trace_)
         return;
@@ -263,7 +287,7 @@ SocketSenderBase::recordAttempt(const Pending &p, AttemptOutcome out,
 }
 
 void
-SocketSenderBase::closeSend(std::uint64_t send_id)
+UdpBackend::closeSend(std::uint64_t send_id)
 {
     auto it = pending_.find(send_id);
     if (it != pending_.end()) {
@@ -274,47 +298,9 @@ SocketSenderBase::closeSend(std::uint64_t send_id)
 }
 
 void
-SocketSenderBase::setReceiverEventSink(EventSink sink)
+UdpBackend::setReceiverEventSink(EventSink sink)
 {
     (void)sink; // receiver decisions happen in the peer process.
-}
-
-// ---------------------------------------------------------- UdpBackend
-
-UdpBackend::UdpBackend(PollLoop &loop, const std::string &host,
-                       std::uint16_t port, const SocketOptions &opts,
-                       SocketFaultInjector *faults,
-                       TransportTrace *trace)
-    : SocketSenderBase(loop, opts, trace), faults_(faults)
-{
-    sockaddr_in addr{};
-    if (!resolveAddr(host, port, addr)) {
-        fail("bad address " + host);
-        return;
-    }
-    fd_.reset(::socket(AF_INET, SOCK_DGRAM, 0));
-    if (!fd_) {
-        fail("udp socket");
-        return;
-    }
-    if (::connect(fd_.get(), reinterpret_cast<sockaddr *>(&addr),
-                  sizeof(addr)) != 0) {
-        fail("udp connect");
-        return;
-    }
-    if (!setNonBlocking(fd_.get())) {
-        fail("udp nonblock");
-        return;
-    }
-    loop_.watch(fd_.get(), POLLIN, [this](short) { onReadable(); });
-}
-
-UdpBackend::~UdpBackend()
-{
-    for (const auto &[id, timer] : delayed_)
-        loop_.cancel(timer);
-    if (fd_)
-        loop_.unwatch(fd_.get());
 }
 
 void
@@ -377,175 +363,14 @@ UdpBackend::onReadable()
     }
 }
 
-// ---------------------------------------------------------- TcpBackend
-
-TcpBackend::TcpBackend(PollLoop &loop, const std::string &host,
-                       std::uint16_t port, const SocketOptions &opts,
-                       TransportTrace *trace)
-    : SocketSenderBase(loop, opts, trace)
-{
-    sockaddr_in addr{};
-    if (!resolveAddr(host, port, addr)) {
-        fail("bad address " + host);
-        return;
-    }
-    fd_.reset(::socket(AF_INET, SOCK_STREAM, 0));
-    if (!fd_) {
-        fail("tcp socket");
-        return;
-    }
-    if (!setNonBlocking(fd_.get())) {
-        fail("tcp nonblock");
-        return;
-    }
-    if (::connect(fd_.get(), reinterpret_cast<sockaddr *>(&addr),
-                  sizeof(addr)) != 0 &&
-        errno != EINPROGRESS) {
-        fail("tcp connect");
-        return;
-    }
-    loop_.watch(fd_.get(), POLLIN | POLLOUT,
-                [this](short revents) { onEvents(revents); });
-}
-
-TcpBackend::~TcpBackend()
-{
-    if (fd_)
-        loop_.unwatch(fd_.get());
-}
-
-void
-TcpBackend::emitFrame(std::vector<std::uint8_t> &&bytes)
-{
-    out_.insert(out_.end(), bytes.begin(), bytes.end());
-    if (connected_)
-        flushOut();
-}
-
-void
-TcpBackend::flushOut()
-{
-    while (!out_.empty()) {
-        const ssize_t n =
-            ::send(fd_.get(), out_.data(), out_.size(), MSG_NOSIGNAL);
-        if (n < 0) {
-            if (errno == EAGAIN || errno == EWOULDBLOCK)
-                break;
-            fail("tcp send");
-            return;
-        }
-        out_.erase(out_.begin(), out_.begin() + n);
-    }
-    loop_.watch(fd_.get(), POLLIN | (out_.empty() ? 0 : POLLOUT),
-                [this](short revents) { onEvents(revents); });
-}
-
-void
-TcpBackend::onEvents(short revents)
-{
-    if (!connected_ && (revents & (POLLOUT | POLLERR | POLLHUP))) {
-        int err = 0;
-        socklen_t len = sizeof(err);
-        ::getsockopt(fd_.get(), SOL_SOCKET, SO_ERROR, &err, &len);
-        if (err != 0) {
-            errno = err;
-            fail("tcp connect");
-            loop_.unwatch(fd_.get());
-            return;
-        }
-        connected_ = true;
-        flushOut();
-    }
-    if (revents & POLLOUT && connected_)
-        flushOut();
-    if (revents & POLLIN) {
-        std::uint8_t buf[16384];
-        for (;;) {
-            const ssize_t n = ::recv(fd_.get(), buf, sizeof(buf), 0);
-            if (n < 0) {
-                if (errno != EAGAIN && errno != EWOULDBLOCK)
-                    fail("tcp recv");
-                break;
-            }
-            if (n == 0) {
-                closeStream("tcp peer closed");
-                break;
-            }
-            in_.insert(in_.end(), buf, buf + n);
-        }
-        while (in_.size() >= FrameHeader::kWireSize) {
-            const auto hdr = FrameHeader::parse(
-                {in_.data(), FrameHeader::kWireSize});
-            // A receiver that answers garbage or data costs only this
-            // stream, exactly as if it had closed it.
-            if (!hdr || (hdr->flags & kFlagAck) == 0) {
-                closeStream(hdr ? "data frame on the tcp ack stream"
-                                : "tcp ack stream desynchronized");
-                in_.clear();
-                return;
-            }
-            in_.erase(in_.begin(),
-                      in_.begin() + FrameHeader::kWireSize);
-            handleAck(*hdr);
-        }
-    }
-}
-
-void
-TcpBackend::closeStream(const char *why)
-{
-    // Stop watching so a dead stream cannot spin the loop; pending
-    // attempts time out and the session layer reconnects with a fresh
-    // backend.
-    loop_.unwatch(fd_.get());
-    connected_ = false;
-    if (last_error_.empty())
-        last_error_ = why;
-}
-
-// ------------------------------------------------- ReceiverEndpointBase
-
-ReceiverEndpointBase::ReceiverEndpointBase(PollLoop &loop,
-                                           DeliverySink deliver)
-    : loop_(loop),
-      receiver_([&loop] { return loop.now(); }, {}, std::move(deliver))
-{
-}
-
-void
-ReceiverEndpointBase::fail(const std::string &what)
-{
-    if (last_error_.empty())
-        last_error_ = what + " (" + std::strerror(errno) + ")";
-}
-
-FrameHeader
-ReceiverEndpointBase::onDataFrame(const FrameHeader &hdr,
-                                  std::span<const std::uint8_t> present)
-{
-    const FrameReceiver::Result r = receiver_.onFrame(0, hdr, present);
-
-    if (trace_) {
-        RxRecord rec;
-        rec.link = 0;
-        rec.key = keyOf(hdr);
-        rec.chunk_seq = hdr.chunk_seq;
-        rec.payload_off = hdr.payload_off;
-        rec.frag_len = hdr.payload_len;
-        rec.got = static_cast<std::uint32_t>(present.size());
-        rec.crc_ok = r.chunk_complete ? r.crc_ok : true;
-        trace_->rx.push_back(rec);
-    }
-    return makeAck(hdr, r);
-}
-
 // -------------------------------------------------- UdpReceiverEndpoint
 
 UdpReceiverEndpoint::UdpReceiverEndpoint(PollLoop &loop,
                                          std::uint16_t port,
                                          DeliverySink deliver,
                                          double bind_retry_window_s)
-    : ReceiverEndpointBase(loop, std::move(deliver))
+    : loop_(loop),
+      receiver_([&loop] { return loop.now(); }, {}, std::move(deliver))
 {
     fd_.reset(::socket(AF_INET, SOCK_DGRAM, 0));
     if (!fd_) {
@@ -576,6 +401,33 @@ UdpReceiverEndpoint::~UdpReceiverEndpoint()
 {
     if (fd_)
         loop_.unwatch(fd_.get());
+}
+
+void
+UdpReceiverEndpoint::fail(const std::string &what)
+{
+    if (last_error_.empty())
+        last_error_ = what + " (" + std::strerror(errno) + ")";
+}
+
+FrameHeader
+UdpReceiverEndpoint::onDataFrame(const FrameHeader &hdr,
+                                 std::span<const std::uint8_t> present)
+{
+    const FrameReceiver::Result r = receiver_.onFrame(0, hdr, present);
+
+    if (trace_) {
+        RxRecord rec;
+        rec.link = 0;
+        rec.key = keyOf(hdr);
+        rec.chunk_seq = hdr.chunk_seq;
+        rec.payload_off = hdr.payload_off;
+        rec.frag_len = hdr.payload_len;
+        rec.got = static_cast<std::uint32_t>(present.size());
+        rec.crc_ok = r.chunk_complete ? r.crc_ok : true;
+        trace_->rx.push_back(rec);
+    }
+    return makeAck(hdr, r);
 }
 
 void
@@ -611,151 +463,6 @@ UdpReceiverEndpoint::onReadable()
             errno != EAGAIN && errno != EWOULDBLOCK)
             fail("udp ack send");
     }
-}
-
-// -------------------------------------------------- TcpReceiverEndpoint
-
-TcpReceiverEndpoint::TcpReceiverEndpoint(PollLoop &loop,
-                                         std::uint16_t port,
-                                         DeliverySink deliver,
-                                         double bind_retry_window_s)
-    : ReceiverEndpointBase(loop, std::move(deliver))
-{
-    listen_fd_.reset(::socket(AF_INET, SOCK_STREAM, 0));
-    if (!listen_fd_) {
-        fail("tcp socket");
-        return;
-    }
-    int one = 1;
-    ::setsockopt(listen_fd_.get(), SOL_SOCKET, SO_REUSEADDR, &one,
-                 sizeof(one));
-    sockaddr_in addr{};
-    resolveAddr("127.0.0.1", port, addr);
-    if (!bindWithRetry(listen_fd_.get(), addr, bind_retry_window_s)) {
-        fail("tcp bind");
-        return;
-    }
-    socklen_t len = sizeof(addr);
-    ::getsockname(listen_fd_.get(), reinterpret_cast<sockaddr *>(&addr),
-                  &len);
-    port_ = ntohs(addr.sin_port);
-    if (::listen(listen_fd_.get(), 16) != 0) {
-        fail("tcp listen");
-        return;
-    }
-    if (!setNonBlocking(listen_fd_.get())) {
-        fail("tcp nonblock");
-        return;
-    }
-    loop_.watch(listen_fd_.get(), POLLIN,
-                [this](short) { onListenReadable(); });
-}
-
-TcpReceiverEndpoint::~TcpReceiverEndpoint()
-{
-    for (const auto &[fd, c] : conns_)
-        loop_.unwatch(fd);
-    if (listen_fd_)
-        loop_.unwatch(listen_fd_.get());
-}
-
-void
-TcpReceiverEndpoint::onListenReadable()
-{
-    for (;;) {
-        const int fd = ::accept(listen_fd_.get(), nullptr, nullptr);
-        if (fd < 0)
-            return;
-        setNonBlocking(fd);
-        Conn c;
-        c.fd.reset(fd);
-        conns_.emplace(fd, std::move(c));
-        loop_.watch(fd, POLLIN,
-                    [this, fd](short revents) { onConnEvents(fd, revents); });
-    }
-}
-
-void
-TcpReceiverEndpoint::dropConn(int fd)
-{
-    loop_.unwatch(fd);
-    conns_.erase(fd);
-}
-
-void
-TcpReceiverEndpoint::flushConn(Conn &c)
-{
-    while (!c.out.empty()) {
-        const ssize_t n = ::send(c.fd.get(), c.out.data(), c.out.size(),
-                                 MSG_NOSIGNAL);
-        if (n < 0)
-            break; // EAGAIN or a dying peer: POLLOUT (or drop) decides.
-        c.out.erase(c.out.begin(), c.out.begin() + n);
-    }
-    const int fd = c.fd.get();
-    loop_.watch(fd, POLLIN | (c.out.empty() ? 0 : POLLOUT),
-                [this, fd](short revents) { onConnEvents(fd, revents); });
-}
-
-void
-TcpReceiverEndpoint::onConnEvents(int fd, short revents)
-{
-    auto it = conns_.find(fd);
-    if (it == conns_.end())
-        return;
-    Conn &c = it->second;
-
-    bool closed = false;
-    if (revents & (POLLIN | POLLERR | POLLHUP)) {
-        std::uint8_t buf[16384];
-        for (;;) {
-            const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-            if (n < 0) {
-                if (errno == EAGAIN || errno == EWOULDBLOCK)
-                    break;
-                closed = true; // reset: this peer only, endpoint lives.
-                break;
-            }
-            if (n == 0) {
-                closed = true;
-                break;
-            }
-            c.in.insert(c.in.end(), buf, buf + n);
-        }
-    }
-
-    // Whatever arrived before the close still counts: decide and (if
-    // the conn survives) ACK. A trailing partial frame is discarded
-    // with the connection — the peer retries it after reconnecting.
-    for (;;) {
-        if (c.in.size() < FrameHeader::kWireSize)
-            break;
-        const auto hdr =
-            FrameHeader::parse({c.in.data(), FrameHeader::kWireSize});
-        if (!hdr || (hdr->flags & kFlagAck) != 0) {
-            // No frame boundary to resync on: this peer's stream is
-            // garbage from here, so it loses its connection.
-            closed = true;
-            break;
-        }
-        const std::size_t need = FrameHeader::kWireSize + hdr->payload_len;
-        if (c.in.size() < need)
-            break;
-        const FrameHeader ack = onDataFrame(
-            *hdr, {c.in.data() + FrameHeader::kWireSize,
-                   static_cast<std::size_t>(hdr->payload_len)});
-        c.in.erase(c.in.begin(), c.in.begin() + need);
-
-        std::uint8_t wire[FrameHeader::kWireSize];
-        ack.serialize(wire);
-        c.out.insert(c.out.end(), wire, wire + sizeof(wire));
-    }
-
-    if (closed) {
-        dropConn(fd);
-        return;
-    }
-    flushConn(c);
 }
 
 } // namespace transport

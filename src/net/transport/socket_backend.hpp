@@ -1,8 +1,8 @@
 /**
  * @file
- * Real-socket transport backends: UDP datagrams and loopback TCP.
+ * Real-socket transport backend: UDP datagrams.
  *
- * Both run the *identical* protocol core (ReliableLink +
+ * It runs the *identical* protocol core (ReliableLink +
  * FrameReceiver) the simulator proves out — the only new code is I/O:
  * nonblocking sockets on a single-threaded PollLoop, wall-clock
  * timers, and an acknowledgement frame per data frame (the DES twin
@@ -20,9 +20,8 @@
  * replay the run through the DES twin and compare event logs
  * frame-for-frame. Without one, nothing is recorded.
  *
- * Backend selection is by construction (the harness reads
- * ROG_TRANSPORT_BACKEND=des|udp|tcp); nothing in the protocol core
- * branches on it.
+ * Backend selection is by construction (UdpBackend or the DES twin's
+ * DesBackend); nothing in the protocol core branches on it.
  */
 #ifndef ROG_NET_TRANSPORT_SOCKET_BACKEND_HPP
 #define ROG_NET_TRANSPORT_SOCKET_BACKEND_HPP
@@ -44,7 +43,7 @@ namespace rog {
 namespace net {
 namespace transport {
 
-/** Knobs specific to the real-socket backends. */
+/** Knobs specific to the real-socket backend. */
 struct SocketOptions
 {
     /** Resend (verdict: timeout) if no ACK arrives by then. */
@@ -64,16 +63,24 @@ FrameHeader makeAck(const FrameHeader &data,
                     const FrameReceiver::Result &r);
 
 /**
- * Sender-side machinery shared by the UDP and TCP backends: pending
- * stop-and-wait attempts, ACK resolution, timeout resolution, and
- * wire-trace recording. Subclasses only move bytes.
+ * Datagram backend: one connected UDP socket to the receiver. Keeps
+ * the pending stop-and-wait attempts, resolves them by ACK or timeout,
+ * and records the wire trace.
  */
-class SocketSenderBase : public Backend
+class UdpBackend : public Backend
 {
   public:
-    SocketSenderBase(PollLoop &loop, const SocketOptions &opts,
-                     TransportTrace *trace);
-    ~SocketSenderBase() override;
+    /**
+     * @param faults optional deterministic perturbation of outgoing
+     *        data frames (drop/dup/truncate/corrupt/delay); ACKs are
+     *        never touched. @p faults and @p trace must outlive the
+     *        backend.
+     */
+    UdpBackend(PollLoop &loop, const std::string &host,
+               std::uint16_t port, const SocketOptions &opts = {},
+               SocketFaultInjector *faults = nullptr,
+               TransportTrace *trace = nullptr);
+    ~UdpBackend() override;
 
     double now() const override;
     TimerId after(double delay_s, std::function<void()> fire) override;
@@ -90,7 +97,7 @@ class SocketSenderBase : public Backend
     bool ok() const { return last_error_.empty(); }
     const std::string &error() const { return last_error_; }
 
-  protected:
+  private:
     struct Stream
     {
         LinkId link = 0;
@@ -106,8 +113,10 @@ class SocketSenderBase : public Backend
         PollLoop::TimerHandle timer = 0;
     };
 
-    /** Ship one serialized data frame (header + fragment). */
-    virtual void emitFrame(std::vector<std::uint8_t> &&bytes) = 0;
+    /** Ship one serialized data frame (header + fragment) through the
+     *  fault injector, if any. */
+    void emitFrame(std::vector<std::uint8_t> &&bytes);
+    void onReadable();
 
     /** An ACK frame arrived; resolve the matching pending attempt. */
     void handleAck(const FrameHeader &ack);
@@ -124,30 +133,6 @@ class SocketSenderBase : public Backend
     std::map<std::uint64_t, Stream> streams_;
     std::map<std::uint64_t, Pending> pending_; //!< by send stream id.
     std::uint64_t next_send_ = 1;
-};
-
-/** Datagram backend: one connected UDP socket to the receiver. */
-class UdpBackend : public SocketSenderBase
-{
-  public:
-    /**
-     * @param faults optional deterministic perturbation of outgoing
-     *        data frames (drop/dup/truncate/corrupt/delay); ACKs are
-     *        never touched. @p faults and @p trace must outlive the
-     *        backend.
-     */
-    UdpBackend(PollLoop &loop, const std::string &host,
-               std::uint16_t port, const SocketOptions &opts = {},
-               SocketFaultInjector *faults = nullptr,
-               TransportTrace *trace = nullptr);
-    ~UdpBackend() override;
-
-  protected:
-    void emitFrame(std::vector<std::uint8_t> &&bytes) override;
-
-  private:
-    void onReadable();
-
     UniqueFd fd_;
     SocketFaultInjector *faults_ = nullptr;
     /** Timers of the datagrams a `delay` fault holds back, keyed by
@@ -157,50 +142,35 @@ class UdpBackend : public SocketSenderBase
     std::uint64_t next_delayed_ = 0;
 };
 
-/** Stream backend: one loopback TCP connection to the receiver. */
-class TcpBackend : public SocketSenderBase
-{
-  public:
-    TcpBackend(PollLoop &loop, const std::string &host,
-               std::uint16_t port, const SocketOptions &opts = {},
-               TransportTrace *trace = nullptr);
-    ~TcpBackend() override;
-
-  protected:
-    void emitFrame(std::vector<std::uint8_t> &&bytes) override;
-
-  private:
-    void onEvents(short revents);
-    void flushOut();
-    /** Stop using the stream after a peer close or a bad ACK stream. */
-    void closeStream(const char *why);
-
-    UniqueFd fd_;
-    bool connected_ = false;
-    std::vector<std::uint8_t> out_; //!< unflushed outgoing bytes.
-    std::vector<std::uint8_t> in_;  //!< buffered incoming ACK bytes.
-};
-
 /**
- * Receiver-side endpoint shared state: the protocol half (the
- * FrameReceiver every backend shares) and the optional consumers of
- * its decisions: a DeliverySink for delivered payloads, an EventSink
- * for the structured event log and a TransportTrace for the per-frame
- * RxRecords the cross-validation harness replays. None is kept unless
- * the caller attaches it, and a delivered message costs only its
- * dedup record.
+ * UDP receiver endpoint: bind, reassemble, decide, ACK. Datagram
+ * sources are distinguished per frame, so any number of senders can
+ * push at one endpoint — ACKs return to each frame's source.
+ *
+ * The protocol half is the FrameReceiver every backend shares; its
+ * decisions go to consumers the caller attaches: a DeliverySink for
+ * delivered payloads, an EventSink for the structured event log and a
+ * TransportTrace for the per-frame RxRecords the cross-validation
+ * harness replays. None is kept unless the caller attaches it, and a
+ * delivered message costs only its dedup record.
  */
-class ReceiverEndpointBase
+class UdpReceiverEndpoint
 {
   public:
     /**
+     * @param port 0 binds an ephemeral port (see port()).
      * @param deliver receives each delivered message's payload (the
      *        session layer's receive path) once; a late duplicate is
      *        ACKed, never handed up again. Without one the endpoint
      *        keeps no payload bytes, only the decision state.
+     * @param bind_retry_window_s see SocketOptions.
      */
-    explicit ReceiverEndpointBase(PollLoop &loop, DeliverySink deliver = {});
-    virtual ~ReceiverEndpointBase() = default;
+    UdpReceiverEndpoint(PollLoop &loop, std::uint16_t port,
+                        DeliverySink deliver = {},
+                        double bind_retry_window_s = 0.0);
+    ~UdpReceiverEndpoint();
+
+    std::uint16_t port() const { return port_; }
 
     /** Stream every receiver decision as a TransportEvent. */
     void setEventSink(EventSink sink)
@@ -219,7 +189,8 @@ class ReceiverEndpointBase
     bool ok() const { return last_error_.empty(); }
     const std::string &error() const { return last_error_; }
 
-  protected:
+  private:
+    void onReadable();
     /** Process one complete data frame; returns the ACK to send. */
     FrameHeader onDataFrame(const FrameHeader &hdr,
                             std::span<const std::uint8_t> present);
@@ -229,68 +200,7 @@ class ReceiverEndpointBase
     FrameReceiver receiver_;
     TransportTrace *trace_ = nullptr;
     std::string last_error_;
-};
-
-/** UDP receiver endpoint: bind, reassemble, decide, ACK. Datagram
- *  sources are distinguished per frame, so any number of senders can
- *  push at one endpoint — ACKs return to each frame's source. */
-class UdpReceiverEndpoint : public ReceiverEndpointBase
-{
-  public:
-    /** @param port 0 binds an ephemeral port (see port()).
-     *  @param deliver see ReceiverEndpointBase.
-     *  @param bind_retry_window_s see SocketOptions. */
-    UdpReceiverEndpoint(PollLoop &loop, std::uint16_t port,
-                        DeliverySink deliver = {},
-                        double bind_retry_window_s = 0.0);
-    ~UdpReceiverEndpoint() override;
-
-    std::uint16_t port() const { return port_; }
-
-  private:
-    void onReadable();
-
     UniqueFd fd_;
-    std::uint16_t port_ = 0;
-};
-
-/**
- * TCP receiver endpoint: listen, accept any number of senders, decide,
- * ACK on the connection the data came in on. A peer that dies (reset,
- * half-open close) or writes a byte stream that is not data frames
- * costs only its own connection — the endpoint keeps serving the
- * rest, and the exactly-once state survives for when the peer
- * reconnects.
- */
-class TcpReceiverEndpoint : public ReceiverEndpointBase
-{
-  public:
-    TcpReceiverEndpoint(PollLoop &loop, std::uint16_t port,
-                        DeliverySink deliver = {},
-                        double bind_retry_window_s = 0.0);
-    ~TcpReceiverEndpoint() override;
-
-    std::uint16_t port() const { return port_; }
-
-    /** Currently accepted sender connections. */
-    std::size_t connections() const { return conns_.size(); }
-
-  private:
-    struct Conn
-    {
-        UniqueFd fd;
-        std::vector<std::uint8_t> in;
-        std::vector<std::uint8_t> out;
-    };
-
-    void onListenReadable();
-    void onConnEvents(int fd, short revents);
-    /** Flush pending ACK bytes; rearm POLLOUT while any remain. */
-    void flushConn(Conn &c);
-    void dropConn(int fd);
-
-    UniqueFd listen_fd_;
-    std::map<int, Conn> conns_;
     std::uint16_t port_ = 0;
 };
 

@@ -5,7 +5,9 @@
  * split would abort on an empty shard) and an artifact directory that
  * does not exist (the run would end in the durable writer's fatal
  * error after training). Each exits 2 with one diagnostic line and
- * writes nothing; nodeRunConfigError names the same rule.
+ * writes nothing; nodeRunConfigError names the same rule. Both
+ * rog_noded and rog_chaos refuse an unknown option, such as the old
+ * --backend, the same way.
  */
 #include <gtest/gtest.h>
 
@@ -28,10 +30,10 @@ struct ToolRun
 };
 
 ToolRun
-runNoded(const std::string &args)
+runTool(const char *bin, const std::string &args)
 {
     ToolRun run;
-    const std::string cmd = std::string(ROG_NODED_BIN) + " " + args + " 2>&1";
+    const std::string cmd = std::string(bin) + " " + args + " 2>&1";
     FILE *p = ::popen(cmd.c_str(), "r");
     if (p == nullptr)
         return run;
@@ -65,7 +67,7 @@ TEST(NodedCli, TooManyWorkersForTheTrainingSetAreRejectedBeforeTheRun)
 {
     const std::string dir = freshDir("workers");
     for (const char *workers : {"256", "512", "1024", "0"}) {
-        const ToolRun run = runNoded(std::string("des --iters 2 --workers ") +
+        const ToolRun run = runTool(ROG_NODED_BIN, std::string("des --iters 2 --workers ") +
                                  workers + " --dir " + dir);
         EXPECT_EQ(run.code, 2) << workers;
         EXPECT_EQ(run.output,
@@ -81,10 +83,38 @@ TEST(NodedCli, MissingArtifactDirectoryIsRejectedBeforeTheRun)
     const std::string missing = testing::TempDir() + "rog_node_cli_absent";
     ::rmdir(missing.c_str());
     const ToolRun run =
-        runNoded("des --iters 2 --workers 3 --dir " + missing);
+        runTool(ROG_NODED_BIN, "des --iters 2 --workers 3 --dir " + missing);
     EXPECT_EQ(run.code, 2);
     EXPECT_EQ(run.output, "rog_noded: artifact directory '" + missing +
                               "' does not exist\n");
+}
+
+TEST(NodedCli, BackendOptionIsRefusedBeforeAnythingStarts)
+{
+    const std::string dir = testing::TempDir() + "rog_node_cli_backend";
+    ::rmdir(dir.c_str());
+    struct Tool
+    {
+        const char *bin;
+        const char *subcommand;
+        const char *refusal;
+    };
+    const Tool tools[] = {
+        {ROG_NODED_BIN, "des ", "rog_noded: fatal: unknown option --backend "},
+        {ROG_CHAOS_BIN, "", "rog_chaos: fatal: unknown option --backend "}};
+    for (const Tool &tool : tools) {
+        for (const char *value : {"udp", "tcp", "des"}) {
+            const std::string cmd = std::string(tool.subcommand) + "--dir " +
+                                    dir + " --backend " + value +
+                                    " --iters 2";
+            const ToolRun run = runTool(tool.bin, cmd);
+            EXPECT_EQ(run.code, 2) << cmd;
+            EXPECT_EQ(run.output.rfind(tool.refusal, 0), 0u) << run.output;
+            EXPECT_EQ(run.output.find('\n'), run.output.size() - 1)
+                << run.output;
+            EXPECT_FALSE(exists(dir)) << cmd;
+        }
+    }
 }
 
 TEST(NodedCli, ConfigErrorNamesEachImpossibleRun)

@@ -39,7 +39,6 @@ TEST(ServerEventsLog, StreamedLogIsOneRenderedLinePerReceiverEvent)
 
     NodeRunConfig cfg = chaosRunDefaults();
     cfg.workers = 2;
-    cfg.backend = "udp";
     cfg.artifact_dir = dir;
     cfg.train.max_iters = 3;
     cfg.run_timeout_s = 30.0;

@@ -317,7 +317,9 @@ TEST(ServerApplyRecord, DesTwinWritesOneRecordPerAppliedPush)
     cfg.artifact_dir = testing::TempDir() + "rog_apply_record";
     ::mkdir(cfg.artifact_dir.c_str(), 0755);
     const std::string log_path = cfg.artifact_dir + "/des_twin.log";
-    std::remove(log_path.c_str()); // the twin appends to its log.
+    // Twice into one directory: the second run's log replaces the
+    // first's.
+    ASSERT_TRUE(runDesTwin(cfg).done);
     const DesTwinResult res = runDesTwin(cfg);
     ASSERT_TRUE(res.done);
 

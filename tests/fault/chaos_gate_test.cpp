@@ -31,7 +31,7 @@ runChaos(const std::string &name, const std::string &args)
     ::mkdir(dir.c_str(), 0755);
     ToolRun run;
     const std::string cmd = std::string(ROG_CHAOS_BIN) + " --dir " + dir +
-                            " --backend udp --workers 3 --iters 10 "
+                            " --workers 3 --iters 10 "
                             "--seed 1234 --check " +
                             args + " 2>&1";
     FILE *p = ::popen(cmd.c_str(), "r");

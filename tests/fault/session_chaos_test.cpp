@@ -66,7 +66,6 @@ TEST(SessionChaos, KilledAndRestartedWorkersKeepTheRunCorrect)
 
     NodeRunConfig cfg = chaosRunDefaults();
     cfg.workers = 4;
-    cfg.backend = "udp";
     cfg.artifact_dir = dir;
     cfg.train.worker_state_dir = dir;
     cfg.train.max_iters = 8;

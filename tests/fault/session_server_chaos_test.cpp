@@ -86,7 +86,6 @@ TEST(SessionServerChaos, KilledAndRestartedServerKeepsTheRunCorrect)
 
     NodeRunConfig cfg = chaosRunDefaults();
     cfg.workers = 3;
-    cfg.backend = "udp";
     cfg.artifact_dir = dir;
     cfg.train.worker_state_dir = dir;
     cfg.train.max_iters = 10;
@@ -186,7 +185,6 @@ TEST(SessionServerChaos, PartitionedWorkerHealsAndRunStaysCorrect)
 
     NodeRunConfig cfg = chaosRunDefaults();
     cfg.workers = 3;
-    cfg.backend = "udp";
     cfg.artifact_dir = dir;
     cfg.train.worker_state_dir = dir;
     cfg.train.max_iters = 10;

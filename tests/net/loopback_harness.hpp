@@ -1,7 +1,7 @@
 /**
  * @file
  * Shared harness for loopback socket-transport tests: runs N chained
- * sends over a real UDP or TCP backend against an in-process receiver
+ * sends over a real UDP backend against an in-process receiver
  * endpoint on one PollLoop, and returns everything the assertions
  * need — results, totals, the merged event log, and the wire trace
  * (ready for cross-validation).
@@ -27,13 +27,12 @@ namespace testing {
 
 struct LoopbackSpec
 {
-    std::string backend = "udp"; //!< "udp" or "tcp".
     std::size_t sends = 1;
     std::size_t bytes = 4096;
     double deadline_rel = kNoDeadline; //!< per-send, from its start.
     TransportConfig config;
     SocketOptions opts;
-    const SocketFaultPlan *faults = nullptr; //!< UDP only.
+    const SocketFaultPlan *faults = nullptr;
     double timeout_s = 20.0;
 };
 
@@ -65,10 +64,9 @@ loopbackKey(std::size_t i)
 
 /** Fast-suite-friendly knobs: short waits, quick backoff. */
 inline LoopbackSpec
-quickSpec(const std::string &backend, std::size_t sends, std::size_t bytes)
+quickSpec(std::size_t sends, std::size_t bytes)
 {
     LoopbackSpec spec;
-    spec.backend = backend;
     spec.sends = sends;
     spec.bytes = bytes;
     spec.config.backoff_base_s = 0.005;
@@ -88,7 +86,7 @@ runLoopback(const LoopbackSpec &spec)
         faults =
             std::make_unique<SocketFaultInjector>(*spec.faults);
 
-    out.trace.config.backend = spec.backend;
+    out.trace.config.backend = "udp";
     out.trace.config.chunk_bytes = spec.config.chunk_bytes;
     out.trace.config.max_attempts = spec.config.max_attempts_per_chunk;
     out.trace.config.backoff_base_s = spec.config.backoff_base_s;
@@ -97,39 +95,23 @@ runLoopback(const LoopbackSpec &spec)
     out.trace.config.jitter_seed = spec.config.jitter_seed;
     out.trace.config.resume_from_offset = spec.config.resume_from_offset;
 
-    std::unique_ptr<ReceiverEndpointBase> ep;
-    std::unique_ptr<SocketSenderBase> sock;
-    if (spec.backend == "udp") {
-        auto rx = std::make_unique<UdpReceiverEndpoint>(loop, 0);
-        if (!rx->ok()) {
-            out.error = rx->error();
-            return out;
-        }
-        sock = std::make_unique<UdpBackend>(loop, "127.0.0.1",
-                                            rx->port(), spec.opts,
-                                            faults.get(), &out.trace);
-        ep = std::move(rx);
-    } else {
-        auto rx = std::make_unique<TcpReceiverEndpoint>(loop, 0);
-        if (!rx->ok()) {
-            out.error = rx->error();
-            return out;
-        }
-        sock = std::make_unique<TcpBackend>(loop, "127.0.0.1",
-                                            rx->port(), spec.opts,
-                                            &out.trace);
-        ep = std::move(rx);
-    }
-    if (!sock->ok()) {
-        out.error = sock->error();
+    UdpReceiverEndpoint ep(loop, 0);
+    if (!ep.ok()) {
+        out.error = ep.error();
         return out;
     }
-    ep->setTrace(&out.trace);
-    ep->setEventSink([&out](const TransportEvent &ev) {
+    UdpBackend sock(loop, "127.0.0.1", ep.port(), spec.opts, faults.get(),
+                    &out.trace);
+    if (!sock.ok()) {
+        out.error = sock.error();
+        return out;
+    }
+    ep.setTrace(&out.trace);
+    ep.setEventSink([&out](const TransportEvent &ev) {
         out.receiver_log.push_back(ev);
     });
 
-    ReliableLink link(*sock, spec.config, [&out](const TransportEvent &ev) {
+    ReliableLink link(sock, spec.config, [&out](const TransportEvent &ev) {
         out.sender_log.push_back(ev);
     });
     std::function<void(std::size_t)> issue = [&](std::size_t i) {
@@ -143,7 +125,7 @@ runLoopback(const LoopbackSpec &spec)
         rec.deadline_s = spec.deadline_rel;
         out.trace.sends.push_back(rec);
         const double deadline = std::isfinite(spec.deadline_rel)
-                                    ? sock->now() + spec.deadline_rel
+                                    ? sock.now() + spec.deadline_rel
                                     : kNoDeadline;
         link.startSend(0, key,
                        synthesizeMessage(key, spec.bytes,
@@ -164,12 +146,12 @@ runLoopback(const LoopbackSpec &spec)
         out.error = "loopback run timed out";
         return out;
     }
-    if (!sock->ok() || !ep->ok()) {
-        out.error = !sock->ok() ? sock->error() : ep->error();
+    if (!sock.ok() || !ep.ok()) {
+        out.error = !sock.ok() ? sock.error() : ep.error();
         return out;
     }
 
-    out.rx_delivered = ep->deliveredMessages();
+    out.rx_delivered = ep.deliveredMessages();
     out.totals = link.totals();
     out.merged_log = out.sender_log;
     out.merged_log.insert(out.merged_log.end(), out.receiver_log.begin(),

@@ -3,14 +3,15 @@
  * The full node engine over real sockets, in one process: server and
  * worker SocketFabrics share a PollLoop, and the identical engine
  * code that the DES twin runs (session_test.cpp) trains over loopback
- * UDP and TCP — backend choice is a config string, nothing more. A
- * faulty-UDP variant rides seeded wire perturbation through the same
- * path to show the session survives datagram loss and truncation.
+ * UDP. A faulty variant rides seeded wire perturbation through the
+ * same path to show the session survives datagram loss and
+ * truncation, and a reconnect continues its peer's fault stream.
  */
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "common/poll_loop.hpp"
@@ -25,7 +26,6 @@ namespace {
 
 struct FleetSpec
 {
-    std::string kind = "udp";
     std::size_t workers = 2;
     std::int64_t iters = 3;
     const transport::SocketFaultPlan *faults = nullptr;
@@ -46,7 +46,6 @@ runFleet(const FleetSpec &spec)
 
     PollLoop loop;
     SocketFabricOptions sopts;
-    sopts.kind = spec.kind;
     sopts.transport = cfg.transport;
     sopts.socket = cfg.socket;
     SocketFabric server_fabric(loop, kServerNode, sopts);
@@ -93,16 +92,7 @@ runFleet(const FleetSpec &spec)
 
 TEST(SessionSocket, UdpFleetTrainsToCompletion)
 {
-    FleetSpec spec;
-    spec.kind = "udp";
-    runFleet(spec);
-}
-
-TEST(SessionSocket, TcpFleetTrainsToCompletion)
-{
-    FleetSpec spec;
-    spec.kind = "tcp";
-    runFleet(spec);
+    runFleet(FleetSpec{});
 }
 
 /**
@@ -156,7 +146,7 @@ class VetoConnectFabric : public Fabric
     SocketFabric &inner_;
 };
 
-TEST(SessionSocket, TcpServerSurvivesHelloWhenReturnConnectFails)
+TEST(SessionSocket, UdpServerSurvivesHelloWhenReturnConnectFails)
 {
     core::NodeRunConfig cfg = core::chaosRunDefaults();
     cfg.workers = 1;
@@ -169,7 +159,6 @@ TEST(SessionSocket, TcpServerSurvivesHelloWhenReturnConnectFails)
 
     PollLoop loop;
     SocketFabricOptions sopts;
-    sopts.kind = "tcp";
     sopts.transport = cfg.transport;
     sopts.socket = cfg.socket;
     SocketFabric server_socket(loop, kServerNode, sopts);
@@ -225,10 +214,63 @@ TEST(SessionSocket, UdpFleetSurvivesSeededWireFaults)
     plan.trunc_p = 0.1;
     plan.corrupt_p = 0.05;
     FleetSpec spec;
-    spec.kind = "udp";
     spec.iters = 2;
     spec.faults = &plan;
     runFleet(spec);
+}
+
+/**
+ * A reconnect continues the peer's fault stream: the fabric keeps one
+ * injector per peer, so the socket a reconnect builds sees the plan's
+ * next fate, not its first one again.
+ */
+TEST(SessionSocket, ReconnectContinuesThePeersFaultStream)
+{
+    // A seed whose first fate toward the server drops and whose second
+    // does not; SocketFabric derives each peer's seed this way.
+    transport::SocketFaultPlan plan;
+    plan.drop_p = 0.5;
+    const auto dropsOnlyFirst = [&plan](std::uint64_t seed) {
+        transport::SocketFaultPlan peer = plan;
+        peer.seed = seed * 1000003u + static_cast<std::uint64_t>(kServerNode);
+        transport::SocketFaultInjector probe(peer);
+        const bool first = probe.next().drop;
+        return first && !probe.next().drop;
+    };
+    for (plan.seed = 1; !dropsOnlyFirst(plan.seed); ++plan.seed)
+        ASSERT_LT(plan.seed, 1000u);
+
+    PollLoop loop;
+    SocketFabric receiver(loop, kServerNode, SocketFabricOptions{});
+    ASSERT_TRUE(receiver.ok()) << receiver.error();
+    std::size_t handed_up = 0;
+    receiver.setMessageHandler(
+        [&handed_up](const MessageKey &, std::vector<std::uint8_t> &&) {
+            ++handed_up;
+        });
+
+    SocketFabricOptions sopts;
+    sopts.transport.max_attempts_per_chunk = 1;
+    sopts.socket.ack_timeout_s = 0.05;
+    sopts.fault_plan = plan;
+    SocketFabric sender(loop, workerNode(0), sopts);
+    ASSERT_TRUE(sender.ok()) << sender.error();
+
+    // One attempt per send; each send runs on a freshly connected
+    // socket.
+    const auto sendOnce = [&](std::int64_t version) {
+        EXPECT_TRUE(sender.connectPeer(kServerNode, "127.0.0.1",
+                                       receiver.listenPort()));
+        std::optional<bool> done;
+        sender.sendTo(kServerNode, MessageKey{0, version, 7, false},
+                      std::vector<std::uint8_t>(100, 1), loop.now() + 5.0,
+                      [&done](bool ok) { done = ok; });
+        EXPECT_TRUE(loop.runUntil([&] { return done.has_value(); }, 5.0));
+        return done.value_or(false);
+    };
+    EXPECT_FALSE(sendOnce(1)); // the first fate drops it.
+    EXPECT_TRUE(sendOnce(2));  // the second fate, not the first again.
+    EXPECT_EQ(handed_up, 1u);
 }
 
 } // namespace

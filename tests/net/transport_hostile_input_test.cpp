@@ -8,20 +8,16 @@
  *    otherwise ask for a 1 TiB buffer). A seeded stream of random
  *    (validly CRC'd) headers never grows a chunk buffer past
  *    kMaxChunkBytes.
- *  - TcpEndpointGarbage: bytes on a TCP connection that are not data
- *    frames cost that connection only. The endpoint stays healthy and
- *    a well-formed sender on a new connection still delivers.
- *  - TcpSenderGarbage: bytes on a sender's ACK stream that are not
- *    ACK frames cost the sender that stream only.
+ *  - A UDP endpoint drops garbage, runt datagrams and stray ACKs
+ *    unanswered and stays healthy; a UDP sender ignores garbage and
+ *    data frames on its socket and still resolves on the real ACK.
  */
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
 #include <sys/socket.h>
 
-#include <cerrno>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -183,141 +179,123 @@ TEST(HostileFrame, RandomHeadersKeepChunkBuffersBounded)
     EXPECT_GT(parsed, 1000u); // the bound let most small windows by.
 }
 
-/** A TCP receiver endpoint and the loop that drives it. */
-class TcpEndpointGarbage : public ::testing::Test
+TEST(HostileFrame, UdpEndpointDropsGarbageAndStrayAcksUnanswered)
 {
-  protected:
-    void
-    SetUp() override
-    {
-        ep_ = std::make_unique<TcpReceiverEndpoint>(loop_, 0);
-        ASSERT_TRUE(ep_->ok()) << ep_->error();
-    }
+    PollLoop loop;
+    std::size_t delivered = 0;
+    UdpReceiverEndpoint ep(loop, 0,
+                           [&delivered](const MessageKey &,
+                                        std::vector<std::uint8_t> &&) {
+                               ++delivered;
+                           });
+    ASSERT_TRUE(ep.ok()) << ep.error();
+    UniqueFd c = client(SOCK_DGRAM, ep.port());
+    ASSERT_TRUE(c);
 
-    /** Write @p bytes on a fresh connection; true once the endpoint
-     *  has closed it. */
-    bool
-    endpointCloses(const std::vector<std::uint8_t> &bytes)
-    {
-        UniqueFd c = client(SOCK_STREAM, ep_->port());
-        if (!c || ::send(c.get(), bytes.data(), bytes.size(),
-                         MSG_NOSIGNAL) !=
-                      static_cast<ssize_t>(bytes.size()))
-            return false;
-        return loop_.runUntil(
-            [&] {
-                std::uint8_t buf[64];
-                const ssize_t n = ::recv(c.get(), buf, sizeof(buf), 0);
-                return n == 0 ||
-                       (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK);
-            },
-            5.0);
-    }
+    // A header's worth of garbage, a datagram shorter than a header
+    // and an ACK sent at the data endpoint, then a good frame.
+    FrameHeader stray;
+    stray.flags = kFlagAck | kFlagAckComplete;
+    stray.version = 4;
+    for (const auto &d : {std::vector<std::uint8_t>(FrameHeader::kWireSize,
+                                                    0xAB),
+                          std::vector<std::uint8_t>{1, 2, 3},
+                          wire(stray, {}), goodFrame({1, 2, 3})})
+        ASSERT_EQ(::send(c.get(), d.data(), d.size(), 0),
+                  static_cast<ssize_t>(d.size()));
 
-    /** A well-formed sender on a new connection delivers a message. */
-    void
-    expectCleanSenderDelivers()
-    {
-        TcpBackend tx(loop_, "127.0.0.1", ep_->port());
-        ASSERT_TRUE(tx.ok()) << tx.error();
-        ReliableLink link(tx, TransportConfig{});
-        std::optional<SendResult> out;
-        link.startSend(0, MessageKey{1, 9, 2, false},
-                       std::vector<std::uint8_t>(3000), kNoDeadline,
-                       [&out](SendResult r) { out = r; });
-        ASSERT_TRUE(loop_.runUntil([&] { return out.has_value(); }, 10.0));
-        EXPECT_TRUE(out->delivered);
-        EXPECT_TRUE(ep_->ok()) << ep_->error();
-        EXPECT_EQ(ep_->deliveredMessages(), 1u);
-    }
-
-    PollLoop loop_;
-    std::unique_ptr<TcpReceiverEndpoint> ep_;
-};
-
-TEST_F(TcpEndpointGarbage, GarbageBytesDropOnlyThatConnection)
-{
-    ASSERT_TRUE(endpointCloses(
-        std::vector<std::uint8_t>(FrameHeader::kWireSize, 0xAB)));
-    EXPECT_TRUE(ep_->ok()) << ep_->error();
-    EXPECT_EQ(ep_->connections(), 0u);
-    expectCleanSenderDelivers();
-}
-
-TEST_F(TcpEndpointGarbage, AckFrameOnTheDataStreamDropsThatConnection)
-{
-    FrameHeader ack;
-    ack.flags = kFlagAck | kFlagAckComplete;
-    ASSERT_TRUE(endpointCloses(wire(ack, {})));
-    EXPECT_TRUE(ep_->ok()) << ep_->error();
-    EXPECT_EQ(ep_->connections(), 0u);
-    expectCleanSenderDelivers();
+    // Only the good frame is answered.
+    std::uint8_t buf[FrameHeader::kWireSize];
+    ssize_t n = -1;
+    loop.runUntil(
+        [&] {
+            n = ::recv(c.get(), buf, sizeof(buf), 0);
+            return n >= 0;
+        },
+        5.0);
+    ASSERT_EQ(n, static_cast<ssize_t>(sizeof(buf)));
+    const auto ack = FrameHeader::parse({buf, sizeof(buf)});
+    ASSERT_TRUE(ack.has_value());
+    EXPECT_EQ(ack->flags, kFlagAck | kFlagAckComplete);
+    loop.runUntil([] { return false; }, 0.05);
+    EXPECT_LT(::recv(c.get(), buf, sizeof(buf), 0), 0); // nothing more.
+    EXPECT_TRUE(ep.ok()) << ep.error();
+    EXPECT_EQ(delivered, 1u);
 }
 
 /**
- * The sender's side of the same rule: a receiver that answers the
- * ACK stream with garbage or with a data frame costs the sender that
- * stream, as a peer close does, never the process. A fresh backend to
- * a good endpoint still delivers.
+ * The sender's side of the same rule: garbage and data frames that
+ * reach a UdpBackend's socket resolve nothing and cost nothing; the
+ * pending attempt still waits for its real ACK.
  */
-class TcpSenderGarbage : public TcpEndpointGarbage
+TEST(HostileFrame, UdpSenderIgnoresGarbageAndDataFrames)
 {
-  protected:
-    /** Send one message to a raw listener that answers @p reply;
-     *  the sender must give up the stream. */
-    void
-    expectSenderDropsStream(const std::vector<std::uint8_t> &reply)
-    {
-        UniqueFd lis(::socket(AF_INET, SOCK_STREAM, 0));
-        sockaddr_in addr{};
-        addr.sin_family = AF_INET;
-        ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-        socklen_t len = sizeof(addr);
-        ASSERT_TRUE(lis);
-        ASSERT_EQ(::bind(lis.get(), reinterpret_cast<sockaddr *>(&addr),
-                         sizeof(addr)),
-                  0);
-        ASSERT_EQ(::listen(lis.get(), 1), 0);
-        ASSERT_EQ(::getsockname(lis.get(),
-                                reinterpret_cast<sockaddr *>(&addr), &len),
-                  0);
-        ASSERT_TRUE(setNonBlocking(lis.get()));
+    // A raw peer that reads the data frame and answers by hand.
+    UniqueFd peer(::socket(AF_INET, SOCK_DGRAM, 0));
+    ASSERT_TRUE(peer);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+    socklen_t len = sizeof(addr);
+    ASSERT_EQ(::bind(peer.get(), reinterpret_cast<sockaddr *>(&addr),
+                     sizeof(addr)),
+              0);
+    ASSERT_EQ(::getsockname(peer.get(), reinterpret_cast<sockaddr *>(&addr),
+                            &len),
+              0);
+    ASSERT_TRUE(setNonBlocking(peer.get()));
 
-        TcpBackend tx(loop_, "127.0.0.1", ntohs(addr.sin_port));
-        ASSERT_TRUE(tx.ok()) << tx.error();
-        ReliableLink link(tx, TransportConfig{});
-        link.startSend(0, MessageKey{1, 9, 2, false},
-                       std::vector<std::uint8_t>(3000), kNoDeadline,
-                       [](SendResult) {});
-        UniqueFd conn;
-        const bool dropped = loop_.runUntil(
-            [&] {
-                if (!conn) {
-                    conn.reset(::accept(lis.get(), nullptr, nullptr));
-                    if (conn)
-                        ::send(conn.get(), reply.data(), reply.size(),
-                               MSG_NOSIGNAL);
-                }
-                return !tx.ok();
-            },
-            5.0);
-        EXPECT_TRUE(dropped);
-        EXPECT_NE(tx.error().find("ack stream"), std::string::npos)
-            << tx.error();
-    }
-};
+    PollLoop loop;
+    SocketOptions opts;
+    opts.ack_timeout_s = 10.0; // no timeout may resolve the attempt.
+    UdpBackend tx(loop, "127.0.0.1", ntohs(addr.sin_port), opts);
+    ASSERT_TRUE(tx.ok()) << tx.error();
+    ReliableLink link(tx, TransportConfig{});
+    const std::vector<std::uint8_t> payload = {1, 2, 3};
+    std::optional<SendResult> out;
+    // The key of goodFrame(): a data frame echoed back matches it.
+    link.startSend(0, MessageKey{1, 4, 0, false}, payload, kNoDeadline,
+                   [&out](SendResult r) { out = r; });
 
-TEST_F(TcpSenderGarbage, GarbageOnTheAckStreamDropsOnlyThatStream)
-{
-    expectSenderDropsStream(
-        std::vector<std::uint8_t>(FrameHeader::kWireSize, 0xAB));
-    expectCleanSenderDelivers();
-}
+    std::uint8_t buf[256];
+    sockaddr_in src{};
+    socklen_t slen = sizeof(src);
+    ssize_t n = -1;
+    ASSERT_TRUE(loop.runUntil(
+        [&] {
+            n = ::recvfrom(peer.get(), buf, sizeof(buf), 0,
+                           reinterpret_cast<sockaddr *>(&src), &slen);
+            return n >= 0;
+        },
+        5.0));
+    const auto data = FrameHeader::parse(
+        {buf, static_cast<std::size_t>(n)});
+    ASSERT_TRUE(data.has_value());
+    const auto reply = [&](const std::vector<std::uint8_t> &d) {
+        ASSERT_EQ(::sendto(peer.get(), d.data(), d.size(), 0,
+                           reinterpret_cast<sockaddr *>(&src), slen),
+                  static_cast<ssize_t>(d.size()));
+    };
 
-TEST_F(TcpSenderGarbage, DataFrameOnTheAckStreamDropsOnlyThatStream)
-{
-    expectSenderDropsStream(goodFrame({1, 2, 3}));
-    expectCleanSenderDelivers();
+    reply(std::vector<std::uint8_t>(FrameHeader::kWireSize, 0xAB));
+    reply(goodFrame(payload));
+    loop.runUntil([] { return false; }, 0.05);
+    EXPECT_FALSE(out.has_value());
+    EXPECT_TRUE(tx.ok()) << tx.error();
+
+    FrameReceiver::Result accepted;
+    accepted.chunk_complete = true;
+    accepted.crc_ok = true;
+    accepted.fresh_accepts = 1;
+    accepted.message_complete = true;
+    FrameHeader ack = makeAck(*data, accepted);
+    std::vector<std::uint8_t> ack_wire(FrameHeader::kWireSize);
+    ack.serialize(ack_wire);
+    reply(ack_wire);
+    ASSERT_TRUE(loop.runUntil([&] { return out.has_value(); }, 5.0));
+    EXPECT_TRUE(out->delivered);
+    EXPECT_EQ(link.totals().attempts, 1u);
+    EXPECT_TRUE(tx.ok()) << tx.error();
 }
 
 } // namespace

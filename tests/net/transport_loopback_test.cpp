@@ -2,7 +2,7 @@
  * @file
  * Loopback integration tests: the unchanged protocol core over real
  * UDP datagrams under seeded wire faults (drop, duplicate, truncate,
- * corrupt, delay), plus clean TCP. Assertions mirror the DES suites:
+ * corrupt, delay). Assertions mirror the DES suites:
  * exactly-once delivery, CRC discard, resume-from-offset retransmit
  * accounting — now proven with real packets. Timeouts are tuned so the
  * whole file is `ctest -L fast`-safe.
@@ -32,7 +32,7 @@ chunksOf(const LoopbackSpec &spec)
 
 TEST(TransportLoopback, UdpCleanDeliversAll)
 {
-    const LoopbackSpec spec = quickSpec("udp", 3, 40000);
+    const LoopbackSpec spec = quickSpec(3, 40000);
     const LoopbackOutcome out = runLoopback(spec);
     ASSERT_TRUE(out.ok) << out.error;
     EXPECT_EQ(out.delivered, 3u);
@@ -50,7 +50,7 @@ TEST(TransportLoopback, UdpCleanDeliversAll)
 
 TEST(TransportLoopback, UdpDropsAreRetriedToExactlyOnceDelivery)
 {
-    LoopbackSpec spec = quickSpec("udp", 3, 40000);
+    LoopbackSpec spec = quickSpec(3, 40000);
     SocketFaultPlan plan;
     plan.seed = 11;
     plan.drop_p = 0.3;
@@ -70,7 +70,7 @@ TEST(TransportLoopback, UdpDropsAreRetriedToExactlyOnceDelivery)
 
 TEST(TransportLoopback, UdpDuplicatesAreDedupd)
 {
-    LoopbackSpec spec = quickSpec("udp", 3, 40000);
+    LoopbackSpec spec = quickSpec(3, 40000);
     SocketFaultPlan plan;
     plan.seed = 5;
     plan.dup_p = 0.6;
@@ -95,7 +95,7 @@ TEST(TransportLoopback, UdpDuplicatesAreDedupd)
 
 TEST(TransportLoopback, UdpTruncationResumesFromDeliveredOffset)
 {
-    LoopbackSpec spec = quickSpec("udp", 3, 50000);
+    LoopbackSpec spec = quickSpec(3, 50000);
     SocketFaultPlan plan;
     plan.seed = 23;
     plan.trunc_p = 0.5;
@@ -123,7 +123,7 @@ TEST(TransportLoopback, UdpResumeOffRetransmitsMore)
     plan.seed = 23;
     plan.trunc_p = 0.5;
 
-    LoopbackSpec on = quickSpec("udp", 3, 50000);
+    LoopbackSpec on = quickSpec(3, 50000);
     on.faults = &plan;
     LoopbackSpec off = on;
     off.config.resume_from_offset = false;
@@ -144,7 +144,7 @@ TEST(TransportLoopback, UdpResumeOffRetransmitsMore)
 
 TEST(TransportLoopback, UdpCorruptionIsCaughtByCrc)
 {
-    LoopbackSpec spec = quickSpec("udp", 3, 40000);
+    LoopbackSpec spec = quickSpec(3, 40000);
     SocketFaultPlan plan;
     plan.seed = 41;
     plan.corrupt_p = 0.4;
@@ -165,7 +165,7 @@ TEST(TransportLoopback, UdpCorruptionIsCaughtByCrc)
 
 TEST(TransportLoopback, UdpFaultSoupCrossValidates)
 {
-    LoopbackSpec spec = quickSpec("udp", 4, 60000);
+    LoopbackSpec spec = quickSpec(4, 60000);
     SocketFaultPlan plan;
     plan.seed = 7;
     plan.drop_p = 0.15;
@@ -185,7 +185,7 @@ TEST(TransportLoopback, UdpFaultSoupCrossValidates)
 
 TEST(TransportLoopback, UdpDeadlineExpiresUnderTotalLoss)
 {
-    LoopbackSpec spec = quickSpec("udp", 1, 20000);
+    LoopbackSpec spec = quickSpec(1, 20000);
     spec.deadline_rel = 0.15;
     SocketFaultPlan plan;
     plan.seed = 3;
@@ -215,7 +215,7 @@ TEST(TransportLoopback, UdpBackendDestroyedWithADelayedDatagramSendsNothing)
     plan.delay_p = 1.0;
     plan.delay_s = 0.01;
     SocketFaultInjector faults(plan);
-    const LoopbackSpec spec = quickSpec("udp", 1, 2000);
+    const LoopbackSpec spec = quickSpec(1, 2000);
     auto sock = std::make_unique<UdpBackend>(loop, "127.0.0.1", rx.port(),
                                              spec.opts, &faults);
     ASSERT_TRUE(sock->ok()) << sock->error();
@@ -231,26 +231,6 @@ TEST(TransportLoopback, UdpBackendDestroyedWithADelayedDatagramSendsNothing)
     loop.runUntil([] { return false; }, 0.05);
     EXPECT_TRUE(rx.ok()) << rx.error();
     EXPECT_EQ(rx.deliveredMessages(), 0u);
-}
-
-TEST(TransportLoopback, TcpCleanDeliversAll)
-{
-    const LoopbackSpec spec = quickSpec("tcp", 3, 40000);
-    const LoopbackOutcome out = runLoopback(spec);
-    ASSERT_TRUE(out.ok) << out.error;
-    EXPECT_EQ(out.delivered, 3u);
-    EXPECT_EQ(out.rx_delivered, 3u);
-    EXPECT_EQ(out.totals.attempts, 3 * chunksOf(spec));
-    EXPECT_EQ(out.totals.retries, 0u);
-}
-
-TEST(TransportLoopback, TcpRunCrossValidates)
-{
-    const LoopbackOutcome out = runLoopback(quickSpec("tcp", 2, 50000));
-    ASSERT_TRUE(out.ok) << out.error;
-    const CrossvalReport report =
-        crossValidate(out.trace, out.merged_log);
-    EXPECT_TRUE(report.ok) << report.detail;
 }
 
 } // namespace

@@ -50,10 +50,10 @@ sendKey(std::size_t i)
 }
 
 TraceConfig
-traceConfigFor(const std::string &backend, const TransportConfig &cfg)
+traceConfigFor(const TransportConfig &cfg)
 {
     TraceConfig tc;
-    tc.backend = backend;
+    tc.backend = "udp";
     tc.chunk_bytes = cfg.chunk_bytes;
     tc.max_attempts = cfg.max_attempts_per_chunk;
     tc.backoff_base_s = cfg.backoff_base_s;
@@ -66,30 +66,20 @@ traceConfigFor(const std::string &backend, const TransportConfig &cfg)
 
 /** Receiver process body. Never returns into gtest: _exit()s. */
 [[noreturn]] void
-receiverChild(const std::string &backend, std::size_t expect,
-              const TraceConfig &tc, int port_fd,
+receiverChild(std::size_t expect, const TraceConfig &tc, int port_fd,
               const std::string &events_path,
               const std::string &trace_path)
 {
     PollLoop loop;
-    std::unique_ptr<ReceiverEndpointBase> ep;
-    std::uint16_t port = 0;
-    if (backend == "udp") {
-        auto rx = std::make_unique<UdpReceiverEndpoint>(loop, 0);
-        port = rx->port();
-        ep = std::move(rx);
-    } else {
-        auto rx = std::make_unique<TcpReceiverEndpoint>(loop, 0);
-        port = rx->port();
-        ep = std::move(rx);
-    }
-    if (!ep->ok())
+    UdpReceiverEndpoint ep(loop, 0);
+    const std::uint16_t port = ep.port();
+    if (!ep.ok())
         _exit(2);
     TransportTrace rx_trace;
     rx_trace.config = tc;
     std::vector<TransportEvent> events;
-    ep->setTrace(&rx_trace);
-    ep->setEventSink(
+    ep.setTrace(&rx_trace);
+    ep.setEventSink(
         [&events](const TransportEvent &e) { events.push_back(e); });
     if (::write(port_fd, &port, sizeof port) !=
         static_cast<ssize_t>(sizeof port))
@@ -97,11 +87,11 @@ receiverChild(const std::string &backend, std::size_t expect,
     ::close(port_fd);
 
     if (!loop.runUntil(
-            [&] { return ep->deliveredMessages() >= expect; }, 15.0))
+            [&] { return ep.deliveredMessages() >= expect; }, 15.0))
         _exit(4);
     // Linger briefly so the final ACK actually leaves the machine.
     loop.runUntil([] { return false; }, 0.3);
-    if (!ep->ok())
+    if (!ep.ok())
         _exit(5);
 
     std::ofstream ev(events_path);
@@ -125,7 +115,6 @@ slurp(const std::string &path)
 
 struct RunSpec
 {
-    std::string backend = "udp";
     std::size_t sends = 3;
     std::size_t bytes = 50000;
     const SocketFaultPlan *faults = nullptr;
@@ -143,7 +132,7 @@ runMultiProcess(const RunSpec &spec)
     TransportConfig cfg;
     cfg.backoff_base_s = 0.005;
     cfg.backoff_max_s = 0.05;
-    const TraceConfig tc = traceConfigFor(spec.backend, cfg);
+    const TraceConfig tc = traceConfigFor(cfg);
 
     int port_pipe[2];
     ASSERT_EQ(::pipe(port_pipe), 0);
@@ -151,8 +140,8 @@ runMultiProcess(const RunSpec &spec)
     ASSERT_GE(child, 0) << "fork failed";
     if (child == 0) {
         ::close(port_pipe[0]);
-        receiverChild(spec.backend, spec.sends, tc, port_pipe[1],
-                      events_path, trace_path);
+        receiverChild(spec.sends, tc, port_pipe[1], events_path,
+                      trace_path);
     }
     ::close(port_pipe[1]);
     std::uint16_t port = 0;
@@ -171,17 +160,11 @@ runMultiProcess(const RunSpec &spec)
     trace.config = tc;
     SocketOptions opts;
     opts.ack_timeout_s = 0.05;
-    std::unique_ptr<SocketSenderBase> sock;
-    if (spec.backend == "udp")
-        sock = std::make_unique<UdpBackend>(loop, "127.0.0.1", port,
-                                            opts, faults.get(), &trace);
-    else
-        sock = std::make_unique<TcpBackend>(loop, "127.0.0.1", port,
-                                            opts, &trace);
-    ASSERT_TRUE(sock->ok()) << sock->error();
+    UdpBackend sock(loop, "127.0.0.1", port, opts, faults.get(), &trace);
+    ASSERT_TRUE(sock.ok()) << sock.error();
 
     std::vector<TransportEvent> merged;
-    ReliableLink link(*sock, cfg, [&merged](const TransportEvent &ev) {
+    ReliableLink link(sock, cfg, [&merged](const TransportEvent &ev) {
         merged.push_back(ev);
     });
     std::size_t completed = 0;
@@ -210,7 +193,7 @@ runMultiProcess(const RunSpec &spec)
                               15.0))
         << "sender timed out; " << completed << "/" << spec.sends;
     EXPECT_EQ(delivered, spec.sends);
-    ASSERT_TRUE(sock->ok()) << sock->error();
+    ASSERT_TRUE(sock.ok()) << sock.error();
 
     int status = 0;
     ASSERT_EQ(::waitpid(child, &status, 0), child);
@@ -241,9 +224,7 @@ runMultiProcess(const RunSpec &spec)
 
 TEST(TransportSocket, UdpCleanTwoProcessRunCrossValidates)
 {
-    RunSpec spec;
-    spec.backend = "udp";
-    runMultiProcess(spec);
+    runMultiProcess(RunSpec{});
 }
 
 TEST(TransportSocket, UdpFaultyTwoProcessRunCrossValidates)
@@ -257,19 +238,9 @@ TEST(TransportSocket, UdpFaultyTwoProcessRunCrossValidates)
     plan.delay_p = 0.1;
     plan.delay_s = 0.002;
     RunSpec spec;
-    spec.backend = "udp";
     spec.sends = 4;
     spec.bytes = 60000;
     spec.faults = &plan;
-    runMultiProcess(spec);
-}
-
-TEST(TransportSocket, TcpCleanTwoProcessRunCrossValidates)
-{
-    RunSpec spec;
-    spec.backend = "tcp";
-    spec.sends = 3;
-    spec.bytes = 40000;
     runMultiProcess(spec);
 }
 

@@ -1,7 +1,7 @@
 /**
  * @file
  * A zero-length payload must round-trip as a valid one-chunk message
- * over every backend: the DES twin, UDP datagrams, and loopback TCP.
+ * over every backend: the DES twin and UDP datagrams.
  * Historically only the DES path was exercised (and zero bytes died on
  * an assert); delivery still means a header-only frame round-tripped
  * intact and was accepted exactly once.
@@ -76,7 +76,7 @@ TEST(TransportZeroLen, DesEmptyPayloadSpanDelivers)
 
 TEST(TransportZeroLen, UdpLoopbackDelivers)
 {
-    const LoopbackOutcome out = runLoopback(quickSpec("udp", 2, 0));
+    const LoopbackOutcome out = runLoopback(quickSpec(2, 0));
     ASSERT_TRUE(out.ok) << out.error;
     EXPECT_EQ(out.delivered, 2u);
     EXPECT_EQ(out.rx_delivered, 2u);
@@ -89,17 +89,9 @@ TEST(TransportZeroLen, UdpLoopbackDelivers)
               2u);
 }
 
-TEST(TransportZeroLen, TcpLoopbackDelivers)
-{
-    const LoopbackOutcome out = runLoopback(quickSpec("tcp", 2, 0));
-    ASSERT_TRUE(out.ok) << out.error;
-    EXPECT_EQ(out.delivered, 2u);
-    EXPECT_EQ(out.rx_delivered, 2u);
-}
-
 TEST(TransportZeroLen, UdpZeroLenRunCrossValidates)
 {
-    const LoopbackOutcome out = runLoopback(quickSpec("udp", 2, 0));
+    const LoopbackOutcome out = runLoopback(quickSpec(2, 0));
     ASSERT_TRUE(out.ok) << out.error;
     const CrossvalReport report =
         crossValidate(out.trace, out.merged_log);

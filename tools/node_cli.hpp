@@ -26,10 +26,9 @@ namespace tools {
 inline std::set<std::string>
 nodeConfigOptions()
 {
-    return {"backend", "dir",     "workers",  "iters", "staleness",
-            "seed",    "epoch",   "faults",   "timeout",
-            "hb",      "detect",  "codec",    "rate",
-            "listen-port", "bind-retry"};
+    return {"dir",   "workers", "iters",       "staleness", "seed",
+            "epoch", "faults",  "timeout",     "hb",        "detect",
+            "codec", "rate",    "listen-port", "bind-retry"};
 }
 
 /** Build the run config shared by every role of one run. */
@@ -37,7 +36,6 @@ inline core::NodeRunConfig
 configFromArgs(const Args &args)
 {
     core::NodeRunConfig cfg = core::chaosRunDefaults();
-    cfg.backend = args.get("backend", "udp");
     cfg.artifact_dir = args.get("dir", "");
     cfg.workers = args.getSize("workers", cfg.workers);
     cfg.workload_seed = args.getSize("seed", cfg.workload_seed);

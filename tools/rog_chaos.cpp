@@ -82,11 +82,11 @@ usage()
         "         --partition W:START:DUR[,..]  drop all of W's "
         "outbound datagrams\n"
         "                          during [START,START+DUR) of its "
-        "process clock (udp)\n"
+        "process clock\n"
         "         --check          run DES twin + invariant gate\n"
         "         --tolerance X    twin metric tolerance "
         "(default 15)\n"
-        "run:     --backend udp|tcp  --workers N  --iters N\n"
+        "run:     --workers N  --iters N\n"
         "         --staleness N  --seed S  --faults SPEC  "
         "--timeout SECS\n");
     return 2;
@@ -571,11 +571,6 @@ main(int argc, char **argv)
             return usage();
 
         core::NodeRunConfig cfg = tools::configFromArgs(args);
-        if (cfg.backend != "udp" && cfg.backend != "tcp") {
-            std::fprintf(stderr,
-                         "rog_chaos: --backend must be udp|tcp\n");
-            return 2;
-        }
         mkdir(cfg.artifact_dir.c_str(), 0755);
         const std::string error = core::nodeRunConfigError(cfg);
         if (!error.empty()) {
@@ -588,13 +583,6 @@ main(int argc, char **argv)
             parseIndexList(args.get("kill", "1,2"));
         const std::map<std::size_t, std::pair<double, double>>
             partitions = parsePartitions(args.get("partition", ""));
-        if (!partitions.empty() && cfg.backend != "udp") {
-            // Only the UDP fault injector drops datagrams, so a
-            // partition on any other backend could never fire.
-            std::fprintf(stderr,
-                         "rog_chaos: --partition needs --backend udp\n");
-            return 2;
-        }
         const std::int64_t kill_server_iter =
             static_cast<std::int64_t>(
                 args.getSize("kill-server-iter", 0));

@@ -4,7 +4,7 @@
  *
  * Subcommands:
  *
- *   rog_noded server --dir DIR [--backend udp|tcp] [--workers N] ...
+ *   rog_noded server --dir DIR [--workers N] ...
  *       Bind the parameter-server role, print "port <N>" once bound,
  *       run until every worker said Bye or --timeout passed. Exit 0
  *       iff the run completed. Artifacts (run log, transport event
@@ -23,10 +23,10 @@
  *       discrete-event fabric, fault-free, same seed and plan. Writes
  *       DIR/des_summary.txt for the chaos checker to compare against.
  *
- * Shared knobs (see tools/node_cli.hpp): --backend, --dir, --workers,
- * --iters, --staleness, --seed, --epoch, --codec, --faults SPEC,
- * --timeout, --hb, --detect, --rate. All roles of one run must be
- * launched with identical values; tools/rog_chaos does exactly that.
+ * Shared knobs (see tools/node_cli.hpp): --dir, --workers, --iters,
+ * --staleness, --seed, --epoch, --codec, --faults SPEC, --timeout,
+ * --hb, --detect, --rate. All roles of one run must be launched with
+ * identical values; tools/rog_chaos does exactly that.
  */
 #include <cstdio>
 #include <string>
@@ -46,7 +46,7 @@ usage()
         "       rog_noded worker --worker W --port P [--host H] "
         "--dir DIR [options]\n"
         "       rog_noded des --dir DIR [options]\n"
-        "options: --backend udp|tcp  --workers N  --iters N\n"
+        "options: --workers N  --iters N\n"
         "         --staleness N  --seed S  --epoch E  --codec NAME\n"
         "         --faults SPEC  --timeout SECS  --hb SECS\n"
         "         --detect SECS  --rate BPS\n"

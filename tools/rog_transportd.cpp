@@ -7,7 +7,7 @@
  *   recv      bind a receiver endpoint, ACK frames, record the event
  *             log and rx trace. Prints "port <N>" once bound so a
  *             driving script can start the sender.
- *   send      chain N sequential sends over UDP or TCP, recording the
+ *   send      chain N sequential sends over UDP, recording the
  *             event log and wire trace (config + sends + attempts).
  *   loopback  both endpoints in one process on one poll loop; writes
  *             the merged trace and event log, and (with --check)
@@ -16,13 +16,12 @@
  *             against the recorded event log (no sockets touched —
  *             safe for restricted CI).
  *
- * The default backend comes from ROG_TRANSPORT_BACKEND (des|udp|tcp,
- * default udp); --backend overrides. `des` is accepted in loopback
- * mode only and runs the simulated twin instead of sockets (useful to
- * eyeball both timelines side by side).
+ * `loopback --backend des` runs the simulated twin instead of sockets
+ * (useful to eyeball both timelines side by side); `udp`, the default,
+ * runs real sockets.
  *
  * Examples:
- *   rog_transportd recv --backend udp --port 0 --expect 4 \
+ *   rog_transportd recv --port 0 --expect 4 \
  *       --events rx.log --trace rx.trace
  *   rog_transportd send --host 127.0.0.1 --port 9000 --sends 4 \
  *       --bytes 40000 --faults "seed=7 drop=0.1 trunc=0.15" \
@@ -33,7 +32,6 @@
  *   rog_transportd crossval --trace run.trace --events run.log
  */
 #include <cmath>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -66,26 +64,15 @@ usage()
 {
     std::cerr <<
         "usage: rog_transportd <recv|send|loopback|crossval> [options]\n"
-        "  recv     --backend udp|tcp --port N (0=ephemeral)\n"
+        "  recv     --port N (0=ephemeral)\n"
         "           --expect N --timeout S --events F --trace F\n"
-        "  send     --backend udp|tcp --host H --port N --sends N\n"
+        "  send     --host H --port N --sends N\n"
         "           --bytes B --deadline S --faults SPEC --chunk B\n"
         "           --attempts N --ack-timeout S --no-resume\n"
         "           --timeout S --events F --trace F\n"
-        "  loopback same knobs as send (udp|tcp|des) plus --check\n"
+        "  loopback same knobs as send plus --backend des|udp, --check\n"
         "  crossval --trace F --events F\n";
     return 2;
-}
-
-std::string
-backendName(const Args &args)
-{
-    std::string name = args.get("backend", "");
-    if (name.empty()) {
-        const char *env = std::getenv("ROG_TRANSPORT_BACKEND");
-        name = env != nullptr ? env : "udp";
-    }
-    return name;
 }
 
 TransportConfig
@@ -103,11 +90,12 @@ transportConfig(const Args &args)
     return cfg;
 }
 
+/** The trace header of a socket run. */
 TraceConfig
-traceConfig(const std::string &backend, const TransportConfig &cfg)
+traceConfig(const TransportConfig &cfg)
 {
     TraceConfig tc;
-    tc.backend = backend;
+    tc.backend = "udp";
     tc.chunk_bytes = cfg.chunk_bytes;
     tc.max_attempts = cfg.max_attempts_per_chunk;
     tc.backoff_base_s = cfg.backoff_base_s;
@@ -226,42 +214,28 @@ sendDriver(ReliableLink &link, TransportTrace *trace,
 int
 runRecv(const Args &args)
 {
-    const std::string backend = backendName(args);
     const auto port =
         static_cast<std::uint16_t>(args.getSize("port", 0));
     const std::size_t expect = args.getSize("expect", 1);
     const double timeout = args.getDouble("timeout", 30.0);
 
     PollLoop loop;
-    std::unique_ptr<ReceiverEndpointBase> ep;
-    std::uint16_t bound = 0;
-    if (backend == "udp") {
-        auto udp = std::make_unique<UdpReceiverEndpoint>(loop, port);
-        bound = udp->port();
-        ep = std::move(udp);
-    } else if (backend == "tcp") {
-        auto tcp = std::make_unique<TcpReceiverEndpoint>(loop, port);
-        bound = tcp->port();
-        ep = std::move(tcp);
-    } else {
-        std::cerr << "recv: unsupported backend " << backend << "\n";
-        return 2;
-    }
-    if (!ep->ok()) {
-        std::cerr << "recv: " << ep->error() << "\n";
+    UdpReceiverEndpoint ep(loop, port);
+    if (!ep.ok()) {
+        std::cerr << "recv: " << ep.error() << "\n";
         return 1;
     }
     TransportTrace trace;
-    trace.config.backend = backend;
+    trace.config.backend = "udp";
     std::vector<TransportEvent> events;
-    ep->setTrace(&trace);
-    ep->setEventSink(
+    ep.setTrace(&trace);
+    ep.setEventSink(
         [&events](const TransportEvent &ev) { events.push_back(ev); });
-    std::cout << "port " << bound << "\n" << std::flush;
+    std::cout << "port " << ep.port() << "\n" << std::flush;
 
     const bool got = loop.runUntil(
-        [&] { return ep->deliveredMessages() >= expect; }, timeout);
-    // Linger: the last ACK (and any TCP flush) must still go out.
+        [&] { return ep.deliveredMessages() >= expect; }, timeout);
+    // Linger: the last ACK must still go out.
     loop.runUntil([] { return false; }, 0.2);
 
     if (!writeFile(args.get("events"), eventsText(events)) ||
@@ -269,14 +243,13 @@ runRecv(const Args &args)
         std::cerr << "recv: cannot write output files\n";
         return 1;
     }
-    std::cout << "delivered " << ep->deliveredMessages() << "\n";
+    std::cout << "delivered " << ep.deliveredMessages() << "\n";
     return got ? 0 : 1;
 }
 
 int
 runSend(const Args &args)
 {
-    const std::string backend = backendName(args);
     const std::string host = args.get("host", "127.0.0.1");
     const auto port =
         static_cast<std::uint16_t>(args.getSize("port", 0));
@@ -288,7 +261,7 @@ runSend(const Args &args)
 
     const TransportConfig cfg = transportConfig(args);
     TransportTrace trace;
-    trace.config = traceConfig(backend, cfg);
+    trace.config = traceConfig(cfg);
 
     std::unique_ptr<SocketFaultInjector> faults;
     if (args.has("faults")) {
@@ -305,37 +278,22 @@ runSend(const Args &args)
     PollLoop loop;
     SocketOptions opts;
     opts.ack_timeout_s = args.getDouble("ack-timeout", opts.ack_timeout_s);
-    std::unique_ptr<SocketSenderBase> sock;
-    if (backend == "udp") {
-        sock = std::make_unique<UdpBackend>(loop, host, port, opts,
-                                            faults.get(), &trace);
-    } else if (backend == "tcp") {
-        if (faults) {
-            std::cerr << "send: --faults is UDP-only (TCP repairs the "
-                         "wire itself)\n";
-            return 2;
-        }
-        sock = std::make_unique<TcpBackend>(loop, host, port, opts,
-                                            &trace);
-    } else {
-        std::cerr << "send: unsupported backend " << backend << "\n";
-        return 2;
-    }
-    if (!sock->ok()) {
-        std::cerr << "send: " << sock->error() << "\n";
+    UdpBackend sock(loop, host, port, opts, faults.get(), &trace);
+    if (!sock.ok()) {
+        std::cerr << "send: " << sock.error() << "\n";
         return 1;
     }
 
     std::vector<TransportEvent> events;
-    ReliableLink link(*sock, cfg, [&events](const TransportEvent &ev) {
+    ReliableLink link(sock, cfg, [&events](const TransportEvent &ev) {
         events.push_back(ev);
     });
     SendDriver driver = sendDriver(link, &trace, cfg, args);
     driver.issue(0);
     const bool done =
         loop.runUntil([&] { return driver.done(); }, timeout);
-    if (!sock->ok()) {
-        std::cerr << "send: " << sock->error() << "\n";
+    if (!sock.ok()) {
+        std::cerr << "send: " << sock.error() << "\n";
         return 1;
     }
 
@@ -379,14 +337,18 @@ runLoopbackDes(const Args &args)
 int
 runLoopback(const Args &args)
 {
-    const std::string backend = backendName(args);
+    const std::string backend = args.get("backend", "udp");
     if (backend == "des")
         return runLoopbackDes(args);
+    if (backend != "udp") {
+        std::cerr << "loopback: --backend must be des|udp\n";
+        return 2;
+    }
     const double timeout = args.getDouble("timeout", 30.0);
 
     const TransportConfig cfg = transportConfig(args);
     TransportTrace trace;
-    trace.config = traceConfig(backend, cfg);
+    trace.config = traceConfig(cfg);
 
     std::unique_ptr<SocketFaultInjector> faults;
     if (args.has("faults")) {
@@ -405,49 +367,27 @@ runLoopback(const Args &args)
     SocketOptions opts;
     opts.ack_timeout_s = args.getDouble("ack-timeout", opts.ack_timeout_s);
 
-    std::unique_ptr<ReceiverEndpointBase> ep;
-    std::unique_ptr<SocketSenderBase> sock;
-    if (backend == "udp") {
-        auto rx = std::make_unique<UdpReceiverEndpoint>(loop, 0);
-        if (!rx->ok()) {
-            std::cerr << "loopback: " << rx->error() << "\n";
-            return 1;
-        }
-        sock = std::make_unique<UdpBackend>(loop, "127.0.0.1",
-                                            rx->port(), opts,
-                                            faults.get(), &trace);
-        ep = std::move(rx);
-    } else if (backend == "tcp") {
-        if (faults) {
-            std::cerr << "loopback: --faults is UDP-only\n";
-            return 2;
-        }
-        auto rx = std::make_unique<TcpReceiverEndpoint>(loop, 0);
-        if (!rx->ok()) {
-            std::cerr << "loopback: " << rx->error() << "\n";
-            return 1;
-        }
-        sock = std::make_unique<TcpBackend>(loop, "127.0.0.1",
-                                            rx->port(), opts, &trace);
-        ep = std::move(rx);
-    } else {
-        std::cerr << "loopback: unsupported backend " << backend << "\n";
-        return 2;
+    UdpReceiverEndpoint ep(loop, 0);
+    if (!ep.ok()) {
+        std::cerr << "loopback: " << ep.error() << "\n";
+        return 1;
     }
-    if (!sock->ok()) {
-        std::cerr << "loopback: " << sock->error() << "\n";
+    UdpBackend sock(loop, "127.0.0.1", ep.port(), opts, faults.get(),
+                    &trace);
+    if (!sock.ok()) {
+        std::cerr << "loopback: " << sock.error() << "\n";
         return 1;
     }
     std::vector<TransportEvent> rx_events;
-    ep->setTrace(&trace);
-    ep->setEventSink([&rx_events](const TransportEvent &ev) {
+    ep.setTrace(&trace);
+    ep.setEventSink([&rx_events](const TransportEvent &ev) {
         rx_events.push_back(ev);
     });
 
     // Sender events first, then the receiver's: crossValidate compares
     // each side on its own.
     std::vector<TransportEvent> merged;
-    ReliableLink link(*sock, cfg, [&merged](const TransportEvent &ev) {
+    ReliableLink link(sock, cfg, [&merged](const TransportEvent &ev) {
         merged.push_back(ev);
     });
     SendDriver driver = sendDriver(link, &trace, cfg, args);
@@ -459,10 +399,9 @@ runLoopback(const Args &args)
                   << "/" << driver.total << " sends completed\n";
         return 1;
     }
-    if (!sock->ok() || !ep->ok()) {
+    if (!sock.ok() || !ep.ok()) {
         std::cerr << "loopback: "
-                  << (!sock->ok() ? sock->error() : ep->error())
-                  << "\n";
+                  << (!sock.ok() ? sock.error() : ep.error()) << "\n";
         return 1;
     }
 
@@ -540,6 +479,8 @@ main(int argc, char **argv)
         if (args.positional().size() != 1)
             return usage();
         const std::string &mode = args.positional()[0];
+        if (args.has("backend") && mode != "loopback")
+            return usage();
         if (mode == "recv")
             return runRecv(args);
         if (mode == "send")
