@@ -15,8 +15,8 @@ Args::Args(int argc, const char *const *argv,
         std::string arg = argv[i];
         if (arg.rfind("--", 0) != 0) {
             if (options_started)
-                ROG_FATAL("positional argument '", arg,
-                          "' after options");
+                ROG_USAGE_ERROR("positional argument '", arg,
+                                "' after options");
             positional_.push_back(arg);
             continue;
         }
@@ -31,7 +31,7 @@ Args::Args(int argc, const char *const *argv,
             have_value = true;
         }
         if (!known.count(arg))
-            ROG_FATAL("unknown option --", arg);
+            ROG_USAGE_ERROR("unknown option --", arg);
         if (!have_value && i + 1 < argc &&
             std::string(argv[i + 1]).rfind("--", 0) != 0) {
             value = argv[++i];
@@ -61,7 +61,8 @@ Args::getDouble(const std::string &name, double fallback) const
     const std::string v = get(name);
     double parsed = 0.0;
     if (!parseNumber(v, parsed))
-        ROG_FATAL("option --", name, " expects a number, got '", v, "'");
+        ROG_USAGE_ERROR("option --", name, " expects a number, got '", v,
+                        "'");
     return parsed;
 }
 
@@ -71,7 +72,8 @@ Args::getSize(const std::string &name, std::size_t fallback) const
     const double v =
         getDouble(name, static_cast<double>(fallback));
     if (v < 0.0 || std::isinf(v))
-        ROG_FATAL("option --", name, " must be non-negative and finite");
+        ROG_USAGE_ERROR("option --", name,
+                        " must be non-negative and finite");
     return static_cast<std::size_t>(v);
 }
 

@@ -24,7 +24,7 @@ class Args
      * Parse argv.
      *
      * @param known the accepted option names (without "--").
-     * @throws std::runtime_error (via ROG_FATAL) on unknown options or
+     * @throws UsageError (via ROG_USAGE_ERROR) on unknown options or
      *         a missing value for a non-terminal option.
      */
     Args(int argc, const char *const *argv,

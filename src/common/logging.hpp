@@ -11,6 +11,7 @@
 #define ROG_COMMON_LOGGING_HPP
 
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 
@@ -54,6 +55,21 @@ concat(Args &&...args)
 #define ROG_FATAL(...) \
     ::rog::detail::fatalImpl(__FILE__, __LINE__, \
                              ::rog::detail::concat(__VA_ARGS__))
+
+/** A command-line usage error, thrown by ROG_USAGE_ERROR. Its what()
+ *  is "fatal: <message>" with no source location: the mistake is in
+ *  the command line, not at a line of the program, so a tool prints
+ *  it as it is. */
+class UsageError : public std::runtime_error
+{
+  public:
+    using std::runtime_error::runtime_error;
+};
+
+/** Throw a UsageError: the command line asked for something
+ *  impossible. */
+#define ROG_USAGE_ERROR(...) \
+    throw ::rog::UsageError(::rog::detail::concat("fatal: ", __VA_ARGS__))
 
 /** Panic unless a library invariant holds. */
 #define ROG_ASSERT(cond, ...) \

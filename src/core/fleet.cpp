@@ -43,6 +43,7 @@
 
 #include "common/buffer_pool.hpp"
 #include "common/crc32c.hpp"
+#include "common/logging.hpp"
 #include "core/fair_share_channel.hpp"
 #include "core/mta.hpp"
 #include "core/server_checkpoint.hpp"
@@ -65,8 +66,11 @@ splitmix64(std::uint64_t x)
 }
 
 /** Deterministic hash of up to four indices, chained through
- *  splitmix64 so every coordinate perturbs every output bit. */
-std::uint64_t
+ *  splitmix64 so every coordinate perturbs every output bit. Declared
+ *  inline: the gradient loop calls it once per element, and inlined
+ *  there the compiler hoists the four steps that depend only on the
+ *  row; called out of line it cost fleet_1024 about a quarter. */
+inline std::uint64_t
 hashMix(std::uint64_t seed, std::uint64_t a, std::uint64_t b = 0,
         std::uint64_t c = 0, std::uint64_t d = 0)
 {
@@ -110,11 +114,18 @@ class FleetEngine
         std::vector<std::size_t> widths(cfg.rows, cfg.row_width);
         server_ = std::make_unique<ShardedServer>(cfg.workers, widths,
                                                   shards_);
+        // Lane ops address their shard directly with the local unit
+        // row - first_row, so each shard must own one contiguous run
+        // of rows, in row order.
         lanes_.resize(shards_);
         for (std::size_t row = 0; row < cfg.rows; ++row) {
             Lane &lane = lanes_[server_->shardOf(row)];
             if (lane.end_row == 0)
                 lane.first_row = row;
+            ROG_ASSERT(lane.end_row == 0 || lane.end_row == row,
+                       "fleet shard rows must be contiguous");
+            ROG_ASSERT(server_->localOf(row) == row - lane.first_row,
+                       "fleet shard units must follow row order");
             lane.end_row = row + 1;
         }
         mta_bytes_ = mtaFraction(cfg_.staleness_threshold) *
@@ -251,14 +262,37 @@ class FleetEngine
                            static_cast<std::uint64_t>(n), row, j)));
     }
 
-    /** Global row pushed as the @p i-th element of iteration @p n's
-     *  rotation window. */
+    /** First row of iteration @p n's rotation window. */
     std::size_t
-    rotationRow(std::int64_t n, std::size_t i) const
+    windowStart(std::int64_t n) const
     {
-        const std::size_t start =
-            (static_cast<std::size_t>(n - 1) * push_rows_) % cfg_.rows;
-        return (start + i) % cfg_.rows;
+        return (static_cast<std::size_t>(n - 1) * push_rows_) % cfg_.rows;
+    }
+
+    /**
+     * Call fn(row, i) for every row of the rotation window from
+     * @p start that lies in [lo, hi), in window order; i is the row's
+     * place in the window (its slot in the push buffer). The window's
+     * k = push_rows_ rows are at most two contiguous segments:
+     * [start, min(start + k, rows)), then [0, start + k - rows). Window
+     * order matters to the lane logs: with one shard the window can
+     * wrap inside a lane.
+     */
+    template <typename Fn>
+    void
+    forWindowRows(std::size_t start, std::size_t lo, std::size_t hi,
+                  Fn &&fn) const
+    {
+        const std::size_t rows = cfg_.rows;
+        const std::size_t end = start + push_rows_;
+        const std::size_t first_end = end < rows ? end : rows;
+        for (std::size_t row = std::max(start, lo);
+             row < std::min(first_end, hi); ++row)
+            fn(row, row - start);
+        if (end <= rows)
+            return;
+        for (std::size_t row = lo; row < std::min(end - rows, hi); ++row)
+            fn(row, first_end - start + row);
     }
 
     float *
@@ -475,14 +509,15 @@ class FleetEngine
         const std::size_t width = cfg_.row_width;
         fw.push_buf =
             BufferPool::global().leaseFloats(push_rows_ * width);
-        for (std::size_t i = 0; i < push_rows_; ++i) {
-            const std::size_t row = rotationRow(n, i);
-            const float *x = replicaRow(w, row);
-            const float *t = target_.data() + row * width;
-            float *g = fw.push_buf.data() + i * width;
-            for (std::size_t j = 0; j < width; ++j)
-                g[j] = (x[j] - t[j]) + gradientNoise(w, n, row, j);
-        }
+        forWindowRows(windowStart(n), 0, cfg_.rows,
+                      [&](std::size_t row, std::size_t i) {
+                          const float *x = replicaRow(w, row);
+                          const float *t = target_.data() + row * width;
+                          float *g = fw.push_buf.data() + i * width;
+                          for (std::size_t j = 0; j < width; ++j)
+                              g[j] = (x[j] - t[j]) +
+                                     gradientNoise(w, n, row, j);
+                      });
 
         fw.push_start = coord_.now();
         channelStart(w, /*is_pull=*/false, push_bytes_);
@@ -503,12 +538,13 @@ class FleetEngine
         fw.push_elapsed = coord_.now() - fw.push_start;
 
         // Apply ops: one per shard that owns a pushed row. The op
-        // routes through the ShardedServer facade, which touches only
-        // shard s's state for units it owns — lane-disjoint.
+        // touches only shard s's state and the push buffer —
+        // lane-disjoint.
+        const std::size_t start = windowStart(n);
         for (std::size_t s = 0; s < shards_; ++s) {
             bool owns = false;
-            for (std::size_t i = 0; i < push_rows_ && !owns; ++i)
-                owns = server_->shardOf(rotationRow(n, i)) == s;
+            forWindowRows(start, lanes_[s].first_row, lanes_[s].end_row,
+                          [&](std::size_t, std::size_t) { owns = true; });
             if (owns)
                 enqueueShard(s, kTagApply, w);
             enqueueShard(s, kTagReport, w);
@@ -522,8 +558,9 @@ class FleetEngine
         // enqueued after w's last deliver ops, i.e.
         // row_push_seq_[row] > fw.deliver_seq. This push counts too.
         ++push_seq_;
-        for (std::size_t i = 0; i < push_rows_; ++i)
-            row_push_seq_[rotationRow(n, i)] = push_seq_;
+        forWindowRows(start, 0, cfg_.rows, [&](std::size_t row, std::size_t) {
+            row_push_seq_[row] = push_seq_;
+        });
         std::size_t pending_rows = 0;
         for (std::uint64_t seq : row_push_seq_)
             pending_rows += seq > fw.deliver_seq ? 1 : 0;
@@ -543,16 +580,17 @@ class FleetEngine
         const std::int64_t n = last_pushed_[w];
         const std::size_t width = cfg_.row_width;
         const float *buf = workers_[w].push_buf.data();
-        for (std::size_t i = 0; i < push_rows_; ++i) {
-            const std::size_t row = rotationRow(n, i);
-            if (server_->shardOf(row) != s)
-                continue;
-            server_->accumulate(
-                row, std::span<const float>(buf + i * width, width));
-            server_->updateVersion(w, row, n);
-            server_->noteUpdate(row, n);
-            logLane(s, kTagApply, w, n, row);
-        }
+        const Lane &lane = lanes_[s];
+        ServerShard &shard = server_->shard(s);
+        forWindowRows(windowStart(n), lane.first_row, lane.end_row,
+                      [&](std::size_t row, std::size_t i) {
+                          const std::size_t unit = row - lane.first_row;
+                          shard.accumulate(unit, std::span<const float>(
+                                                     buf + i * width, width));
+                          shard.updateVersion(w, unit, n);
+                          shard.noteUpdate(unit, n);
+                          logLane(s, kTagApply, w, n, row);
+                      });
     }
 
     void
@@ -592,12 +630,14 @@ class FleetEngine
     {
         const std::size_t width = cfg_.row_width;
         Lane &lane = lanes_[s];
+        ServerShard &shard = server_->shard(s);
         std::vector<float> &p = lane.row;
         p.resize(width);
         for (std::size_t row = lane.first_row; row < lane.end_row; ++row) {
-            if (!server_->hasPending(w, row))
+            const std::size_t unit = row - lane.first_row;
+            if (!shard.hasPending(w, unit))
                 continue;
-            server_->takePending(w, row, p);
+            shard.takePending(w, unit, p);
             float *x = replicaRow(w, row);
             for (std::size_t j = 0; j < width; ++j)
                 x[j] -= cfg_.learning_rate * p[j];

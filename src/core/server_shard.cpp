@@ -123,14 +123,6 @@ ServerShard::pending(std::size_t worker, std::size_t unit) const
     return row;
 }
 
-bool
-ServerShard::hasPending(std::size_t worker, std::size_t unit) const
-{
-    ROG_ASSERT(worker < workers_ && unit < unit_widths_.size(),
-               "pending index out of range");
-    return taken_[cell(worker, unit)] != pushes_[unit];
-}
-
 void
 ServerShard::clearPending(std::size_t worker, std::size_t unit)
 {

@@ -206,7 +206,12 @@ class ServerShard
     /** @p worker's copy of @p unit, exact, in fixed-point units. */
     std::vector<std::int64_t> pending(std::size_t worker,
                                       std::size_t unit) const;
-    bool hasPending(std::size_t worker, std::size_t unit) const;
+    bool hasPending(std::size_t worker, std::size_t unit) const
+    {
+        ROG_ASSERT(worker < workers_ && unit < unit_widths_.size(),
+                   "pending index out of range");
+        return taken_[cell(worker, unit)] != pushes_[unit];
+    }
     void clearPending(std::size_t worker, std::size_t unit);
     void clearWorker(std::size_t worker);
     /** Mean |pending| of the copy: the integer sum of |units|, scaled
@@ -308,6 +313,11 @@ class ShardedServer
     std::size_t shardOf(std::size_t unit) const
     {
         return unit_shard_[unit];
+    }
+    /** @p unit's index within shard(shardOf(unit)). */
+    std::size_t localOf(std::size_t unit) const
+    {
+        return unit_local_[unit];
     }
     ServerShard &shard(std::size_t s) { return shards_[s]; }
     const ServerShard &shard(std::size_t s) const { return shards_[s]; }

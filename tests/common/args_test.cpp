@@ -7,6 +7,7 @@
 #include <cmath>
 
 #include "common/args.hpp"
+#include "common/logging.hpp"
 
 namespace rog {
 namespace {
@@ -48,6 +49,23 @@ TEST(ArgsTest, NumericAccessors)
 TEST(ArgsTest, UnknownOptionThrows)
 {
     EXPECT_THROW(parse({"--gamma", "1"}), std::runtime_error);
+}
+
+TEST(ArgsTest, UsageErrorsCarryNoSourceLocation)
+{
+    try {
+        parse({"--gamma", "1"});
+        FAIL() << "unknown option accepted";
+    } catch (const UsageError &e) {
+        EXPECT_STREQ(e.what(), "fatal: unknown option --gamma");
+    }
+    try {
+        parse({"--alpha", "xyz"}).getSize("alpha", 0);
+        FAIL() << "non-numeric value accepted";
+    } catch (const UsageError &e) {
+        EXPECT_STREQ(e.what(),
+                     "fatal: option --alpha expects a number, got 'xyz'");
+    }
 }
 
 TEST(ArgsTest, NonNumericValueThrows)

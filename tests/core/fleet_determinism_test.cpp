@@ -234,6 +234,26 @@ TEST(FleetDeterminismTest, PinnedFingerprintRaggedCheckpoints)
     }
 }
 
+/** One shard, and 29 rows that the 10-row ATP window does not divide:
+ *  the window wraps inside the one lane (iteration 3 pushes rows
+ *  20..28 then row 0), and the lane's log must keep window order. */
+TEST(FleetDeterminismTest, PinnedFingerprintWindowWrapsInOneLane)
+{
+    FleetConfig cfg = fleetConfig64();
+    cfg.workers = 37;
+    cfg.rows = 29;
+    cfg.row_width = 5;
+    cfg.shards = 1;
+    cfg.iterations = 9;
+    cfg.seed = 7;
+
+    parallel::ThreadPool pool(2);
+    const FleetResult r = runFleetSimulation(cfg, pool);
+    EXPECT_EQ(r.shards, 1u);
+    expectFingerprint(
+        r, {0x72abd6e5u, 13245u, 0.55349920965238708, 247996.0});
+}
+
 /** The benchmark's fleet shape: 1024 workers, 64 rows of 8, 8
  *  shards. */
 TEST(FleetDeterminismTest, PinnedFingerprintFleet1024)

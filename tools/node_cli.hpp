@@ -66,7 +66,7 @@ configFromArgs(const Args &args)
         const net::transport::SocketFaultParseResult parsed =
             net::transport::SocketFaultPlan::tryParse(faults);
         if (!parsed.ok())
-            ROG_FATAL("bad --faults: ", parsed.error);
+            ROG_USAGE_ERROR("bad --faults: ", parsed.error);
         cfg.fault_plan = parsed.plan;
     }
     return cfg;

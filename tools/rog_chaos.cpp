@@ -460,7 +460,7 @@ parseIndexList(const std::string &s)
     for (const std::string &part : splitCommaList(s)) {
         std::uint64_t w = 0;
         if (!parseNumber(part, w))
-            ROG_FATAL("bad --kill worker '", part, "'");
+            ROG_USAGE_ERROR("bad --kill worker '", part, "'");
         v.push_back(static_cast<std::size_t>(w));
     }
     return v;
@@ -496,7 +496,7 @@ cleanRunDir(const core::NodeRunConfig &cfg)
 
 /**
  * One "W:X[:Y...]" entry of --partition or --stall: a worker index and
- * @p n numbers, each strict; ROG_FATAL naming @p want otherwise.
+ * @p n numbers, each strict; ROG_USAGE_ERROR naming @p want otherwise.
  */
 std::pair<std::size_t, std::vector<double>>
 parseWorkerEntry(const std::string &entry, std::size_t n,
@@ -514,8 +514,8 @@ parseWorkerEntry(const std::string &entry, std::size_t n,
     for (std::size_t i = 0; ok && i < n; ++i)
         ok = parseNumber(parts[i + 1], nums[i]);
     if (!ok)
-        ROG_FATAL("bad --", option, " entry '", entry, "' (want ", want,
-                  ")");
+        ROG_USAGE_ERROR("bad --", option, " entry '", entry, "' (want ",
+                        want, ")");
     return {static_cast<std::size_t>(w), nums};
 }
 
@@ -529,8 +529,8 @@ parsePartitions(const std::string &s)
         const auto [w, v] =
             parseWorkerEntry(part, 2, "partition", "W:START:DUR");
         if (v[0] < 0.0 || v[1] <= 0.0)
-            ROG_FATAL("bad --partition entry '", part,
-                      "' (want START >= 0 and DUR > 0)");
+            ROG_USAGE_ERROR("bad --partition entry '", part,
+                            "' (want START >= 0 and DUR > 0)");
         m[w] = {v[0], v[1]};
     }
     return m;

@@ -67,8 +67,8 @@ parseSystem(const std::string &name)
         return core::SystemConfig::ssp(static_cast<std::size_t>(t));
     if (name.rfind("rog", 0) == 0 && parseNumber(name.substr(3), t))
         return core::SystemConfig::rog(static_cast<std::size_t>(t));
-    ROG_FATAL("unknown system '", name,
-              "' (expected bsp, ssp<t>, flown, or rog<t>)");
+    ROG_USAGE_ERROR("unknown system '", name,
+                    "' (expected bsp, ssp<t>, flown, or rog<t>)");
 }
 
 stats::Environment
@@ -80,7 +80,7 @@ parseEnv(const std::string &name)
         return stats::Environment::Outdoor;
     if (name == "stable")
         return stats::Environment::Stable;
-    ROG_FATAL("unknown environment '", name, "'");
+    ROG_USAGE_ERROR("unknown environment '", name, "'");
 }
 
 int
@@ -102,7 +102,7 @@ cmdRun(const Args &args)
          splitCommaList(args.get("systems", "bsp,rog4")))
         systems.push_back(parseSystem(name));
     if (systems.empty())
-        ROG_FATAL("no systems given");
+        ROG_USAGE_ERROR("no systems given");
 
     std::unique_ptr<core::Workload> workload;
     bool lower_better = false;
@@ -119,7 +119,7 @@ cmdRun(const Args &args)
         lower_better = true;
         target = 0.15;
     } else {
-        ROG_FATAL("unknown workload '", workload_name, "'");
+        ROG_USAGE_ERROR("unknown workload '", workload_name, "'");
     }
 
     std::vector<stats::SystemRun> runs;
