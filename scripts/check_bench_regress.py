@@ -11,7 +11,10 @@ bytes_per_s present only when measured) or the pre-PR-7 one (always
 ns_per_op, and records without it are skipped with a note. Records are
 matched on (op, size, threads); a fresh record slower than baseline by
 more than the threshold fraction is a regression and the script exits
-1 after listing every offender. Records present in only one file are
+1 after listing every offender. Records whose baseline is under the
+--min-ns floor are not compared; each is listed by (op, size, threads),
+and an op whose every shared record is under the floor gets a note
+that it is ungated. Records present in only one file are
 reported but never fatal, so adding or retiring benchmarks does not
 break the gate — only making an existing kernel slower does.
 """
@@ -59,11 +62,13 @@ def main():
 
     regressions = []
     improvements = 0
-    skipped = 0
+    skipped = []
+    gated_ops = set()
     for key in sorted(set(base) & set(fresh)):
         if base[key] < args.min_ns:
-            skipped += 1
+            skipped.append(key)
             continue
+        gated_ops.add(key[0])
         ratio = fresh[key] / base[key]
         op, size, threads = key
         name = f"{op}/{size} (threads={threads})"
@@ -80,8 +85,14 @@ def main():
 
     print(f"compared {compared} benchmarks "
           f"(threshold {args.threshold:.0%}, floor {args.min_ns:.0f} ns"
-          f", {skipped} below it); "
+          f", {len(skipped)} below it); "
           f"{improvements} faster, {len(regressions)} regressed")
+    for op, size, threads in skipped:
+        print(f"  skip: {op}/{size} (threads={threads}): baseline "
+              f"{base[(op, size, threads)]:.1f} ns is under the floor")
+    for op in sorted({key[0] for key in skipped} - gated_ops):
+        print(f"  note: {op}: every record is under the "
+              f"{args.min_ns:.0f} ns floor, so none of it is gated")
     for key in only_base:
         print(f"  note: {key[0]}/{key[1]} only in baseline")
     for key in only_fresh:

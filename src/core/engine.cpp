@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <sstream>
 
-#include "common/buffer_pool.hpp"
 #include "common/logging.hpp"
 #include "common/rng.hpp"
 #include "compress/codec.hpp"
@@ -181,7 +181,8 @@ class Engine
     // Contiguous worker arena: reserved once, never reallocated, so
     // the WorkerContext& held by suspended coroutines stay valid.
     std::vector<WorkerContext> workers_;
-    std::unique_ptr<ShardedServer> server_;
+    // Built once the partition exists, then never replaced.
+    std::optional<ServerShard> server_;
     std::unique_ptr<FlownScheduler> flown_;
     std::unique_ptr<AutoThresholdController> auto_ctrl_;
     std::vector<double> unit_bytes_;  //!< wire bytes per unit.
@@ -192,7 +193,7 @@ class Engine
     std::unique_ptr<sim::Condition> version_cond_;
     std::unique_ptr<fault::FaultInjector> injector_;
     std::vector<std::int64_t> pending_server_crashes_; //!< ascending.
-    std::vector<ServerCheckpoint> genesis_; //!< pre-run, per shard.
+    ServerCheckpoint genesis_; //!< pre-run server state.
     std::int64_t last_checkpoint_iter_ = -1; //!< -1 = none on disk.
     std::unique_ptr<net::Channel> channel_;
 };
@@ -275,9 +276,7 @@ Engine::Engine(Workload &workload, const EngineConfig &cfg,
         w.push_iter.assign(units, 0);
     }
 
-    server_ = std::make_unique<ShardedServer>(num_workers, *partition_,
-                                              cfg.server_shards);
-    result_.server_shards = server_->shardCount();
+    server_.emplace(num_workers, *partition_);
     if (cfg.system.flown_dynamic) {
         flown_ = std::make_unique<FlownScheduler>(num_workers,
                                                   cfg.system.flown);
@@ -309,14 +308,7 @@ Engine::Engine(Workload &workload, const EngineConfig &cfg,
     }
     if (!pending_server_crashes_.empty()) {
         // A crash before the first checkpoint recovers to this.
-        genesis_.resize(server_->shardCount());
-        for (std::size_t s = 0; s < server_->shardCount(); ++s) {
-            genesis_[s].iteration = 0;
-            genesis_[s].msg_seq = 0;
-            genesis_[s].versions = server_->shard(s).versionSnapshot();
-            genesis_[s].server = server_->shard(s).serverSnapshot();
-            genesis_[s].tracker = server_->shard(s).trackerSnapshot();
-        }
+        genesis_ = shardCheckpoint(*server_, 0);
     }
 
     // Fault injection: bake the plan's link blackouts / bandwidth
@@ -1036,7 +1028,8 @@ Engine::maybeCheckpointServer(std::int64_t iter)
     if (iter % static_cast<std::int64_t>(every) != 0 ||
         iter <= last_checkpoint_iter_)
         return;
-    writeShardCheckpoints(cfg_.checkpoint_path, *server_, iter);
+    writeServerCheckpointFile(cfg_.checkpoint_path,
+                              shardCheckpoint(*server_, iter));
     last_checkpoint_iter_ = iter;
     ++result_.checkpoints_written;
 }
@@ -1046,7 +1039,7 @@ Engine::serverCrashRecover(std::int64_t crash_iter)
 {
     // Ground truth the checkpoint cannot know: which workers are
     // retired *now* (evictions, departures, rejoins since the write),
-    // and the row floor their peers saw — captured before any shard
+    // and the row floor their peers saw — captured before the server
     // restores.
     const std::size_t nw = workers_.size();
     std::vector<std::uint8_t> live_retired(nw, 0);
@@ -1057,18 +1050,12 @@ Engine::serverCrashRecover(std::int64_t crash_iter)
             0, server_->maxVersionOfWorker(i));
     }
 
-    std::int64_t ckpt_iter = 0;
-    for (std::size_t s = 0; s < server_->shardCount(); ++s) {
-        ServerCheckpoint ckpt;
-        if (last_checkpoint_iter_ >= 0)
-            ckpt = readServerCheckpointFile(
-                shardCheckpointPath(cfg_.checkpoint_path, s));
-        else
-            ckpt = genesis_[s];
-        server_->shard(s).restore(ckpt.versions, ckpt.server,
-                                  ckpt.tracker);
-        ckpt_iter = ckpt.iteration; // identical across shards.
-    }
+    const ServerCheckpoint ckpt =
+        last_checkpoint_iter_ >= 0
+            ? readServerCheckpointFile(cfg_.checkpoint_path)
+            : genesis_;
+    server_->restore(ckpt.versions, ckpt.server, ckpt.tracker);
+    const std::int64_t ckpt_iter = ckpt.iteration;
 
     ServerRecoveryRecord rr;
     rr.crash_iter = crash_iter;
@@ -1097,11 +1084,6 @@ Engine::serverCrashRecover(std::int64_t crash_iter)
 RunResult
 Engine::run()
 {
-    // Wire-path pool occupancy is reported as a delta over the run:
-    // the pool is process-global, so absolute counters would mix in
-    // whatever earlier runs (or tests) leased.
-    const BufferPool::Stats pool_start = BufferPool::global().stats();
-
     // Iteration-0 checkpoint: the shared starting model.
     {
         const double metric0 = workload_.evaluate(*workers_[0].model);
@@ -1135,19 +1117,6 @@ Engine::run()
             nn::saveModel(os, *w.model);
         result_.final_model_bytes = os.str();
     }
-
-    const BufferPool::Stats pool_end = BufferPool::global().stats();
-    result_.pool_leases = pool_end.leases - pool_start.leases;
-    result_.pool_reuses = pool_end.reuses - pool_start.reuses;
-    result_.pool_allocations =
-        pool_end.allocations - pool_start.allocations;
-    result_.pool_hit_rate =
-        result_.pool_leases == 0
-            ? 0.0
-            : static_cast<double>(result_.pool_reuses) /
-                  static_cast<double>(result_.pool_leases);
-    result_.pool_peak_outstanding = pool_end.peak_outstanding;
-    result_.pool_resident_bytes = pool_end.resident_bytes;
     return result_;
 }
 

@@ -10,7 +10,7 @@
  * pass the RSP staleness gate, pull averaged gradients, and apply
  * them. The server's per-worker handler of Algo 2 runs inline in the
  * worker's process — the simulation shares one address space, so the
- * server is its state (a ShardedServer), not a thread.
+ * server is its state (one ServerShard), not a thread.
  *
  * Transfers are bulk flows on the channel; framing, retries and
  * heartbeat failure detection live in the node roles
@@ -64,26 +64,13 @@ struct EngineConfig
      * Crash-consistent server recovery: when non-empty, the server
      * writes a write-ahead checkpoint of its volatile state (version
      * matrix, gradient outbox, MTA-time estimates) to this path every
-     * checkpoint_every iterations — one durable atomic write per
-     * shard (writeShardCheckpoints), CRC32C verified on restore. A
+     * checkpoint_every iterations — one durable atomic write of one
+     * ROGS file, CRC32C verified on restore. A
      * `server_crash iter=N` fault event then recovers from the newest
      * checkpoint (or genesis state if none was written yet) instead
      * of aborting the run.
      */
     std::string checkpoint_path{};
-
-    /**
-     * Parameter-server shard count (fleet-scale layout, ROADMAP
-     * item 1). Model rows are partitioned across this many
-     * ServerShards, each with its own contiguous outbox/version
-     * arenas, MTA bookkeeping, and checkpoint file (named by
-     * shardCheckpointPath: shard 0 writes checkpoint_path; shard
-     * k > 0 writes checkpoint_path + ".shard<k>"). Clamped to the
-     * unit count. Any value yields bit-identical training results to
-     * 1 — sharding only changes the storage layout; see DESIGN.md
-     * Sec. 17.
-     */
-    std::size_t server_shards = 1;
 
     std::string codec = "onebit";       //!< "onebit" | "identity".
 
@@ -210,7 +197,6 @@ struct RunResult
     std::string system;
     std::size_t workers = 0;
     std::size_t total_units = 0;
-    std::size_t server_shards = 0; //!< effective (clamped) shard count.
     std::vector<IterationRecord> iterations;
     std::vector<CheckpointRecord> checkpoints;
     std::vector<std::size_t> worker_iterations; //!< completed each.
@@ -225,16 +211,6 @@ struct RunResult
     // Server checkpointing / crash recovery.
     std::size_t checkpoints_written = 0;
     std::vector<ServerRecoveryRecord> recoveries;
-
-    // Wire-path buffer pool occupancy over this run (deltas of the
-    // process-global BufferPool between run start and end; monotonic
-    // counters, so deltas are exact even across back-to-back runs).
-    std::size_t pool_leases = 0;      //!< scratch leases served.
-    std::size_t pool_reuses = 0;      //!< served without allocating.
-    std::size_t pool_allocations = 0; //!< served by a fresh allocation.
-    double pool_hit_rate = 0.0;       //!< reuses / leases for this run.
-    std::size_t pool_peak_outstanding = 0; //!< high-water live leases.
-    std::size_t pool_resident_bytes = 0;   //!< free-list bytes at end.
 
     /** All replicas serialized in worker order (opt-in, else empty). */
     std::string final_model_bytes;

@@ -93,7 +93,7 @@ ServerNode::ServerNode(net::session::Fabric &fabric, Workload &workload,
       opt_(std::make_unique<nn::SgdMomentum>(
           *model_, workload.optimizerConfig())),
       table_(workload.workers(), cfg.epoch, cfg.session_salt),
-      server_(workload.workers(), *partition_, 1),
+      server_(workload.workers(), *partition_),
       tracker_(workload.workers(), cfg.detector),
       peers_(workload.workers())
 {
@@ -129,8 +129,7 @@ ServerNode::restoreFromCheckpoint()
         // Parse into a throwaway replica first; only a blob the
         // architecture fully accepts may touch the live model.
         nn::loadModelBytes(ckpt.model, *workload_.buildReplica());
-        server_.shard(0).restore(ckpt.versions, ckpt.server,
-                                 ckpt.tracker);
+        server_.restore(ckpt.versions, ckpt.server, ckpt.tracker);
         nn::loadModelBytes(ckpt.model, *model_);
         // The epoch bump fences off every pre-crash scope; workers
         // holding the old epoch are rejected with the new one and
@@ -549,12 +548,9 @@ ServerNode::checkpointNow()
 {
     if (cfg_.checkpoint_path.empty())
         return;
-    ServerCheckpoint ckpt;
-    ckpt.iteration = server_.minWorkerIteration();
+    ServerCheckpoint ckpt =
+        shardCheckpoint(server_, server_.minWorkerIteration());
     ckpt.msg_seq = ctrl_seq_;
-    ckpt.versions = server_.shard(0).versionSnapshot();
-    ckpt.server = server_.shard(0).serverSnapshot();
-    ckpt.tracker = server_.shard(0).trackerSnapshot();
     ckpt.epoch = table_.epoch();
     ckpt.sessions = table_.snapshot();
     ckpt.model = nn::saveModelBytes(*model_);

@@ -230,9 +230,9 @@ class ServerNode
     std::unique_ptr<nn::SgdMomentum> opt_;
 
     net::session::SessionTable table_;
-    /** Outboxes, version matrix and MTA tracker: one shard, so the
-     *  checkpoint is a single ROGS file. */
-    ShardedServer server_;
+    /** Outboxes, version matrix and MTA tracker over the whole model,
+     *  checkpointed as a single ROGS file. */
+    ServerShard server_;
     MembershipTracker tracker_;
 
     std::vector<WorkerPeer> peers_;

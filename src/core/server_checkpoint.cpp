@@ -279,6 +279,17 @@ writeServerCheckpointFile(const std::string &path,
     writeRecordFile(path, kFormat, encodePayload(ckpt));
 }
 
+ServerCheckpoint
+shardCheckpoint(const ServerShard &shard, std::int64_t iteration)
+{
+    ServerCheckpoint ckpt;
+    ckpt.iteration = iteration;
+    ckpt.versions = shard.versionSnapshot();
+    ckpt.server = shard.serverSnapshot();
+    ckpt.tracker = shard.trackerSnapshot();
+    return ckpt;
+}
+
 std::string
 shardCheckpointPath(const std::string &base, std::size_t shard)
 {
@@ -289,14 +300,10 @@ std::size_t
 writeShardCheckpoints(const std::string &base,
                       const ShardedServer &server, std::int64_t iteration)
 {
-    for (std::size_t s = 0; s < server.shardCount(); ++s) {
-        ServerCheckpoint ckpt;
-        ckpt.iteration = iteration;
-        ckpt.versions = server.shard(s).versionSnapshot();
-        ckpt.server = server.shard(s).serverSnapshot();
-        ckpt.tracker = server.shard(s).trackerSnapshot();
-        writeServerCheckpointFile(shardCheckpointPath(base, s), ckpt);
-    }
+    for (std::size_t s = 0; s < server.shardCount(); ++s)
+        writeServerCheckpointFile(shardCheckpointPath(base, s),
+                                  shardCheckpoint(server.shard(s),
+                                                  iteration));
     return server.shardCount();
 }
 

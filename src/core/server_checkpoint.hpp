@@ -97,12 +97,18 @@ ServerCheckpoint readServerCheckpoint(std::istream &is);
 void writeServerCheckpointFile(const std::string &path,
                                const ServerCheckpoint &ckpt);
 
-/** Shard 0's file is @p base, shard k's `<base>.shard<k>`. */
+/** @p shard's versions, server state and tracker, cut at
+ *  @p iteration; every other field is left at its default. */
+ServerCheckpoint shardCheckpoint(const ServerShard &shard,
+                                 std::int64_t iteration);
+
+/** The fleet's per-shard files: shard 0's is @p base, shard k's
+ *  `<base>.shard<k>`. */
 std::string shardCheckpointPath(const std::string &base,
                                 std::size_t shard);
 
-/** Checkpoint each shard's versions, server state and tracker at
- *  @p iteration into its shardCheckpointPath file; @return the count. */
+/** Write each shard's shardCheckpoint at @p iteration to its
+ *  shardCheckpointPath file; @return the count. */
 std::size_t writeShardCheckpoints(const std::string &base,
                                   const ShardedServer &server,
                                   std::int64_t iteration);

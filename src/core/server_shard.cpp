@@ -64,6 +64,16 @@ sumAbsPending(const std::uint64_t *__restrict sum,
     return static_cast<double>(hi) * 0x1p32 + static_cast<double>(lo);
 }
 
+std::vector<std::size_t>
+unitWidths(const RowPartition &partition)
+{
+    std::vector<std::size_t> widths;
+    widths.reserve(partition.unitCount());
+    for (const Unit &u : partition.units())
+        widths.push_back(u.width);
+    return widths;
+}
+
 } // namespace
 
 ServerShard::ServerShard(std::size_t workers,
@@ -85,6 +95,11 @@ ServerShard::ServerShard(std::size_t workers,
     last_update_.assign(unit_widths_.size(), 0);
     versions_.assign(workers_ * unit_widths_.size(), 0);
     retired_.assign(workers_, 0);
+}
+
+ServerShard::ServerShard(std::size_t workers, const RowPartition &partition)
+    : ServerShard(workers, unitWidths(partition))
+{
 }
 
 void
@@ -225,6 +240,22 @@ ServerShard::maxVersionOfWorker(std::size_t worker) const
     return m;
 }
 
+std::int64_t
+ServerShard::minWorkerIteration() const
+{
+    bool any = false;
+    std::int64_t m = 0;
+    for (std::size_t w = 0; w < workers_; ++w) {
+        if (retired(w))
+            continue;
+        const std::int64_t it = maxVersionOfWorker(w);
+        if (!any || it < m)
+            m = it;
+        any = true;
+    }
+    return m;
+}
+
 void
 ServerShard::report(std::size_t worker, double bytes_transmitted,
                     double elapsed_seconds, double mta_bytes)
@@ -321,27 +352,8 @@ ServerShard::restore(const VersionSnapshot &versions,
 }
 
 ShardedServer::ShardedServer(std::size_t workers,
-                             const RowPartition &partition,
-                             std::size_t shards)
-{
-    std::vector<std::size_t> widths;
-    widths.reserve(partition.unitCount());
-    for (const Unit &u : partition.units())
-        widths.push_back(u.width);
-    init(workers, widths, shards);
-}
-
-ShardedServer::ShardedServer(std::size_t workers,
                              const std::vector<std::size_t> &unit_widths,
                              std::size_t shards)
-{
-    init(workers, unit_widths, shards);
-}
-
-void
-ShardedServer::init(std::size_t workers,
-                    const std::vector<std::size_t> &unit_widths,
-                    std::size_t shards)
 {
     const std::size_t units = unit_widths.size();
     ROG_ASSERT(units > 0, "sharded server needs at least one unit");
@@ -378,118 +390,20 @@ void
 ShardedServer::accumulate(std::size_t unit,
                           std::span<const float> decoded)
 {
-    owner(unit).accumulate(unit_local_[unit], decoded);
-}
-
-void
-ShardedServer::takePending(std::size_t worker, std::size_t unit,
-                           std::span<float> out)
-{
-    owner(unit).takePending(worker, unit_local_[unit], out);
-}
-
-std::vector<std::int64_t>
-ShardedServer::pending(std::size_t worker, std::size_t unit) const
-{
-    return owner(unit).pending(worker, unit_local_[unit]);
-}
-
-bool
-ShardedServer::hasPending(std::size_t worker, std::size_t unit) const
-{
-    return owner(unit).hasPending(worker, unit_local_[unit]);
-}
-
-void
-ShardedServer::clearPending(std::size_t worker, std::size_t unit)
-{
-    owner(unit).clearPending(worker, unit_local_[unit]);
-}
-
-void
-ShardedServer::clearWorker(std::size_t worker)
-{
-    for (auto &s : shards_)
-        s.clearWorker(worker);
-}
-
-double
-ShardedServer::pendingMeanAbs(std::size_t worker,
-                              std::size_t unit) const
-{
-    return owner(unit).pendingMeanAbs(worker, unit_local_[unit]);
-}
-
-std::int64_t
-ShardedServer::lastUpdate(std::size_t unit) const
-{
-    return owner(unit).lastUpdate(unit_local_[unit]);
-}
-
-void
-ShardedServer::noteUpdate(std::size_t unit, std::int64_t iter)
-{
-    owner(unit).noteUpdate(unit_local_[unit], iter);
-}
-
-std::int64_t
-ShardedServer::version(std::size_t worker, std::size_t unit) const
-{
-    return owner(unit).version(worker, unit_local_[unit]);
+    shards_[shardOf(unit)].accumulate(localOf(unit), decoded);
 }
 
 void
 ShardedServer::updateVersion(std::size_t worker, std::size_t unit,
                              std::int64_t iter)
 {
-    owner(unit).updateVersion(worker, unit_local_[unit], iter);
+    shards_[shardOf(unit)].updateVersion(worker, localOf(unit), iter);
 }
 
 void
-ShardedServer::retireWorker(std::size_t worker)
+ShardedServer::noteUpdate(std::size_t unit, std::int64_t iter)
 {
-    for (auto &s : shards_)
-        s.retireWorker(worker);
-}
-
-void
-ShardedServer::rejoinWorker(std::size_t worker, std::int64_t iter)
-{
-    for (auto &s : shards_)
-        s.rejoinWorker(worker, iter);
-}
-
-std::int64_t
-ShardedServer::maxVersionOfWorker(std::size_t worker) const
-{
-    std::int64_t m = std::numeric_limits<std::int64_t>::min();
-    for (const auto &s : shards_)
-        m = std::max(m, s.maxVersionOfWorker(worker));
-    return m;
-}
-
-std::int64_t
-ShardedServer::minWorkerIteration() const
-{
-    bool any = false;
-    std::int64_t m = 0;
-    for (std::size_t w = 0; w < workers(); ++w) {
-        if (retired(w))
-            continue;
-        const std::int64_t it = maxVersionOfWorker(w);
-        if (!any || it < m)
-            m = it;
-        any = true;
-    }
-    return m;
-}
-
-void
-ShardedServer::report(std::size_t worker, double bytes_transmitted,
-                      double elapsed_seconds, double mta_bytes)
-{
-    for (auto &s : shards_)
-        s.report(worker, bytes_transmitted, elapsed_seconds, mta_bytes);
+    shards_[shardOf(unit)].noteUpdate(localOf(unit), iter);
 }
 
 } // namespace core

@@ -15,9 +15,10 @@
  * compares a worker's iteration against the slowest active worker's
  * last pushed one.
  *
- * Every server in the repository is a ShardedServer: the in-process
- * engine, the fleet DES (one shard per event lane) and the ServerNode
- * role (one shard, so it writes a single ROGS file):
+ * Every server in the repository is a ServerShard. The in-process
+ * engine and the ServerNode role each hold one over the whole model,
+ * so each writes a single ROGS file. The fleet DES splits the rows
+ * across one shard per event lane through ShardedServer:
  *
  *  - Model rows (synchronization units) are partitioned across shards
  *    in contiguous ranges; `unit -> (shard, local unit)` is two O(1)
@@ -32,11 +33,11 @@
  *  - Snapshots are worker-major, `[worker][unit][width]`, so a
  *    worker's pull of consecutive rows reads one contiguous run. The
  *    version matrix and the take counters are worker-major too.
- *  - MTA throughput reports are replicated into every shard's tracker:
- *    the EWMA streams are identical, so every shard derives the same
- *    tMTA a single global tracker would — while remaining
- *    self-contained for checkpointing and for the parallel fleet DES,
- *    where each shard is driven by its own event queue.
+ *  - In the fleet, MTA throughput reports are replicated into every
+ *    shard's tracker: the EWMA streams are identical, so every shard
+ *    derives the same tMTA a single global tracker would — while
+ *    remaining self-contained for checkpointing and for the parallel
+ *    lanes, each of which drives its own shard.
  *
  * Fixed-point contract (DESIGN.md Sec. 17). A float or double S would
  * not subtract exactly and grows without bound over a run, so S and
@@ -72,7 +73,8 @@
  * the measurement behind it are in DESIGN.md Sec. 17.
  * sharded_server_test checks the bound against the float nested-vector
  * oracle (tests/core/legacy_server.*) and every observable value
- * bitwise against a per-worker eager int64 oracle.
+ * bitwise against a per-worker eager int64 oracle, for one shard and
+ * for the fleet's row split.
  */
 #ifndef ROG_CORE_SERVER_SHARD_HPP
 #define ROG_CORE_SERVER_SHARD_HPP
@@ -177,9 +179,11 @@ struct ServerStateSnapshot
 };
 
 /**
- * One shard: contiguous-arena server state for a contiguous range of
- * synchronization units. Unit indices here are SHARD-LOCAL; the
- * ShardedServer facade owns the global->local mapping.
+ * Contiguous-arena server state for a contiguous range of
+ * synchronization units: the whole model for the engine and
+ * ServerNode, one lane's rows in the fleet. Unit indices here are
+ * local to the shard; ShardedServer owns the fleet's global->local
+ * mapping.
  */
 class ServerShard
 {
@@ -191,6 +195,9 @@ class ServerShard
      */
     ServerShard(std::size_t workers,
                 std::vector<std::size_t> unit_widths);
+
+    /** A shard over every unit of @p partition, in unit order. */
+    ServerShard(std::size_t workers, const RowPartition &partition);
 
     std::size_t workers() const { return workers_; }
     std::size_t units() const { return unit_widths_.size(); }
@@ -225,9 +232,24 @@ class ServerShard
     void updateVersion(std::size_t worker, std::size_t unit,
                        std::int64_t iter);
     bool retired(std::size_t worker) const;
+    /** Exclude a departed worker from minWorkerIteration(), so it
+     *  cannot stall the remaining ones. */
     void retireWorker(std::size_t worker);
+    /**
+     * Re-admit a retired worker that resynced to the model at
+     * iteration @p iter: its versions jump to @p iter so the gate
+     * treats it as caught up, not eternally stale.
+     * @pre iter >= every version the worker pushed before.
+     */
     void rejoinWorker(std::size_t worker, std::int64_t iter);
+    /** Max over the shard's units — the worker's last pushed iter. */
     std::int64_t maxVersionOfWorker(std::size_t worker) const;
+    /**
+     * min over active workers of their last pushed iteration — the
+     * reference of RSP's staleness gate: how far the slowest worker's
+     * training state lags. 0 once every worker has retired.
+     */
+    std::int64_t minWorkerIteration() const;
 
     // ---- MTA bookkeeping (replicated tracker) ----
     void report(std::size_t worker, double bytes_transmitted,
@@ -285,33 +307,30 @@ class ServerShard
 };
 
 /**
- * Facade presenting N shards as one server. Global unit indices are
- * routed with two flat lookups; worker-scoped operations (retire,
- * rejoin, clearWorker, MTA reports) broadcast to every shard so the
- * per-shard membership views and trackers stay replicas of each other.
+ * The fleet's row partition: N shards over contiguous, balanced unit
+ * ranges, one per event lane. Each lane addresses its own shard with
+ * shard(shardOf(unit)) at localOf(unit); worker-scoped operations
+ * (retire, rejoin, clearWorker, MTA reports) are the caller's to send
+ * to every shard, so the per-shard membership views and trackers stay
+ * replicas of each other.
  */
 class ShardedServer
 {
   public:
     /**
-     * @param workers   worker count.
-     * @param partition global row partition (unit widths).
-     * @param shards    requested shard count; clamped to
-     *                  [1, unitCount()].
+     * @param workers     worker count.
+     * @param unit_widths global unit widths, in unit order.
+     * @param shards      requested shard count; clamped to
+     *                    [1, unit_widths.size()].
      */
-    ShardedServer(std::size_t workers, const RowPartition &partition,
-                  std::size_t shards);
-
-    /** Same, from raw unit widths (synthetic fleet workloads). */
     ShardedServer(std::size_t workers,
                   const std::vector<std::size_t> &unit_widths,
                   std::size_t shards);
 
     std::size_t shardCount() const { return shards_.size(); }
-    std::size_t workers() const { return shards_[0].workers(); }
-    std::size_t units() const { return unit_shard_.size(); }
     std::size_t shardOf(std::size_t unit) const
     {
+        ROG_ASSERT(unit < unit_shard_.size(), "unit out of range");
         return unit_shard_[unit];
     }
     /** @p unit's index within shard(shardOf(unit)). */
@@ -322,73 +341,15 @@ class ShardedServer
     ServerShard &shard(std::size_t s) { return shards_[s]; }
     const ServerShard &shard(std::size_t s) const { return shards_[s]; }
 
-    // ---- gradient outbox ----
+    /** ServerShard::accumulate on global @p unit's owner. */
     void accumulate(std::size_t unit, std::span<const float> decoded);
-    void takePending(std::size_t worker, std::size_t unit,
-                     std::span<float> out);
-    std::vector<std::int64_t> pending(std::size_t worker,
-                                      std::size_t unit) const;
-    bool hasPending(std::size_t worker, std::size_t unit) const;
-    void clearPending(std::size_t worker, std::size_t unit);
-    void clearWorker(std::size_t worker);
-    double pendingMeanAbs(std::size_t worker, std::size_t unit) const;
-    std::int64_t lastUpdate(std::size_t unit) const;
-    void noteUpdate(std::size_t unit, std::int64_t iter);
-
-    // ---- version matrix ----
-    std::int64_t version(std::size_t worker, std::size_t unit) const;
+    /** ServerShard::updateVersion on global @p unit's owner. */
     void updateVersion(std::size_t worker, std::size_t unit,
                        std::int64_t iter);
-    bool retired(std::size_t worker) const
-    {
-        return shards_[0].retired(worker);
-    }
-    /** Exclude a departed worker from minWorkerIteration(), so it
-     *  cannot stall the remaining ones. */
-    void retireWorker(std::size_t worker);
-    /**
-     * Re-admit a retired worker that resynced to the model at
-     * iteration @p iter: its versions jump to @p iter so the gate
-     * treats it as caught up, not eternally stale.
-     * @pre iter >= every version the worker pushed before.
-     */
-    void rejoinWorker(std::size_t worker, std::int64_t iter);
-    /** Max over every shard's units — the worker's last pushed iter. */
-    std::int64_t maxVersionOfWorker(std::size_t worker) const;
-    /**
-     * min over active workers of their last pushed iteration — the
-     * reference of RSP's staleness gate: how far the slowest worker's
-     * training state lags. 0 once every worker has retired.
-     */
-    std::int64_t minWorkerIteration() const;
-
-    // ---- MTA ----
-    /** Replicated into every shard's tracker (identical EWMAs). */
-    void report(std::size_t worker, double bytes_transmitted,
-                double elapsed_seconds, double mta_bytes);
-    double mtaTime() const { return shards_[0].mtaTime(); }
-    double estimateFor(std::size_t worker) const
-    {
-        return shards_[0].estimateFor(worker);
-    }
+    /** ServerShard::noteUpdate on global @p unit's owner. */
+    void noteUpdate(std::size_t unit, std::int64_t iter);
 
   private:
-    /** The shard holding global @p unit. */
-    ServerShard &owner(std::size_t unit)
-    {
-        ROG_ASSERT(unit < unit_shard_.size(), "unit out of range");
-        return shards_[unit_shard_[unit]];
-    }
-    const ServerShard &owner(std::size_t unit) const
-    {
-        ROG_ASSERT(unit < unit_shard_.size(), "unit out of range");
-        return shards_[unit_shard_[unit]];
-    }
-
-    void init(std::size_t workers,
-              const std::vector<std::size_t> &unit_widths,
-              std::size_t shards);
-
     std::vector<ServerShard> shards_;
     std::vector<std::uint32_t> unit_shard_;
     std::vector<std::uint32_t> unit_local_;

@@ -65,14 +65,5 @@ SgdMomentum::applyRowRange(std::size_t row, std::size_t col_begin,
     }
 }
 
-void
-SgdMomentum::applyAll(const std::vector<std::vector<float>> &rows)
-{
-    ROG_ASSERT(rows.size() == row_values_.size(),
-               "applyAll: row count mismatch");
-    for (std::size_t r = 0; r < rows.size(); ++r)
-        applyRow(r, rows[r]);
-}
-
 } // namespace nn
 } // namespace rog

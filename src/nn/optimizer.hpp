@@ -64,9 +64,6 @@ class SgdMomentum
     void applyRowRange(std::size_t row, std::size_t col_begin,
                        std::span<const float> g);
 
-    /** Apply a full dense gradient (all rows); used by unit tests. */
-    void applyAll(const std::vector<std::vector<float>> &rows);
-
     const OptimizerConfig &config() const { return cfg_; }
 
     /** Change the learning rate (e.g. for decay schedules). */

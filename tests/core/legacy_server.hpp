@@ -4,11 +4,11 @@
  * vector per (worker, unit) outbox cell and version cell, written for
  * clarity rather than speed.
  *
- *  - VersionStorage: the version matrix. ShardedServer must match it
- *    exactly.
+ *  - VersionStorage: the version matrix. The server (one ServerShard,
+ *    or the fleet's routed shards) must match it exactly.
  *  - EagerFixedServer: the fixed-point outbox of
  *    core/server_shard.hpp done eagerly, one int64 copy per (worker,
- *    unit) that every push is added into. ShardedServer's running sums
+ *    unit) that every push is added into. The server's running sums
  *    and snapshots must be bit-identical to it;
  *    sharded_server_test drives both with the same operation trace and
  *    compares every observable value.

@@ -1,10 +1,12 @@
 /**
  * @file
- * Unit tests for the parameter server's two halves, run on a
- * ShardedServer with one shard and with three: the gradient outbox
- * (ServerStateTest) and the RSP version matrix, Fig. 5's "Version
- * Storage" (VersionStorageTest); and for the fixed-point format the
- * outbox keeps its running sums in (FixedPointTest).
+ * Unit tests for the parameter server's two halves, run on one
+ * ServerShard (the engine's and ServerNode's server) and on three
+ * shards behind the fleet's routing (core/shard_router.hpp): the
+ * gradient outbox (ServerStateTest) and the RSP version matrix,
+ * Fig. 5's "Version Storage" (VersionStorageTest); and for the
+ * fixed-point format the outbox keeps its running sums in
+ * (FixedPointTest).
  */
 #include <gtest/gtest.h>
 
@@ -19,13 +21,12 @@
 #include "core/flat_model.hpp"
 #include "core/row_partition.hpp"
 #include "core/server_shard.hpp"
+#include "core/shard_router.hpp"
 #include "nn/model.hpp"
 
 namespace rog {
 namespace core {
 namespace {
-
-constexpr std::size_t kShardCounts[] = {1, 3};
 
 struct Fixture
 {
@@ -51,31 +52,50 @@ struct Fixture
     RowPartition partition;
 };
 
+/**
+ * Run @p body on one ServerShard over @p units, then on three shards
+ * (one per unit if there are fewer) behind the fleet's routing.
+ * @p units is a RowPartition or a vector of unit widths.
+ */
+template <typename Units, typename Body>
+void
+forEachLayout(std::size_t workers, const Units &units, Body body)
+{
+    {
+        SCOPED_TRACE("one ServerShard");
+        ServerShard server(workers, units);
+        body(server);
+    }
+    {
+        SCOPED_TRACE("routed shards");
+        test::ShardRouter server(workers, units, 3);
+        ASSERT_GT(server.shardCount(), 1u);
+        body(server);
+    }
+}
+
 /** The first element of @p worker's copy of @p unit as a float,
  *  without taking it. */
+template <typename Server>
 float
-pendingAt(const ShardedServer &server, std::size_t worker,
-          std::size_t unit)
+pendingAt(const Server &server, std::size_t worker, std::size_t unit)
 {
     return fixed::dequantise(server.pending(worker, unit)[0]);
 }
 
-/** A server over @p units units of width 2 (widths do not matter to
- *  the version matrix). */
-ShardedServer
-versionServer(std::size_t workers, std::size_t units, std::size_t shards)
+/** forEachLayout over @p units units of width 2 (widths do not matter
+ *  to the version matrix). */
+template <typename Body>
+void
+forEachVersionServer(std::size_t workers, std::size_t units, Body body)
 {
-    return ShardedServer(workers, std::vector<std::size_t>(units, 2),
-                         shards);
+    forEachLayout(workers, std::vector<std::size_t>(units, 2), body);
 }
 
 TEST(ServerStateTest, AccumulateAveragesIntoEveryWorkerCopy)
 {
     Fixture f;
-    for (std::size_t shards : kShardCounts) {
-        SCOPED_TRACE("shards=" + std::to_string(shards));
-        ShardedServer server(4, f.partition, shards);
-        ASSERT_EQ(server.shardCount(), shards);
+    forEachLayout(4, f.partition, [&](auto &server) {
         std::vector<float> g(f.partition.unit(0).width, 8.0f);
         server.accumulate(0, g);
         for (std::size_t w = 0; w < 4; ++w) {
@@ -83,27 +103,25 @@ TEST(ServerStateTest, AccumulateAveragesIntoEveryWorkerCopy)
             EXPECT_FLOAT_EQ(pendingAt(server, w, 0), 2.0f); // 8 / 4.
         }
         EXPECT_FALSE(server.hasPending(0, 1));
-    }
+    });
 }
 
 TEST(ServerStateTest, AccumulationAdds)
 {
     Fixture f;
-    for (std::size_t shards : kShardCounts) {
-        ShardedServer server(2, f.partition, shards);
+    forEachLayout(2, f.partition, [&](auto &server) {
         std::vector<float> g(f.partition.unit(0).width, 4.0f);
         server.accumulate(0, g);
         server.accumulate(0, g);
         EXPECT_FLOAT_EQ(pendingAt(server, 0, 0), 4.0f); // 2 + 2.
-    }
+    });
 }
 
 TEST(ServerStateTest, ClearPendingIsPerWorker)
 {
     // Sec. III-B: sending to one worker zeroes only that copy.
     Fixture f;
-    for (std::size_t shards : kShardCounts) {
-        ShardedServer server(3, f.partition, shards);
+    forEachLayout(3, f.partition, [&](auto &server) {
         std::vector<float> g(f.partition.unit(2).width, 3.0f);
         server.accumulate(2, g);
         server.clearPending(1, 2);
@@ -111,14 +129,13 @@ TEST(ServerStateTest, ClearPendingIsPerWorker)
         EXPECT_FLOAT_EQ(pendingAt(server, 1, 2), 0.0f);
         EXPECT_TRUE(server.hasPending(0, 2));
         EXPECT_FLOAT_EQ(pendingAt(server, 0, 2), 1.0f);
-    }
+    });
 }
 
 TEST(ServerStateTest, TakePendingReturnsTheCopyAndClearsIt)
 {
     Fixture f;
-    for (std::size_t shards : kShardCounts) {
-        ShardedServer server(2, f.partition, shards);
+    forEachLayout(2, f.partition, [&](auto &server) {
         const std::size_t width = f.partition.unit(1).width;
         server.accumulate(1, std::vector<float>(width, 3.0f));
         server.accumulate(1, std::vector<float>(width, -1.0f));
@@ -138,15 +155,14 @@ TEST(ServerStateTest, TakePendingReturnsTheCopyAndClearsIt)
         EXPECT_DEATH(server.takePending(0, 1, std::span<float>(out).first(
                                                   width - 1)),
                      "width");
-    }
+    });
 }
 
 TEST(ServerStateTest, ClearWorkerDropsEveryUnitOfThatWorkerOnly)
 {
     Fixture f;
     const std::size_t units = f.partition.unitCount();
-    for (std::size_t shards : kShardCounts) {
-        ShardedServer server(2, f.partition, shards);
+    forEachLayout(2, f.partition, [&](auto &server) {
         for (std::size_t u = 0; u < units; ++u)
             server.accumulate(
                 u, std::vector<float>(f.partition.unit(u).width, 1.0f));
@@ -156,43 +172,40 @@ TEST(ServerStateTest, ClearWorkerDropsEveryUnitOfThatWorkerOnly)
             EXPECT_FALSE(server.hasPending(1, u));
             EXPECT_EQ(server.pendingMeanAbs(1, u), 0.0);
         }
-    }
+    });
 }
 
 TEST(ServerStateTest, PendingMeanAbs)
 {
     Fixture f;
-    for (std::size_t shards : kShardCounts) {
-        ShardedServer server(1, f.partition, shards);
+    forEachLayout(1, f.partition, [&](auto &server) {
         const std::size_t width = f.partition.unit(0).width;
         std::vector<float> g(width);
         for (std::size_t i = 0; i < width; ++i)
             g[i] = (i % 2 == 0) ? 2.0f : -2.0f;
         server.accumulate(0, g);
         EXPECT_NEAR(server.pendingMeanAbs(0, 0), 2.0, 1e-6);
-    }
+    });
 }
 
 TEST(ServerStateTest, LastUpdateTracksMax)
 {
     Fixture f;
-    for (std::size_t shards : kShardCounts) {
-        ShardedServer server(2, f.partition, shards);
+    forEachLayout(2, f.partition, [&](auto &server) {
         EXPECT_EQ(server.lastUpdate(0), 0);
         server.noteUpdate(0, 5);
         server.noteUpdate(0, 3); // older update must not regress.
         EXPECT_EQ(server.lastUpdate(0), 5);
-    }
+    });
 }
 
 TEST(ServerStateTest, WidthMismatchDies)
 {
     Fixture f;
-    for (std::size_t shards : kShardCounts) {
-        ShardedServer server(2, f.partition, shards);
+    forEachLayout(2, f.partition, [&](auto &server) {
         std::vector<float> bad(f.partition.unit(0).width + 1, 1.0f);
         EXPECT_DEATH(server.accumulate(0, bad), "width");
-    }
+    });
 }
 
 /**
@@ -204,7 +217,7 @@ TEST(ServerStateTest, WidthMismatchDies)
 TEST(ServerStateTest, PendingStaysExactWhenTheRunningSumWraps)
 {
     const std::size_t width = 3;
-    ShardedServer server(2, std::vector<std::size_t>{width}, 1);
+    ServerShard server(2, std::vector<std::size_t>{width});
     const std::vector<float> big(width, 1e30f);
     const std::vector<float> small(width, -0.75f);
     const std::int64_t small_q = fixed::quantise(-0.75f, fixed::scaleFor(2));
@@ -319,29 +332,26 @@ TEST(FixedPointTest, DequantiseIsCorrectlyRoundedOverTheFullRange)
 
 TEST(VersionStorageTest, StartsAtZero)
 {
-    for (std::size_t shards : kShardCounts) {
-        const ShardedServer v = versionServer(3, 5, shards);
+    forEachVersionServer(3, 5, [](const auto &v) {
         EXPECT_EQ(v.workers(), 3u);
         EXPECT_EQ(v.units(), 5u);
         EXPECT_EQ(v.minWorkerIteration(), 0);
         EXPECT_EQ(v.version(2, 4), 0);
-    }
+    });
 }
 
 TEST(VersionStorageTest, UpdateAndGet)
 {
-    for (std::size_t shards : kShardCounts) {
-        ShardedServer v = versionServer(2, 3, shards);
+    forEachVersionServer(2, 3, [](auto &v) {
         v.updateVersion(1, 2, 7);
         EXPECT_EQ(v.version(1, 2), 7);
         EXPECT_EQ(v.version(0, 2), 0);
-    }
+    });
 }
 
 TEST(VersionStorageTest, RetiredWorkerExcludedFromMins)
 {
-    for (std::size_t shards : kShardCounts) {
-        ShardedServer v = versionServer(2, 2, shards);
+    forEachVersionServer(2, 2, [](auto &v) {
         v.updateVersion(0, 0, 10);
         v.updateVersion(0, 1, 10);
         // Worker 1 never pushed; retiring it must unblock the gate.
@@ -350,24 +360,22 @@ TEST(VersionStorageTest, RetiredWorkerExcludedFromMins)
         EXPECT_TRUE(v.retired(1));
         EXPECT_FALSE(v.retired(0));
         EXPECT_EQ(v.minWorkerIteration(), 10);
-    }
+    });
 }
 
 TEST(VersionStorageTest, PerWorkerExtremes)
 {
-    for (std::size_t shards : kShardCounts) {
-        ShardedServer v = versionServer(2, 3, shards);
+    forEachVersionServer(2, 3, [](auto &v) {
         v.updateVersion(0, 0, 4);
         v.updateVersion(0, 1, 9);
         EXPECT_EQ(v.maxVersionOfWorker(0), 9);
         EXPECT_EQ(v.maxVersionOfWorker(1), 0);
-    }
+    });
 }
 
 TEST(VersionStorageTest, MinWorkerIterationTracksSlowestWorker)
 {
-    for (std::size_t shards : kShardCounts) {
-        ShardedServer v = versionServer(3, 2, shards);
+    forEachVersionServer(3, 2, [](auto &v) {
         v.updateVersion(0, 0, 10);
         v.updateVersion(1, 0, 6);
         v.updateVersion(2, 1, 8);
@@ -375,26 +383,24 @@ TEST(VersionStorageTest, MinWorkerIterationTracksSlowestWorker)
         EXPECT_EQ(v.minWorkerIteration(), 6);
         v.retireWorker(1);
         EXPECT_EQ(v.minWorkerIteration(), 8);
-    }
+    });
 }
 
 TEST(VersionStorageTest, MinWorkerIterationIsZeroOnceAllRetired)
 {
-    for (std::size_t shards : kShardCounts) {
-        ShardedServer v = versionServer(2, 3, shards);
+    forEachVersionServer(2, 3, [](auto &v) {
         v.updateVersion(0, 2, 5);
         v.updateVersion(1, 0, 7);
         v.retireWorker(0);
         EXPECT_EQ(v.minWorkerIteration(), 7);
         v.retireWorker(1);
         EXPECT_EQ(v.minWorkerIteration(), 0);
-    }
+    });
 }
 
 TEST(VersionStorageTest, RejoinJumpsEveryVersionAndUnretires)
 {
-    for (std::size_t shards : kShardCounts) {
-        ShardedServer v = versionServer(2, 3, shards);
+    forEachVersionServer(2, 3, [](auto &v) {
         v.updateVersion(0, 0, 2);
         v.updateVersion(0, 2, 4);
         v.updateVersion(1, 1, 3);
@@ -406,26 +412,55 @@ TEST(VersionStorageTest, RejoinJumpsEveryVersionAndUnretires)
         EXPECT_EQ(v.minWorkerIteration(), 3);
         v.retireWorker(1);
         EXPECT_DEATH(v.rejoinWorker(1, 2), "backwards");
-    }
+    });
 }
 
 TEST(VersionStorageTest, VersionsMustBeMonotone)
 {
-    for (std::size_t shards : kShardCounts) {
-        ShardedServer v = versionServer(1, 3, shards);
+    forEachVersionServer(1, 3, [](auto &v) {
         v.updateVersion(0, 2, 5);
         EXPECT_DEATH(v.updateVersion(0, 2, 3), "monotone");
-    }
+    });
 }
 
 TEST(VersionStorageTest, OutOfRangeDies)
 {
-    for (std::size_t shards : kShardCounts) {
-        ShardedServer v = versionServer(2, 3, shards);
+    forEachVersionServer(2, 3, [](auto &v) {
         EXPECT_DEATH(v.version(2, 0), "range");
         EXPECT_DEATH(v.updateVersion(0, 5, 1), "range");
         EXPECT_DEATH(v.maxVersionOfWorker(2), "range");
-    }
+    });
+}
+
+/**
+ * minWorkerIteration() on one ServerShard, the engine's and
+ * ServerNode's RSP reference: a retired worker never holds the gate
+ * back, whatever its versions, and counts again once it rejoins.
+ */
+TEST(ServerShardTest, MinWorkerIterationSkipsRetiredWorkers)
+{
+    ServerShard shard(3, std::vector<std::size_t>{1, 4, 2});
+    shard.updateVersion(0, 1, 9);
+    shard.updateVersion(1, 2, 2); // the slowest worker.
+    shard.updateVersion(2, 0, 6);
+    EXPECT_EQ(shard.minWorkerIteration(), 2);
+    shard.retireWorker(1);
+    EXPECT_EQ(shard.minWorkerIteration(), 6);
+    shard.retireWorker(2);
+    EXPECT_EQ(shard.minWorkerIteration(), 9);
+    shard.rejoinWorker(1, 4);
+    EXPECT_EQ(shard.minWorkerIteration(), 4);
+}
+
+TEST(ServerShardTest, MinWorkerIterationIsZeroOnceEveryWorkerRetired)
+{
+    ServerShard shard(2, std::vector<std::size_t>{3, 3});
+    shard.updateVersion(0, 0, 11);
+    shard.updateVersion(1, 1, 12);
+    shard.retireWorker(0);
+    EXPECT_EQ(shard.minWorkerIteration(), 12);
+    shard.retireWorker(1);
+    EXPECT_EQ(shard.minWorkerIteration(), 0);
 }
 
 } // namespace

@@ -1,10 +1,12 @@
 /**
  * @file
- * Sharded parameter server equivalence: the ShardedServer facade must
- * be observably — and for full engine runs bit-for-bit — identical to
- * the unsharded server for every shard count. Sharding only changes
- * the storage layout (ROADMAP item 1 / DESIGN.md Sec. 17); the
- * training computation must not notice.
+ * Parameter server equivalence: one ServerShard (the engine's and
+ * ServerNode's server) and the fleet's row split across shards, driven
+ * the way fleet.cpp drives it (core/shard_router.hpp), must be
+ * bit-for-bit identical to the eager int64 oracle and within the
+ * stated bound of the float server. Sharding only changes the storage
+ * layout (DESIGN.md Sec. 17); the training computation must not
+ * notice.
  */
 #include <gtest/gtest.h>
 
@@ -13,15 +15,15 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <vector>
 
 #include "common/rng.hpp"
-#include "core/engine.hpp"
-#include "core/row_partition.hpp"
 #include "core/legacy_server.hpp"
+#include "core/row_partition.hpp"
 #include "core/server_shard.hpp"
+#include "core/shard_router.hpp"
 #include "core/workloads.hpp"
-#include "net/trace_generator.hpp"
 
 namespace rog {
 namespace core {
@@ -42,44 +44,23 @@ tinyCruda(std::size_t workers)
     return cfg;
 }
 
-NetworkSetup
-unstableNetwork(std::size_t workers, double mean = 20e3)
-{
-    NetworkSetup net;
-    const auto model = net::TraceModel::outdoor(mean);
-    for (std::size_t i = 0; i < workers; ++i)
-        net.link_traces.push_back(
-            net::generateTrace(model, 120.0, 17 + i * 1000));
-    return net;
-}
-
 /**
  * Differential driver: the legacy trio (the legacy::VersionStorage +
- * legacy::EagerFixedServer oracle and one MtaTimeTracker) against a
- * ShardedServer with @p shards, fed the same random operation trace;
+ * legacy::EagerFixedServer oracle and one MtaTimeTracker) against
+ * @p sharded over @p partition, fed the same random operation trace;
  * every observable value must match bit-for-bit (integer and float
  * equality, not tolerance).
  */
+template <typename Server>
 void
-runDifferentialTrace(std::size_t shards, std::uint32_t seed)
+compareWithLegacyTrio(Server &sharded, const RowPartition &partition,
+                      std::uint32_t seed)
 {
-    // A real partition from a real flat model, so unit widths are the
-    // uneven ones the engine sees.
-    CrudaWorkloadConfig wcfg = tinyCruda(3);
-    CrudaWorkload workload(wcfg);
-    auto model = workload.buildReplica();
-    FlatModel flat(*model);
-    RowPartition partition(flat, Granularity::Row);
-
-    const std::size_t workers = 3;
+    const std::size_t workers = sharded.workers();
     const std::size_t units = partition.unitCount();
-    ASSERT_GT(units, shards);
-
     legacy::VersionStorage versions(workers, units);
     legacy::EagerFixedServer server(workers, partition);
     MtaTimeTracker tracker(workers);
-    ShardedServer sharded(workers, partition, shards);
-    ASSERT_EQ(sharded.shardCount(), shards);
 
     Rng rng(seed);
     std::vector<float> grad, a, b;
@@ -170,42 +151,73 @@ runDifferentialTrace(std::size_t shards, std::uint32_t seed)
     }
 }
 
+/** A real partition from a real flat model, so unit widths are the
+ *  uneven ones the engine sees. */
+struct CrudaPartition
+{
+    explicit CrudaPartition(const CrudaWorkloadConfig &cfg)
+        : workload(cfg), model(workload.buildReplica()), flat(*model),
+          partition(flat, Granularity::Row)
+    {
+    }
+
+    std::vector<std::size_t> widths() const
+    {
+        std::vector<std::size_t> w;
+        for (const Unit &u : partition.units())
+            w.push_back(u.width);
+        return w;
+    }
+
+    CrudaWorkload workload;
+    std::unique_ptr<nn::Model> model;
+    FlatModel flat;
+    RowPartition partition;
+};
+
+/** The fleet's row split into @p shards, routed as fleet.cpp does. */
+void
+routedMatchesLegacyTrio(std::size_t shards, std::uint32_t seed)
+{
+    const CrudaPartition p(tinyCruda(3));
+    ASSERT_GT(p.partition.unitCount(), shards);
+    test::ShardRouter sharded(3, p.partition, shards);
+    ASSERT_EQ(sharded.shardCount(), shards);
+    compareWithLegacyTrio(sharded, p.partition, seed);
+}
+
 TEST(ShardedServerTest, TwoShardsMatchLegacyTrio)
 {
-    runDifferentialTrace(2, 0xA11CEu);
+    routedMatchesLegacyTrio(2, 0xA11CEu);
 }
 
 TEST(ShardedServerTest, FourShardsMatchLegacyTrio)
 {
-    runDifferentialTrace(4, 0xB0B0u);
+    routedMatchesLegacyTrio(4, 0xB0B0u);
 }
 
 TEST(ShardedServerTest, SingleShardMatchesLegacyTrio)
 {
-    runDifferentialTrace(1, 0xCAFEu);
+    const CrudaPartition p(tinyCruda(3));
+    ServerShard server(3, p.partition);
+    compareWithLegacyTrio(server, p.partition, 0xCAFEu);
 }
 
 TEST(ShardedServerTest, ShardCountClampsToUnitCount)
 {
-    CrudaWorkload workload(tinyCruda(2));
-    auto model = workload.buildReplica();
-    FlatModel flat(*model);
-    RowPartition partition(flat, Granularity::Row);
-    ShardedServer s(2, partition, 100000);
-    EXPECT_EQ(s.shardCount(), partition.unitCount());
-    ShardedServer s0(2, partition, 0);
+    const CrudaPartition p(tinyCruda(2));
+    ShardedServer s(2, p.widths(), 100000);
+    EXPECT_EQ(s.shardCount(), p.partition.unitCount());
+    ShardedServer s0(2, p.widths(), 0);
     EXPECT_EQ(s0.shardCount(), 1u);
 }
 
 TEST(ShardedServerTest, ShardRangesAreContiguousAndCoverEveryUnit)
 {
-    CrudaWorkload workload(tinyCruda(2));
-    auto model = workload.buildReplica();
-    FlatModel flat(*model);
-    RowPartition partition(flat, Granularity::Row);
-    ShardedServer s(2, partition, 4);
+    const CrudaPartition p(tinyCruda(2));
+    ShardedServer s(2, p.widths(), 4);
     std::size_t last = 0;
-    for (std::size_t u = 0; u < s.units(); ++u) {
+    for (std::size_t u = 0; u < p.partition.unitCount(); ++u) {
         const std::size_t sh = s.shardOf(u);
         EXPECT_GE(sh, last) << "unit " << u;
         EXPECT_LE(sh, last + 1) << "unit " << u;
@@ -320,7 +332,7 @@ TEST(ShardedServerTest, ShardSnapshotsMatchLegacyServerState)
     const std::size_t units = partition.unitCount();
 
     legacy::EagerFixedServer legacy(workers, partition);
-    ShardedServer sharded(workers, partition, 3);
+    test::ShardRouter sharded(workers, partition, 3);
     ASSERT_EQ(sharded.shardCount(), 3u);
 
     Rng rng(0xFEEDu);
@@ -386,7 +398,7 @@ TEST(ShardedServerTest, FixedPointStaysWithinBoundOfFloatOracle)
     const std::size_t units = partition.unitCount();
 
     legacy::ServerState legacy(workers, partition);
-    ShardedServer sharded(workers, partition, 2);
+    test::ShardRouter sharded(workers, partition, 2);
     // Per (worker, unit, element): the exact sum (long double) and the
     // sum of |p_i| of the products since the last take, and k.
     struct Cell
@@ -482,7 +494,7 @@ TEST(ShardedServerTest, NonFiniteProductsAreDroppedOrClamped)
     ASSERT_GE(width, 4u);
 
     legacy::ServerState legacy(workers, partition);
-    ShardedServer sharded(workers, partition, 1);
+    ServerShard sharded(workers, partition);
     const float inf = std::numeric_limits<float>::infinity();
     std::vector<float> finite(width, 0.5f);
     std::vector<float> bad(width, 0.25f);
@@ -516,53 +528,6 @@ TEST(ShardedServerTest, NonFiniteProductsAreDroppedOrClamped)
     EXPECT_EQ(got[0], 0.25f);
     EXPECT_EQ(got[3], 0.375f);
     EXPECT_TRUE(std::isfinite(sharded.pendingMeanAbs(1, 0)));
-}
-
-/**
- * The acceptance bar: a full ROG engine run with a sharded server is
- * row-for-row identical to the single-shard run — same final model
- * bytes, same per-iteration records, same simulated clock.
- */
-TEST(ShardedServerTest, EngineRunBitIdenticalAcrossShardCounts)
-{
-    RunResult base;
-    {
-        CrudaWorkload workload(tinyCruda(3));
-        EngineConfig cfg;
-        cfg.system = SystemConfig::rog(4);
-        cfg.iterations = 15;
-        cfg.eval_every = 5;
-        cfg.capture_final_model = true;
-        cfg.server_shards = 1;
-        base = runDistributedTraining(workload, cfg,
-                                      unstableNetwork(3));
-    }
-    for (std::size_t shards : {2u, 4u}) {
-        CrudaWorkload workload(tinyCruda(3));
-        EngineConfig cfg;
-        cfg.system = SystemConfig::rog(4);
-        cfg.iterations = 15;
-        cfg.eval_every = 5;
-        cfg.capture_final_model = true;
-        cfg.server_shards = shards;
-        const auto res = runDistributedTraining(workload, cfg,
-                                                unstableNetwork(3));
-        EXPECT_EQ(res.server_shards, shards);
-        ASSERT_EQ(res.final_model_bytes, base.final_model_bytes)
-            << "shards=" << shards;
-        ASSERT_EQ(res.iterations.size(), base.iterations.size());
-        for (std::size_t i = 0; i < res.iterations.size(); ++i) {
-            EXPECT_EQ(res.iterations[i].worker,
-                      base.iterations[i].worker);
-            EXPECT_DOUBLE_EQ(res.iterations[i].comm_s,
-                             base.iterations[i].comm_s);
-            EXPECT_DOUBLE_EQ(res.iterations[i].stall_s,
-                             base.iterations[i].stall_s);
-            EXPECT_DOUBLE_EQ(res.iterations[i].end_time_s,
-                             base.iterations[i].end_time_s);
-        }
-        EXPECT_DOUBLE_EQ(res.sim_seconds, base.sim_seconds);
-    }
 }
 
 } // namespace

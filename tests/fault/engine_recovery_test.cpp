@@ -12,9 +12,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
+#include <vector>
 
+#include "common/crc32c.hpp"
 #include "core/engine.hpp"
 #include "core/server_checkpoint.hpp"
 #include "core/workloads.hpp"
@@ -22,6 +26,7 @@
 #include "fault/invariant_checker.hpp"
 #include "net/trace_generator.hpp"
 #include "stats/timeline.hpp"
+#include "tensor/gemm.hpp"
 
 namespace rog {
 namespace fault {
@@ -232,6 +237,40 @@ TEST(EngineRecovery, CheckpointCadenceSeparatesFromEvalCadence)
     std::remove(ckptPath("cadence").c_str());
     std::remove(ckptPath("inherit").c_str());
 }
+
+#if defined(__x86_64__)
+/**
+ * The ROGS file the aligned-crash run leaves at checkpoint_path: the
+ * iteration-20 write after a restore from the iteration-15 one. Its
+ * size and CRC32C are pinned, so a change to how the engine holds,
+ * snapshots or restores its server must leave the bytes on disk
+ * unchanged. The outbox holds gradients, whose float bits depend on
+ * the GEMM tier, so the pin holds only under the recorded tier (see
+ * engine_fingerprint_test).
+ */
+TEST(EngineRecovery, CheckpointFileBytesArePinned)
+{
+    constexpr auto kPinnedTier = tensor::gemm::Tier::Avx512;
+    if (tensor::gemm::activeTier() != kPinnedTier)
+        GTEST_SKIP() << "pin recorded under GEMM tier "
+                     << tensor::gemm::tierName(kPinnedTier);
+    const FaultPlan plan = FaultPlan::parse("server_crash iter=15\n");
+    const std::string path = ckptPath("pinned");
+    const RecoveryRun run = runOnce(&plan, path, 5);
+    ASSERT_EQ(run.result.recoveries.size(), 1u);
+    EXPECT_EQ(run.result.checkpoints_written, 4u);
+
+    std::ifstream in(path, std::ios::binary);
+    ASSERT_TRUE(in) << path;
+    const std::vector<std::uint8_t> bytes(
+        (std::istreambuf_iterator<char>(in)),
+        std::istreambuf_iterator<char>());
+    in.close();
+    std::remove(path.c_str());
+    EXPECT_EQ(bytes.size(), 26903u);
+    EXPECT_EQ(crc32c(bytes), 0xce68f3ebu);
+}
+#endif // __x86_64__
 
 } // namespace
 } // namespace fault
