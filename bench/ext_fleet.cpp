@@ -14,9 +14,17 @@
  *    with fleet-sized closures) isolating the queue itself;
  *  - the final accuracy gap of ROG (RSP threshold 4 + ATP partial
  *    pushes) versus BSP lockstep at equal iteration counts, peak RSS,
- *    the BufferPool hit rate of the transfer-staging leases, and how
- *    often the coordinator drained the shard lanes (lane_flushes) and
- *    how many lane ops those drains ran (lane_ops).
+ *    the BufferPool hit rate of the pull-staging leases, and how
+ *    often the lanes ran their queued ops (lane_flushes: once per round
+ *    of pushes, plus checkpoints and the end) and how many ops those
+ *    flushes ran (lane_ops).
+ *
+ * Thread scaling, measured: at 1024 and 4096 workers (64 in fast mode)
+ * the bench also runs perfbench's fleet_1024 shape (8 iterations per
+ * worker, seed 1) on 1-, 2- and 4-thread pools and prints the median
+ * worker-iterations per wall second of five runs per pool; the size's
+ * BM_FleetSim record carries them as "worker_iters_per_s". The digest
+ * must match across the pools, or the run fails.
  *
  * Two acceptance gates fail the run (exit 1) on the full sweep:
  *  - at 1024 workers the heap event core must clear >= 3x the
@@ -43,6 +51,7 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -157,6 +166,8 @@ struct Record
     std::size_t peak_rss_bytes = 0;
     std::uint64_t lane_flushes = 0;
     std::uint64_t lane_ops = 0;
+    /** (pool threads, median worker-iterations/s), when measured. */
+    std::vector<std::pair<std::size_t, double>> scaling;
 };
 
 void
@@ -183,6 +194,10 @@ writeJson(const std::string &path, const std::vector<Record> &recs)
         if (r.lane_flushes != 0)
             os << ", \"lane_flushes\": " << r.lane_flushes
                << ", \"lane_ops\": " << r.lane_ops;
+        for (std::size_t k = 0; k < r.scaling.size(); ++k)
+            os << (k == 0 ? ", \"worker_iters_per_s\": {" : ", ") << "\""
+               << r.scaling[k].first << "\": " << r.scaling[k].second
+               << (k + 1 == r.scaling.size() ? "}" : "");
         os << "}" << (i + 1 < recs.size() ? "," : "") << "\n";
     }
     os << "]\n";
@@ -205,6 +220,58 @@ bestSimWall(const rog::core::FleetConfig &cfg,
         best = rep == 0 ? wall : std::min(best, wall);
     }
     return best;
+}
+
+/** Median worker-iterations per wall second over @p reps runs of
+ *  @p cfg on @p pool; the run's digest in @p digest. */
+double
+medianIterRate(const rog::core::FleetConfig &cfg,
+               rog::parallel::ThreadPool &pool, int reps,
+               std::uint32_t &digest)
+{
+    std::vector<double> rates;
+    for (int rep = 0; rep < reps; ++rep) {
+        const auto t0 = Clock::now();
+        const rog::core::FleetResult r =
+            rog::core::runFleetSimulation(cfg, pool);
+        rates.push_back(static_cast<double>(r.iterations_completed) /
+                        wallSeconds(t0));
+        digest = r.state_digest;
+    }
+    std::sort(rates.begin(), rates.end());
+    return rates[rates.size() / 2];
+}
+
+/** The scaling table's row for @p cfg's fleet size, run at perfbench's
+ *  fleet_1024 shape (8 iterations, seed 1) on 1-, 2- and 4-thread
+ *  pools; the rates go into @p rec. Clears @p digests_match if the
+ *  pools' digests differ. */
+std::vector<std::string>
+measureScaling(rog::core::FleetConfig cfg, Record &rec, bool &digests_match)
+{
+    constexpr std::size_t kThreads[] = {1, 2, 4};
+    cfg.iterations = 8;
+    cfg.seed = 1;
+    std::vector<std::string> row{std::to_string(cfg.workers)};
+    std::uint32_t first = 0;
+    for (std::size_t threads : kThreads) {
+        rog::parallel::ThreadPool pool(threads);
+        std::uint32_t digest = 0;
+        rec.scaling.emplace_back(threads,
+                                 medianIterRate(cfg, pool, 5, digest));
+        row.push_back(rog::Table::num(rec.scaling.back().second, 0));
+        if (threads == kThreads[0])
+            first = digest;
+        digests_match &= digest == first;
+    }
+    row.push_back(rog::Table::num(rec.scaling.back().second /
+                                      rec.scaling.front().second,
+                                  2) +
+                  "x");
+    std::ostringstream hex;
+    hex << "0x" << std::hex << first;
+    row.push_back(hex.str());
+    return row;
 }
 
 } // namespace
@@ -250,6 +317,15 @@ main(int argc, char **argv)
             {"workers", "events", "heap_ev/s", "sim_s/wall_s",
              "ns/ev_1thr", "acc_gap_rog-bsp", "core_ratio", "pool_hit",
              "rss_mb", "flushes", "ops/flush"});
+
+    Table scaling("Thread scaling (64x8 rows, 8 iterations, seed 1; "
+                  "median worker-iterations/s of 5 runs)",
+                  {"workers", "1 thr", "2 thr", "4 thr", "4 vs 1",
+                   "digest"});
+    const std::vector<std::size_t> scaling_sizes =
+        fast ? std::vector<std::size_t>{64}
+             : std::vector<std::size_t>{1024, 4096};
+    bool scaling_digests_match = true;
 
     double core_ratio_1024 = 0.0;
     double sim_ns_16 = 0.0;
@@ -318,6 +394,10 @@ main(int argc, char **argv)
         heap_rec.peak_rss_bytes = rss;
         heap_rec.lane_flushes = heap.lane_flushes;
         heap_rec.lane_ops = heap.lane_ops;
+        if (std::find(scaling_sizes.begin(), scaling_sizes.end(),
+                      sw.workers) != scaling_sizes.end())
+            scaling.addRow(
+                measureScaling(cfg, heap_rec, scaling_digests_match));
         recs.push_back(heap_rec);
 
         Record serial_rec;
@@ -368,9 +448,15 @@ main(int argc, char **argv)
     }
 
     t.printText(std::cout);
+    scaling.printText(std::cout);
     writeJson(out_path, recs);
     std::cout << ">> wrote " << out_path << " (" << recs.size()
               << " records)\n";
+    if (!scaling_digests_match) {
+        std::cerr << "FAIL: the fleet digest differs across thread "
+                     "pools\n";
+        return 1;
+    }
     if (fast)
         return 0;
     std::cout << ">> event core at 1024 workers: heap "

@@ -7,17 +7,17 @@
  * state machines (compute -> push -> pull -> gate -> next iteration)
  * and the airtime-fair fluid channel; S shard lanes, each a FIFO of
  * plain LaneOp records plus the ServerShard it feeds, absorb the
- * server-side work (gradient accumulation, version updates, MTA
- * reports, deliveries into worker replicas). The coordinator drains
- * the lanes (flushShards(): parallelFor over lanes, grain 1) only when
- * it must read state they own: at a worker's compute-done after a
- * deliver for it was enqueued, at a checkpoint, and at the end. It
- * sizes pulls from its own pending-row ledger instead of the shards.
- * Lanes touch disjoint state (their ServerShard plus the disjoint
- * replica rows their units map to) and each runs its ops in enqueue
- * order, so neither the interleaving of lanes nor the placement of
- * flushes changes the memory image. Hence: bitwise-identical results
- * for every thread count.
+ * server-side work (each push's gradient rows and their accumulation,
+ * version updates, MTA reports, deliveries into worker replicas); an op
+ * carries what it reads from its push. The lanes run their ops
+ * (flushShards(): parallelFor over lanes, grain 1) once per round of
+ * cfg.workers push completions, at a checkpoint and at the end. Pulls
+ * are sized from the coordinator's own pending-row ledger. Lanes touch
+ * disjoint state (their ServerShard plus the disjoint replica rows
+ * their units map to) and each runs its ops in enqueue order, so
+ * neither the interleaving of lanes nor the placement of flushes
+ * changes the memory image. Hence: bitwise-identical results for every
+ * thread count.
  *
  * Synthetic workload: each worker descends ||x - target||^2 on its own
  * replica with hash-derived gradient noise; ATP partial pushes pick
@@ -65,16 +65,15 @@ splitmix64(std::uint64_t x)
     return x ^ (x >> 31);
 }
 
+constexpr std::uint64_t kSeedKey = 0x243F6A8885A308D3ull;
+
 /** Deterministic hash of up to four indices, chained through
- *  splitmix64 so every coordinate perturbs every output bit. Declared
- *  inline: the gradient loop calls it once per element, and inlined
- *  there the compiler hoists the four steps that depend only on the
- *  row; called out of line it cost fleet_1024 about a quarter. */
-inline std::uint64_t
+ *  splitmix64 so every coordinate perturbs every output bit. */
+std::uint64_t
 hashMix(std::uint64_t seed, std::uint64_t a, std::uint64_t b = 0,
         std::uint64_t c = 0, std::uint64_t d = 0)
 {
-    std::uint64_t h = splitmix64(seed ^ 0x243F6A8885A308D3ull);
+    std::uint64_t h = splitmix64(seed ^ kSeedKey);
     h = splitmix64(h ^ a);
     h = splitmix64(h ^ b);
     h = splitmix64(h ^ c);
@@ -128,6 +127,8 @@ class FleetEngine
                        "fleet shard units must follow row order");
             lane.end_row = row + 1;
         }
+        for (Lane &lane : lanes_)
+            lane.scratch.resize(push_rows_ * cfg.row_width);
         mta_bytes_ = mtaFraction(cfg_.staleness_threshold) *
                      static_cast<double>(cfg.rows * cfg.row_width) * 4.0;
         push_bytes_ =
@@ -199,31 +200,31 @@ class FleetEngine
         kTagRetire = 7,
     };
 
+    /** A worker's coordinator-side state. Lane ops never read it:
+     *  what an op needs from its push rides in the op. */
     struct FleetWorker
     {
         std::int64_t iter = 0; //!< iteration in flight (1-based).
         bool retired = false;
         double link_rate = 0.0;
         double push_start = 0.0;
-        /** The last push's transfer time and gradient (its iteration
-         *  is last_pushed_). The push's lane ops read them when a flush
-         *  runs them, so they stay put until the next compute-done. */
-        double push_elapsed = 0.0;
-        BufferPool::Lease<float> push_buf;
         BufferPool::Lease<std::uint8_t> pull_buf;
         /** push_seq_ when the last deliver ops were enqueued. */
         std::uint64_t deliver_seq = 0;
-        /** The flush that runs the last deliver ops: they are settled
-         *  once lane_flushes_ reaches it. */
-        std::uint64_t deliver_flush = 0;
     };
 
     /** One deferred server-side operation. Every op is enqueued at the
-     *  coordinator's current time, so enqueue order is event order. */
+     *  coordinator's current time, so enqueue order is event order. An
+     *  op may run after the worker's next push completed, so it carries
+     *  what it reads from its push. */
     struct LaneOp
     {
         std::uint32_t kind; //!< kTagApply/Report/Deliver/Retire.
         std::uint32_t worker;
+        union {
+            std::int64_t iter; //!< kTagApply: the push's iteration.
+            double elapsed;    //!< kTagReport: its transfer time.
+        };
     };
 
     /** One shard lane: a FIFO of ops feeding one ServerShard, plus its
@@ -237,7 +238,8 @@ class FleetEngine
         std::uint32_t crc = 0;
         std::size_t first_row = 0; //!< the shard's contiguous rows.
         std::size_t end_row = 0;
-        std::vector<float> row; //!< deliverPending scratch.
+        /** An apply op's gradient rows; a deliver's pulled row. */
+        std::vector<float> scratch;
     };
 
     // ---- deterministic hashes ----
@@ -252,16 +254,6 @@ class FleetEngine
         return d > 1e-9 ? d : 1e-9;
     }
 
-    float
-    gradientNoise(std::size_t w, std::int64_t n, std::size_t row,
-                  std::size_t j) const
-    {
-        return cfg_.gradient_noise *
-               static_cast<float>(signedUnit(
-                   hashMix(cfg_.seed, 3 + w,
-                           static_cast<std::uint64_t>(n), row, j)));
-    }
-
     /** First row of iteration @p n's rotation window. */
     std::size_t
     windowStart(std::int64_t n) const
@@ -270,9 +262,8 @@ class FleetEngine
     }
 
     /**
-     * Call fn(row, i) for every row of the rotation window from
-     * @p start that lies in [lo, hi), in window order; i is the row's
-     * place in the window (its slot in the push buffer). The window's
+     * Call fn(row) for every row of the rotation window from @p start
+     * that lies in [lo, hi), in window order. The window's
      * k = push_rows_ rows are at most two contiguous segments:
      * [start, min(start + k, rows)), then [0, start + k - rows). Window
      * order matters to the lane logs: with one shard the window can
@@ -288,11 +279,11 @@ class FleetEngine
         const std::size_t first_end = end < rows ? end : rows;
         for (std::size_t row = std::max(start, lo);
              row < std::min(first_end, hi); ++row)
-            fn(row, row - start);
+            fn(row);
         if (end <= rows)
             return;
         for (std::size_t row = lo; row < std::min(end - rows, hi); ++row)
-            fn(row, first_end - start + row);
+            fn(row);
     }
 
     float *
@@ -334,11 +325,12 @@ class FleetEngine
     }
 
     // ---- shard lanes ----
-    void
+    LaneOp &
     enqueueShard(std::size_t s, std::uint32_t kind, std::size_t w)
     {
-        lanes_[s].ops.push_back({kind, static_cast<std::uint32_t>(w)});
         ++pending_ops_;
+        return lanes_[s].ops.emplace_back(
+            LaneOp{kind, static_cast<std::uint32_t>(w), {}});
     }
 
     void
@@ -347,13 +339,13 @@ class FleetEngine
         const std::size_t w = op.worker;
         switch (op.kind) {
         case kTagApply:
-            applyPush(s, w);
+            applyPush(s, w, op.iter);
             break;
         case kTagReport:
             // MTA reports replicate into every lane's tracker so the
             // per-shard EWMAs stay identical replicas.
-            server_->shard(s).report(w, push_bytes_,
-                                     workers_[w].push_elapsed, mta_bytes_);
+            server_->shard(s).report(w, push_bytes_, op.elapsed,
+                                     mta_bytes_);
             logLane(s, kTagReport, w, 0, s);
             break;
         case kTagDeliver:
@@ -493,32 +485,8 @@ class FleetEngine
     void
     onComputeDone(std::size_t w)
     {
-        // The gradient reads this worker's replica rows. Only its own
-        // deliver ops write them: settle the lanes if the last ones
-        // have not run yet. That flush (or an earlier one) also ran the
-        // apply and report ops of the last push, enqueued before the
-        // deliver, so the push's lease and fields are free to change.
         FleetWorker &fw = workers_[w];
-        if (lane_flushes_ < fw.deliver_flush)
-            flushShards();
-        fw.push_buf.release();
-
-        const std::int64_t n = fw.iter;
-        logCoord(kTagCompute, w, n);
-
-        const std::size_t width = cfg_.row_width;
-        fw.push_buf =
-            BufferPool::global().leaseFloats(push_rows_ * width);
-        forWindowRows(windowStart(n), 0, cfg_.rows,
-                      [&](std::size_t row, std::size_t i) {
-                          const float *x = replicaRow(w, row);
-                          const float *t = target_.data() + row * width;
-                          float *g = fw.push_buf.data() + i * width;
-                          for (std::size_t j = 0; j < width; ++j)
-                              g[j] = (x[j] - t[j]) +
-                                     gradientNoise(w, n, row, j);
-                      });
-
+        logCoord(kTagCompute, w, fw.iter);
         fw.push_start = coord_.now();
         channelStart(w, /*is_pull=*/false, push_bytes_);
         channelRearm();
@@ -535,19 +503,18 @@ class FleetEngine
         last_pushed_[w] = n;
         raiseFloor();
 
-        fw.push_elapsed = coord_.now() - fw.push_start;
-
         // Apply ops: one per shard that owns a pushed row. The op
-        // touches only shard s's state and the push buffer —
+        // touches only shard s's state and w's replica rows in shard s —
         // lane-disjoint.
+        const double elapsed = coord_.now() - fw.push_start;
         const std::size_t start = windowStart(n);
         for (std::size_t s = 0; s < shards_; ++s) {
             bool owns = false;
             forWindowRows(start, lanes_[s].first_row, lanes_[s].end_row,
-                          [&](std::size_t, std::size_t) { owns = true; });
+                          [&](std::size_t) { owns = true; });
             if (owns)
-                enqueueShard(s, kTagApply, w);
-            enqueueShard(s, kTagReport, w);
+                enqueueShard(s, kTagApply, w).iter = n;
+            enqueueShard(s, kTagReport, w).elapsed = elapsed;
         }
 
         // Size the pull from the pending-row ledger, not the shards
@@ -558,7 +525,7 @@ class FleetEngine
         // enqueued after w's last deliver ops, i.e.
         // row_push_seq_[row] > fw.deliver_seq. This push counts too.
         ++push_seq_;
-        forWindowRows(start, 0, cfg_.rows, [&](std::size_t row, std::size_t) {
+        forWindowRows(start, 0, cfg_.rows, [&](std::size_t row) {
             row_push_seq_[row] = push_seq_;
         });
         std::size_t pending_rows = 0;
@@ -571,22 +538,51 @@ class FleetEngine
             static_cast<std::size_t>(pull_bytes));
         channelStart(w, /*is_pull=*/true, pull_bytes);
 
+        // One flush per round of pushes bounds the queued ops.
+        if (push_seq_ % cfg_.workers == 0)
+            flushShards();
         unblockScan();
     }
 
+    /**
+     * Compute push @p n's gradient rows in lane @p s, then accumulate
+     * them. Only w's own deliver ops write w's replica rows, and in
+     * every lane the deliver of pull n - 1 precedes this op with no
+     * deliver for w between, so it reads the replica w computed on.
+     * Every row is computed before the first accumulate: interleaved,
+     * each accumulate stalls on the row just stored.
+     */
     void
-    applyPush(std::size_t s, std::size_t w)
+    applyPush(std::size_t s, std::size_t w, std::int64_t n)
     {
-        const std::int64_t n = last_pushed_[w];
         const std::size_t width = cfg_.row_width;
-        const float *buf = workers_[w].push_buf.data();
-        const Lane &lane = lanes_[s];
+        const std::size_t start = windowStart(n);
+        // Noise is gradient_noise * signedUnit(hashMix(seed, 3 + w, n,
+        // row, j)); the links before row are hoisted by hand.
+        const std::uint64_t wn = splitmix64(
+            splitmix64(splitmix64(cfg_.seed ^ kSeedKey) ^ (3 + w)) ^
+            static_cast<std::uint64_t>(n));
+        Lane &lane = lanes_[s];
+        float *g = lane.scratch.data();
+        forWindowRows(start, lane.first_row, lane.end_row,
+                      [&](std::size_t row) {
+                          const float *x = replicaRow(w, row);
+                          const float *t = target_.data() + row * width;
+                          const std::uint64_t h = splitmix64(wn ^ row);
+                          for (std::size_t j = 0; j < width; ++j)
+                              g[j] = (x[j] - t[j]) +
+                                     cfg_.gradient_noise *
+                                         static_cast<float>(signedUnit(
+                                             splitmix64(h ^ j)));
+                          g += width;
+                      });
+        g = lane.scratch.data();
         ServerShard &shard = server_->shard(s);
-        forWindowRows(windowStart(n), lane.first_row, lane.end_row,
-                      [&](std::size_t row, std::size_t i) {
+        forWindowRows(start, lane.first_row, lane.end_row,
+                      [&](std::size_t row) {
                           const std::size_t unit = row - lane.first_row;
-                          shard.accumulate(unit, std::span<const float>(
-                                                     buf + i * width, width));
+                          shard.accumulate(unit, {g, width});
+                          g += width;
                           shard.updateVersion(w, unit, n);
                           shard.noteUpdate(unit, n);
                           logLane(s, kTagApply, w, n, row);
@@ -604,7 +600,6 @@ class FleetEngine
         for (std::size_t s = 0; s < shards_; ++s)
             enqueueShard(s, kTagDeliver, w);
         fw.deliver_seq = push_seq_;
-        fw.deliver_flush = lane_flushes_ + 1;
         ++iterations_done_;
 
         if (w == 0)
@@ -631,13 +626,12 @@ class FleetEngine
         const std::size_t width = cfg_.row_width;
         Lane &lane = lanes_[s];
         ServerShard &shard = server_->shard(s);
-        std::vector<float> &p = lane.row;
-        p.resize(width);
+        float *p = lane.scratch.data();
         for (std::size_t row = lane.first_row; row < lane.end_row; ++row) {
             const std::size_t unit = row - lane.first_row;
             if (!shard.hasPending(w, unit))
                 continue;
-            shard.takePending(w, unit, p);
+            shard.takePending(w, unit, {p, width});
             float *x = replicaRow(w, row);
             for (std::size_t j = 0; j < width; ++j)
                 x[j] -= cfg_.learning_rate * p[j];

@@ -11,27 +11,28 @@
  * exactly what does NOT scale to a 1024-robot fleet. This engine
  * trades model fidelity (a synthetic convex workload with hash-derived
  * gradient noise) for scale: contiguous worker state, the
- * allocation-free heap event core, per-shard op lanes drained on the
- * thread pool, and a coordinator that drains them only on demand.
+ * allocation-free heap event core, and per-shard op lanes that compute
+ * and apply the pushes on the thread pool, once per round of pushes.
  *
  * Determinism (DESIGN.md Sec. 17): one sequential COORDINATOR owns the
  * workers' state machines and the airtime-fair fluid channel; the
  * parameter server is split into S shards, each owning a FIFO lane of
  * plain op records and its ServerShard state. When a transfer
  * completes, the coordinator appends ops (apply, MTA report, deliver,
- * retire; deterministic content) to the affected lanes. It drains
- * them (parallelFor over shards, grain 1, each lane running its ops in
- * enqueue order against shard-local state and the disjoint model rows
- * it owns) only before it reads lane-owned state: a worker's replica
- * after a deliver for it, a checkpoint, the end of the run. Pull sizes
- * come from a coordinator-side pending-row ledger. Per-shard results
- * (event counts, digests) combine in ascending shard order, the same
- * ordered pairwise combine the tensor reductions use. No shard reads
- * another shard's state, each lane's op order is fixed, and the
- * combine order is fixed, so the result is bitwise identical for
- * every ROG_THREADS and every flush placement (verified by
- * fleet_determinism_test across pools of 1/2/4/8 and with extra
- * checkpoint flushes).
+ * retire; deterministic content, each carrying what it reads from its
+ * push) to the affected lanes. An apply op computes its push's gradient
+ * rows from the worker's replica. The lanes run their ops (parallelFor
+ * over shards, grain 1, each lane running its ops in enqueue order
+ * against shard-local state and the disjoint model rows it owns) once
+ * per round of `workers` push completions, at a checkpoint and at the
+ * end of the run. Pull sizes come from a coordinator-side pending-row
+ * ledger. Per-shard results (event counts, digests) combine in
+ * ascending shard order, the same ordered pairwise combine the tensor
+ * reductions use. No shard reads another shard's state, each lane's
+ * op order is fixed, and the combine order is fixed, so the result is
+ * bitwise identical for every ROG_THREADS and every flush placement
+ * (verified by fleet_determinism_test across pools of 1/2/4/8 and with
+ * extra checkpoint flushes).
  */
 #ifndef ROG_CORE_FLEET_HPP
 #define ROG_CORE_FLEET_HPP
@@ -102,12 +103,13 @@ struct FleetResult
 
     std::size_t checkpoint_files_written = 0;
 
-    /** Lane drains (fork/joins) and ops run by them; counted, not
-     *  timed, and outside the digest. */
+    /** Lane flushes (fork/joins: one per round of `workers` push
+     *  completions, plus checkpoints and the end) and the ops they ran;
+     *  counted, not timed, and outside the digest. */
     std::uint64_t lane_flushes = 0;
     std::uint64_t lane_ops = 0;
 
-    // BufferPool::global() deltas over the run (transfer staging).
+    // BufferPool::global() deltas over the run (pull staging).
     std::size_t pool_leases = 0;
     std::size_t pool_reuses = 0;
     std::size_t pool_allocations = 0;

@@ -53,6 +53,31 @@ expectBitIdentical(const FleetResult &a, const FleetResult &b)
     EXPECT_EQ(a.final_metric, b.final_metric);
 }
 
+std::uint32_t
+fileCrc(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    EXPECT_TRUE(in.good()) << path;
+    const std::vector<std::uint8_t> bytes(
+        (std::istreambuf_iterator<char>(in)),
+        std::istreambuf_iterator<char>());
+    return crc32c(bytes);
+}
+
+/** CRC32C of each shard's checkpoint file under @p dir. */
+std::vector<std::uint32_t>
+shardFileCrcs(const std::string &dir, std::size_t shards)
+{
+    std::vector<std::uint32_t> crcs;
+    for (std::size_t s = 0; s < shards; ++s) {
+        std::string path = dir + "/fleet.rogs";
+        if (s != 0)
+            path += ".shard" + std::to_string(s);
+        crcs.push_back(fileCrc(path));
+    }
+    return crcs;
+}
+
 TEST(FleetDeterminismTest, BitwiseIdenticalAcrossThreadCounts)
 {
     const FleetConfig cfg = fleetConfig64();
@@ -135,6 +160,68 @@ TEST(FleetDeterminismTest, FlushPlacementDoesNotChangeOutputs)
     }
 }
 
+/** Compute-done never drains the lanes: without checkpoints they run
+ *  their ops once per round of cfg.workers push completions and at the
+ *  end, the same number of times on every pool. */
+TEST(FleetDeterminismTest, LanesFlushOncePerRoundOfPushes)
+{
+    FleetConfig small = fleetConfig64();
+    small.workers = 5;
+    small.iterations = 13;
+    for (const FleetConfig &cfg : {fleetConfig64(), small}) {
+        SCOPED_TRACE("workers=" + std::to_string(cfg.workers));
+        std::uint64_t flushes = 0;
+        for (std::size_t threads : {1u, 2u, 4u}) {
+            parallel::ThreadPool pool(threads);
+            const FleetResult r = runFleetSimulation(cfg, pool);
+            const std::uint64_t rounds =
+                (r.iterations_completed + cfg.workers - 1) / cfg.workers;
+            EXPECT_LE(r.lane_flushes, rounds + 1);
+            if (threads == 1)
+                flushes = r.lane_flushes;
+            EXPECT_EQ(r.lane_flushes, flushes);
+        }
+    }
+}
+
+/** Four workers with links up to 19x apart and a staleness threshold
+ *  none of them reaches: fast workers complete two pushes inside one
+ *  round, so a push's apply and report ops are still queued when the
+ *  worker's next push completes. The ops carry the push's iteration and
+ *  transfer time, so the run matches one whose lanes also flush at every
+ *  checkpoint, down to the checkpoint files (which hold the MTA
+ *  tracker the reports feed), on every pool. */
+TEST(FleetDeterminismTest, QueuedOpsKeepTheirPushAcrossRounds)
+{
+    FleetConfig once = fleetConfig64();
+    once.workers = 4;
+    once.iterations = 12;
+    once.bandwidth_spread = 0.9;
+    once.staleness_threshold = 64;
+    once.checkpoint_every = once.iterations; // at worker 0's last pull.
+    once.checkpoint_dir = testing::TempDir() + "rog_fleet_round_once";
+    FleetConfig every = once;
+    every.checkpoint_every = 1;
+    every.checkpoint_dir = testing::TempDir() + "rog_fleet_round_every";
+    ::mkdir(once.checkpoint_dir.c_str(), 0755);
+    ::mkdir(every.checkpoint_dir.c_str(), 0755);
+
+    parallel::ThreadPool p1(1);
+    const FleetResult base = runFleetSimulation(once, p1);
+    const std::vector<std::uint32_t> base_files =
+        shardFileCrcs(once.checkpoint_dir, 4);
+    for (std::size_t threads : {1u, 2u, 4u}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        parallel::ThreadPool pool(threads);
+        const FleetResult flushed = runFleetSimulation(every, pool);
+        EXPECT_GT(flushed.lane_flushes, base.lane_flushes);
+        expectBitIdentical(base, flushed);
+        EXPECT_EQ(shardFileCrcs(every.checkpoint_dir, 4), base_files);
+        expectBitIdentical(base, runFleetSimulation(once, pool));
+        EXPECT_EQ(shardFileCrcs(once.checkpoint_dir, 4), base_files);
+    }
+}
+
 TEST(FleetDeterminismTest, WritesOneCheckpointFilePerShard)
 {
     FleetConfig cfg = fleetConfig64();
@@ -182,17 +269,6 @@ expectFingerprint(const FleetResult &r, const Fingerprint &f)
     EXPECT_EQ(r.events_processed, f.events_processed);
     EXPECT_EQ(r.sim_seconds, f.sim_seconds);
     EXPECT_EQ(r.total_bytes, f.total_bytes);
-}
-
-std::uint32_t
-fileCrc(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    EXPECT_TRUE(in.good()) << path;
-    const std::vector<std::uint8_t> bytes(
-        (std::istreambuf_iterator<char>(in)),
-        std::istreambuf_iterator<char>());
-    return crc32c(bytes);
 }
 
 TEST(FleetDeterminismTest, PinnedFingerprintFleet64)
