@@ -14,10 +14,9 @@
  *    with fleet-sized closures) isolating the queue itself;
  *  - the final accuracy gap of ROG (RSP threshold 4 + ATP partial
  *    pushes) versus BSP lockstep at equal iteration counts, peak RSS,
- *    the BufferPool hit rate of the pull-staging leases, and how
- *    often the lanes ran their queued ops (lane_flushes: once per round
- *    of pushes, plus checkpoints and the end) and how many ops those
- *    flushes ran (lane_ops).
+ *    and how often the lanes ran their queued ops (lane_flushes: once
+ *    per round of pushes, plus checkpoints and the end) and how many
+ *    ops those flushes ran (lane_ops).
  *
  * Thread scaling, measured: at 1024 and 4096 workers (64 in fast mode)
  * the bench also runs perfbench's fleet_1024 shape (8 iterations per
@@ -162,7 +161,6 @@ struct Record
     double sim_s_per_wall_s = -1.0;
     std::string label;
     double accuracy_gap = std::nan("");
-    double pool_hit_rate = -1.0;
     std::size_t peak_rss_bytes = 0;
     std::uint64_t lane_flushes = 0;
     std::uint64_t lane_ops = 0;
@@ -187,8 +185,6 @@ writeJson(const std::string &path, const std::vector<Record> &recs)
             os << ", \"label\": \"" << r.label << "\"";
         if (!std::isnan(r.accuracy_gap))
             os << ", \"accuracy_gap\": " << r.accuracy_gap;
-        if (r.pool_hit_rate >= 0.0)
-            os << ", \"pool_hit_rate\": " << r.pool_hit_rate;
         if (r.peak_rss_bytes != 0)
             os << ", \"peak_rss_bytes\": " << r.peak_rss_bytes;
         if (r.lane_flushes != 0)
@@ -315,8 +311,8 @@ main(int argc, char **argv)
     std::vector<Record> recs;
     Table t("Fleet sweep (ROG threshold 4 + ATP vs BSP lockstep)",
             {"workers", "events", "heap_ev/s", "sim_s/wall_s",
-             "ns/ev_1thr", "acc_gap_rog-bsp", "core_ratio", "pool_hit",
-             "rss_mb", "flushes", "ops/flush"});
+             "ns/ev_1thr", "acc_gap_rog-bsp", "core_ratio", "rss_mb",
+             "flushes", "ops/flush"});
 
     Table scaling("Thread scaling (64x8 rows, 8 iterations, seed 1; "
                   "median worker-iterations/s of 5 runs)",
@@ -390,7 +386,6 @@ main(int argc, char **argv)
         heap_rec.sim_s_per_wall_s = heap.sim_seconds / heap_wall;
         heap_rec.label = "heap";
         heap_rec.accuracy_gap = gap;
-        heap_rec.pool_hit_rate = heap.pool_hit_rate;
         heap_rec.peak_rss_bytes = rss;
         heap_rec.lane_flushes = heap.lane_flushes;
         heap_rec.lane_ops = heap.lane_ops;
@@ -439,7 +434,6 @@ main(int argc, char **argv)
                   Table::num(heap.sim_seconds / heap_wall, 2),
                   Table::num(serial_ns, 1), Table::num(gap, 4),
                   Table::num(core_ratio, 2),
-                  Table::num(heap.pool_hit_rate, 3),
                   Table::num(static_cast<double>(rss) / (1u << 20), 1),
                   std::to_string(heap.lane_flushes),
                   Table::num(static_cast<double>(heap.lane_ops) /

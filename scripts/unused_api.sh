@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # List the exported src/ functions that no tool, bench, example or
-# perfbench binary contains.
+# perfbench binary contains, and fail unless each has a stated reason
+# to stay in scripts/unused_api.keep.
 #
 #   scripts/unused_api.sh [-c]
 #
@@ -10,13 +11,17 @@
 # nothing is inlined and the linker drops every function no kept code
 # calls, so a function missing from all of those binaries has no caller
 # in any of them. The exported functions are the global text symbols
-# (nm type T) of the src/ libraries, rog_oracles excluded; inline and
-# template functions (weak symbols) are not counted.
+# (nm type T) of the src/ libraries, rog_oracles excluded.
+#
+# What it cannot see: inline and template functions (weak symbols) are
+# not counted, and a virtual function counts as called whenever its
+# class's vtable is linked, so an unused override never shows up.
 #
 # Prints the missing functions, demangled and sorted, then the line
 # "unused exported functions: N of M". -c prints the count line only.
-# A report: it exits 0 whatever the count, and non-zero only when a
-# build fails.
+# Exits 1 when a listed function has no entry in the keep file, or a
+# keep entry names no listed function (it has a caller now, or is
+# gone: delete the entry), and non-zero when a build fails.
 set -euo pipefail
 
 count_only=0
@@ -72,3 +77,23 @@ if [ "$count_only" -eq 0 ] && [ -n "$unused" ]; then
 fi
 echo "unused exported functions: $(echo -n "$unused" | grep -c . || true)" \
     "of $total"
+
+# A keep entry is a qualified name, then its reason; the listed
+# signatures are matched on the name before "(" with [abi:...] tags cut.
+entries=$(grep -v -e '^#' -e '^[[:space:]]*$' "$root/scripts/unused_api.keep" ||
+    true)
+names=$(sed -e 's/\[abi:[^]]*\]//g' -e 's/(.*//' <<<"$unused" | grep . |
+    sort -u || true)
+kept=$(awk '{ print $1 }' <<<"$entries" | grep . | sort -u || true)
+status=0
+report() {
+    [ -n "$2" ] || return 0
+    awk -v what="$1" '{ print what ": " $0 }' <<<"$2" >&2
+    status=1
+}
+report "keep entry without a reason" "$(awk 'NF == 1' <<<"$entries")"
+report "unused and not in scripts/unused_api.keep" \
+    "$(comm -23 <(echo "$names") <(echo "$kept"))"
+report "keep entry names no unused function" \
+    "$(comm -13 <(echo "$names") <(echo "$kept"))"
+exit "$status"

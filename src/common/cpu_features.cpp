@@ -98,31 +98,5 @@ hasNeon()
 #endif
 }
 
-const char *
-simdIsa()
-{
-    if (hasAvx512f())
-        return "avx512f";
-    if (hasAvx2Fma())
-        return "avx2+fma";
-    if (hasNeon())
-        return "neon";
-    return "none";
-}
-
-const char *
-crc32cIsa()
-{
-    if (!hasCrc32c())
-        return "none";
-#if defined(__x86_64__) || defined(__i386__)
-    return "sse4.2";
-#elif defined(__aarch64__)
-    return "armv8-crc";
-#else
-    return "none";
-#endif
-}
-
 } // namespace cpu
 } // namespace rog

@@ -23,10 +23,6 @@ namespace cpu {
  */
 bool hasCrc32c();
 
-/** Short human-readable summary ("sse4.2", "armv8-crc", "none") for
- *  logs and bench metadata. */
-const char *crc32cIsa();
-
 /** True when the CPU supports AVX2 *and* FMA3 (the GEMM microkernel
  *  needs both). Detected once; later calls are a load. */
 bool hasAvx2Fma();
@@ -36,10 +32,6 @@ bool hasAvx512f();
 
 /** True when the CPU supports NEON/ASIMD (always true on aarch64). */
 bool hasNeon();
-
-/** Short summary of the widest SIMD tier available to the GEMM
- *  dispatch ("avx512f", "avx2+fma", "neon", "none"). */
-const char *simdIsa();
 
 } // namespace cpu
 } // namespace rog

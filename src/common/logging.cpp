@@ -6,22 +6,6 @@
 
 namespace rog {
 
-namespace {
-LogLevel g_level = LogLevel::Warn;
-} // namespace
-
-void
-setLogLevel(LogLevel level)
-{
-    g_level = level;
-}
-
-LogLevel
-logLevel()
-{
-    return g_level;
-}
-
 namespace detail {
 
 void
@@ -42,11 +26,9 @@ fatalImpl(std::string_view file, int line, const std::string &msg)
 }
 
 void
-logImpl(LogLevel level, std::string_view tag, const std::string &msg)
+warnImpl(const std::string &msg)
 {
-    if (static_cast<int>(level) > static_cast<int>(g_level))
-        return;
-    std::cerr << tag << ": " << msg << std::endl;
+    std::cerr << "warn: " << msg << std::endl;
 }
 
 } // namespace detail

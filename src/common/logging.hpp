@@ -5,7 +5,7 @@
  * Follows the gem5 convention: panic() is for internal invariant
  * violations (a bug in this library), fatal() is for user errors that
  * make continuing impossible (bad configuration, invalid arguments),
- * warn()/inform() are non-fatal status messages.
+ * warn() is a non-fatal message on stderr.
  */
 #ifndef ROG_COMMON_LOGGING_HPP
 #define ROG_COMMON_LOGGING_HPP
@@ -17,22 +17,13 @@
 
 namespace rog {
 
-/** Verbosity levels for non-fatal messages. */
-enum class LogLevel { Silent, Warn, Inform, Debug };
-
-/** Set the global verbosity threshold (default: Warn). */
-void setLogLevel(LogLevel level);
-
-/** Current global verbosity threshold. */
-LogLevel logLevel();
-
 namespace detail {
 
 [[noreturn]] void panicImpl(std::string_view file, int line,
                             const std::string &msg);
 [[noreturn]] void fatalImpl(std::string_view file, int line,
                             const std::string &msg);
-void logImpl(LogLevel level, std::string_view tag, const std::string &msg);
+void warnImpl(const std::string &msg);
 
 /** Concatenate any streamable arguments into a string. */
 template <typename... Args>
@@ -83,18 +74,7 @@ class UsageError : public std::runtime_error
 
 /** Non-fatal warning about questionable behaviour. */
 #define ROG_WARN(...) \
-    ::rog::detail::logImpl(::rog::LogLevel::Warn, "warn", \
-                           ::rog::detail::concat(__VA_ARGS__))
-
-/** Informational status message. */
-#define ROG_INFORM(...) \
-    ::rog::detail::logImpl(::rog::LogLevel::Inform, "info", \
-                           ::rog::detail::concat(__VA_ARGS__))
-
-/** Verbose debugging message. */
-#define ROG_DEBUG(...) \
-    ::rog::detail::logImpl(::rog::LogLevel::Debug, "debug", \
-                           ::rog::detail::concat(__VA_ARGS__))
+    ::rog::detail::warnImpl(::rog::detail::concat(__VA_ARGS__))
 
 } // namespace rog
 

@@ -30,12 +30,6 @@ stddev(const std::vector<double> &v)
 }
 
 double
-lerp(double a, double b, double t)
-{
-    return a + (b - a) * t;
-}
-
-double
 clamp(double v, double lo, double hi)
 {
     return v < lo ? lo : (v > hi ? hi : v);

@@ -17,9 +17,6 @@ double mean(const std::vector<double> &v);
 /** Population standard deviation; 0 for fewer than two samples. */
 double stddev(const std::vector<double> &v);
 
-/** Linear interpolation between a and b at t in [0, 1]. */
-double lerp(double a, double b, double t);
-
 /** Clamp v to [lo, hi]. */
 double clamp(double v, double lo, double hi);
 

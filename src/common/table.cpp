@@ -1,9 +1,7 @@
 #include "common/table.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <iomanip>
-#include <limits>
 #include <sstream>
 
 #include "common/logging.hpp"
@@ -66,17 +64,6 @@ Table::printText(std::ostream &os) const
     rule();
 }
 
-void
-Table::printCsv(std::ostream &os) const
-{
-    os << "# " << title_ << '\n';
-    for (std::size_t c = 0; c < columns_.size(); ++c)
-        os << columns_[c] << (c + 1 < columns_.size() ? "," : "\n");
-    for (const auto &row : rows_)
-        for (std::size_t c = 0; c < row.size(); ++c)
-            os << row[c] << (c + 1 < row.size() ? "," : "\n");
-}
-
 SeriesSet::SeriesSet(std::string title, std::string x_name,
                      std::string y_name)
     : title_(std::move(title)), x_name_(std::move(x_name)),
@@ -88,15 +75,6 @@ SeriesSet::Series *
 SeriesSet::find(const std::string &name)
 {
     for (auto &s : series_)
-        if (s.name == name)
-            return &s;
-    return nullptr;
-}
-
-const SeriesSet::Series *
-SeriesSet::find(const std::string &name) const
-{
-    for (const auto &s : series_)
         if (s.name == name)
             return &s;
     return nullptr;
@@ -140,15 +118,6 @@ SeriesSet::printSummary(std::ostream &os) const
                   Table::num(z.y)});
     }
     t.printText(os);
-}
-
-double
-SeriesSet::finalValue(const std::string &series) const
-{
-    const Series *s = find(series);
-    if (!s || s->pts.empty())
-        return std::numeric_limits<double>::quiet_NaN();
-    return s->pts.back().y;
 }
 
 } // namespace rog

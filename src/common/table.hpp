@@ -2,10 +2,9 @@
  * @file
  * Text table and CSV emission for benchmark output.
  *
- * Every bench binary prints (a) a human-readable aligned table mirroring
- * the paper's table/figure rows, and (b) the same data as CSV so plots
- * can be regenerated. Table collects rows of heterogeneous cells and
- * renders both forms.
+ * Every bench binary prints a human-readable aligned table mirroring
+ * the paper's table/figure rows (Table), and its figure curves as CSV
+ * so plots can be regenerated (SeriesSet).
  */
 #ifndef ROG_COMMON_TABLE_HPP
 #define ROG_COMMON_TABLE_HPP
@@ -16,7 +15,7 @@
 
 namespace rog {
 
-/** An aligned text / CSV table with a fixed column header. */
+/** An aligned text table with a fixed column header. */
 class Table
 {
   public:
@@ -31,9 +30,6 @@ class Table
 
     /** Render as an aligned, boxed text table. */
     void printText(std::ostream &os) const;
-
-    /** Render as CSV (header + rows), prefixed by "# <title>". */
-    void printCsv(std::ostream &os) const;
 
     const std::string &title() const { return title_; }
     std::size_t rows() const { return rows_.size(); }
@@ -67,15 +63,11 @@ class SeriesSet
      */
     void printSummary(std::ostream &os) const;
 
-    /** Last y value of the named series, or NaN if absent. */
-    double finalValue(const std::string &series) const;
-
   private:
     struct Point { double x; double y; };
     struct Series { std::string name; std::vector<Point> pts; };
 
     Series *find(const std::string &name);
-    const Series *find(const std::string &name) const;
 
     std::string title_;
     std::string x_name_;

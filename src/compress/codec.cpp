@@ -217,18 +217,6 @@ OneBitCodec::payloadBytes(std::size_t width) const
     return static_cast<double>(packedBytes(width)) + 4.0;
 }
 
-double
-OneBitCodec::residualMeanAbs(std::size_t block) const
-{
-    auto it = blocks_.find(block);
-    if (it == blocks_.end() || it->second.residual.empty())
-        return 0.0;
-    double s = 0.0;
-    for (float v : it->second.residual)
-        s += std::fabs(v);
-    return s / static_cast<double>(it->second.residual.size());
-}
-
 TopKCodec::TopKCodec(double keep_fraction)
     : keep_fraction_(keep_fraction)
 {

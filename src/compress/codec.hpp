@@ -166,9 +166,6 @@ class OneBitCodec : public Codec
     double payloadBytes(std::size_t width) const override;
     std::string name() const override { return "onebit"; }
 
-    /** Residual magnitude for a block (diagnostics/tests). */
-    double residualMeanAbs(std::size_t block) const;
-
   private:
     struct BlockState
     {

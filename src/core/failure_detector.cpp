@@ -215,16 +215,5 @@ MembershipTracker::active(std::size_t worker) const
     return members_[worker].active;
 }
 
-std::size_t
-MembershipTracker::participantCount() const
-{
-    std::size_t n = 0;
-    for (const Member &m : members_)
-        if (m.active && (m.state == MemberState::Alive ||
-                         m.state == MemberState::Suspect))
-            ++n;
-    return n;
-}
-
 } // namespace core
 } // namespace rog

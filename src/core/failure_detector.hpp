@@ -145,9 +145,6 @@ class MembershipTracker
 
     bool active(std::size_t worker) const;
 
-    /** Active workers currently Alive or Suspect (quorum input). */
-    std::size_t participantCount() const;
-
     /** Every transition ever recorded, in order. */
     const std::vector<MembershipEvent> &history() const
     {

@@ -96,13 +96,6 @@ FlatModel::rowValues(std::size_t r)
     return params_[info.param]->value.row(info.local_row);
 }
 
-std::span<float>
-FlatModel::rowGrad(std::size_t r)
-{
-    const RowInfo &info = rowInfo(r);
-    return params_[info.param]->grad.row(info.local_row);
-}
-
 void
 applyRowChunks(nn::SgdMomentum &opt, std::span<const RowChunk> chunks,
                std::span<const float> values)

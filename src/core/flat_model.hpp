@@ -86,9 +86,6 @@ class FlatModel
     /** Parameter values of global row @p r (mutable). */
     std::span<float> rowValues(std::size_t r);
 
-    /** Parameter gradients of global row @p r (mutable). */
-    std::span<float> rowGrad(std::size_t r);
-
     nn::Model &model() { return *model_; }
 
   private:

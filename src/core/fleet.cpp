@@ -41,7 +41,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/buffer_pool.hpp"
 #include "common/crc32c.hpp"
 #include "common/logging.hpp"
 #include "core/fair_share_channel.hpp"
@@ -208,7 +207,6 @@ class FleetEngine
         bool retired = false;
         double link_rate = 0.0;
         double push_start = 0.0;
-        BufferPool::Lease<std::uint8_t> pull_buf;
         /** push_seq_ when the last deliver ops were enqueued. */
         std::uint64_t deliver_seq = 0;
     };
@@ -534,8 +532,6 @@ class FleetEngine
         const double pull_bytes =
             static_cast<double>(pending_rows * cfg_.row_width) * 4.0 +
             cfg_.header_bytes;
-        fw.pull_buf = BufferPool::global().leaseBytes(
-            static_cast<std::size_t>(pull_bytes));
         channelStart(w, /*is_pull=*/true, pull_bytes);
 
         // One flush per round of pushes bounds the queued ops.
@@ -595,7 +591,6 @@ class FleetEngine
         FleetWorker &fw = workers_[w];
         const std::int64_t n = fw.iter;
         logCoord(kTagPullDone, w, n);
-        fw.pull_buf.release();
 
         for (std::size_t s = 0; s < shards_; ++s)
             enqueueShard(s, kTagDeliver, w);
@@ -726,29 +721,12 @@ class FleetEngine
     std::size_t ckpt_files_ = 0;
 };
 
-void
-fillPoolDeltas(FleetResult &r, const BufferPool::Stats &before,
-               const BufferPool::Stats &after)
-{
-    r.pool_leases = after.leases - before.leases;
-    r.pool_reuses = after.reuses - before.reuses;
-    r.pool_allocations = after.allocations - before.allocations;
-    r.pool_hit_rate =
-        r.pool_leases == 0
-            ? 0.0
-            : static_cast<double>(r.pool_reuses) /
-                  static_cast<double>(r.pool_leases);
-}
-
 } // namespace
 
 FleetResult
 runFleetSimulation(const FleetConfig &cfg, parallel::ThreadPool &pool)
 {
-    const BufferPool::Stats before = BufferPool::global().stats();
-    FleetResult r = FleetEngine(cfg, pool).run();
-    fillPoolDeltas(r, before, BufferPool::global().stats());
-    return r;
+    return FleetEngine(cfg, pool).run();
 }
 
 FleetResult

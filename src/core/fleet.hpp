@@ -109,10 +109,8 @@ struct FleetResult
     std::uint64_t lane_flushes = 0;
     std::uint64_t lane_ops = 0;
 
-    // BufferPool::global() deltas over the run (pull staging).
-    std::size_t pool_leases = 0;
-    std::size_t pool_reuses = 0;
-    std::size_t pool_allocations = 0;
+    /** Always 0: the fleet leases no pool buffers. Kept only for
+     *  callers that still read it. */
     double pool_hit_rate = 0.0;
 };
 

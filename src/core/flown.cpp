@@ -23,13 +23,6 @@ FlownScheduler::reportThroughput(std::size_t worker, double bytes_per_sec)
     rate_[worker].observe(std::max(bytes_per_sec, 1.0));
 }
 
-double
-FlownScheduler::estimatedRate(std::size_t worker) const
-{
-    ROG_ASSERT(worker < rate_.size(), "worker out of range");
-    return rate_[worker].seeded() ? rate_[worker].value() : 0.0;
-}
-
 std::size_t
 FlownScheduler::thresholdFor(std::size_t worker) const
 {

@@ -49,9 +49,6 @@ class FlownScheduler
     /** Current staleness allowance for @p worker. */
     std::size_t thresholdFor(std::size_t worker) const;
 
-    /** Estimated bytes/sec for @p worker (diagnostics). */
-    double estimatedRate(std::size_t worker) const;
-
   private:
     FlownConfig cfg_;
     std::vector<Ewma> rate_;

@@ -196,8 +196,10 @@ runServerNode(const NodeRunConfig &cfg,
     net::session::SocketFabric fabric(
         loop, net::session::kServerNode,
         fabricOptions(cfg, /*faults=*/{}, cfg.listen_port));
-    if (!fabric.ok())
+    if (!fabric.ok()) {
+        res.error = fabric.error();
         return res;
+    }
     if (!cfg.artifact_dir.empty()) {
         // Streamed as it happens: the receiver keeps no event log.
         events.open(cfg.artifact_dir + "/server_events.log",
@@ -272,6 +274,7 @@ runWorkerNode(const NodeRunConfig &cfg, std::size_t worker,
         fabricOptions(cfg, cfg.fault_plan, /*listen_port=*/0));
     if (!fabric.ok()) {
         res.failed = true;
+        res.error = fabric.error();
         return res;
     }
 

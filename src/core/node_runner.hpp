@@ -97,6 +97,7 @@ struct ServerRunResult
     std::size_t stale_drops = 0;
     std::uint64_t epoch = 0;  //!< run epoch the server ended with.
     bool recovered = false;   //!< construction restored a checkpoint.
+    std::string error; //!< why the socket could not open; else empty.
 };
 
 /**
@@ -115,6 +116,7 @@ struct WorkerRunResult
     bool done = false;
     bool failed = false;
     std::int64_t done_iter = 0;
+    std::string error; //!< why the socket could not open; else empty.
 };
 
 /** Run one worker role over real sockets against @p host:@p port. */

@@ -1,8 +1,6 @@
 #include "core/server_checkpoint.hpp"
 
 #include <cstring>
-#include <istream>
-#include <ostream>
 
 #include "common/durable_file.hpp"
 #include "common/logging.hpp"
@@ -259,18 +257,6 @@ decodePayload(const std::string &payload)
 }
 
 } // namespace
-
-void
-writeServerCheckpoint(std::ostream &os, const ServerCheckpoint &ckpt)
-{
-    writeRecord(os, kFormat, encodePayload(ckpt));
-}
-
-ServerCheckpoint
-readServerCheckpoint(std::istream &is)
-{
-    return decodePayload(readRecord(is, kFormat));
-}
 
 void
 writeServerCheckpointFile(const std::string &path,

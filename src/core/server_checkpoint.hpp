@@ -19,7 +19,6 @@
 #define ROG_CORE_SERVER_CHECKPOINT_HPP
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -76,19 +75,6 @@ struct ServerCheckpoint
     std::vector<std::uint8_t> worker_done;
 };
 
-/** Serialize @p ckpt (with CRC32C trailer) to @p os. @throws on I/O
- *  error. */
-void writeServerCheckpoint(std::ostream &os,
-                           const ServerCheckpoint &ckpt);
-
-/**
- * Parse a checkpoint, verifying magic, version, payload size, and
- * CRC32C before trusting a single payload byte.
- *
- * @throws std::runtime_error on any malformed input.
- */
-ServerCheckpoint readServerCheckpoint(std::istream &is);
-
 /**
  * Replace @p path with @p ckpt through writeFileDurably: readers see
  * either the old complete file or the new complete file, never a
@@ -113,7 +99,12 @@ std::size_t writeShardCheckpoints(const std::string &base,
                                   const ShardedServer &server,
                                   std::int64_t iteration);
 
-/** @throws std::runtime_error if missing, torn, or corrupt. */
+/**
+ * Parse the checkpoint at @p path, verifying magic, version, payload
+ * size, and CRC32C before trusting a single payload byte.
+ *
+ * @throws std::runtime_error if missing, torn, or malformed.
+ */
 ServerCheckpoint readServerCheckpointFile(const std::string &path);
 
 } // namespace core

@@ -76,37 +76,5 @@ iidPartition(std::size_t samples, std::size_t workers, Rng &rng)
     return shards;
 }
 
-double
-partitionSkew(const Dataset &dataset,
-              const std::vector<std::vector<std::size_t>> &shards)
-{
-    ROG_ASSERT(dataset.isClassification(), "partitionSkew needs labels");
-    std::uint32_t classes = 0;
-    for (auto y : dataset.labels)
-        classes = std::max(classes, y + 1);
-
-    std::vector<double> global(classes, 0.0);
-    for (auto y : dataset.labels)
-        global[y] += 1.0;
-    for (auto &v : global)
-        v /= static_cast<double>(dataset.labels.size());
-
-    double total = 0.0;
-    for (const auto &shard : shards) {
-        std::vector<double> hist(classes, 0.0);
-        for (auto idx : shard)
-            hist[dataset.labels[idx]] += 1.0;
-        double tv = 0.0;
-        for (std::uint32_t c = 0; c < classes; ++c) {
-            const double p = shard.empty()
-                ? 0.0
-                : hist[c] / static_cast<double>(shard.size());
-            tv += std::fabs(p - global[c]);
-        }
-        total += 0.5 * tv;
-    }
-    return total / static_cast<double>(shards.size());
-}
-
 } // namespace data
 } // namespace rog

@@ -41,15 +41,6 @@ dirichletPartition(const Dataset &dataset, std::size_t workers,
 std::vector<std::vector<std::size_t>>
 iidPartition(std::size_t samples, std::size_t workers, Rng &rng);
 
-/**
- * Label distribution skew of a partition: mean over workers of the
- * total-variation distance between the shard's label histogram and the
- * global histogram. 0 = perfectly IID.
- */
-double
-partitionSkew(const Dataset &dataset,
-              const std::vector<std::vector<std::size_t>> &shards);
-
 } // namespace data
 } // namespace rog
 

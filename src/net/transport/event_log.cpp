@@ -113,13 +113,6 @@ fieldCount(TextLine &r, const char *what, std::size_t want)
 
 } // namespace
 
-bool
-TransportEvent::operator==(const TransportEvent &o) const
-{
-    return t == o.t && kind == o.kind && link == o.link && key == o.key &&
-           chunk_seq == o.chunk_seq && a == o.a && b == o.b;
-}
-
 EventSide
 eventSide(TransportEvent::Kind kind)
 {

@@ -95,7 +95,7 @@ struct TransportEvent
     double a = 0.0;
     double b = 0.0;
 
-    bool operator==(const TransportEvent &o) const;
+    bool operator==(const TransportEvent &) const = default;
 };
 
 /** Which end of the link a decision belongs to. */

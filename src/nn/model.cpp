@@ -1,7 +1,5 @@
 #include "nn/model.hpp"
 
-#include <sstream>
-
 #include "common/logging.hpp"
 #include "common/rng.hpp"
 #include "tensor/ops.hpp"
@@ -91,17 +89,6 @@ Model::copyParametersFrom(Model &other)
                    mine[i]->name);
         tensor::copy(theirs[i]->value, mine[i]->value);
     }
-}
-
-std::string
-Model::describe()
-{
-    std::ostringstream os;
-    for (auto &l : layers_)
-        os << l->describe() << "\n";
-    os << "parameters: " << parameterCount() << " in " << rowCount()
-       << " rows";
-    return os.str();
 }
 
 Model

@@ -60,9 +60,6 @@ class Model
      */
     void copyParametersFrom(Model &other);
 
-    /** One line per layer. */
-    std::string describe();
-
   private:
     std::vector<std::unique_ptr<Layer>> layers_;
     std::vector<Tensor> activations_;

@@ -20,20 +20,6 @@ SgdMomentum::SgdMomentum(Model &model, const OptimizerConfig &cfg)
     }
 }
 
-std::size_t
-SgdMomentum::rowWidth(std::size_t row) const
-{
-    ROG_ASSERT(row < row_values_.size(), "row out of range");
-    return row_values_[row].size();
-}
-
-std::span<float>
-SgdMomentum::rowValues(std::size_t row)
-{
-    ROG_ASSERT(row < row_values_.size(), "row out of range");
-    return row_values_[row];
-}
-
 std::span<float>
 SgdMomentum::rowGrad(std::size_t row)
 {

@@ -41,25 +41,19 @@ class SgdMomentum
     /** Number of global rows managed. */
     std::size_t rowCount() const { return row_values_.size(); }
 
-    /** Width (element count) of global row @p row. */
-    std::size_t rowWidth(std::size_t row) const;
-
-    /** Mutable view of the parameter values of global row @p row. */
-    std::span<float> rowValues(std::size_t row);
-
     /** Mutable view of the gradient accumulator of global row @p row. */
     std::span<float> rowGrad(std::size_t row);
 
     /**
      * Apply one averaged-gradient row: v = mu*v + g; w -= lr*v.
-     * @pre g.size() == rowWidth(row)
+     * @pre g.size() is the width of @p row
      */
     void applyRow(std::size_t row, std::span<const float> g);
 
     /**
      * Apply a partial row starting at @p col_begin (used by the
      * element-granularity ablation where a unit is narrower than a
-     * row). @pre col_begin + g.size() <= rowWidth(row)
+     * row). @pre col_begin + g.size() <= the width of @p row
      */
     void applyRowRange(std::size_t row, std::size_t col_begin,
                        std::span<const float> g);

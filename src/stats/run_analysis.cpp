@@ -142,18 +142,5 @@ metricAtIteration(const std::vector<MergedCheckpoint> &curve,
     return curve.back().mean_metric;
 }
 
-double
-bestMetric(const std::vector<MergedCheckpoint> &curve,
-           bool lower_is_better)
-{
-    if (curve.empty())
-        return kNaN;
-    double best = curve.front().mean_metric;
-    for (const auto &c : curve)
-        best = lower_is_better ? std::min(best, c.mean_metric)
-                               : std::max(best, c.mean_metric);
-    return best;
-}
-
 } // namespace stats
 } // namespace rog

@@ -53,10 +53,6 @@ double metricAtTime(const std::vector<MergedCheckpoint> &curve, double t);
 double metricAtIteration(const std::vector<MergedCheckpoint> &curve,
                          std::size_t iter);
 
-/** Best metric over the curve. */
-double bestMetric(const std::vector<MergedCheckpoint> &curve,
-                  bool lower_is_better);
-
 } // namespace stats
 } // namespace rog
 

@@ -107,17 +107,6 @@ copy(const Tensor &x, Tensor &y)
 }
 
 void
-scale(Tensor &x, float alpha)
-{
-    float *xd = x.data();
-    parallel::parallelFor(0, x.size(), kGrain,
-                          [&](std::size_t lo, std::size_t hi) {
-                              for (std::size_t i = lo; i < hi; ++i)
-                                  xd[i] *= alpha;
-                          });
-}
-
-void
 addRowBias(Tensor &x, const Tensor &bias)
 {
     ROG_ASSERT(bias.rows() == 1 && bias.cols() == x.cols(),
@@ -226,9 +215,9 @@ meanAbs(std::span<const float> v)
     if (v.empty())
         return 0.0f;
     const float *d = v.data();
-    // Double accumulation (like frobeniusNorm): float accumulation
-    // drifts measurably by ~10^6 elements, and the importance ranking
-    // compares these values across units of very different sizes.
+    // Double accumulation: float accumulation drifts measurably by
+    // ~10^6 elements, and the importance ranking compares these values
+    // across units of very different sizes.
     const double s = parallel::parallelReduce(
         std::size_t{0}, v.size(), kGrain, 0.0,
         [&](std::size_t lo, std::size_t hi) {
@@ -239,43 +228,6 @@ meanAbs(std::span<const float> v)
         },
         [](double a, double b) { return a + b; });
     return static_cast<float>(s / static_cast<double>(v.size()));
-}
-
-float
-meanAbs(const Tensor &x)
-{
-    return meanAbs(std::span<const float>(x.data(), x.size()));
-}
-
-float
-maxAbs(const Tensor &x)
-{
-    const float *d = x.data();
-    return parallel::parallelReduce(
-        std::size_t{0}, x.size(), kGrain, 0.0f,
-        [&](std::size_t lo, std::size_t hi) {
-            float partial = 0.0f;
-            for (std::size_t i = lo; i < hi; ++i)
-                partial = std::max(partial, std::fabs(d[i]));
-            return partial;
-        },
-        [](float a, float b) { return std::max(a, b); });
-}
-
-float
-frobeniusNorm(const Tensor &x)
-{
-    const float *d = x.data();
-    const double s = parallel::parallelReduce(
-        std::size_t{0}, x.size(), kGrain, 0.0,
-        [&](std::size_t lo, std::size_t hi) {
-            double partial = 0.0;
-            for (std::size_t i = lo; i < hi; ++i)
-                partial += static_cast<double>(d[i]) * d[i];
-            return partial;
-        },
-        [](double a, double b) { return a + b; });
-    return static_cast<float>(std::sqrt(s));
 }
 
 std::size_t

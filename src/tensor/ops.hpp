@@ -32,9 +32,6 @@ void axpy(float alpha, const Tensor &x, Tensor &y);
 /** y = x (elementwise copy). @pre same shape */
 void copy(const Tensor &x, Tensor &y);
 
-/** x *= alpha. */
-void scale(Tensor &x, float alpha);
-
 /** Add row-vector bias (1 x n) to every row of x (m x n). */
 void addRowBias(Tensor &x, const Tensor &bias);
 
@@ -55,15 +52,6 @@ void softmaxRows(Tensor &x);
 
 /** Sum of |v| / n over a span; 0 for an empty span. */
 float meanAbs(std::span<const float> v);
-
-/** Mean of |x| over a whole tensor. */
-float meanAbs(const Tensor &x);
-
-/** Max of |x| over a whole tensor; 0 if empty. */
-float maxAbs(const Tensor &x);
-
-/** Frobenius norm. */
-float frobeniusNorm(const Tensor &x);
 
 /** Index of the max element of row r. */
 std::size_t argmaxRow(const Tensor &x, std::size_t r);

@@ -14,12 +14,6 @@ Tensor::Tensor(std::size_t rows, std::size_t cols)
     ROG_ASSERT(rows > 0 && cols > 0, "tensor dims must be positive");
 }
 
-Tensor::Tensor(std::size_t rows, std::size_t cols, float value)
-    : Tensor(rows, cols)
-{
-    fill(value);
-}
-
 float &
 Tensor::at(std::size_t r, std::size_t c)
 {

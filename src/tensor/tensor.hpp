@@ -31,9 +31,6 @@ class Tensor
     /** A zero-initialized (rows x cols) tensor. @pre rows, cols > 0 */
     Tensor(std::size_t rows, std::size_t cols);
 
-    /** A (rows x cols) tensor filled with @p value. */
-    Tensor(std::size_t rows, std::size_t cols, float value);
-
     std::size_t rows() const { return rows_; }
     std::size_t cols() const { return cols_; }
     std::size_t size() const { return data_.size(); }

@@ -48,17 +48,14 @@ TEST(Crc32cTest, EmptyIsSeed)
 
 TEST(Crc32cTest, DispatchTierIsConsistent)
 {
-    // The dispatch decision, the feature probe, and the reported tier
-    // name must agree with each other.
+    // The dispatch decision and the feature probe must agree.
     const std::string tier = crc32cActiveTier();
     if (cpu::hasCrc32c()) {
         EXPECT_TRUE(crc32cHwAvailable());
         EXPECT_EQ(tier, "hw");
-        EXPECT_STRNE(cpu::crc32cIsa(), "none");
     } else {
         EXPECT_FALSE(crc32cHwAvailable());
         EXPECT_EQ(tier, "slice8");
-        EXPECT_STREQ(cpu::crc32cIsa(), "none");
     }
 }
 

@@ -32,13 +32,6 @@ TEST(MathUtilTest, StddevOfKnownValues)
     EXPECT_NEAR(stddev({2, 4, 4, 4, 5, 5, 7, 9}), 2.0, 1e-12);
 }
 
-TEST(MathUtilTest, LerpEndpointsAndMidpoint)
-{
-    EXPECT_DOUBLE_EQ(lerp(1.0, 3.0, 0.0), 1.0);
-    EXPECT_DOUBLE_EQ(lerp(1.0, 3.0, 1.0), 3.0);
-    EXPECT_DOUBLE_EQ(lerp(1.0, 3.0, 0.5), 2.0);
-}
-
 TEST(MathUtilTest, ClampWithinAndOutside)
 {
     EXPECT_DOUBLE_EQ(clamp(0.5, 0.0, 1.0), 0.5);

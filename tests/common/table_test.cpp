@@ -4,7 +4,6 @@
  */
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <sstream>
 
 #include "common/table.hpp"
@@ -24,15 +23,6 @@ TEST(TableTest, TextContainsTitleHeaderAndCells)
     EXPECT_NE(s.find("| a"), std::string::npos);
     EXPECT_NE(s.find("| x"), std::string::npos);
     EXPECT_EQ(t.rows(), 2u);
-}
-
-TEST(TableTest, CsvFormat)
-{
-    Table t("csvdemo", {"col1", "col2"});
-    t.addRow({"7", "8"});
-    std::ostringstream os;
-    t.printCsv(os);
-    EXPECT_EQ(os.str(), "# csvdemo\ncol1,col2\n7,8\n");
 }
 
 TEST(TableTest, RowWidthMismatchDies)
@@ -59,15 +49,6 @@ TEST(SeriesSetTest, CsvLongForm)
     EXPECT_NE(out.find("series,x,y"), std::string::npos);
     EXPECT_NE(out.find("A,0,1"), std::string::npos);
     EXPECT_NE(out.find("B,0,5"), std::string::npos);
-}
-
-TEST(SeriesSetTest, FinalValue)
-{
-    SeriesSet s("f", "x", "y");
-    s.add("A", 0.0, 1.0);
-    s.add("A", 1.0, 42.0);
-    EXPECT_DOUBLE_EQ(s.finalValue("A"), 42.0);
-    EXPECT_TRUE(std::isnan(s.finalValue("missing")));
 }
 
 TEST(SeriesSetTest, SummaryListsEverySeries)

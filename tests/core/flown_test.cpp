@@ -50,13 +50,20 @@ TEST(FlownTest, FastWorkerClampedToMin)
 
 TEST(FlownTest, EstimatedRateUsesEwma)
 {
+    // A wide base allowance makes the threshold resolve the estimate:
+    // threshold_0 = round(100 * mean / rate_0). Worker 0's EWMA of 100
+    // then 300 is 200, equal to worker 1's 200, so both get the base.
+    // The first sample alone (100) would give 150, the last (300) 83.
     FlownConfig cfg;
     cfg.ewma_alpha = 0.5;
-    FlownScheduler sched(1, cfg);
-    EXPECT_DOUBLE_EQ(sched.estimatedRate(0), 0.0);
+    cfg.base_threshold = 100;
+    cfg.max_threshold = 1000;
+    FlownScheduler sched(2, cfg);
     sched.reportThroughput(0, 100.0);
     sched.reportThroughput(0, 300.0);
-    EXPECT_DOUBLE_EQ(sched.estimatedRate(0), 200.0);
+    sched.reportThroughput(1, 200.0);
+    EXPECT_EQ(sched.thresholdFor(0), 100u);
+    EXPECT_EQ(sched.thresholdFor(1), 100u);
 }
 
 TEST(FlownTest, EstimateLagsSuddenChange)
@@ -73,9 +80,11 @@ TEST(FlownTest, EstimateLagsSuddenChange)
     }
     // Worker 1 collapses to 1% of its bandwidth.
     sched.reportThroughput(1, 10.0);
-    // One observation later the estimate is still > 50% of the old
-    // value, so the scheduler underestimates the straggler.
-    EXPECT_GT(sched.estimatedRate(1), 500.0);
+    // One observation later its estimate is still 703 against worker
+    // 0's 1000, so the straggler keeps the base allowance; an estimate
+    // that followed the collapse would give it the cap.
+    EXPECT_EQ(sched.thresholdFor(1), cfg.base_threshold);
+    EXPECT_LT(sched.thresholdFor(1), cfg.max_threshold);
 }
 
 TEST(FlownTest, BadConfigDies)

@@ -7,15 +7,20 @@
  * error after training). Each exits 2 with one diagnostic line and
  * writes nothing; nodeRunConfigError names the same rule. Both
  * rog_noded and rog_chaos refuse an unknown option, such as the old
- * --backend, the same way.
+ * --backend, the same way. A server that cannot open its socket says
+ * why on stderr.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 
+#include <netinet/in.h>
+#include <sys/socket.h>
 #include <sys/stat.h>
 #include <sys/wait.h>
+#include <unistd.h>
 
 #include "core/node_runner.hpp"
 
@@ -29,11 +34,14 @@ struct ToolRun
     std::string output; //!< stdout and stderr together.
 };
 
+/** Runs @p bin with @p args; @p redirect picks the streams captured
+ *  (the default takes stdout and stderr together). */
 ToolRun
-runTool(const char *bin, const std::string &args)
+runTool(const char *bin, const std::string &args,
+        const char *redirect = " 2>&1")
 {
     ToolRun run;
-    const std::string cmd = std::string(bin) + " " + args + " 2>&1";
+    const std::string cmd = std::string(bin) + " " + args + redirect;
     FILE *p = ::popen(cmd.c_str(), "r");
     if (p == nullptr)
         return run;
@@ -139,6 +147,37 @@ TEST(NodedCli, UsageErrorsPrintWithoutSourceLocation)
         EXPECT_EQ(run.code, 2) << c.args;
         EXPECT_EQ(run.output, c.line);
     }
+}
+
+TEST(NodedCli, BusyListenPortFailsWithTheSocketError)
+{
+    const int fd = ::socket(AF_INET, SOCK_DGRAM, 0);
+    ASSERT_GE(fd, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    ASSERT_EQ(::bind(fd, reinterpret_cast<sockaddr *>(&addr), sizeof addr),
+              0);
+    socklen_t len = sizeof addr;
+    ASSERT_EQ(
+        ::getsockname(fd, reinterpret_cast<sockaddr *>(&addr), &len), 0);
+    const std::string port = std::to_string(ntohs(addr.sin_port));
+    const std::string dir = freshDir("busy_port");
+    for (const char *retry : {"", " --bind-retry 0.3"}) {
+        const ToolRun run = runTool(
+            ROG_NODED_BIN,
+            "server --workers 1 --iters 2 --listen-port " + port +
+                " --dir " + dir + retry,
+            " 2>&1 >/dev/null");
+        EXPECT_NE(run.code, 0) << retry;
+        EXPECT_EQ(run.output.rfind("rog_noded server: udp bind (", 0), 0u)
+            << run.output;
+        EXPECT_EQ(std::count(run.output.begin(), run.output.end(), '\n'),
+                  1)
+            << run.output;
+        EXPECT_TRUE(run.output.ends_with('\n')) << run.output;
+    }
+    ::close(fd);
 }
 
 TEST(NodedCli, ConfigErrorNamesEachImpossibleRun)

@@ -6,14 +6,15 @@
  * boundary, a bit flip in every byte (CRC), bad magic, unsupported
  * version, implausible sizes, and trailing garbage. A parser that
  * crashes or silently accepts any of these would turn one torn file
- * into corrupted training state.
+ * into corrupted training state. Every case goes through the file
+ * writer and reader on one scratch file in the test's temp dir.
  */
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <sstream>
+#include <iterator>
 #include <stdexcept>
 
 #include "common/crc32c.hpp"
@@ -84,19 +85,41 @@ sampleCheckpoint()
     return c;
 }
 
+/** A file of the running test's own, so test processes run in
+ *  parallel never share one. */
+std::string
+scratchPath()
+{
+    return testing::TempDir() + "rog_ckpt_codec_" +
+           testing::UnitTest::GetInstance()->current_test_info()->name() +
+           ".rogs";
+}
+
+/** Removes @p path when it goes out of scope. */
+struct RemoveOnExit
+{
+    std::string path;
+    ~RemoveOnExit() { std::remove(path.c_str()); }
+};
+
+/** The bytes writeServerCheckpointFile puts on disk for @p c. */
 std::string
 encode(const ServerCheckpoint &c)
 {
-    std::ostringstream os(std::ios::binary);
-    writeServerCheckpoint(os, c);
-    return os.str();
+    const RemoveOnExit file{scratchPath()};
+    writeServerCheckpointFile(file.path, c);
+    std::ifstream is(file.path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(is),
+            std::istreambuf_iterator<char>()};
 }
 
+/** readServerCheckpointFile over a file holding exactly @p bytes. */
 ServerCheckpoint
 decode(const std::string &bytes)
 {
-    std::istringstream is(bytes, std::ios::binary);
-    return readServerCheckpoint(is);
+    const RemoveOnExit file{scratchPath()};
+    std::ofstream(file.path, std::ios::binary | std::ios::trunc) << bytes;
+    return readServerCheckpointFile(file.path);
 }
 
 void
@@ -239,8 +262,8 @@ TEST(ServerCheckpoint, RejectsTrailingGarbage)
     std::string bytes = encode(sampleCheckpoint());
     bytes += "extra";
     // The declared payload size bounds the read; extra bytes after the
-    // payload are ignored by the stream reader (a file may hold more),
-    // but garbage *inside* the declared payload is not.
+    // payload are ignored by the reader (a file may hold more), but
+    // garbage *inside* the declared payload is not.
     EXPECT_NO_THROW(decode(bytes));
 }
 
@@ -335,8 +358,7 @@ TEST(ServerCheckpointDeathTest, WriterRejectsRaggedSessionTable)
 {
     auto c = sampleCheckpoint();
     c.sessions.entries.resize(2); // 3-worker fleet.
-    std::ostringstream os(std::ios::binary);
-    EXPECT_DEATH(writeServerCheckpoint(os, c),
+    EXPECT_DEATH(writeServerCheckpointFile(scratchPath(), c),
                  "session snapshot fleet-size mismatch");
 }
 

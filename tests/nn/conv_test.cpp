@@ -72,7 +72,8 @@ TEST(ConvTest, ShiftKernelRespectsPaddingZeros)
     params[0]->value.at(3, 0) = 1.0f; // (ky=0, kx=-1).
     params[1]->value.zero();
 
-    Tensor x(1, 9, 1.0f);
+    Tensor x(1, 9);
+    x.fill(1.0f);
     Tensor out;
     conv.forward(x, out);
     // Column 0 of every row looks at padding.
@@ -135,7 +136,8 @@ TEST(ConvTest, InputGradientCheck)
 
     Tensor out;
     conv.forward(x, out);
-    Tensor dout(out.rows(), out.cols(), 1.0f);
+    Tensor dout(out.rows(), out.cols());
+    dout.fill(1.0f);
     Tensor din;
     conv.backward(dout, din);
 

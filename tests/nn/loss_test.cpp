@@ -83,8 +83,9 @@ TEST(LossTest, MseKnownValue)
 
 TEST(LossTest, MseZeroAtPerfectFit)
 {
-    Tensor pred(2, 2, 3.0f);
-    Tensor target(2, 2, 3.0f);
+    Tensor pred(2, 2);
+    pred.fill(3.0f);
+    Tensor target = pred;
     auto res = meanSquaredError(pred, target);
     EXPECT_FLOAT_EQ(res.loss, 0.0f);
     for (std::size_t i = 0; i < res.grad.size(); ++i)

@@ -146,20 +146,6 @@ TEST(ModelTest, TrainingReducesLossOnToyTask)
     EXPECT_GT(final_res.accuracy, 0.95f);
 }
 
-TEST(ModelTest, DescribeMentionsLayersAndCounts)
-{
-    Rng rng(5);
-    ClassifierConfig cfg;
-    cfg.input_dim = 4;
-    cfg.hidden = {6};
-    cfg.classes = 2;
-    Model m = makeClassifier(cfg, rng);
-    const std::string d = m.describe();
-    EXPECT_NE(d.find("Linear"), std::string::npos);
-    EXPECT_NE(d.find("Relu"), std::string::npos);
-    EXPECT_NE(d.find("rows"), std::string::npos);
-}
-
 } // namespace
 } // namespace nn
 } // namespace rog

@@ -1,10 +1,14 @@
 /**
  * @file
- * Unit tests for the per-row SGD-momentum optimizer.
+ * Unit tests for the per-row SGD-momentum optimizer. Rows are read
+ * through core::FlatModel, which numbers the model's parameter rows
+ * in the order the optimizer does, so each check also sees the update
+ * land in the model.
  */
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
+#include "core/flat_model.hpp"
 #include "nn/optimizer.hpp"
 
 namespace rog {
@@ -34,11 +38,12 @@ TEST(OptimizerTest, PlainSgdStep)
     Rng rng(2);
     Model m = tinyModel(rng);
     SgdMomentum opt(m, {0.5f, 0.0f});
-    auto w = opt.rowValues(0);
+    core::FlatModel flat(m);
+    auto w = flat.rowValues(0);
     const float before = w[0];
-    std::vector<float> g(opt.rowWidth(0), 2.0f);
+    std::vector<float> g(flat.rowInfo(0).width, 2.0f);
     opt.applyRow(0, g);
-    EXPECT_FLOAT_EQ(opt.rowValues(0)[0], before - 0.5f * 2.0f);
+    EXPECT_FLOAT_EQ(flat.rowValues(0)[0], before - 0.5f * 2.0f);
 }
 
 TEST(OptimizerTest, MomentumAccumulates)
@@ -46,11 +51,12 @@ TEST(OptimizerTest, MomentumAccumulates)
     Rng rng(3);
     Model m = tinyModel(rng);
     SgdMomentum opt(m, {1.0f, 0.5f});
-    const float before = opt.rowValues(0)[0];
-    std::vector<float> g(opt.rowWidth(0), 1.0f);
+    core::FlatModel flat(m);
+    const float before = flat.rowValues(0)[0];
+    std::vector<float> g(flat.rowInfo(0).width, 1.0f);
     opt.applyRow(0, g); // v=1, w -= 1.
     opt.applyRow(0, g); // v=1.5, w -= 1.5.
-    EXPECT_FLOAT_EQ(opt.rowValues(0)[0], before - 1.0f - 1.5f);
+    EXPECT_FLOAT_EQ(flat.rowValues(0)[0], before - 1.0f - 1.5f);
 }
 
 TEST(OptimizerTest, MomentumIsPerRow)
@@ -58,14 +64,15 @@ TEST(OptimizerTest, MomentumIsPerRow)
     Rng rng(4);
     Model m = tinyModel(rng);
     SgdMomentum opt(m, {1.0f, 0.9f});
-    std::vector<float> g0(opt.rowWidth(0), 1.0f);
-    const float before1 = opt.rowValues(1)[0];
+    core::FlatModel flat(m);
+    std::vector<float> g0(flat.rowInfo(0).width, 1.0f);
+    const float before1 = flat.rowValues(1)[0];
     // Updating row 0 must not build momentum on row 1.
     opt.applyRow(0, g0);
     opt.applyRow(0, g0);
-    std::vector<float> g1(opt.rowWidth(1), 1.0f);
+    std::vector<float> g1(flat.rowInfo(1).width, 1.0f);
     opt.applyRow(1, g1);
-    EXPECT_FLOAT_EQ(opt.rowValues(1)[0], before1 - 1.0f);
+    EXPECT_FLOAT_EQ(flat.rowValues(1)[0], before1 - 1.0f);
 }
 
 TEST(OptimizerTest, ApplyRowRangeTouchesOnlyRange)
@@ -73,14 +80,15 @@ TEST(OptimizerTest, ApplyRowRangeTouchesOnlyRange)
     Rng rng(5);
     Model m = tinyModel(rng);
     SgdMomentum opt(m, {1.0f, 0.0f});
-    ASSERT_GE(opt.rowWidth(0), 3u);
-    auto w = opt.rowValues(0);
+    core::FlatModel flat(m);
+    ASSERT_GE(flat.rowInfo(0).width, 3u);
+    auto w = flat.rowValues(0);
     const float before0 = w[0];
     const float before1 = w[1];
     std::vector<float> g = {10.0f};
     opt.applyRowRange(0, 1, g);
-    EXPECT_FLOAT_EQ(opt.rowValues(0)[0], before0);
-    EXPECT_FLOAT_EQ(opt.rowValues(0)[1], before1 - 10.0f);
+    EXPECT_FLOAT_EQ(flat.rowValues(0)[0], before0);
+    EXPECT_FLOAT_EQ(flat.rowValues(0)[1], before1 - 10.0f);
 }
 
 TEST(OptimizerTest, ApplyRowRangeMomentumMatchesFullRow)
@@ -92,8 +100,10 @@ TEST(OptimizerTest, ApplyRowRangeMomentumMatchesFullRow)
     Model mb = tinyModel(rng2);
     SgdMomentum oa(ma, {0.3f, 0.7f});
     SgdMomentum ob(mb, {0.3f, 0.7f});
+    core::FlatModel fa(ma);
+    core::FlatModel fb(mb);
 
-    const std::size_t width = oa.rowWidth(0);
+    const std::size_t width = fa.rowInfo(0).width;
     std::vector<float> g(width);
     for (std::size_t i = 0; i < width; ++i)
         g[i] = static_cast<float>(i) - 1.5f;
@@ -105,7 +115,7 @@ TEST(OptimizerTest, ApplyRowRangeMomentumMatchesFullRow)
         ob.applyRowRange(0, half, {g.data() + half, width - half});
     }
     for (std::size_t i = 0; i < width; ++i)
-        EXPECT_FLOAT_EQ(oa.rowValues(0)[i], ob.rowValues(0)[i]);
+        EXPECT_FLOAT_EQ(fa.rowValues(0)[i], fb.rowValues(0)[i]);
 }
 
 TEST(OptimizerTest, WidthMismatchDies)
@@ -113,7 +123,8 @@ TEST(OptimizerTest, WidthMismatchDies)
     Rng rng(7);
     Model m = tinyModel(rng);
     SgdMomentum opt(m, {0.1f, 0.0f});
-    std::vector<float> g(opt.rowWidth(0) + 3, 0.0f);
+    core::FlatModel flat(m);
+    std::vector<float> g(flat.rowInfo(0).width + 3, 0.0f);
     EXPECT_DEATH(opt.applyRow(0, g), "bounds");
 }
 
@@ -130,11 +141,12 @@ TEST(OptimizerTest, SetLearningRate)
     Rng rng(9);
     Model m = tinyModel(rng);
     SgdMomentum opt(m, {0.1f, 0.0f});
+    core::FlatModel flat(m);
     opt.setLearningRate(1.0f);
-    const float before = opt.rowValues(0)[0];
-    std::vector<float> g(opt.rowWidth(0), 1.0f);
+    const float before = flat.rowValues(0)[0];
+    std::vector<float> g(flat.rowInfo(0).width, 1.0f);
     opt.applyRow(0, g);
-    EXPECT_FLOAT_EQ(opt.rowValues(0)[0], before - 1.0f);
+    EXPECT_FLOAT_EQ(flat.rowValues(0)[0], before - 1.0f);
 }
 
 } // namespace

@@ -106,14 +106,6 @@ TEST(RunAnalysisTest, MetricAtIteration)
     EXPECT_DOUBLE_EQ(metricAtIteration(curve, 500), 72.0);
 }
 
-TEST(RunAnalysisTest, BestMetric)
-{
-    const auto curve = mergeCheckpoints(sampleResult());
-    EXPECT_DOUBLE_EQ(bestMetric(curve, false), 72.0);
-    EXPECT_DOUBLE_EQ(bestMetric(curve, true), 50.0);
-    EXPECT_TRUE(std::isnan(bestMetric({}, false)));
-}
-
 TEST(RunAnalysisTest, EmptyResultYieldsEmptyCurve)
 {
     core::RunResult r;

@@ -31,7 +31,8 @@ TEST(TensorTest, ConstructionZeroInitializes)
 
 TEST(TensorTest, FillValueConstruction)
 {
-    Tensor t(2, 2, 7.5f);
+    Tensor t(2, 2);
+    t.fill(7.5f);
     for (std::size_t i = 0; i < t.size(); ++i)
         EXPECT_EQ(t[i], 7.5f);
 }
@@ -55,7 +56,8 @@ TEST(TensorTest, RowSpanViewsUnderlyingData)
 
 TEST(TensorTest, ConstRowSpan)
 {
-    Tensor t(2, 2, 3.0f);
+    Tensor t(2, 2);
+    t.fill(3.0f);
     const Tensor &ct = t;
     auto row = ct.row(0);
     EXPECT_EQ(row[1], 3.0f);
