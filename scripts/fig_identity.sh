@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
 # Figure-identity gate. Builds BASE_REF (from a `git archive` copy) and
 # the working tree in Release, runs every deterministic figure bench
-# with ROG_BENCH_FAST=1 on both, and fails on the first bench whose
-# stdout differs by a single byte, printing the diff. It then runs the
-# node roles' DES twin (`rog_noded des`) on both builds and fails
-# unless its run log and summary are byte-identical too. Both builds
-# run on the same host, so the gate does not depend on the GEMM tier.
+# with ROG_BENCH_FAST=1 on both, and the node roles' DES twin
+# (`rog_noded des`, its run log and summary). Every output that differs
+# by a single byte is named with the head of its diff; the gate runs
+# them all, then exits 1 if any differed. Both builds run on the same
+# host, so the gate does not depend on the GEMM tier.
 #
 # A change that alters figure outputs on purpose says so in CHANGES.md;
 # a failure is reported as it is, never retried until green.
@@ -63,19 +63,25 @@ build "$root" "$head_build"
 out=$work/out
 rm -rf "$out"
 mkdir -p "$out/base" "$out/head"
+differ=()
+# compare NAME BASE_FILE HEAD_FILE bytes|lines
+compare() {
+    if cmp -s "$2" "$3"; then
+        local flag=-c
+        [ "$4" = lines ] && flag=-l
+        echo "ok: $1 ($(wc "$flag" <"$3") $4)"
+    else
+        echo "FAIL: $1 differs from ${base_sha:0:12}" >&2
+        diff -u "$2" "$3" | head -n 60 >&2 || true
+        differ+=("$1")
+    fi
+}
 for b in "${benches[@]}"; do
     # Sequential on purpose: some benches write fixed scratch paths.
     ROG_BENCH_FAST=1 "$base_build/bench/$b" >"$out/base/$b.txt"
     ROG_BENCH_FAST=1 "$head_build/bench/$b" >"$out/head/$b.txt"
-    if ! cmp -s "$out/base/$b.txt" "$out/head/$b.txt"; then
-        echo "FAIL: $b output differs from ${base_sha:0:12}" >&2
-        diff -u "$out/base/$b.txt" "$out/head/$b.txt" | head -n 60 >&2
-        exit 1
-    fi
-    echo "ok: $b ($(wc -c <"$out/head/$b.txt") bytes)"
+    compare "$b" "$out/base/$b.txt" "$out/head/$b.txt" bytes
 done
-echo "fig_identity: all ${#benches[@]} benches byte-identical to" \
-     "${base_sha:0:12}"
 
 # The node roles' run log: every line comes from one typed writer.
 for side in base head; do
@@ -86,13 +92,13 @@ for side in base head; do
         --dir "$out/$side/noded" >/dev/null
 done
 for f in des_twin.log des_summary.txt; do
-    if ! cmp -s "$out/base/noded/$f" "$out/head/noded/$f"; then
-        echo "FAIL: rog_noded des $f differs from ${base_sha:0:12}" >&2
-        diff -u "$out/base/noded/$f" "$out/head/noded/$f" |
-            head -n 60 >&2
-        exit 1
-    fi
-    echo "ok: rog_noded des $f ($(wc -l <"$out/head/noded/$f") lines)"
+    compare "rog_noded des $f" "$out/base/noded/$f" "$out/head/noded/$f" lines
 done
-echo "fig_identity: rog_noded des run log byte-identical to" \
-     "${base_sha:0:12}"
+
+if [ ${#differ[@]} -ne 0 ]; then
+    echo "FAIL: ${#differ[@]} output(s) differ from ${base_sha:0:12}:" \
+         "${differ[*]}" >&2
+    exit 1
+fi
+echo "fig_identity: all ${#benches[@]} benches and the rog_noded des run" \
+     "log byte-identical to ${base_sha:0:12}"

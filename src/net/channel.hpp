@@ -1,13 +1,15 @@
 /**
  * @file
- * Fluid-flow simulation of a shared wireless channel.
+ * The shared wireless channel under sim::Simulation.
  *
  * All devices associate with one hotspot (paper Sec. VI), so gradient
  * flows share the medium: with n concurrently active flows each gets a
  * 1/n airtime share and transmits at its own link's time-varying
- * capacity during that share (airtime fairness). Link capacities come
- * from piecewise-constant BandwidthTraces, so flow rates are constant
- * between events and the fluid model is exact.
+ * capacity during that share (airtime fairness). The fluid model
+ * itself is net::FluidChannel; this class drives it from the event
+ * loop (one wake at its next finish or rate step) and adds what the
+ * engine and the DES twin need around it: coroutine and callback
+ * completion, timeouts, fault policies and drop callbacks.
  *
  * Transfers support a timeout, which is the primitive ROG's speculative
  * transmission needs (SendWithTimeout in Algo 4): when the timeout
@@ -20,18 +22,14 @@
 #include <coroutine>
 #include <functional>
 #include <limits>
-#include <list>
 #include <vector>
 
-#include "net/bandwidth_trace.hpp"
+#include "net/fluid_channel.hpp"
 #include "sim/process.hpp"
 #include "sim/simulation.hpp"
 
 namespace rog {
 namespace net {
-
-/** Index of a device link (worker i <-> parameter server). */
-using LinkId = std::size_t;
 
 /** Outcome of a (possibly timed-out) transfer. */
 struct TransferResult
@@ -109,13 +107,8 @@ class Channel
     Channel(const Channel &) = delete;
     Channel &operator=(const Channel &) = delete;
 
-    std::size_t linkCount() const { return links_.size(); }
-
-    /** Link capacity (bytes/sec) at time @p t, before sharing. */
-    double linkCapacityAt(LinkId link, double t) const;
-
     /** Number of flows currently in the air. */
-    std::size_t activeFlows() const { return flows_.size(); }
+    std::size_t activeFlows() const { return core_.active(); }
 
     /** Total bytes delivered since construction (all links). */
     double totalBytesDelivered() const { return bytes_delivered_; }
@@ -178,14 +171,14 @@ class Channel
     }
 
   private:
+    /** What the adapter keeps of a flow in the air; the core holds
+     *  its progress under the slot's index as tag. */
     struct Flow
     {
-        std::uint64_t id;
-        LinkId link;
         double requested;
         double deliverable; //!< fault cap: <= requested bytes get through.
-        double remaining;   //!< counts down from deliverable.
         double start_time;
+        bool live;
         bool faulted;
         bool corrupted;
         bool duplicated;
@@ -194,30 +187,22 @@ class Channel
         sim::EventId timeout_event;
     };
 
-    using FlowIter = std::list<Flow>::iterator;
+    /** Retire slot @p slot with @p left bytes undelivered and run its
+     *  callback. */
+    void finish(std::size_t slot, double left);
 
-    /** Per-flow rate under airtime fairness at time @p t. */
-    double flowRate(const Flow &flow, double t) const;
-
-    /** Deduct progress accumulated since the last update. */
-    void settle();
-
-    /** Recompute the next wake-up (boundary or earliest completion). */
+    /** Re-arm the wake at the core's next event. */
     void reschedule();
 
-    /** Detach a flow and deliver its result. */
-    void finish(FlowIter it, double elapsed);
-
     void onWake();
-    void onTimeout(std::uint64_t flow_id);
+    void onTimeout(std::size_t slot);
 
     sim::Simulation &sim_;
-    std::vector<BandwidthTrace> links_;
-    std::list<Flow> flows_;
-    double last_update_ = 0.0;
+    FluidChannel core_;
+    std::vector<Flow> flows_;       //!< slots, live or free.
+    std::vector<std::size_t> free_; //!< free slots in flows_.
     double bytes_delivered_ = 0.0;
     sim::EventId wake_event_;
-    std::uint64_t next_flow_id_ = 1;
     TransferFaultPolicy *fault_policy_ = nullptr;
     std::size_t faulted_transfers_ = 0;
 };

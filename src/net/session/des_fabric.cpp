@@ -137,8 +137,8 @@ DesFabricNet::pair(int src, int dst)
     if (it != pairs_.end())
         return it->second;
     Pair p;
-    // One 0.1 s sample, looped forever: the same rate and step
-    // boundaries as any longer constant trace, in 8 bytes.
+    // One 0.1 s sample, looped forever: a constant link, so the
+    // channel keeps one rate and never wakes at a step.
     p.channel = std::make_unique<Channel>(
         sim_, std::vector<BandwidthTrace>{BandwidthTrace::constant(
                   rate_bps_, /*duration_seconds=*/0.1)});

@@ -138,16 +138,16 @@ TEST(EngineFingerprint, FaultFreeSystems)
         EnginePin pin;
     } cases[] = {
         {SystemConfig::bsp(),
-         {"bsp", 0x4042aafe034ec6b6ull, 0x40dce5ffffffffc1ull,
+         {"bsp", 0x4042aafe034ec6b6ull, 0x40dce60000000000ull,
           {12, 12, 12}, 0x106e749fu}},
         {SystemConfig::ssp(4),
-         {"ssp4", 0x40418c061dc68578ull, 0x40dce5ffffffff84ull,
+         {"ssp4", 0x40418c061dc68578ull, 0x40dce60000000000ull,
           {12, 12, 12}, 0xc79712b2u}},
         {SystemConfig::flownSystem(),
-         {"flown", 0x404197ebb691017bull, 0x40dce5ffffffff8dull,
+         {"flown", 0x404197ebb691017bull, 0x40dce60000000000ull,
           {12, 12, 12}, 0x7391dc0eu}},
         {SystemConfig::rog(4),
-         {"rog4", 0x4041061ad3f8a4a7ull, 0x40e32f3a7808d729ull,
+         {"rog4", 0x4041061ad3f8a4a7ull, 0x40e32f3a7808d794ull,
           {12, 12, 12}, 0x6511eecdu}},
     };
     for (const auto &c : cases)
@@ -173,7 +173,7 @@ TEST(EngineFingerprint, RogUnderEveryHonouredFault)
     EXPECT_EQ(res.recoveries.size(), 1u);
     EXPECT_GT(res.checkpoints_written, 0u);
     expectPin(res, {"rog4+faults", 0x4041c7fb90b84147ull,
-                    0x40e0ecf2c33c4838ull, {12, 12, 10}, 0x3b1f96f1u});
+                    0x40e0ecf2c33c487full, {12, 12, 10}, 0x3b1f96f1u});
 }
 
 #endif // __x86_64__
