@@ -43,10 +43,10 @@
 
 #include "common/crc32c.hpp"
 #include "common/logging.hpp"
-#include "core/fair_share_channel.hpp"
 #include "core/mta.hpp"
 #include "core/server_checkpoint.hpp"
 #include "core/server_shard.hpp"
+#include "net/fluid_channel.hpp"
 #include "parallel/parallel_for.hpp"
 #include "sim/event_queue.hpp"
 
@@ -88,18 +88,41 @@ signedUnit(std::uint64_t h)
            1.0;
 }
 
+const FleetConfig &
+checked(const FleetConfig &cfg)
+{
+    if (cfg.workers == 0 || cfg.rows == 0 || cfg.row_width == 0 ||
+        cfg.iterations == 0)
+        throw std::invalid_argument(
+            "FleetConfig: workers/rows/row_width/iterations "
+            "must be positive");
+    return cfg;
+}
+
+/** One constant link per worker: the mean bandwidth spread by up to
+ *  +-bandwidth_spread (capped at 0.9) with a per-worker hash. */
+std::vector<net::BandwidthTrace>
+linkTraces(const FleetConfig &cfg)
+{
+    const double spread =
+        cfg.bandwidth_spread < 0.9 ? cfg.bandwidth_spread : 0.9;
+    std::vector<net::BandwidthTrace> links;
+    links.reserve(cfg.workers);
+    for (std::size_t w = 0; w < cfg.workers; ++w)
+        links.push_back(net::BandwidthTrace::constant(
+            cfg.mean_bandwidth *
+                (1.0 + spread * signedUnit(hashMix(cfg.seed, 1, w))),
+            /*duration_seconds=*/0.1));
+    return links;
+}
+
 /** The engine: one coordinator queue plus one event lane per shard. */
 class FleetEngine
 {
   public:
     FleetEngine(const FleetConfig &cfg, parallel::ThreadPool &pool)
-        : cfg_(cfg), pool_(pool)
+        : cfg_(checked(cfg)), pool_(pool), channel_(linkTraces(cfg))
     {
-        if (cfg.workers == 0 || cfg.rows == 0 || cfg.row_width == 0 ||
-            cfg.iterations == 0)
-            throw std::invalid_argument(
-                "FleetConfig: workers/rows/row_width/iterations "
-                "must be positive");
         if (cfg_.staleness_threshold == 0)
             cfg_.staleness_threshold = 1; // RSP floor; 1 == BSP.
         shards_ = cfg.shards == 0 ? 1 : cfg.shards;
@@ -142,12 +165,6 @@ class FleetEngine
         replicas_.assign(cfg.workers * target_.size(), 0.0f);
 
         workers_.resize(cfg.workers);
-        const double spread =
-            cfg.bandwidth_spread < 0.9 ? cfg.bandwidth_spread : 0.9;
-        for (std::size_t w = 0; w < cfg.workers; ++w)
-            workers_[w].link_rate =
-                cfg.mean_bandwidth *
-                (1.0 + spread * signedUnit(hashMix(cfg.seed, 1, w)));
         last_pushed_.assign(cfg.workers, 0);
         pushed_count_.assign(cfg.iterations + 1, 0);
         pushed_count_[0] = cfg.workers;
@@ -205,7 +222,6 @@ class FleetEngine
     {
         std::int64_t iter = 0; //!< iteration in flight (1-based).
         bool retired = false;
-        double link_rate = 0.0;
         double push_start = 0.0;
         /** push_seq_ when the last deliver ops were enqueued. */
         std::uint64_t deliver_seq = 0;
@@ -403,7 +419,7 @@ class FleetEngine
     void
     channelStart(std::size_t w, bool is_pull, double bytes)
     {
-        channel_.start(coord_.now(), bytes, workers_[w].link_rate,
+        channel_.start(coord_.now(), w, bytes,
                        (static_cast<std::uint64_t>(w) << 1) |
                            (is_pull ? 1u : 0u));
         total_bytes_ += bytes;
@@ -713,7 +729,7 @@ class FleetEngine
     std::uint64_t coord_events_ = 0;
     std::uint32_t coord_crc_ = 0;
 
-    FairShareChannel channel_;
+    net::FluidChannel channel_;
     sim::EventQueue::id_type channel_ev_{};
 
     double total_bytes_ = 0.0;
