@@ -110,7 +110,8 @@ class Channel
     /** Number of flows currently in the air. */
     std::size_t activeFlows() const { return core_.active(); }
 
-    /** Total bytes delivered since construction (all links). */
+    /** Bytes delivered since construction (all links); a flow's
+     *  bytes count when it finishes or is cut. */
     double totalBytesDelivered() const { return bytes_delivered_; }
 
     /**

@@ -176,6 +176,14 @@ TEST(NodedCli, BusyListenPortFailsWithTheSocketError)
                   1)
             << run.output;
         EXPECT_TRUE(run.output.ends_with('\n')) << run.output;
+        // No run summary: the socket never opened.
+        const ToolRun out = runTool(
+            ROG_NODED_BIN,
+            "server --workers 1 --iters 2 --listen-port " + port +
+                " --dir " + dir + retry,
+            " 2>/dev/null");
+        EXPECT_EQ(out.code, 1) << retry;
+        EXPECT_EQ(out.output, "") << retry;
     }
     ::close(fd);
 }

@@ -63,8 +63,10 @@ runServer(const core::NodeRunConfig &cfg)
             std::printf("port %u\n", static_cast<unsigned>(port));
             std::fflush(stdout);
         });
-    if (!res.error.empty())
+    if (!res.error.empty()) {
         std::fprintf(stderr, "rog_noded server: %s\n", res.error.c_str());
+        return 1;
+    }
     std::printf("done %d metric %.4f applied %zu dup %zu stale %zu "
                 "epoch %llu recovered %d\n",
                 res.done ? 1 : 0, res.metric, res.applied_pushes,
@@ -94,8 +96,10 @@ runWorker(const core::NodeRunConfig &cfg, const Args &args)
     }
     const core::WorkerRunResult res =
         core::runWorkerNode(cfg, w, host, port);
-    if (!res.error.empty())
+    if (!res.error.empty()) {
         std::fprintf(stderr, "rog_noded worker: %s\n", res.error.c_str());
+        return 1;
+    }
     std::printf("done %d failed %d iter %lld\n", res.done ? 1 : 0,
                 res.failed ? 1 : 0,
                 static_cast<long long>(res.done_iter));
